@@ -1,0 +1,917 @@
+package cfront
+
+import (
+	"fmt"
+	"strconv"
+)
+
+// Parser is a recursive-descent parser for the C subset. It maintains a
+// typedef table (needed to disambiguate declarations from expressions), a
+// struct/union tag registry (shared definitions give shared field
+// qualifiers), and an enum-constant table.
+type Parser struct {
+	lex *Lexer
+	tok Token
+
+	typedefs map[string]*Type
+	tags     map[string]*StructType
+	enums    map[string]int64
+	anonID   int
+}
+
+// Parse parses a complete translation unit.
+func Parse(file, src string) (*File, error) {
+	p := &Parser{
+		lex:      NewLexer(file, src),
+		typedefs: make(map[string]*Type),
+		tags:     make(map[string]*StructType),
+		enums:    make(map[string]int64),
+	}
+	if err := p.next(); err != nil {
+		return nil, err
+	}
+	f := &File{Name: file}
+	for p.tok.Kind != EOF {
+		decls, err := p.parseExternalDecl()
+		if err != nil {
+			return nil, err
+		}
+		f.Decls = append(f.Decls, decls...)
+	}
+	f.EnumConsts = p.enums
+	return f, nil
+}
+
+// EnumConstants exposes the enum constants seen while parsing, for
+// clients that resolve identifiers.
+func (p *Parser) EnumConstants() map[string]int64 { return p.enums }
+
+func (p *Parser) next() error {
+	t, err := p.lex.Next()
+	if err != nil {
+		return err
+	}
+	p.tok = t
+	return nil
+}
+
+func (p *Parser) expect(k TokKind) (Token, error) {
+	if p.tok.Kind != k {
+		return Token{}, &SyntaxError{Pos: p.tok.Pos, Msg: fmt.Sprintf("expected %s, found %s %q", k, p.tok.Kind, p.tok.Text)}
+	}
+	t := p.tok
+	return t, p.next()
+}
+
+func (p *Parser) errf(format string, args ...interface{}) error {
+	return &SyntaxError{Pos: p.tok.Pos, Msg: fmt.Sprintf(format, args...)}
+}
+
+// isTypeStart reports whether the current token can begin
+// declaration-specifiers.
+func (p *Parser) isTypeStart() bool {
+	switch p.tok.Kind {
+	case kwVoid, kwChar, kwInt, kwLong, kwShort, kwSigned, kwUnsigned,
+		kwFloat, kwDouble, kwConst, kwVolatile, kwStruct, kwUnion, kwEnum,
+		kwTypedef, kwExtern, kwStatic, kwAuto, kwRegister:
+		return true
+	case IDENT:
+		_, ok := p.typedefs[p.tok.Text]
+		return ok
+	default:
+		return false
+	}
+}
+
+// ---------------------------------------------------------------------
+// Declarations
+
+type declSpecs struct {
+	storage StorageClass
+	base    *Type
+	pos     Pos
+}
+
+// parseDeclSpecs parses storage classes, qualifiers and type specifiers.
+func (p *Parser) parseDeclSpecs() (*declSpecs, error) {
+	ds := &declSpecs{pos: p.tok.Pos}
+	var quals Quals
+	var (
+		sawSigned, sawUnsigned bool
+		longs, shorts          int
+		baseKw                 TokKind = -1
+	)
+	sawSpecifier := func() bool {
+		return baseKw >= 0 || sawSigned || sawUnsigned || longs > 0 || shorts > 0 || ds.base != nil
+	}
+	for {
+		switch p.tok.Kind {
+		case kwTypedef, kwExtern, kwStatic, kwAuto, kwRegister:
+			if ds.storage != SCNone {
+				return nil, p.errf("multiple storage classes")
+			}
+			switch p.tok.Kind {
+			case kwTypedef:
+				ds.storage = SCTypedef
+			case kwExtern:
+				ds.storage = SCExtern
+			case kwStatic:
+				ds.storage = SCStatic
+			case kwAuto:
+				ds.storage = SCAuto
+			case kwRegister:
+				ds.storage = SCRegister
+			}
+			if err := p.next(); err != nil {
+				return nil, err
+			}
+		case kwConst:
+			quals.Const = true
+			quals.ConstPos = p.tok.Pos
+			if err := p.next(); err != nil {
+				return nil, err
+			}
+		case kwVolatile:
+			quals.Volatile = true
+			if err := p.next(); err != nil {
+				return nil, err
+			}
+		case kwSigned:
+			sawSigned = true
+			if err := p.next(); err != nil {
+				return nil, err
+			}
+		case kwUnsigned:
+			sawUnsigned = true
+			if err := p.next(); err != nil {
+				return nil, err
+			}
+		case kwLong:
+			longs++
+			if err := p.next(); err != nil {
+				return nil, err
+			}
+		case kwShort:
+			shorts++
+			if err := p.next(); err != nil {
+				return nil, err
+			}
+		case kwVoid, kwChar, kwInt, kwFloat, kwDouble:
+			if baseKw >= 0 || ds.base != nil {
+				return nil, p.errf("multiple type specifiers")
+			}
+			baseKw = p.tok.Kind
+			if err := p.next(); err != nil {
+				return nil, err
+			}
+		case kwStruct, kwUnion:
+			if sawSpecifier() {
+				return nil, p.errf("struct specifier after another type specifier")
+			}
+			st, err := p.parseStructSpecifier(p.tok.Kind == kwUnion)
+			if err != nil {
+				return nil, err
+			}
+			ds.base = &Type{Kind: TStruct, Struct: st}
+		case kwEnum:
+			if sawSpecifier() {
+				return nil, p.errf("enum specifier after another type specifier")
+			}
+			et, err := p.parseEnumSpecifier()
+			if err != nil {
+				return nil, err
+			}
+			ds.base = et
+		case IDENT:
+			// A typedef name acts as a type specifier only when no
+			// specifier has been seen yet.
+			if td, ok := p.typedefs[p.tok.Text]; ok && !sawSpecifier() {
+				// Macro-expand the typedef: deep-copy so each use has
+				// independent qualifier positions (paper Section 4.2).
+				ds.base = td.Clone()
+				if err := p.next(); err != nil {
+					return nil, err
+				}
+				continue
+			}
+			goto done
+		default:
+			goto done
+		}
+	}
+done:
+	if ds.base == nil {
+		spelling, kind := intSpelling(baseKw, sawSigned, sawUnsigned, longs, shorts)
+		if kind == TypeKind(-1) {
+			if !sawSpecifier() && !quals.Const && !quals.Volatile && ds.storage == SCNone {
+				return nil, p.errf("expected declaration, found %s %q", p.tok.Kind, p.tok.Text)
+			}
+			// Implicit int (K&R style "const x;" or bare storage class).
+			spelling, kind = "int", TInt
+		}
+		ds.base = NewPrim(kind, spelling)
+	}
+	ds.base.Quals.Const = ds.base.Quals.Const || quals.Const
+	ds.base.Quals.Volatile = ds.base.Quals.Volatile || quals.Volatile
+	if quals.Const {
+		ds.base.Quals.ConstPos = quals.ConstPos
+	}
+	return ds, nil
+}
+
+func intSpelling(base TokKind, signed, unsigned bool, longs, shorts int) (string, TypeKind) {
+	prefix := ""
+	if unsigned {
+		prefix = "unsigned "
+	} else if signed {
+		prefix = "signed "
+	}
+	switch base {
+	case kwVoid:
+		return "void", TVoid
+	case kwChar:
+		return prefix + "char", TChar
+	case kwFloat:
+		return "float", TFloat
+	case kwDouble:
+		if longs > 0 {
+			return "long double", TFloat
+		}
+		return "double", TFloat
+	case kwInt, TokKind(-1):
+		if base == TokKind(-1) && !signed && !unsigned && longs == 0 && shorts == 0 {
+			return "", TypeKind(-1)
+		}
+		switch {
+		case longs >= 2:
+			return prefix + "long long", TInt
+		case longs == 1:
+			return prefix + "long", TInt
+		case shorts >= 1:
+			return prefix + "short", TInt
+		default:
+			return prefix + "int", TInt
+		}
+	default:
+		return "", TypeKind(-1)
+	}
+}
+
+func (p *Parser) parseStructSpecifier(isUnion bool) (*StructType, error) {
+	if err := p.next(); err != nil { // struct/union keyword
+		return nil, err
+	}
+	tag := ""
+	defPos := p.tok.Pos
+	if p.tok.Kind == IDENT {
+		tag = p.tok.Text
+		if err := p.next(); err != nil {
+			return nil, err
+		}
+	}
+	var st *StructType
+	if tag != "" {
+		if existing, ok := p.tags[tag]; ok && existing.Union == isUnion {
+			st = existing
+		}
+	}
+	if st == nil {
+		p.anonID++
+		st = &StructType{Tag: tag, Union: isUnion, DefPos: defPos, ID: p.anonID}
+		if tag != "" {
+			p.tags[tag] = st
+		}
+	}
+	if p.tok.Kind != LBRACE {
+		if tag == "" {
+			return nil, p.errf("anonymous struct without a body")
+		}
+		return st, nil
+	}
+	if st.Complete {
+		return nil, &SyntaxError{Pos: defPos, Msg: fmt.Sprintf("redefinition of %s", st)}
+	}
+	if err := p.next(); err != nil { // {
+		return nil, err
+	}
+	for p.tok.Kind != RBRACE {
+		ds, err := p.parseDeclSpecs()
+		if err != nil {
+			return nil, err
+		}
+		for {
+			name, typ, namePos, err := p.parseDeclarator(ds.base.Clone(), false)
+			if err != nil {
+				return nil, err
+			}
+			if p.tok.Kind == COLON { // bit-field
+				if err := p.next(); err != nil {
+					return nil, err
+				}
+				if _, err := p.parseConditional(); err != nil {
+					return nil, err
+				}
+			}
+			if name == "" {
+				return nil, p.errf("expected field name")
+			}
+			st.Fields = append(st.Fields, Field{Name: name, Type: typ, Pos: namePos})
+			if p.tok.Kind != COMMA {
+				break
+			}
+			if err := p.next(); err != nil {
+				return nil, err
+			}
+		}
+		if _, err := p.expect(SEMI); err != nil {
+			return nil, err
+		}
+	}
+	if err := p.next(); err != nil { // }
+		return nil, err
+	}
+	st.Complete = true
+	return st, nil
+}
+
+func (p *Parser) parseEnumSpecifier() (*Type, error) {
+	if err := p.next(); err != nil { // enum
+		return nil, err
+	}
+	tag := ""
+	if p.tok.Kind == IDENT {
+		tag = p.tok.Text
+		if err := p.next(); err != nil {
+			return nil, err
+		}
+	}
+	t := &Type{Kind: TEnum, EnumTag: tag, Spelling: "int"}
+	if p.tok.Kind != LBRACE {
+		if tag == "" {
+			return nil, p.errf("anonymous enum without a body")
+		}
+		return t, nil
+	}
+	if err := p.next(); err != nil { // {
+		return nil, err
+	}
+	var val int64
+	for p.tok.Kind != RBRACE {
+		name, err := p.expect(IDENT)
+		if err != nil {
+			return nil, err
+		}
+		if p.tok.Kind == ASSIGN {
+			if err := p.next(); err != nil {
+				return nil, err
+			}
+			e, err := p.parseConditional()
+			if err != nil {
+				return nil, err
+			}
+			if v, ok := p.evalConst(e); ok {
+				val = v
+			}
+		}
+		p.enums[name.Text] = val
+		t.Enumerators = append(t.Enumerators, Enumerator{Name: name.Text, Value: val})
+		val++
+		if p.tok.Kind != COMMA {
+			break
+		}
+		if err := p.next(); err != nil {
+			return nil, err
+		}
+	}
+	if _, err := p.expect(RBRACE); err != nil {
+		return nil, err
+	}
+	return t, nil
+}
+
+// parseDeclarator parses a (possibly abstract when allowAbstract) C
+// declarator applied to the base type; it returns the declared name (""
+// for abstract), the complete type, and the name's position.
+func (p *Parser) parseDeclarator(base *Type, allowAbstract bool) (string, *Type, Pos, error) {
+	// Pointers: each '*' may be followed by qualifiers that attach to
+	// that pointer level.
+	t := base
+	for p.tok.Kind == STAR {
+		if err := p.next(); err != nil {
+			return "", nil, Pos{}, err
+		}
+		pt := NewPointer(t)
+		for p.tok.Kind == kwConst || p.tok.Kind == kwVolatile {
+			if p.tok.Kind == kwConst {
+				pt.Quals.Const = true
+				pt.Quals.ConstPos = p.tok.Pos
+			} else {
+				pt.Quals.Volatile = true
+			}
+			if err := p.next(); err != nil {
+				return "", nil, Pos{}, err
+			}
+		}
+		t = pt
+	}
+	return p.parseDirectDeclarator(t, allowAbstract)
+}
+
+func (p *Parser) parseDirectDeclarator(base *Type, allowAbstract bool) (string, *Type, Pos, error) {
+	var name string
+	var namePos Pos
+	// inner defers wrapping a parenthesized declarator around the suffixed
+	// base (e.g. int (*f)(void)).
+	var inner func(*Type) (string, *Type, Pos, error)
+
+	switch {
+	case p.tok.Kind == IDENT:
+		name = p.tok.Text
+		namePos = p.tok.Pos
+		if err := p.next(); err != nil {
+			return "", nil, Pos{}, err
+		}
+	case p.tok.Kind == LPAREN && p.parenStartsDeclarator():
+		if err := p.next(); err != nil { // (
+			return "", nil, Pos{}, err
+		}
+		// Parse the inner declarator with its base type deferred; the
+		// suffixes collected below complete it.
+		innerName, innerComplete, innerPos, err := p.parseDeclaratorDeferred()
+		if err != nil {
+			return "", nil, Pos{}, err
+		}
+		if _, err := p.expect(RPAREN); err != nil {
+			return "", nil, Pos{}, err
+		}
+		name, namePos = innerName, innerPos
+		inner = innerComplete
+	default:
+		if !allowAbstract {
+			return "", nil, Pos{}, p.errf("expected declarator, found %s %q", p.tok.Kind, p.tok.Text)
+		}
+	}
+
+	// Suffixes: arrays and parameter lists, outermost first.
+	var suffixes []func(*Type) (*Type, error)
+	for {
+		switch p.tok.Kind {
+		case LBRACK:
+			if err := p.next(); err != nil {
+				return "", nil, Pos{}, err
+			}
+			length := int64(-1)
+			if p.tok.Kind != RBRACK {
+				e, err := p.parseAssignment()
+				if err != nil {
+					return "", nil, Pos{}, err
+				}
+				if v, ok := p.evalConst(e); ok {
+					length = v
+				}
+			}
+			if _, err := p.expect(RBRACK); err != nil {
+				return "", nil, Pos{}, err
+			}
+			n := length
+			suffixes = append(suffixes, func(elem *Type) (*Type, error) {
+				return &Type{Kind: TArray, Elem: elem, ArrayLen: n}, nil
+			})
+		case LPAREN:
+			if err := p.next(); err != nil {
+				return "", nil, Pos{}, err
+			}
+			params, variadic, err := p.parseParamList()
+			if err != nil {
+				return "", nil, Pos{}, err
+			}
+			if _, err := p.expect(RPAREN); err != nil {
+				return "", nil, Pos{}, err
+			}
+			ps, v := params, variadic
+			suffixes = append(suffixes, func(ret *Type) (*Type, error) {
+				return &Type{Kind: TFunc, Ret: ret, Params: ps, Variadic: v}, nil
+			})
+		default:
+			goto wrap
+		}
+	}
+wrap:
+	// Apply suffixes right-to-left around the base (closest suffix to the
+	// name binds tightest).
+	t := base
+	var err error
+	for i := len(suffixes) - 1; i >= 0; i-- {
+		t, err = suffixes[i](t)
+		if err != nil {
+			return "", nil, Pos{}, err
+		}
+	}
+	if inner != nil {
+		_, t, namePos, err = inner(t)
+		if err != nil {
+			return "", nil, Pos{}, err
+		}
+	}
+	return name, t, namePos, nil
+}
+
+// parseDeclaratorDeferred parses a declarator whose base type is not yet
+// known (inside parentheses); it returns a function that completes the
+// type once the base is available.
+func (p *Parser) parseDeclaratorDeferred() (string, func(*Type) (string, *Type, Pos, error), Pos, error) {
+	// Collect pointer levels.
+	type ptrLevel struct{ quals Quals }
+	var ptrs []ptrLevel
+	for p.tok.Kind == STAR {
+		if err := p.next(); err != nil {
+			return "", nil, Pos{}, err
+		}
+		var q Quals
+		for p.tok.Kind == kwConst || p.tok.Kind == kwVolatile {
+			if p.tok.Kind == kwConst {
+				q.Const = true
+				q.ConstPos = p.tok.Pos
+			} else {
+				q.Volatile = true
+			}
+			if err := p.next(); err != nil {
+				return "", nil, Pos{}, err
+			}
+		}
+		ptrs = append(ptrs, ptrLevel{q})
+	}
+
+	var name string
+	var namePos Pos
+	var inner func(*Type) (string, *Type, Pos, error)
+	switch {
+	case p.tok.Kind == IDENT:
+		name = p.tok.Text
+		namePos = p.tok.Pos
+		if err := p.next(); err != nil {
+			return "", nil, Pos{}, err
+		}
+	case p.tok.Kind == LPAREN && p.parenStartsDeclarator():
+		if err := p.next(); err != nil {
+			return "", nil, Pos{}, err
+		}
+		n, f, np, err := p.parseDeclaratorDeferred()
+		if err != nil {
+			return "", nil, Pos{}, err
+		}
+		if _, err := p.expect(RPAREN); err != nil {
+			return "", nil, Pos{}, err
+		}
+		name, inner, namePos = n, f, np
+	}
+
+	var suffixes []func(*Type) (*Type, error)
+	for {
+		switch p.tok.Kind {
+		case LBRACK:
+			if err := p.next(); err != nil {
+				return "", nil, Pos{}, err
+			}
+			length := int64(-1)
+			if p.tok.Kind != RBRACK {
+				e, err := p.parseAssignment()
+				if err != nil {
+					return "", nil, Pos{}, err
+				}
+				if v, ok := p.evalConst(e); ok {
+					length = v
+				}
+			}
+			if _, err := p.expect(RBRACK); err != nil {
+				return "", nil, Pos{}, err
+			}
+			n := length
+			suffixes = append(suffixes, func(elem *Type) (*Type, error) {
+				return &Type{Kind: TArray, Elem: elem, ArrayLen: n}, nil
+			})
+		case LPAREN:
+			if err := p.next(); err != nil {
+				return "", nil, Pos{}, err
+			}
+			params, variadic, err := p.parseParamList()
+			if err != nil {
+				return "", nil, Pos{}, err
+			}
+			if _, err := p.expect(RPAREN); err != nil {
+				return "", nil, Pos{}, err
+			}
+			ps, v := params, variadic
+			suffixes = append(suffixes, func(ret *Type) (*Type, error) {
+				return &Type{Kind: TFunc, Ret: ret, Params: ps, Variadic: v}, nil
+			})
+		default:
+			goto build
+		}
+	}
+build:
+	finalName, finalPos := name, namePos
+	innerF := inner
+	ptrsCopy := ptrs
+	sufCopy := suffixes
+	complete := func(base *Type) (string, *Type, Pos, error) {
+		t := base
+		for _, pl := range ptrsCopy {
+			pt := NewPointer(t)
+			pt.Quals = pl.quals
+			t = pt
+		}
+		var err error
+		for i := len(sufCopy) - 1; i >= 0; i-- {
+			t, err = sufCopy[i](t)
+			if err != nil {
+				return "", nil, Pos{}, err
+			}
+		}
+		if innerF != nil {
+			return innerF(t)
+		}
+		return finalName, t, finalPos, nil
+	}
+	return name, complete, namePos, nil
+}
+
+// parenStartsDeclarator decides whether '(' begins a nested declarator
+// (true) or a parameter list of an abstract declarator (false).
+func (p *Parser) parenStartsDeclarator() bool {
+	// Cheap one-token lookahead on the lexer state.
+	saved := *p.lex
+	savedTok := p.tok
+	defer func() { *p.lex = saved; p.tok = savedTok }()
+	if p.next() != nil {
+		return false
+	}
+	switch p.tok.Kind {
+	case STAR, IDENT:
+		// "(*" is always a declarator. "(name" is a declarator unless
+		// name is a typedef (then it is a parameter list).
+		if p.tok.Kind == IDENT {
+			_, isType := p.typedefs[p.tok.Text]
+			return !isType
+		}
+		return true
+	case LPAREN:
+		return true
+	default:
+		return false
+	}
+}
+
+func (p *Parser) parseParamList() ([]Param, bool, error) {
+	var params []Param
+	variadic := false
+	if p.tok.Kind == RPAREN {
+		return nil, false, nil // ()
+	}
+	// (void)
+	if p.tok.Kind == kwVoid {
+		saved := *p.lex
+		savedTok := p.tok
+		if err := p.next(); err != nil {
+			return nil, false, err
+		}
+		if p.tok.Kind == RPAREN {
+			return nil, false, nil
+		}
+		*p.lex = saved
+		p.tok = savedTok
+	}
+	for {
+		if p.tok.Kind == ELLIPSIS {
+			variadic = true
+			if err := p.next(); err != nil {
+				return nil, false, err
+			}
+			break
+		}
+		ds, err := p.parseDeclSpecs()
+		if err != nil {
+			return nil, false, err
+		}
+		name, typ, namePos, err := p.parseDeclarator(ds.base.Clone(), true)
+		if err != nil {
+			return nil, false, err
+		}
+		// Arrays and functions decay to pointers in parameter position.
+		typ = decay(typ)
+		params = append(params, Param{Name: name, Type: typ, Pos: namePos})
+		if p.tok.Kind != COMMA {
+			break
+		}
+		if err := p.next(); err != nil {
+			return nil, false, err
+		}
+	}
+	return params, variadic, nil
+}
+
+// decay converts array-of-T to pointer-to-T and function types to
+// pointers-to-function in parameter position.
+func decay(t *Type) *Type {
+	switch t.Kind {
+	case TArray:
+		pt := NewPointer(t.Elem)
+		pt.Quals = t.Quals
+		return pt
+	case TFunc:
+		return NewPointer(t)
+	default:
+		return t
+	}
+}
+
+// parseExternalDecl parses one top-level declaration, which may expand to
+// several Decl nodes (comma-separated declarators).
+func (p *Parser) parseExternalDecl() ([]Decl, error) {
+	ds, err := p.parseDeclSpecs()
+	if err != nil {
+		return nil, err
+	}
+	// Tag-only declaration: "struct s { ... };"
+	if p.tok.Kind == SEMI {
+		if ds.storage == SCTypedef {
+			return nil, p.errf("typedef without a declarator")
+		}
+		if err := p.next(); err != nil {
+			return nil, err
+		}
+		return []Decl{&TagDecl{Type: ds.base, Pos: ds.pos}}, nil
+	}
+
+	var decls []Decl
+	first := true
+	for {
+		name, typ, namePos, err := p.parseDeclarator(ds.base.Clone(), false)
+		if err != nil {
+			return nil, err
+		}
+		if name == "" {
+			return nil, p.errf("expected declared name")
+		}
+		if ds.storage == SCTypedef {
+			p.typedefs[name] = typ
+			decls = append(decls, &TypedefDecl{Name: name, Type: typ, Pos: namePos})
+		} else if first && typ.Kind == TFunc && p.tok.Kind == LBRACE {
+			body, err := p.parseBlock()
+			if err != nil {
+				return nil, err
+			}
+			decls = append(decls, &FuncDecl{Name: name, Type: typ, Storage: ds.storage, Body: body, Pos: namePos})
+			return decls, nil
+		} else if typ.Kind == TFunc {
+			decls = append(decls, &FuncDecl{Name: name, Type: typ, Storage: ds.storage, Pos: namePos})
+		} else {
+			var init Expr
+			if p.tok.Kind == ASSIGN {
+				if err := p.next(); err != nil {
+					return nil, err
+				}
+				init, err = p.parseInitializer()
+				if err != nil {
+					return nil, err
+				}
+			}
+			decls = append(decls, &VarDecl{Name: name, Type: typ, Storage: ds.storage, Init: init, Pos: namePos})
+		}
+		first = false
+		if p.tok.Kind != COMMA {
+			break
+		}
+		if err := p.next(); err != nil {
+			return nil, err
+		}
+	}
+	if _, err := p.expect(SEMI); err != nil {
+		return nil, err
+	}
+	return decls, nil
+}
+
+func (p *Parser) parseInitializer() (Expr, error) {
+	if p.tok.Kind != LBRACE {
+		return p.parseAssignment()
+	}
+	pos := p.tok.Pos
+	if err := p.next(); err != nil {
+		return nil, err
+	}
+	var items []Expr
+	for p.tok.Kind != RBRACE {
+		item, err := p.parseInitializer()
+		if err != nil {
+			return nil, err
+		}
+		items = append(items, item)
+		if p.tok.Kind != COMMA {
+			break
+		}
+		if err := p.next(); err != nil {
+			return nil, err
+		}
+	}
+	if _, err := p.expect(RBRACE); err != nil {
+		return nil, err
+	}
+	return &InitList{Items: items, Pos: pos}, nil
+}
+
+// evalConst evaluates small constant expressions (for array sizes and
+// enum values). It returns false when the value is not statically known
+// to this evaluator.
+func (p *Parser) evalConst(e Expr) (int64, bool) {
+	switch e := e.(type) {
+	case *IntLit:
+		return e.Val, true
+	case *CharLit:
+		if len(e.Text) >= 3 && e.Text[1] != '\\' {
+			return int64(e.Text[1]), true
+		}
+		return 0, false
+	case *Ident:
+		v, ok := p.enums[e.Name]
+		return v, ok
+	case *Unary:
+		v, ok := p.evalConst(e.X)
+		if !ok {
+			return 0, false
+		}
+		switch e.Op {
+		case UNeg:
+			return -v, true
+		case UPlus:
+			return v, true
+		case UBNot:
+			return ^v, true
+		case UNot:
+			if v == 0 {
+				return 1, true
+			}
+			return 0, true
+		}
+		return 0, false
+	case *Binary:
+		l, ok1 := p.evalConst(e.L)
+		r, ok2 := p.evalConst(e.R)
+		if !ok1 || !ok2 {
+			return 0, false
+		}
+		switch e.Op {
+		case BAdd:
+			return l + r, true
+		case BSub:
+			return l - r, true
+		case BMul:
+			return l * r, true
+		case BDiv:
+			if r == 0 {
+				return 0, false
+			}
+			return l / r, true
+		case BMod:
+			if r == 0 {
+				return 0, false
+			}
+			return l % r, true
+		case BShl:
+			return l << uint(r&63), true
+		case BShr:
+			return l >> uint(r&63), true
+		case BAnd:
+			return l & r, true
+		case BOr:
+			return l | r, true
+		case BXor:
+			return l ^ r, true
+		}
+		return 0, false
+	default:
+		return 0, false
+	}
+}
+
+func parseIntText(text string) int64 {
+	t := text
+	for len(t) > 0 {
+		last := t[len(t)-1]
+		if last == 'u' || last == 'U' || last == 'l' || last == 'L' {
+			t = t[:len(t)-1]
+			continue
+		}
+		break
+	}
+	v, err := strconv.ParseInt(t, 0, 64)
+	if err != nil {
+		// Out-of-range literals saturate; the analysis does not use the value.
+		u, uerr := strconv.ParseUint(t, 0, 64)
+		if uerr == nil {
+			return int64(u)
+		}
+		return 0
+	}
+	return v
+}
