@@ -87,7 +87,7 @@ func main() {
 	jsonOut := flag.Bool("json", false, "emit the report and diagnostics as JSON")
 	stats := flag.Bool("stats", false, "print solver statistics (system size, cycle condensation) to stderr")
 	jobs := flag.Int("jobs", 0, "constraint-generation workers (0 = GOMAXPROCS; results are identical for every value)")
-	solveJobs := flag.Int("solve-jobs", 0, "solver workers for mask classes and level sweeps (0 = GOMAXPROCS, 1 = sequential; results are identical for every value)")
+	solveJobs := flag.Int("solve-jobs", 0, "no effect; the solve is sequential (accepted for compatibility, removed next round)")
 	traceFile := flag.String("trace", "", "write a Chrome trace-event JSON of the pipeline to this file (view in chrome://tracing or Perfetto)")
 	serve := flag.String("serve", "", "analyze via a running cquald daemon at this base URL instead of locally")
 	analysisFlag := flag.String("analysis", "const", "comma-separated qualifier analyses to run together (see -analyses)")
@@ -156,7 +156,7 @@ func main() {
 		os.Exit(runRemote(*serve, remoteOptions{
 			lang: *lang,
 			poly: *poly, polyrec: *polyrec, simplify: *simplify || *schemes,
-			uninit: *uninit, jobs: *jobs, solveJobs: *solveJobs,
+			uninit: *uninit, jobs: *jobs,
 			analyses: analyses, preludes: preludes, jsonOut: *jsonOut,
 		}, flag.Args(), os.Stdout, os.Stderr))
 	}
@@ -168,11 +168,10 @@ func main() {
 			PolyRec:  *polyrec,
 			Simplify: *simplify || *schemes,
 		},
-		Jobs:      *jobs,
-		SolveJobs: *solveJobs,
-		Uninit:    *uninit,
-		Analyses:  analyses,
-		Preludes:  preludes,
+		Jobs:     *jobs,
+		Uninit:   *uninit,
+		Analyses: analyses,
+		Preludes: preludes,
 	}
 	ctx := context.Background()
 	var tracer *obs.Tracer
@@ -397,7 +396,7 @@ func printAnalyses() {
 type remoteOptions struct {
 	lang                            string
 	poly, polyrec, simplify, uninit bool
-	jobs, solveJobs                 int
+	jobs                            int
 	analyses                        []string
 	preludes                        []driver.PreludeFile
 	jsonOut                         bool
@@ -421,14 +420,13 @@ func runRemote(base string, opts remoteOptions, paths []string, stdout, stderr i
 		lang = "" // the wire default; keeps C requests byte-identical
 	}
 	req := server.AnalyzeRequest{
-		Lang:      lang,
-		Poly:      opts.poly,
-		PolyRec:   opts.polyrec,
-		Simplify:  opts.simplify,
-		Uninit:    opts.uninit,
-		Jobs:      opts.jobs,
-		SolveJobs: opts.solveJobs,
-		Analyses:  opts.analyses,
+		Lang:     lang,
+		Poly:     opts.poly,
+		PolyRec:  opts.polyrec,
+		Simplify: opts.simplify,
+		Uninit:   opts.uninit,
+		Jobs:     opts.jobs,
+		Analyses: opts.analyses,
 	}
 	for _, p := range opts.preludes {
 		req.Preludes = append(req.Preludes, server.PreludeJSON{Path: p.Path, Text: p.Text})
@@ -563,14 +561,6 @@ func printSolverStats(res *driver.Result) {
 		st.Vars, st.Constraints, st.MaskClasses)
 	fmt.Fprintf(os.Stderr, "  condensation: %d components, %d cycles collapsed (%d vars merged), %d edges dropped\n",
 		st.Components, st.SCCsCollapsed, st.VarsCollapsed, st.EdgesDropped)
-	// Execution counters: how the solve ran, never what it computed
-	// (results are byte-identical at every -solve-jobs setting).
-	if st.Workers > 1 {
-		fmt.Fprintf(os.Stderr, "  parallel:     %d workers, %d class(es) fanned out, %d region(s), %d level sweep(s), %d sequential fallback(s)\n",
-			st.Workers, st.ParallelClasses, st.CCRegions, st.SweepLevels, st.SweepFallbacks)
-	} else {
-		fmt.Fprintf(os.Stderr, "  parallel:     sequential solve (-solve-jobs 1 or below threshold)\n")
-	}
 	// Delta counters appear only when the run went through a retained
 	// session (driver.Session / cquald sessions); plain cqual runs solve
 	// cold and print nothing here.

@@ -86,7 +86,7 @@ import (
 func main() {
 	addr := flag.String("addr", "127.0.0.1:8710", "listen address (host:port; port 0 picks a free port)")
 	jobs := flag.Int("jobs", 0, "constraint-generation workers per analysis (0 = GOMAXPROCS)")
-	solveJobs := flag.Int("solve-jobs", 0, "solver workers per analysis (0 = GOMAXPROCS, 1 = sequential; results are identical for every value)")
+	solveJobs := flag.Int("solve-jobs", 0, "no effect; the solve is sequential (accepted for compatibility, removed next round)")
 	maxConcurrent := flag.Int("max-concurrent", 0, "simultaneous analyses (0 = GOMAXPROCS)")
 	timeout := flag.Duration("timeout", server.DefaultRequestTimeout, "per-request deadline including queue time (negative = none)")
 	shutdownTimeout := flag.Duration("shutdown-timeout", 10*time.Second, "grace period for draining in-flight requests on SIGINT/SIGTERM")
@@ -130,7 +130,7 @@ func main() {
 	if *watch != "" {
 		os.Exit(runWatchMode(*watch, *watchInterval, watchOptions{
 			poly: *poly, polyrec: *polyrec, simplify: *simplify,
-			uninit: *uninit, jobs: *jobs, solveJobs: *solveJobs, lang: *lang,
+			uninit: *uninit, jobs: *jobs, lang: *lang,
 			analyses: *analysisFlag, preludes: *preludeFlag,
 		}))
 	}
@@ -160,7 +160,6 @@ func main() {
 
 	srv := server.New(server.Config{
 		Jobs:           *jobs,
-		SolveJobs:      *solveJobs,
 		MaxConcurrent:  *maxConcurrent,
 		RequestTimeout: *timeout,
 		ResultEntries:  *resultEntries,

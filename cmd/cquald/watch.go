@@ -32,7 +32,7 @@ import (
 // watchOptions carries the cqual-style mode flags into watch mode.
 type watchOptions struct {
 	poly, polyrec, simplify, uninit bool
-	jobs, solveJobs                 int
+	jobs                            int
 	lang                            string // front-end language ("" = c)
 	analyses                        string // comma-separated
 	preludes                        string // comma-separated file paths
@@ -87,12 +87,11 @@ func runWatchMode(dir string, interval time.Duration, opts watchOptions) int {
 			PolyRec:  opts.polyrec,
 			Simplify: opts.simplify,
 		},
-		Jobs:      opts.jobs,
-		SolveJobs: opts.solveJobs,
-		Lang:      fe.Lang(),
-		Uninit:    opts.uninit,
-		Analyses:  analyses,
-		Preludes:  preludes,
+		Jobs:     opts.jobs,
+		Lang:     fe.Lang(),
+		Uninit:   opts.uninit,
+		Analyses: analyses,
+		Preludes: preludes,
 	}
 	if err := fe.Check(cfg); err != nil {
 		fmt.Fprintln(os.Stderr, "cquald:", err)

@@ -8,7 +8,7 @@
 //	paperbench [-table1] [-table2] [-figure6] [-simplify] [-polyrec]
 //	           [-delta-vars n] [-delta-rounds n]
 //	           [-go-self PATTERN] [-go-self-rounds n]
-//	           [-new-analyses] [-parallel] [-parallel-lines n]
+//	           [-new-analyses]
 //	           [-obs] [-obs-requests n] [-obs-rounds n] [-out FILE]
 //
 // With no selection flags, everything is printed. -out additionally
@@ -22,12 +22,6 @@
 // constraint.Session re-solving the -delta-vars cycle-graph workload
 // after a one-fragment edit, against a cold solve of the same system
 // (see experiment.MeasureDelta). -delta-vars 0 disables it.
-//
-// -parallel runs the parallel-solve scaling benchmark: one large
-// benchgen corpus (-parallel-lines, default a million lines) built
-// once, then cold-solved at -solve-jobs 1/2/4/NumCPU (see
-// experiment.MeasureParallel). The block records the solve-time curve
-// and the solver's parallel-execution counters at each point.
 //
 // -obs measures what cquald's always-on flight recorder costs a
 // warm-path (cache-hit) request: two in-process servers, recording on
@@ -139,18 +133,6 @@ type newAnalysisJSON struct {
 	Memory      memJSON  `json:"memory"`
 }
 
-// parallelPointJSON is one worker count on the parallel-solve curve.
-type parallelPointJSON struct {
-	Jobs            int     `json:"jobs"`
-	SolveMS         float64 `json:"solve_ms"`
-	Workers         int     `json:"workers"`
-	ParallelClasses int     `json:"parallel_classes"`
-	SweepLevels     int     `json:"sweep_levels"`
-	SweepFallbacks  int     `json:"sweep_fallbacks"`
-	CCRegions       int     `json:"cc_regions"`
-	Speedup         float64 `json:"speedup_vs_sequential"`
-}
-
 // obsJSON is the -obs block of the -out schema: the flight recorder's
 // warm-path overhead, measured by A/B-ing two in-process servers (see
 // experiment.MeasureObs). Overhead is (on/off)-1; the acceptance bound
@@ -166,19 +148,6 @@ type obsJSON struct {
 	Memory    memJSON `json:"memory"`
 }
 
-// parallelJSON is the -parallel block of the -out schema: cold solves
-// of one large generated corpus at increasing solver worker counts.
-type parallelJSON struct {
-	CorpusLines int                 `json:"corpus_lines"`
-	CorpusVars  int                 `json:"corpus_vars"`
-	Constraints int                 `json:"constraints"`
-	MaskClasses int                 `json:"mask_classes"`
-	Rounds      int                 `json:"rounds"`
-	NumCPU      int                 `json:"num_cpus"`
-	Points      []parallelPointJSON `json:"points"`
-	Memory      memJSON             `json:"memory"`
-}
-
 type benchFile struct {
 	Options struct {
 		Simplify bool `json:"simplify"`
@@ -189,7 +158,6 @@ type benchFile struct {
 	Delta       *deltaJSON        `json:"delta,omitempty"`
 	GoSelf      *goSelfJSON       `json:"go_self,omitempty"`
 	NewAnalyses []newAnalysisJSON `json:"new_analyses,omitempty"`
-	Parallel    *parallelJSON     `json:"parallel,omitempty"`
 	Obs         *obsJSON          `json:"obs,omitempty"`
 }
 
@@ -205,10 +173,6 @@ func main() {
 	goSelfRounds := flag.Int("go-self-rounds", 3, "Go self-analysis measurement rounds (median reported)")
 	newAnalyses := flag.Bool("new-analyses", false, "also measure the expansion-pack analyses (unique, fdstate, and the combined four-analysis pass) over the seeded example corpora")
 	newAnalysesRounds := flag.Int("new-analyses-rounds", 3, "expansion-pack measurement rounds (median reported)")
-	parallel := flag.Bool("parallel", false, "also run the parallel-solve scaling benchmark (cold solves at -solve-jobs 1/2/4/NumCPU)")
-	parallelLines := flag.Int("parallel-lines", 1_000_000, "parallel benchmark corpus size in generated lines")
-	parallelRounds := flag.Int("parallel-rounds", 3, "parallel benchmark measurement rounds per worker count (median reported)")
-	parallelSeed := flag.Int64("parallel-seed", 2001, "parallel benchmark corpus generation seed")
 	obsBench := flag.Bool("obs", false, "also measure the flight recorder's warm-path overhead (always-on recording vs a disabled baseline)")
 	obsRequests := flag.Int("obs-requests", 200, "warm-path requests timed per round in the -obs block")
 	obsRounds := flag.Int("obs-rounds", 5, "rounds per arm in the -obs block (median of per-round medians reported)")
@@ -312,45 +276,6 @@ func main() {
 		}
 	}
 
-	if *parallel {
-		jobsList := parallelJobsList(runtime.NumCPU())
-		var p experiment.ParallelResult
-		mem := measureMem(func() {
-			p, err = experiment.MeasureParallel(*parallelLines, *parallelSeed, *parallelRounds, jobsList)
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "paperbench:", err)
-			os.Exit(1)
-		}
-		f.Parallel = &parallelJSON{
-			CorpusLines: p.Lines,
-			CorpusVars:  p.Vars,
-			Constraints: p.Constraints,
-			MaskClasses: p.MaskClasses,
-			Rounds:      p.Rounds,
-			NumCPU:      p.NumCPU,
-			Memory:      mem,
-		}
-		fmt.Printf("Parallel solve (%d lines, %d vars, %d constraints, %d mask class(es), %d cpu(s), median of %d):\n",
-			p.Lines, p.Vars, p.Constraints, p.MaskClasses, p.NumCPU, p.Rounds)
-		for _, pt := range p.Points {
-			speedup := p.Speedup(pt)
-			f.Parallel.Points = append(f.Parallel.Points, parallelPointJSON{
-				Jobs:            pt.Jobs,
-				SolveMS:         pt.Solve.Seconds() * 1000,
-				Workers:         pt.Stats.Workers,
-				ParallelClasses: pt.Stats.ParallelClasses,
-				SweepLevels:     pt.Stats.SweepLevels,
-				SweepFallbacks:  pt.Stats.SweepFallbacks,
-				CCRegions:       pt.Stats.CCRegions,
-				Speedup:         speedup,
-			})
-			fmt.Printf("  -solve-jobs %-3d solve %8.1fms  %.2fx  (%d worker(s), %d class(es), %d region(s), %d level sweep(s), %d fallback(s))\n",
-				pt.Jobs, pt.Solve.Seconds()*1000, speedup,
-				pt.Stats.Workers, pt.Stats.ParallelClasses, pt.Stats.CCRegions, pt.Stats.SweepLevels, pt.Stats.SweepFallbacks)
-		}
-	}
-
 	if *obsBench {
 		var o experiment.ObsResult
 		mem := measureMem(func() { o, err = experiment.MeasureObs(*obsRequests, *obsRounds) })
@@ -378,20 +303,6 @@ func main() {
 			os.Exit(1)
 		}
 	}
-}
-
-// parallelJobsList is the measured curve: sequential baseline, 2, 4,
-// and the machine's CPU count, deduplicated and ascending.
-func parallelJobsList(ncpu int) []int {
-	set := map[int]bool{1: true, 2: true, 4: true, ncpu: true}
-	var jobs []int
-	for j := range set {
-		if j >= 1 {
-			jobs = append(jobs, j)
-		}
-	}
-	sort.Ints(jobs)
-	return jobs
 }
 
 // measureNewAnalyses runs the expansion-pack corpora through the shared

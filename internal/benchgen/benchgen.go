@@ -70,14 +70,11 @@ type Config struct {
 	// WideHubFrac is the probability a group emits a wide hub: a fan of
 	// one-step flow-through functions all feeding one dispatcher. Hubs
 	// broaden the constraint graph's condensation — many components at
-	// the same topological depth — the shape the solver's
-	// level-parallel sweeps exploit.
+	// the same topological depth.
 	WideHubFrac float64
 	// DeepChainFrac is the probability a group emits a deep chain of
 	// flow-through functions. Chains deepen the condensation — many
-	// levels with few components each — the adversarial shape for level
-	// parallelism, kept in the mix so the sequential-sweep fallback
-	// stays honest.
+	// levels with few components each.
 	DeepChainFrac float64
 }
 
@@ -114,12 +111,12 @@ func PaperSuite() []Config {
 	}
 }
 
-// ParallelCorpus returns the configuration of the parallel-solve
-// benchmark corpus: a program of about targetLines lines (the
-// headline run uses one million) mixing the paper's shapes with wide
-// hubs and deep chains, so the constraint graph has both the broad
-// condensations the level sweeps exploit and the chain-shaped ones
-// that exercise the sequential fallback. Generation is deterministic
+// ParallelCorpus returns the configuration of the large synthetic
+// corpus (named for the parallel solve it was first built to measure;
+// the bench's c-synth workloads use it): a program of about
+// targetLines lines mixing the paper's shapes with wide hubs and deep
+// chains, so the constraint graph has both broad and chain-shaped
+// condensations. Generation is deterministic
 // per seed and single-pass — the line count is tracked incrementally,
 // so a million-line corpus costs the same per line as a small one.
 func ParallelCorpus(targetLines int, seed int64) Config {

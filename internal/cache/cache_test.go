@@ -122,6 +122,11 @@ func TestRequestKey(t *testing.T) {
 	if RequestKey(warm, srcs) != base {
 		t.Fatal("Summaries leaked into the request key")
 	}
+	// solve_jobs has no effect on the report, so two requests differing
+	// only in it must share one result-cache entry.
+	if RequestKey(driver.Config{SolveJobs: 4}, srcs) != base {
+		t.Fatal("SolveJobs leaked into the request key")
+	}
 }
 
 // --- end-to-end determinism of the summary layer ---

@@ -27,14 +27,14 @@ func langKey(cfg driver.Config) string {
 // analyses, every prelude's path and text, and every source's path and
 // text, all length-prefixed so concatenations cannot collide. Sources
 // must carry their text: a path-only source would key on the name rather
-// than the content. cfg.Summaries is deliberately excluded — a summary
-// cache changes how fast a result is derived, never what it is.
+// than the content. cfg.Summaries and cfg.SolveJobs are deliberately
+// excluded — neither changes what a result is.
 func RequestKey(cfg driver.Config, sources []driver.Source) Key {
 	h := sha256.New()
 	fmt.Fprintf(h, "lang:%s;", langKey(cfg))
-	fmt.Fprintf(h, "cfg:%t,%t,%t,%d,%d,%d,%t;",
+	fmt.Fprintf(h, "cfg:%t,%t,%t,%d,%d,%t;",
 		cfg.Options.Poly, cfg.Options.PolyRec, cfg.Options.Simplify,
-		cfg.Options.MaxPolyRecIters, cfg.Jobs, cfg.SolveJobs, cfg.Uninit)
+		cfg.Options.MaxPolyRecIters, cfg.Jobs, cfg.Uninit)
 	for _, a := range cfg.AnalysisNames() {
 		fmt.Fprintf(h, "an:%d:%s;", len(a), a)
 	}

@@ -571,10 +571,37 @@ func TestParseErrors(t *testing.T) {
 		"typedef; int x;",
 		"struct s { int x; }; struct s { int y; };", // redefinition
 	}
+	// Nesting past the parser's depth limit is a syntax error, not a
+	// goroutine stack overflow.
+	const deep = 200000
+	nested := func(open, mid, close string) string {
+		return strings.Repeat(open, deep) + mid + strings.Repeat(close, deep)
+	}
+	tooDeep := []string{
+		"int x = " + nested("(", "1", ")") + ";",
+		"int f(void) " + nested("{", "", "}"),
+		"int " + nested("(", "*x", ")") + ";",
+		"int x[1] = " + nested("{", "1", "}") + ";",
+		"int f(int x) { return " + strings.Repeat("-", deep) + "x; }",
+		"int f(int x) { return " + strings.Repeat("(int)", deep) + "x; }",
+		"int f(int x) { " + strings.Repeat("x = ", deep) + "x; }",
+		"int f(int x) { return " + strings.Repeat("x ? x : ", deep) + "x; }",
+		"int f(int x) { " + strings.Repeat("if (x) x; else ", deep) + "x; }",
+	}
 	for _, src := range cases {
 		if _, err := Parse("t.c", src); err == nil {
 			t.Errorf("Parse(%q) succeeded, want error", src)
 		}
+	}
+	for _, src := range tooDeep {
+		_, err := Parse("t.c", src)
+		if err == nil || !strings.Contains(err.Error(), "nesting deeper than") {
+			t.Errorf("Parse(%.40q...) = %v, want a nesting-depth error", src, err)
+		}
+	}
+	// Deep but reasonable nesting still parses.
+	if _, err := Parse("t.c", "int x = "+strings.Repeat("(", 1000)+"1"+strings.Repeat(")", 1000)+";"); err != nil {
+		t.Errorf("1000 nested parentheses: %v", err)
 	}
 }
 

@@ -38,7 +38,11 @@ func (p *Parser) parseAssignment() (Expr, error) {
 		if err := p.next(); err != nil {
 			return nil, err
 		}
+		if err := p.enter(); err != nil {
+			return nil, err
+		}
 		r, err := p.parseAssignment()
+		p.leave()
 		if err != nil {
 			return nil, err
 		}
@@ -59,6 +63,10 @@ func (p *Parser) parseConditional() (Expr, error) {
 	if err := p.next(); err != nil {
 		return nil, err
 	}
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	defer p.leave()
 	t, err := p.parseExpr()
 	if err != nil {
 		return nil, err
@@ -125,6 +133,10 @@ func (p *Parser) parseBinary(level int) (Expr, error) {
 // expressions.
 func (p *Parser) parseCastExpr() (Expr, error) {
 	if p.tok.Kind == LPAREN && p.parenIsTypeName() {
+		if err := p.enter(); err != nil {
+			return nil, err
+		}
+		defer p.leave()
 		pos := p.tok.Pos
 		if err := p.next(); err != nil {
 			return nil, err
@@ -185,7 +197,14 @@ func (p *Parser) parseTypeName() (*Type, error) {
 	return typ, nil
 }
 
+// parseUnary counts one nesting level, which also bounds parentheses,
+// subscripts and call arguments: every nested expression reaches its
+// primary through here.
 func (p *Parser) parseUnary() (Expr, error) {
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	defer p.leave()
 	pos := p.tok.Pos
 	switch p.tok.Kind {
 	case INC, DEC:

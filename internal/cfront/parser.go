@@ -17,7 +17,29 @@ type Parser struct {
 	tags     map[string]*StructType
 	enums    map[string]int64
 	anonID   int
+
+	depth int // current grammar nesting; see enter
 }
+
+// maxDepth bounds the nesting of the recursive grammar: parenthesised,
+// unary and cast expressions, assignment and conditional chains,
+// statements, declarators and initializers each add one level. Real C
+// stays far below it (clang's default bracket limit is 256); without
+// it, an input such as 200k nested '(' overflows the goroutine stack,
+// a fatal error that no recover can catch.
+const maxDepth = 10000
+
+// enter counts one level of grammar nesting, failing with a syntax
+// error past maxDepth. Every successful enter is paired with a leave.
+func (p *Parser) enter() error {
+	if p.depth >= maxDepth {
+		return p.errf("nesting deeper than %d levels", maxDepth)
+	}
+	p.depth++
+	return nil
+}
+
+func (p *Parser) leave() { p.depth-- }
 
 // Parse parses a complete translation unit.
 func Parse(file, src string) (*File, error) {
@@ -418,6 +440,10 @@ func (p *Parser) parseDeclarator(base *Type, allowAbstract bool) (string, *Type,
 }
 
 func (p *Parser) parseDirectDeclarator(base *Type, allowAbstract bool) (string, *Type, Pos, error) {
+	if err := p.enter(); err != nil {
+		return "", nil, Pos{}, err
+	}
+	defer p.leave()
 	var name string
 	var namePos Pos
 	// inner defers wrapping a parenthesized declarator around the suffixed
@@ -520,6 +546,10 @@ wrap:
 // known (inside parentheses); it returns a function that completes the
 // type once the base is available.
 func (p *Parser) parseDeclaratorDeferred() (string, func(*Type) (string, *Type, Pos, error), Pos, error) {
+	if err := p.enter(); err != nil {
+		return "", nil, Pos{}, err
+	}
+	defer p.leave()
 	// Collect pointer levels.
 	type ptrLevel struct{ quals Quals }
 	var ptrs []ptrLevel
@@ -796,6 +826,10 @@ func (p *Parser) parseInitializer() (Expr, error) {
 	if p.tok.Kind != LBRACE {
 		return p.parseAssignment()
 	}
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	defer p.leave()
 	pos := p.tok.Pos
 	if err := p.next(); err != nil {
 		return nil, err

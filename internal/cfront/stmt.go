@@ -22,6 +22,10 @@ func (p *Parser) parseBlock() (*Block, error) {
 }
 
 func (p *Parser) parseStmt() (Stmt, error) {
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	defer p.leave()
 	pos := p.tok.Pos
 	switch p.tok.Kind {
 	case LBRACE:

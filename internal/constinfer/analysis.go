@@ -414,10 +414,6 @@ func (a *Analysis) SolveSystem() []*constraint.Unsat {
 	return a.sys.Solve()
 }
 
-// SetSolveJobs bounds the solver's worker pool (0 = GOMAXPROCS, 1 =
-// sequential); solver output is byte-identical at every setting.
-func (a *Analysis) SetSolveJobs(n int) { a.sys.SetSolveJobs(n) }
-
 // SolveSystemContext is SolveSystem with tracing: the solver emits one
 // "solve.class" span per mask class (see constraint.SolveContext).
 func (a *Analysis) SolveSystemContext(ctx context.Context) []*constraint.Unsat {

@@ -200,16 +200,9 @@ type System struct {
 
 	// Solver scratch persists across Solve calls (schemes and
 	// incremental servers re-solve systems many times); see
-	// solveScratch for the re-use invariants. When the parallel class
-	// pool runs, pool holds one scratch per worker (slot 0 aliases
-	// scratch) and cres one recycled result buffer per mask class; see
-	// parallel.go.
-	scratch   *solveScratch
-	pool      []*solveScratch
-	cres      []classResult
-	ccs       *ccScratch
-	solBuf    []qual.Elem // lower|upper halves, reused across solves
-	solveJobs int
+	// solveScratch for the re-use invariants.
+	scratch *solveScratch
+	solBuf  []qual.Elem // lower|upper halves, reused across solves
 
 	solved bool
 	lower  []qual.Elem
@@ -422,24 +415,15 @@ func (s *System) SolveContext(ctx context.Context) []*Unsat {
 	// participants' class bits down to the solved values, so variables a
 	// class never relates (and lattice components outside every class)
 	// stay put without any per-class broadcast over all n variables.
-	// The re-init is chunked across workers on large systems — constant
-	// disjoint writes, so order cannot matter.
-	initJobs := 1
-	if jobs := s.effectiveJobs(); jobs > 1 && len(ec.eFrom) >= parallelSolveMin {
-		initJobs = jobs
+	for v := range lower {
+		lower[v] = 0
+		upper[v] = top
 	}
-	chunked(n, initJobs, func(lo, hi, _ int) {
-		for v := lo; v < hi; v++ {
-			lower[v] = 0
-			upper[v] = top
-		}
-	})
 
 	s.stats = SolveStats{
 		Vars:        n,
 		Constraints: len(s.cons),
 		MaskClasses: len(classes),
-		Workers:     1,
 	}
 
 	// Working arrays persist on the System across Solve calls; nothing
@@ -447,23 +431,6 @@ func (s *System) SolveContext(ctx context.Context) []*Unsat {
 	var w *solveScratch
 	if len(eFrom) > 0 {
 		w = s.ensureScratch(n, len(eFrom))
-	}
-
-	// Large systems solve in parallel (parallel.go): several classes fan
-	// out to a bounded worker pool; a single large class — the common
-	// shape for C corpora, whose subtyping edges all carry the full
-	// product mask — keeps the sequential spine below but runs its
-	// seed, sweep, and broadcast passes on worker chunks (clJobs > 1).
-	// Solutions, spans, and diagnostics are byte-identical to the
-	// sequential loop at any worker count.
-	clJobs := 1
-	if jobs := s.effectiveJobs(); jobs > 1 && len(eFrom) >= parallelSolveMin {
-		if len(classes) > 1 {
-			s.solveClassesParallel(tr, classes, lower, upper, jobs)
-			return s.finishSolve(lower, upper)
-		}
-		clJobs = jobs
-		s.stats.Workers = jobs
 	}
 
 	for _, class := range classes {
@@ -503,18 +470,6 @@ func (s *System) SolveContext(ctx context.Context) []*Unsat {
 		var np int
 		np, w.part = classAdj(eFrom, eTo, w.buckets, lid, touched, w.part, off, w.cur, cTo)
 		part := w.part
-		// Region fan-out: a class that splits into many connected
-		// components solves them whole on the worker pool — Tarjan,
-		// sweeps, and broadcast per region, skipping the rest of this
-		// loop body (cc.go). Declines on small or single-blob classes.
-		if clJobs > 1 {
-			if ncomp, ok := s.solveClassCC(w, class, tc, np, lower, upper, clJobs); ok {
-				sp.SetAttr(obs.Int("edges", kept), obs.Int("vars", np),
-					obs.Int("components", ncomp))
-				sp.End()
-				continue
-			}
-		}
 		ncomp := tarjan(np, off, cTo, nil, 0, sc, scc)
 		members, mEnd := sc.members, sc.mEnd
 		sp.SetAttr(obs.Int("edges", kept), obs.Int("vars", np),
@@ -546,30 +501,26 @@ func (s *System) SolveContext(ctx context.Context) []*Unsat {
 			cl[i] = 0
 			cu[i] = tc
 		}
-		if clJobs > 1 {
-			hasLower, hasUpper = s.seedClassInline(w, class, tc, lower, upper, clJobs)
-		} else {
-			for i, v := range ec.loVar {
-				if seed := ec.loElem[i] & class; seed != 0 {
-					if touched[v] {
-						cl[scc[lid[v]]] |= seed
-						hasLower = true
-					} else {
-						lower[v] |= seed
-					}
+		for i, v := range ec.loVar {
+			if seed := ec.loElem[i] & class; seed != 0 {
+				if touched[v] {
+					cl[scc[lid[v]]] |= seed
+					hasLower = true
+				} else {
+					lower[v] |= seed
 				}
 			}
-			for i, v := range ec.upVar {
-				if ec.upMask[i]&^ec.upC[i]&tc == 0 {
-					continue // bound clears nothing in this class
-				}
-				bound := ec.upC[i] | ^(ec.upMask[i] & class)
-				if touched[v] {
-					cu[scc[lid[v]]] &= bound
-					hasUpper = true
-				} else {
-					upper[v] &= bound
-				}
+		}
+		for i, v := range ec.upVar {
+			if ec.upMask[i]&^ec.upC[i]&tc == 0 {
+				continue // bound clears nothing in this class
+			}
+			bound := ec.upC[i] | ^(ec.upMask[i] & class)
+			if touched[v] {
+				cu[scc[lid[v]]] &= bound
+				hasUpper = true
+			} else {
+				upper[v] &= bound
 			}
 		}
 
@@ -579,29 +530,8 @@ func (s *System) SolveContext(ctx context.Context) []*Unsat {
 		// sweep each — lower bounds flow down the numbering, upper
 		// bounds are gathered coming up — with every edge relaxed
 		// exactly once and no worklist. Edges inside a component stay
-		// harmless (x |= x, x &= x). Large wide condensations run the
-		// sweeps level-parallel instead (levels.go).
-		ranLevels := false
-		if clJobs > 1 && np >= levelSweepMin && (hasLower || hasUpper) {
-			lv := w.ensureLevels(np)
-			nlev := lv.computeLevels(ncomp, off, cTo, scc, members, mEnd)
-			if ncomp >= nlev*levelWidthMin {
-				ranLevels = true
-				s.stats.SweepLevels += nlev
-				if hasLower {
-					lv.sweepLower(nlev, cl, scc, off, cTo, members, mEnd, clJobs)
-				}
-				if hasUpper {
-					s.stats.EdgesDropped += lv.sweepUpper(nlev, cu, scc, off, cTo, members, mEnd, clJobs)
-				} else {
-					s.stats.EdgesDropped += intraScan(ncomp, off, cTo, scc, members, mEnd)
-				}
-			}
-		}
-		if clJobs > 1 && !ranLevels {
-			s.stats.SweepFallbacks++
-		}
-		if !ranLevels && hasLower {
+		// harmless (x |= x, x &= x).
+		if hasLower {
 			for c := ncomp - 1; c >= 0; c-- {
 				lv := cl[c]
 				if lv == 0 {
@@ -624,7 +554,7 @@ func (s *System) SolveContext(ctx context.Context) []*Unsat {
 		// a dedicated scan over the collapsed components (the only place
 		// such edges can exist — AddMasked rejects variable self-loops)
 		// supplies it.
-		if !ranLevels && hasUpper {
+		if hasUpper {
 			dropped := 0
 			for c := 0; c < ncomp; c++ {
 				acc := cu[c]
@@ -645,7 +575,7 @@ func (s *System) SolveContext(ctx context.Context) []*Unsat {
 				cu[c] = acc
 			}
 			s.stats.EdgesDropped += dropped
-		} else if !ranLevels {
+		} else {
 			prevEnd := int32(0)
 			for c := 0; c < ncomp; c++ {
 				mStart := prevEnd
@@ -669,24 +599,13 @@ func (s *System) SolveContext(ctx context.Context) []*Unsat {
 		// values); classes are disjoint, so the per-class values
 		// combine exactly. The participant flags reset here, restoring
 		// classAdj's precondition for the next class.
-		if clJobs > 1 {
-			broadcastClassInline(part, scc, cl, cu, lower, upper, touched, tc, clJobs)
-		} else {
-			for i, v := range part {
-				lower[v] |= cl[scc[i]]
-				upper[v] &= cu[scc[i]] | ^tc
-				touched[v] = false
-			}
+		for i, v := range part {
+			lower[v] |= cl[scc[i]]
+			upper[v] &= cu[scc[i]] | ^tc
+			touched[v] = false
 		}
 		sp.End()
 	}
-	return s.finishSolve(lower, upper)
-}
-
-// finishSolve installs the computed solution and runs the violation
-// scan shared by the sequential and parallel class paths.
-func (s *System) finishSolve(lower, upper []qual.Elem) []*Unsat {
-	ec := &s.ec
 	s.lower, s.upper, s.solved = lower, upper, true
 
 	// A system is satisfiable iff the least solution satisfies every

@@ -78,23 +78,6 @@ type SolveStats struct {
 	// masks induced (1 when every edge carries the same mask).
 	MaskClasses int
 
-	// Parallel-solve counters. Workers is the solver goroutine count the
-	// last solve actually used (1 for a sequential solve);
-	// ParallelClasses counts the mask classes dispatched to the worker
-	// pool (0 when the solve ran sequentially). SweepLevels sums the
-	// topological levels processed by level-parallel sweeps, and
-	// SweepFallbacks counts the classes with edges whose sweeps ran
-	// sequentially — too small or too chain-shaped for the level
-	// machinery to pay (see levels.go).
-	// CCRegions counts the connected components fanned out whole to the
-	// worker pool by the within-class region solve (cc.go); 0 when no
-	// class took that path.
-	Workers         int
-	ParallelClasses int
-	SweepLevels     int
-	SweepFallbacks  int
-	CCRegions       int
-
 	// Delta re-solve counters, populated only when the solve ran through
 	// a Session (zero for plain Solve calls, so cold output is
 	// unchanged). DeltaHits and DeltaFallbacks accumulate over the
@@ -208,28 +191,20 @@ type solveScratch struct {
 	touched   []bool
 	cl, cu    []qual.Elem
 	buckets   [][]int32
-	lv        *levelScratch // level-parallel sweep arrays; nil until a class qualifies
 }
 
-// ensureScratch grows (or first allocates) the System's sequential
-// scratch for n variables and m variable-variable edges; the parallel
-// class pool grows one scratch per worker through growScratch, with
-// pool slot 0 aliasing this one.
-func (s *System) ensureScratch(n, m int) *solveScratch {
-	s.scratch = growScratch(s.scratch, n, m)
-	return s.scratch
-}
-
-// growScratch grows (or first allocates) a scratch for n variables
+// ensureScratch grows (or first allocates) the scratch for n variables
 // and m variable-variable edges. Growth replaces the arrays wholesale —
 // fresh arrays satisfy the zero-value invariants by construction. The
 // int32 arrays carve up one pointer-free slab (capped slices, so an
 // append past a region's capacity reallocates instead of bleeding into
 // its neighbor): many short-lived systems solve exactly once, and one
 // slab instead of a dozen small arrays keeps their garbage cheap.
-func growScratch(w *solveScratch, n, m int) *solveScratch {
+func (s *System) ensureScratch(n, m int) *solveScratch {
+	w := s.scratch
 	if w == nil {
 		w = &solveScratch{}
+		s.scratch = w
 	}
 	if len(w.scc) < n {
 		slab := make([]int32, 10*n+1)

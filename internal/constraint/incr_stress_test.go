@@ -108,20 +108,7 @@ func buildOracleSystem(set *qual.Set, nv int, frags []*oracleFrag) (*constraint.
 	return sys, spans
 }
 
-func TestDeltaOracleStress(t *testing.T) { runDeltaOracle(t, 0) }
-
-// TestDeltaOracleStressParallel re-runs the oracle with the parallel
-// thresholds floored and every solve fanned out: the session's delta
-// path distributes classes across workers, and its cold-solve
-// fallbacks take the parallel class solve (including the level
-// sweeps). The cold reference system stays sequential, so the oracle
-// checks parallel-vs-sequential equality on every round.
-func TestDeltaOracleStressParallel(t *testing.T) {
-	defer constraint.SetParallelMinsForTest(1, 1, 1, 1, 2, 1)()
-	runDeltaOracle(t, 8)
-}
-
-func runDeltaOracle(t *testing.T, jobs int) {
+func TestDeltaOracleStress(t *testing.T) {
 	set, err := qual.NewSet(
 		qual.Qualifier{Name: "a", Sign: qual.Positive},
 		qual.Qualifier{Name: "b", Sign: qual.Positive},
@@ -131,7 +118,7 @@ func runDeltaOracle(t *testing.T, jobs int) {
 		t.Fatal(err)
 	}
 	full := set.FullMask()
-	hits, fallbacks, fanned := 0, 0, 0
+	hits, fallbacks := 0, 0
 	for trial := 0; trial < 120; trial++ {
 		rng := rand.New(rand.NewSource(1000 + int64(trial)))
 		nv := 8 + rng.Intn(24)
@@ -181,9 +168,6 @@ func runDeltaOracle(t *testing.T, jobs int) {
 		}
 		var active []*oracleFrag
 		sess := constraint.NewSession(set)
-		if jobs > 0 {
-			sess.SetSolveJobs(jobs)
-		}
 		rounds := 5 + rng.Intn(4)
 		for round := 0; round < rounds; round++ {
 			if round > 0 {
@@ -206,19 +190,12 @@ func runDeltaOracle(t *testing.T, jobs int) {
 
 			sysDelta, spans := buildOracleSystem(set, nv, active)
 			sysCold, _ := buildOracleSystem(set, nv, active)
-			if jobs > 0 {
-				sysDelta.SetSolveJobs(jobs)
-				sysCold.SetSolveJobs(1)
-			}
 			gotUnsat := sess.Solve(sysDelta, spans)
 			wantUnsat := sysCold.Solve()
 
 			d := sess.Delta()
 			if d.Applied {
 				hits++
-				if sysDelta.Stats().ParallelClasses > 0 {
-					fanned++
-				}
 			} else if d.Fallback != "first-solve" {
 				fallbacks++
 			}
@@ -236,12 +213,6 @@ func runDeltaOracle(t *testing.T, jobs int) {
 			}
 			gs, ws := sysDelta.Stats(), sysCold.Stats()
 			gs.DeltaHits, gs.DeltaFallbacks, gs.ResolvedSCCs, gs.DirtyVars = 0, 0, 0, 0
-			if jobs > 0 {
-				// The parallel-execution counters are the one part of the
-				// stats allowed to differ across worker counts.
-				gs.Workers, gs.ParallelClasses, gs.SweepLevels, gs.SweepFallbacks, gs.CCRegions = 0, 0, 0, 0, 0
-				ws.Workers, ws.ParallelClasses, ws.SweepLevels, ws.SweepFallbacks, ws.CCRegions = 0, 0, 0, 0, 0
-			}
 			if gs != ws {
 				t.Fatalf("trial %d round %d (%+v): stats mismatch\n got: %+v\nwant: %+v", trial, round, d, gs, ws)
 			}
@@ -254,8 +225,5 @@ func runDeltaOracle(t *testing.T, jobs int) {
 	if fallbacks == 0 {
 		t.Fatal("fallback path never taken across all trials")
 	}
-	if jobs > 0 && fanned == 0 {
-		t.Fatal("delta class fan-out never ran across all trials")
-	}
-	t.Logf("delta oracle: %d hits (%d fanned out), %d fallbacks", hits, fanned, fallbacks)
+	t.Logf("delta oracle: %d hits, %d fallbacks", hits, fallbacks)
 }

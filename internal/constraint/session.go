@@ -81,33 +81,11 @@ type Session struct {
 
 	hits, fallbacks int
 	last            DeltaStats
-
-	// solveJobs bounds the delta path's class fan-out (see
-	// SetSolveJobs); fanWorkers/fanClasses record what the last
-	// applyDelta actually used, for SolveStats.
-	solveJobs  int
-	fanWorkers int
-	fanClasses int
 }
 
-// SetSolveJobs bounds the parallelism of the session's delta path:
-// with n > 1 (or n == 0 for GOMAXPROCS) the per-class delta
-// applications fan out to a worker pool on large edits, with their
-// solution writes replayed in class-index order by the sequential
-// spine (see applyDeltaParallel). Dirty-region sweeps stay sequential
-// within each class. Results are byte-identical at any setting. The
-// session's cold-solve fallbacks are governed by the System's own
-// SetSolveJobs, not this one.
-func (ss *Session) SetSolveJobs(n int) { ss.solveJobs = n }
-
-// lastWorkers reports the worker count of the last delta application
-// (1 before any solve or when the edit stayed sequential).
-func (ss *Session) lastWorkers() int {
-	if ss.fanWorkers == 0 {
-		return 1
-	}
-	return ss.fanWorkers
-}
+// SetSolveJobs is accepted and ignored: the solve is sequential.
+// No effect; removed next round.
+func (ss *Session) SetSolveJobs(int) {}
 
 // NewSession creates an empty session over the qualifier set. Every
 // System solved through the session must be defined over the same set.
@@ -228,55 +206,6 @@ type classState struct {
 
 	intra         int // intra-component edge instances (the EdgesDropped stat)
 	participating int // components with degSum > 0 (the Components stat)
-
-	// Deferred-broadcast mode for the parallel class fan-out: while
-	// deferred is set, solution-array writes and the collapse-counter
-	// bumps are logged (pendLo/pendUp/pendSCCs/pendVars) instead of
-	// applied — classes write disjoint bits of shared words, which is
-	// value-safe but not race-safe — and the sequential spine replays
-	// the logs in class-index order (see applyDeltaParallel). Within a
-	// class the append order is exactly the sequential write order.
-	deferred           bool
-	pendLo, pendUp     []pendWrite
-	pendSCCs, pendVars int
-}
-
-// pendWrite is one deferred solution write: the variable and the new
-// class-masked value to fold into it.
-type pendWrite struct {
-	v   int32
-	val qual.Elem
-}
-
-// setLower folds nv into v's lower value on this class's components,
-// or logs the write when the class is running deferred.
-func (cs *classState) setLower(st *sessState, v int32, nv qual.Elem) {
-	if cs.deferred {
-		cs.pendLo = append(cs.pendLo, pendWrite{v, nv})
-		return
-	}
-	st.lower[v] = st.lower[v]&^cs.class | nv
-}
-
-// setUpper is setLower's greatest-solution counterpart.
-func (cs *classState) setUpper(st *sessState, v int32, nv qual.Elem) {
-	if cs.deferred {
-		cs.pendUp = append(cs.pendUp, pendWrite{v, nv})
-		return
-	}
-	st.upper[v] = st.upper[v]&^cs.tc | nv
-}
-
-// bumpCollapsed adjusts the condensation counters, deferring under the
-// fan-out like setLower.
-func (cs *classState) bumpCollapsed(st *sessState, sccs, vars int) {
-	if cs.deferred {
-		cs.pendSCCs += sccs
-		cs.pendVars += vars
-		return
-	}
-	st.sccsCollapsed += sccs
-	st.varsCollapsed += vars
 }
 
 func packEdge(u, v int32) uint64 { return uint64(uint32(u))<<32 | uint64(uint32(v)) }
@@ -490,17 +419,15 @@ func (ss *Session) scanViolations() []int32 {
 func (ss *Session) assembleStats(sys *System, resolved, dirtyVars int) SolveStats {
 	st := ss.st
 	stats := SolveStats{
-		Vars:            sys.n,
-		Constraints:     len(sys.cons),
-		MaskClasses:     len(st.classes),
-		Workers:         ss.lastWorkers(),
-		ParallelClasses: ss.fanClasses,
-		SCCsCollapsed:   st.sccsCollapsed,
-		VarsCollapsed:   st.varsCollapsed,
-		DeltaHits:       ss.hits,
-		DeltaFallbacks:  ss.fallbacks,
-		ResolvedSCCs:    resolved,
-		DirtyVars:       dirtyVars,
+		Vars:           sys.n,
+		Constraints:    len(sys.cons),
+		MaskClasses:    len(st.classes),
+		SCCsCollapsed:  st.sccsCollapsed,
+		VarsCollapsed:  st.varsCollapsed,
+		DeltaHits:      ss.hits,
+		DeltaFallbacks: ss.fallbacks,
+		ResolvedSCCs:   resolved,
+		DirtyVars:      dirtyVars,
 	}
 	for _, cs := range st.cls {
 		stats.Components += cs.participating

@@ -255,14 +255,6 @@ func (ss *Session) applyDelta(sys *System, frags, added, removed []*sessFrag) (o
 	}
 	st.nlive = sys.n
 
-	// Large edits fan the per-class applications out to a worker pool;
-	// small ones (the -watch loop's common case) stay sequential so the
-	// dispatch overhead never shows up in editor-speed latency.
-	ss.fanWorkers, ss.fanClasses = 1, 0
-	if jobs := effectiveJobs(ss.solveJobs); jobs > 1 && len(st.cls) > 1 && deltaEdges(added, removed) >= deltaParallelMin {
-		return ss.applyDeltaParallel(frags, added, removed, jobs)
-	}
-
 	for _, cs := range st.cls {
 		r, res, dv := cs.applyClassDelta(st, frags, added, removed)
 		if r != "" {
@@ -272,19 +264,6 @@ func (ss *Session) applyDelta(sys *System, frags, added, removed []*sessFrag) (o
 		dirtyVars += dv
 	}
 	return true, "", resolved, dirtyVars
-}
-
-// deltaEdges counts the edge instances an edit touches — the cheap
-// size proxy deciding whether the class fan-out pays.
-func deltaEdges(added, removed []*sessFrag) int {
-	n := 0
-	for _, f := range added {
-		n += len(f.eMask)
-	}
-	for _, f := range removed {
-		n += len(f.eMask)
-	}
-	return n
 }
 
 // applyClassDelta retires the removed fragments' edges and seeds from
@@ -610,13 +589,14 @@ func (cs *classState) assignKeys(st *sessState, inter [][2]int32) (string, []int
 			merged[b] = r
 			for _, v := range cs.members[b] {
 				cs.comp[v] = r
-				cs.setLower(st, v, cs.cl[r])
-				cs.setUpper(st, v, cs.cu[r])
+				st.lower[v] = st.lower[v]&^cs.class | cs.cl[r]
+				st.upper[v] = st.upper[v]&^cs.tc | cs.cu[r]
 			}
 			cs.members[r] = append(cs.members[r], cs.members[b]...)
 			cs.members[b] = nil
 		}
-		cs.bumpCollapsed(st, 1-multi, (total-1)-(totalMulti-multi))
+		st.sccsCollapsed += 1 - multi
+		st.varsCollapsed += (total - 1) - (totalMulti - multi)
 		reps = append(reps, r)
 	}
 
@@ -706,7 +686,7 @@ func (cs *classState) sweep(st *sessState, dirtyLo, dirtyUp *dirtySet) (resolved
 			}
 			cs.cl[c] = nv
 			for _, v := range cs.members[c] {
-				cs.setLower(st, v, nv)
+				st.lower[v] = st.lower[v]&^cs.class | nv
 			}
 			dirtyVars += len(cs.members[c])
 			for _, w := range cs.out[c] {
@@ -746,7 +726,7 @@ func (cs *classState) sweep(st *sessState, dirtyLo, dirtyUp *dirtySet) (resolved
 			}
 			cs.cu[c] = nv
 			for _, v := range cs.members[c] {
-				cs.setUpper(st, v, nv)
+				st.upper[v] = st.upper[v]&^cs.tc | nv
 			}
 			dirtyVars += len(cs.members[c])
 			for _, p := range cs.in[c] {

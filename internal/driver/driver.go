@@ -38,10 +38,8 @@ type Config struct {
 	// Jobs bounds the constraint-generation worker pool; 0 means
 	// GOMAXPROCS. Results are identical for every value.
 	Jobs int
-	// SolveJobs bounds the solver's worker pool (cold-solve mask classes
-	// and level sweeps, delta-session class fan-out); 0 means GOMAXPROCS,
-	// 1 forces the sequential solver. Results are identical for every
-	// value.
+	// SolveJobs is accepted and ignored: the solve is sequential.
+	// No effect; removed next round.
 	SolveJobs int
 	// Uninit additionally runs the flow-sensitive
 	// definite-initialization check and reports its warnings.
@@ -319,9 +317,6 @@ func runAnalysis(ctx context.Context, cfg Config, res *Result, sess *Session) er
 	if ca, ok := a.(*constinfer.Analysis); ok {
 		res.Analysis = ca
 	}
-	if sj, ok := a.(interface{ SetSolveJobs(int) }); ok {
-		sj.SetSolveJobs(cfg.SolveJobs)
-	}
 
 	a.Prepare()
 	res.Timings.Build = time.Since(start)
@@ -346,7 +341,6 @@ func runAnalysis(ctx context.Context, cfg Config, res *Result, sess *Session) er
 		if sess.ss == nil {
 			sess.ss = constraint.NewSession(a.Set())
 		}
-		sess.ss.SetSolveJobs(cfg.SolveJobs)
 		conflicts = a.SolveSession(ctx, sess.ss)
 		d := sess.ss.Delta()
 		res.Delta = &d

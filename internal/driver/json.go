@@ -74,27 +74,14 @@ type jsonFlow struct {
 // (driver.Session), so cold output is byte-identical to earlier
 // schema versions.
 type jsonSolver struct {
-	Vars          int          `json:"vars"`
-	Constraints   int          `json:"constraints"`
-	Components    int          `json:"components"`
-	SCCsCollapsed int          `json:"sccs_collapsed"`
-	VarsCollapsed int          `json:"vars_collapsed"`
-	EdgesDropped  int          `json:"edges_dropped"`
-	MaskClasses   int          `json:"mask_classes"`
-	Parallel      jsonParallel `json:"parallel"`
-	Delta         *jsonDelta   `json:"delta,omitempty"`
-}
-
-// jsonParallel records how the solve was executed. It is always
-// emitted — the schema is identical at every -solve-jobs setting, and
-// these execution counters are the only solver values allowed to vary
-// with it (results never do).
-type jsonParallel struct {
-	Workers   int `json:"workers"`
-	Classes   int `json:"classes"`
-	Levels    int `json:"levels"`
-	Fallbacks int `json:"fallbacks"`
-	CCRegions int `json:"cc_regions"`
+	Vars          int        `json:"vars"`
+	Constraints   int        `json:"constraints"`
+	Components    int        `json:"components"`
+	SCCsCollapsed int        `json:"sccs_collapsed"`
+	VarsCollapsed int        `json:"vars_collapsed"`
+	EdgesDropped  int        `json:"edges_dropped"`
+	MaskClasses   int        `json:"mask_classes"`
+	Delta         *jsonDelta `json:"delta,omitempty"`
 }
 
 // jsonDelta describes what the retained delta session did for one run.
@@ -215,13 +202,6 @@ func (r *Result) JSON() ([]byte, error) {
 			VarsCollapsed: r.Solver.VarsCollapsed,
 			EdgesDropped:  r.Solver.EdgesDropped,
 			MaskClasses:   r.Solver.MaskClasses,
-			Parallel: jsonParallel{
-				Workers:   r.Solver.Workers,
-				Classes:   r.Solver.ParallelClasses,
-				Levels:    r.Solver.SweepLevels,
-				Fallbacks: r.Solver.SweepFallbacks,
-				CCRegions: r.Solver.CCRegions,
-			},
 		}
 		if d := r.Delta; d != nil {
 			out.Solver.Delta = &jsonDelta{

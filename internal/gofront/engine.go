@@ -326,10 +326,6 @@ func (e *engine) SolveSystemContext(ctx context.Context) []*constraint.Unsat {
 	return e.sys.SolveContext(ctx)
 }
 
-// SetSolveJobs bounds the solver's worker pool (0 = GOMAXPROCS, 1 =
-// sequential); solver output is byte-identical at every setting.
-func (e *engine) SetSolveJobs(n int) { e.sys.SetSolveJobs(n) }
-
 // SolveSession routes the Solve stage through a retained delta session,
 // falling back to a cold solve when no session or spans exist.
 func (e *engine) SolveSession(ctx context.Context, ss *constraint.Session) []*constraint.Unsat {

@@ -82,10 +82,6 @@ type Config struct {
 	// Jobs is the constraint-generation pool size per analysis
 	// (0 = GOMAXPROCS); requests may lower it per call but not raise it.
 	Jobs int
-	// SolveJobs is the solver pool size per analysis (0 = GOMAXPROCS);
-	// requests may lower it per call but not raise it. Solver output is
-	// byte-identical at every setting.
-	SolveJobs int
 	// MaxConcurrent bounds simultaneous analyses (0 = GOMAXPROCS).
 	MaxConcurrent int
 	// RequestTimeout is the per-request deadline including queue time
@@ -184,7 +180,7 @@ type Server struct {
 	stageRuns atomic.Uint64             // completed runs contributing to the stage sums
 	stageHist [numStages]*obs.Histogram // per-stage latency, seconds
 	reqHist   map[string]*obs.Histogram // end-to-end latency by cache hit/miss/session
-	solver    [11]*obs.Counter          // summed solver condensation + parallel-execution counters
+	solver    [6]*obs.Counter           // summed solver size and condensation counters
 
 	// Delta re-solve aggregates over session requests that reached the
 	// solver: hits took the incremental path, fallbacks re-solved cold.
@@ -351,8 +347,7 @@ func (s *Server) registerMetrics() {
 			"Per-stage pipeline latency over completed analyses.", nil, obs.L("stage", name))
 	}
 
-	solverNames := [11]string{"vars", "constraints", "components", "sccs_collapsed", "vars_collapsed", "edges_dropped",
-		"workers", "parallel_classes", "sweep_levels", "sweep_fallbacks", "cc_regions"}
+	solverNames := [6]string{"vars", "constraints", "components", "sccs_collapsed", "vars_collapsed", "edges_dropped"}
 	for i, name := range solverNames {
 		s.solver[i] = r.NewCounter("cquald_solver_"+name+"_total",
 			"Summed solver counter over completed analyses (see constraint.SolveStats).")
@@ -505,9 +500,8 @@ type AnalyzeRequest struct {
 	// Jobs bounds the constraint-generation pool for this request
 	// (0 = server default). Results are identical for every value.
 	Jobs int `json:"jobs,omitempty"`
-	// SolveJobs bounds the solver pool for this request (0 = server
-	// default). Results are identical for every value; only the
-	// solver.parallel execution counters in the report vary.
+	// SolveJobs is accepted and ignored (negative values are still
+	// rejected): the solve is sequential. No effect; removed next round.
 	SolveJobs int `json:"solve_jobs,omitempty"`
 	// Analyses names the registered qualifier analyses to run together
 	// (empty = const). Unknown names are rejected with 400.
@@ -606,10 +600,6 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, "solve_jobs must be >= 0, got %d", req.SolveJobs)
 		return
 	}
-	solveJobs := req.SolveJobs
-	if solveJobs == 0 || (s.cfg.SolveJobs > 0 && solveJobs > s.cfg.SolveJobs) {
-		solveJobs = s.cfg.SolveJobs
-	}
 	sources := make([]driver.Source, len(req.Sources))
 	for i, src := range req.Sources {
 		if src.Path == "" {
@@ -648,7 +638,6 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 			Simplify: req.Simplify,
 		},
 		Jobs:      jobs,
-		SolveJobs: solveJobs,
 		Uninit:    req.Uninit,
 		Analyses:  req.Analyses,
 		Preludes:  preludes,
@@ -816,7 +805,11 @@ func (s *Server) deadline(w http.ResponseWriter, err error) {
 func (s *Server) writeReport(w http.ResponseWriter, report []byte, cacheState string) {
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("X-Cache", cacheState)
-	w.Write(append(report, '\n'))
+	// report may be the result cache's shared bytes: appending the
+	// newline could write into their spare capacity while another
+	// request reads them.
+	w.Write(report)
+	w.Write([]byte{'\n'})
 }
 
 func (s *Server) recordTimings(t driver.Timings, st constraint.SolveStats) {
@@ -826,9 +819,8 @@ func (s *Server) recordTimings(t driver.Timings, st constraint.SolveStats) {
 		s.stageHist[i].Observe(d.Seconds())
 	}
 	s.stageRuns.Add(1)
-	for i, v := range [11]int{
+	for i, v := range [6]int{
 		st.Vars, st.Constraints, st.Components, st.SCCsCollapsed, st.VarsCollapsed, st.EdgesDropped,
-		st.Workers, st.ParallelClasses, st.SweepLevels, st.SweepFallbacks, st.CCRegions,
 	} {
 		s.solver[i].Add(uint64(v))
 	}
@@ -950,9 +942,8 @@ type WorkerIntrospect struct {
 	Running int `json:"running"`
 	// MaxConcurrent is the limiter capacity.
 	MaxConcurrent int `json:"max_concurrent"`
-	// Jobs/SolveJobs are the server's per-analysis pool bounds.
-	Jobs      int `json:"jobs"`
-	SolveJobs int `json:"solve_jobs"`
+	// Jobs is the server's per-analysis constraint-generation pool bound.
+	Jobs int `json:"jobs"`
 }
 
 // CacheIntrospect groups the three cache stat blocks.
@@ -1020,7 +1011,6 @@ func (s *Server) handleIntrospect(w http.ResponseWriter, r *http.Request) {
 			Running:       len(s.sem),
 			MaxConcurrent: s.cfg.MaxConcurrent,
 			Jobs:          s.cfg.Jobs,
-			SolveJobs:     s.cfg.SolveJobs,
 		},
 		Caches: CacheIntrospect{
 			Result:  s.results.Stats(),
@@ -1091,15 +1081,6 @@ type SolverTotals struct {
 	SCCsCollapsed uint64 `json:"sccs_collapsed"`
 	VarsCollapsed uint64 `json:"vars_collapsed"`
 	EdgesDropped  uint64 `json:"edges_dropped"`
-	// Parallel-execution counters: how the solves ran, never what they
-	// computed. Workers sums the per-run worker count (Workers/Runs is
-	// the mean pool size); the rest count classes fanned out, level
-	// sweeps run, and classes that fell back to sequential sweeps.
-	Workers         uint64 `json:"workers"`
-	ParallelClasses uint64 `json:"parallel_classes"`
-	SweepLevels     uint64 `json:"sweep_levels"`
-	SweepFallbacks  uint64 `json:"sweep_fallbacks"`
-	CCRegions       uint64 `json:"cc_regions"`
 }
 
 // DeltaTotals sums the delta re-solve outcomes over session requests
@@ -1145,17 +1126,12 @@ func (s *Server) Snapshot() Metrics {
 			DirtyVars:    uint64(s.deltaDirty.Sum()),
 		},
 		Solver: SolverTotals{
-			Vars:            s.solver[0].Value(),
-			Constraints:     s.solver[1].Value(),
-			Components:      s.solver[2].Value(),
-			SCCsCollapsed:   s.solver[3].Value(),
-			VarsCollapsed:   s.solver[4].Value(),
-			EdgesDropped:    s.solver[5].Value(),
-			Workers:         s.solver[6].Value(),
-			ParallelClasses: s.solver[7].Value(),
-			SweepLevels:     s.solver[8].Value(),
-			SweepFallbacks:  s.solver[9].Value(),
-			CCRegions:       s.solver[10].Value(),
+			Vars:          s.solver[0].Value(),
+			Constraints:   s.solver[1].Value(),
+			Components:    s.solver[2].Value(),
+			SCCsCollapsed: s.solver[3].Value(),
+			VarsCollapsed: s.solver[4].Value(),
+			EdgesDropped:  s.solver[5].Value(),
 		},
 		Stages: StageTotals{
 			Runs:        s.stageRuns.Load(),

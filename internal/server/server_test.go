@@ -116,6 +116,7 @@ func TestAnalyzeBadRequests(t *testing.T) {
 		{"empty", `{}`, 400},
 		{"no sources", `{"sources":[]}`, 400},
 		{"negative jobs", `{"sources":[{"path":"a.c","text":"int x;"}],"jobs":-1}`, 400},
+		{"negative solve_jobs", `{"sources":[{"path":"a.c","text":"int x;"}],"solve_jobs":-1}`, 400},
 		{"missing path", `{"sources":[{"text":"int x;"}]}`, 400},
 		{"missing text", `{"sources":[{"path":"a.c"}]}`, 400},
 		{"unknown field", `{"sources":[{"path":"a.c","text":"int x;"}],"bogus":1}`, 400},
@@ -139,6 +140,31 @@ func TestAnalyzeBadRequests(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("GET /v1/analyze: status %d; want 405", resp.StatusCode)
+	}
+}
+
+// TestAnalyzeSolveJobsAccepted: solve_jobs no longer affects the
+// analysis, but bodies from older clients that still send it must keep
+// working (DisallowUnknownFields would otherwise reject them), and such
+// a request shares the result-cache entry of one that omits the field.
+func TestAnalyzeSolveJobsAccepted(t *testing.T) {
+	ts := httptest.NewServer(New(Config{}))
+	defer ts.Close()
+
+	srcs, _ := json.Marshal([]SourceJSON{{Path: "prog.c", Text: prog}})
+	r1, d1 := postAnalyze(t, ts, fmt.Sprintf(`{"sources":%s}`, srcs))
+	if r1.StatusCode != 200 {
+		t.Fatalf("plain request: status %d (%s)", r1.StatusCode, d1)
+	}
+	r2, d2 := postAnalyze(t, ts, fmt.Sprintf(`{"sources":%s,"solve_jobs":4}`, srcs))
+	if r2.StatusCode != 200 {
+		t.Fatalf("solve_jobs 4: status %d (%s)", r2.StatusCode, d2)
+	}
+	if got := r2.Header.Get("X-Cache"); got != "hit" {
+		t.Errorf("solve_jobs 4: X-Cache %q; want hit on the plain request's entry", got)
+	}
+	if !bytes.Equal(d1, d2) {
+		t.Errorf("solve_jobs changed the report:\n%s\n---\n%s", d1, d2)
 	}
 }
 
