@@ -359,84 +359,6 @@ func BenchmarkSolverScaling(b *testing.B) {
 	}
 }
 
-// BenchmarkDeltaWarmResolve compares a cold solve of the n=20k cycle
-// workload against a retained constraint.Session re-solving it after a
-// one-fragment edit (the delta re-solve engine's headline case; see
-// experiment.MeasureDelta and BENCH_6.json). System construction is
-// excluded on both sides.
-func BenchmarkDeltaWarmResolve(b *testing.B) {
-	const (
-		n        = 20000
-		fragSize = 64
-	)
-	set := solverBenchSet()
-	gen, _ := benchgen.CycleSystem(set, benchgen.CycleConfig{
-		Vars:       n,
-		CycleFrac:  0.5,
-		CycleLen:   8,
-		CrossEdges: n / 4,
-		MaskedFrac: 0.2,
-		Seed:       n,
-	})
-	cons := gen.Constraints()
-	nv := gen.NumVars()
-	nfrags := (len(cons) + fragSize - 1) / fragSize
-	editFrag := nfrags / 2
-	// build replays the generated constraints into a fresh system; ver > 0
-	// renames the edit fragment's key, which a retained session sees as
-	// one function's constraints removed and re-added.
-	build := func(ver int) (*constraint.System, []constraint.FragmentSpan) {
-		sys := constraint.NewSystem(set)
-		for i := 0; i < nv; i++ {
-			sys.Fresh()
-		}
-		var spans []constraint.FragmentSpan
-		for i := 0; i < nfrags; i++ {
-			start, end := i*fragSize, (i+1)*fragSize
-			if end > len(cons) {
-				end = len(cons)
-			}
-			at := sys.NumConstraints()
-			for _, c := range cons[start:end] {
-				sys.AddMasked(c.L, c.R, c.Mask, c.Why)
-			}
-			key := fmt.Sprintf("frag:%d", i)
-			if i == editFrag && ver > 0 {
-				key = fmt.Sprintf("frag:%d@%d", i, ver)
-			}
-			spans = append(spans, constraint.FragmentSpan{Key: key, Start: at, End: sys.NumConstraints()})
-		}
-		return sys, spans
-	}
-
-	b.Run("cold", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			sys, _ := build(0)
-			b.StartTimer()
-			if errs := sys.Solve(); errs != nil {
-				b.Fatal("unsat")
-			}
-		}
-	})
-	b.Run("warm", func(b *testing.B) {
-		ss := constraint.NewSession(set)
-		first, spans := build(0)
-		ss.Solve(first, spans) // retained baseline
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			sys, spans := build(i + 1)
-			b.StartTimer()
-			if errs := ss.Solve(sys, spans); errs != nil {
-				b.Fatal("unsat")
-			}
-			if d := ss.Delta(); !d.Applied {
-				b.Fatalf("warm round fell back: %+v", d)
-			}
-		}
-	})
-}
-
 // BenchmarkRestrictScaling measures the scheme-simplification projection
 // (constraint.Restrict) on cycle-heavy graphs: the let-generalization hot
 // path of polymorphic inference.

@@ -87,7 +87,6 @@ func main() {
 	jsonOut := flag.Bool("json", false, "emit the report and diagnostics as JSON")
 	stats := flag.Bool("stats", false, "print solver statistics (system size, cycle condensation) to stderr")
 	jobs := flag.Int("jobs", 0, "constraint-generation workers (0 = GOMAXPROCS; results are identical for every value)")
-	solveJobs := flag.Int("solve-jobs", 0, "no effect; the solve is sequential (accepted for compatibility, removed next round)")
 	traceFile := flag.String("trace", "", "write a Chrome trace-event JSON of the pipeline to this file (view in chrome://tracing or Perfetto)")
 	serve := flag.String("serve", "", "analyze via a running cquald daemon at this base URL instead of locally")
 	analysisFlag := flag.String("analysis", "const", "comma-separated qualifier analyses to run together (see -analyses)")
@@ -103,11 +102,6 @@ func main() {
 	}
 	if *jobs < 0 {
 		fmt.Fprintln(os.Stderr, "cqual: -jobs must be >= 0")
-		fmt.Fprintln(os.Stderr, usage)
-		os.Exit(2)
-	}
-	if *solveJobs < 0 {
-		fmt.Fprintln(os.Stderr, "cqual: -solve-jobs must be >= 0")
 		fmt.Fprintln(os.Stderr, usage)
 		os.Exit(2)
 	}
@@ -561,18 +555,6 @@ func printSolverStats(res *driver.Result) {
 		st.Vars, st.Constraints, st.MaskClasses)
 	fmt.Fprintf(os.Stderr, "  condensation: %d components, %d cycles collapsed (%d vars merged), %d edges dropped\n",
 		st.Components, st.SCCsCollapsed, st.VarsCollapsed, st.EdgesDropped)
-	// Delta counters appear only when the run went through a retained
-	// session (driver.Session / cquald sessions); plain cqual runs solve
-	// cold and print nothing here.
-	if d := res.Delta; d != nil {
-		if d.Applied {
-			fmt.Fprintf(os.Stderr, "  delta:        hit — %d fragment(s) reused (+%d −%d), %d SCC(s) re-solved, %d var(s) dirty\n",
-				d.FragsReused, d.FragsAdded, d.FragsRemoved, d.ResolvedSCCs, d.DirtyVars)
-		} else {
-			fmt.Fprintf(os.Stderr, "  delta:        cold solve (%s)\n", d.Fallback)
-		}
-		fmt.Fprintf(os.Stderr, "  session:      %d hit(s), %d fallback(s)\n", st.DeltaHits, st.DeltaFallbacks)
-	}
 	fmt.Fprintf(os.Stderr, "  solve time:   %v (analysis %v)\n", res.Timings.Solve, res.Timings.Analysis())
 }
 

@@ -28,15 +28,15 @@
 //
 // Every analyze response carries an X-Trace-Id, and every request
 // records spans into the flight recorder: at request end a
-// tail-retention policy keeps the traces of slow, failed, shed,
-// delta-fallback, and 1-in-K sampled requests (?trace=1 forces
-// retention), retrievable at /v1/traces/<id> after the fact.
+// tail-retention policy keeps the traces of slow, failed, shed, and
+// 1-in-K sampled requests (?trace=1 forces retention), retrievable at
+// /v1/traces/<id> after the fact.
 // -trace-entries bounds the retention ring; -retain-slowest and
 // -retain-sample tune the policy. GET /v1/events serves the structured
-// event journal (session evictions, delta fallbacks with reason codes,
-// cache churn, slow requests; ?since=<seq> resumes, ?wait=1
-// long-polls), bounded by -journal-entries. GET /v1/introspect dumps
-// live state: retained sessions with their last solve/delta stats,
+// event journal (session evictions, cache churn, slow requests;
+// ?since=<seq> resumes, ?wait=1 long-polls), bounded by
+// -journal-entries. GET /v1/introspect dumps live state: retained
+// sessions with their last run's solve stats,
 // cache occupancy, worker depths, ring and journal stats, SLO burn
 // rates. -slo declares per-endpoint latency objectives
 // ("analyze=250ms,metrics=50ms"); burn-rate gauges over 5m/1h/6h
@@ -48,18 +48,17 @@
 // also land in the event journal). SIGINT/SIGTERM drain in-flight
 // requests before exiting.
 //
-// Requests carrying a "session" id share a retained constraint-graph
-// session (bounded by -session-entries): successive versions of the
-// same corpus re-solve only the region downstream of changed constraint
-// fragments, visible in the report's solver.delta block and the
-// /metrics delta counters.
+// Requests carrying a "session" id share a retained session (bounded by
+// -session-entries): the corpus's runs serialize, bypass the result
+// cache (X-Cache: session), and show up in /v1/introspect. Each run
+// solves cold; its report equals a plain request's.
 //
 // With -watch DIR the daemon serves no HTTP at all: it walks DIR
 // recursively for the active front end's source files (.c by default,
 // .go with -lang go; stdlib mtime/size polling, -watch-interval apart)
 // and re-runs the analysis through one retained session whenever a
 // file appears, changes, or disappears, printing conflict diagnostics
-// with their flow paths plus a per-run delta summary to stdout. The
+// with their flow paths plus a per-run summary to stdout. The
 // mode flags (-lang, -poly, -polyrec, -simplify, -uninit, -analysis,
 // -prelude) mirror cqual and apply only to -watch, which fixes the
 // configuration for the session's lifetime.
@@ -86,7 +85,6 @@ import (
 func main() {
 	addr := flag.String("addr", "127.0.0.1:8710", "listen address (host:port; port 0 picks a free port)")
 	jobs := flag.Int("jobs", 0, "constraint-generation workers per analysis (0 = GOMAXPROCS)")
-	solveJobs := flag.Int("solve-jobs", 0, "no effect; the solve is sequential (accepted for compatibility, removed next round)")
 	maxConcurrent := flag.Int("max-concurrent", 0, "simultaneous analyses (0 = GOMAXPROCS)")
 	timeout := flag.Duration("timeout", server.DefaultRequestTimeout, "per-request deadline including queue time (negative = none)")
 	shutdownTimeout := flag.Duration("shutdown-timeout", 10*time.Second, "grace period for draining in-flight requests on SIGINT/SIGTERM")
@@ -94,7 +92,7 @@ func main() {
 	resultBytes := flag.Int64("result-cache-bytes", 256<<20, "result cache: max stored report bytes (0 = unbounded)")
 	summaryEntries := flag.Int("summary-cache-entries", 65536, "per-function summary cache: max entries (0 = unbounded)")
 	summaryBytes := flag.Int64("summary-cache-bytes", 256<<20, "per-function summary cache: max approximate bytes (0 = unbounded)")
-	sessionEntries := flag.Int("session-entries", 0, "retained delta re-solve sessions (0 = 64)")
+	sessionEntries := flag.Int("session-entries", 0, "retained sessions (0 = 64)")
 	enablePprof := flag.Bool("pprof", false, "mount the net/http/pprof profiling handlers under /debug/pprof/")
 	slowRequest := flag.Duration("slow-request", 0, "log analyze requests at or above this latency (0 = disabled)")
 	traceEntries := flag.Int("trace-entries", 0, "flight-recorder retained-trace ring entries (0 = 32)")
@@ -116,10 +114,6 @@ func main() {
 
 	if *jobs < 0 {
 		fmt.Fprintln(os.Stderr, "cquald: -jobs must be >= 0")
-		os.Exit(2)
-	}
-	if *solveJobs < 0 {
-		fmt.Fprintln(os.Stderr, "cquald: -solve-jobs must be >= 0")
 		os.Exit(2)
 	}
 	if flag.NArg() != 0 {

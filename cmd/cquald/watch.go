@@ -1,14 +1,12 @@
 package main
 
-// -watch mode: the delta re-solve engine's local front door. Instead of
-// serving HTTP, the daemon walks a directory tree for the active front
-// end's source files (stdlib only — filepath.WalkDir plus mtime/size
-// stamps, no platform notification APIs) and re-analyzes through one
-// retained driver.Session whenever a file appears, changes, or
-// disappears. Each run prints the conflict diagnostics with their
-// step-by-step flow paths and a one-line delta summary: what the
-// retained session reused and how much of the constraint graph the
-// edit actually dirtied.
+// -watch mode: instead of serving HTTP, the daemon walks a directory
+// tree for the active front end's source files (stdlib only —
+// filepath.WalkDir plus mtime/size stamps, no platform notification
+// APIs) and re-analyzes through one driver.Session whenever a file
+// appears, changes, or disappears. Each run prints the conflict
+// diagnostics with their step-by-step flow paths and a one-line size
+// and solve-time summary.
 
 import (
 	"context"
@@ -119,7 +117,7 @@ func runWatchMode(dir string, interval time.Duration, opts watchOptions) int {
 
 // fileStamp is the change detector for one source file. Content is not
 // hashed here: a stale mtime+size pair only costs one redundant
-// analysis, which the session then mostly reuses anyway.
+// analysis.
 type fileStamp struct {
 	mod  time.Time
 	size int64
@@ -161,7 +159,7 @@ func newWatcher(dir string, cfg driver.Config, out io.Writer) *watcher {
 		reanalyses: reg.NewCounter("cquald_watch_reanalyses_total",
 			"Watch-mode analysis runs triggered by source changes."),
 		feFailures: reg.NewCounter("cquald_watch_frontend_failures_total",
-			"Watch-mode runs rejected by the front end (session state retained)."),
+			"Watch-mode runs rejected by the front end."),
 	}
 }
 
@@ -254,14 +252,14 @@ func (w *watcher) poll(ctx context.Context) (bool, error) {
 }
 
 // report prints one analysis outcome: front-end errors or the conflict
-// diagnostics with their flow paths, then the delta summary line.
+// diagnostics with their flow paths, then the summary lines.
 func (w *watcher) report(res *driver.Result, paths []string) {
 	fmt.Fprintf(w.out, "watch: run %d: %d file(s)\n", w.runs, len(paths))
 	if res.Report == nil {
 		for _, d := range res.Errors() {
 			fmt.Fprintln(w.out, "  "+strings.ReplaceAll(d.String(), "\n", "\n  "))
 		}
-		fmt.Fprintln(w.out, "  (front-end failure; session state retained)")
+		fmt.Fprintln(w.out, "  (front-end failure)")
 		w.feFailures.Inc()
 		w.journal.Append("watch_run", "warn", "re-analysis rejected by front end",
 			"run", fmt.Sprint(w.runs), "files", fmt.Sprint(len(paths)),
@@ -275,27 +273,13 @@ func (w *watcher) report(res *driver.Result, paths []string) {
 			fmt.Fprintln(w.out, "  "+strings.ReplaceAll(d.String(), "\n", "\n  "))
 		}
 	}
+	solve := res.Timings.Solve.Round(time.Microsecond)
 	fmt.Fprintf(w.out, "  %d function(s), %d constraint(s), %d conflict(s)\n",
 		res.Report.Functions, res.Report.Constraints, conflicts)
-	fmt.Fprintf(w.out, "  %s (solve %v)\n", deltaLine(res), res.Timings.Solve.Round(time.Microsecond))
+	fmt.Fprintf(w.out, "  solve %v\n", solve)
 	w.journal.Append("watch_run", "info", "re-analysis complete",
 		"run", fmt.Sprint(w.runs), "files", fmt.Sprint(len(paths)),
-		"conflicts", fmt.Sprint(conflicts), "delta", deltaLine(res))
-}
-
-// deltaLine renders what the retained session did for one run.
-func deltaLine(res *driver.Result) string {
-	d := res.Delta
-	switch {
-	case d == nil:
-		return "delta: none"
-	case d.Applied:
-		return fmt.Sprintf("delta: hit — %d/%d fragment(s) reused (+%d −%d), %d SCC(s) re-solved, %d var(s) dirty",
-			d.FragsReused, d.FragsReused+d.FragsAdded, d.FragsAdded, d.FragsRemoved,
-			d.ResolvedSCCs, d.DirtyVars)
-	default:
-		return fmt.Sprintf("delta: cold solve (%s)", d.Fallback)
-	}
+		"conflicts", fmt.Sprint(conflicts), "solve", solve.String())
 }
 
 // run is the watch loop: poll at the interval until the context ends.

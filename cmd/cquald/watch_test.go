@@ -40,6 +40,24 @@ func writeStamped(t *testing.T, path, text string, seq int) {
 	}
 }
 
+// coldSummary is the summary line a watch run over the files must
+// print: the sizes and conflicts of a cold driver run.
+func coldSummary(t *testing.T, cfg driver.Config, paths ...string) string {
+	t.Helper()
+	res, err := driver.Run(cfg, driver.FileSources(paths...))
+	if err != nil || res.Report == nil {
+		t.Fatalf("cold run: %v", err)
+	}
+	conflicts := 0
+	for _, d := range res.Diagnostics {
+		if d.Code == "qualifier-conflict" {
+			conflicts++
+		}
+	}
+	return fmt.Sprintf("%d function(s), %d constraint(s), %d conflict(s)\n  solve ",
+		res.Report.Functions, res.Report.Constraints, conflicts)
+}
+
 func TestWatcherDeltaCycle(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "prog.c")
@@ -53,8 +71,8 @@ func TestWatcherDeltaCycle(t *testing.T) {
 	if err != nil || !ran {
 		t.Fatalf("first poll: ran=%v err=%v", ran, err)
 	}
-	if !strings.Contains(out.String(), "delta: cold solve (first-solve)") {
-		t.Fatalf("first run should cold-solve:\n%s", out.String())
+	if want := coldSummary(t, driver.Config{Jobs: 1}, path); !strings.Contains(out.String(), want) {
+		t.Fatalf("first run should match a cold run (%q):\n%s", want, out.String())
 	}
 
 	// No change: no analysis.
@@ -63,14 +81,14 @@ func TestWatcherDeltaCycle(t *testing.T) {
 		t.Fatalf("unchanged poll: ran=%v err=%v output=%q", ran, err, out.String())
 	}
 
-	// Trailing-function edit: the session takes the delta path.
+	// Trailing-function edit: the run matches a cold run of the edit.
 	writeStamped(t, path, watchV2, 2)
 	out.Reset()
 	if ran, err := w.poll(ctx); err != nil || !ran {
 		t.Fatalf("edit poll: ran=%v err=%v", ran, err)
 	}
-	if !strings.Contains(out.String(), "delta: hit") {
-		t.Fatalf("edit should be a delta hit:\n%s", out.String())
+	if want := coldSummary(t, driver.Config{Jobs: 1}, path); !strings.Contains(out.String(), want) {
+		t.Fatalf("edit should match a cold run (%q):\n%s", want, out.String())
 	}
 
 	// A new file changes the set and re-analyzes.
@@ -126,8 +144,8 @@ func TestWatcherRecursiveScan(t *testing.T) {
 }
 
 // TestWatcherGoLang pins the -lang go watch path: the scanner claims .go
-// files (skipping tests), and edits delta-solve through the retained
-// session exactly like C.
+// files (skipping tests), and edits re-analyze through the session
+// exactly like C.
 func TestWatcherGoLang(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "prog.go")
@@ -146,8 +164,9 @@ func TestWatcherGoLang(t *testing.T) {
 	if !strings.Contains(got, "1 file(s)") {
 		t.Fatalf("_test.go should be ignored:\n%s", got)
 	}
-	if !strings.Contains(got, "delta: cold solve (first-solve)") {
-		t.Fatalf("first run should cold-solve:\n%s", got)
+	cfg := driver.Config{Jobs: 1, Lang: "go"}
+	if want := coldSummary(t, cfg, path); !strings.Contains(got, want) {
+		t.Fatalf("first run should match a cold run (%q):\n%s", want, got)
 	}
 
 	writeStamped(t, path, "package p\n\nfunc get(p *int) int { return *p }\n\nfunc put(p *int) { *p = 1 }\n", 3)
@@ -155,8 +174,8 @@ func TestWatcherGoLang(t *testing.T) {
 	if ran, err := w.poll(ctx); err != nil || !ran {
 		t.Fatalf("edit poll: ran=%v err=%v", ran, err)
 	}
-	if !strings.Contains(out.String(), "delta:") {
-		t.Fatalf("edit should report a delta line:\n%s", out.String())
+	if want := coldSummary(t, cfg, path); !strings.Contains(out.String(), want) {
+		t.Fatalf("edit should match a cold run (%q):\n%s", want, out.String())
 	}
 }
 
@@ -205,8 +224,8 @@ func TestWatcherConflictFlow(t *testing.T) {
 	}
 }
 
-// TestWatcherFrontEndError pins that a broken edit reports errors but
-// keeps the session: the fixed version still delta-solves.
+// TestWatcherFrontEndError pins that a broken edit reports errors and
+// the fixed version analyzes as a cold run does.
 func TestWatcherFrontEndError(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "prog.c")
@@ -233,8 +252,8 @@ func TestWatcherFrontEndError(t *testing.T) {
 	if _, err := w.poll(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out.String(), "delta: hit") {
-		t.Fatalf("session lost across front-end error:\n%s", out.String())
+	if want := coldSummary(t, driver.Config{Jobs: 1}, path); !strings.Contains(out.String(), want) {
+		t.Fatalf("run after a front-end error should match a cold run (%q):\n%s", want, out.String())
 	}
 }
 
@@ -251,8 +270,8 @@ func TestWatcherObservability(t *testing.T) {
 	w := newWatcher(dir, driver.Config{Jobs: 1}, &out)
 	ctx := context.Background()
 
-	// Poll 1: cold solve. Poll 2: unchanged, no analysis. Poll 3: broken
-	// edit, front-end failure. Poll 4: fixed edit, delta hit.
+	// Poll 1: analysis. Poll 2: unchanged, no analysis. Poll 3: broken
+	// edit, front-end failure. Poll 4: fixed edit, analysis.
 	if _, err := w.poll(ctx); err != nil {
 		t.Fatal(err)
 	}
@@ -290,13 +309,12 @@ func TestWatcherObservability(t *testing.T) {
 			t.Errorf("event %d run = %q, want %d", i, e.Attrs["run"], i+1)
 		}
 	}
-	if events[0].Level != "info" || !strings.Contains(events[0].Attrs["delta"], "cold solve") {
-		t.Errorf("cold-solve event wrong: %+v", events[0])
+	for _, i := range []int{0, 2} {
+		if e := events[i]; e.Level != "info" || e.Attrs["conflicts"] != "0" || e.Attrs["solve"] == "" {
+			t.Errorf("analysis event %d wrong: %+v", i, e)
+		}
 	}
 	if events[1].Level != "warn" || events[1].Attrs["errors"] == "" {
 		t.Errorf("front-end-failure event wrong: %+v", events[1])
-	}
-	if !strings.Contains(events[2].Attrs["delta"], "delta: hit") {
-		t.Errorf("delta-hit event wrong: %+v", events[2])
 	}
 }

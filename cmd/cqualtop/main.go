@@ -5,7 +5,7 @@
 // structured journal tail — and renders one compact refreshing screen:
 // request throughput, cache hit rates, SLO burn rates per window,
 // retained traces with their retention reasons, resident sessions with
-// their last delta outcome, and the newest journal events.
+// their last run, and the newest journal events.
 //
 // Usage:
 //
@@ -146,7 +146,7 @@ func (st *topState) runOnce(w io.Writer) error {
 }
 
 // render writes one frame. Sections, top to bottom: header, request
-// totals with rates, caches, solver/delta, SLO burn rates, flight
+// totals with rates, caches, solver, SLO burn rates, flight
 // recorder, retained traces, sessions, journal tail.
 func (st *topState) render(w io.Writer, m *server.Metrics, intro *server.Introspection, now time.Time) {
 	up := time.Duration(m.UptimeMS * float64(time.Millisecond)).Round(time.Second)
@@ -163,8 +163,8 @@ func (st *topState) render(w io.Writer, m *server.Metrics, intro *server.Introsp
 		intro.Workers.InFlight, intro.Workers.MaxConcurrent, intro.Workers.Running)
 	fmt.Fprintf(w, "caches    result %s · summary %s · sessions %s\n",
 		cacheLine(intro.Caches.Result), cacheLine(intro.Caches.Summary), cacheLine(intro.Caches.Session))
-	fmt.Fprintf(w, "solver    %d vars · %d constraints over %d run(s) · delta hits %d fallbacks %d\n",
-		m.Solver.Vars, m.Solver.Constraints, m.Stages.Runs, m.Delta.Hits, m.Delta.Fallbacks)
+	fmt.Fprintf(w, "solver    %d vars · %d constraints over %d run(s)\n",
+		m.Solver.Vars, m.Solver.Constraints, m.Stages.Runs)
 
 	fmt.Fprintf(w, "\nslo       (burn <1 inside budget, >1 burning)\n")
 	if len(intro.SLOs) == 0 {
@@ -231,13 +231,9 @@ func (st *topState) render(w io.Writer, m *server.Metrics, intro *server.Introsp
 			fmt.Fprintf(w, "  %-14s (never run)\n", s.Key)
 			continue
 		}
-		delta := fmt.Sprintf("cold (%s)", s.Last.Delta.Fallback)
-		if s.Last.Delta.Applied {
-			delta = fmt.Sprintf("hit: %d reused, %d SCC(s), %d dirty",
-				s.Last.Delta.FragsReused, s.Last.Delta.ResolvedSCCs, s.Last.Delta.DirtyVars)
-		}
-		fmt.Fprintf(w, "  %-14s run %-3d %d file(s) %d diag · delta %s\n",
-			s.Key, s.Last.Runs, s.Last.Sources, s.Last.Diagnostics, delta)
+		fmt.Fprintf(w, "  %-14s run %-3d %d file(s) %d diag · %d vars %d constraints\n",
+			s.Key, s.Last.Runs, s.Last.Sources, s.Last.Diagnostics,
+			s.Last.Solver.Vars, s.Last.Solver.Constraints)
 	}
 
 	fmt.Fprintf(w, "\nevents    (journal tail; next seq %d)\n", intro.Journal.NextSeq)

@@ -10,13 +10,13 @@ import (
 	"repro/internal/server"
 )
 
-// TestRunOnce drives the dashboard against a real in-process daemon:
-// one clean analyze, one session analyze (whose second run delta-hits),
-// then two frames. The first frame must carry every section with live
+// TestRunOnce drives the dashboard against a real in-process daemon
+// retaining one session: one clean analyze, two runs of session "top",
+// then one of session "next", which evicts "top". Then two frames. The first frame must carry every section with live
 // numbers; the second must show a request rate and resume the journal
 // tail without re-printing consumed events.
 func TestRunOnce(t *testing.T) {
-	ts := httptest.NewServer(server.New(server.Config{MaxConcurrent: 3}))
+	ts := httptest.NewServer(server.New(server.Config{MaxConcurrent: 3, SessionEntries: 1}))
 	defer ts.Close()
 
 	post := func(body string) {
@@ -30,6 +30,7 @@ func TestRunOnce(t *testing.T) {
 	post(`{"sources":[{"path":"a.c","text":"int id(int x) { return x; }"}]}`)
 	post(`{"session":"top","sources":[{"path":"s.c","text":"int one(void) { return 1; }"}]}`)
 	post(`{"session":"top","sources":[{"path":"s.c","text":"int one(void) { return 1; }\nint two(void) { return 2; }"}]}`)
+	post(`{"session":"next","sources":[{"path":"n.c","text":"int three(void) { return 3; }"}]}`)
 
 	st := newTopState(ts.URL, 8)
 	base := time.Unix(1700000000, 0)
@@ -42,19 +43,18 @@ func TestRunOnce(t *testing.T) {
 	got := frame1.String()
 	for _, want := range []string{
 		"cqualtop — " + ts.URL,
-		"requests  3",
+		"requests  4",
 		"in-flight 0/3",
-		"delta hits 1",
+		"solver    ",
 		"slo",
 		"analyze", // the default SLO endpoint
 		"5m",      // burn windows rendered short-to-long
-		"flight    3 decision(s)",
+		"flight    4 decision(s)",
 		"traces    (newest first",
 		"sessions  (most recent first)",
-		"top",       // the session key
-		"delta hit", // its last run reused fragments
+		"run 1   1 file(s) 0 diag", // the resident session, "next"
 		"events    (journal tail",
-		"delta_fallback", // the session's first solve journaled its reason
+		"session_evict", // "next" evicted "top"
 	} {
 		if !strings.Contains(got, want) {
 			t.Errorf("frame missing %q:\n%s", want, got)
@@ -65,7 +65,7 @@ func TestRunOnce(t *testing.T) {
 	}
 
 	// Second frame: rate appears, consumed events don't repeat.
-	firstEvents := strings.Count(got, "delta_fallback")
+	firstEvents := strings.Count(got, "session_evict")
 	post(`{"sources":[{"path":"b.c","text":"int id2(int x) { return x; }"}]}`)
 	st.now = func() time.Time { return base.Add(2 * time.Second) }
 	var frame2 strings.Builder
@@ -73,10 +73,10 @@ func TestRunOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	got2 := frame2.String()
-	if !strings.Contains(got2, "requests  4 (0.5/s)") {
+	if !strings.Contains(got2, "requests  5 (0.5/s)") {
 		t.Errorf("second frame missing request rate:\n%s", got2)
 	}
-	if n := strings.Count(got2, "delta_fallback"); n != firstEvents {
+	if n := strings.Count(got2, "session_evict"); n != firstEvents {
 		t.Errorf("event tail changed across frames: %d vs %d occurrences (tail must accumulate, not refetch)", n, firstEvents)
 	}
 }

@@ -6,7 +6,6 @@
 // Usage:
 //
 //	paperbench [-table1] [-table2] [-figure6] [-simplify] [-polyrec]
-//	           [-delta-vars n] [-delta-rounds n]
 //	           [-go-self PATTERN] [-go-self-rounds n]
 //	           [-new-analyses]
 //	           [-obs] [-obs-requests n] [-obs-rounds n] [-out FILE]
@@ -17,11 +16,6 @@
 // change, so the trajectory accumulates). Every measurement block also
 // records its allocation footprint (runtime.ReadMemStats deltas), so
 // memory regressions show up in the same trajectory as time ones.
-//
-// The report also carries a warm-session column: a retained
-// constraint.Session re-solving the -delta-vars cycle-graph workload
-// after a one-fragment edit, against a cold solve of the same system
-// (see experiment.MeasureDelta). -delta-vars 0 disables it.
 //
 // -obs measures what cquald's always-on flight recorder costs a
 // warm-path (cache-hit) request: two in-process servers, recording on
@@ -85,20 +79,6 @@ type benchJSON struct {
 	Total         int     `json:"total_positions"`
 }
 
-// deltaJSON is the warm-session re-solve block of the -out schema: the
-// delta engine's headline numbers on the synthetic solver workload.
-type deltaJSON struct {
-	Vars          int     `json:"vars"`
-	Constraints   int     `json:"constraints"`
-	Frags         int     `json:"frags"`
-	ColdSolveMS   float64 `json:"cold_solve_ms"`
-	WarmResolveMS float64 `json:"warm_resolve_ms"`
-	WarmOverCold  float64 `json:"warm_over_cold"`
-	Hits          int     `json:"delta_hits"`
-	Fallbacks     int     `json:"delta_fallbacks"`
-	Memory        memJSON `json:"memory"`
-}
-
 // goSelfJSON is the Go self-analysis block of the -out schema: the Go
 // front end analyzing this repository's own packages.
 type goSelfJSON struct {
@@ -155,7 +135,6 @@ type benchFile struct {
 	} `json:"options"`
 	Benchmarks  []benchJSON       `json:"benchmarks"`
 	SuiteMemory *memJSON          `json:"suite_memory,omitempty"`
-	Delta       *deltaJSON        `json:"delta,omitempty"`
 	GoSelf      *goSelfJSON       `json:"go_self,omitempty"`
 	NewAnalyses []newAnalysisJSON `json:"new_analyses,omitempty"`
 	Obs         *obsJSON          `json:"obs,omitempty"`
@@ -167,8 +146,6 @@ func main() {
 	figure6 := flag.Bool("figure6", false, "print Figure 6 only")
 	simplify := flag.Bool("simplify", true, "scheme simplification in the polymorphic pass (the Section 6 optimization; disable with -simplify=false)")
 	polyrec := flag.Bool("polyrec", false, "enable polymorphic recursion in the polymorphic pass")
-	deltaVars := flag.Int("delta-vars", 20000, "warm-session re-solve workload size in variables (0 = skip)")
-	deltaRounds := flag.Int("delta-rounds", 9, "warm-session re-solve measurement rounds (median reported)")
 	goSelf := flag.String("go-self", "", "also run the Go front end over this package pattern (e.g. ./internal/...) and report the self-analysis block")
 	goSelfRounds := flag.Int("go-self-rounds", 3, "Go self-analysis measurement rounds (median reported)")
 	newAnalyses := flag.Bool("new-analyses", false, "also measure the expansion-pack analyses (unique, fdstate, and the combined four-analysis pass) over the seeded example corpora")
@@ -215,25 +192,6 @@ func main() {
 			Poly:          r.Poly,
 			Total:         r.Total,
 		})
-	}
-
-	if *deltaVars > 0 {
-		var d experiment.DeltaResult
-		mem := measureMem(func() { d = experiment.MeasureDelta(*deltaVars, *deltaRounds) })
-		f.Delta = &deltaJSON{
-			Vars:          d.Vars,
-			Constraints:   d.Constraints,
-			Frags:         d.Frags,
-			ColdSolveMS:   d.ColdSolve.Seconds() * 1000,
-			WarmResolveMS: d.WarmResolve.Seconds() * 1000,
-			WarmOverCold:  d.WarmOverCold(),
-			Hits:          d.Hits,
-			Fallbacks:     d.Fallbacks,
-			Memory:        mem,
-		}
-		fmt.Printf("Delta re-solve (n=%d, %d frags): cold %.3fms, warm %.3fms (%.1f%% of cold), %d hit(s), %d fallback(s)\n",
-			d.Vars, d.Frags, f.Delta.ColdSolveMS, f.Delta.WarmResolveMS,
-			f.Delta.WarmOverCold*100, d.Hits, d.Fallbacks)
 	}
 
 	if *goSelf != "" {

@@ -7,15 +7,14 @@ import (
 	"repro/internal/driver"
 )
 
-// SessionKey derives the session-store key for a delta re-solve corpus.
-// It hashes everything in the config that shapes the analysis result —
-// the front-end language, the inference mode, the uninit flag, the
-// selected analyses, and every prelude — plus the caller-chosen corpus
-// id. Jobs is deliberately
-// excluded: results are identical for every pool size, and keying on it
-// would split one logical corpus into per-client sessions. Sources are
-// excluded by construction — diffing successive source versions is the
-// session's whole job.
+// SessionKey derives the session-store key for a named corpus. It
+// hashes everything in the config that shapes the analysis result — the
+// front-end language, the inference mode, the uninit flag, the selected
+// analyses, and every prelude — plus the caller-chosen corpus id. Jobs
+// is deliberately excluded: results are identical for every pool size,
+// and keying on it would split one logical corpus into per-client
+// sessions. Sources are excluded by construction: a session runs
+// successive versions of one corpus.
 func SessionKey(cfg driver.Config, corpus string) string {
 	h := sha256.New()
 	fmt.Fprintf(h, "lang:%s;", langKey(cfg))
@@ -33,9 +32,9 @@ func SessionKey(cfg driver.Config, corpus string) string {
 }
 
 // SessionStore is a bounded LRU of retained driver sessions, keyed by
-// SessionKey. Eviction simply drops the retained solver state: the next
-// request for that corpus creates a fresh session and pays one cold
-// solve. Safe for concurrent use.
+// SessionKey. Eviction drops the session and its snapshot: the next
+// request for that corpus creates a fresh session. Safe for concurrent
+// use.
 type SessionStore struct {
 	lru *lru[string, *driver.Session]
 }
@@ -113,7 +112,6 @@ func (c *SessionStore) Entries() []SessionEntry {
 	return out
 }
 
-// Stats snapshots the store counters. Bytes counts entries (a session's
-// retained graph size is not cheaply known), so the byte gauge doubles
-// as an occupancy gauge.
+// Stats snapshots the store counters. Bytes counts entries, so the byte
+// gauge doubles as an occupancy gauge.
 func (c *SessionStore) Stats() Stats { return c.lru.stats() }

@@ -420,6 +420,13 @@ func (a *Analysis) SolveSystemContext(ctx context.Context) []*constraint.Unsat {
 	return a.sys.SolveContext(ctx)
 }
 
+// SolveSession is SolveSystemContext; the session argument has no
+// effect. Kept for bench/replay.go, removed with the next benchmark
+// change.
+func (a *Analysis) SolveSession(ctx context.Context, _ *constraint.Session) []*constraint.Unsat {
+	return a.sys.SolveContext(ctx)
+}
+
 // SolveStats reports the size and condensation counters of the final
 // system's last solve. Valid only after SolveSystem.
 func (a *Analysis) SolveStats() constraint.SolveStats {

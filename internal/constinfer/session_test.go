@@ -9,7 +9,7 @@ import (
 )
 
 // analyzeThroughSession runs the full pipeline on src with the solve
-// stage routed through ss, returning the report.
+// stage called through SolveSession, returning the report.
 func analyzeThroughSession(t *testing.T, ss *constraint.Session, src string, opts Options) *Report {
 	t.Helper()
 	f, err := cfront.Parse("t.c", src)
@@ -22,16 +22,15 @@ func analyzeThroughSession(t *testing.T, ss *constraint.Session, src string, opt
 	return a.Classify(a.SolveSession(context.Background(), ss))
 }
 
-const spansProgV1 = `
+const sessProgV1 = `
 int strlen(const char *s);
 void sink(char *p) { *p = 0; }
 int probe(const char *s) { return strlen(s); }
 void use(char *buf) { sink(buf); probe(buf); }
 `
 
-// v2 edits only the last function; every earlier fragment's constraints
-// (and variable numbering) are untouched, so the session reuses them.
-const spansProgV2 = `
+// v2 edits only the last function.
+const sessProgV2 = `
 int strlen(const char *s);
 void sink(char *p) { *p = 0; }
 int probe(const char *s) { return strlen(s); }
@@ -40,7 +39,7 @@ void use(char *buf) { sink(buf); probe(buf); probe(buf); }
 
 func testSessionMatchesCold(t *testing.T, opts Options) {
 	ss := constraint.NewSession(NewAnalysis(nil, opts).Set())
-	for round, src := range []string{spansProgV1, spansProgV2, spansProgV1} {
+	for round, src := range []string{sessProgV1, sessProgV2, sessProgV1} {
 		got := analyzeThroughSession(t, ss, src, opts)
 		want, err := AnalyzeSource("t.c", src, opts)
 		if err != nil {
@@ -59,9 +58,6 @@ func testSessionMatchesCold(t *testing.T, opts Options) {
 			t.Fatalf("round %d: %d conflicts, want %d", round, len(got.Conflicts), len(want.Conflicts))
 		}
 	}
-	if d := ss.Delta(); !d.Applied && d.Fallback == "" {
-		t.Fatalf("session never engaged: %+v", d)
-	}
 }
 
 func TestSessionSolveMatchesColdMono(t *testing.T) {
@@ -76,42 +72,6 @@ func TestSessionSolveMatchesColdPolySimplify(t *testing.T) {
 	testSessionMatchesCold(t, Options{Poly: true, Simplify: true})
 }
 
-// TestSessionReusesPrefixFragments pins the delta behavior the -watch
-// loop relies on: editing the last function keeps every earlier
-// fragment's key stable, so the second solve takes the delta path.
-func TestSessionReusesPrefixFragments(t *testing.T) {
-	ss := constraint.NewSession(NewAnalysis(nil, Options{}).Set())
-	analyzeThroughSession(t, ss, spansProgV1, Options{})
-	if d := ss.Delta(); d.Applied || d.Fallback != "first-solve" {
-		t.Fatalf("first solve: %+v", d)
-	}
-	analyzeThroughSession(t, ss, spansProgV2, Options{})
-	d := ss.Delta()
-	if !d.Applied {
-		t.Fatalf("expected delta hit after trailing edit, got %+v", d)
-	}
-	if d.FragsReused == 0 || d.FragsAdded == 0 || d.FragsRemoved == 0 {
-		t.Fatalf("expected a real fragment diff (reuse + replace), got %+v", d)
-	}
-}
-
-// TestSessionPolyRecHasNoSpans pins the gate: polymorphic recursion
-// keeps its sequential path and reports no fragment spans, so the
-// session transparently solves cold.
-func TestSessionPolyRecHasNoSpans(t *testing.T) {
-	f, err := cfront.Parse("t.c", spansProgV1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := NewAnalysis([]*cfront.File{f}, Options{Poly: true, PolyRec: true})
-	a.Prepare()
-	a.Constrain(1)
-	if spans := a.FragmentSpans(); spans != nil {
-		t.Fatalf("PolyRec mode returned spans: %v", spans)
-	}
-	ss := constraint.NewSession(a.Set())
-	a.Classify(a.SolveSession(context.Background(), ss))
-	if d := ss.Delta(); d.Applied || d.Fallback != "" {
-		t.Fatalf("session should stay untouched without spans: %+v", d)
-	}
+func TestSessionSolveMatchesColdPolyRec(t *testing.T) {
+	testSessionMatchesCold(t, Options{Poly: true, PolyRec: true})
 }

@@ -404,8 +404,7 @@ func (s *System) SolveContext(ctx context.Context) []*Unsat {
 	// solve would make the init pass and every later write fault in cold
 	// pages and churn the collector — on large corpora that costs more
 	// than the fixpoint itself. Re-solves overwrite in place (nothing
-	// retains the previous arrays: Lower/Upper return values, and the
-	// session path installs its own copies via setSolution).
+	// retains the previous arrays: Lower/Upper return values).
 	if len(s.solBuf) < 2*n {
 		s.solBuf = make([]qual.Elem, 2*n)
 	}
@@ -639,8 +638,6 @@ func (s *System) SolveContext(ctx context.Context) []*Unsat {
 
 // buildUnsats converts violated constraint indices (ascending, in
 // constraint order) into deduplicated Unsat reports with blame paths.
-// It is shared by Solve and the delta re-solve path (Session), which
-// detect violations differently but must report them byte-identically.
 func (s *System) buildUnsats(viol []int32) []*Unsat {
 	var unsat []*Unsat
 	var incoming *incomingCSR
@@ -674,15 +671,6 @@ func (s *System) buildUnsats(viol []int32) []*Unsat {
 		}
 	}
 	return unsat
-}
-
-// setSolution installs an externally computed solution and its stats —
-// the Session's delta re-solve path, which computes the fixpoints
-// outside the System. The caller transfers ownership of the slices
-// (they must not be mutated afterwards); subsequent Lower/Upper/Forced
-// queries and buildUnsats read them exactly as if Solve had run.
-func (s *System) setSolution(lower, upper []qual.Elem, stats SolveStats) {
-	s.lower, s.upper, s.stats, s.solved = lower, upper, stats, true
 }
 
 // grow32 and growElem reallocate a once, with room for exactly extra more

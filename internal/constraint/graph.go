@@ -77,17 +77,6 @@ type SolveStats struct {
 	// MaskClasses is the number of lattice-component classes the edge
 	// masks induced (1 when every edge carries the same mask).
 	MaskClasses int
-
-	// Delta re-solve counters, populated only when the solve ran through
-	// a Session (zero for plain Solve calls, so cold output is
-	// unchanged). DeltaHits and DeltaFallbacks accumulate over the
-	// session's lifetime; ResolvedSCCs and DirtyVars describe the last
-	// re-solve's dirty region (condensed components re-evaluated, and
-	// variables whose solution was rebroadcast).
-	DeltaHits      int
-	DeltaFallbacks int
-	ResolvedSCCs   int
-	DirtyVars      int
 }
 
 // maskClasses partitions the components of full into groups that every

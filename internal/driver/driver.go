@@ -38,8 +38,8 @@ type Config struct {
 	// Jobs bounds the constraint-generation worker pool; 0 means
 	// GOMAXPROCS. Results are identical for every value.
 	Jobs int
-	// SolveJobs is accepted and ignored: the solve is sequential.
-	// No effect; removed next round.
+	// SolveJobs has no effect: the solve is sequential. Kept for
+	// bench/replay.go, removed with the next benchmark change.
 	SolveJobs int
 	// Uninit additionally runs the flow-sensitive
 	// definite-initialization check and reports its warnings.
@@ -155,10 +155,8 @@ type Result struct {
 	// the solver's cycle condensation compressed it (zero value if the
 	// front end failed and the Solve stage never ran).
 	Solver constraint.SolveStats
-	// Delta describes what the retained delta session did for this run's
-	// solve; nil when the run solved cold (Run/RunContext, or a session
-	// mode without fragment spans still sets it, with Applied=false and
-	// the fallback reason).
+	// Delta is always nil. No effect; kept for bench/replay.go, removed
+	// with the next benchmark change.
 	Delta *constraint.DeltaStats
 }
 
@@ -199,13 +197,6 @@ func Run(cfg Config, sources []Source) (*Result, error) {
 // deadline is noticed — which keeps every stage's determinism guarantees
 // intact.
 func RunContext(ctx context.Context, cfg Config, sources []Source) (*Result, error) {
-	return runPipeline(ctx, cfg, sources, nil)
-}
-
-// runPipeline is the shared Load → … → Report spine behind RunContext
-// and Session.RunDelta; a non-nil sess routes the Solve stage through
-// its retained constraint session.
-func runPipeline(ctx context.Context, cfg Config, sources []Source, sess *Session) (*Result, error) {
 	if len(sources) == 0 {
 		return nil, errors.New("driver: no input sources")
 	}
@@ -273,7 +264,7 @@ func runPipeline(ctx context.Context, cfg Config, sources []Source, sess *Sessio
 		return res, nil
 	}
 
-	if err := runAnalysis(ctx, cfg, res, sess); err != nil {
+	if err := runAnalysis(ctx, cfg, res); err != nil {
 		return nil, err
 	}
 	return res, nil
@@ -287,7 +278,7 @@ func RunFiles(cfg Config, files []*cfront.File) (*Result, error) {
 		return nil, errors.New("driver: no input files")
 	}
 	res := &Result{Config: cfg, Files: files, Program: &CProgram{Files: files}}
-	if err := runAnalysis(context.Background(), cfg, res, nil); err != nil {
+	if err := runAnalysis(context.Background(), cfg, res); err != nil {
 		return nil, err
 	}
 	return res, nil
@@ -296,7 +287,7 @@ func RunFiles(cfg Config, files []*cfront.File) (*Result, error) {
 // runAnalysis drives the Build → Constrain → Solve → Classify stages and
 // the optional initialization check over res.Program, checking ctx at
 // each stage boundary.
-func runAnalysis(ctx context.Context, cfg Config, res *Result, sess *Session) error {
+func runAnalysis(ctx context.Context, cfg Config, res *Result) error {
 	tr := obs.FromContext(ctx)
 	sp := tr.Start("driver", "driver.build")
 	start := time.Now()
@@ -336,17 +327,7 @@ func runAnalysis(ctx context.Context, cfg Config, res *Result, sess *Session) er
 
 	sp = tr.Start("driver", "driver.solve")
 	start = time.Now()
-	var conflicts []*constraint.Unsat
-	if sess != nil {
-		if sess.ss == nil {
-			sess.ss = constraint.NewSession(a.Set())
-		}
-		conflicts = a.SolveSession(ctx, sess.ss)
-		d := sess.ss.Delta()
-		res.Delta = &d
-	} else {
-		conflicts = a.SolveSystemContext(ctx)
-	}
+	conflicts := a.SolveSystemContext(ctx)
 	res.Timings.Solve = time.Since(start)
 	res.Solver = a.SolveStats()
 	sp.SetAttr(obs.Int("vars", res.Solver.Vars),

@@ -2,7 +2,7 @@ package driver
 
 // Tests for the analysis expansion pack: const, taint, unique, and
 // fdstate riding the same product lattice through ONE constraint pass,
-// with delta sessions none the wiser.
+// with sessions none the wiser.
 
 import (
 	"bytes"
@@ -149,44 +149,14 @@ func TestRunFourAnalysesJobsDeterminism(t *testing.T) {
 	}
 }
 
-// TestSessionDeltaFourAnalyses: delta re-solve sessions accept the new
-// analyses — the suite fingerprint keys on every qualifier definition —
-// and an edited fragment re-solves to the same report as a cold run.
+// TestSessionDeltaFourAnalyses: sessions run the four analyses, and an
+// edited body reports exactly as a cold run does.
 func TestSessionDeltaFourAnalyses(t *testing.T) {
-	cfg := expansionConfig(1)
-	sess := NewSession(cfg)
-	ctx := context.Background()
-
 	edited := strings.Replace(expansionDemo, "return readfd(fd);", "readfd(fd);\n    return readfd(fd);", 1)
 	if edited == expansionDemo {
 		t.Fatal("edit did not apply")
 	}
-	for round, src := range []string{expansionDemo, edited} {
-		sources := []Source{TextSource("demo.c", src)}
-		got, err := sess.RunDelta(ctx, sources)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := RunContext(ctx, cfg, sources)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gj, err := got.JSON()
-		if err != nil {
-			t.Fatal(err)
-		}
-		wj, err := want.JSON()
-		if err != nil {
-			t.Fatal(err)
-		}
-		gm, wm := normalizeJSON(t, gj), normalizeJSON(t, wj)
-		if !reflect.DeepEqual(gm, wm) {
-			t.Fatalf("round %d: session and cold reports differ\n got: %s\nwant: %s", round, gj, wj)
-		}
-	}
-	if d := sess.Delta(); !d.Applied {
-		t.Fatalf("edit under four analyses did not take the delta path: %+v", d)
-	}
+	checkSessionMatchesCold(t, expansionConfig(1), "demo.c", []string{expansionDemo, edited})
 }
 
 // TestFindingsAndBaseline covers the lint plumbing at the driver level:

@@ -7,7 +7,7 @@ package driver
 // discipline never mention C — and this file is where the repository makes
 // that concrete: a FrontEnd turns raw inputs into a Program, a Program
 // binds to an Engine, and everything from Solve onward (condensed solver,
-// delta sessions, classification, flow traces, JSON schema) is shared.
+// classification, flow traces, JSON schema) is shared.
 //
 // Two front ends register themselves: "c" (internal/cfront + constinfer,
 // registered here) and "go" (internal/gofront, registered by importing
@@ -74,9 +74,11 @@ type Program interface {
 
 // Engine is the staged qualifier-inference engine over one program: the
 // Build/Constrain stages produce a constraint system, the Solve stage
-// runs the shared condensed solver (cold or through a retained delta
-// session), and Classify interprets the solution. *constinfer.Analysis
-// is the C engine; internal/gofront provides the Go one.
+// runs the shared condensed solver, and Classify interprets the
+// solution. *constinfer.Analysis is the C engine; internal/gofront
+// provides the Go one. SolveSession is SolveSystemContext with an
+// ignored session argument, kept for bench/replay.go and removed with
+// the next benchmark change.
 type Engine interface {
 	Prepare()
 	ConstrainContext(ctx context.Context, jobs int)

@@ -69,32 +69,15 @@ type jsonFlow struct {
 }
 
 // jsonSolver mirrors constraint.SolveStats: the final system's size and
-// the compression the solver's cycle condensation achieved on it. The
-// delta block appears only for runs solved through a retained session
-// (driver.Session), so cold output is byte-identical to earlier
-// schema versions.
+// the compression the solver's cycle condensation achieved on it.
 type jsonSolver struct {
-	Vars          int        `json:"vars"`
-	Constraints   int        `json:"constraints"`
-	Components    int        `json:"components"`
-	SCCsCollapsed int        `json:"sccs_collapsed"`
-	VarsCollapsed int        `json:"vars_collapsed"`
-	EdgesDropped  int        `json:"edges_dropped"`
-	MaskClasses   int        `json:"mask_classes"`
-	Delta         *jsonDelta `json:"delta,omitempty"`
-}
-
-// jsonDelta describes what the retained delta session did for one run.
-type jsonDelta struct {
-	Applied      bool   `json:"applied"`
-	Fallback     string `json:"fallback,omitempty"`
-	FragsReused  int    `json:"frags_reused"`
-	FragsAdded   int    `json:"frags_added"`
-	FragsRemoved int    `json:"frags_removed"`
-	ResolvedSCCs int    `json:"resolved_sccs"`
-	DirtyVars    int    `json:"dirty_vars"`
-	Hits         int    `json:"hits"`
-	Fallbacks    int    `json:"fallbacks"`
+	Vars          int `json:"vars"`
+	Constraints   int `json:"constraints"`
+	Components    int `json:"components"`
+	SCCsCollapsed int `json:"sccs_collapsed"`
+	VarsCollapsed int `json:"vars_collapsed"`
+	EdgesDropped  int `json:"edges_dropped"`
+	MaskClasses   int `json:"mask_classes"`
 }
 
 type jsonTimings struct {
@@ -202,19 +185,6 @@ func (r *Result) JSON() ([]byte, error) {
 			VarsCollapsed: r.Solver.VarsCollapsed,
 			EdgesDropped:  r.Solver.EdgesDropped,
 			MaskClasses:   r.Solver.MaskClasses,
-		}
-		if d := r.Delta; d != nil {
-			out.Solver.Delta = &jsonDelta{
-				Applied:      d.Applied,
-				Fallback:     d.Fallback,
-				FragsReused:  d.FragsReused,
-				FragsAdded:   d.FragsAdded,
-				FragsRemoved: d.FragsRemoved,
-				ResolvedSCCs: d.ResolvedSCCs,
-				DirtyVars:    d.DirtyVars,
-				Hits:         r.Solver.DeltaHits,
-				Fallbacks:    r.Solver.DeltaFallbacks,
-			}
 		}
 	}
 	return json.MarshalIndent(out, "", "  ")

@@ -1,20 +1,11 @@
 package driver
 
-// Retained analysis sessions: the delta re-solve engine's front door at
-// the pipeline level.
-//
-// A Session pairs one Config with one constraint.Session and re-runs
-// the full pipeline on each RunDelta call. The front end (Load, Parse,
-// Build, Constrain) always runs — it is what re-derives the constraint
-// system and its fragment spans for the edited sources — while the
-// Solve stage hands the fresh system to the retained session, which
-// re-solves only the region downstream of changed fragments (or falls
-// back to a cold solve; results are byte-identical either way, held to
-// that by the delta oracle in internal/constraint).
-//
-// Fragments are content-addressed (see constinfer.FragmentSpans), so
-// the session needs no notion of which files changed: whatever the
-// edit, unchanged fragments re-derive unchanged keys and are reused.
+// Retained analysis sessions. A Session is one corpus's serialized run
+// loop: each RunDelta re-runs the whole pipeline, cold, over the
+// current sources, and leaves a lock-free snapshot of the run for
+// introspection. Incrementality comes from the caches the Config
+// carries (the per-function summary store), not from the session; the
+// session only serializes one corpus's runs and names them.
 
 import (
 	"context"
@@ -24,17 +15,13 @@ import (
 	"repro/internal/constraint"
 )
 
-// Session retains solver state between pipeline runs over successive
-// versions of the same program. The zero value is not usable; call
-// NewSession. A Session is safe for concurrent RunDelta calls (they
-// serialize), but one session must only ever see versions of one
-// logical program — feeding it unrelated programs is correct yet
-// defeats the reuse.
+// Session runs the pipeline over successive versions of one program.
+// The zero value is not usable; call NewSession. A Session is safe for
+// concurrent RunDelta calls (they serialize).
 type Session struct {
 	cfg Config
 
 	mu sync.Mutex
-	ss *constraint.Session // created on first RunDelta, once the suite exists
 
 	// snap is the latest SessionSnapshot, maintained at the end of each
 	// RunDelta. It is read lock-free by introspection (/v1/introspect):
@@ -55,8 +42,6 @@ type SessionSnapshot struct {
 	Diagnostics int `json:"diagnostics"`
 	// Solver is the last run's solve statistics.
 	Solver constraint.SolveStats `json:"solver"`
-	// Delta describes what the retained state did for the last solve.
-	Delta constraint.DeltaStats `json:"delta"`
 	// Err is the last run's pipeline error, if any.
 	Err string `json:"err,omitempty"`
 }
@@ -72,16 +57,12 @@ func NewSession(cfg Config) *Session {
 // Config returns the session's pipeline configuration.
 func (s *Session) Config() Config { return s.cfg }
 
-// RunDelta executes the pipeline over the sources with the Solve stage
-// routed through the session's retained state. The Result is identical
-// to RunContext's — diagnostics, positions, stats, everything — with
-// Result.Delta additionally describing the fragment diff and dirty
-// region (or the fallback reason). Front-end failures leave the
-// retained state untouched.
+// RunDelta executes the pipeline over the sources, exactly as
+// RunContext does, and records the run's snapshot.
 func (s *Session) RunDelta(ctx context.Context, sources []Source) (*Result, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	res, err := runPipeline(ctx, s.cfg, sources, s)
+	res, err := RunContext(ctx, s.cfg, sources)
 	snap := SessionSnapshot{Sources: len(sources)}
 	if prev := s.snap.Load(); prev != nil {
 		snap.Runs = prev.Runs
@@ -93,9 +74,6 @@ func (s *Session) RunDelta(ctx context.Context, sources []Source) (*Result, erro
 	if res != nil {
 		snap.Diagnostics = len(res.Diagnostics)
 		snap.Solver = res.Solver
-		if res.Delta != nil {
-			snap.Delta = *res.Delta
-		}
 	}
 	s.snap.Store(&snap)
 	return res, err
@@ -104,14 +82,3 @@ func (s *Session) RunDelta(ctx context.Context, sources []Source) (*Result, erro
 // Snapshot returns the last completed run's introspection view without
 // taking the session lock; nil before the first RunDelta completes.
 func (s *Session) Snapshot() *SessionSnapshot { return s.snap.Load() }
-
-// Delta reports what the session's last solve did; the zero value
-// before any solve has happened.
-func (s *Session) Delta() constraint.DeltaStats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.ss == nil {
-		return constraint.DeltaStats{}
-	}
-	return s.ss.Delta()
-}

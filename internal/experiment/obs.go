@@ -150,3 +150,9 @@ func MeasureObs(requests, rounds int) (ObsResult, error) {
 	res.Events = intro.Journal.NextSeq - 1
 	return res, nil
 }
+
+// median sorts ds and returns its middle element.
+func median(ds []time.Duration) time.Duration {
+	sort.Slice(ds, func(i, j int) bool { return ds[i] < ds[j] })
+	return ds[len(ds)/2]
+}

@@ -11,13 +11,6 @@ package gofront
 // in load order, declarations in file order); the object-keyed maps are
 // lookup-only. Output is therefore byte-identical for every -jobs value
 // by construction — the jobs knob is accepted and ignored.
-//
-// The constraint list is laid out in contiguous brackets for the delta
-// session: the prepare region (signatures, globals, struct values), one
-// body fragment per function, and the global-initializer region at the
-// end. FragmentSpans labels them with the same content hash the C
-// engine uses (constinfer.FragmentKey), so `cquald -watch` re-solves
-// only edited Go functions exactly as it does for C.
 
 import (
 	"context"
@@ -44,9 +37,6 @@ type funcInfo struct {
 	// sig is the rfunc translation; params[0] is the receiver for
 	// methods.
 	sig *rtype
-	// bodyCons brackets the function's body fragment in the constraint
-	// list.
-	bodyCons [2]int
 }
 
 // gpos is one interesting const position: a reference level of a
@@ -78,7 +68,7 @@ type engine struct {
 	env map[types.Object]*rtype
 
 	// globalVars lists package-level var specs in corpus order, for the
-	// glob fragment.
+	// global initializers.
 	globalVars []globalVar
 
 	positions []*gpos
@@ -89,10 +79,6 @@ type engine struct {
 
 	prepared    bool
 	constrained bool
-	// preCons/globCons bracket the prepare and global-initializer
-	// regions of the constraint list.
-	preCons  int
-	globCons [2]int
 }
 
 func newEngine(p *Program, cfg driver.Config, suite *analysis.Suite) *engine {
@@ -145,7 +131,6 @@ func (e *engine) Prepare() {
 			}
 		}
 	}
-	e.preCons = e.sys.NumConstraints()
 }
 
 func (e *engine) prepareFunc(pkg *pkgInfo, d *ast.FuncDecl) {
@@ -270,8 +255,8 @@ func preludeName(obj *types.Func) string {
 	return short + "." + obj.Name()
 }
 
-// ConstrainContext is the Constrain stage: one body fragment per
-// defined function, then the global initializers. jobs is accepted for
+// ConstrainContext is the Constrain stage: every defined function's
+// body, then the global initializers. jobs is accepted for
 // interface parity and ignored — generation is sequential, so every
 // jobs value trivially produces identical output.
 func (e *engine) ConstrainContext(ctx context.Context, jobs int) {
@@ -280,45 +265,17 @@ func (e *engine) ConstrainContext(ctx context.Context, jobs int) {
 	}
 	e.constrained = true
 	for _, fi := range e.funcs {
-		fi.bodyCons[0] = e.sys.NumConstraints()
-		if ctx.Err() == nil {
-			e.analyzeBody(fi)
+		if ctx.Err() != nil {
+			return
 		}
-		fi.bodyCons[1] = e.sys.NumConstraints()
+		e.analyzeBody(fi)
 	}
-	e.globCons[0] = e.sys.NumConstraints()
-	if ctx.Err() == nil {
-		for _, gv := range e.globalVars {
-			e.constrainGlobal(gv)
-		}
+	if ctx.Err() != nil {
+		return
 	}
-	e.globCons[1] = e.sys.NumConstraints()
-}
-
-// FragmentSpans labels the constraint list as content-addressed
-// fragments for the delta session: prepare region, one fragment per
-// function body, global initializers.
-func (e *engine) FragmentSpans() []constraint.FragmentSpan {
-	if !e.constrained {
-		return nil
+	for _, gv := range e.globalVars {
+		e.constrainGlobal(gv)
 	}
-	all := e.sys.Constraints()
-	var spans []constraint.FragmentSpan
-	at := 0
-	cut := func(tag string, end int) {
-		spans = append(spans, constraint.FragmentSpan{
-			Key:   constinfer.FragmentKey(tag, all[at:end]),
-			Start: at,
-			End:   end,
-		})
-		at = end
-	}
-	cut("pre", e.preCons)
-	for _, fi := range e.funcs {
-		cut("body", fi.bodyCons[1])
-	}
-	cut("glob", len(all))
-	return spans
 }
 
 // SolveSystemContext is the cold Solve stage.
@@ -326,17 +283,11 @@ func (e *engine) SolveSystemContext(ctx context.Context) []*constraint.Unsat {
 	return e.sys.SolveContext(ctx)
 }
 
-// SolveSession routes the Solve stage through a retained delta session,
-// falling back to a cold solve when no session or spans exist.
-func (e *engine) SolveSession(ctx context.Context, ss *constraint.Session) []*constraint.Unsat {
-	if ss == nil {
-		return e.sys.SolveContext(ctx)
-	}
-	spans := e.FragmentSpans()
-	if spans == nil {
-		return e.sys.SolveContext(ctx)
-	}
-	return ss.SolveContext(ctx, e.sys, spans)
+// SolveSession is SolveSystemContext; the session argument has no
+// effect. Kept for bench/replay.go, removed with the next benchmark
+// change.
+func (e *engine) SolveSession(ctx context.Context, _ *constraint.Session) []*constraint.Unsat {
+	return e.sys.SolveContext(ctx)
 }
 
 func (e *engine) SolveStats() constraint.SolveStats { return e.sys.Stats() }

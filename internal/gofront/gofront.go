@@ -3,8 +3,7 @@
 // and translates functions, methods, pointers, slices, maps, struct
 // fields, and call edges into the same constraint fragments the C front
 // end emits — the paper's framework claim made concrete: one qualifier
-// engine, one condensed solver, one delta-session mechanism, a second
-// source language.
+// engine, one condensed solver, a second source language.
 //
 // The translation follows the Section 4.1 θ discipline: every Go
 // variable is an updateable reference Q ref(contents); pointers,

@@ -138,6 +138,27 @@ func TestParseErrors(t *testing.T) {
 			t.Errorf("Parse(%q) error type %T, want *SyntaxError", src, err)
 		}
 	}
+
+	// Nesting past maxDepth is a syntax error, not a stack overflow;
+	// each input is well formed apart from its depth.
+	const deep = 200000
+	for name, src := range map[string]string{
+		"parens": strings.Repeat("(", deep) + "1" + strings.Repeat(")", deep),
+		"fn":     strings.Repeat("fn x => ", deep) + "x",
+		"deref":  strings.Repeat("!", deep) + "x",
+		"ref":    strings.Repeat("ref ", deep) + "1",
+		"annot":  strings.Repeat("@q ", deep) + "1",
+		"seq":    strings.Repeat("1;", deep) + "1",
+	} {
+		_, err := Parse("t", src)
+		if se, ok := err.(*SyntaxError); !ok || !strings.Contains(se.Msg, "nesting deeper than") {
+			t.Errorf("Parse(deep %s) = %v, want a nesting syntax error", name, err)
+		}
+	}
+	shallow := strings.Repeat("(", 1000) + "1" + strings.Repeat(")", 1000)
+	if _, err := Parse("t", shallow); err != nil {
+		t.Errorf("Parse(1000 nested parens) = %v, want success", err)
+	}
 }
 
 func TestSyntaxErrorMessage(t *testing.T) {

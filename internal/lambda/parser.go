@@ -32,7 +32,28 @@ func MustParse(src string) Expr {
 type parser struct {
 	lex *lexer
 	tok token
+
+	depth int // current grammar nesting; see enter
 }
+
+// maxDepth bounds the nesting of the recursive grammar: every
+// expression, prefix operator (ref, !, @q) and parenthesised atom adds
+// one level. Without it, an input such
+// as 2,000,000 nested '(' overflows the goroutine stack, a fatal error
+// that no recover can catch.
+const maxDepth = 10000
+
+// enter counts one level of grammar nesting, failing with a syntax
+// error past maxDepth. Every successful enter is paired with a leave.
+func (p *parser) enter() error {
+	if p.depth >= maxDepth {
+		return &SyntaxError{Pos: p.tok.pos, Msg: fmt.Sprintf("nesting deeper than %d levels", maxDepth)}
+	}
+	p.depth++
+	return nil
+}
+
+func (p *parser) leave() { p.depth-- }
 
 func (p *parser) next() error {
 	t, err := p.lex.next()
@@ -57,6 +78,10 @@ func (p *parser) expect(k tokKind) (token, error) {
 // parseExpr parses the full expression grammar, including trailing
 // sequencing and lambda abstractions that extend to the right.
 func (p *parser) parseExpr() (Expr, error) {
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	defer p.leave()
 	if p.tok.kind == tokFn {
 		return p.parseLambda()
 	}
@@ -218,6 +243,10 @@ func (p *parser) parseApp() (Expr, error) {
 }
 
 func (p *parser) parsePrefix() (Expr, error) {
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	defer p.leave()
 	switch p.tok.kind {
 	case tokRef:
 		pos := p.tok.pos
@@ -329,6 +358,10 @@ func (p *parser) parseAtom() (Expr, error) {
 			}
 			return &UnitLit{P: t.pos}, nil
 		}
+		if err := p.enter(); err != nil {
+			return nil, err
+		}
+		defer p.leave()
 		e, err := p.parseExpr()
 		if err != nil {
 			return nil, err

@@ -27,8 +27,8 @@ func TestRecorderDecideReasons(t *testing.T) {
 		{Sample{Forced: true}, []string{"forced"}},
 		{Sample{Err: true}, []string{"error"}},
 		{Sample{Shed: true}, []string{"shed"}},
-		{Sample{Fallback: true}, []string{"fallback"}},
-		{Sample{Err: true, Fallback: true}, []string{"error", "fallback"}},
+		{Sample{Err: true, Shed: true}, []string{"error", "shed"}},
+		{Sample{Forced: true, Err: true}, []string{"forced", "error"}},
 		{Sample{}, nil},
 	}
 	for _, c := range cases {

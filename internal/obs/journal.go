@@ -1,15 +1,15 @@
 package obs
 
 // The structured event journal: a typed, bounded, in-memory ring of
-// service-level events — session evictions, delta fallbacks, cache
-// churn, watch re-analyses, slow requests — each stamped with a
+// service-level events — session evictions, cache churn, watch
+// re-analyses, slow requests — each stamped with a
 // monotonic sequence number so clients can poll incrementally
 // ("give me everything after seq N") and long-poll for the next one.
 //
 // The journal is the flight recorder's narrative track: where the trace
 // ring answers "what did request X spend its time on", the journal
 // answers "what has the service been doing". It is deliberately small
-// and mutex-guarded — events are service-level (evictions, fallbacks),
+// and mutex-guarded — events are service-level (evictions, slow requests),
 // not per-constraint, so the lock never sits on an analysis hot path,
 // and the /metrics scrape path never touches it.
 //

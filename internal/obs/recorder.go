@@ -18,7 +18,6 @@ package obs
 //   - forced:   the client passed ?trace=1 (always kept)
 //   - error:    the request failed (non-200)
 //   - shed:     the request was load-shed or timed out (429/504)
-//   - fallback: the delta session fell back to a cold solve
 //   - slow:     per latency-histogram bucket, the first SlowestPerBucket
 //     requests landing in the bucket are kept, and afterwards only new
 //     per-bucket maxima — so every populated latency bucket always has
@@ -83,14 +82,12 @@ type Sample struct {
 	Err bool
 	// Shed marks a load-shed or deadline-exceeded request.
 	Shed bool
-	// Fallback marks a delta-session solve that fell back cold.
-	Fallback bool
 	// Forced marks an explicit ?trace=1 opt-in.
 	Forced bool
 }
 
 // RetainReasons enumerates the policy counters in render order.
-var RetainReasons = []string{"forced", "error", "shed", "fallback", "slow", "sample"}
+var RetainReasons = []string{"forced", "error", "shed", "slow", "sample"}
 
 // RetainedTrace is one ring entry.
 type RetainedTrace struct {
@@ -128,7 +125,7 @@ type Recorder struct {
 	decisions   atomic.Uint64
 	admitted    atomic.Uint64
 	evicted     atomic.Uint64
-	byReason    [6]atomic.Uint64 // indexed like RetainReasons
+	byReason    [5]atomic.Uint64 // indexed like RetainReasons
 	bucketCount []atomic.Uint64  // slow-policy admissions per bucket
 	bucketMax   []atomic.Uint64  // float bits of the slowest retained latency per bucket
 }
@@ -167,17 +164,13 @@ func (r *Recorder) Decide(s Sample) (bool, []string) {
 		reasons = append(reasons, "shed")
 		r.byReason[2].Add(1)
 	}
-	if s.Fallback {
-		reasons = append(reasons, "fallback")
-		r.byReason[3].Add(1)
-	}
 	if r.slowRetain(s.Seconds) {
 		reasons = append(reasons, "slow")
-		r.byReason[4].Add(1)
+		r.byReason[3].Add(1)
 	}
 	if k := r.pol.SampleEvery; k > 0 && ordinal%uint64(k) == 1%uint64(k) {
 		reasons = append(reasons, "sample")
-		r.byReason[5].Add(1)
+		r.byReason[4].Add(1)
 	}
 	return len(reasons) > 0, reasons
 }

@@ -37,9 +37,9 @@ func getJSON(t *testing.T, url string, out any) *http.Response {
 }
 
 // TestFlightRecorderRetainsWithoutOptIn is the acceptance criterion:
-// a request that errors, and a request whose delta session fell back
-// cold, are retrievable at /v1/traces/<id> without the client having
-// passed ?trace=1.
+// a request that errors, and a session request the slow policy keeps
+// (the first requests of a latency bucket), are retrievable at
+// /v1/traces/<id> without the client having passed ?trace=1.
 func TestFlightRecorderRetainsWithoutOptIn(t *testing.T) {
 	ts := httptest.NewServer(New(Config{}))
 	defer ts.Close()
@@ -69,21 +69,21 @@ func TestFlightRecorderRetainsWithoutOptIn(t *testing.T) {
 		t.Fatalf("error request's trace not retained: status %d", tr.StatusCode)
 	}
 
-	// A session request whose solve fell back cold (the priming
-	// first-solve) is retained, and its trace carries pipeline spans.
+	// A session request is retained by the slow policy, and its trace
+	// carries pipeline spans.
 	r2, _ := postAnalyze(t, ts, sessionBody("flight", prog))
 	if r2.Header.Get("X-Cache") != "session" {
 		t.Fatalf("X-Cache = %q, want session", r2.Header.Get("X-Cache"))
 	}
-	fbID := r2.Header.Get("X-Trace-Id")
-	tr2, err := http.Get(ts.URL + "/v1/traces/" + fbID)
+	sessID := r2.Header.Get("X-Trace-Id")
+	tr2, err := http.Get(ts.URL + "/v1/traces/" + sessID)
 	if err != nil {
 		t.Fatal(err)
 	}
 	body, _ := io.ReadAll(tr2.Body)
 	tr2.Body.Close()
 	if tr2.StatusCode != http.StatusOK {
-		t.Fatalf("fallback request's trace not retained: status %d", tr2.StatusCode)
+		t.Fatalf("session request's trace not retained: status %d", tr2.StatusCode)
 	}
 	if !strings.Contains(string(body), "driver.solve") {
 		t.Errorf("retained trace missing pipeline spans:\n%.300s", body)
@@ -92,8 +92,8 @@ func TestFlightRecorderRetainsWithoutOptIn(t *testing.T) {
 	// The retention shows up in the counters.
 	var intro Introspection
 	getJSON(t, ts.URL+"/v1/introspect", &intro)
-	if intro.Retention.Admitted == 0 || intro.Retention.ByReason["error"] == 0 || intro.Retention.ByReason["fallback"] == 0 {
-		t.Errorf("retention counters = %+v, want error and fallback matches", intro.Retention.RecorderStats)
+	if intro.Retention.Admitted == 0 || intro.Retention.ByReason["error"] == 0 || intro.Retention.ByReason["slow"] == 0 {
+		t.Errorf("retention counters = %+v, want error and slow matches", intro.Retention.RecorderStats)
 	}
 }
 
@@ -173,29 +173,30 @@ func TestTraceRingEvictionHammer(t *testing.T) {
 // monotonic sequence numbers, ?since resumes incrementally, and ?wait=1
 // long-polls until a new event arrives.
 func TestEventsEndpoint(t *testing.T) {
-	ts := httptest.NewServer(New(Config{}))
+	ts := httptest.NewServer(New(Config{SessionEntries: 1}))
 	defer ts.Close()
 
-	// A session's priming solve journals a delta_fallback event.
+	// With room for one session, a second session id evicts the first
+	// and journals a session_evict event.
 	postAnalyze(t, ts, sessionBody("ev", prog))
+	postAnalyze(t, ts, sessionBody("ev-b", prog))
 
 	var ev EventsResponse
 	getJSON(t, ts.URL+"/v1/events", &ev)
 	if len(ev.Events) == 0 {
-		t.Fatal("no events after a session fallback")
+		t.Fatal("no events after a session eviction")
 	}
-	var fallback *string
+	evicted := 0
 	for i, e := range ev.Events {
 		if i > 0 && e.Seq <= ev.Events[i-1].Seq {
 			t.Fatalf("sequence not monotonic: %+v", ev.Events)
 		}
-		if e.Type == "delta_fallback" {
-			r := e.Attrs["reason"]
-			fallback = &r
+		if e.Type == "session_evict" && e.Attrs["key"] != "" {
+			evicted++
 		}
 	}
-	if fallback == nil || *fallback != "first-solve" {
-		t.Fatalf("missing delta_fallback event with reason first-solve: %+v", ev.Events)
+	if evicted != 1 {
+		t.Fatalf("want one session_evict event with a key: %+v", ev.Events)
 	}
 	if ev.Next != ev.Events[len(ev.Events)-1].Seq {
 		t.Fatalf("next = %d, want last seq %d", ev.Next, ev.Events[len(ev.Events)-1].Seq)
@@ -261,9 +262,6 @@ func TestIntrospectEndpoint(t *testing.T) {
 	}
 	if last.Solver.Vars == 0 {
 		t.Errorf("session snapshot missing solver stats: %+v", last)
-	}
-	if !last.Delta.Applied {
-		t.Errorf("second run's delta should have applied: %+v", last.Delta)
 	}
 	if intro.Caches.Session.Entries != 1 {
 		t.Errorf("session cache entries = %d, want 1", intro.Caches.Session.Entries)

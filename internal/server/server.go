@@ -14,8 +14,8 @@
 //	                    identifies the request. Every request records
 //	                    spans into the flight recorder; at request end a
 //	                    tail-retention policy decides whether the trace
-//	                    is kept (slow, failed, shed, delta-fallback, and
-//	                    sampled requests are; ?trace=1 forces it)
+//	                    is kept (slow, failed, shed, and sampled
+//	                    requests are; ?trace=1 forces it)
 //	GET  /healthz     — liveness probe
 //	GET  /metrics     — JSON counters by default: requests, cache stats,
 //	                    per-stage timing aggregates, per-analysis request
@@ -28,11 +28,11 @@
 //	GET  /v1/traces/<id> — the Chrome trace-event JSON of a retained
 //	                    request (tail-retained or ?trace=1-forced)
 //	GET  /v1/events   — the structured event journal: session evictions,
-//	                    delta fallbacks, cache churn, slow requests.
+//	                    cache churn, slow requests.
 //	                    ?since=<seq> resumes after a known event;
 //	                    ?wait=1 long-polls until something newer arrives
 //	GET  /v1/introspect — live server state: retained sessions with
-//	                    their last solve/delta stats, cache occupancy,
+//	                    their last solve stats, cache occupancy,
 //	                    worker/queue depths, retention ring and journal
 //	                    stats, SLO burn rates
 //	/debug/pprof/     — net/http/pprof profiling handlers, mounted only
@@ -95,9 +95,9 @@ type Config struct {
 	// (0 = 65536 entries / 256 MiB).
 	SummaryEntries int
 	SummaryBytes   int64
-	// SessionEntries bounds the retained delta re-solve sessions
-	// (0 = 64). Eviction drops solver state; the next request for that
-	// corpus pays one cold solve.
+	// SessionEntries bounds the retained sessions (0 = 64). Eviction
+	// drops the session's introspection snapshot; the next request for
+	// that corpus starts a fresh one.
 	SessionEntries int
 	// EnablePprof mounts the net/http/pprof handlers under
 	// /debug/pprof/. Off by default: the endpoints expose goroutine
@@ -181,13 +181,6 @@ type Server struct {
 	stageHist [numStages]*obs.Histogram // per-stage latency, seconds
 	reqHist   map[string]*obs.Histogram // end-to-end latency by cache hit/miss/session
 	solver    [6]*obs.Counter           // summed solver size and condensation counters
-
-	// Delta re-solve aggregates over session requests that reached the
-	// solver: hits took the incremental path, fallbacks re-solved cold.
-	deltaHits      *obs.Counter
-	deltaFallbacks *obs.Counter
-	deltaSCCs      *obs.Counter   // components re-solved on delta hits
-	deltaDirty     *obs.Histogram // dirty-region size (variables) per hit
 
 	// perAnalysis is keyed by registered analysis name and fully
 	// populated at New — the map is never written afterwards, so
@@ -278,7 +271,7 @@ func New(cfg Config) *Server {
 		}),
 	}
 	s.sessions.OnEvict(func(key string) {
-		s.journal.Append("session_evict", "warn", "delta session evicted; next request pays a cold solve",
+		s.journal.Append("session_evict", "warn", "session evicted; the next request for its corpus starts a fresh one",
 			"key", shortKey(key))
 	})
 	s.results.OnEvict(func(k cache.Key) {
@@ -352,16 +345,6 @@ func (s *Server) registerMetrics() {
 		s.solver[i] = r.NewCounter("cquald_solver_"+name+"_total",
 			"Summed solver counter over completed analyses (see constraint.SolveStats).")
 	}
-
-	s.deltaHits = r.NewCounter("cquald_delta_hits_total",
-		"Session solves that took the incremental delta path.")
-	s.deltaFallbacks = r.NewCounter("cquald_delta_fallbacks_total",
-		"Session solves that fell back to a cold solve.")
-	s.deltaSCCs = r.NewCounter("cquald_delta_resolved_sccs_total",
-		"Condensed components re-solved across delta hits.")
-	s.deltaDirty = r.NewHistogram("cquald_delta_dirty_vars",
-		"Dirty-region size in variables per delta hit.",
-		[]float64{1, 10, 100, 1_000, 10_000, 100_000, 1_000_000})
 
 	for _, name := range analysis.Names() {
 		s.perAnalysis[name] = &analysisCounters{
@@ -500,23 +483,18 @@ type AnalyzeRequest struct {
 	// Jobs bounds the constraint-generation pool for this request
 	// (0 = server default). Results are identical for every value.
 	Jobs int `json:"jobs,omitempty"`
-	// SolveJobs is accepted and ignored (negative values are still
-	// rejected): the solve is sequential. No effect; removed next round.
-	SolveJobs int `json:"solve_jobs,omitempty"`
 	// Analyses names the registered qualifier analyses to run together
 	// (empty = const). Unknown names are rejected with 400.
 	Analyses []string `json:"analyses,omitempty"`
 	// Preludes carry qualifier prelude texts declaring library seeds
 	// and sinks for the selected analyses.
 	Preludes []PreludeJSON `json:"preludes,omitempty"`
-	// Session names a corpus for delta re-solve: requests carrying the
-	// same session id (under the same mode, analyses, and preludes) share
-	// a retained constraint-graph session, and each solve re-derives only
-	// the region downstream of changed constraint fragments. The response
-	// body gains a solver.delta block and X-Cache reports "session"; the
-	// result cache is bypassed, since a session report depends on the
-	// session's history, not just the request. Results remain
-	// byte-identical to a cold run modulo that block.
+	// Session names a corpus: requests carrying the same session id
+	// (under the same mode, analyses, and preludes) share one retained
+	// driver.Session, which serializes their runs and is listed by
+	// /v1/introspect. Every session run bypasses the result cache and
+	// answers X-Cache "session"; the report is byte-identical to a cold
+	// run's.
 	Session string `json:"session,omitempty"`
 }
 
@@ -567,7 +545,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	// The flight recorder is always on: every request records spans, and
 	// at request end the tail-retention policy decides whether the
 	// exported Chrome trace is kept at /v1/traces/<id> — slow, failed,
-	// shed, delta-fallback, and 1-in-K sampled requests are; ?trace=1
+	// shed, and 1-in-K sampled requests are; ?trace=1
 	// forces it. The response body stays byte-identical to the
 	// pre-recorder contract — only the header and the ring change.
 	var tracer *obs.Tracer
@@ -595,10 +573,6 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	jobs := req.Jobs
 	if jobs == 0 || (s.cfg.Jobs > 0 && jobs > s.cfg.Jobs) {
 		jobs = s.cfg.Jobs
-	}
-	if req.SolveJobs < 0 {
-		s.fail(w, http.StatusBadRequest, "solve_jobs must be >= 0, got %d", req.SolveJobs)
-		return
 	}
 	sources := make([]driver.Source, len(req.Sources))
 	for i, src := range req.Sources {
@@ -645,11 +619,9 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	}
 	s.countRequests(cfg.AnalysisNames())
 
-	// Session requests bypass the result cache in both directions: the
-	// retained session must observe every source version to stay
-	// current, and a session report's delta block depends on session
-	// history, so caching it under (config, sources) would replay a
-	// stale diff.
+	// Session requests bypass the result cache in both directions: every
+	// session request runs, so its session's snapshot always describes
+	// the corpus's latest version.
 	var sess *driver.Session
 	if req.Session != "" {
 		sess, _ = s.sessions.GetOrCreate(cache.SessionKey(cfg, req.Session),
@@ -711,8 +683,6 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	s.countDiagnostics(res.Diagnostics)
 	s.recordTimings(res.Timings, res.Solver)
 	if sess != nil {
-		s.recordDelta(traceID, res.Delta)
-		fin.fallback = res.Delta != nil && !res.Delta.Applied
 		s.writeReport(w, report, "session")
 		fin.cacheState = "session"
 		return
@@ -722,33 +692,11 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	fin.cacheState = "miss"
 }
 
-// recordDelta aggregates one session solve's delta outcome. A nil stats
-// pointer means the run failed before the solver (front-end errors);
-// those runs move no delta counter. Fallbacks land in the event journal
-// with their reason code — they are exactly the "why was this request
-// suddenly slow" moments an operator greps for.
-func (s *Server) recordDelta(traceID string, d *constraint.DeltaStats) {
-	if d == nil {
-		return
-	}
-	if d.Applied {
-		s.deltaHits.Inc()
-		s.deltaSCCs.Add(uint64(d.ResolvedSCCs))
-		s.deltaDirty.Observe(float64(d.DirtyVars))
-	} else {
-		s.deltaFallbacks.Inc()
-		s.journal.Append("delta_fallback", "info", "session solve fell back cold",
-			"reason", d.Fallback, "trace_id", traceID)
-	}
-}
-
 // finishState carries what handleAnalyze learned about the request into
-// the deferred finishAnalyze: whether tracing was forced, whether the
-// delta path fell back, and the cache outcome (empty on failed
-// requests, which never reach a report).
+// the deferred finishAnalyze: whether tracing was forced and the cache
+// outcome (empty on failed requests, which never reach a report).
 type finishState struct {
 	forced     bool
-	fallback   bool
 	cacheState string
 	sources    int
 }
@@ -768,11 +716,10 @@ func (s *Server) finishAnalyze(w http.ResponseWriter, r *http.Request, tracer *o
 	exemplar := ""
 	if tracer != nil { // nil only under Config.DisableRecorder (bench baseline)
 		retain, reasons := s.recorder.Decide(obs.Sample{
-			Seconds:  dur.Seconds(),
-			Err:      status >= 400 && !shed,
-			Shed:     shed,
-			Fallback: fin.fallback,
-			Forced:   fin.forced,
+			Seconds: dur.Seconds(),
+			Err:     status >= 400 && !shed,
+			Shed:    shed,
+			Forced:  fin.forced,
 		})
 		if retain {
 			var buf bytes.Buffer
@@ -857,7 +804,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	id := strings.TrimPrefix(r.URL.Path, "/v1/traces/")
 	data, ok := s.recorder.Get(id)
 	if !ok {
-		s.fail(w, http.StatusNotFound, "no retained trace %q (the flight recorder retains slow, failed, shed, fallback, sampled, and ?trace=1 requests, bounded to the most recent %d)", id, s.cfg.TraceEntries)
+		s.fail(w, http.StatusNotFound, "no retained trace %q (the flight recorder retains slow, failed, shed, sampled, and ?trace=1 requests, bounded to the most recent %d)", id, s.cfg.TraceEntries)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -953,7 +900,7 @@ type CacheIntrospect struct {
 	Session cache.Stats `json:"session"`
 }
 
-// SessionIntrospect is one retained delta session: its (abbreviated)
+// SessionIntrospect is one retained session: its (abbreviated)
 // key and the lock-free snapshot of its last completed run.
 type SessionIntrospect struct {
 	Key string `json:"key"`
@@ -1041,7 +988,6 @@ type Metrics struct {
 	Sessions     cache.Stats  `json:"sessions"`
 	Stages       StageTotals  `json:"stages"`
 	Solver       SolverTotals `json:"solver"`
-	Delta        DeltaTotals  `json:"delta"`
 	// PerAnalysis breaks request and diagnostic counts down by qualifier
 	// analysis ("const", "taint", ...).
 	PerAnalysis map[string]AnalysisMetrics `json:"per_analysis"`
@@ -1083,16 +1029,6 @@ type SolverTotals struct {
 	EdgesDropped  uint64 `json:"edges_dropped"`
 }
 
-// DeltaTotals sums the delta re-solve outcomes over session requests
-// that reached the solver. DirtyVars is the summed dirty-region size
-// over hits — with Hits it gives the mean incremental region.
-type DeltaTotals struct {
-	Hits         uint64 `json:"hits"`
-	Fallbacks    uint64 `json:"fallbacks"`
-	ResolvedSCCs uint64 `json:"resolved_sccs"`
-	DirtyVars    uint64 `json:"dirty_vars"`
-}
-
 // Snapshot returns the current metrics. Every read is an atomic load;
 // a snapshot taken during a storm of analyses costs the analyses
 // nothing.
@@ -1119,12 +1055,6 @@ func (s *Server) Snapshot() Metrics {
 		SummaryCache: s.summaries.Stats(),
 		Sessions:     s.sessions.Stats(),
 		PerAnalysis:  per,
-		Delta: DeltaTotals{
-			Hits:         s.deltaHits.Value(),
-			Fallbacks:    s.deltaFallbacks.Value(),
-			ResolvedSCCs: s.deltaSCCs.Value(),
-			DirtyVars:    uint64(s.deltaDirty.Sum()),
-		},
 		Solver: SolverTotals{
 			Vars:          s.solver[0].Value(),
 			Constraints:   s.solver[1].Value(),

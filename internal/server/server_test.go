@@ -112,15 +112,16 @@ func TestAnalyzeBadRequests(t *testing.T) {
 	for _, tc := range []struct {
 		name, body string
 		status     int
+		mention    string // the error must name this, when set
 	}{
-		{"empty", `{}`, 400},
-		{"no sources", `{"sources":[]}`, 400},
-		{"negative jobs", `{"sources":[{"path":"a.c","text":"int x;"}],"jobs":-1}`, 400},
-		{"negative solve_jobs", `{"sources":[{"path":"a.c","text":"int x;"}],"solve_jobs":-1}`, 400},
-		{"missing path", `{"sources":[{"text":"int x;"}]}`, 400},
-		{"missing text", `{"sources":[{"path":"a.c"}]}`, 400},
-		{"unknown field", `{"sources":[{"path":"a.c","text":"int x;"}],"bogus":1}`, 400},
-		{"malformed", `{"sources":`, 400},
+		{"empty", `{}`, 400, ""},
+		{"no sources", `{"sources":[]}`, 400, ""},
+		{"negative jobs", `{"sources":[{"path":"a.c","text":"int x;"}],"jobs":-1}`, 400, ""},
+		{"retired solve_jobs", `{"sources":[{"path":"a.c","text":"int x;"}],"solve_jobs":4}`, 400, `"solve_jobs"`},
+		{"missing path", `{"sources":[{"text":"int x;"}]}`, 400, ""},
+		{"missing text", `{"sources":[{"path":"a.c"}]}`, 400, ""},
+		{"unknown field", `{"sources":[{"path":"a.c","text":"int x;"}],"bogus":1}`, 400, `"bogus"`},
+		{"malformed", `{"sources":`, 400, ""},
 	} {
 		resp, data := postAnalyze(t, ts, tc.body)
 		if resp.StatusCode != tc.status {
@@ -131,6 +132,9 @@ func TestAnalyzeBadRequests(t *testing.T) {
 		if err := json.Unmarshal(data, &e); err != nil || e.Error == "" {
 			t.Errorf("%s: error body %q not JSON with error field", tc.name, data)
 		}
+		if !strings.Contains(e.Error, tc.mention) {
+			t.Errorf("%s: error %q does not name %s", tc.name, e.Error, tc.mention)
+		}
 	}
 
 	resp, err := http.Get(ts.URL + "/v1/analyze")
@@ -140,31 +144,6 @@ func TestAnalyzeBadRequests(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("GET /v1/analyze: status %d; want 405", resp.StatusCode)
-	}
-}
-
-// TestAnalyzeSolveJobsAccepted: solve_jobs no longer affects the
-// analysis, but bodies from older clients that still send it must keep
-// working (DisallowUnknownFields would otherwise reject them), and such
-// a request shares the result-cache entry of one that omits the field.
-func TestAnalyzeSolveJobsAccepted(t *testing.T) {
-	ts := httptest.NewServer(New(Config{}))
-	defer ts.Close()
-
-	srcs, _ := json.Marshal([]SourceJSON{{Path: "prog.c", Text: prog}})
-	r1, d1 := postAnalyze(t, ts, fmt.Sprintf(`{"sources":%s}`, srcs))
-	if r1.StatusCode != 200 {
-		t.Fatalf("plain request: status %d (%s)", r1.StatusCode, d1)
-	}
-	r2, d2 := postAnalyze(t, ts, fmt.Sprintf(`{"sources":%s,"solve_jobs":4}`, srcs))
-	if r2.StatusCode != 200 {
-		t.Fatalf("solve_jobs 4: status %d (%s)", r2.StatusCode, d2)
-	}
-	if got := r2.Header.Get("X-Cache"); got != "hit" {
-		t.Errorf("solve_jobs 4: X-Cache %q; want hit on the plain request's entry", got)
-	}
-	if !bytes.Equal(d1, d2) {
-		t.Errorf("solve_jobs changed the report:\n%s\n---\n%s", d1, d2)
 	}
 }
 

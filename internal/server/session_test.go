@@ -23,6 +23,9 @@ int probe(const char *s) { return strlen(s); }
 void use(char *buf) { sink(buf); probe(buf); probe(buf); }
 `
 
+// sessBroken fails the C front end.
+const sessBroken = `void use(char *buf) { sink(buf`
+
 func sessionBody(session, src string) string {
 	b, _ := json.Marshal(AnalyzeRequest{
 		Sources: []SourceJSON{{Path: "prog.c", Text: src}},
@@ -31,80 +34,9 @@ func sessionBody(session, src string) string {
 	return string(b)
 }
 
-// deltaBlock extracts the solver.delta block of a report.
-func deltaBlock(t *testing.T, report []byte) map[string]any {
+// metricsSnapshot decodes the JSON /metrics snapshot.
+func metricsSnapshot(t *testing.T, ts *httptest.Server) Metrics {
 	t.Helper()
-	var m struct {
-		Solver struct {
-			Delta map[string]any `json:"delta"`
-		} `json:"solver"`
-	}
-	if err := json.Unmarshal(report, &m); err != nil {
-		t.Fatal(err)
-	}
-	return m.Solver.Delta
-}
-
-// stripDelta removes the one block a session report legitimately adds
-// over a cold report, so the remainder can be compared byte-for-byte
-// (modulo timings, which stripMS handles).
-func stripDelta(t *testing.T, report []byte) string {
-	t.Helper()
-	var m map[string]any
-	if err := json.Unmarshal(report, &m); err != nil {
-		t.Fatal(err)
-	}
-	if s, ok := m["solver"].(map[string]any); ok {
-		delete(s, "delta")
-	}
-	out, err := json.MarshalIndent(m, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	return stripMS(string(out))
-}
-
-// TestAnalyzeSession drives one corpus through v1 → v2 → v1 with a
-// session id and checks the retained session against cold runs of the
-// same sources: identical reports modulo the delta block, a delta hit
-// on the edits, and the counters visible in /metrics.
-func TestAnalyzeSession(t *testing.T) {
-	ts := httptest.NewServer(New(Config{Jobs: 1}))
-	defer ts.Close()
-
-	var reports [][]byte
-	for round, src := range []string{sessV1, sessV2, sessV1} {
-		resp, data := postAnalyze(t, ts, sessionBody("corpus-a", src))
-		if resp.StatusCode != 200 || resp.Header.Get("X-Cache") != "session" {
-			t.Fatalf("round %d: status %d, X-Cache %q; want 200 session",
-				round, resp.StatusCode, resp.Header.Get("X-Cache"))
-		}
-		d := deltaBlock(t, data)
-		if d == nil {
-			t.Fatalf("round %d: session response has no solver.delta block:\n%s", round, data)
-		}
-		if round == 0 {
-			if d["applied"] != false || d["fallback"] != "first-solve" {
-				t.Fatalf("round 0 delta: %v", d)
-			}
-		} else if d["applied"] != true {
-			t.Fatalf("round %d should be a delta hit: %v", round, d)
-		}
-		reports = append(reports, data)
-	}
-
-	// Each session response must match a sessionless run of the same
-	// sources once the delta block is stripped.
-	for round, src := range []string{sessV1, sessV2, sessV1} {
-		resp, cold := postAnalyze(t, ts, analyzeBody(map[string]string{"prog.c": src}))
-		if resp.StatusCode != 200 {
-			t.Fatalf("cold round %d: status %d", round, resp.StatusCode)
-		}
-		if got, want := stripDelta(t, reports[round]), stripDelta(t, cold); got != want {
-			t.Fatalf("round %d: session report differs from cold:\n%s\n---\n%s", round, got, want)
-		}
-	}
-
 	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
@@ -114,17 +46,46 @@ func TestAnalyzeSession(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
 		t.Fatal(err)
 	}
-	if m.Delta.Hits != 2 || m.Delta.Fallbacks != 1 {
-		t.Fatalf("delta totals: %+v; want 2 hits, 1 fallback", m.Delta)
+	return m
+}
+
+// TestAnalyzeSession drives one corpus through v1 → v2 → a front-end
+// error → v1 with a session id. Every session report must equal a
+// sessionless run of the same sources byte for byte once the timings
+// are removed, and session traffic must stay out of the result cache.
+func TestAnalyzeSession(t *testing.T) {
+	ts := httptest.NewServer(New(Config{Jobs: 1}))
+	defer ts.Close()
+
+	rounds := []string{sessV1, sessV2, sessBroken, sessV1}
+	var reports [][]byte
+	for round, src := range rounds {
+		resp, data := postAnalyze(t, ts, sessionBody("corpus-a", src))
+		if resp.StatusCode != 200 || resp.Header.Get("X-Cache") != "session" {
+			t.Fatalf("round %d: status %d, X-Cache %q; want 200 session",
+				round, resp.StatusCode, resp.Header.Get("X-Cache"))
+		}
+		reports = append(reports, data)
 	}
-	if m.Sessions.Entries != 1 || m.Sessions.Misses != 1 || m.Sessions.Hits != 2 {
+	for round, src := range rounds {
+		resp, cold := postAnalyze(t, ts, analyzeBody(map[string]string{"prog.c": src}))
+		if resp.StatusCode != 200 {
+			t.Fatalf("cold round %d: status %d", round, resp.StatusCode)
+		}
+		if got, want := stripMS(string(reports[round])), stripMS(string(cold)); got != want {
+			t.Fatalf("round %d: session report differs from cold:\n%s\n---\n%s", round, got, want)
+		}
+	}
+
+	m := metricsSnapshot(t, ts)
+	if m.Sessions.Entries != 1 || m.Sessions.Misses != 1 || m.Sessions.Hits != 3 {
 		t.Fatalf("session store stats: %+v", m.Sessions)
 	}
 	// Session traffic must not leak into the result cache: the cold
-	// verification runs (two distinct source versions) are its only
+	// verification runs (three distinct source versions) are its only
 	// entries.
-	if m.ResultCache.Entries != 2 {
-		t.Fatalf("result cache entries: %d; want 2 (cold runs only)", m.ResultCache.Entries)
+	if m.ResultCache.Entries != 3 {
+		t.Fatalf("result cache entries: %d; want 3 (cold runs only)", m.ResultCache.Entries)
 	}
 
 	promResp, err := http.Get(ts.URL + "/metrics?format=prometheus")
@@ -137,10 +98,8 @@ func TestAnalyzeSession(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, want := range []string{
-		"cquald_delta_hits_total 2",
-		"cquald_delta_fallbacks_total 1",
 		`cquald_cache_entries{cache="session"} 1`,
-		`cquald_delta_dirty_vars_count 2`,
+		`cquald_request_seconds_count{cache="session"} 4`,
 	} {
 		if !strings.Contains(string(prom), want) {
 			t.Fatalf("prometheus exposition missing %q:\n%s", want, prom)
@@ -149,52 +108,41 @@ func TestAnalyzeSession(t *testing.T) {
 }
 
 // TestAnalyzeSessionIsolation pins the session key: two corpus ids
-// never share state, and the same id under a different mode is a
+// never share a session, and the same id under a different mode is a
 // different session.
 func TestAnalyzeSessionIsolation(t *testing.T) {
 	ts := httptest.NewServer(New(Config{Jobs: 1}))
 	defer ts.Close()
 
-	if _, data := postAnalyze(t, ts, sessionBody("corpus-a", sessV1)); deltaBlock(t, data)["fallback"] != "first-solve" {
-		t.Fatalf("corpus-a round 0: %v", deltaBlock(t, data))
-	}
-	// A different corpus id must start from its own first solve.
-	if _, data := postAnalyze(t, ts, sessionBody("corpus-b", sessV1)); deltaBlock(t, data)["fallback"] != "first-solve" {
-		t.Fatalf("corpus-b must not reuse corpus-a's session: %v", deltaBlock(t, data))
-	}
-	// Same id, different mode: also a fresh session.
-	b, _ := json.Marshal(AnalyzeRequest{
+	poly, _ := json.Marshal(AnalyzeRequest{
 		Sources: []SourceJSON{{Path: "prog.c", Text: sessV1}},
 		Session: "corpus-a",
 		Poly:    true,
 	})
-	if _, data := postAnalyze(t, ts, string(b)); deltaBlock(t, data)["fallback"] != "first-solve" {
-		t.Fatalf("poly corpus-a must not reuse mono corpus-a's session: %v", deltaBlock(t, data))
+	for _, body := range []string{
+		sessionBody("corpus-a", sessV1),
+		sessionBody("corpus-b", sessV1), // a different corpus id
+		string(poly),                    // same id, different mode
+	} {
+		if resp, data := postAnalyze(t, ts, body); resp.StatusCode != 200 {
+			t.Fatalf("status %d (%s)", resp.StatusCode, data)
+		}
+	}
+	if s := metricsSnapshot(t, ts).Sessions; s.Entries != 3 || s.Misses != 3 || s.Hits != 0 {
+		t.Fatalf("session store stats: %+v; want three distinct sessions", s)
 	}
 }
 
 // TestSessionEviction checks the LRU bound: with room for one session,
-// alternating corpora re-solve cold every time.
+// alternating corpora create a fresh session every time.
 func TestSessionEviction(t *testing.T) {
 	ts := httptest.NewServer(New(Config{Jobs: 1, SessionEntries: 1}))
 	defer ts.Close()
 
-	for round, corpus := range []string{"a", "b", "a"} {
-		_, data := postAnalyze(t, ts, sessionBody(corpus, sessV1))
-		if d := deltaBlock(t, data); d["fallback"] != "first-solve" {
-			t.Fatalf("round %d (%s): evicted corpus should cold-solve: %v", round, corpus, d)
-		}
+	for _, corpus := range []string{"a", "b", "a"} {
+		postAnalyze(t, ts, sessionBody(corpus, sessV1))
 	}
-	resp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var m Metrics
-	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
-		t.Fatal(err)
-	}
-	if m.Sessions.Entries != 1 || m.Sessions.Evictions != 2 {
-		t.Fatalf("session store stats: %+v; want 1 entry, 2 evictions", m.Sessions)
+	if s := metricsSnapshot(t, ts).Sessions; s.Entries != 1 || s.Misses != 3 || s.Evictions != 2 {
+		t.Fatalf("session store stats: %+v; want 1 entry, 3 misses, 2 evictions", s)
 	}
 }
