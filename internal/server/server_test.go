@@ -147,6 +147,40 @@ func TestAnalyzeBadRequests(t *testing.T) {
 	}
 }
 
+// TestAnalyzeSolveJobsAccepted pins how the retired solve_jobs field is
+// handled: a body carrying it is a 400 that names the field, and the
+// rejected request leaves the result-cache entry of the same sources
+// without the field untouched.
+func TestAnalyzeSolveJobsAccepted(t *testing.T) {
+	ts := httptest.NewServer(New(Config{}))
+	defer ts.Close()
+
+	srcs, _ := json.Marshal([]SourceJSON{{Path: "prog.c", Text: prog}})
+	plain := fmt.Sprintf(`{"sources":%s}`, srcs)
+	r1, d1 := postAnalyze(t, ts, plain)
+	if r1.StatusCode != 200 {
+		t.Fatalf("plain request: status %d (%s)", r1.StatusCode, d1)
+	}
+	r2, d2 := postAnalyze(t, ts, fmt.Sprintf(`{"sources":%s,"solve_jobs":4}`, srcs))
+	if r2.StatusCode != 400 {
+		t.Fatalf("solve_jobs 4: status %d; want 400 (%s)", r2.StatusCode, d2)
+	}
+	var e errorJSON
+	if err := json.Unmarshal(d2, &e); err != nil || !strings.Contains(e.Error, `"solve_jobs"`) {
+		t.Fatalf("solve_jobs 4: error body %q does not name \"solve_jobs\"", d2)
+	}
+	r3, d3 := postAnalyze(t, ts, plain)
+	if r3.StatusCode != 200 {
+		t.Fatalf("plain request again: status %d (%s)", r3.StatusCode, d3)
+	}
+	if got := r3.Header.Get("X-Cache"); got != "hit" {
+		t.Errorf("plain request again: X-Cache %q; want hit", got)
+	}
+	if !bytes.Equal(d1, d3) {
+		t.Errorf("cached report differs:\n%s\n---\n%s", d1, d3)
+	}
+}
+
 // TestAnalyzeParseErrorStillReports: front-end failures are a valid
 // report (diagnostics, no summary), not an HTTP error.
 func TestAnalyzeParseErrorStillReports(t *testing.T) {
