@@ -55,10 +55,68 @@ char c;`)
 }
 
 func TestLexerErrors(t *testing.T) {
-	for _, src := range []string{"/* unterminated", `"unterminated`, "'a", "$"} {
-		if _, err := Tokenize("t.c", src); err == nil {
-			t.Errorf("Tokenize(%q) succeeded", src)
+	for _, tc := range []struct{ src, want string }{
+		{"/* unterminated", "t.c:1:1: unterminated comment"},
+		{`"unterminated`, "t.c:1:1: unterminated string literal"},
+		{"'a", "t.c:1:1: unterminated character literal"},
+		{"$", `t.c:1:1: unexpected character "$"`},
+		// The unexpected byte is quoted as it is in the file: NUL and
+		// DEL escaped, 0xA9 as a byte rather than the rune "©".
+		{"@", `t.c:1:1: unexpected character "@"`},
+		{"int \x00;", `t.c:1:5: unexpected character "\x00"`},
+		{"\n  \x7f", `t.c:2:3: unexpected character "\x7f"`},
+		{"x\xa9", `t.c:1:2: unexpected character "\xa9"`},
+	} {
+		_, err := Tokenize("t.c", tc.src)
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("Tokenize(%q) error = %v, want %s", tc.src, err, tc.want)
 		}
+	}
+}
+
+// lexerAllTokens holds every keyword and punctuator, identifiers,
+// decimal, hex and float numbers, and char and string literals, with
+// comments and directives between them.
+const lexerAllTokens = `#define MAX(a, b) ((a) > (b) ? (a) : (b))
+auto break case char const continue default do double else enum extern
+float for goto if int long register return short signed sizeof static
+struct switch typedef union unsigned void volatile while /* block */
+( ) { } [ ] ; , ... . -> ++ -- & * + - ~ ! / % << >> < > <= >= == !=
+^ | && || ? : = *= /= %= += -= <<= >>= &= ^= |= // line
+  # pragma once
+x _y9 caf` + "\xe9" + ` 42 0x1F 0XffUL 3.14 1e-3 .5 2.5e+10f 10UL 'a' '\n' "str \"q\"\t"
+`
+
+// Scanning a token allocates nothing.
+func TestLexerAllocFree(t *testing.T) {
+	toks, err := Tokenize("all.c", lexerAllTokens)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[TokKind]bool{}
+	for _, tk := range toks {
+		seen[tk.Kind] = true
+	}
+	for k := EOF; int(k) < len(tokText); k++ {
+		if !seen[k] {
+			t.Errorf("the input holds no %v token", k)
+		}
+	}
+	l := new(Lexer)
+	allocs := testing.AllocsPerRun(20, func() {
+		*l = Lexer{src: lexerAllTokens, file: "all.c", line: 1, col: 1}
+		for {
+			tok, err := l.Next()
+			if err != nil {
+				panic(err)
+			}
+			if tok.Kind == EOF {
+				return
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("%v allocations lexing %d tokens, want 0", allocs, len(toks))
 	}
 }
 

@@ -1,6 +1,7 @@
 package cfront
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -349,8 +350,19 @@ func TestTokenKindStrings(t *testing.T) {
 			t.Errorf("TokKind %d has empty string", k)
 		}
 	}
-	if !strings.Contains(TokKind(999).String(), "999") {
-		t.Error("unknown TokKind string")
+	for k, want := range map[TokKind]string{
+		EOF: "end of file", STRLIT: "string literal", kwAuto: "'auto'",
+		kwConst: "'const'", kwWhile: "'while'", LPAREN: "'('",
+		ELLIPSIS: "'...'", SHLEQ: "'<<='", OREQ: "'|='",
+	} {
+		if got := k.String(); got != want {
+			t.Errorf("TokKind(%d).String() = %q, want %q", int(k), got, want)
+		}
+	}
+	for _, k := range []TokKind{-1, OREQ + 1, 999} {
+		if want := fmt.Sprintf("token(%d)", int(k)); k.String() != want {
+			t.Errorf("TokKind(%d).String() = %q, want %q", int(k), k.String(), want)
+		}
 	}
 }
 

@@ -1,7 +1,7 @@
 package cfront
 
 import (
-	"strings"
+	"fmt"
 	"unicode"
 )
 
@@ -54,7 +54,7 @@ func (l *Lexer) skip() error {
 	for l.off < len(l.src) {
 		c := l.peek()
 		switch {
-		case c == ' ' || c == '\t' || c == '\r' || c == '\n' || c == '\f' || c == '\v':
+		case byteClass[c]&bcSpace != 0:
 			l.advance()
 		case c == '/' && l.peekAt(1) == '/':
 			for l.off < len(l.src) && l.peek() != '\n' {
@@ -114,21 +114,43 @@ func (l *Lexer) lineIndentCol() int {
 	return col
 }
 
-func isIdentStart(c byte) bool {
-	return c == '_' || unicode.IsLetter(rune(c))
-}
+// Byte classes, one bit each, looked up in byteClass.
+const (
+	bcSpace      = 1 << iota // ' ', \t, \r, \n, \f, \v
+	bcDigit                  // 0-9
+	bcHexDigit               // 0-9, a-f, A-F
+	bcIdentStart             // '_' or a letter
+	bcIdentCont              // '_', a letter or a digit
+)
 
-func isIdentCont(c byte) bool {
-	return c == '_' || unicode.IsLetter(rune(c)) || c >= '0' && c <= '9'
-}
+// byteClass classifies every byte value. A byte from 0x80 to 0xFF is a
+// letter when its Latin-1 rune is (unicode.IsLetter(rune(c))), so such
+// bytes lex as identifier characters one byte at a time.
+var byteClass = func() (t [256]uint8) {
+	for i := range t {
+		c := byte(i)
+		if c == ' ' || c == '\t' || c == '\r' || c == '\n' || c == '\f' || c == '\v' {
+			t[i] |= bcSpace
+		}
+		if c >= '0' && c <= '9' {
+			t[i] |= bcDigit | bcHexDigit | bcIdentCont
+		}
+		if c >= 'a' && c <= 'f' || c >= 'A' && c <= 'F' {
+			t[i] |= bcHexDigit
+		}
+		if c == '_' || unicode.IsLetter(rune(c)) {
+			t[i] |= bcIdentStart | bcIdentCont
+		}
+	}
+	return t
+}()
 
-func isDigit(c byte) bool { return c >= '0' && c <= '9' }
+func isDigit(c byte) bool { return byteClass[c]&bcDigit != 0 }
 
-func isHexDigit(c byte) bool {
-	return isDigit(c) || c >= 'a' && c <= 'f' || c >= 'A' && c <= 'F'
-}
+func isHexDigit(c byte) bool { return byteClass[c]&bcHexDigit != 0 }
 
-// Next returns the next token.
+// Next returns the next token. Scanning a token allocates nothing; only
+// an error does.
 func (l *Lexer) Next() (Token, error) {
 	if err := l.skip(); err != nil {
 		return Token{}, err
@@ -140,12 +162,14 @@ func (l *Lexer) Next() (Token, error) {
 	c := l.peek()
 
 	switch {
-	case isIdentStart(c):
-		start := l.off
-		for l.off < len(l.src) && isIdentCont(l.peek()) {
-			l.advance()
+	case byteClass[c]&bcIdentStart != 0:
+		end := l.off + 1
+		for end < len(l.src) && byteClass[l.src[end]]&bcIdentCont != 0 {
+			end++
 		}
-		text := l.src[start:l.off]
+		text := l.src[l.off:end]
+		l.col += end - l.off // identifiers hold no newline
+		l.off = end
 		if kw, ok := keywords[text]; ok {
 			return Token{Kind: kw, Text: text, Pos: p}, nil
 		}
@@ -161,44 +185,126 @@ func (l *Lexer) Next() (Token, error) {
 		return l.strLit(p)
 	}
 
-	// Operators and punctuation, longest match first.
-	three := l.slice(3)
-	switch three {
-	case "...", "<<=", ">>=":
-		l.advanceN(3)
-		kinds := map[string]TokKind{"...": ELLIPSIS, "<<=": SHLEQ, ">>=": SHREQ}
-		return Token{Kind: kinds[three], Text: three, Pos: p}, nil
+	if k := l.punct(c); k != EOF {
+		text := tokText[k]
+		l.off += len(text)
+		l.col += len(text)
+		return Token{Kind: k, Text: text, Pos: p}, nil
 	}
-	two := l.slice(2)
-	twoKinds := map[string]TokKind{
-		"->": ARROW, "++": INC, "--": DEC, "<<": SHL, ">>": SHR,
-		"<=": LE, ">=": GE, "==": EQ, "!=": NE, "&&": ANDAND, "||": OROR,
-		"*=": MULEQ, "/=": DIVEQ, "%=": MODEQ, "+=": ADDEQ, "-=": SUBEQ,
-		"&=": ANDEQ, "^=": XOREQ, "|=": OREQ,
-	}
-	if k, ok := twoKinds[two]; ok {
-		l.advanceN(2)
-		return Token{Kind: k, Text: two, Pos: p}, nil
-	}
-	oneKinds := map[byte]TokKind{
-		'(': LPAREN, ')': RPAREN, '{': LBRACE, '}': RBRACE,
-		'[': LBRACK, ']': RBRACK, ';': SEMI, ',': COMMA, '.': DOT,
-		'&': AMP, '*': STAR, '+': PLUS, '-': MINUS, '~': TILDE, '!': NOT,
-		'/': SLASH, '%': PERCENT, '<': LT, '>': GT, '^': CARET, '|': PIPE,
-		'?': QUESTION, ':': COLON, '=': ASSIGN,
-	}
-	if k, ok := oneKinds[c]; ok {
-		l.advance()
-		return Token{Kind: k, Text: string(rune(c)), Pos: p}, nil
-	}
-	return Token{}, &SyntaxError{Pos: p, Msg: "unexpected character " + strings.TrimSpace(string(rune(c)))}
+	return Token{}, &SyntaxError{Pos: p, Msg: fmt.Sprintf("unexpected character %q", l.src[l.off:l.off+1])}
 }
 
-func (l *Lexer) slice(n int) string {
-	if l.off+n > len(l.src) {
-		return ""
+// punct returns the kind of the longest operator or punctuator at the
+// current offset, whose first byte is c, or EOF when c starts none.
+func (l *Lexer) punct(c byte) TokKind {
+	c1 := l.peekAt(1)
+	switch c {
+	case '(':
+		return LPAREN
+	case ')':
+		return RPAREN
+	case '{':
+		return LBRACE
+	case '}':
+		return RBRACE
+	case '[':
+		return LBRACK
+	case ']':
+		return RBRACK
+	case ';':
+		return SEMI
+	case ',':
+		return COMMA
+	case '~':
+		return TILDE
+	case '?':
+		return QUESTION
+	case ':':
+		return COLON
+	case '.':
+		if c1 == '.' && l.peekAt(2) == '.' {
+			return ELLIPSIS
+		}
+		return DOT
+	case '-':
+		switch c1 {
+		case '>':
+			return ARROW
+		case '-':
+			return DEC
+		case '=':
+			return SUBEQ
+		}
+		return MINUS
+	case '+':
+		switch c1 {
+		case '+':
+			return INC
+		case '=':
+			return ADDEQ
+		}
+		return PLUS
+	case '<':
+		switch c1 {
+		case '<':
+			if l.peekAt(2) == '=' {
+				return SHLEQ
+			}
+			return SHL
+		case '=':
+			return LE
+		}
+		return LT
+	case '>':
+		switch c1 {
+		case '>':
+			if l.peekAt(2) == '=' {
+				return SHREQ
+			}
+			return SHR
+		case '=':
+			return GE
+		}
+		return GT
+	case '&':
+		switch c1 {
+		case '&':
+			return ANDAND
+		case '=':
+			return ANDEQ
+		}
+		return AMP
+	case '|':
+		switch c1 {
+		case '|':
+			return OROR
+		case '=':
+			return OREQ
+		}
+		return PIPE
 	}
-	return l.src[l.off : l.off+n]
+	// The rest are one byte, or two with a trailing '='.
+	var one, eq TokKind
+	switch c {
+	case '=':
+		one, eq = ASSIGN, EQ
+	case '!':
+		one, eq = NOT, NE
+	case '*':
+		one, eq = STAR, MULEQ
+	case '/':
+		one, eq = SLASH, DIVEQ
+	case '%':
+		one, eq = PERCENT, MODEQ
+	case '^':
+		one, eq = CARET, XOREQ
+	default:
+		return EOF
+	}
+	if c1 == '=' {
+		return eq
+	}
+	return one
 }
 
 func (l *Lexer) advanceN(n int) {

@@ -124,43 +124,58 @@ const (
 	OREQ     // |=
 )
 
-var keywords = map[string]TokKind{
-	"auto": kwAuto, "break": kwBreak, "case": kwCase, "char": kwChar,
-	"const": kwConst, "continue": kwContinue, "default": kwDefault,
-	"do": kwDo, "double": kwDouble, "else": kwElse, "enum": kwEnum,
-	"extern": kwExtern, "float": kwFloat, "for": kwFor, "goto": kwGoto,
-	"if": kwIf, "int": kwInt, "long": kwLong, "register": kwRegister,
-	"return": kwReturn, "short": kwShort, "signed": kwSigned,
-	"sizeof": kwSizeof, "static": kwStatic, "struct": kwStruct,
-	"switch": kwSwitch, "typedef": kwTypedef, "union": kwUnion,
-	"unsigned": kwUnsigned, "void": kwVoid, "volatile": kwVolatile,
-	"while": kwWhile,
+// tokText spells every keyword and punctuator kind as it appears in
+// source. Punctuator tokens take their Text from it.
+var tokText = [...]string{
+	kwAuto: "auto", kwBreak: "break", kwCase: "case", kwChar: "char",
+	kwConst: "const", kwContinue: "continue", kwDefault: "default",
+	kwDo: "do", kwDouble: "double", kwElse: "else", kwEnum: "enum",
+	kwExtern: "extern", kwFloat: "float", kwFor: "for", kwGoto: "goto",
+	kwIf: "if", kwInt: "int", kwLong: "long", kwRegister: "register",
+	kwReturn: "return", kwShort: "short", kwSigned: "signed",
+	kwSizeof: "sizeof", kwStatic: "static", kwStruct: "struct",
+	kwSwitch: "switch", kwTypedef: "typedef", kwUnion: "union",
+	kwUnsigned: "unsigned", kwVoid: "void", kwVolatile: "volatile",
+	kwWhile: "while",
+
+	LPAREN: "(", RPAREN: ")", LBRACE: "{", RBRACE: "}",
+	LBRACK: "[", RBRACK: "]", SEMI: ";", COMMA: ",",
+	ELLIPSIS: "...", DOT: ".", ARROW: "->", INC: "++", DEC: "--",
+	AMP: "&", STAR: "*", PLUS: "+", MINUS: "-", TILDE: "~",
+	NOT: "!", SLASH: "/", PERCENT: "%", SHL: "<<", SHR: ">>",
+	LT: "<", GT: ">", LE: "<=", GE: ">=", EQ: "==", NE: "!=",
+	CARET: "^", PIPE: "|", ANDAND: "&&", OROR: "||",
+	QUESTION: "?", COLON: ":", ASSIGN: "=",
+	MULEQ: "*=", DIVEQ: "/=", MODEQ: "%=", ADDEQ: "+=",
+	SUBEQ: "-=", SHLEQ: "<<=", SHREQ: ">>=", ANDEQ: "&=",
+	XOREQ: "^=", OREQ: "|=",
 }
 
-var tokNames = map[TokKind]string{
-	EOF: "end of file", IDENT: "identifier", INTLIT: "integer literal",
-	FLOATLIT: "float literal", CHARLIT: "character literal", STRLIT: "string literal",
-	LPAREN: "'('", RPAREN: "')'", LBRACE: "'{'", RBRACE: "'}'",
-	LBRACK: "'['", RBRACK: "']'", SEMI: "';'", COMMA: "','",
-	ELLIPSIS: "'...'", DOT: "'.'", ARROW: "'->'", INC: "'++'", DEC: "'--'",
-	AMP: "'&'", STAR: "'*'", PLUS: "'+'", MINUS: "'-'", TILDE: "'~'",
-	NOT: "'!'", SLASH: "'/'", PERCENT: "'%'", SHL: "'<<'", SHR: "'>>'",
-	LT: "'<'", GT: "'>'", LE: "'<='", GE: "'>='", EQ: "'=='", NE: "'!='",
-	CARET: "'^'", PIPE: "'|'", ANDAND: "'&&'", OROR: "'||'",
-	QUESTION: "'?'", COLON: "':'", ASSIGN: "'='",
-	MULEQ: "'*='", DIVEQ: "'/='", MODEQ: "'%='", ADDEQ: "'+='",
-	SUBEQ: "'-='", SHLEQ: "'<<='", SHREQ: "'>>='", ANDEQ: "'&='",
-	XOREQ: "'^='", OREQ: "'|='",
-}
+// keywords maps each keyword's spelling to its kind.
+var keywords = func() map[string]TokKind {
+	m := make(map[string]TokKind, kwWhile-kwAuto+1)
+	for k := kwAuto; k <= kwWhile; k++ {
+		m[tokText[k]] = k
+	}
+	return m
+}()
+
+// tokNames names every kind for messages; keywords and punctuators are
+// their quoted spelling.
+var tokNames = func() [len(tokText)]string {
+	names := [len(tokText)]string{
+		EOF: "end of file", IDENT: "identifier", INTLIT: "integer literal",
+		FLOATLIT: "float literal", CHARLIT: "character literal", STRLIT: "string literal",
+	}
+	for k := kwAuto; int(k) < len(tokText); k++ {
+		names[k] = "'" + tokText[k] + "'"
+	}
+	return names
+}()
 
 func (k TokKind) String() string {
-	if n, ok := tokNames[k]; ok {
-		return n
-	}
-	for text, kw := range keywords {
-		if kw == k {
-			return "'" + text + "'"
-		}
+	if k >= 0 && int(k) < len(tokNames) {
+		return tokNames[k]
 	}
 	return fmt.Sprintf("token(%d)", int(k))
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/benchgen"
+	"repro/internal/cfront"
 	"repro/internal/constinfer"
 	"repro/internal/core"
 )
@@ -65,6 +66,43 @@ func TestRunCollectsAllFrontEndErrors(t *testing.T) {
 	// Diagnostics stay in input order: a.c before c.c.
 	if !strings.Contains(errs[0].Message, "a.c") || !strings.Contains(errs[1].Message, "c.c") {
 		t.Errorf("diagnostics out of order: %v", errs)
+	}
+}
+
+// A panic in one file's C parse, on its pool goroutine, becomes that
+// file's parse diagnostic; the other files still parse.
+func TestRunRecoversCParsePanic(t *testing.T) {
+	defer func(orig func(string, string) (*cfront.File, error)) { cParse = orig }(cParse)
+	cParse = func(path, src string) (*cfront.File, error) {
+		if path == "boom.c" {
+			panic("index out of range")
+		}
+		return cfront.Parse(path, src)
+	}
+	res, err := Run(Config{}, []Source{
+		TextSource("ok.c", demo),
+		TextSource("boom.c", demo),
+		TextSource("bad.c", "void g( {"),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Report != nil {
+		t.Error("report built despite a parser panic")
+	}
+	errs := res.Errors()
+	if len(errs) != 2 {
+		t.Fatalf("got %d errors, want 2 (the panic and bad.c): %v", len(errs), errs)
+	}
+	want := "boom.c: internal error in the C parser: index out of range"
+	if errs[0].Stage != StageParse || errs[0].Pos != "boom.c" || errs[0].Message != want {
+		t.Errorf("panic diagnostic = %+v, want parse-stage %q", errs[0], want)
+	}
+	if !strings.Contains(errs[1].Message, "bad.c") {
+		t.Errorf("second diagnostic = %v, want bad.c's syntax error", errs[1])
+	}
+	if len(res.Files) != 3 || res.Files[0] == nil || res.Files[1] != nil {
+		t.Errorf("parsed files = %v, want ok.c parsed and boom.c nil", res.Files)
 	}
 }
 

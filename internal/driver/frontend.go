@@ -189,11 +189,27 @@ func (cFrontEnd) Parse(ctx context.Context, files []Source, loadErrs []error) (P
 		go func(i int) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			parsed[i], parseErrs[i] = cfront.Parse(files[i].Path, files[i].Text)
+			parsed[i], parseErrs[i] = parseCFile(files[i])
 		}(i)
 	}
 	wg.Wait()
 	return &CProgram{Files: parsed}, parseErrs
+}
+
+// cParse is the per-file C parser; tests swap it to exercise the
+// panic recovery in parseCFile.
+var cParse = cfront.Parse
+
+// parseCFile parses one translation unit. A panic in the parser becomes
+// that file's parse error: it runs on a pool goroutine, where nothing
+// else would catch it, and one bad file must not kill the process.
+func parseCFile(f Source) (file *cfront.File, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			file, err = nil, fmt.Errorf("%s: internal error in the C parser: %v", f.Path, r)
+		}
+	}()
+	return cParse(f.Path, f.Text)
 }
 
 // CProgram is the parsed form of a C corpus: the cfront translation
