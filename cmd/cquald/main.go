@@ -1,14 +1,13 @@
 // Command cquald is the resident qualifier-analysis daemon: the const
 // inference of Section 4 of "A Theory of Type Qualifiers" (PLDI 1999) as
-// a long-running HTTP/JSON service with a content-addressed incremental
-// cache (see internal/server and internal/cache).
+// a long-running HTTP/JSON service with a content-addressed result cache
+// (see internal/server and internal/cache).
 //
 // Usage:
 //
 //	cquald [-addr host:port] [-jobs n] [-max-concurrent n]
 //	       [-timeout d] [-shutdown-timeout d]
 //	       [-result-cache-entries n] [-result-cache-bytes n]
-//	       [-summary-cache-entries n] [-summary-cache-bytes n]
 //	       [-session-entries n]
 //	       [-pprof] [-slow-request d] [-trace-entries n]
 //	       [-journal-entries n] [-retain-slowest n] [-retain-sample n]
@@ -19,12 +18,12 @@
 //
 // POST a batch of sources to /v1/analyze and receive the same JSON
 // report `cqual -json` prints; repeated requests for unchanged sources
-// are answered from cache (X-Cache: hit), and requests that change one
-// function re-derive only that function's constraint fragment. /healthz
-// and /metrics serve liveness and counters; /metrics answers Prometheus
-// text exposition (with latency histograms) to Accept: text/plain or
-// ?format=prometheus, and OpenMetrics 1.0 with trace-id exemplars to
-// Accept: application/openmetrics-text or ?format=openmetrics.
+// are answered from cache (X-Cache: hit); any other request runs the
+// whole pipeline. /healthz and /metrics serve liveness and counters;
+// /metrics answers Prometheus text exposition (with latency histograms)
+// to Accept: text/plain or ?format=prometheus, and OpenMetrics 1.0 with
+// trace-id exemplars to Accept: application/openmetrics-text or
+// ?format=openmetrics.
 //
 // Every analyze response carries an X-Trace-Id, and every request
 // records spans into the flight recorder: at request end a
@@ -90,8 +89,6 @@ func main() {
 	shutdownTimeout := flag.Duration("shutdown-timeout", 10*time.Second, "grace period for draining in-flight requests on SIGINT/SIGTERM")
 	resultEntries := flag.Int("result-cache-entries", 1024, "result cache: max entries (0 = unbounded)")
 	resultBytes := flag.Int64("result-cache-bytes", 256<<20, "result cache: max stored report bytes (0 = unbounded)")
-	summaryEntries := flag.Int("summary-cache-entries", 65536, "per-function summary cache: max entries (0 = unbounded)")
-	summaryBytes := flag.Int64("summary-cache-bytes", 256<<20, "per-function summary cache: max approximate bytes (0 = unbounded)")
 	sessionEntries := flag.Int("session-entries", 0, "retained sessions (0 = 64)")
 	enablePprof := flag.Bool("pprof", false, "mount the net/http/pprof profiling handlers under /debug/pprof/")
 	slowRequest := flag.Duration("slow-request", 0, "log analyze requests at or above this latency (0 = disabled)")
@@ -158,8 +155,6 @@ func main() {
 		RequestTimeout: *timeout,
 		ResultEntries:  *resultEntries,
 		ResultBytes:    *resultBytes,
-		SummaryEntries: *summaryEntries,
-		SummaryBytes:   *summaryBytes,
 		SessionEntries: *sessionEntries,
 		EnablePprof:    *enablePprof,
 		SlowRequest:    *slowRequest,

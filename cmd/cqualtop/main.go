@@ -161,8 +161,8 @@ func (st *topState) render(w io.Writer, m *server.Metrics, intro *server.Introsp
 	fmt.Fprintf(w, "requests  %d%s · analyses %d · failures %d · timeouts %d · in-flight %d/%d (running %d)\n",
 		m.Requests, rate, m.Analyses, m.Failures, m.Timeouts,
 		intro.Workers.InFlight, intro.Workers.MaxConcurrent, intro.Workers.Running)
-	fmt.Fprintf(w, "caches    result %s · summary %s · sessions %s\n",
-		cacheLine(intro.Caches.Result), cacheLine(intro.Caches.Summary), cacheLine(intro.Caches.Session))
+	fmt.Fprintf(w, "caches    result %s · sessions %s\n",
+		cacheLine(intro.Caches.Result), cacheLine(intro.Caches.Session))
 	fmt.Fprintf(w, "solver    %d vars · %d constraints over %d run(s)\n",
 		m.Solver.Vars, m.Solver.Constraints, m.Stages.Runs)
 

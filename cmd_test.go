@@ -2,6 +2,7 @@ package repro
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"net/http"
 	"os"
@@ -175,6 +176,45 @@ func TestCqualGoldenDeterminism(t *testing.T) {
 					serialS, parallelS)
 			}
 		})
+	}
+}
+
+// TestCqualSchemesGolden pins qualifier-variable numbering and scheme
+// simplification: `-poly -schemes` and `-poly -simplify -schemes` over
+// the constinfer testdata corpus must match the committed goldens byte
+// for byte, from the one-worker loop and from the pool.
+func TestCqualSchemesGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("golden CLI tests in -short mode")
+	}
+	corpus, err := filepath.Glob("internal/constinfer/testdata/*.c")
+	if err != nil || len(corpus) == 0 {
+		t.Fatalf("corpus missing: %v (%d files)", err, len(corpus))
+	}
+	bin := buildCqual(t)
+	for _, tc := range []struct {
+		golden string
+		mode   []string
+	}{
+		{"internal/constinfer/testdata/schemes.golden", []string{"-poly", "-schemes"}},
+		{"internal/constinfer/testdata/schemes-simplify.golden", []string{"-poly", "-simplify", "-schemes"}},
+	} {
+		golden, mode := tc.golden, tc.mode
+		want, err := os.ReadFile(golden)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, jobs := range []string{"1", "4"} {
+			args := append(append([]string{"-jobs", jobs}, mode...), corpus...)
+			out, err := exec.Command(bin, args...).CombinedOutput()
+			if err != nil {
+				t.Fatalf("cqual %s: %v\n%s", strings.Join(args, " "), err, out)
+			}
+			if !bytes.Equal(out, want) {
+				t.Errorf("cqual -jobs %s %s drifted from %s\n--- got ---\n%s--- want ---\n%s",
+					jobs, strings.Join(mode, " "), golden, out, want)
+			}
+		}
 	}
 }
 

@@ -23,7 +23,6 @@
 package analysis
 
 import (
-	"crypto/sha256"
 	"fmt"
 	"sort"
 	"strings"
@@ -386,7 +385,6 @@ func NewSuite(names []string, preludes []*Prelude) (*Suite, error) {
 		}
 		b.prelude = merged
 	}
-	s.fp = s.computeFingerprint()
 	return s, nil
 }
 
@@ -423,21 +421,4 @@ func (s *Suite) Owner(bits qual.Elem) string {
 		}
 	}
 	return ""
-}
-
-// Fingerprint is a stable content hash of the suite: analysis names and
-// qualifier definitions plus every attached prelude's path and text.
-// Caches key on it so results derived under different analysis sets or
-// prelude contents never alias.
-func (s *Suite) Fingerprint() string { return s.fp }
-
-func (s *Suite) computeFingerprint() string {
-	h := sha256.New()
-	for i, b := range s.bindings {
-		fmt.Fprintf(h, "a:%d:%s,%s,%d;", i, b.A.Name, b.A.Qual.Name, int(b.A.Qual.Sign))
-		if b.prelude != nil {
-			fmt.Fprintf(h, "p:%d:%s:%x;", len(b.prelude.Path), b.prelude.Path, b.prelude.TextHash)
-		}
-	}
-	return fmt.Sprintf("%x", h.Sum(nil))
 }

@@ -137,43 +137,3 @@ func TestSuiteOwner(t *testing.T) {
 		t.Errorf("Owner(0) = %q, want empty", got)
 	}
 }
-
-// TestFingerprint: the suite fingerprint must separate every input that
-// can change analysis results — the analysis set, prelude presence, and
-// prelude text — and must be stable for identical inputs.
-func TestFingerprint(t *testing.T) {
-	mk := func(names []string, preludeText string) string {
-		t.Helper()
-		var pres []*Prelude
-		if preludeText != "" {
-			p, err := ParsePrelude("t.q", preludeText)
-			if err != nil {
-				t.Fatal(err)
-			}
-			pres = append(pres, p)
-		}
-		s, err := NewSuite(names, pres)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s.Fingerprint()
-	}
-	base := mk([]string{"taint"}, "")
-	if mk([]string{"taint"}, "") != base {
-		t.Error("fingerprint not stable for identical inputs")
-	}
-	seen := map[string]string{"taint, no prelude": base}
-	for label, fp := range map[string]string{
-		"const only":      mk([]string{"const"}, ""),
-		"const+taint":     mk([]string{"const", "taint"}, ""),
-		"taint+prelude":   mk([]string{"taint"}, "analysis taint\ngetenv(_) -> tainted\n"),
-		"taint+prelude 2": mk([]string{"taint"}, "analysis taint\nsystem(untainted)\n"),
-	} {
-		for prev, pfp := range seen {
-			if fp == pfp {
-				t.Errorf("fingerprint collision between %s and %s", label, prev)
-			}
-		}
-		seen[label] = fp
-	}
-}

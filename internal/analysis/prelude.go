@@ -34,7 +34,6 @@
 package analysis
 
 import (
-	"crypto/sha256"
 	"fmt"
 	"strings"
 )
@@ -73,15 +72,13 @@ func (e *Entry) Param(i int) string {
 type Prelude struct {
 	// Analysis is the target analysis name from the header line.
 	Analysis string
-	// Path is the file path the prelude was parsed from (diagnostics
-	// and cache keys; merged preludes join their paths with ",").
+	// Path is the file path the prelude was parsed from (diagnostics;
+	// merged preludes join their paths with ",").
 	Path string
 	// Entries maps function name to its signature.
 	Entries map[string]*Entry
 	// Funcs lists the function names in declaration order.
 	Funcs []string
-	// TextHash fingerprints the raw prelude text for cache keys.
-	TextHash [sha256.Size]byte
 }
 
 // Merge combines two preludes for the same analysis; duplicate function
@@ -94,7 +91,6 @@ func (p *Prelude) Merge(q *Prelude) (*Prelude, error) {
 		Analysis: p.Analysis,
 		Path:     p.Path + "," + q.Path,
 		Entries:  make(map[string]*Entry, len(p.Entries)+len(q.Entries)),
-		TextHash: sha256.Sum256(append(p.TextHash[:], q.TextHash[:]...)),
 	}
 	for _, fn := range p.Funcs {
 		m.Entries[fn] = p.Entries[fn]
@@ -114,9 +110,8 @@ func (p *Prelude) Merge(q *Prelude) (*Prelude, error) {
 // "path:line:" prefixes.
 func ParsePrelude(path, text string) (*Prelude, error) {
 	p := &Prelude{
-		Path:     path,
-		Entries:  make(map[string]*Entry),
-		TextHash: sha256.Sum256([]byte(text)),
+		Path:    path,
+		Entries: make(map[string]*Entry),
 	}
 	var target *Analysis
 	for lineno, raw := range strings.Split(text, "\n") {

@@ -116,126 +116,12 @@ func TestRequestKey(t *testing.T) {
 	if a == b {
 		t.Fatal("path/text boundary not separated in the key")
 	}
-	// The summary cache changes cost, never results: same key with and
-	// without one installed.
-	warm := driver.Config{Summaries: NewSummaryStore(0, 0)}
-	if RequestKey(warm, srcs) != base {
-		t.Fatal("Summaries leaked into the request key")
+	// Neither the pool size nor solve_jobs changes the report, so two
+	// requests differing only in them must share one result-cache entry.
+	if RequestKey(driver.Config{Jobs: 2}, srcs) != base {
+		t.Fatal("Jobs leaked into the request key")
 	}
-	// solve_jobs has no effect on the report, so two requests differing
-	// only in it must share one result-cache entry.
 	if RequestKey(driver.Config{SolveJobs: 4}, srcs) != base {
 		t.Fatal("SolveJobs leaked into the request key")
 	}
-}
-
-// --- end-to-end determinism of the summary layer ---
-
-const progA = `
-int deref(const int *p) { return *p; }
-int twice(int x) { return deref(&x) + deref(&x); }
-int entry(int *q) { return twice(*q); }
-`
-
-// progAEdited changes one function body in place (same declarations,
-// same positions elsewhere): only entry's fragment should be re-derived.
-const progAEdited = `
-int deref(const int *p) { return *p; }
-int twice(int x) { return deref(&x) + deref(&x); }
-int entry(int *q) { return twice(*q) + 1; }
-`
-
-func runJSON(t *testing.T, cfg driver.Config, text string) []byte {
-	t.Helper()
-	res, err := driver.Run(cfg, []driver.Source{{Path: "prog.c", Text: text}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Report == nil {
-		t.Fatalf("front end failed: %+v", res.Diagnostics)
-	}
-	res.Timings = driver.Timings{} // wall-clock is the one permitted difference
-	data, err := res.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return data
-}
-
-// TestSummaryDeterminism is the acceptance check: an analysis replayed
-// from a warm summary cache must be byte-identical to a cold run.
-func TestSummaryDeterminism(t *testing.T) {
-	for _, mode := range []string{"mono", "poly"} {
-		t.Run(mode, func(t *testing.T) {
-			var cfg driver.Config
-			cfg.Options.Poly = mode == "poly"
-			cold := runJSON(t, cfg, progA)
-
-			store := NewSummaryStore(0, 0)
-			cfg.Summaries = store
-			first := runJSON(t, cfg, progA) // fills the store
-			warm := runJSON(t, cfg, progA)  // replays every fragment
-
-			if !bytes.Equal(cold, first) {
-				t.Errorf("cold-store run differs from cacheless run:\n%s\n---\n%s", cold, first)
-			}
-			if !bytes.Equal(cold, warm) {
-				t.Errorf("warm run differs from cold run:\n%s\n---\n%s", cold, warm)
-			}
-			s := store.Stats()
-			if s.Hits == 0 {
-				t.Errorf("warm run recorded no summary hits: %+v", s)
-			}
-		})
-	}
-}
-
-// TestSummaryIncremental edits one function body and checks both that
-// the other functions replay from cache and that the result is still
-// byte-identical to a cold run of the edited program.
-func TestSummaryIncremental(t *testing.T) {
-	var cold driver.Config
-	want := runJSON(t, cold, progAEdited)
-
-	store := NewSummaryStore(0, 0)
-	cfg := driver.Config{Summaries: store}
-	runJSON(t, cfg, progA) // prime: 3 function summaries
-	base := store.Stats()
-
-	got := runJSON(t, cfg, progAEdited)
-	if !bytes.Equal(want, got) {
-		t.Errorf("incremental run differs from cold run:\n%s\n---\n%s", want, got)
-	}
-	s := store.Stats()
-	if hits := s.Hits - base.Hits; hits != 2 {
-		t.Errorf("summary hits = %d; want 2 (deref and twice unchanged, entry edited)", hits)
-	}
-}
-
-// TestSummaryConcurrent shares one store across parallel analyses of
-// distinct programs; run under -race this exercises the locking and the
-// immutability of stored fragments.
-func TestSummaryConcurrent(t *testing.T) {
-	store := NewSummaryStore(0, 0)
-	progs := []string{progA, progAEdited,
-		"int id(int x) { return x; }\nint use(int *p) { return id(*p); }\n",
-	}
-	wants := make([][]byte, len(progs))
-	for i, p := range progs {
-		wants[i] = runJSON(t, driver.Config{}, p)
-	}
-	var wg sync.WaitGroup
-	for round := 0; round < 4; round++ {
-		for i, p := range progs {
-			wg.Add(1)
-			go func(i int, p string) {
-				defer wg.Done()
-				got := runJSON(t, driver.Config{Summaries: store}, p)
-				if !bytes.Equal(got, wants[i]) {
-					t.Errorf("prog %d: concurrent cached run differs from cold run", i)
-				}
-			}(i, p)
-		}
-	}
-	wg.Wait()
 }

@@ -1,10 +1,8 @@
-// Package cache provides the content-addressed caches behind the cquald
-// analysis server: a request-level result cache keyed by source texts
-// plus analysis configuration, and a per-function summary store that
-// makes re-analysis of mostly-unchanged programs sublinear (see
-// constinfer.SummaryCache). Both are bounded LRU maps, safe for
-// concurrent use, with hit/miss/eviction counters exported for the
-// server's /metrics endpoint.
+// Package cache provides the caches behind the cquald analysis server:
+// a request-level result cache keyed by source texts plus analysis
+// configuration, and a store of named driver sessions. Both are bounded
+// LRU maps, safe for concurrent use, with hit/miss/eviction counters
+// exported for the server's /metrics endpoint.
 package cache
 
 import (

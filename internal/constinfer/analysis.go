@@ -172,10 +172,6 @@ type Analysis struct {
 
 	// spec marks a speculative constrain-worker clone; see parallel.go.
 	spec *speculation
-
-	// summaries, when set, memoizes per-function constraint fragments
-	// across runs; see summary.go.
-	summaries SummaryCache
 }
 
 // NewAnalysis prepares an analysis over the parsed files.
@@ -229,7 +225,9 @@ func AnalyzeSource(file, src string, opts Options) (*Report, error) {
 // worker-pool size), Solve and Classify.
 func (a *Analysis) Run() (*Report, error) {
 	a.Prepare()
-	a.Constrain(0)
+	if err := a.Constrain(0); err != nil {
+		return nil, err
+	}
 	return a.Classify(a.SolveSystem()), nil
 }
 
@@ -304,22 +302,22 @@ func (a *Analysis) Prepare() {
 // GOMAXPROCS) and merged back in deterministic SCC order, so the
 // resulting system — and every downstream report — is identical for any
 // pool size. Polymorphic recursion re-analyzes bodies iteratively and
-// keeps the sequential per-SCC path.
-func (a *Analysis) Constrain(jobs int) {
-	a.ConstrainContext(context.Background(), jobs)
+// keeps the sequential per-SCC path. A panic while a worker analyzes a
+// body is returned as an error naming the function.
+func (a *Analysis) Constrain(jobs int) error {
+	return a.ConstrainContext(context.Background(), jobs)
 }
 
 // ConstrainContext is Constrain with tracing. When the context carries
 // an obs.Tracer, the stage emits "constrain.signatures", "constrain.pool"
 // and "constrain.globals" spans plus one "constrain.func" span per
 // defined function, recorded at the deterministic SCC-ordered merge —
-// never from pool workers — with the function name and how its fragment
-// was obtained (cache: summary-cache replay, pool: merged worker
-// fragment, seq: sequential re-analysis after a speculation miss). The
-// span sequence is therefore identical for every pool size, which is
-// what makes traces byte-identical across -jobs values under a fake
-// clock (see obs).
-func (a *Analysis) ConstrainContext(ctx context.Context, jobs int) {
+// never from pool workers — with the function name and, as src, how its
+// fragment was obtained (pool: merged worker fragment, seq: sequential
+// re-analysis after a speculation miss). The span sequence is therefore
+// identical for every pool size, which is what makes traces
+// byte-identical across -jobs values under a fake clock (see obs).
+func (a *Analysis) ConstrainContext(ctx context.Context, jobs int) error {
 	tr := obs.FromContext(ctx)
 	a.Prepare()
 	if a.opts.PolyRec {
@@ -330,7 +328,7 @@ func (a *Analysis) ConstrainContext(ctx context.Context, jobs int) {
 		}
 		sp.End()
 		a.analyzeGlobalInits()
-		return
+		return nil
 	}
 
 	// Signatures and positions, SCC order (sequential: signatures of one
@@ -347,34 +345,26 @@ func (a *Analysis) ConstrainContext(ctx context.Context, jobs int) {
 	}
 	sp.End()
 
-	// Per-function constraint generation on the worker pool (with cached
-	// summaries replayed for unchanged functions), then the deterministic
-	// SCC-ordered merge and generalization. The pool span brackets the
-	// parallel section from the sequential spine; workers record nothing.
-	sp = tr.Start("constinfer", "constrain.pool")
-	results := a.cachedBodyResults(jobs)
-	hits := 0
-	for i := range results {
-		if results[i].cached {
-			hits++
-		}
-	}
-	sp.SetAttr(obs.Int("functions", len(a.defined)),
-		obs.Int("cache_hits", hits), obs.Int("cache_misses", len(a.defined)-hits))
+	// Per-function constraint generation on the worker pool, then the
+	// deterministic SCC-ordered merge and generalization. The pool span
+	// brackets the parallel section from the sequential spine; workers
+	// record nothing.
+	sp = tr.Start("constinfer", "constrain.pool", obs.Int("functions", len(a.defined)))
+	results, err := a.constrainBodies(jobs)
 	sp.End()
+	if err != nil {
+		return err
+	}
 	for _, scc := range a.sccs {
 		scc.bodyVars[0], scc.bodyCons[0] = a.sys.NumVars(), a.sys.NumConstraints()
 		for _, fi := range scc.funcs {
 			r := &results[fi.ord]
 			src := "pool"
-			switch {
-			case r.miss:
+			if r.miss {
 				src = "seq"
-			case r.cached:
-				src = "cache"
 			}
 			fsp := tr.Start("constinfer", "constrain.func",
-				obs.String("func", fi.name), obs.String("cache", src))
+				obs.String("func", fi.name), obs.String("src", src))
 			if r.miss {
 				// The body needs a shared entity (implicit global or
 				// declaration, in-body struct type) that only the
@@ -393,6 +383,7 @@ func (a *Analysis) ConstrainContext(ctx context.Context, jobs int) {
 	sp = tr.Start("constinfer", "constrain.globals")
 	a.analyzeGlobalInits()
 	sp.End()
+	return nil
 }
 
 // analyzeGlobalInits relates global initializers after the FDG traversal
@@ -434,25 +425,47 @@ func (a *Analysis) SolveStats() constraint.SolveStats {
 }
 
 // generalizeSCC captures the component's constraint fragment into a type
-// scheme for each member function (Section 4.3 generalization).
+// scheme for each member function (Section 4.3 generalization). The
+// quantified variables are the unpinned ones of the SCC's signature and
+// body ranges; under -simplify only those the projection keeps are
+// collected.
 func (a *Analysis) generalizeSCC(scc *sccInfo) {
 	all := a.sys.Constraints()
 	cons := append([]constraint.Constraint(nil), all[scc.sigCons[0]:scc.sigCons[1]]...)
 	cons = append(cons, all[scc.bodyCons[0]:scc.bodyCons[1]]...)
-	qvars := make(map[constraint.Var]bool)
-	for _, rg := range [][2]int{scc.sigVars, scc.bodyVars} {
-		for v := rg[0]; v < rg[1]; v++ {
-			if !a.tr.pinned[constraint.Var(v)] {
-				qvars[constraint.Var(v)] = true
-			}
-		}
-	}
+	var qvars map[constraint.Var]bool
 	if a.opts.Simplify {
-		cons, qvars = a.simplifySchemeCons(scc.funcs, cons, qvars)
+		cons, qvars = a.simplifySchemeCons(scc.funcs, cons, func(v constraint.Var) bool {
+			return (inRange(v, scc.sigVars) || inRange(v, scc.bodyVars)) && !a.tr.pinned[v]
+		})
+	} else {
+		qvars = a.unpinnedVars(scc.sigVars, scc.bodyVars)
 	}
 	for _, fi := range scc.funcs {
 		fi.scheme = &scheme{sig: fi.sig, qvars: qvars, cons: cons}
 	}
+}
+
+// inRange reports whether v lies in the half-open variable range rg.
+func inRange(v constraint.Var, rg [2]int) bool {
+	return int(v) >= rg[0] && int(v) < rg[1]
+}
+
+// unpinnedVars collects the unpinned variables of the half-open ranges.
+func (a *Analysis) unpinnedVars(rgs ...[2]int) map[constraint.Var]bool {
+	n := 0
+	for _, rg := range rgs {
+		n += rg[1] - rg[0]
+	}
+	m := make(map[constraint.Var]bool, n)
+	for _, rg := range rgs {
+		for v := rg[0]; v < rg[1]; v++ {
+			if !a.tr.pinned[constraint.Var(v)] {
+				m[constraint.Var(v)] = true
+			}
+		}
+	}
+	return m
 }
 
 func sortedFuncs(m map[string]*funcInfo) []*funcInfo {
@@ -726,14 +739,13 @@ func (a *Analysis) processSCC(scc []*funcInfo) {
 
 	endVar := a.sys.NumVars()
 	cons := append([]constraint.Constraint(nil), a.sys.Constraints()[startCon:]...)
-	qvars := make(map[constraint.Var]bool, endVar-startVar)
-	for v := startVar; v < endVar; v++ {
-		if !a.tr.pinned[constraint.Var(v)] {
-			qvars[constraint.Var(v)] = true
-		}
-	}
+	var qvars map[constraint.Var]bool
 	if a.opts.Simplify {
-		cons, qvars = a.simplifySchemeCons(scc, cons, qvars)
+		cons, qvars = a.simplifySchemeCons(scc, cons, func(v constraint.Var) bool {
+			return inRange(v, [2]int{startVar, endVar}) && !a.tr.pinned[v]
+		})
+	} else {
+		qvars = a.unpinnedVars([2]int{startVar, endVar})
 	}
 	for _, fi := range scc {
 		fi.scheme = &scheme{sig: fi.sig, qvars: qvars, cons: cons}
@@ -742,8 +754,10 @@ func (a *Analysis) processSCC(scc []*funcInfo) {
 
 // simplifySchemeCons projects the SCC's constraint fragment onto the
 // variables visible in its signatures plus any shared (pinned or
-// pre-existing) variables mentioned.
-func (a *Analysis) simplifySchemeCons(scc []*funcInfo, cons []constraint.Constraint, qvars map[constraint.Var]bool) ([]constraint.Constraint, map[constraint.Var]bool) {
+// pre-existing) variables mentioned, and returns it with the quantified
+// variables it keeps; quantified reports whether the scheme may
+// quantify a variable.
+func (a *Analysis) simplifySchemeCons(scc []*funcInfo, cons []constraint.Constraint, quantified func(constraint.Var) bool) ([]constraint.Constraint, map[constraint.Var]bool) {
 	iface := map[constraint.Var]bool{}
 	var order []constraint.Var
 	add := func(v constraint.Var) {
@@ -759,15 +773,15 @@ func (a *Analysis) simplifySchemeCons(scc []*funcInfo, cons []constraint.Constra
 	}
 	for _, c := range cons {
 		for _, t := range []constraint.Term{c.L, c.R} {
-			if t.IsVar() && !qvars[t.Var()] {
+			if t.IsVar() && !quantified(t.Var()) {
 				add(t.Var())
 			}
 		}
 	}
 	restricted := constraint.Restrict(a.set, cons, order)
 	kept := map[constraint.Var]bool{}
-	for v := range qvars {
-		if iface[v] {
+	for _, v := range order {
+		if quantified(v) {
 			kept[v] = true
 		}
 	}
@@ -814,12 +828,7 @@ func (a *Analysis) polyRecIterate(scc []*funcInfo, startVar, startCon int) {
 	for iter := 0; iter < a.opts.MaxPolyRecIters; iter++ {
 		endVar := a.sys.NumVars()
 		cons := append([]constraint.Constraint(nil), a.sys.Constraints()[startCon:]...)
-		qvars := make(map[constraint.Var]bool, endVar-startVar)
-		for v := startVar; v < endVar; v++ {
-			if !a.tr.pinned[constraint.Var(v)] {
-				qvars[constraint.Var(v)] = true
-			}
-		}
+		qvars := a.unpinnedVars([2]int{startVar, endVar})
 		prevCount := a.sys.NumConstraints()
 		for _, fi := range scc {
 			fi.scheme = &scheme{sig: fi.sig, qvars: qvars, cons: cons}

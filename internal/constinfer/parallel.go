@@ -1,7 +1,9 @@
 package constinfer
 
 import (
+	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -13,9 +15,10 @@ import (
 //
 // Constraint generation is independent per function body once every
 // signature exists (Constrain's sequential first sweep), so bodies are
-// analyzed concurrently: each worker clones the Analysis with its own
-// constraint system allocating variables in a disjoint high range
-// (workerVarBase), walks one body, and returns the constraint fragment.
+// analyzed concurrently: each pool goroutine clones the Analysis once,
+// with its own constraint system allocating variables in a disjoint high
+// range (workerVarBase), and walks its bodies one at a time, resetting
+// the clone in between and returning each body's constraint fragment.
 // The fragments are renumbered into the shared system sequentially in SCC
 // order, so the merged system — variable numbering, constraint order,
 // everything downstream — is identical for every pool size, including 1.
@@ -26,7 +29,8 @@ import (
 // inside a body, a late-completed struct field — panic with specMiss
 // instead; the merge loop re-analyzes those bodies sequentially at their
 // deterministic slot. Because workers observe only the frozen pre-body
-// state, which bodies miss is itself deterministic.
+// state, which bodies miss is itself deterministic. Any other panic is
+// recovered on the worker and reported at the join as a stage error.
 
 // workerVarBase is the first qualifier variable a speculative worker
 // allocates. Real programs stay far below it, so worker-allocated
@@ -68,10 +72,9 @@ type bodyResult struct {
 	pinned []constraint.Var // worker-allocated pinned variables, sorted
 	insts  []instRecord
 	miss   bool
-	// cached marks a fragment replayed from the summary cache rather
-	// than computed by the pool; the tracer's per-function merge spans
-	// report it as their cache attribute.
-	cached bool
+	// crash is the value of a panic other than specMiss, recovered on
+	// the worker so the join can report it as a Constrain error.
+	crash any
 }
 
 // instantiate symbolically instantiates a callee from an earlier SCC: the
@@ -92,9 +95,9 @@ func (s *speculation) instantiate(a *Analysis, callee *funcInfo) *RType {
 
 // constrainBodies analyzes every defined function body on a worker pool
 // of the given size (0 selects GOMAXPROCS) and returns the per-function
-// fragments indexed by fi.ord. Indices marked in skip (cache hits whose
-// fragments are replayed by the caller) are left zero and not analyzed.
-func (a *Analysis) constrainBodies(jobs int, skip []bool) []bodyResult {
+// fragments indexed by fi.ord. A panic in any body fails the stage with
+// an error naming the first such function in fi.ord order.
+func (a *Analysis) constrainBodies(jobs int) ([]bodyResult, error) {
 	results := make([]bodyResult, len(a.defined))
 	if jobs <= 0 {
 		jobs = runtime.GOMAXPROCS(0)
@@ -103,78 +106,106 @@ func (a *Analysis) constrainBodies(jobs int, skip []bool) []bodyResult {
 		jobs = len(a.defined)
 	}
 	if jobs <= 1 {
+		w := a.newWorker()
 		for i, fi := range a.defined {
-			if skip != nil && skip[i] {
-				continue
-			}
-			results[i] = a.constrainBody(fi)
+			results[i] = w.constrainBody(fi)
 		}
-		return results
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < jobs; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(a.defined) {
-					return
+	} else {
+		var next atomic.Int64
+		var wg sync.WaitGroup
+		for range jobs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				w := a.newWorker()
+				for {
+					i := int(next.Add(1)) - 1
+					if i >= len(a.defined) {
+						return
+					}
+					results[i] = w.constrainBody(a.defined[i])
 				}
-				if skip != nil && skip[i] {
-					continue
-				}
-				results[i] = a.constrainBody(a.defined[i])
-			}
-		}()
+			}()
+		}
+		wg.Wait()
 	}
-	wg.Wait()
-	return results
+	for i := range results {
+		if p := results[i].crash; p != nil {
+			return nil, fmt.Errorf("constrain: internal error in function %s: %v", a.defined[i].name, p)
+		}
+	}
+	return results, nil
 }
 
-// constrainBody speculatively analyzes one body in a clone of the
-// analysis with a private, offset constraint system. The clone shares the
-// frozen maps (globals, funcs, enums, struct values) read-only.
-func (a *Analysis) constrainBody(fi *funcInfo) (res bodyResult) {
+// newWorker clones the analysis for speculative body walks, with a
+// private constraint system allocating from workerVarBase and its own
+// pins over the parent's. The clone shares the frozen maps (globals,
+// funcs, enums, struct values) read-only. One worker serves every body
+// a pool goroutine takes; constrainBody resets it per body.
+func (a *Analysis) newWorker() *Analysis {
 	wsys := constraint.NewSystemAt(a.set, workerVarBase)
-	wtr := &translator{
-		sys:         wsys,
-		set:         a.tr.set,
-		suite:       a.tr.suite,
-		structVals:  a.tr.structVals,
-		pinned:      make(map[constraint.Var]bool),
-		basePinned:  a.tr.pinned,
-		speculative: true,
-	}
-	w := &Analysis{
-		opts:        a.opts,
-		set:         a.set,
-		sys:         wsys,
-		tr:          wtr,
+	return &Analysis{
+		opts: a.opts,
+		set:  a.set,
+		sys:  wsys,
+		tr: &translator{
+			sys:         wsys,
+			set:         a.tr.set,
+			suite:       a.tr.suite,
+			structVals:  a.tr.structVals,
+			pinned:      make(map[constraint.Var]bool),
+			basePinned:  a.tr.pinned,
+			speculative: true,
+		},
 		files:       a.files,
 		globals:     a.globals,
 		funcs:       a.funcs,
 		enums:       a.enums,
 		suite:       a.suite,
 		constActive: a.constActive,
-		spec:        &speculation{scc: fi.scc},
 	}
+}
+
+// bodyHook, when set, runs on the worker before each body walk. Only
+// tests set it, through SetBodyHookForTest.
+var bodyHook func(name string)
+
+// SetBodyHookForTest installs fn to run before the constrain pool walks
+// each function body, named by its function, and returns a function that
+// restores the previous hook. Tests use it to make a worker panic; it
+// must not be called while an analysis runs.
+func SetBodyHookForTest(fn func(name string)) (restore func()) {
+	prev := bodyHook
+	bodyHook = fn
+	return func() { bodyHook = prev }
+}
+
+// constrainBody speculatively analyzes one body on a, a worker clone
+// built by newWorker, after resetting the state a previous body left in
+// it. The fragment's constraints are copied out of the reused system.
+func (a *Analysis) constrainBody(fi *funcInfo) (res bodyResult) {
+	a.sys.Reset(workerVarBase)
+	clear(a.tr.pinned)
+	a.tr.pinning = false
+	a.spec = &speculation{scc: fi.scc}
 	defer func() {
 		if p := recover(); p != nil {
 			if _, ok := p.(specMiss); ok {
 				res = bodyResult{miss: true}
 				return
 			}
-			panic(p)
+			res = bodyResult{crash: p}
 		}
 	}()
-	w.analyzeBody(fi)
+	if bodyHook != nil {
+		bodyHook(fi.name)
+	}
+	a.analyzeBody(fi)
 	return bodyResult{
-		cons:   wsys.Constraints(),
-		nvars:  wsys.NumVars() - workerVarBase,
-		pinned: sortedVars(wtr.pinned),
-		insts:  w.spec.insts,
+		cons:   slices.Clone(a.sys.Constraints()),
+		nvars:  a.sys.NumVars() - workerVarBase,
+		pinned: sortedVars(a.tr.pinned),
+		insts:  a.spec.insts,
 	}
 }
 

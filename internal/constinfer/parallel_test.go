@@ -15,7 +15,9 @@ func runStaged(t *testing.T, files []*cfront.File, opts Options, jobs int) (*Ana
 	t.Helper()
 	a := NewAnalysis(files, opts)
 	a.Prepare()
-	a.Constrain(jobs)
+	if err := a.Constrain(jobs); err != nil {
+		t.Fatal(err)
+	}
 	return a, a.Classify(a.SolveSystem())
 }
 
@@ -153,6 +155,46 @@ func TestStagedMatchesRun(t *testing.T) {
 		if repRun.Inferred != repStaged.Inferred || repRun.Total != repStaged.Total ||
 			repRun.Declared != repStaged.Declared || len(repRun.Conflicts) != len(repStaged.Conflicts) {
 			t.Errorf("%s: Run vs staged mismatch: %+v", name, repRun)
+		}
+	}
+}
+
+// TestWorkerReuseMatchesFreshWorker: one worker reused across every body
+// must return, for each body, the fragment a fresh worker returns. The
+// program pins static locals (worker-owned pins) and aborts one body
+// with a speculation miss while pinning, the state a reset must clear.
+func TestWorkerReuseMatchesFreshWorker(t *testing.T) {
+	src := `
+struct late;
+int counter(int *p) { static int n; n += *p; return n; }
+int late_static(void) { static struct late *l; return l != 0; }
+int plain(int *a, int *b) { return *a + *b; }
+int reader(const char *s, char *d) { static char *last; last = d; return *s; }
+`
+	f, err := cfront.Parse("reuse.c", src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, opts := range []Options{{}, {Poly: true}} {
+		// Constrain's signature sweep, without the merge that would
+		// create the struct late_static's speculation misses on.
+		a := NewAnalysis([]*cfront.File{f}, opts)
+		a.Prepare()
+		for _, scc := range a.sccs {
+			for _, fi := range scc.funcs {
+				fi.sig = a.tr.RValue(fi.decl.Type)
+			}
+		}
+		if !a.newWorker().constrainBody(a.funcs["late_static"]).miss {
+			t.Fatal("late_static did not miss: the test no longer covers a reset after a miss")
+		}
+		reused := a.newWorker()
+		for _, fi := range a.defined {
+			got := reused.constrainBody(fi)
+			want := a.newWorker().constrainBody(fi)
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("opts %+v, %s: reused worker fragment %+v, fresh worker %+v", opts, fi.name, got, want)
+			}
 		}
 	}
 }

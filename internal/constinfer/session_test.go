@@ -18,7 +18,9 @@ func analyzeThroughSession(t *testing.T, ss *constraint.Session, src string, opt
 	}
 	a := NewAnalysis([]*cfront.File{f}, opts)
 	a.Prepare()
-	a.Constrain(1)
+	if err := a.Constrain(1); err != nil {
+		t.Fatal(err)
+	}
 	return a.Classify(a.SolveSession(context.Background(), ss))
 }
 

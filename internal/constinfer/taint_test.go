@@ -143,7 +143,9 @@ func TestTaintJobsDeterminism(t *testing.T) {
 	render := func(jobs int) string {
 		a := NewAnalysis([]*cfront.File{f}, Options{Suite: taintSuite(t, "const", "taint")})
 		a.Prepare()
-		a.Constrain(jobs)
+		if err := a.Constrain(jobs); err != nil {
+			t.Fatal(err)
+		}
 		var b strings.Builder
 		for _, u := range a.SolveSystem() {
 			b.WriteString(u.Explain(a.Set()))

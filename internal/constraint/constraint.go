@@ -225,6 +225,14 @@ func NewSystemAt(set *qual.Set, first int) *System {
 	return &System{set: set, n: first}
 }
 
+// Reset empties the system for reuse, as if built by NewSystemAt(set,
+// first), but keeps the constraint buffer's capacity. Slices returned by
+// Constraints before the reset share that buffer and must not be read
+// afterwards.
+func (s *System) Reset(first int) {
+	*s = System{set: s.set, n: first, cons: s.cons[:0]}
+}
+
 // Set returns the qualifier set the system is defined over.
 func (s *System) Set() *qual.Set { return s.set }
 

@@ -53,13 +53,9 @@ type Config struct {
 	// and sinks for the selected analyses (`analysis taint` / `getenv(_)
 	// -> tainted`). Parse failures surface as prelude-error diagnostics.
 	Preludes []PreludeFile
-	// Summaries, when non-nil, memoizes per-function constraint
-	// summaries across runs (see constinfer.SummaryCache and
-	// internal/cache): unchanged functions replay their cached
-	// fragments instead of re-deriving them, with byte-identical
-	// output. It is excluded from request cache keys — it changes
-	// cost, never results.
-	Summaries constinfer.SummaryCache
+	// Summaries has no effect: every run constrains cold. Kept for
+	// bench/replay.go, removed with the next benchmark change.
+	Summaries any
 }
 
 // PreludeFile is one qualifier prelude: the path (used for positions and
@@ -318,9 +314,12 @@ func runAnalysis(ctx context.Context, cfg Config, res *Result) error {
 
 	sp = tr.Start("driver", "driver.constrain")
 	start = time.Now()
-	a.ConstrainContext(ctx, cfg.Jobs)
+	err = a.ConstrainContext(ctx, cfg.Jobs)
 	res.Timings.Constrain = time.Since(start)
 	sp.End()
+	if err != nil {
+		return err
+	}
 	if err := ctx.Err(); err != nil {
 		return err
 	}

@@ -106,6 +106,31 @@ func TestRunRecoversCParsePanic(t *testing.T) {
 	}
 }
 
+// TestRunRecoversConstrainPanic: a panic while a constraint worker
+// walks a body must not kill the process, at any pool size. The
+// Constrain stage fails with an error naming the stage and the
+// function, and the next run is unaffected.
+func TestRunRecoversConstrainPanic(t *testing.T) {
+	defer constinfer.SetBodyHookForTest(func(name string) {
+		if name == "set" {
+			panic("index out of range")
+		}
+	})()
+	for _, jobs := range []int{1, 2} {
+		res, err := Run(Config{Jobs: jobs}, []Source{TextSource("demo.c", demo)})
+		want := "constrain: internal error in function set: index out of range"
+		if err == nil || err.Error() != want {
+			t.Errorf("jobs %d: err = %v, want %q", jobs, err, want)
+		}
+		if res != nil {
+			t.Errorf("jobs %d: got a result despite the panic", jobs)
+		}
+	}
+	if res, err := Run(Config{}, []Source{TextSource("ok.c", "int f(int *p) { return *p; }")}); err != nil || res.Report == nil {
+		t.Errorf("run after the panics: err %v, report %v", err, res)
+	}
+}
+
 func TestRunConflictDiagnostics(t *testing.T) {
 	res, err := Run(Config{}, []Source{
 		TextSource("bad.c", "void f(const char *s) { *s = 0; }"),

@@ -17,7 +17,6 @@ package driver
 
 import (
 	"context"
-	"crypto/sha256"
 	"fmt"
 	"os"
 	"runtime"
@@ -32,7 +31,7 @@ import (
 )
 
 // FrontEnd parses one source language into programs the shared qualifier
-// engine can analyze: parse → fingerprint → constrain. Implementations
+// engine can analyze: load → parse → constrain. Implementations
 // must be stateless values safe for concurrent use; all per-run state
 // lives in the Program and Engine they return.
 type FrontEnd interface {
@@ -64,9 +63,6 @@ type FrontEnd interface {
 type Program interface {
 	// FileNames lists the parsed file names, for reports.
 	FileNames() []string
-	// Fingerprint is a stable content address of the parsed program
-	// (used for corpus identity; caches additionally key on raw texts).
-	Fingerprint() string
 	// NewEngine binds the program to a configuration and bound analysis
 	// suite, returning the constraint engine the Solve stage drives.
 	NewEngine(cfg Config, suite *analysis.Suite) Engine
@@ -81,7 +77,9 @@ type Program interface {
 // the next benchmark change.
 type Engine interface {
 	Prepare()
-	ConstrainContext(ctx context.Context, jobs int)
+	// ConstrainContext fails only on an internal error, such as a
+	// panic in a constraint worker.
+	ConstrainContext(ctx context.Context, jobs int) error
 	SolveSystemContext(ctx context.Context) []*constraint.Unsat
 	SolveSession(ctx context.Context, ss *constraint.Session) []*constraint.Unsat
 	SolveStats() constraint.SolveStats
@@ -229,29 +227,9 @@ func (p *CProgram) FileNames() []string {
 	return out
 }
 
-// Fingerprint content-addresses the corpus via cfront's
-// position-sensitive AST fingerprinting.
-func (p *CProgram) Fingerprint() string {
-	h := sha256.New()
-	for _, f := range p.Files {
-		if f == nil {
-			continue
-		}
-		fmt.Fprintf(h, "file:%s;", f.Name)
-		for _, d := range f.Decls {
-			cfront.FingerprintDecl(h, d, true)
-		}
-	}
-	return fmt.Sprintf("c:%x", h.Sum(nil))
-}
-
 // NewEngine binds the parsed units to the constinfer engine.
 func (p *CProgram) NewEngine(cfg Config, suite *analysis.Suite) Engine {
 	opts := cfg.Options
 	opts.Suite = suite
-	a := constinfer.NewAnalysis(p.Files, opts)
-	if cfg.Summaries != nil {
-		a.SetSummaryCache(cfg.Summaries)
-	}
-	return a
+	return constinfer.NewAnalysis(p.Files, opts)
 }

@@ -3,8 +3,7 @@ package driver
 // Retained analysis sessions. A Session is one corpus's serialized run
 // loop: each RunDelta re-runs the whole pipeline, cold, over the
 // current sources, and leaves a lock-free snapshot of the run for
-// introspection. Incrementality comes from the caches the Config
-// carries (the per-function summary store), not from the session; the
+// introspection. Nothing carries over from one run to the next; the
 // session only serializes one corpus's runs and names them.
 
 import (

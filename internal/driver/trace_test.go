@@ -100,8 +100,8 @@ func TestTraceCoversPipeline(t *testing.T) {
 			if _, ok := e.Args["func"].(string); !ok {
 				t.Errorf("constrain.func span missing func attr: %v", e.Args)
 			}
-			if _, ok := e.Args["cache"].(string); !ok {
-				t.Errorf("constrain.func span missing cache attr: %v", e.Args)
+			if src := e.Args["src"]; src != "pool" && src != "seq" {
+				t.Errorf("constrain.func span src attr = %v, want pool or seq: %v", src, e.Args)
 			}
 		}
 	}

@@ -16,7 +16,6 @@ package gofront
 
 import (
 	"context"
-	"crypto/sha256"
 	"fmt"
 	"go/ast"
 	"go/build"
@@ -60,12 +59,6 @@ func (frontEnd) Parse(ctx context.Context, files []driver.Source, loadErrs []err
 	}
 
 	prog := &Program{fset: fset}
-	h := sha256.New()
-	for i := range files {
-		fmt.Fprintf(h, "file:%d:%s;%d:", len(files[i].Path), files[i].Path, len(files[i].Text))
-		h.Write([]byte(files[i].Text))
-	}
-	prog.fp = fmt.Sprintf("go:%x", h.Sum(nil))
 	// Group the parsed files into packages by directory, preserving load
 	// order within each package.
 	groups := map[string]*pkgInfo{}
@@ -397,7 +390,6 @@ type Program struct {
 	Pkgs      []*pkgInfo
 	notes     []driver.Diagnostic
 	fileNames []string
-	fp        string
 }
 
 // FileNames lists the analyzed files, package-sorted.
@@ -406,11 +398,6 @@ func (p *Program) FileNames() []string { return p.fileNames }
 // Notes returns the non-fatal front-end warnings (import failures,
 // type-check errors the analysis proceeded past).
 func (p *Program) Notes() []driver.Diagnostic { return p.notes }
-
-// Fingerprint content-addresses the corpus: file names and the exact
-// source bytes go/parser saw, in load order. Positions embed file names
-// and offsets, so text identity subsumes position identity.
-func (p *Program) Fingerprint() string { return p.fp }
 
 // NewEngine binds the program to the shared qualifier engine.
 func (p *Program) NewEngine(cfg driver.Config, suite *analysis.Suite) driver.Engine {

@@ -258,24 +258,26 @@ func preludeName(obj *types.Func) string {
 // ConstrainContext is the Constrain stage: every defined function's
 // body, then the global initializers. jobs is accepted for
 // interface parity and ignored — generation is sequential, so every
-// jobs value trivially produces identical output.
-func (e *engine) ConstrainContext(ctx context.Context, jobs int) {
+// jobs value trivially produces identical output. It returns no error:
+// there is no worker pool, and cancellation is the driver's to report.
+func (e *engine) ConstrainContext(ctx context.Context, jobs int) error {
 	if e.constrained {
-		return
+		return nil
 	}
 	e.constrained = true
 	for _, fi := range e.funcs {
 		if ctx.Err() != nil {
-			return
+			return nil
 		}
 		e.analyzeBody(fi)
 	}
 	if ctx.Err() != nil {
-		return
+		return nil
 	}
 	for _, gv := range e.globalVars {
 		e.constrainGlobal(gv)
 	}
+	return nil
 }
 
 // SolveSystemContext is the cold Solve stage.

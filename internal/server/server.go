@@ -2,9 +2,8 @@
 // HTTP/JSON service — the resident form of the paper's Section 4.4 batch
 // experiment. POST /v1/analyze accepts a batch of C sources and returns
 // the same JSON report `cqual -json` emits; repeated requests for
-// unchanged sources are served from a content-addressed result cache,
-// and partially-changed programs re-derive only the fragments of the
-// functions that changed, via the shared per-function summary store.
+// unchanged sources are served from a content-addressed result cache;
+// every other request runs the whole pipeline.
 //
 // Endpoints:
 //
@@ -91,10 +90,6 @@ type Config struct {
 	// (0 = 1024 entries / 256 MiB).
 	ResultEntries int
 	ResultBytes   int64
-	// SummaryEntries/SummaryBytes bound the per-function summary store
-	// (0 = 65536 entries / 256 MiB).
-	SummaryEntries int
-	SummaryBytes   int64
 	// SessionEntries bounds the retained sessions (0 = 64). Eviction
 	// drops the session's introspection snapshot; the next request for
 	// that corpus starts a fresh one.
@@ -160,14 +155,13 @@ var stageNames = [numStages]string{
 // Server is the analysis service. Create with New; it implements
 // http.Handler and is safe for concurrent use.
 type Server struct {
-	cfg       Config
-	results   *cache.ResultCache
-	summaries *cache.SummaryStore
-	sessions  *cache.SessionStore
-	sem       chan struct{}
-	mux       *http.ServeMux
-	start     time.Time
-	logger    *slog.Logger
+	cfg      Config
+	results  *cache.ResultCache
+	sessions *cache.SessionStore
+	sem      chan struct{}
+	mux      *http.ServeMux
+	start    time.Time
+	logger   *slog.Logger
 
 	// Every aggregate below is an atomic or an obs.Registry series
 	// (atomics underneath): the /metrics handler takes no lock.
@@ -227,12 +221,6 @@ func New(cfg Config) *Server {
 	if cfg.ResultBytes == 0 {
 		cfg.ResultBytes = 256 << 20
 	}
-	if cfg.SummaryEntries == 0 {
-		cfg.SummaryEntries = 65536
-	}
-	if cfg.SummaryBytes == 0 {
-		cfg.SummaryBytes = 256 << 20
-	}
 	if cfg.SessionEntries == 0 {
 		cfg.SessionEntries = 64
 	}
@@ -254,7 +242,6 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:         cfg,
 		results:     cache.NewResultCache(cfg.ResultEntries, cfg.ResultBytes),
-		summaries:   cache.NewSummaryStore(cfg.SummaryEntries, cfg.SummaryBytes),
 		sessions:    cache.NewSessionStore(cfg.SessionEntries),
 		sem:         make(chan struct{}, cfg.MaxConcurrent),
 		mux:         http.NewServeMux(),
@@ -315,7 +302,6 @@ func (s *Server) registerMetrics() {
 		stats func() cache.Stats
 	}{
 		{"result", s.results.Stats},
-		{"summary", s.summaries.Stats},
 		{"session", s.sessions.Stats},
 	} {
 		stats := c.stats
@@ -611,11 +597,10 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 			PolyRec:  req.PolyRec,
 			Simplify: req.Simplify,
 		},
-		Jobs:      jobs,
-		Uninit:    req.Uninit,
-		Analyses:  req.Analyses,
-		Preludes:  preludes,
-		Summaries: s.summaries,
+		Jobs:     jobs,
+		Uninit:   req.Uninit,
+		Analyses: req.Analyses,
+		Preludes: preludes,
 	}
 	s.countRequests(cfg.AnalysisNames())
 
@@ -893,10 +878,9 @@ type WorkerIntrospect struct {
 	Jobs int `json:"jobs"`
 }
 
-// CacheIntrospect groups the three cache stat blocks.
+// CacheIntrospect groups the two cache stat blocks.
 type CacheIntrospect struct {
 	Result  cache.Stats `json:"result"`
-	Summary cache.Stats `json:"summary"`
 	Session cache.Stats `json:"session"`
 }
 
@@ -961,7 +945,6 @@ func (s *Server) handleIntrospect(w http.ResponseWriter, r *http.Request) {
 		},
 		Caches: CacheIntrospect{
 			Result:  s.results.Stats(),
-			Summary: s.summaries.Stats(),
 			Session: s.sessions.Stats(),
 		},
 		Sessions:  sess,
@@ -977,13 +960,15 @@ func (s *Server) handleIntrospect(w http.ResponseWriter, r *http.Request) {
 
 // Metrics is the GET /metrics response shape.
 type Metrics struct {
-	UptimeMS     float64      `json:"uptime_ms"`
-	Requests     uint64       `json:"requests"`
-	Analyses     uint64       `json:"analyses"`
-	Failures     uint64       `json:"failures"`
-	Timeouts     uint64       `json:"timeouts"`
-	InFlight     int64        `json:"in_flight"`
-	ResultCache  cache.Stats  `json:"result_cache"`
+	UptimeMS    float64     `json:"uptime_ms"`
+	Requests    uint64      `json:"requests"`
+	Analyses    uint64      `json:"analyses"`
+	Failures    uint64      `json:"failures"`
+	Timeouts    uint64      `json:"timeouts"`
+	InFlight    int64       `json:"in_flight"`
+	ResultCache cache.Stats `json:"result_cache"`
+	// SummaryCache is always zero: there is no summary cache. Kept for
+	// bench/daemon.go, removed with the next benchmark change.
 	SummaryCache cache.Stats  `json:"summary_cache"`
 	Sessions     cache.Stats  `json:"sessions"`
 	Stages       StageTotals  `json:"stages"`
@@ -1045,16 +1030,15 @@ func (s *Server) Snapshot() Metrics {
 	}
 	stageMS := func(i int) float64 { return s.stageHist[i].Sum() * 1000 }
 	return Metrics{
-		UptimeMS:     time.Since(s.start).Seconds() * 1000,
-		Requests:     s.requests.Value(),
-		Analyses:     s.analyses.Value(),
-		Failures:     s.failures.Value(),
-		Timeouts:     s.timeouts.Value(),
-		InFlight:     s.inFlight.Load(),
-		ResultCache:  s.results.Stats(),
-		SummaryCache: s.summaries.Stats(),
-		Sessions:     s.sessions.Stats(),
-		PerAnalysis:  per,
+		UptimeMS:    time.Since(s.start).Seconds() * 1000,
+		Requests:    s.requests.Value(),
+		Analyses:    s.analyses.Value(),
+		Failures:    s.failures.Value(),
+		Timeouts:    s.timeouts.Value(),
+		InFlight:    s.inFlight.Load(),
+		ResultCache: s.results.Stats(),
+		Sessions:    s.sessions.Stats(),
+		PerAnalysis: per,
 		Solver: SolverTotals{
 			Vars:          s.solver[0].Value(),
 			Constraints:   s.solver[1].Value(),

@@ -7,11 +7,13 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/constinfer"
 	"repro/internal/driver"
 )
 
@@ -178,6 +180,67 @@ func TestAnalyzeSolveJobsAccepted(t *testing.T) {
 	}
 	if !bytes.Equal(d1, d3) {
 		t.Errorf("cached report differs:\n%s\n---\n%s", d1, d3)
+	}
+}
+
+// TestAnalyzeJobsSharesCacheEntry: reports are byte-identical for every
+// pool size, so a request differing from a cached one only in jobs is a
+// result-cache hit.
+func TestAnalyzeJobsSharesCacheEntry(t *testing.T) {
+	ts := httptest.NewServer(New(Config{}))
+	defer ts.Close()
+
+	srcs, _ := json.Marshal([]SourceJSON{{Path: "prog.c", Text: prog}})
+	r1, d1 := postAnalyze(t, ts, fmt.Sprintf(`{"sources":%s,"jobs":1}`, srcs))
+	if r1.StatusCode != 200 || r1.Header.Get("X-Cache") != "miss" {
+		t.Fatalf("jobs 1: status %d, X-Cache %q; want 200 miss (%s)", r1.StatusCode, r1.Header.Get("X-Cache"), d1)
+	}
+	r2, d2 := postAnalyze(t, ts, fmt.Sprintf(`{"sources":%s,"jobs":2}`, srcs))
+	if r2.StatusCode != 200 || r2.Header.Get("X-Cache") != "hit" {
+		t.Fatalf("jobs 2: status %d, X-Cache %q; want 200 hit (%s)", r2.StatusCode, r2.Header.Get("X-Cache"), d2)
+	}
+	if !bytes.Equal(d1, d2) {
+		t.Errorf("jobs 2 report differs from jobs 1:\n%s\n---\n%s", d1, d2)
+	}
+}
+
+// TestAnalyzeConstrainPanic: a panic in a constraint worker fails the
+// request with a 500 naming the stage and the function, the server
+// keeps serving, and the flight recorder retains the failed request's
+// trace for the error reason.
+func TestAnalyzeConstrainPanic(t *testing.T) {
+	defer constinfer.SetBodyHookForTest(func(name string) {
+		if name == "entry" {
+			panic("boom")
+		}
+	})()
+	ts := httptest.NewServer(New(Config{Jobs: 2}))
+	defer ts.Close()
+
+	r1, d1 := postAnalyze(t, ts, analyzeBody(map[string]string{"prog.c": prog}))
+	if r1.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("status %d; want 500 (%s)", r1.StatusCode, d1)
+	}
+	var e errorJSON
+	if err := json.Unmarshal(d1, &e); err != nil || !strings.Contains(e.Error, "constrain: internal error in function entry: boom") {
+		t.Errorf("error body %q does not name the stage, the function and the panic", d1)
+	}
+	id := r1.Header.Get("X-Trace-Id")
+	var intro Introspection
+	getJSON(t, ts.URL+"/v1/introspect", &intro)
+	var reasons []string
+	for _, tr := range intro.Retention.Traces {
+		if tr.ID == id {
+			reasons = tr.Reasons
+		}
+	}
+	if !slices.Contains(reasons, "error") {
+		t.Errorf("failed request's trace %s retained with reasons %v; want error", id, reasons)
+	}
+
+	r2, d2 := postAnalyze(t, ts, analyzeBody(map[string]string{"other.c": "int f(int *p) { return *p; }"}))
+	if r2.StatusCode != 200 {
+		t.Errorf("request after the panic: status %d; want 200 (%s)", r2.StatusCode, d2)
 	}
 }
 
