@@ -126,19 +126,15 @@ func BenchmarkTable2Poly(b *testing.B) {
 	}
 }
 
-// benchDriver runs the staged pipeline over the whole multi-file paper
-// suite with a fixed worker count; the serial/parallel pair below
-// measures the constraint-generation speedup on multi-core hosts.
-func benchDriver(b *testing.B, jobs int) {
+// BenchmarkDriver runs the staged pipeline over the whole multi-file
+// paper suite.
+func BenchmarkDriver(b *testing.B) {
 	entries := suite(b)
 	files := make([]*cfront.File, len(entries))
 	for i, e := range entries {
 		files[i] = e.file
 	}
-	cfg := driver.Config{
-		Options: constinfer.Options{Poly: true, Simplify: true},
-		Jobs:    jobs,
-	}
+	cfg := driver.Config{Options: constinfer.Options{Poly: true, Simplify: true}}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res, err := driver.RunFiles(cfg, files)
@@ -150,15 +146,6 @@ func benchDriver(b *testing.B, jobs int) {
 		}
 	}
 }
-
-// BenchmarkDriverSerial is the staged pipeline with a single
-// constraint-generation worker.
-func BenchmarkDriverSerial(b *testing.B) { benchDriver(b, 1) }
-
-// BenchmarkDriverParallel is the same pipeline with a GOMAXPROCS-bounded
-// worker pool; with ≥4 cores it should beat BenchmarkDriverSerial while
-// producing byte-identical output (see TestCqualGoldenDeterminism).
-func BenchmarkDriverParallel(b *testing.B) { benchDriver(b, 0) }
 
 // BenchmarkGoFrontSelf is the Go front end's flagship workload: the
 // checker analyzing its own constraint-solver package end to end

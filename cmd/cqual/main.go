@@ -31,7 +31,7 @@
 // trace of every pipeline stage — per-function constraint generation,
 // per-mask-class solver sweeps — as Chrome trace-event JSON, viewable in
 // chrome://tracing or Perfetto. The trace is deterministic: the same
-// sources produce the same span sequence for every -jobs value.
+// sources produce the same span sequence on every run.
 //
 // With -serve URL the files are not analyzed locally: they are POSTed to
 // a running cquald daemon at URL and the daemon's JSON report — which is
@@ -86,7 +86,6 @@ func main() {
 	uninit := flag.Bool("uninit", false, "also run the flow-sensitive definite-initialization check (Section 6 extension)")
 	jsonOut := flag.Bool("json", false, "emit the report and diagnostics as JSON")
 	stats := flag.Bool("stats", false, "print solver statistics (system size, cycle condensation) to stderr")
-	jobs := flag.Int("jobs", 0, "constraint-generation workers (0 = GOMAXPROCS; results are identical for every value)")
 	traceFile := flag.String("trace", "", "write a Chrome trace-event JSON of the pipeline to this file (view in chrome://tracing or Perfetto)")
 	serve := flag.String("serve", "", "analyze via a running cquald daemon at this base URL instead of locally")
 	analysisFlag := flag.String("analysis", "const", "comma-separated qualifier analyses to run together (see -analyses)")
@@ -99,11 +98,6 @@ func main() {
 	if *listAnalyses {
 		printAnalyses()
 		return
-	}
-	if *jobs < 0 {
-		fmt.Fprintln(os.Stderr, "cqual: -jobs must be >= 0")
-		fmt.Fprintln(os.Stderr, usage)
-		os.Exit(2)
 	}
 	if _, ok := driver.LookupFrontEnd(*lang); !ok {
 		fmt.Fprintf(os.Stderr, "cqual: unknown language %q (registered: %s)\n",
@@ -150,7 +144,7 @@ func main() {
 		os.Exit(runRemote(*serve, remoteOptions{
 			lang: *lang,
 			poly: *poly, polyrec: *polyrec, simplify: *simplify || *schemes,
-			uninit: *uninit, jobs: *jobs,
+			uninit:   *uninit,
 			analyses: analyses, preludes: preludes, jsonOut: *jsonOut,
 		}, flag.Args(), os.Stdout, os.Stderr))
 	}
@@ -162,7 +156,6 @@ func main() {
 			PolyRec:  *polyrec,
 			Simplify: *simplify || *schemes,
 		},
-		Jobs:     *jobs,
 		Uninit:   *uninit,
 		Analyses: analyses,
 		Preludes: preludes,
@@ -390,7 +383,6 @@ func printAnalyses() {
 type remoteOptions struct {
 	lang                            string
 	poly, polyrec, simplify, uninit bool
-	jobs                            int
 	analyses                        []string
 	preludes                        []driver.PreludeFile
 	jsonOut                         bool
@@ -419,7 +411,6 @@ func runRemote(base string, opts remoteOptions, paths []string, stdout, stderr i
 		PolyRec:  opts.polyrec,
 		Simplify: opts.simplify,
 		Uninit:   opts.uninit,
-		Jobs:     opts.jobs,
 		Analyses: opts.analyses,
 	}
 	for _, p := range opts.preludes {

@@ -5,14 +5,14 @@
 //
 // Usage:
 //
-//	cquald [-addr host:port] [-jobs n] [-max-concurrent n]
+//	cquald [-addr host:port] [-max-concurrent n]
 //	       [-timeout d] [-shutdown-timeout d]
 //	       [-result-cache-entries n] [-result-cache-bytes n]
 //	       [-session-entries n]
 //	       [-pprof] [-slow-request d] [-trace-entries n]
 //	       [-journal-entries n] [-retain-slowest n] [-retain-sample n]
 //	       [-slo endpoint=objective,...]
-//	cquald -watch DIR [-watch-interval d] [-jobs n] [-lang l]
+//	cquald -watch DIR [-watch-interval d] [-lang l]
 //	       [-poly] [-polyrec] [-simplify] [-uninit]
 //	       [-analysis LIST] [-prelude FILES]
 //
@@ -83,7 +83,6 @@ import (
 
 func main() {
 	addr := flag.String("addr", "127.0.0.1:8710", "listen address (host:port; port 0 picks a free port)")
-	jobs := flag.Int("jobs", 0, "constraint-generation workers per analysis (0 = GOMAXPROCS)")
 	maxConcurrent := flag.Int("max-concurrent", 0, "simultaneous analyses (0 = GOMAXPROCS)")
 	timeout := flag.Duration("timeout", server.DefaultRequestTimeout, "per-request deadline including queue time (negative = none)")
 	shutdownTimeout := flag.Duration("shutdown-timeout", 10*time.Second, "grace period for draining in-flight requests on SIGINT/SIGTERM")
@@ -109,10 +108,6 @@ func main() {
 	preludeFlag := flag.String("prelude", "", "with -watch: comma-separated prelude files")
 	flag.Parse()
 
-	if *jobs < 0 {
-		fmt.Fprintln(os.Stderr, "cquald: -jobs must be >= 0")
-		os.Exit(2)
-	}
 	if flag.NArg() != 0 {
 		fmt.Fprintln(os.Stderr, "cquald: unexpected arguments; the daemon takes sources over HTTP, not the command line")
 		os.Exit(2)
@@ -121,7 +116,7 @@ func main() {
 	if *watch != "" {
 		os.Exit(runWatchMode(*watch, *watchInterval, watchOptions{
 			poly: *poly, polyrec: *polyrec, simplify: *simplify,
-			uninit: *uninit, jobs: *jobs, lang: *lang,
+			uninit: *uninit, lang: *lang,
 			analyses: *analysisFlag, preludes: *preludeFlag,
 		}))
 	}
@@ -150,7 +145,6 @@ func main() {
 	}
 
 	srv := server.New(server.Config{
-		Jobs:           *jobs,
 		MaxConcurrent:  *maxConcurrent,
 		RequestTimeout: *timeout,
 		ResultEntries:  *resultEntries,

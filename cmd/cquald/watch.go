@@ -30,7 +30,6 @@ import (
 // watchOptions carries the cqual-style mode flags into watch mode.
 type watchOptions struct {
 	poly, polyrec, simplify, uninit bool
-	jobs                            int
 	lang                            string // front-end language ("" = c)
 	analyses                        string // comma-separated
 	preludes                        string // comma-separated file paths
@@ -85,7 +84,6 @@ func runWatchMode(dir string, interval time.Duration, opts watchOptions) int {
 			PolyRec:  opts.polyrec,
 			Simplify: opts.simplify,
 		},
-		Jobs:     opts.jobs,
 		Lang:     fe.Lang(),
 		Uninit:   opts.uninit,
 		Analyses: analyses,

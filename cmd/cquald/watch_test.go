@@ -64,14 +64,14 @@ func TestWatcherDeltaCycle(t *testing.T) {
 	writeStamped(t, path, watchV1, 1)
 
 	var out strings.Builder
-	w := newWatcher(dir, driver.Config{Jobs: 1}, &out)
+	w := newWatcher(dir, driver.Config{}, &out)
 	ctx := context.Background()
 
 	ran, err := w.poll(ctx)
 	if err != nil || !ran {
 		t.Fatalf("first poll: ran=%v err=%v", ran, err)
 	}
-	if want := coldSummary(t, driver.Config{Jobs: 1}, path); !strings.Contains(out.String(), want) {
+	if want := coldSummary(t, driver.Config{}, path); !strings.Contains(out.String(), want) {
 		t.Fatalf("first run should match a cold run (%q):\n%s", want, out.String())
 	}
 
@@ -87,7 +87,7 @@ func TestWatcherDeltaCycle(t *testing.T) {
 	if ran, err := w.poll(ctx); err != nil || !ran {
 		t.Fatalf("edit poll: ran=%v err=%v", ran, err)
 	}
-	if want := coldSummary(t, driver.Config{Jobs: 1}, path); !strings.Contains(out.String(), want) {
+	if want := coldSummary(t, driver.Config{}, path); !strings.Contains(out.String(), want) {
 		t.Fatalf("edit should match a cold run (%q):\n%s", want, out.String())
 	}
 
@@ -123,7 +123,7 @@ func TestWatcherRecursiveScan(t *testing.T) {
 	}
 	writeStamped(t, filepath.Join(dir, "other.go"), "package p\n", 5)
 
-	w := newWatcher(dir, driver.Config{Jobs: 1}, &strings.Builder{})
+	w := newWatcher(dir, driver.Config{}, &strings.Builder{})
 	paths, changed, err := w.scan()
 	if err != nil || !changed {
 		t.Fatalf("scan: changed=%v err=%v", changed, err)
@@ -153,7 +153,7 @@ func TestWatcherGoLang(t *testing.T) {
 	writeStamped(t, filepath.Join(dir, "prog_test.go"), "package p\n", 2)
 
 	var out strings.Builder
-	w := newWatcher(dir, driver.Config{Jobs: 1, Lang: "go"}, &out)
+	w := newWatcher(dir, driver.Config{Lang: "go"}, &out)
 	w.exts = []string{".go"}
 	ctx := context.Background()
 
@@ -164,7 +164,7 @@ func TestWatcherGoLang(t *testing.T) {
 	if !strings.Contains(got, "1 file(s)") {
 		t.Fatalf("_test.go should be ignored:\n%s", got)
 	}
-	cfg := driver.Config{Jobs: 1, Lang: "go"}
+	cfg := driver.Config{Lang: "go"}
 	if want := coldSummary(t, cfg, path); !strings.Contains(got, want) {
 		t.Fatalf("first run should match a cold run (%q):\n%s", want, got)
 	}
@@ -187,7 +187,7 @@ func TestWatcherEmptyMessage(t *testing.T) {
 	writeStamped(t, path, "package p\n\nfunc id(x int) int { return x }\n", 1)
 
 	var out strings.Builder
-	w := newWatcher(dir, driver.Config{Jobs: 1, Lang: "go"}, &out)
+	w := newWatcher(dir, driver.Config{Lang: "go"}, &out)
 	w.exts = []string{".go"}
 	ctx := context.Background()
 	if ran, err := w.poll(ctx); err != nil || !ran {
@@ -214,7 +214,7 @@ func TestWatcherConflictFlow(t *testing.T) {
 		"void f(const char *s) { *s = 0; }\n", 1)
 
 	var out strings.Builder
-	w := newWatcher(dir, driver.Config{Jobs: 1}, &out)
+	w := newWatcher(dir, driver.Config{}, &out)
 	if ran, err := w.poll(context.Background()); err != nil || !ran {
 		t.Fatalf("poll: ran=%v err=%v", ran, err)
 	}
@@ -232,7 +232,7 @@ func TestWatcherFrontEndError(t *testing.T) {
 	writeStamped(t, path, watchV1, 1)
 
 	var out strings.Builder
-	w := newWatcher(dir, driver.Config{Jobs: 1}, &out)
+	w := newWatcher(dir, driver.Config{}, &out)
 	ctx := context.Background()
 	if _, err := w.poll(ctx); err != nil {
 		t.Fatal(err)
@@ -252,7 +252,7 @@ func TestWatcherFrontEndError(t *testing.T) {
 	if _, err := w.poll(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if want := coldSummary(t, driver.Config{Jobs: 1}, path); !strings.Contains(out.String(), want) {
+	if want := coldSummary(t, driver.Config{}, path); !strings.Contains(out.String(), want) {
 		t.Fatalf("run after a front-end error should match a cold run (%q):\n%s", want, out.String())
 	}
 }
@@ -267,7 +267,7 @@ func TestWatcherObservability(t *testing.T) {
 	writeStamped(t, path, watchV1, 1)
 
 	var out strings.Builder
-	w := newWatcher(dir, driver.Config{Jobs: 1}, &out)
+	w := newWatcher(dir, driver.Config{}, &out)
 	ctx := context.Background()
 
 	// Poll 1: analysis. Poll 2: unchanged, no analysis. Poll 3: broken

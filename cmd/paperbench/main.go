@@ -295,16 +295,16 @@ func measureNewAnalyses(rounds int) ([]newAnalysisJSON, error) {
 		srcs []driver.Source
 	}{
 		{"unique-c",
-			driver.Config{Jobs: 1, Analyses: []string{"unique"}, Preludes: []driver.PreludeFile{uq}},
+			driver.Config{Analyses: []string{"unique"}, Preludes: []driver.PreludeFile{uq}},
 			driver.FileSources("examples/unique-c/registry.c")},
 		{"fdstate-c",
-			driver.Config{Jobs: 1, Analyses: []string{"fdstate"}, Preludes: []driver.PreludeFile{fq}},
+			driver.Config{Analyses: []string{"fdstate"}, Preludes: []driver.PreludeFile{fq}},
 			driver.FileSources("examples/fdstate/server.c")},
 		{"go-fdstate",
-			driver.Config{Jobs: 1, Lang: "go", Analyses: []string{"fdstate"}, Preludes: []driver.PreludeFile{gq}},
+			driver.Config{Lang: "go", Analyses: []string{"fdstate"}, Preludes: []driver.PreludeFile{gq}},
 			driver.FileSources("./examples/go-fdstate/dirty")},
 		{"combined-c",
-			driver.Config{Jobs: 1, Analyses: []string{"const", "taint", "unique", "fdstate"},
+			driver.Config{Analyses: []string{"const", "taint", "unique", "fdstate"},
 				Preludes: []driver.PreludeFile{tq, uq, fq}},
 			driver.FileSources(append(append([]string{}, taintC...),
 				"examples/unique-c/registry.c", "examples/fdstate/server.c")...)},

@@ -128,9 +128,9 @@ func buildCqual(t *testing.T) string {
 }
 
 // TestCqualGoldenDeterminism: cqual output over the whole constinfer
-// testdata corpus is byte-identical between GOMAXPROCS=1 and the default
-// parallel run, in every mode. This is the end-to-end determinism
-// guarantee of the parallel constraint-generation stage.
+// testdata corpus is byte-identical between GOMAXPROCS=1 and GOMAXPROCS=8,
+// in every mode. This is the end-to-end determinism guarantee of the
+// concurrent parse stage.
 func TestCqualGoldenDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden CLI tests in -short mode")
@@ -182,7 +182,7 @@ func TestCqualGoldenDeterminism(t *testing.T) {
 // TestCqualSchemesGolden pins qualifier-variable numbering and scheme
 // simplification: `-poly -schemes` and `-poly -simplify -schemes` over
 // the constinfer testdata corpus must match the committed goldens byte
-// for byte, from the one-worker loop and from the pool.
+// for byte.
 func TestCqualSchemesGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden CLI tests in -short mode")
@@ -204,16 +204,14 @@ func TestCqualSchemesGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, jobs := range []string{"1", "4"} {
-			args := append(append([]string{"-jobs", jobs}, mode...), corpus...)
-			out, err := exec.Command(bin, args...).CombinedOutput()
-			if err != nil {
-				t.Fatalf("cqual %s: %v\n%s", strings.Join(args, " "), err, out)
-			}
-			if !bytes.Equal(out, want) {
-				t.Errorf("cqual -jobs %s %s drifted from %s\n--- got ---\n%s--- want ---\n%s",
-					jobs, strings.Join(mode, " "), golden, out, want)
-			}
+		args := append(mode, corpus...)
+		out, err := exec.Command(bin, args...).CombinedOutput()
+		if err != nil {
+			t.Fatalf("cqual %s: %v\n%s", strings.Join(args, " "), err, out)
+		}
+		if !bytes.Equal(out, want) {
+			t.Errorf("cqual %s drifted from %s\n--- got ---\n%s--- want ---\n%s",
+				strings.Join(mode, " "), golden, out, want)
 		}
 	}
 }
@@ -233,8 +231,8 @@ func stripTimings(s string) string {
 
 // TestCqualTaint: the taint analysis over the seeded examples/taint-c
 // corpus reports every planted source→sink violation with its multi-hop
-// flow trace, byte-identical across worker counts; -analyses lists the
-// registry and an unknown -analysis is a usage error.
+// flow trace; -analyses lists the registry and an unknown -analysis is a
+// usage error.
 func TestCqualTaint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden CLI tests in -short mode")
@@ -246,16 +244,11 @@ func TestCqualTaint(t *testing.T) {
 	}
 	args := append([]string{"-analysis", "taint", "-prelude", "examples/taint-c/taint.q"}, corpus...)
 
-	run := func(jobs string) string {
-		t.Helper()
-		out, err := exec.Command(bin, append([]string{"-jobs", jobs}, args...)...).CombinedOutput()
-		exit, ok := err.(*exec.ExitError)
-		if !ok || exit.ExitCode() != 1 {
-			t.Fatalf("want exit 1 on planted violations, got %v\n%s", err, out)
-		}
-		return string(out)
+	outb, err := exec.Command(bin, args...).CombinedOutput()
+	if exit, ok := err.(*exec.ExitError); !ok || exit.ExitCode() != 1 {
+		t.Fatalf("want exit 1 on planted violations, got %v\n%s", err, outb)
 	}
-	out := run("1")
+	out := string(outb)
 	if !strings.Contains(out, "4 qualifier conflict(s):") {
 		t.Errorf("planted violations not all found:\n%s", out)
 	}
@@ -276,11 +269,6 @@ func TestCqualTaint(t *testing.T) {
 	}
 	if got := strings.Count(out, "flow:"); got < 8 {
 		t.Errorf("only %d flow hops rendered, want the full multi-hop traces:\n%s", got, out)
-	}
-	for _, jobs := range []string{"4", "8"} {
-		if got := run(jobs); got != out {
-			t.Errorf("-jobs %s differs from -jobs 1\n--- jobs 1 ---\n%s\n--- jobs %s ---\n%s", jobs, out, jobs, got)
-		}
 	}
 
 	// The registry listing names every built-in analysis with its
@@ -331,9 +319,35 @@ func normalizeKappa(s string) string {
 	return b.String()
 }
 
+// TestCqualTaintPolyGolden pins the polymorphic const+taint JSON report
+// over examples/taint-c, timings aside, including the qualifier
+// variables its flow notes name.
+func TestCqualTaintPolyGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("golden CLI tests in -short mode")
+	}
+	corpus, err := filepath.Glob("examples/taint-c/*.c")
+	if err != nil || len(corpus) != 3 {
+		t.Fatalf("taint corpus missing: %v (%d files)", err, len(corpus))
+	}
+	args := append([]string{"-json", "-poly", "-analysis", "const,taint", "-prelude", "examples/taint-c/taint.q"}, corpus...)
+	out, err := exec.Command(buildCqual(t), args...).Output()
+	if exit, ok := err.(*exec.ExitError); !ok || exit.ExitCode() != 1 {
+		t.Fatalf("want exit 1 on planted violations, got %v\n%s", err, out)
+	}
+	const path = "examples/taint-c/expected_poly.json"
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := stripTimings(string(out)); got != string(want) {
+		t.Errorf("output drifted from %s\n--- got ---\n%s--- want ---\n%s", path, got, want)
+	}
+}
+
 // TestCqualGoTaint: the Go taint examples against their committed
 // golden flow-trace output — the dirty twin reports both injection
-// flows byte-identically at every worker count, the clean twin passes.
+// flows, the clean twin passes.
 func TestCqualGoTaint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden CLI tests in -short mode")
@@ -341,9 +355,9 @@ func TestCqualGoTaint(t *testing.T) {
 	bin := buildCqual(t)
 	args := []string{"-lang", "go", "-analysis", "taint", "-prelude", "examples/go-taint/go.q"}
 
-	run := func(jobs, pkg string, wantExit int) string {
+	run := func(pkg string, wantExit int) string {
 		t.Helper()
-		out, err := exec.Command(bin, append(append([]string{"-jobs", jobs}, args...), pkg)...).CombinedOutput()
+		out, err := exec.Command(bin, append(args, pkg)...).CombinedOutput()
 		exit := 0
 		if ee, ok := err.(*exec.ExitError); ok {
 			exit = ee.ExitCode()
@@ -356,7 +370,7 @@ func TestCqualGoTaint(t *testing.T) {
 		return string(out)
 	}
 
-	dirty := run("1", "./examples/go-taint/dirty", 1)
+	dirty := run("./examples/go-taint/dirty", 1)
 	golden, err := os.ReadFile("examples/go-taint/expected_dirty.txt")
 	if err != nil {
 		t.Fatal(err)
@@ -364,13 +378,8 @@ func TestCqualGoTaint(t *testing.T) {
 	if normalizeKappa(dirty) != normalizeKappa(string(golden)) {
 		t.Errorf("dirty output drifted from examples/go-taint/expected_dirty.txt\n--- got ---\n%s--- want ---\n%s", dirty, golden)
 	}
-	for _, jobs := range []string{"4", "8"} {
-		if got := run(jobs, "./examples/go-taint/dirty", 1); got != dirty {
-			t.Errorf("-jobs %s differs from -jobs 1 for -lang go\n%s", jobs, got)
-		}
-	}
 
-	clean := run("1", "./examples/go-taint/clean", 0)
+	clean := run("./examples/go-taint/clean", 0)
 	if !strings.Contains(clean, "0 conflict") && strings.Contains(clean, "conflict(s):") {
 		t.Errorf("clean twin reported conflicts:\n%s", clean)
 	}
@@ -422,24 +431,29 @@ func TestCqualJSON(t *testing.T) {
 	}
 }
 
-// TestCqualJobsValidation: a negative worker count is a usage error.
+// TestCqualJobsValidation: -jobs is retired from cqual and cquald, so
+// passing it is an unknown-flag usage error, exit 2.
 func TestCqualJobsValidation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden CLI tests in -short mode")
 	}
-	bin := buildCqual(t)
 	dir := t.TempDir()
 	cFile := filepath.Join(dir, "ok.c")
 	if err := os.WriteFile(cFile, []byte("int f(int x) { return x; }\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	out, err := exec.Command(bin, "-jobs", "-3", cFile).CombinedOutput()
-	exit, ok := err.(*exec.ExitError)
-	if !ok || exit.ExitCode() != 2 {
-		t.Fatalf("cqual -jobs -3: want exit 2, got %v\n%s", err, out)
-	}
-	if !strings.Contains(string(out), "-jobs must be >= 0") {
-		t.Errorf("no usage error for negative -jobs:\n%s", out)
+	for _, cmd := range []*exec.Cmd{
+		exec.Command(buildCqual(t), "-jobs", "2", cFile),
+		exec.Command(buildCquald(t), "-jobs", "2"),
+	} {
+		out, err := cmd.CombinedOutput()
+		exit, ok := err.(*exec.ExitError)
+		if !ok || exit.ExitCode() != 2 {
+			t.Fatalf("%s -jobs 2: want exit 2, got %v\n%s", filepath.Base(cmd.Path), err, out)
+		}
+		if !strings.Contains(string(out), "flag provided but not defined: -jobs") {
+			t.Errorf("%s: no unknown-flag error for -jobs:\n%s", filepath.Base(cmd.Path), out)
+		}
 	}
 }
 
@@ -624,16 +638,11 @@ func TestCqualUniqueC(t *testing.T) {
 	bin := buildCqual(t)
 	args := []string{"-analysis", "unique", "-prelude", "examples/unique-c/unique.q", "examples/unique-c/registry.c"}
 
-	run := func(jobs string) string {
-		t.Helper()
-		out, err := exec.Command(bin, append([]string{"-jobs", jobs}, args...)...).CombinedOutput()
-		exit, ok := err.(*exec.ExitError)
-		if !ok || exit.ExitCode() != 1 {
-			t.Fatalf("want exit 1 on planted violations, got %v\n%s", err, out)
-		}
-		return string(out)
+	outb, err := exec.Command(bin, args...).CombinedOutput()
+	if exit, ok := err.(*exec.ExitError); !ok || exit.ExitCode() != 1 {
+		t.Fatalf("want exit 1 on planted violations, got %v\n%s", err, outb)
 	}
-	out := run("1")
+	out := string(outb)
 	golden, err := os.ReadFile("examples/unique-c/expected.txt")
 	if err != nil {
 		t.Fatal(err)
@@ -645,11 +654,6 @@ func TestCqualUniqueC(t *testing.T) {
 	// after a borrow and must NOT be reported.
 	if strings.Contains(out, "borrow_then_free") || !strings.Contains(out, "3 qualifier conflict(s):") {
 		t.Errorf("recovery rule failed (borrowed call must not escape):\n%s", out)
-	}
-	for _, jobs := range []string{"4", "8"} {
-		if got := run(jobs); got != out {
-			t.Errorf("-jobs %s differs from -jobs 1\n%s", jobs, got)
-		}
 	}
 }
 
@@ -664,16 +668,11 @@ func TestCqualFdstateC(t *testing.T) {
 	bin := buildCqual(t)
 	args := []string{"-analysis", "fdstate", "-prelude", "examples/fdstate/fd.q", "examples/fdstate/server.c"}
 
-	run := func(jobs string) string {
-		t.Helper()
-		out, err := exec.Command(bin, append([]string{"-jobs", jobs}, args...)...).CombinedOutput()
-		exit, ok := err.(*exec.ExitError)
-		if !ok || exit.ExitCode() != 1 {
-			t.Fatalf("want exit 1 on planted violations, got %v\n%s", err, out)
-		}
-		return string(out)
+	outb, err := exec.Command(bin, args...).CombinedOutput()
+	if exit, ok := err.(*exec.ExitError); !ok || exit.ExitCode() != 1 {
+		t.Fatalf("want exit 1 on planted violations, got %v\n%s", err, outb)
 	}
-	out := run("1")
+	out := string(outb)
 	golden, err := os.ReadFile("examples/fdstate/expected.txt")
 	if err != nil {
 		t.Fatal(err)
@@ -683,11 +682,6 @@ func TestCqualFdstateC(t *testing.T) {
 	}
 	if strings.Contains(out, "copy_request") || !strings.Contains(out, "returned from stale_handle") {
 		t.Errorf("leak-on-return or clean-discipline check failed:\n%s", out)
-	}
-	for _, jobs := range []string{"4", "8"} {
-		if got := run(jobs); got != out {
-			t.Errorf("-jobs %s differs from -jobs 1\n%s", jobs, got)
-		}
 	}
 }
 
@@ -702,9 +696,9 @@ func TestCqualGoFdstate(t *testing.T) {
 	bin := buildCqual(t)
 	args := []string{"-lang", "go", "-analysis", "fdstate", "-prelude", "examples/go-fdstate/fd.q"}
 
-	run := func(jobs, pkg string, wantExit int) string {
+	run := func(pkg string, wantExit int) string {
 		t.Helper()
-		out, err := exec.Command(bin, append(append([]string{"-jobs", jobs}, args...), pkg)...).CombinedOutput()
+		out, err := exec.Command(bin, append(args, pkg)...).CombinedOutput()
 		exit := 0
 		if ee, ok := err.(*exec.ExitError); ok {
 			exit = ee.ExitCode()
@@ -717,7 +711,7 @@ func TestCqualGoFdstate(t *testing.T) {
 		return string(out)
 	}
 
-	dirty := run("1", "./examples/go-fdstate/dirty", 1)
+	dirty := run("./examples/go-fdstate/dirty", 1)
 	golden, err := os.ReadFile("examples/go-fdstate/expected_dirty.txt")
 	if err != nil {
 		t.Fatal(err)
@@ -734,12 +728,7 @@ func TestCqualGoFdstate(t *testing.T) {
 			t.Errorf("dirty output missing %q:\n%s", want, dirty)
 		}
 	}
-	for _, jobs := range []string{"4", "8"} {
-		if got := run(jobs, "./examples/go-fdstate/dirty", 1); got != dirty {
-			t.Errorf("-jobs %s differs from -jobs 1\n%s", jobs, got)
-		}
-	}
-	run("1", "./examples/go-fdstate/clean", 0)
+	run("./examples/go-fdstate/clean", 0)
 }
 
 // TestCqualLint: lint mode renders findings as

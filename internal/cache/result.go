@@ -27,7 +27,7 @@ func langKey(cfg driver.Config) string {
 // text, all length-prefixed so concatenations cannot collide. Sources
 // must carry their text: a path-only source would key on the name rather
 // than the content. cfg.Jobs, cfg.SolveJobs and cfg.Summaries are
-// deliberately excluded — reports are byte-identical for every value.
+// deliberately excluded — they have no effect on the report.
 func RequestKey(cfg driver.Config, sources []driver.Source) Key {
 	h := sha256.New()
 	fmt.Fprintf(h, "lang:%s;", langKey(cfg))

@@ -11,9 +11,7 @@ import (
 // hashes everything in the config that shapes the analysis result — the
 // front-end language, the inference mode, the uninit flag, the selected
 // analyses, and every prelude — plus the caller-chosen corpus id. Jobs
-// is deliberately excluded: results are identical for every pool size,
-// and keying on it would split one logical corpus into per-client
-// sessions. Sources are excluded by construction: a session runs
+// is deliberately excluded: it has no effect on the result. Sources are excluded by construction: a session runs
 // successive versions of one corpus.
 func SessionKey(cfg driver.Config, corpus string) string {
 	h := sha256.New()

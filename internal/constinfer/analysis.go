@@ -119,19 +119,18 @@ type funcInfo struct {
 	sig     *RType // RFunc; created when the function's SCC is processed
 	scheme  *scheme
 	scc     int // index into Analysis.sccs; -1 until Prepare assigns it
-	ord     int // index into Analysis.defined; -1 for undefined functions
 }
 
 // sccInfo is one strongly-connected component of the function dependence
 // graph with the variable/constraint brackets the staged pipeline needs
-// for generalization: signatures are created in a first sequential sweep,
-// body constraints are merged later, so a component's fragment is the
-// union of two contiguous ranges rather than one.
+// for generalization: every signature is created in a first sweep and
+// the component's bodies are walked later, so its fragment is the union
+// of two contiguous ranges rather than one.
 type sccInfo struct {
 	funcs []*funcInfo
 	// sigVars/sigCons bracket the signature-creation fragment.
 	sigVars, sigCons [2]int
-	// bodyVars/bodyCons bracket the merged body fragment.
+	// bodyVars/bodyCons bracket the body fragment.
 	bodyVars, bodyCons [2]int
 }
 
@@ -170,8 +169,10 @@ type Analysis struct {
 	sccs        []*sccInfo
 	prepared    bool
 
-	// spec marks a speculative constrain-worker clone; see parallel.go.
-	spec *speculation
+	// walking names the function whose body analyzeBody is walking. It
+	// is cleared when the walk returns, so after a panic it names the
+	// body the panic escaped from.
+	walking string
 }
 
 // NewAnalysis prepares an analysis over the parsed files.
@@ -221,13 +222,11 @@ func AnalyzeSource(file, src string, opts Options) (*Report, error) {
 	return Analyze([]*cfront.File{f}, opts)
 }
 
-// Run executes the full pipeline: Prepare, Constrain (with the default
-// worker-pool size), Solve and Classify.
+// Run executes the full pipeline: Prepare, Constrain, Solve and
+// Classify. The error is always nil.
 func (a *Analysis) Run() (*Report, error) {
 	a.Prepare()
-	if err := a.Constrain(0); err != nil {
-		return nil, err
-	}
+	a.Constrain()
 	return a.Classify(a.SolveSystem()), nil
 }
 
@@ -247,7 +246,7 @@ func (a *Analysis) Prepare() {
 			case *cfront.FuncDecl:
 				fi := a.funcs[d.Name]
 				if fi == nil {
-					fi = &funcInfo{name: d.Name, decl: d, scc: -1, ord: -1}
+					fi = &funcInfo{name: d.Name, decl: d, scc: -1}
 					a.funcs[d.Name] = fi
 				}
 				if d.Body != nil && !fi.defined {
@@ -285,9 +284,6 @@ func (a *Analysis) Prepare() {
 	// FDG over defined functions; SCCs come out callees-first (Tarjan
 	// emits components in reverse topological order).
 	a.defined = a.definedFuncs()
-	for i, fi := range a.defined {
-		fi.ord = i
-	}
 	for i, comp := range a.buildSCCs(a.defined) {
 		a.sccs = append(a.sccs, &sccInfo{funcs: comp})
 		for _, fi := range comp {
@@ -296,28 +292,24 @@ func (a *Analysis) Prepare() {
 	}
 }
 
-// Constrain is the constraint-generation stage. Signatures are created
-// sequentially in SCC order; per-function body constraints are then
-// generated concurrently on a worker pool of the given size (0 selects
-// GOMAXPROCS) and merged back in deterministic SCC order, so the
-// resulting system — and every downstream report — is identical for any
-// pool size. Polymorphic recursion re-analyzes bodies iteratively and
-// keeps the sequential per-SCC path. A panic while a worker analyzes a
-// body is returned as an error naming the function.
-func (a *Analysis) Constrain(jobs int) error {
-	return a.ConstrainContext(context.Background(), jobs)
+// Constrain is the constraint-generation stage, the bottom-up pass over
+// the function dependence graph of Section 4.3. Every signature is
+// created first, in SCC order; then each SCC's bodies are walked in
+// order and, in polymorphic mode, the component is generalized into
+// schemes before the next one is walked, so later components instantiate
+// them. Polymorphic recursion re-analyzes bodies iteratively and creates
+// signatures per component (processSCC). A panic escapes to the caller;
+// Walking then names the function whose body it came from.
+func (a *Analysis) Constrain() {
+	a.ConstrainContext(context.Background(), 0)
 }
 
 // ConstrainContext is Constrain with tracing. When the context carries
-// an obs.Tracer, the stage emits "constrain.signatures", "constrain.pool"
-// and "constrain.globals" spans plus one "constrain.func" span per
-// defined function, recorded at the deterministic SCC-ordered merge —
-// never from pool workers — with the function name and, as src, how its
-// fragment was obtained (pool: merged worker fragment, seq: sequential
-// re-analysis after a speculation miss). The span sequence is therefore
-// identical for every pool size, which is what makes traces
-// byte-identical across -jobs values under a fake clock (see obs).
-func (a *Analysis) ConstrainContext(ctx context.Context, jobs int) error {
+// an obs.Tracer, the stage emits "constrain.signatures" and
+// "constrain.globals" spans plus one "constrain.func" span per defined
+// function, with the function name. The int argument has no effect; it
+// is the jobs parameter of driver.Engine, kept for bench/replay.go.
+func (a *Analysis) ConstrainContext(ctx context.Context, _ int) {
 	tr := obs.FromContext(ctx)
 	a.Prepare()
 	if a.opts.PolyRec {
@@ -328,11 +320,11 @@ func (a *Analysis) ConstrainContext(ctx context.Context, jobs int) error {
 		}
 		sp.End()
 		a.analyzeGlobalInits()
-		return nil
+		return
 	}
 
-	// Signatures and positions, SCC order (sequential: signatures of one
-	// component may share struct types with any other).
+	// Signatures and positions, SCC order. All exist before any body is
+	// walked, so a body sees the signature of every function it names.
 	sp := tr.Start("constinfer", "constrain.signatures",
 		obs.Int("sccs", len(a.sccs)), obs.Int("functions", len(a.defined)))
 	for _, scc := range a.sccs {
@@ -345,34 +337,11 @@ func (a *Analysis) ConstrainContext(ctx context.Context, jobs int) error {
 	}
 	sp.End()
 
-	// Per-function constraint generation on the worker pool, then the
-	// deterministic SCC-ordered merge and generalization. The pool span
-	// brackets the parallel section from the sequential spine; workers
-	// record nothing.
-	sp = tr.Start("constinfer", "constrain.pool", obs.Int("functions", len(a.defined)))
-	results, err := a.constrainBodies(jobs)
-	sp.End()
-	if err != nil {
-		return err
-	}
 	for _, scc := range a.sccs {
 		scc.bodyVars[0], scc.bodyCons[0] = a.sys.NumVars(), a.sys.NumConstraints()
 		for _, fi := range scc.funcs {
-			r := &results[fi.ord]
-			src := "pool"
-			if r.miss {
-				src = "seq"
-			}
-			fsp := tr.Start("constinfer", "constrain.func",
-				obs.String("func", fi.name), obs.String("src", src))
-			if r.miss {
-				// The body needs a shared entity (implicit global or
-				// declaration, in-body struct type) that only the
-				// sequential path may create.
-				a.analyzeBody(fi)
-			} else {
-				a.mergeBody(r)
-			}
+			fsp := tr.Start("constinfer", "constrain.func", obs.String("func", fi.name))
+			a.analyzeBody(fi)
 			fsp.End()
 		}
 		scc.bodyVars[1], scc.bodyCons[1] = a.sys.NumVars(), a.sys.NumConstraints()
@@ -383,8 +352,12 @@ func (a *Analysis) ConstrainContext(ctx context.Context, jobs int) error {
 	sp = tr.Start("constinfer", "constrain.globals")
 	a.analyzeGlobalInits()
 	sp.End()
-	return nil
 }
+
+// Walking names the function whose body the Constrain stage was walking
+// when a panic escaped it; it is empty when the stage returned normally
+// or the panic came from outside a body.
+func (a *Analysis) Walking() string { return a.walking }
 
 // analyzeGlobalInits relates global initializers after the FDG traversal
 // (Section 4.3: "After we reach the root node of the FDG, we analyze any
@@ -908,27 +881,11 @@ func (a *Analysis) registerPositions(fi *funcInfo) {
 // signature otherwise (including within its own SCC).
 func (a *Analysis) useFunc(fi *funcInfo) *RType {
 	if fi.sig == nil {
-		if a.spec != nil {
-			// Signatures are all created before workers start; a nil one
-			// means an unusual shared mutation — fall back to sequential.
-			panic(specMiss{"function used before its signature exists"})
-		}
 		// Referenced before its SCC is processed; only possible through
 		// odd declaration orders — make a monomorphic signature now.
 		a.tr.pinning = true
 		fi.sig = a.tr.RValue(fi.decl.Type)
 		a.tr.pinning = false
-	}
-	if a.spec != nil {
-		// Worker clone: schemes do not exist yet. A callee in an earlier
-		// SCC will have one by merge time, so record a symbolic
-		// instantiation to be replayed then; everything else (own SCC,
-		// library functions) uses the shared signature, exactly as the
-		// sequential path would.
-		if a.opts.Poly && fi.defined && fi.scc != a.spec.scc {
-			return a.spec.instantiate(a, fi)
-		}
-		return fi.sig
 	}
 	if fi.scheme == nil {
 		return fi.sig

@@ -38,8 +38,26 @@ func why(pos cfront.Pos, msg string) constraint.Reason {
 	return constraint.Reason{Pos: pos.String(), Msg: msg}
 }
 
+// bodyHook, when set, runs before each body walk. Only tests set it,
+// through SetBodyHookForTest.
+var bodyHook func(name string)
+
+// SetBodyHookForTest installs fn to run before the Constrain stage walks
+// each function body, named by its function, and returns a function that
+// restores the previous hook. Tests use it to make a body walk panic; it
+// must not be called while an analysis runs.
+func SetBodyHookForTest(fn func(name string)) (restore func()) {
+	prev := bodyHook
+	bodyHook = fn
+	return func() { bodyHook = prev }
+}
+
 // analyzeBody generates constraints for one function definition.
 func (a *Analysis) analyzeBody(fi *funcInfo) {
+	a.walking = fi.name
+	if bodyHook != nil {
+		bodyHook(fi.name)
+	}
 	env := newEnv(a)
 	env.fn = fi
 	for i, p := range fi.decl.Type.Params {
@@ -51,6 +69,7 @@ func (a *Analysis) analyzeBody(fi *funcInfo) {
 		env.bind(p.Name, cell)
 	}
 	a.stmt(env, fi.decl.Body)
+	a.walking = ""
 }
 
 func (a *Analysis) stmt(env *env, s cfront.Stmt) {
@@ -221,9 +240,6 @@ func (a *Analysis) exprL(env *env, e cfront.Expr) *lval {
 		}
 		// Unknown name: create an implicit pinned global so repeated
 		// uses alias.
-		if a.spec != nil {
-			panic(specMiss{"implicit global " + e.Name})
-		}
 		a.tr.pinning = true
 		lv := a.tr.newRef(a.freshLeaf("int"), cfront.Quals{})
 		a.tr.pinning = false
@@ -409,9 +425,6 @@ func (a *Analysis) exprR(env *env, e cfront.Expr) *RType {
 					// either a prelude entry annotates the arguments or
 					// the conservative rule applies (for const: pointer
 					// arguments are treated as written through).
-					if a.spec != nil {
-						panic(specMiss{"implicitly declared function " + id.Name})
-					}
 					fi := &funcInfo{
 						name: id.Name,
 						decl: &cfront.FuncDecl{
@@ -420,7 +433,7 @@ func (a *Analysis) exprR(env *env, e cfront.Expr) *RType {
 								Ret: cfront.NewPrim(cfront.TInt, "int"), Variadic: true},
 							Pos: id.Pos,
 						},
-						scc: -1, ord: -1,
+						scc: -1,
 					}
 					a.funcs[id.Name] = fi
 					a.makeLibSignature(fi)

@@ -103,18 +103,6 @@ type translator struct {
 	pinned map[constraint.Var]bool
 	// pinning is enabled while translating struct fields and globals.
 	pinning bool
-
-	// Speculative worker forks (see parallel.go) share the parent's
-	// structVals read-only and record their own pins in pinned, with the
-	// parent's frozen set available through basePinned.
-	basePinned  map[constraint.Var]bool
-	speculative bool
-}
-
-// isPinned reports whether v is pinned in this translator or (for worker
-// forks) in the parent it was forked from.
-func (tr *translator) isPinned(v constraint.Var) bool {
-	return tr.pinned[v] || tr.basePinned[v]
 }
 
 func newTranslator(sys *constraint.System, suite *analysis.Suite) *translator {
@@ -198,11 +186,6 @@ func (tr *translator) structVal(st *cfront.StructType) *RType {
 	if v, ok := tr.structVals[st]; ok {
 		return v
 	}
-	if tr.speculative {
-		// First use of this struct type is inside a body: the shared
-		// value must be created by the sequential path.
-		panic(specMiss{"struct type first used inside a body"})
-	}
 	savedPinning := tr.pinning
 	tr.pinning = true
 	v := &RType{Kind: RStruct, Q: tr.freshQ(), Struct: st, Fields: make(map[string]*RType)}
@@ -225,10 +208,6 @@ func (tr *translator) fieldLValue(f cfront.Field) *RType {
 func (tr *translator) Field(sv *RType, name string) (*RType, bool) {
 	if f, ok := sv.Fields[name]; ok {
 		return f, true
-	}
-	if tr.speculative {
-		// Completing the shared field map mutates state every body sees.
-		panic(specMiss{"late-completed struct field"})
 	}
 	// The definition may have been completed after sv was created.
 	for _, f := range sv.Struct.Fields {

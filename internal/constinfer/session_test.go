@@ -18,9 +18,7 @@ func analyzeThroughSession(t *testing.T, ss *constraint.Session, src string, opt
 	}
 	a := NewAnalysis([]*cfront.File{f}, opts)
 	a.Prepare()
-	if err := a.Constrain(1); err != nil {
-		t.Fatal(err)
-	}
+	a.Constrain()
 	return a.Classify(a.SolveSession(context.Background(), ss))
 }
 

@@ -1,6 +1,7 @@
 package constinfer
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -134,7 +135,8 @@ void set(char *p) { *p = 0; }
 }
 
 // TestTaintJobsDeterminism: conflict reports, including the extracted
-// flow paths, are byte-identical for every worker count.
+// flow paths, are byte-identical across fresh analyses for every value
+// of ConstrainContext's jobs argument, which has no effect.
 func TestTaintJobsDeterminism(t *testing.T) {
 	f, err := cfront.Parse("t.c", taintDemo)
 	if err != nil {
@@ -143,9 +145,7 @@ func TestTaintJobsDeterminism(t *testing.T) {
 	render := func(jobs int) string {
 		a := NewAnalysis([]*cfront.File{f}, Options{Suite: taintSuite(t, "const", "taint")})
 		a.Prepare()
-		if err := a.Constrain(jobs); err != nil {
-			t.Fatal(err)
-		}
+		a.ConstrainContext(context.Background(), jobs)
 		var b strings.Builder
 		for _, u := range a.SolveSystem() {
 			b.WriteString(u.Explain(a.Set()))

@@ -215,24 +215,6 @@ func NewSystem(set *qual.Set) *System {
 	return &System{set: set}
 }
 
-// NewSystemAt creates an empty constraint system whose first fresh
-// variable is Var(first). It is used by parallel constraint generation:
-// each worker allocates variables in a disjoint high range so that its
-// constraints can be renumbered into a shared system deterministically at
-// merge time. Solve must not be called on an offset system (the solution
-// arrays are indexed densely from zero).
-func NewSystemAt(set *qual.Set, first int) *System {
-	return &System{set: set, n: first}
-}
-
-// Reset empties the system for reuse, as if built by NewSystemAt(set,
-// first), but keeps the constraint buffer's capacity. Slices returned by
-// Constraints before the reset share that buffer and must not be read
-// afterwards.
-func (s *System) Reset(first int) {
-	*s = System{set: s.set, n: first, cons: s.cons[:0]}
-}
-
 // Set returns the qualifier set the system is defined over.
 func (s *System) Set() *qual.Set { return s.set }
 
@@ -625,7 +607,7 @@ func (s *System) SolveContext(ctx context.Context) []*Unsat {
 	// sink constraints once per call site, and a declaration-level seed
 	// reaches every copy. Conflicts whose origin reason, sink reason and
 	// offending bits all coincide are reported once, keeping the first in
-	// constraint order (which is deterministic across worker counts).
+	// constraint order.
 	// Violations can only involve the flattened constant-bound entries
 	// (a dropped entry bounds nothing) or an always-violated constant
 	// pair, so only those are checked — the wide constraint records are
@@ -723,9 +705,8 @@ func (s *System) valueLower(t Term) qual.Elem {
 // carries the bits to v; ties break towards the earliest constraints in
 // insertion order (the frontier grows in discovery order and incoming
 // lists are scanned in insertion order). Insertion order is itself
-// deterministic for any worker count — parallel generation renumbers
-// worker fragments into fixed merge slots — so the extracted trace is
-// byte-identical across -jobs values.
+// deterministic — constraint generation walks bodies in SCC order — so
+// the extracted trace is byte-identical from run to run.
 func (s *System) blame(v Var, bad qual.Elem, incoming *incomingCSR) []Constraint {
 	type node struct {
 		v    Var

@@ -7,9 +7,7 @@
 // The stages have explicit inputs and outputs, every stage is timed
 // (Timings), and everything the pipeline can say about a program is
 // expressed as a Diagnostic. The Parse stage parses files concurrently;
-// the Constrain stage generates per-function constraints on a
-// GOMAXPROCS-bounded worker pool with a deterministic merge, so results
-// are byte-identical for every worker count (see constinfer/parallel.go).
+// every later stage runs on the caller's goroutine.
 package driver
 
 import (
@@ -35,8 +33,8 @@ type Config struct {
 	Lang string
 	// Options is the inference mode (mono/poly/polyrec/simplify).
 	Options constinfer.Options
-	// Jobs bounds the constraint-generation worker pool; 0 means
-	// GOMAXPROCS. Results are identical for every value.
+	// Jobs has no effect: constraint generation is sequential. Kept for
+	// bench/replay.go, removed with the next benchmark change.
 	Jobs int
 	// SolveJobs has no effect: the solve is sequential. Kept for
 	// bench/replay.go, removed with the next benchmark change.
@@ -314,7 +312,7 @@ func runAnalysis(ctx context.Context, cfg Config, res *Result) error {
 
 	sp = tr.Start("driver", "driver.constrain")
 	start = time.Now()
-	err = a.ConstrainContext(ctx, cfg.Jobs)
+	err = constrain(ctx, a)
 	res.Timings.Constrain = time.Since(start)
 	sp.End()
 	if err != nil {
@@ -361,6 +359,25 @@ func runAnalysis(ctx context.Context, cfg Config, res *Result) error {
 	}
 	res.Timings.Report += time.Since(start)
 	sp.End()
+	return nil
+}
+
+// constrain runs the Constrain stage. It is the stage's one panic
+// boundary: an engine panic, from any mode or front end, fails the stage
+// with an error instead of killing the process, naming the function
+// whose body was being walked when the engine reports it (the C engine's
+// Walking).
+func constrain(ctx context.Context, a Engine) (err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			where := ""
+			if w, ok := a.(interface{ Walking() string }); ok && w.Walking() != "" {
+				where = " in function " + w.Walking()
+			}
+			err = fmt.Errorf("constrain: internal error%s: %v", where, p)
+		}
+	}()
+	a.ConstrainContext(ctx, 0)
 	return nil
 }
 

@@ -106,24 +106,24 @@ func TestRunRecoversCParsePanic(t *testing.T) {
 	}
 }
 
-// TestRunRecoversConstrainPanic: a panic while a constraint worker
-// walks a body must not kill the process, at any pool size. The
-// Constrain stage fails with an error naming the stage and the
-// function, and the next run is unaffected.
+// TestRunRecoversConstrainPanic: a panic while the Constrain stage walks
+// a body must not kill the process, in any mode. The stage fails with an
+// error naming the stage and the function, and the next run is
+// unaffected.
 func TestRunRecoversConstrainPanic(t *testing.T) {
 	defer constinfer.SetBodyHookForTest(func(name string) {
 		if name == "set" {
 			panic("index out of range")
 		}
 	})()
-	for _, jobs := range []int{1, 2} {
-		res, err := Run(Config{Jobs: jobs}, []Source{TextSource("demo.c", demo)})
+	for _, opts := range []constinfer.Options{{}, {Poly: true}, {Poly: true, PolyRec: true}} {
+		res, err := Run(Config{Options: opts}, []Source{TextSource("demo.c", demo)})
 		want := "constrain: internal error in function set: index out of range"
 		if err == nil || err.Error() != want {
-			t.Errorf("jobs %d: err = %v, want %q", jobs, err, want)
+			t.Errorf("opts %+v: err = %v, want %q", opts, err, want)
 		}
 		if res != nil {
-			t.Errorf("jobs %d: got a result despite the panic", jobs)
+			t.Errorf("opts %+v: got a result despite the panic", opts)
 		}
 	}
 	if res, err := Run(Config{}, []Source{TextSource("ok.c", "int f(int *p) { return *p; }")}); err != nil || res.Report == nil {
@@ -177,7 +177,8 @@ func TestRunUninitWarnings(t *testing.T) {
 }
 
 // TestRunDeterministicAcrossJobs: the per-position classification and the
-// whole JSON report are identical for every worker-pool size.
+// whole JSON report are identical across fresh runs for every Jobs value,
+// which has no effect.
 func TestRunDeterministicAcrossJobs(t *testing.T) {
 	srcs := []Source{TextSource("demo.c", demo)}
 	for _, opts := range []constinfer.Options{{}, {Poly: true, Simplify: true}} {

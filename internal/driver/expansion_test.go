@@ -124,7 +124,8 @@ func TestRunFourAnalysesSinglePass(t *testing.T) {
 }
 
 // TestRunFourAnalysesJobsDeterminism: the combined pass renders
-// byte-identically at every worker count, flow traces included.
+// byte-identically across fresh runs, flow traces included, for every
+// Jobs value, which has no effect.
 func TestRunFourAnalysesJobsDeterminism(t *testing.T) {
 	render := func(jobs int) string {
 		res, err := Run(expansionConfig(jobs), []Source{TextSource("demo.c", expansionDemo)})

@@ -77,9 +77,10 @@ type Program interface {
 // the next benchmark change.
 type Engine interface {
 	Prepare()
-	// ConstrainContext fails only on an internal error, such as a
-	// panic in a constraint worker.
-	ConstrainContext(ctx context.Context, jobs int) error
+	// ConstrainContext generates the constraint system. jobs has no
+	// effect; it is kept for bench/replay.go, removed with the next
+	// benchmark change. A panic inside it is the driver's to recover.
+	ConstrainContext(ctx context.Context, jobs int)
 	SolveSystemContext(ctx context.Context) []*constraint.Unsat
 	SolveSession(ctx context.Context, ss *constraint.Session) []*constraint.Unsat
 	SolveStats() constraint.SolveStats

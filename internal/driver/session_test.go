@@ -69,7 +69,7 @@ func checkSessionMatchesCold(t *testing.T, cfg Config, path string, rounds []str
 }
 
 func TestSessionRunDeltaMatchesCold(t *testing.T) {
-	checkSessionMatchesCold(t, Config{Jobs: 1}, "t.c", []string{sessProgV1, sessProgV2, sessProgV1})
+	checkSessionMatchesCold(t, Config{}, "t.c", []string{sessProgV1, sessProgV2, sessProgV1})
 }
 
 // TestSessionRunDeltaTrailingEditHits: an edit to the trailing function
@@ -77,7 +77,7 @@ func TestSessionRunDeltaMatchesCold(t *testing.T) {
 // Delta, the report has no solver.delta block, and it equals the cold
 // report once timings are removed.
 func TestSessionRunDeltaTrailingEditHits(t *testing.T) {
-	cfg := Config{Jobs: 1}
+	cfg := Config{}
 	sess := NewSession(cfg)
 	ctx := context.Background()
 	if _, err := sess.RunDelta(ctx, []Source{TextSource("t.c", sessProgV1)}); err != nil {
@@ -123,5 +123,5 @@ func TestSessionRunDeltaTrailingEditHits(t *testing.T) {
 // TestSessionRunDeltaFrontEndError: a parse failure in the middle of a
 // session changes nothing about the runs around it.
 func TestSessionRunDeltaFrontEndError(t *testing.T) {
-	checkSessionMatchesCold(t, Config{Jobs: 1}, "t.c", []string{sessProgV1, "void broken( {", sessProgV2})
+	checkSessionMatchesCold(t, Config{}, "t.c", []string{sessProgV1, "void broken( {", sessProgV2})
 }

@@ -148,7 +148,8 @@ func TestRunNoPreludeWarning(t *testing.T) {
 }
 
 // TestRunTaintDeterministicAcrossJobs: the rendered diagnostics — hop
-// sequence included — are identical for Jobs 1, 4, and 8.
+// sequence included — are identical across fresh runs with Jobs 1, 4 and
+// 8, which have no effect.
 func TestRunTaintDeterministicAcrossJobs(t *testing.T) {
 	render := func(jobs int) string {
 		cfg := taintConfig()

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"flag"
+	"os"
 	"testing"
 	"time"
 
@@ -11,9 +13,10 @@ import (
 	"repro/internal/obs"
 )
 
-// traceDemo has several functions across two components so the
-// constraint pool has real work and the merge loop emits one
-// constrain.func span per body.
+var update = flag.Bool("update", false, "rewrite testdata/trace.golden")
+
+// traceDemo has several functions across two components, so the
+// Constrain stage emits one constrain.func span per body.
 const traceDemo = `
 int id(int *p) { return *p; }
 int twice(int *p) { return id(p) + id(p); }
@@ -44,16 +47,26 @@ func runTraced(t *testing.T, jobs int) []byte {
 	return buf.Bytes()
 }
 
-// TestTraceGoldenAcrossJobs is the determinism acceptance check: spans
-// are recorded only from the sequential spine (stage boundaries, the
-// SCC-ordered merge loop, the solver's class loop), so with a monotonic
-// fake clock the exported trace is byte-identical for every pool size.
+// TestTraceGoldenAcrossJobs is the trace acceptance check: spans are
+// recorded only on the caller's goroutine, so with a monotonic fake clock
+// the exported trace equals testdata/trace.golden byte for byte, for
+// every Jobs value (which has no effect). Run with -update to rewrite
+// the golden.
 func TestTraceGoldenAcrossJobs(t *testing.T) {
-	golden := runTraced(t, 1)
-	for _, jobs := range []int{2, 4, 8} {
+	const path = "testdata/trace.golden"
+	if *update {
+		if err := os.WriteFile(path, runTraced(t, 0), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	golden, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, jobs := range []int{0, 1, 4} {
 		if got := runTraced(t, jobs); !bytes.Equal(got, golden) {
-			t.Errorf("trace for jobs=%d differs from jobs=1:\n jobs=1: %s\n jobs=%d: %s",
-				jobs, golden, jobs, got)
+			t.Errorf("trace for jobs=%d differs from %s:\n got:  %s\n want: %s", jobs, path, got, golden)
 		}
 	}
 }
@@ -71,7 +84,7 @@ func TestTraceCoversPipeline(t *testing.T) {
 			Args map[string]any `json:"args"`
 		} `json:"traceEvents"`
 	}
-	if err := json.Unmarshal(runTraced(t, 4), &doc); err != nil {
+	if err := json.Unmarshal(runTraced(t, 0), &doc); err != nil {
 		t.Fatalf("trace is not valid JSON: %v", err)
 	}
 	count := map[string]int{}
@@ -99,9 +112,6 @@ func TestTraceCoversPipeline(t *testing.T) {
 		if e.Name == "constrain.func" {
 			if _, ok := e.Args["func"].(string); !ok {
 				t.Errorf("constrain.func span missing func attr: %v", e.Args)
-			}
-			if src := e.Args["src"]; src != "pool" && src != "seq" {
-				t.Errorf("constrain.func span src attr = %v, want pool or seq: %v", src, e.Args)
 			}
 		}
 	}

@@ -9,8 +9,8 @@ package gofront
 // Constraint generation is strictly sequential and iterates only over
 // slices built in source order (packages sorted by import path, files
 // in load order, declarations in file order); the object-keyed maps are
-// lookup-only. Output is therefore byte-identical for every -jobs value
-// by construction — the jobs knob is accepted and ignored.
+// lookup-only. Output is therefore byte-identical from run to run by
+// construction.
 
 import (
 	"context"
@@ -256,28 +256,25 @@ func preludeName(obj *types.Func) string {
 }
 
 // ConstrainContext is the Constrain stage: every defined function's
-// body, then the global initializers. jobs is accepted for
-// interface parity and ignored — generation is sequential, so every
-// jobs value trivially produces identical output. It returns no error:
-// there is no worker pool, and cancellation is the driver's to report.
-func (e *engine) ConstrainContext(ctx context.Context, jobs int) error {
+// body, then the global initializers. The int argument (driver.Engine's
+// jobs) has no effect. Cancellation is the driver's to report.
+func (e *engine) ConstrainContext(ctx context.Context, _ int) {
 	if e.constrained {
-		return nil
+		return
 	}
 	e.constrained = true
 	for _, fi := range e.funcs {
 		if ctx.Err() != nil {
-			return nil
+			return
 		}
 		e.analyzeBody(fi)
 	}
 	if ctx.Err() != nil {
-		return nil
+		return
 	}
 	for _, gv := range e.globalVars {
 		e.constrainGlobal(gv)
 	}
-	return nil
 }
 
 // SolveSystemContext is the cold Solve stage.

@@ -24,7 +24,7 @@
 //
 // Constraint generation is sequential and iterates in source order
 // (packages sorted by import path, files in load order, declarations in
-// file order), so output is byte-identical for every -jobs value by
+// file order), so output is byte-identical from run to run by
 // construction. The engine is monomorphic: -poly/-polyrec are rejected.
 package gofront
 

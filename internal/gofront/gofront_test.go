@@ -214,9 +214,9 @@ func loadPrelude(t *testing.T, path string) driver.PreludeFile {
 	return driver.PreludeFile{Path: path, Text: string(text)}
 }
 
-// TestGoJobsDeterminism pins byte-identical output at every worker
-// count: the Go engine generates constraints sequentially in source
-// order, so the report must not depend on -jobs.
+// TestGoJobsDeterminism pins byte-identical output across fresh runs for
+// every driver.Config.Jobs value, which has no effect: the Go engine
+// generates constraints sequentially in source order.
 func TestGoJobsDeterminism(t *testing.T) {
 	files := map[string]string{
 		"a/a.go": `package a
@@ -288,7 +288,7 @@ func FuzzGoFront(f *testing.F) {
 		if len(src) > 1<<16 {
 			t.Skip("oversized input")
 		}
-		res, err := driver.Run(driver.Config{Lang: "go", Jobs: 1},
+		res, err := driver.Run(driver.Config{Lang: "go"},
 			[]driver.Source{driver.TextSource("fuzz.go", src)})
 		if err != nil {
 			t.Fatal(err)

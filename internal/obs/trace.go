@@ -7,17 +7,14 @@
 // every layer — driver, constinfer, constraint, cache, server — can
 // import them without cycles.
 //
-// Determinism. The pipeline guarantees byte-identical analysis output
-// for every worker-pool size; traces inherit the same property by
-// construction. Spans are only ever started and ended from the
-// deterministic sequential spine of the pipeline (stage boundaries, the
-// SCC-ordered merge loop, the mask-class loop of the solver) — never
-// from pool workers, whose scheduling is not deterministic. With an
-// injected fake clock the entire clock-call sequence is therefore
-// identical for every -jobs value, and the exported trace is
-// byte-identical too (see the driver's golden test). This mirrors how
-// constraint fragments themselves are made deterministic: the work may
-// be parallel, the observation points are not.
+// Determinism. Spans are only ever started and ended on the caller's
+// goroutine, along the deterministic sequential spine of the pipeline
+// (stage boundaries, the SCC-ordered body walk, the mask-class loop of
+// the solver) — never from the concurrent parse fan-out, whose
+// scheduling is not deterministic. With an injected fake clock the
+// entire clock-call sequence is therefore identical from run to run, and
+// the exported trace is byte-identical too (see the driver's golden
+// test).
 package obs
 
 import (

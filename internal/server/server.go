@@ -45,8 +45,7 @@
 // a mutex, and only for service-level events, never per constraint.
 //
 // A concurrency limiter bounds simultaneous analyses so N clients share
-// the constraint-generation worker pool instead of oversubscribing it;
-// each request runs under a deadline enforced at pipeline stage
+// the CPUs instead of oversubscribing them; each request runs under a deadline enforced at pipeline stage
 // boundaries. Graceful shutdown is the http.Server.Shutdown of the
 // enclosing daemon (cmd/cquald): the listener closes, in-flight requests
 // drain.
@@ -75,12 +74,9 @@ import (
 	"repro/internal/obs"
 )
 
-// Config sizes the server: worker pool, concurrency limit, deadlines,
-// and cache bounds. Zero values select the documented defaults.
+// Config sizes the server: concurrency limit, deadlines, and cache
+// bounds. Zero values select the documented defaults.
 type Config struct {
-	// Jobs is the constraint-generation pool size per analysis
-	// (0 = GOMAXPROCS); requests may lower it per call but not raise it.
-	Jobs int
 	// MaxConcurrent bounds simultaneous analyses (0 = GOMAXPROCS).
 	MaxConcurrent int
 	// RequestTimeout is the per-request deadline including queue time
@@ -466,9 +462,6 @@ type AnalyzeRequest struct {
 	PolyRec  bool `json:"polyrec,omitempty"`
 	Simplify bool `json:"simplify,omitempty"`
 	Uninit   bool `json:"uninit,omitempty"`
-	// Jobs bounds the constraint-generation pool for this request
-	// (0 = server default). Results are identical for every value.
-	Jobs int `json:"jobs,omitempty"`
 	// Analyses names the registered qualifier analyses to run together
 	// (empty = const). Unknown names are rejected with 400.
 	Analyses []string `json:"analyses,omitempty"`
@@ -552,14 +545,6 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, "no sources")
 		return
 	}
-	if req.Jobs < 0 {
-		s.fail(w, http.StatusBadRequest, "jobs must be >= 0, got %d", req.Jobs)
-		return
-	}
-	jobs := req.Jobs
-	if jobs == 0 || (s.cfg.Jobs > 0 && jobs > s.cfg.Jobs) {
-		jobs = s.cfg.Jobs
-	}
 	sources := make([]driver.Source, len(req.Sources))
 	for i, src := range req.Sources {
 		if src.Path == "" {
@@ -597,7 +582,6 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 			PolyRec:  req.PolyRec,
 			Simplify: req.Simplify,
 		},
-		Jobs:     jobs,
 		Uninit:   req.Uninit,
 		Analyses: req.Analyses,
 		Preludes: preludes,
@@ -633,7 +617,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		defer cancel()
 	}
 
-	// The limiter shares the worker pool across clients; the deadline
+	// The limiter shares the CPUs across clients; the deadline
 	// covers queue time, so a saturated server sheds load instead of
 	// stacking it.
 	select {
@@ -874,8 +858,6 @@ type WorkerIntrospect struct {
 	Running int `json:"running"`
 	// MaxConcurrent is the limiter capacity.
 	MaxConcurrent int `json:"max_concurrent"`
-	// Jobs is the server's per-analysis constraint-generation pool bound.
-	Jobs int `json:"jobs"`
 }
 
 // CacheIntrospect groups the two cache stat blocks.
@@ -941,7 +923,6 @@ func (s *Server) handleIntrospect(w http.ResponseWriter, r *http.Request) {
 			InFlight:      s.inFlight.Load(),
 			Running:       len(s.sem),
 			MaxConcurrent: s.cfg.MaxConcurrent,
-			Jobs:          s.cfg.Jobs,
 		},
 		Caches: CacheIntrospect{
 			Result:  s.results.Stats(),

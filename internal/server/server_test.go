@@ -118,7 +118,7 @@ func TestAnalyzeBadRequests(t *testing.T) {
 	}{
 		{"empty", `{}`, 400, ""},
 		{"no sources", `{"sources":[]}`, 400, ""},
-		{"negative jobs", `{"sources":[{"path":"a.c","text":"int x;"}],"jobs":-1}`, 400, ""},
+		{"retired jobs", `{"sources":[{"path":"a.c","text":"int x;"}],"jobs":1}`, 400, `"jobs"`},
 		{"retired solve_jobs", `{"sources":[{"path":"a.c","text":"int x;"}],"solve_jobs":4}`, 400, `"solve_jobs"`},
 		{"missing path", `{"sources":[{"text":"int x;"}]}`, 400, ""},
 		{"missing text", `{"sources":[{"path":"a.c"}]}`, 400, ""},
@@ -150,10 +150,18 @@ func TestAnalyzeBadRequests(t *testing.T) {
 }
 
 // TestAnalyzeSolveJobsAccepted pins how the retired solve_jobs field is
-// handled: a body carrying it is a 400 that names the field, and the
-// rejected request leaves the result-cache entry of the same sources
-// without the field untouched.
-func TestAnalyzeSolveJobsAccepted(t *testing.T) {
+// handled (see checkRetiredField).
+func TestAnalyzeSolveJobsAccepted(t *testing.T) { checkRetiredField(t, "solve_jobs", 4) }
+
+// TestAnalyzeJobsRejected pins the same for the retired jobs field: the
+// constraint-generation pool it sized is gone.
+func TestAnalyzeJobsRejected(t *testing.T) { checkRetiredField(t, "jobs", 1) }
+
+// checkRetiredField: a body carrying the retired field is a 400 that
+// names the field, and the rejected request leaves the result-cache
+// entry of the same sources without the field untouched.
+func checkRetiredField(t *testing.T, field string, value int) {
+	t.Helper()
 	ts := httptest.NewServer(New(Config{}))
 	defer ts.Close()
 
@@ -163,13 +171,13 @@ func TestAnalyzeSolveJobsAccepted(t *testing.T) {
 	if r1.StatusCode != 200 {
 		t.Fatalf("plain request: status %d (%s)", r1.StatusCode, d1)
 	}
-	r2, d2 := postAnalyze(t, ts, fmt.Sprintf(`{"sources":%s,"solve_jobs":4}`, srcs))
+	r2, d2 := postAnalyze(t, ts, fmt.Sprintf(`{"sources":%s,%q:%d}`, srcs, field, value))
 	if r2.StatusCode != 400 {
-		t.Fatalf("solve_jobs 4: status %d; want 400 (%s)", r2.StatusCode, d2)
+		t.Fatalf("%s %d: status %d; want 400 (%s)", field, value, r2.StatusCode, d2)
 	}
 	var e errorJSON
-	if err := json.Unmarshal(d2, &e); err != nil || !strings.Contains(e.Error, `"solve_jobs"`) {
-		t.Fatalf("solve_jobs 4: error body %q does not name \"solve_jobs\"", d2)
+	if err := json.Unmarshal(d2, &e); err != nil || !strings.Contains(e.Error, `"`+field+`"`) {
+		t.Fatalf("%s %d: error body %q does not name %q", field, value, d2, field)
 	}
 	r3, d3 := postAnalyze(t, ts, plain)
 	if r3.StatusCode != 200 {
@@ -183,28 +191,7 @@ func TestAnalyzeSolveJobsAccepted(t *testing.T) {
 	}
 }
 
-// TestAnalyzeJobsSharesCacheEntry: reports are byte-identical for every
-// pool size, so a request differing from a cached one only in jobs is a
-// result-cache hit.
-func TestAnalyzeJobsSharesCacheEntry(t *testing.T) {
-	ts := httptest.NewServer(New(Config{}))
-	defer ts.Close()
-
-	srcs, _ := json.Marshal([]SourceJSON{{Path: "prog.c", Text: prog}})
-	r1, d1 := postAnalyze(t, ts, fmt.Sprintf(`{"sources":%s,"jobs":1}`, srcs))
-	if r1.StatusCode != 200 || r1.Header.Get("X-Cache") != "miss" {
-		t.Fatalf("jobs 1: status %d, X-Cache %q; want 200 miss (%s)", r1.StatusCode, r1.Header.Get("X-Cache"), d1)
-	}
-	r2, d2 := postAnalyze(t, ts, fmt.Sprintf(`{"sources":%s,"jobs":2}`, srcs))
-	if r2.StatusCode != 200 || r2.Header.Get("X-Cache") != "hit" {
-		t.Fatalf("jobs 2: status %d, X-Cache %q; want 200 hit (%s)", r2.StatusCode, r2.Header.Get("X-Cache"), d2)
-	}
-	if !bytes.Equal(d1, d2) {
-		t.Errorf("jobs 2 report differs from jobs 1:\n%s\n---\n%s", d1, d2)
-	}
-}
-
-// TestAnalyzeConstrainPanic: a panic in a constraint worker fails the
+// TestAnalyzeConstrainPanic: a panic in a body walk fails the
 // request with a 500 naming the stage and the function, the server
 // keeps serving, and the flight recorder retains the failed request's
 // trace for the error reason.
@@ -214,7 +201,7 @@ func TestAnalyzeConstrainPanic(t *testing.T) {
 			panic("boom")
 		}
 	})()
-	ts := httptest.NewServer(New(Config{Jobs: 2}))
+	ts := httptest.NewServer(New(Config{}))
 	defer ts.Close()
 
 	r1, d1 := postAnalyze(t, ts, analyzeBody(map[string]string{"prog.c": prog}))

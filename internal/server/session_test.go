@@ -54,7 +54,7 @@ func metricsSnapshot(t *testing.T, ts *httptest.Server) Metrics {
 // sessionless run of the same sources byte for byte once the timings
 // are removed, and session traffic must stay out of the result cache.
 func TestAnalyzeSession(t *testing.T) {
-	ts := httptest.NewServer(New(Config{Jobs: 1}))
+	ts := httptest.NewServer(New(Config{}))
 	defer ts.Close()
 
 	rounds := []string{sessV1, sessV2, sessBroken, sessV1}
@@ -111,7 +111,7 @@ func TestAnalyzeSession(t *testing.T) {
 // never share a session, and the same id under a different mode is a
 // different session.
 func TestAnalyzeSessionIsolation(t *testing.T) {
-	ts := httptest.NewServer(New(Config{Jobs: 1}))
+	ts := httptest.NewServer(New(Config{}))
 	defer ts.Close()
 
 	poly, _ := json.Marshal(AnalyzeRequest{
@@ -136,7 +136,7 @@ func TestAnalyzeSessionIsolation(t *testing.T) {
 // TestSessionEviction checks the LRU bound: with room for one session,
 // alternating corpora create a fresh session every time.
 func TestSessionEviction(t *testing.T) {
-	ts := httptest.NewServer(New(Config{Jobs: 1, SessionEntries: 1}))
+	ts := httptest.NewServer(New(Config{SessionEntries: 1}))
 	defer ts.Close()
 
 	for _, corpus := range []string{"a", "b", "a"} {
