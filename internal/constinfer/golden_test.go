@@ -4,6 +4,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -151,6 +152,69 @@ func TestConstraintsGolden(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestConstrainDeterministic: the staged pipeline produces an identical
+// constraint system, classification, and scheme set on every fresh run
+// over the corpus, in every mode.
+func TestConstrainDeterministic(t *testing.T) {
+	corpus := loadCorpus(t)
+	var order []string
+	for name := range corpus {
+		order = append(order, name)
+	}
+	sort.Strings(order)
+	var files []*cfront.File
+	for _, name := range order {
+		files = append(files, corpus[name])
+	}
+
+	modes := []Options{
+		{},
+		{Poly: true},
+		{Poly: true, Simplify: true},
+	}
+	for mi, opts := range modes {
+		t.Run(fmt.Sprintf("mode%d", mi), func(t *testing.T) {
+			want := snapshot(runStaged(t, files, opts))
+			for run := 1; run <= 3; run++ {
+				got := snapshot(runStaged(t, files, opts))
+				for i := range max(len(got), len(want)) {
+					if lineOr(got, i) != lineOr(want, i) {
+						t.Fatalf("run %d diverges at line %d:\n first: %s\n run %d: %s",
+							run, i, lineOr(want, i), run, lineOr(got, i))
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestConstrainSpeculationMisses: bodies that mutate shared state
+// (implicit globals, implicit declarations, struct types first reached
+// inside a body) produce the same system on every run, and the struct
+// parameters that are only read stay constable.
+func TestConstrainSpeculationMisses(t *testing.T) {
+	f, err := cfront.Parse("spec.c", sharedStateSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, opts := range []Options{{}, {Poly: true, Simplify: true}} {
+		a, rep := runStaged(t, []*cfront.File{f}, opts)
+		want := snapshot(a, rep)
+		got := snapshot(runStaged(t, []*cfront.File{f}, opts))
+		if !reflect.DeepEqual(want, got) {
+			t.Fatalf("opts %+v: second run diverges from the first", opts)
+		}
+		if rep.Inferred != 2 || len(rep.Conflicts) != 0 {
+			t.Errorf("opts %+v: inferred=%d conflicts=%d, want 2 and 0", opts, rep.Inferred, len(rep.Conflicts))
+		}
+		for _, fn := range []string{"touch_struct", "driver"} {
+			if p := find(t, rep, fn, "l", 0); p.Verdict != Either {
+				t.Errorf("opts %+v: %s l = %v, want either", opts, fn, p.Verdict)
+			}
+		}
 	}
 }
 
