@@ -55,12 +55,12 @@
 // With -watch DIR the daemon serves no HTTP at all: it walks DIR
 // recursively for the active front end's source files (.c by default,
 // .go with -lang go; stdlib mtime/size polling, -watch-interval apart)
-// and re-runs the analysis through one retained session whenever a
-// file appears, changes, or disappears, printing conflict diagnostics
-// with their flow paths plus a per-run summary to stdout. The
-// mode flags (-lang, -poly, -polyrec, -simplify, -uninit, -analysis,
-// -prelude) mirror cqual and apply only to -watch, which fixes the
-// configuration for the session's lifetime.
+// and re-runs the whole pipeline over the tree whenever a file
+// appears, changes, or disappears, printing conflict diagnostics with
+// their flow paths plus a per-run summary to stdout. The mode flags
+// (-lang, -poly, -polyrec, -simplify, -uninit, -analysis, -prelude)
+// mirror cqual and apply only to -watch, which fixes the configuration
+// for the process's lifetime.
 package main
 
 import (
@@ -97,7 +97,7 @@ func main() {
 	retainSample := flag.Int("retain-sample", 0, "retain one trace in every n requests as a baseline sample (0 = 64, negative disables)")
 	sloFlag := flag.String("slo", "", `per-endpoint latency objectives as "endpoint=objective,..." (e.g. "analyze=250ms,metrics=50ms"; default analyze=250ms)`)
 	sloTarget := flag.Float64("slo-target", 0, "SLO success-fraction objective shared by all endpoints (0 = 0.99)")
-	watch := flag.String("watch", "", "watch this directory of source files instead of serving HTTP; re-analyze on change through a retained session")
+	watch := flag.String("watch", "", "watch this directory of source files instead of serving HTTP; re-analyze the whole tree on change")
 	watchInterval := flag.Duration("watch-interval", 500*time.Millisecond, "poll interval for -watch")
 	lang := flag.String("lang", "", "with -watch: source language of the watched files (c, go; default c)")
 	poly := flag.Bool("poly", false, "with -watch: polymorphic qualifier inference")

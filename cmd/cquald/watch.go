@@ -3,10 +3,10 @@ package main
 // -watch mode: instead of serving HTTP, the daemon walks a directory
 // tree for the active front end's source files (stdlib only —
 // filepath.WalkDir plus mtime/size stamps, no platform notification
-// APIs) and re-analyzes through one driver.Session whenever a file
-// appears, changes, or disappears. Each run prints the conflict
-// diagnostics with their step-by-step flow paths and a one-line size
-// and solve-time summary.
+// APIs) and runs the pipeline (driver.RunContext) over the whole tree
+// whenever a file appears, changes, or disappears. Each run prints the
+// conflict diagnostics with their step-by-step flow paths and a
+// one-line size and solve-time summary.
 
 import (
 	"context"
@@ -24,7 +24,6 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/constinfer"
 	"repro/internal/driver"
-	"repro/internal/obs"
 )
 
 // watchOptions carries the cqual-style mode flags into watch mode.
@@ -35,7 +34,7 @@ type watchOptions struct {
 	preludes                        string // comma-separated file paths
 }
 
-// runWatchMode validates the flags, builds the fixed session config, and
+// runWatchMode validates the flags, builds the fixed run config, and
 // runs the poll loop until SIGINT/SIGTERM. Returns the process exit
 // status.
 func runWatchMode(dir string, interval time.Duration, opts watchOptions) int {
@@ -100,16 +99,15 @@ func runWatchMode(dir string, interval time.Duration, opts watchOptions) int {
 	fmt.Printf("cquald: watching %s every %v (lang %s, mode %s)\n", dir, interval, fe.Lang(), cfg.Mode())
 	w := newWatcher(dir, cfg, os.Stdout)
 	w.exts = fe.Extensions()
-	// Watch mode serves no HTTP, so the journal's mirror is its only
-	// outlet: every re-analysis event becomes a structured slog line on
-	// stderr, keeping stdout reserved for the human report.
-	w.journal.SetMirror(slog.New(slog.NewTextHandler(os.Stderr, nil)))
+	// Every re-analysis becomes a structured slog line on stderr,
+	// keeping stdout reserved for the human report.
+	w.log = slog.New(slog.NewTextHandler(os.Stderr, nil))
 	if err := w.run(ctx, interval); err != nil {
 		fmt.Fprintln(os.Stderr, "cquald: watch:", err)
 		return 1
 	}
 	fmt.Printf("cquald: watch: %d poll(s), %d re-analysis(es), %d front-end failure(s)\n",
-		w.polls.Value(), w.reanalyses.Value(), w.feFailures.Value())
+		w.polls, w.reanalyses, w.feFailures)
 	return 0
 }
 
@@ -121,43 +119,31 @@ type fileStamp struct {
 	size int64
 }
 
-// watcher polls one directory and feeds changed source sets through a
-// retained analysis session. It carries its own metrics registry and
-// event journal — watch mode serves no HTTP, so the journal's mirror
-// (structured slog lines on stderr in production) is how the events
-// get out, and the counters are read directly by tests and by the
-// shutdown summary.
+// watcher polls one directory and runs the pipeline over the changed
+// source set. Its counters feed the shutdown summary; each run also
+// logs one watch_run record.
 type watcher struct {
 	dir  string
-	sess *driver.Session
+	cfg  driver.Config
 	out  io.Writer
+	log  *slog.Logger
 	exts []string // source extensions claimed by the front end
 	seen map[string]fileStamp
 	runs int
 
-	reg        *obs.Registry
-	journal    *obs.Journal
-	polls      *obs.Counter // watch iterations (scan attempts)
-	reanalyses *obs.Counter // polls that ran the pipeline
-	feFailures *obs.Counter // runs the front end rejected
+	polls      int // watch iterations (scan attempts)
+	reanalyses int // polls that ran the pipeline
+	feFailures int // runs the front end rejected
 }
 
 func newWatcher(dir string, cfg driver.Config, out io.Writer) *watcher {
-	reg := obs.NewRegistry()
 	return &watcher{
-		dir:     dir,
-		sess:    driver.NewSession(cfg),
-		out:     out,
-		exts:    []string{".c"},
-		seen:    make(map[string]fileStamp),
-		reg:     reg,
-		journal: obs.NewJournal(0),
-		polls: reg.NewCounter("cquald_watch_polls_total",
-			"Watch-mode scan iterations, changed or not."),
-		reanalyses: reg.NewCounter("cquald_watch_reanalyses_total",
-			"Watch-mode analysis runs triggered by source changes."),
-		feFailures: reg.NewCounter("cquald_watch_frontend_failures_total",
-			"Watch-mode runs rejected by the front end."),
+		dir:  dir,
+		cfg:  cfg,
+		out:  out,
+		log:  slog.New(slog.NewTextHandler(io.Discard, nil)),
+		exts: []string{".c"},
+		seen: make(map[string]fileStamp),
 	}
 }
 
@@ -227,7 +213,7 @@ func (w *watcher) scan() (paths []string, changed bool, err error) {
 // poll runs one scan-and-maybe-analyze step; it reports whether an
 // analysis ran.
 func (w *watcher) poll(ctx context.Context) (bool, error) {
-	w.polls.Inc()
+	w.polls++
 	paths, changed, err := w.scan()
 	if err != nil {
 		return false, err
@@ -240,8 +226,8 @@ func (w *watcher) poll(ctx context.Context) (bool, error) {
 		fmt.Fprintf(w.out, "watch: no %s files in %s\n", strings.Join(w.exts, "/"), w.dir)
 		return false, nil
 	}
-	w.reanalyses.Inc()
-	res, err := w.sess.RunDelta(ctx, driver.FileSources(paths...))
+	w.reanalyses++
+	res, err := driver.RunContext(ctx, w.cfg, driver.FileSources(paths...))
 	if err != nil {
 		return false, err
 	}
@@ -258,10 +244,9 @@ func (w *watcher) report(res *driver.Result, paths []string) {
 			fmt.Fprintln(w.out, "  "+strings.ReplaceAll(d.String(), "\n", "\n  "))
 		}
 		fmt.Fprintln(w.out, "  (front-end failure)")
-		w.feFailures.Inc()
-		w.journal.Append("watch_run", "warn", "re-analysis rejected by front end",
-			"run", fmt.Sprint(w.runs), "files", fmt.Sprint(len(paths)),
-			"errors", fmt.Sprint(len(res.Errors())))
+		w.feFailures++
+		w.log.Warn("re-analysis rejected by front end", "event", "watch_run",
+			"run", w.runs, "files", len(paths), "errors", len(res.Errors()))
 		return
 	}
 	conflicts := 0
@@ -275,9 +260,8 @@ func (w *watcher) report(res *driver.Result, paths []string) {
 	fmt.Fprintf(w.out, "  %d function(s), %d constraint(s), %d conflict(s)\n",
 		res.Report.Functions, res.Report.Constraints, conflicts)
 	fmt.Fprintf(w.out, "  solve %v\n", solve)
-	w.journal.Append("watch_run", "info", "re-analysis complete",
-		"run", fmt.Sprint(w.runs), "files", fmt.Sprint(len(paths)),
-		"conflicts", fmt.Sprint(conflicts), "solve", solve.String())
+	w.log.Info("re-analysis complete", "event", "watch_run",
+		"run", w.runs, "files", len(paths), "conflicts", conflicts, "solve", solve.String())
 }
 
 // run is the watch loop: poll at the interval until the context ends.

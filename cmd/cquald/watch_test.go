@@ -2,7 +2,9 @@ package main
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"strings"
@@ -257,17 +259,18 @@ func TestWatcherFrontEndError(t *testing.T) {
 	}
 }
 
-// TestWatcherObservability pins the watch-mode flight-recorder hooks:
+// TestWatcherObservability pins the watch-mode run log: the
 // poll/re-analysis/front-end-failure counters count what actually
-// happened, and every re-analysis appends a journal event with its
+// happened, and every re-analysis logs one watch_run record with its
 // outcome.
 func TestWatcherObservability(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "prog.c")
 	writeStamped(t, path, watchV1, 1)
 
-	var out strings.Builder
+	var out, logged strings.Builder
 	w := newWatcher(dir, driver.Config{}, &out)
+	w.log = slog.New(slog.NewJSONHandler(&logged, nil))
 	ctx := context.Background()
 
 	// Poll 1: analysis. Poll 2: unchanged, no analysis. Poll 3: broken
@@ -287,34 +290,46 @@ func TestWatcherObservability(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if got := w.polls.Value(); got != 4 {
-		t.Errorf("polls = %d, want 4", got)
+	if w.polls != 4 {
+		t.Errorf("polls = %d, want 4", w.polls)
 	}
-	if got := w.reanalyses.Value(); got != 3 {
-		t.Errorf("reanalyses = %d, want 3 (unchanged poll must not count)", got)
+	if w.reanalyses != 3 {
+		t.Errorf("reanalyses = %d, want 3 (unchanged poll must not count)", w.reanalyses)
 	}
-	if got := w.feFailures.Value(); got != 1 {
-		t.Errorf("front-end failures = %d, want 1", got)
+	if w.feFailures != 1 {
+		t.Errorf("front-end failures = %d, want 1", w.feFailures)
 	}
 
-	events, _ := w.journal.Since(0, 0)
-	if len(events) != 3 {
-		t.Fatalf("journal has %d event(s), want 3 (one per re-analysis): %+v", len(events), events)
+	type record struct {
+		Level     string
+		Event     string
+		Run       int
+		Conflicts *int
+		Solve     string
+		Errors    int
 	}
-	for i, e := range events {
-		if e.Type != "watch_run" {
-			t.Errorf("event %d type = %q, want watch_run", i, e.Type)
+	var records []record
+	for _, line := range strings.Split(strings.TrimSpace(logged.String()), "\n") {
+		var r record
+		if err := json.Unmarshal([]byte(line), &r); err != nil {
+			t.Fatalf("log line %q: %v", line, err)
 		}
-		if e.Attrs["run"] != fmt.Sprint(i+1) {
-			t.Errorf("event %d run = %q, want %d", i, e.Attrs["run"], i+1)
+		records = append(records, r)
+	}
+	if len(records) != 3 {
+		t.Fatalf("log has %d record(s), want 3 (one per re-analysis):\n%s", len(records), logged.String())
+	}
+	for i, r := range records {
+		if r.Event != "watch_run" || r.Run != i+1 {
+			t.Errorf("record %d = %+v; want event watch_run, run %d", i, r, i+1)
 		}
 	}
 	for _, i := range []int{0, 2} {
-		if e := events[i]; e.Level != "info" || e.Attrs["conflicts"] != "0" || e.Attrs["solve"] == "" {
-			t.Errorf("analysis event %d wrong: %+v", i, e)
+		if r := records[i]; r.Level != "INFO" || r.Conflicts == nil || *r.Conflicts != 0 || r.Solve == "" {
+			t.Errorf("analysis record %d wrong: %+v", i, r)
 		}
 	}
-	if events[1].Level != "warn" || events[1].Attrs["errors"] == "" {
-		t.Errorf("front-end-failure event wrong: %+v", events[1])
+	if r := records[1]; r.Level != "WARN" || r.Errors == 0 {
+		t.Errorf("front-end-failure record wrong: %+v", r)
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"context"
 	"fmt"
 	"log/slog"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -267,8 +268,7 @@ func TestOpenMetricsRendering(t *testing.T) {
 	r := NewRegistry()
 	c := r.NewCounter("cquald_requests_total", "Requests.")
 	c.Add(7)
-	g := r.NewGauge("cquald_in_flight", "In flight.")
-	g.Set(2)
+	r.NewGaugeFunc("cquald_in_flight", "In flight.", func() float64 { return 2 })
 	h := r.NewHistogram("cquald_request_seconds", "Latency.", []float64{0.1, 1})
 	h.ObserveExemplar(0.05, "trace-aa")
 	h.Observe(0.06) // no trace id: exemplar keeps trace-aa
@@ -283,6 +283,7 @@ func TestOpenMetricsRendering(t *testing.T) {
 		"# TYPE cquald_requests counter\n", // family name drops _total
 		"cquald_requests_total 7\n",        // sample keeps it
 		"# TYPE cquald_in_flight gauge\n",
+		"cquald_in_flight 2\n",
 		`cquald_request_seconds_bucket{le="0.1"} 2 # {trace_id="trace-aa"} 0.05` + "\n",
 		`cquald_request_seconds_bucket{le="1"} 3 # {trace_id="trace-bb"} 0.5` + "\n",
 		`cquald_request_seconds_bucket{le="+Inf"} 3` + "\n",
@@ -303,6 +304,46 @@ func TestOpenMetricsRendering(t *testing.T) {
 	prom := render(t, r)
 	if strings.Contains(prom, "trace_id") || strings.Contains(prom, "# EOF") {
 		t.Fatalf("Prometheus rendering leaked OpenMetrics syntax:\n%s", prom)
+	}
+}
+
+// TestExpositionsDifferOnlyBySpec pins the parity the write comment
+// claims: with the three spec differences undone (exemplar suffixes,
+// `# EOF`, and `_total` on counter HELP/TYPE lines), the OpenMetrics
+// render equals the Prometheus one line for line.
+func TestExpositionsDifferOnlyBySpec(t *testing.T) {
+	r := NewRegistry()
+	r.NewCounter("cquald_requests_total", "Requests.").Add(7)
+	r.NewCounter("cquald_analysis_total", "Per analysis.", L("analysis", "taint")).Add(2)
+	r.NewCounter("cquald_analysis_total", "Per analysis.", L("analysis", "const")).Add(5)
+	r.NewGaugeFunc("cquald_uptime_seconds", "Uptime.", func() float64 { return 12.5 })
+	h := r.NewHistogram("cquald_request_seconds", "Latency.", []float64{0.1, 1}, L("cache", "miss"))
+	h.ObserveExemplar(0.05, "trace-aa")
+	h.ObserveExemplar(3, "trace-cc")
+	h.Observe(0.5)
+	r.NewHistogram("cquald_stage_seconds", "Stages.", nil).Observe(0.002)
+
+	var om strings.Builder
+	if err := r.WriteOpenMetrics(&om); err != nil {
+		t.Fatal(err)
+	}
+	prom := render(t, r)
+	got, ok := strings.CutSuffix(om.String(), "# EOF\n")
+	if !ok {
+		t.Fatalf("OpenMetrics render lacks # EOF:\n%s", om.String())
+	}
+	exemplar := regexp.MustCompile(` # \{trace_id="[^"]*"\} \S+\n`)
+	if n := len(exemplar.FindAllString(got, -1)); n != 2 {
+		t.Errorf("OpenMetrics render has %d exemplar(s), want 2:\n%s", n, got)
+	}
+	got = exemplar.ReplaceAllString(got, "\n")
+	for _, fam := range []string{"cquald_requests", "cquald_analysis"} {
+		for _, kw := range []string{"# HELP ", "# TYPE "} {
+			got = strings.ReplaceAll(got, kw+fam+" ", kw+fam+"_total ")
+		}
+	}
+	if got != prom {
+		t.Errorf("renders differ beyond the spec:\nOpenMetrics (normalized):\n%s\nPrometheus:\n%s", got, prom)
 	}
 }
 

@@ -1,8 +1,8 @@
 package obs
 
 // The structured event journal: a typed, bounded, in-memory ring of
-// service-level events — session evictions, cache churn, watch
-// re-analyses, slow requests — each stamped with a
+// service-level events — session evictions, cache churn, pipeline
+// failures, slow requests — each stamped with a
 // monotonic sequence number so clients can poll incrementally
 // ("give me everything after seq N") and long-poll for the next one.
 //

@@ -1,9 +1,9 @@
 package obs
 
-// Typed metrics with a Prometheus text-format renderer.
+// Typed metrics with Prometheus and OpenMetrics text-format renderers.
 //
-// The registry is designed for lock-free scrapes: counters and gauges
-// are sync/atomic cells, histograms are arrays of atomic bucket
+// The registry is designed for lock-free scrapes: counters are
+// sync/atomic cells, histograms are arrays of atomic bucket
 // counters with an atomically-accumulated float sum, and GaugeFunc
 // reads a callback at render time for values that already live
 // elsewhere (cache occupancy, uptime). Registration takes a lock once,
@@ -41,20 +41,6 @@ func (c *Counter) Inc() { c.v.Add(1) }
 
 // Value reads the counter.
 func (c *Counter) Value() uint64 { return c.v.Load() }
-
-// Gauge is a value that can go up and down.
-type Gauge struct {
-	v atomic.Int64
-}
-
-// Set replaces the gauge value.
-func (g *Gauge) Set(n int64) { g.v.Store(n) }
-
-// Add adjusts the gauge by n (negative to decrease).
-func (g *Gauge) Add(n int64) { g.v.Add(n) }
-
-// Value reads the gauge.
-func (g *Gauge) Value() int64 { return g.v.Load() }
 
 // DefLatencyBuckets is the default histogram bucketing for request and
 // stage latencies, in seconds: half-microsecond analyses through
@@ -118,7 +104,6 @@ type metricKind int
 
 const (
 	kindCounter metricKind = iota
-	kindGauge
 	kindGaugeFunc
 	kindHistogram
 )
@@ -130,7 +115,6 @@ type series struct {
 	labels string // rendered `{k="v",...}` or ""
 	kind   metricKind
 	ctr    *Counter
-	gauge  *Gauge
 	fn     func() float64
 	hist   *Histogram
 }
@@ -182,13 +166,6 @@ func (r *Registry) NewCounter(name, help string, labels ...Label) *Counter {
 	s := r.register(name, help, kindCounter, labels)
 	s.ctr = &Counter{}
 	return s.ctr
-}
-
-// NewGauge registers a gauge series.
-func (r *Registry) NewGauge(name, help string, labels ...Label) *Gauge {
-	s := r.register(name, help, kindGauge, labels)
-	s.gauge = &Gauge{}
-	return s.gauge
 }
 
 // NewGaugeFunc registers a gauge whose value is read from fn at render
@@ -274,44 +251,73 @@ func (r *Registry) snapshot() []*family {
 }
 
 // WritePrometheus renders every registered metric in Prometheus text
-// exposition format (version 0.0.4). Families appear in registration
-// order; series within a family are sorted by label set, so the output
-// is deterministic. The render itself takes no metric locks.
-func (r *Registry) WritePrometheus(w io.Writer) error {
+// exposition format (version 0.0.4).
+func (r *Registry) WritePrometheus(w io.Writer) error { return r.write(w, false) }
+
+// WriteOpenMetrics renders every registered metric in OpenMetrics 1.0
+// text format, with exemplars on histogram buckets.
+func (r *Registry) WriteOpenMetrics(w io.Writer) error { return r.write(w, true) }
+
+// write renders the registry in either exposition. Families appear in
+// registration order; series within a family are sorted by label set,
+// so the output is deterministic. The render itself takes no metric
+// locks. The OpenMetrics 1.0 render differs from the Prometheus 0.0.4
+// one only where the specs differ:
+//
+//   - counter family names drop the `_total` suffix in HELP/TYPE lines
+//     (the sample line keeps it — OpenMetrics treats `_total` as the
+//     counter's value suffix, not part of the family name)
+//   - histogram bucket lines carry exemplars: ` # {trace_id="..."} v`,
+//     linking the bucket to a retained flight-recorder trace; exemplar
+//     timestamps are deliberately omitted so renders stay deterministic
+//     for a fixed metric state
+//   - the exposition ends with `# EOF`
+func (r *Registry) write(w io.Writer, openMetrics bool) error {
 	fams := r.snapshot()
 
 	var b strings.Builder
 	for _, f := range fams {
 		typ := "counter"
 		switch f.kind {
-		case kindGauge, kindGaugeFunc:
+		case kindGaugeFunc:
 			typ = "gauge"
 		case kindHistogram:
 			typ = "histogram"
 		}
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s %s\n", f.name, f.help, f.name, typ)
+		famName := f.name
+		if openMetrics && f.kind == kindCounter {
+			famName = strings.TrimSuffix(famName, "_total")
+		}
+		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s %s\n", famName, f.help, famName, typ)
 		sort.Slice(f.series, func(i, j int) bool { return f.series[i].labels < f.series[j].labels })
 		for _, s := range f.series {
 			switch s.kind {
 			case kindCounter:
 				fmt.Fprintf(&b, "%s%s %d\n", s.name, s.labels, s.ctr.Value())
-			case kindGauge:
-				fmt.Fprintf(&b, "%s%s %d\n", s.name, s.labels, s.gauge.Value())
 			case kindGaugeFunc:
 				fmt.Fprintf(&b, "%s%s %s\n", s.name, s.labels, formatFloat(s.fn()))
 			case kindHistogram:
 				h := s.hist
 				var cum uint64
-				for i, bound := range h.bounds {
+				for i := range h.buckets {
 					cum += h.buckets[i].Load()
-					fmt.Fprintf(&b, "%s_bucket%s %d\n", s.name, mergeLabels(s.labels, "le", formatFloat(bound)), cum)
+					le := "+Inf"
+					if i < len(h.bounds) {
+						le = formatFloat(h.bounds[i])
+					}
+					fmt.Fprintf(&b, "%s_bucket%s %d", s.name, mergeLabels(s.labels, "le", le), cum)
+					if ex := h.exemplars[i].Load(); openMetrics && ex != nil {
+						fmt.Fprintf(&b, ` # {trace_id="%s"} %s`, escapeLabel(ex.TraceID), formatFloat(ex.Value))
+					}
+					b.WriteByte('\n')
 				}
-				cum += h.buckets[len(h.bounds)].Load()
-				fmt.Fprintf(&b, "%s_bucket%s %d\n", s.name, mergeLabels(s.labels, "le", "+Inf"), cum)
 				fmt.Fprintf(&b, "%s_sum%s %s\n", s.name, s.labels, formatFloat(h.Sum()))
 				fmt.Fprintf(&b, "%s_count%s %d\n", s.name, s.labels, h.Count())
 			}
 		}
+	}
+	if openMetrics {
+		b.WriteString("# EOF\n")
 	}
 	_, err := io.WriteString(w, b.String())
 	return err

@@ -18,12 +18,10 @@ func render(t *testing.T, r *Registry) string {
 func TestCounterAndGaugeRendering(t *testing.T) {
 	r := NewRegistry()
 	c := r.NewCounter("cqual_requests_total", "Analyze requests received.")
-	g := r.NewGauge("cqual_in_flight", "Requests in flight.")
+	r.NewGaugeFunc("cqual_in_flight", "Requests in flight.", func() float64 { return 1 })
 	r.NewGaugeFunc("cqual_uptime_seconds", "Uptime.", func() float64 { return 12.5 })
 	c.Add(3)
 	c.Inc()
-	g.Set(2)
-	g.Add(-1)
 
 	out := render(t, r)
 	for _, want := range []string{

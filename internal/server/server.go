@@ -119,12 +119,6 @@ type Config struct {
 	// SLOTarget is the success-fraction objective shared by all declared
 	// SLOs (0 = 0.99).
 	SLOTarget float64
-	// DisableRecorder turns the always-on flight recorder off for this
-	// server: no span recording, no tail retention, no exemplars. It
-	// exists solely as the baseline arm of the paperbench -obs overhead
-	// measurement (recording on vs off); production servers leave it
-	// false and there is no flag for it.
-	DisableRecorder bool
 }
 
 // DefaultRequestTimeout is the per-request deadline when none is
@@ -527,10 +521,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	// shed, and 1-in-K sampled requests are; ?trace=1
 	// forces it. The response body stays byte-identical to the
 	// pre-recorder contract — only the header and the ring change.
-	var tracer *obs.Tracer
-	if !s.cfg.DisableRecorder {
-		tracer = obs.NewTracer(nil)
-	}
+	tracer := obs.NewTracer(nil)
 	fin := &finishState{forced: r.URL.Query().Get("trace") == "1"}
 	defer s.finishAnalyze(w, r, tracer, traceID, fin, began)
 
@@ -607,10 +598,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	ctx := r.Context()
-	if tracer != nil {
-		ctx = obs.WithTracer(ctx, tracer)
-	}
+	ctx := obs.WithTracer(r.Context(), tracer)
 	if s.cfg.RequestTimeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, s.cfg.RequestTimeout)
@@ -639,6 +627,8 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
 			s.deadline(w, err)
 		} else {
+			s.journal.Append("analysis_error", "error", "analysis pipeline failed",
+				"trace_id", traceID, "error", err.Error())
 			s.fail(w, http.StatusInternalServerError, "analysis failed: %v", err)
 		}
 		return
@@ -683,20 +673,18 @@ func (s *Server) finishAnalyze(w http.ResponseWriter, r *http.Request, tracer *o
 	}
 	shed := status == http.StatusTooManyRequests || status == http.StatusGatewayTimeout
 	exemplar := ""
-	if tracer != nil { // nil only under Config.DisableRecorder (bench baseline)
-		retain, reasons := s.recorder.Decide(obs.Sample{
-			Seconds: dur.Seconds(),
-			Err:     status >= 400 && !shed,
-			Shed:    shed,
-			Forced:  fin.forced,
-		})
-		if retain {
-			var buf bytes.Buffer
-			if tracer.WriteJSON(&buf) == nil {
-				s.recorder.Put(traceID, buf.Bytes(), dur.Seconds(), reasons)
-				s.retained.Inc()
-				exemplar = traceID
-			}
+	retain, reasons := s.recorder.Decide(obs.Sample{
+		Seconds: dur.Seconds(),
+		Err:     status >= 400 && !shed,
+		Shed:    shed,
+		Forced:  fin.forced,
+	})
+	if retain {
+		var buf bytes.Buffer
+		if tracer.WriteJSON(&buf) == nil {
+			s.recorder.Put(traceID, buf.Bytes(), dur.Seconds(), reasons)
+			s.retained.Inc()
+			exemplar = traceID
 		}
 	}
 	if fin.cacheState != "" {

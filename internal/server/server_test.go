@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/constinfer"
 	"repro/internal/driver"
+	"repro/internal/obs"
 )
 
 const prog = `
@@ -193,8 +194,9 @@ func checkRetiredField(t *testing.T, field string, value int) {
 
 // TestAnalyzeConstrainPanic: a panic in a body walk fails the
 // request with a 500 naming the stage and the function, the server
-// keeps serving, and the flight recorder retains the failed request's
-// trace for the error reason.
+// keeps serving, the flight recorder retains the failed request's
+// trace for the error reason, and the journal records the failure
+// under the request's trace id.
 func TestAnalyzeConstrainPanic(t *testing.T) {
 	defer constinfer.SetBodyHookForTest(func(name string) {
 		if name == "entry" {
@@ -223,6 +225,21 @@ func TestAnalyzeConstrainPanic(t *testing.T) {
 	}
 	if !slices.Contains(reasons, "error") {
 		t.Errorf("failed request's trace %s retained with reasons %v; want error", id, reasons)
+	}
+	var ev EventsResponse
+	getJSON(t, ts.URL+"/v1/events", &ev)
+	var journaled *obs.Event
+	for i, e := range ev.Events {
+		if e.Type == "analysis_error" {
+			journaled = &ev.Events[i]
+		}
+	}
+	if journaled == nil {
+		t.Fatalf("no analysis_error event in %+v", ev.Events)
+	}
+	if journaled.Level != "error" || journaled.Attrs["trace_id"] != id ||
+		!strings.Contains(journaled.Attrs["error"], "constrain: internal error in function entry") {
+		t.Errorf("analysis_error event %+v; want level error, trace_id %s and the constrain failure", *journaled, id)
 	}
 
 	r2, d2 := postAnalyze(t, ts, analyzeBody(map[string]string{"other.c": "int f(int *p) { return *p; }"}))
