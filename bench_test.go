@@ -245,7 +245,7 @@ func BenchmarkAblationLambdaPoly(b *testing.B) {
 }
 
 // solverBenchSet is the product lattice the solver benchmarks run over:
-// two components, so masked edges and condensation classes are exercised.
+// two components, so masked edges are exercised.
 func solverBenchSet() *qual.Set {
 	return qual.MustSet(
 		qual.Qualifier{Name: "const", Sign: qual.Positive},
@@ -255,7 +255,7 @@ func solverBenchSet() *qual.Set {
 
 // solverBenchSetWide is an eight-analysis product lattice, the
 // multi-analysis registry shape: each analysis masks its constraints to
-// its own lattice component, so condensation classes carry real work.
+// its own lattice component.
 func solverBenchSetWide() *qual.Set {
 	quals := make([]qual.Qualifier, 8)
 	for i := range quals {
@@ -266,11 +266,11 @@ func solverBenchSetWide() *qual.Set {
 
 // BenchmarkSolverScaling measures the atomic-subtyping solver — the core
 // [HR97] operation — on generated graphs of varying ⊑-cycle density.
-// cycles=0.0 is the classic seeded-chain case; higher densities are what
-// the condensed engine collapses. The analyses=8 shape is the headline:
-// long recursion cycles local to one analysis of a wide product lattice,
-// where the per-edge fixpoint circulates every seed around every cycle
-// while the condensed engine solves each cycle as a single node.
+// cycles=0.0 is the classic seeded-chain case; at higher densities the
+// worklist carries each seed around every cycle it reaches. The
+// analyses=8 shapes run a wide product lattice, where a variable can
+// re-enter the worklist once per component; every loop iteration solves
+// the whole system from scratch.
 func BenchmarkSolverScaling(b *testing.B) {
 	set := solverBenchSet()
 	for _, size := range []int{1000, 10000, 100000} {
@@ -294,8 +294,8 @@ func BenchmarkSolverScaling(b *testing.B) {
 		}
 	}
 	// Shared flow graph (full-mask edges — every analysis rides the same
-	// value-flow edges), per-analysis seeds: one wave per component for a
-	// per-edge fixpoint, a single sweep for the condensed engine.
+	// value-flow edges), per-analysis seeds: up to one worklist wave per
+	// component.
 	wide := solverBenchSetWide()
 	for _, size := range []int{10000, 100000} {
 		for _, frac := range []float64{0.5, 0.9} {
@@ -320,8 +320,8 @@ func BenchmarkSolverScaling(b *testing.B) {
 		}
 	}
 	// Analysis-local flow (structure-level masks): cycles live inside one
-	// analysis's lattice component, the shape per-class condensation
-	// collapses without touching the other components.
+	// analysis's lattice component, so a seed's wave never touches the
+	// other components.
 	for _, size := range []int{100000} {
 		b.Run(fmt.Sprintf("analyses=8/local/n=%d/cycles=0.9", size), func(b *testing.B) {
 			sys, _ := benchgen.CycleSystem(wide, benchgen.CycleConfig{
@@ -347,8 +347,9 @@ func BenchmarkSolverScaling(b *testing.B) {
 }
 
 // BenchmarkRestrictScaling measures the scheme-simplification projection
-// (constraint.Restrict) on cycle-heavy graphs: the let-generalization hot
-// path of polymorphic inference.
+// (constraint.Restrict) on cycle-heavy graphs: one forward and one
+// backward masked worklist per interface variable, the let-generalization
+// hot path of polymorphic inference.
 func BenchmarkRestrictScaling(b *testing.B) {
 	set := solverBenchSet()
 	for _, size := range []int{2000, 20000} {

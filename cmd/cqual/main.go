@@ -85,7 +85,7 @@ func main() {
 	schemes := flag.Bool("schemes", false, "print inferred polymorphic qualifier schemes (with -poly)")
 	uninit := flag.Bool("uninit", false, "also run the flow-sensitive definite-initialization check (Section 6 extension)")
 	jsonOut := flag.Bool("json", false, "emit the report and diagnostics as JSON")
-	stats := flag.Bool("stats", false, "print solver statistics (system size, cycle condensation) to stderr")
+	stats := flag.Bool("stats", false, "print solver statistics (system size, solve time) to stderr")
 	traceFile := flag.String("trace", "", "write a Chrome trace-event JSON of the pipeline to this file (view in chrome://tracing or Perfetto)")
 	serve := flag.String("serve", "", "analyze via a running cquald daemon at this base URL instead of locally")
 	analysisFlag := flag.String("analysis", "const", "comma-separated qualifier analyses to run together (see -analyses)")
@@ -538,15 +538,12 @@ func emitJSON(res *driver.Result) {
 }
 
 // printSolverStats reports, on stderr, the size of the final constraint
-// system and how much the solver's cycle condensation compressed it —
-// the same counters the JSON report carries in its "solver" block.
+// system (the counters the JSON report carries in its "solver" block)
+// and the solve time.
 func printSolverStats(res *driver.Result) {
 	st := res.Solver
-	fmt.Fprintf(os.Stderr, "solver: %d vars, %d constraints, %d mask class(es)\n",
-		st.Vars, st.Constraints, st.MaskClasses)
-	fmt.Fprintf(os.Stderr, "  condensation: %d components, %d cycles collapsed (%d vars merged), %d edges dropped\n",
-		st.Components, st.SCCsCollapsed, st.VarsCollapsed, st.EdgesDropped)
-	fmt.Fprintf(os.Stderr, "  solve time:   %v (analysis %v)\n", res.Timings.Solve, res.Timings.Analysis())
+	fmt.Fprintf(os.Stderr, "solver: %d vars, %d constraints\n", st.Vars, st.Constraints)
+	fmt.Fprintf(os.Stderr, "  solve time: %v (analysis %v)\n", res.Timings.Solve, res.Timings.Analysis())
 }
 
 func printPositions(rep *constinfer.Report) {

@@ -86,8 +86,8 @@ func main() {
 	maxConcurrent := flag.Int("max-concurrent", 0, "simultaneous analyses (0 = GOMAXPROCS)")
 	timeout := flag.Duration("timeout", server.DefaultRequestTimeout, "per-request deadline including queue time (negative = none)")
 	shutdownTimeout := flag.Duration("shutdown-timeout", 10*time.Second, "grace period for draining in-flight requests on SIGINT/SIGTERM")
-	resultEntries := flag.Int("result-cache-entries", 1024, "result cache: max entries (0 = unbounded)")
-	resultBytes := flag.Int64("result-cache-bytes", 256<<20, "result cache: max stored report bytes (0 = unbounded)")
+	resultEntries := flag.Int("result-cache-entries", 1024, "result cache: max entries (0 = 1024)")
+	resultBytes := flag.Int64("result-cache-bytes", 256<<20, "result cache: max stored report bytes (0 = 256 MiB)")
 	sessionEntries := flag.Int("session-entries", 0, "retained sessions (0 = 64)")
 	enablePprof := flag.Bool("pprof", false, "mount the net/http/pprof profiling handlers under /debug/pprof/")
 	slowRequest := flag.Duration("slow-request", 0, "log analyze requests at or above this latency (0 = disabled)")

@@ -457,6 +457,24 @@ func TestCqualJobsValidation(t *testing.T) {
 	}
 }
 
+// TestCqualdHelpCacheBounds: the daemon maps a zero result-cache bound
+// to its default, never to "unbounded", and -h must say so.
+func TestCqualdHelpCacheBounds(t *testing.T) {
+	if testing.Short() {
+		t.Skip("golden CLI tests in -short mode")
+	}
+	out, _ := exec.Command(buildCquald(t), "-h").CombinedOutput()
+	help := string(out)
+	if strings.Contains(help, "unbounded") {
+		t.Errorf("cquald -h promises an unbounded setting:\n%s", help)
+	}
+	for _, want := range []string{"max entries (0 = 1024)", "max stored report bytes (0 = 256 MiB)"} {
+		if !strings.Contains(help, want) {
+			t.Errorf("cquald -h lacks %q:\n%s", want, help)
+		}
+	}
+}
+
 // buildCquald compiles the daemon binary.
 func buildCquald(t *testing.T) string {
 	t.Helper()

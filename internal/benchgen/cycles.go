@@ -4,10 +4,10 @@ package benchgen
 //
 // The C-source generators above exercise the whole pipeline; the solver
 // benchmarks need direct control over the *shape* of the atomic
-// constraint graph — in particular over ⊑-cycle density, because cycles
-// are what the condensed solver collapses (variables in a cycle are
-// equal wherever their edge masks overlap, so each strongly-connected
-// component solves as one node). CycleSystem builds such graphs
+// constraint graph — in particular over ⊑-cycle density, because a
+// worklist carries every seed around every cycle it reaches (variables
+// in a cycle are equal on the components all its edge masks carry).
+// CycleSystem builds such graphs
 // deterministically: a seeded region whose variables carry constant
 // lower bounds, a bounded region whose variables carry constant upper
 // bounds, and within each region a configurable mix of ⊑-cycles and
@@ -43,14 +43,14 @@ type CycleConfig struct {
 	Bounds int
 	// MaskedFrac is the fraction of variable-variable edges restricted
 	// to a single random lattice component instead of the full mask;
-	// masked cycles are the case the condensation must not over-merge.
+	// a masked cycle forces equality only on the components all of its
+	// edges carry.
 	MaskedFrac float64
 	// StructMasks assigns masks per structure instead of per edge: every
 	// edge of one cycle or chain carries the same (possibly single-
 	// component) mask. This is the shape multi-analysis systems have —
 	// each analysis masks its own constraints to its lattice component,
-	// and flow cycles live within one analysis — and it is the shape on
-	// which per-class condensation collapses whole cycles.
+	// and flow cycles live within one analysis.
 	StructMasks bool
 	// BitSeeds plants single-component seeds and bounds (each picks one
 	// random lattice component) instead of random elements. Combined

@@ -378,21 +378,21 @@ func (a *Analysis) SolveSystem() []*constraint.Unsat {
 	return a.sys.Solve()
 }
 
-// SolveSystemContext is SolveSystem with tracing: the solver emits one
-// "solve.class" span per mask class (see constraint.SolveContext).
-func (a *Analysis) SolveSystemContext(ctx context.Context) []*constraint.Unsat {
-	return a.sys.SolveContext(ctx)
+// SolveSystemContext is SolveSystem; the solver emits no spans of its
+// own (the driver's "driver.solve" span covers it).
+func (a *Analysis) SolveSystemContext(context.Context) []*constraint.Unsat {
+	return a.sys.Solve()
 }
 
 // SolveSession is SolveSystemContext; the session argument has no
 // effect. Kept for bench/replay.go, removed with the next benchmark
 // change.
-func (a *Analysis) SolveSession(ctx context.Context, _ *constraint.Session) []*constraint.Unsat {
-	return a.sys.SolveContext(ctx)
+func (a *Analysis) SolveSession(context.Context, *constraint.Session) []*constraint.Unsat {
+	return a.sys.Solve()
 }
 
-// SolveStats reports the size and condensation counters of the final
-// system's last solve. Valid only after SolveSystem.
+// SolveStats reports the size of the final system's last solve. Valid
+// only after SolveSystem.
 func (a *Analysis) SolveStats() constraint.SolveStats {
 	return a.sys.Stats()
 }

@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/benchgen"
 	"repro/internal/cfront"
 )
 
@@ -226,5 +227,83 @@ func TestCorpusCompilesWithCC(t *testing.T) {
 		} else if len(out) > 0 {
 			t.Logf("%s: cc warnings:\n%s", path, out)
 		}
+	}
+}
+
+// TestReannotationFixpoint is the paper's §4.2 fixpoint oracle. The
+// desired output is the program with every inferable const inserted, so
+// analyzing that output must confirm it. Every addable position of a
+// monomorphic run is marked const on the defining declaration, the file
+// is printed and reparsed, and the re-analysis must report no conflicts
+// and every previously must-const or either position as declared. This
+// checks that the solver's verdicts are right, not only stable.
+//
+// Polymorphic mode is excluded on purpose: C declarations are
+// monomorphic, so re-annotating a position that is "either" only under
+// polymorphism conflicts at a caller that needs it non-const. That is
+// the strchr pattern: in testdata/args.c, opt_find's result is "either"
+// polymorphically, and args_main writes through it.
+func TestReannotationFixpoint(t *testing.T) {
+	srcs := map[string]string{}
+	paths, err := filepath.Glob("testdata/*.c")
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("corpus missing: %v (%d files)", err, len(paths))
+	}
+	for _, path := range paths {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srcs[filepath.Base(path)] = string(data)
+	}
+	for _, cfg := range append(benchgen.PaperSuite()[:2], benchgen.ParallelCorpus(5000, 3)) {
+		srcs[cfg.Name+".c"] = benchgen.Generate(cfg)
+	}
+	type key struct {
+		fn           string
+		index, depth int
+	}
+	for name, src := range srcs {
+		t.Run(name, func(t *testing.T) {
+			f, err := cfront.Parse(name, src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			a, rep := runStaged(t, []*cfront.File{f}, Options{})
+			if len(rep.Conflicts) > 0 {
+				t.Fatalf("conflict before re-annotation: %v", rep.Conflicts[0])
+			}
+			constable := map[key]bool{}
+			for _, p := range rep.Positions {
+				if p.Verdict != MustConst && p.Verdict != Either {
+					continue
+				}
+				constable[key{p.Func, p.Index, p.Depth}] = true
+				if !p.Declared && !markConst(a.funcs[p.Func].decl.Type, p.Index, p.Depth) {
+					t.Fatalf("%s %s#%d depth %d: cannot mark const", p.Func, p.Param, p.Index, p.Depth)
+				}
+			}
+			f2, err := cfront.Parse(name, cfront.PrintFile(f))
+			if err != nil {
+				t.Fatalf("reparse: %v", err)
+			}
+			rep2, err := Analyze([]*cfront.File{f2}, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(rep2.Conflicts) > 0 {
+				t.Fatalf("re-annotated program conflicts: %v", rep2.Conflicts[0])
+			}
+			for _, p := range rep2.Positions {
+				if constable[key{p.Func, p.Index, p.Depth}] && !p.Declared {
+					t.Errorf("%s %s#%d depth %d: inferred const but not declared after re-annotation", p.Func, p.Param, p.Index, p.Depth)
+				}
+			}
+			if rep2.Declared != rep.Inferred || rep2.Inferred != rep.Inferred {
+				t.Errorf("declared %d → %d, inferred %d → %d; want both at %d",
+					rep.Declared, rep2.Declared, rep.Inferred, rep2.Inferred, rep.Inferred)
+			}
+			t.Logf("declared %d → %d = inferred %d", rep.Declared, rep2.Declared, rep.Inferred)
+		})
 	}
 }

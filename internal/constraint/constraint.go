@@ -20,12 +20,10 @@
 package constraint
 
 import (
-	"context"
 	"fmt"
 	"sort"
 	"strings"
 
-	"repro/internal/obs"
 	"repro/internal/qual"
 )
 
@@ -174,40 +172,15 @@ type System struct {
 	n    int
 	cons []Constraint
 
-	// Edge extraction is cached incrementally: cons is append-only, so
-	// the flattened edge arrays and the constant-constraint index only
-	// grow by the constraints added since the previous Solve. Edge
-	// indices are bucketed by their (few) distinct masks, so each mask
-	// class can gather exactly its own edges instead of rescanning the
-	// whole edge list per class.
-	// Constant bounds flatten the same way into compact parallel
-	// arrays (seeds pre-masked, no-op bounds dropped), so the per-class
-	// passes stream over them instead of re-reading the wide Constraint
-	// records once per class.
-	ec struct {
-		ncons      int
-		eFrom, eTo []int32
-		masks      []qual.Elem // distinct edge masks, first-seen order
-		byMask     [][]int32   // edge indices per distinct mask
-		loVar      []int32     // L ⊑ κ: the variable…
-		loElem     []qual.Elem // …and L∩mask
-		upVar      []int32     // κ ⊑ C: the variable…
-		upC        []qual.Elem // …the bound…
-		upMask     []qual.Elem // …and its mask…
-		upIdx      []int32     // …and its constraint index
-		cc         []int32     // constant ⊑ constant constraints
-	}
-
-	// Solver scratch persists across Solve calls (schemes and
-	// incremental servers re-solve systems many times); see
-	// solveScratch for the re-use invariants.
-	scratch *solveScratch
-	solBuf  []qual.Elem // lower|upper halves, reused across solves
-
 	solved bool
 	lower  []qual.Elem
 	upper  []qual.Elem
-	stats  SolveStats
+}
+
+// SolveStats reports the size of the last solved system.
+type SolveStats struct {
+	Vars        int
+	Constraints int
 }
 
 // NewSystem creates an empty constraint system over the qualifier set.
@@ -283,317 +256,48 @@ func (s *System) AddConstraints(cons []Constraint, rename map[Var]Var) {
 // Solve computes the least and greatest solutions and returns the
 // unsatisfiable constraints (nil when the system is satisfiable). Solve
 // may be called repeatedly; constraints added after a call invalidate the
-// previous solution and are picked up by the next call.
+// previous solution, and the next call solves the whole system again.
 //
-// Internally Solve decomposes the system by mask class and condenses
-// ⊑-cycles per class (see graph.go): the lattice components are
-// partitioned into classes that every edge mask treats uniformly, so
-// each class solves as an independent, unmasked subproblem in which
-// every strongly-connected component runs through the fixpoint loops as
-// a single node over condensed CSR adjacency. The per-variable
-// solutions are broadcast back afterwards. The computed solutions — and
-// therefore every diagnostic — are identical to an uncondensed solve.
+// Both solutions are masked worklist fixpoints over CSR adjacency (see
+// graph.go). The least solution joins constant lower bounds forward along
+// the edges. The greatest solution is the dual: the components that
+// constant upper bounds clear flow backward, and each variable's upper
+// value is top minus what reached it.
 func (s *System) Solve() []*Unsat {
-	return s.SolveContext(context.Background())
-}
-
-// SolveContext is Solve with tracing: when the context carries an
-// obs.Tracer, each mask class emits one "solve.class" span recording
-// the class mask, its participating variables and edges, and the SCCs
-// the condensation collapsed. Spans are started and ended only from
-// this sequential per-class loop, so traces are deterministic (see the
-// obs package comment). A context without a tracer costs one value
-// lookup per solve.
-func (s *System) SolveContext(ctx context.Context) []*Unsat {
-	tr := obs.FromContext(ctx)
 	n := s.n
 	top := s.set.Top()
-	full := s.set.FullMask()
+	sol := make([]qual.Elem, 2*n)
+	lower, cleared := sol[:n:n], sol[n:]
 
-	ec := &s.ec
-	// Pre-size the cache arrays for the new constraint range: a counting
-	// pass, then one exact grow per array, instead of doubling through
-	// appends — scheme fragments are small systems that fill the cache
-	// exactly once, and their allocation count is what shows up in the
-	// polymorphic pipeline.
-	if ec.ncons < len(s.cons) {
-		nvv, nlo, nup, ncc := 0, 0, 0, 0
-		for i := ec.ncons; i < len(s.cons); i++ {
-			c := &s.cons[i]
-			switch {
-			case c.L.isVar && c.R.isVar:
-				nvv++
-			case !c.L.isVar && c.R.isVar:
-				if c.L.c&c.Mask != 0 {
-					nlo++
-				}
-			case c.L.isVar:
-				if c.Mask&^c.R.c != 0 {
-					nup++
-				}
-			default:
-				ncc++
-			}
+	m := 0
+	for i := range s.cons {
+		if s.cons[i].L.isVar && s.cons[i].R.isVar {
+			m++
 		}
-		ec.eFrom = grow32(ec.eFrom, nvv)
-		ec.eTo = grow32(ec.eTo, nvv)
-		ec.loVar = grow32(ec.loVar, nlo)
-		ec.loElem = growElem(ec.loElem, nlo)
-		ec.upVar = grow32(ec.upVar, nup)
-		ec.upC = growElem(ec.upC, nup)
-		ec.upMask = growElem(ec.upMask, nup)
-		ec.upIdx = grow32(ec.upIdx, nup)
-		ec.cc = grow32(ec.cc, ncc)
 	}
-	lastMask, lastIdx := qual.Elem(0), -1 // consecutive constraints share masks
-	for i := ec.ncons; i < len(s.cons); i++ {
+	ends := make([]int32, 2*m)
+	eFrom, eTo := ends[:0:m], ends[m:m]
+	eMask := make([]qual.Elem, 0, m)
+	for i := range s.cons {
 		c := &s.cons[i]
-		if c.L.isVar && c.R.isVar {
-			ei := int32(len(ec.eFrom))
-			ec.eFrom = append(ec.eFrom, int32(c.L.v))
-			ec.eTo = append(ec.eTo, int32(c.R.v))
-			mi := lastIdx
-			if c.Mask != lastMask {
-				mi = -1
-				for j, m := range ec.masks {
-					if m == c.Mask {
-						mi = j
-						break
-					}
-				}
-				if mi < 0 {
-					mi = len(ec.masks)
-					ec.masks = append(ec.masks, c.Mask)
-					ec.byMask = append(ec.byMask, nil)
-				}
-				lastMask, lastIdx = c.Mask, mi
-			}
-			ec.byMask[mi] = append(ec.byMask[mi], ei)
-		} else if !c.L.isVar && c.R.isVar {
-			if le := c.L.c & c.Mask; le != 0 {
-				ec.loVar = append(ec.loVar, int32(c.R.v))
-				ec.loElem = append(ec.loElem, le)
-			}
-		} else if c.L.isVar && !c.R.isVar {
-			if c.Mask&^c.R.c != 0 { // keep only bounds that clear bits
-				ec.upVar = append(ec.upVar, int32(c.L.v))
-				ec.upC = append(ec.upC, c.R.c)
-				ec.upMask = append(ec.upMask, c.Mask)
-				ec.upIdx = append(ec.upIdx, int32(i))
-			}
-		} else {
-			// Constant ⊑ constant: AddMasked keeps only violated pairs.
-			ec.cc = append(ec.cc, int32(i))
+		switch {
+		case c.L.isVar && c.R.isVar:
+			eFrom = append(eFrom, int32(c.L.v))
+			eTo = append(eTo, int32(c.R.v))
+			eMask = append(eMask, c.Mask)
+		case c.R.isVar:
+			lower[c.R.v] |= c.L.c & c.Mask
+		case c.L.isVar:
+			cleared[c.L.v] |= c.Mask &^ c.R.c & top
 		}
 	}
-	ec.ncons = len(s.cons)
-	eFrom, eTo := ec.eFrom, ec.eTo
-	classes := maskClasses(ec.masks, full)
-
-	// The solution buffer persists on the System: a fresh allocation per
-	// solve would make the init pass and every later write fault in cold
-	// pages and churn the collector — on large corpora that costs more
-	// than the fixpoint itself. Re-solves overwrite in place (nothing
-	// retains the previous arrays: Lower/Upper return values).
-	if len(s.solBuf) < 2*n {
-		s.solBuf = make([]qual.Elem, 2*n)
-	}
-	sol := s.solBuf[:2*n]
-	lower, upper := sol[:n:n], sol[n:2*n:2*n]
-	// Every variable starts at (⊥, top); each class then meets its
-	// participants' class bits down to the solved values, so variables a
-	// class never relates (and lattice components outside every class)
-	// stay put without any per-class broadcast over all n variables.
-	for v := range lower {
-		lower[v] = 0
-		upper[v] = top
-	}
-
-	s.stats = SolveStats{
-		Vars:        n,
-		Constraints: len(s.cons),
-		MaskClasses: len(classes),
-	}
-
-	// Working arrays persist on the System across Solve calls; nothing
-	// is allocated lazily until a class actually has edges.
-	var w *solveScratch
-	if len(eFrom) > 0 {
-		w = s.ensureScratch(n, len(eFrom))
-	}
-
-	for _, class := range classes {
-		tc := top & class
-		sp := tr.Start("solver", "solve.class",
-			obs.String("mask", fmt.Sprintf("%#x", uint64(class))))
-		// Gather the class's edge buckets: every distinct mask that
-		// intersects the class contains it entirely (maskClasses refines
-		// until that holds), so bucket membership is exact.
-		kept := 0
-		if w != nil {
-			w.buckets = w.buckets[:0]
-			for mi, m := range ec.masks {
-				if m&class != 0 {
-					w.buckets = append(w.buckets, ec.byMask[mi])
-					kept += len(ec.byMask[mi])
-				}
-			}
-		}
-		if kept == 0 {
-			// No ⊑-edges relate this class: constant bounds apply
-			// directly, nothing propagates.
-			for i, v := range ec.loVar {
-				lower[v] |= ec.loElem[i] & class
-			}
-			for i, v := range ec.upVar {
-				upper[v] &= ec.upC[i] | ^(ec.upMask[i] & class)
-			}
-			sp.SetAttr(obs.Int("edges", 0), obs.Int("vars", 0))
-			sp.End()
-			continue
-		}
-		// All further work — Tarjan, the sweeps, the broadcast — runs
-		// over the dense local numbering of the class's participants.
-		sc, scc, lid, touched := w.sc, w.scc, w.lid, w.touched
-		off, cTo, cl, cu := w.off, w.cTo, w.cl, w.cu
-		var np int
-		np, w.part = classAdj(eFrom, eTo, w.buckets, lid, touched, w.part, off, w.cur, cTo)
-		part := w.part
-		ncomp := tarjan(np, off, cTo, nil, 0, sc, scc)
-		members, mEnd := sc.members, sc.mEnd
-		sp.SetAttr(obs.Int("edges", kept), obs.Int("vars", np),
-			obs.Int("components", ncomp))
-
-		// Condensation counters. Every local id participates, and
-		// tarjan records each component's members contiguously, so the
-		// run lengths in mEnd are the component sizes.
-		s.stats.Components += ncomp
-		prevEnd := int32(0)
-		for c := 0; c < ncomp; c++ {
-			sz := mEnd[c] - prevEnd
-			prevEnd = mEnd[c]
-			if sz >= 2 {
-				s.stats.SCCsCollapsed++
-				s.stats.VarsCollapsed += int(sz) - 1
-			}
-		}
-
-		// Constant bounds attach to the variable's component: every
-		// member of a component is equal on every component of the
-		// class, so the seed is shared exactly. Values are kept
-		// restricted to the class; for upper bounds, ^(mask∩class) keeps
-		// the unconstrained class components at top. Bounds on
-		// variables the class's edges never touch apply directly — they
-		// propagate nowhere.
-		hasLower, hasUpper := false, false
-		for i := 0; i < ncomp; i++ {
-			cl[i] = 0
-			cu[i] = tc
-		}
-		for i, v := range ec.loVar {
-			if seed := ec.loElem[i] & class; seed != 0 {
-				if touched[v] {
-					cl[scc[lid[v]]] |= seed
-					hasLower = true
-				} else {
-					lower[v] |= seed
-				}
-			}
-		}
-		for i, v := range ec.upVar {
-			if ec.upMask[i]&^ec.upC[i]&tc == 0 {
-				continue // bound clears nothing in this class
-			}
-			bound := ec.upC[i] | ^(ec.upMask[i] & class)
-			if touched[v] {
-				cu[scc[lid[v]]] &= bound
-				hasUpper = true
-			} else {
-				upper[v] &= bound
-			}
-		}
-
-		// Tarjan numbers components in reverse topological order: every
-		// edge leaving a component targets a lower-numbered one. The
-		// least and greatest fixpoints therefore reduce to one linear
-		// sweep each — lower bounds flow down the numbering, upper
-		// bounds are gathered coming up — with every edge relaxed
-		// exactly once and no worklist. Edges inside a component stay
-		// harmless (x |= x, x &= x).
-		if hasLower {
-			for c := ncomp - 1; c >= 0; c-- {
-				lv := cl[c]
-				if lv == 0 {
-					continue
-				}
-				mStart := int32(0)
-				if c > 0 {
-					mStart = mEnd[c-1]
-				}
-				for mi := mStart; mi < mEnd[c]; mi++ {
-					u := members[mi]
-					for e := off[u]; e < off[u+1]; e++ {
-						cl[scc[cTo[e]]] |= lv
-					}
-				}
-			}
-		}
-		// The upper sweep already loads every edge's target component, so
-		// the tautological-edge counter rides along; without upper seeds
-		// a dedicated scan over the collapsed components (the only place
-		// such edges can exist — AddMasked rejects variable self-loops)
-		// supplies it.
-		if hasUpper {
-			dropped := 0
-			for c := 0; c < ncomp; c++ {
-				acc := cu[c]
-				mStart := int32(0)
-				if c > 0 {
-					mStart = mEnd[c-1]
-				}
-				for mi := mStart; mi < mEnd[c]; mi++ {
-					u := members[mi]
-					for e := off[u]; e < off[u+1]; e++ {
-						w := scc[cTo[e]]
-						if w == int32(c) {
-							dropped++
-						}
-						acc &= cu[w]
-					}
-				}
-				cu[c] = acc
-			}
-			s.stats.EdgesDropped += dropped
-		} else {
-			prevEnd := int32(0)
-			for c := 0; c < ncomp; c++ {
-				mStart := prevEnd
-				prevEnd = mEnd[c]
-				if prevEnd-mStart < 2 {
-					continue
-				}
-				for mi := mStart; mi < prevEnd; mi++ {
-					u := members[mi]
-					for e := off[u]; e < off[u+1]; e++ {
-						if scc[cTo[e]] == int32(c) {
-							s.stats.EdgesDropped++
-						}
-					}
-				}
-			}
-		}
-
-		// Broadcast the class's share of the solution to the
-		// participants (non-participants already hold their final
-		// values); classes are disjoint, so the per-class values
-		// combine exactly. The participant flags reset here, restoring
-		// classAdj's precondition for the next class.
-		for i, v := range part {
-			lower[v] |= cl[scc[i]]
-			upper[v] &= cu[scc[i]] | ^tc
-			touched[v] = false
-		}
-		sp.End()
+	inQ := make([]bool, n)
+	queue := make([]int32, 0, n)
+	propagate(newCSR(n, eFrom, eTo, eMask), lower, inQ, queue)
+	propagate(newCSR(n, eTo, eFrom, eMask), cleared, inQ, queue)
+	upper := cleared
+	for v, x := range cleared {
+		upper[v] = top &^ x
 	}
 	s.lower, s.upper, s.solved = lower, upper, true
 
@@ -608,20 +312,11 @@ func (s *System) SolveContext(ctx context.Context) []*Unsat {
 	// reaches every copy. Conflicts whose origin reason, sink reason and
 	// offending bits all coincide are reported once, keeping the first in
 	// constraint order.
-	// Violations can only involve the flattened constant-bound entries
-	// (a dropped entry bounds nothing) or an always-violated constant
-	// pair, so only those are checked — the wide constraint records are
-	// read back solely for the (rare) violations, sorted to restore
-	// constraint order.
 	var viol []int32
-	for i, v := range ec.upVar {
-		if !qual.LeqMask(lower[v], ec.upC[i], ec.upMask[i]) {
-			viol = append(viol, ec.upIdx[i])
+	for i := range s.cons {
+		if c := &s.cons[i]; !c.R.isVar && !qual.LeqMask(s.valueLower(c.L), c.R.c, c.Mask) {
+			viol = append(viol, int32(i))
 		}
-	}
-	if len(ec.cc) > 0 {
-		viol = append(viol, ec.cc...)
-		sort.Slice(viol, func(i, j int) bool { return viol[i] < viol[j] })
 	}
 	return s.buildUnsats(viol)
 }
@@ -663,32 +358,11 @@ func (s *System) buildUnsats(viol []int32) []*Unsat {
 	return unsat
 }
 
-// grow32 and growElem reallocate a once, with room for exactly extra more
-// elements, when its spare capacity is short of that.
-func grow32(a []int32, extra int) []int32 {
-	if cap(a)-len(a) >= extra {
-		return a
-	}
-	b := make([]int32, len(a), len(a)+extra)
-	copy(b, a)
-	return b
-}
-
-func growElem(a []qual.Elem, extra int) []qual.Elem {
-	if cap(a)-len(a) >= extra {
-		return a
-	}
-	b := make([]qual.Elem, len(a), len(a)+extra)
-	copy(b, a)
-	return b
-}
-
-// Stats reports the size and condensation counters of the last Solve.
-// It panics if the system has not been solved since the last
-// modification.
+// Stats reports the size of the last Solve. It panics if the system has
+// not been solved since the last modification.
 func (s *System) Stats() SolveStats {
 	s.mustSolved()
-	return s.stats
+	return SolveStats{Vars: s.n, Constraints: len(s.cons)}
 }
 
 func (s *System) valueLower(t Term) qual.Elem {
@@ -832,25 +506,21 @@ func (s *System) Restrict(iface []Var) []Constraint {
 // The projection preserves, per lattice component, reachability through
 // internal variables only: interface variables terminate the search, so
 // paths through them are recovered by composing the kept edges. It runs
-// as one masked-reachability pass per interface variable over a
-// condensed graph: cycles among internal variables are collapsed first
-// (interface variables stay singletons, so termination semantics are
-// unchanged), and each pass propagates a per-component bitset of the
-// lattice components on which the node is reachable — all components at
-// once, instead of the per-variable-per-bit DFS this replaces. Constant
-// bounds are pre-aggregated per condensed node, so recording them is a
-// pair of mask operations rather than a map update per bit.
+// one masked-reachability worklist per interface variable forward and one
+// backward, each propagating per node the bitset of lattice components on
+// which the node is reachable, all components at once. Constant bounds
+// are pre-aggregated per variable, so recording them is a pair of mask
+// operations.
+//
+// A direct self-loop x ⊑ x in the input says nothing and is skipped; a
+// cycle x ⊑ i ⊑ x through an internal variable i still projects to x ⊑ x.
 func Restrict(set *qual.Set, cons []Constraint, iface []Var) []Constraint {
 	full := set.FullMask()
 	top := set.Top()
 
 	// Local dense ids: interface variables first (deduplicated), then
-	// every other variable in first-occurrence order. The same pass
-	// counts the variable-variable edges (nvv) and their internal-
-	// internal subset (nii), so the edge arrays below allocate exactly
-	// once each — this function runs per generalized function in the
-	// polymorphic pipeline, and its fixed allocation overhead is paid
-	// thousands of times.
+	// every other variable in first-occurrence order, so a node is an
+	// interface variable iff its id is below nIface.
 	id := make(map[Var]int32, 2*len(iface))
 	locals := make([]Var, 0, len(iface)+2*len(cons))
 	lid := func(v Var) int32 {
@@ -865,131 +535,87 @@ func Restrict(set *qual.Set, cons []Constraint, iface []Var) []Constraint {
 	for _, v := range iface {
 		lid(v)
 	}
-	nIface := len(locals)
-	nvv, nii := 0, 0
+	nIface := int32(len(locals))
+	var eFrom, eTo []int32
+	var eMask []qual.Elem
 	for _, c := range cons {
-		if c.L.isVar && c.R.isVar {
+		switch {
+		case c.L.isVar && c.R.isVar:
 			u, v := lid(c.L.v), lid(c.R.v)
-			nvv++
-			if int(u) >= nIface && int(v) >= nIface {
-				nii++
+			if u != v {
+				eFrom = append(eFrom, u)
+				eTo = append(eTo, v)
+				eMask = append(eMask, c.Mask)
 			}
-			continue
-		}
-		if c.L.isVar {
+		case c.L.isVar:
 			lid(c.L.v)
-		}
-		if c.R.isVar {
+		case c.R.isVar:
 			lid(c.R.v)
 		}
 	}
 	nl := len(locals)
+	fwd := newCSR(nl, eFrom, eTo, eMask)
+	rev := newCSR(nl, eTo, eFrom, eMask)
 
-	// Variable-variable edges in local ids; the subset with both
-	// endpoints internal feeds the condensation (merging across an
-	// interface variable would bypass its termination of the search).
-	eSlab := make([]int32, 2*nvv+2*nii)
-	mSlab := make([]qual.Elem, nvv+nii)
-	eFrom, eTo := eSlab[:0:nvv], eSlab[nvv:nvv:2*nvv]
-	iFrom, iTo := eSlab[2*nvv:2*nvv:2*nvv+nii], eSlab[2*nvv+nii:2*nvv+nii:2*nvv+2*nii]
-	eMask, iMask := mSlab[:0:nvv], mSlab[nvv:nvv:nvv+nii]
-	for _, c := range cons {
-		if !c.L.isVar || !c.R.isVar {
-			continue
-		}
-		u, v := id[c.L.v], id[c.R.v]
-		eFrom = append(eFrom, u)
-		eTo = append(eTo, v)
-		eMask = append(eMask, c.Mask)
-		if int(u) >= nIface && int(v) >= nIface {
-			iFrom = append(iFrom, u)
-			iTo = append(iTo, v)
-			iMask = append(iMask, c.Mask)
-		}
-	}
-	comp, ncomp, _ := condense(nl, iFrom, iTo, iMask, full)
-	g := buildCompGraph(comp, ncomp, eFrom, eTo, eMask)
-
-	// Per-node state, again slab-allocated: compIface maps a condensed
-	// node to the interface variable it holds (interface nodes are
-	// singletons), or -1 for internal components; queue, touched and
-	// emTouched are the per-pass worklists, reset via the touched lists
-	// between interface variables.
-	iSlab := make([]int32, 3*ncomp+nIface)
-	compIface := iSlab[:ncomp:ncomp]
-	queue := iSlab[ncomp : ncomp : 2*ncomp]
-	touched := iSlab[2*ncomp : 2*ncomp : 3*ncomp]
-	emTouched := iSlab[3*ncomp : 3*ncomp : 3*ncomp+nIface]
-	for i := range compIface {
-		compIface[i] = -1
-	}
-	for i := 0; i < nIface; i++ {
-		compIface[comp[i]] = int32(i)
-	}
-
-	// Constant bounds aggregated per condensed node. For upper bounds
-	// κ ⊑ c the per-component bound is binary — the component bit is
-	// either kept (every bound carries it) or cleared — so the
-	// aggregate is one AND per constraint; upCover marks components
-	// with at least one bound. reach holds, per condensed node, the
-	// bitset of lattice components on which the node is reachable from
-	// (or backwards to) the current interface variable.
-	aSlab := make([]qual.Elem, 4*ncomp+nIface)
-	loAgg := aSlab[:ncomp:ncomp]
-	upAgg := aSlab[ncomp : 2*ncomp : 2*ncomp]
-	upCover := aSlab[2*ncomp : 3*ncomp : 3*ncomp]
-	reach := aSlab[3*ncomp : 4*ncomp : 4*ncomp]
-	em := aSlab[4*ncomp:]
+	// Constant bounds aggregated per variable. For upper bounds κ ⊑ c
+	// the per-component bound is binary — the component bit is either
+	// kept (every bound carries it) or cleared — so the aggregate is one
+	// AND per constraint; upCover marks components with at least one
+	// bound. reach holds, per node, the bitset of lattice components on
+	// which the node is reachable from (or backwards to) the current
+	// interface variable; em collects the components on which each
+	// interface variable is reached.
+	loAgg := make([]qual.Elem, nl)
+	upAgg := make([]qual.Elem, nl)
+	upCover := make([]qual.Elem, nl)
+	reach := make([]qual.Elem, nl)
+	em := make([]qual.Elem, nIface)
 	for i := range upAgg {
 		upAgg[i] = top
 	}
 	for _, c := range cons {
 		switch {
 		case !c.L.isVar && c.R.isVar:
-			loAgg[comp[id[c.R.v]]] |= c.L.c & c.Mask
+			loAgg[id[c.R.v]] |= c.L.c & c.Mask
 		case c.L.isVar && !c.R.isVar:
-			u := comp[id[c.L.v]]
+			u := id[c.L.v]
 			upAgg[u] &= c.R.c | ^c.Mask
 			upCover[u] |= c.Mask
 		}
 	}
-
-	inQ := make([]bool, ncomp)
+	inQ := make([]bool, nl)
+	var queue, touched, emTouched []int32
 
 	why := Reason{Msg: "restricted scheme constraint"}
 	var out []Constraint
 
-	for ix := 0; ix < nIface; ix++ {
-		cx := comp[ix]
-
+	for x := int32(0); x < nIface; x++ {
 		// Forward pass: interface edges, and constant upper bounds on
 		// the components where they actually constrain x. upperClear
 		// collects the components b with a reachable bound lacking b;
 		// the emitted bound for such a component is always top&^b.
 		var upperClear qual.Elem
-		reach[cx] = full
-		touched = append(touched[:0], cx)
-		queue = append(queue[:0], cx)
-		inQ[cx] = true
+		reach[x] = full
+		touched = append(touched[:0], x)
+		queue = append(queue[:0], x)
+		inQ[x] = true
 		for len(queue) > 0 {
 			u := queue[len(queue)-1]
 			queue = queue[:len(queue)-1]
 			inQ[u] = false
 			b := reach[u]
-			if cov := upCover[u] & b; cov != 0 {
-				upperClear |= cov &^ upAgg[u]
-			}
-			for e := g.fOff[u]; e < g.fOff[u+1]; e++ {
-				bits := b & g.fMask[e]
+			upperClear |= upCover[u] & b &^ upAgg[u]
+			for e := fwd.off[u]; e < fwd.off[u+1]; e++ {
+				bits := b & fwd.mask[e]
 				if bits == 0 {
 					continue
 				}
-				v := g.fTo[e]
-				if iv := compIface[v]; iv >= 0 {
-					if em[iv] == 0 && bits != 0 {
-						emTouched = append(emTouched, iv)
+				v := fwd.to[e]
+				if v < nIface {
+					if em[v] == 0 {
+						emTouched = append(emTouched, v)
 					}
-					em[iv] |= bits
+					em[v] |= bits
 					continue
 				}
 				if bits&^reach[v] == 0 {
@@ -1005,9 +631,9 @@ func Restrict(set *qual.Set, cons []Constraint, iface []Var) []Constraint {
 				}
 			}
 		}
-		for _, iv := range emTouched {
-			out = append(out, Constraint{L: V(locals[ix]), R: V(locals[iv]), Mask: em[iv], Why: why})
-			em[iv] = 0
+		for _, v := range emTouched {
+			out = append(out, Constraint{L: V(locals[x]), R: V(locals[v]), Mask: em[v], Why: why})
+			em[v] = 0
 		}
 		emTouched = emTouched[:0]
 		for _, u := range touched {
@@ -1018,26 +644,20 @@ func Restrict(set *qual.Set, cons []Constraint, iface []Var) []Constraint {
 		// sources terminate the walk (their flow is covered by the edge
 		// kept from them).
 		var lowerIn qual.Elem
-		reach[cx] = full
-		touched = append(touched[:0], cx)
-		queue = append(queue[:0], cx)
-		inQ[cx] = true
+		reach[x] = full
+		touched = append(touched[:0], x)
+		queue = append(queue[:0], x)
+		inQ[x] = true
 		for len(queue) > 0 {
 			u := queue[len(queue)-1]
 			queue = queue[:len(queue)-1]
 			inQ[u] = false
 			b := reach[u]
 			lowerIn |= loAgg[u] & b
-			for e := g.rOff[u]; e < g.rOff[u+1]; e++ {
-				bits := b & g.rMask[e]
-				if bits == 0 {
-					continue
-				}
-				v := g.rTo[e]
-				if compIface[v] >= 0 {
-					continue
-				}
-				if bits&^reach[v] == 0 {
+			for e := rev.off[u]; e < rev.off[u+1]; e++ {
+				bits := b & rev.mask[e]
+				v := rev.to[e]
+				if v < nIface || bits&^reach[v] == 0 {
 					continue
 				}
 				if reach[v] == 0 {
@@ -1055,11 +675,11 @@ func Restrict(set *qual.Set, cons []Constraint, iface []Var) []Constraint {
 		}
 
 		if lowerIn != 0 {
-			out = append(out, Constraint{L: C(lowerIn), R: V(locals[ix]), Mask: lowerIn, Why: why})
+			out = append(out, Constraint{L: C(lowerIn), R: V(locals[x]), Mask: lowerIn, Why: why})
 		}
 		for bits := upperClear; bits != 0; bits &= bits - 1 {
 			bit := bits & -bits
-			out = append(out, Constraint{L: V(locals[ix]), R: C(top &^ bit), Mask: bit, Why: why})
+			out = append(out, Constraint{L: V(locals[x]), R: C(top &^ bit), Mask: bit, Why: why})
 		}
 	}
 

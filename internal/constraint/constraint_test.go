@@ -2,6 +2,7 @@ package constraint
 
 import (
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -553,6 +554,30 @@ func TestRestrictKeepsConstBounds(t *testing.T) {
 	}
 	if !inst.Forbidden(ix, "const") {
 		t.Error("constant upper bound lost in restriction")
+	}
+}
+
+// TestRestrictSelfLoop pins the projection's self-loop rule: a direct
+// x ⊑ x in the input says nothing and projects away, while a cycle
+// through an internal variable still yields x ⊑ x.
+func TestRestrictSelfLoop(t *testing.T) {
+	set := testSet(t)
+	full := set.FullMask()
+	x, i := Var(0), Var(1)
+	why := Reason{Msg: "restricted scheme constraint"}
+	for _, tc := range []struct {
+		name string
+		cons []Constraint
+		want []Constraint
+	}{
+		{"direct", []Constraint{{L: V(x), R: V(x), Mask: full}}, nil},
+		{"through-internal", []Constraint{{L: V(x), R: V(i), Mask: full}, {L: V(i), R: V(x), Mask: full}},
+			[]Constraint{{L: V(x), R: V(x), Mask: full, Why: why}}},
+	} {
+		got := Restrict(set, tc.cons, []Var{x})
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s: Restrict = %v, want %v", tc.name, got, tc.want)
+		}
 	}
 }
 

@@ -1,10 +1,8 @@
 package constraint_test
 
-// Tests for the condensed constraint-graph engine (graph.go): the
-// per-class condensation must be invisible — Solve and Restrict have to
-// behave exactly like the direct per-edge algorithms they replaced. The
-// oracle here is referenceSolve, a straight reimplementation of the
-// pre-condensation worklist solver over the public API, plus a
+// Oracle tests for the worklist engine (graph.go): Solve and Restrict
+// are checked against referenceSolve, a naive round-robin fixpoint
+// straight over the constraint list through the public API, and a
 // brute-force instantiation oracle for Restrict.
 
 import (
@@ -17,9 +15,9 @@ import (
 	"repro/internal/qual"
 )
 
-// referenceSolve is the pre-condensation solver: a masked worklist
-// fixpoint straight over the constraint list. It is deliberately naive —
-// the condensed engine must match it bit for bit on every variable.
+// referenceSolve is a masked fixpoint iterated round-robin straight over
+// the constraint list. It is deliberately naive — the worklist engine
+// must match it bit for bit on every variable.
 func referenceSolve(sys *constraint.System) (lower, upper []qual.Elem) {
 	set := sys.Set()
 	n := sys.NumVars()
@@ -109,7 +107,7 @@ func checkAgainstReference(t *testing.T, sys *constraint.System) {
 }
 
 // TestSolveFullMaskCycleCollapses: a full-mask ⊑-cycle makes its members
-// equal in both solutions and condenses to one component.
+// equal in both solutions.
 func TestSolveFullMaskCycleCollapses(t *testing.T) {
 	set := set2(t)
 	sys := constraint.NewSystem(set)
@@ -127,16 +125,6 @@ func TestSolveFullMaskCycleCollapses(t *testing.T) {
 		if got := sys.Lower(v); got != seed {
 			t.Errorf("lower(κ%d) = %#x, want the seed on every cycle member", int(v), uint64(got))
 		}
-	}
-	st := sys.Stats()
-	if st.SCCsCollapsed != 1 || st.VarsCollapsed != 3 {
-		t.Errorf("stats = %+v, want one SCC collapsing 3 variables", st)
-	}
-	if st.EdgesDropped != 4 {
-		t.Errorf("EdgesDropped = %d, want all 4 cycle edges", st.EdgesDropped)
-	}
-	if st.MaskClasses != 1 || st.Components != 1 {
-		t.Errorf("stats = %+v, want one class with one participating component", st)
 	}
 }
 
@@ -159,18 +147,10 @@ func TestSolveMaskedCycleDoesNotOverMerge(t *testing.T) {
 	if got := sys.Lower(a); got != bitConst|bitTaint {
 		t.Errorf("lower(a) = %#x, want const|tainted (each bit via its own edge)", uint64(got))
 	}
-	st := sys.Stats()
-	if st.SCCsCollapsed != 0 || st.VarsCollapsed != 0 {
-		t.Errorf("stats = %+v, want no collapse for a mask-disjoint cycle", st)
-	}
-	if st.MaskClasses != 2 {
-		t.Errorf("MaskClasses = %d, want 2", st.MaskClasses)
-	}
 }
 
-// TestSolveOverlappingMaskClasses: edges masked {a,b} and {b,c} refine
-// the lattice into three classes; a two-edge cycle of such edges is a
-// cycle only in class b, so values may only equalize on b.
+// TestSolveOverlappingMaskClasses: edges masked {a,b} and {b,c} form a
+// two-edge cycle only on component b, so values may only equalize on b.
 func TestSolveOverlappingMaskClasses(t *testing.T) {
 	set := set3(t)
 	ma := set.MustElem("a") | set.MustElem("b")
@@ -181,19 +161,16 @@ func TestSolveOverlappingMaskClasses(t *testing.T) {
 	sys.AddMasked(constraint.V(y), constraint.V(x), mc, constraint.Reason{})
 	sys.Add(constraint.C(set.MustElem("a")|set.MustElem("b")), constraint.V(x), constraint.Reason{})
 	checkAgainstReference(t, sys)
-	// a flows x→y on class a; b circulates both ways; nothing carries c.
+	// a flows x→y on component a; b circulates both ways; nothing carries c.
 	if got := sys.Lower(y); got != ma {
 		t.Errorf("lower(y) = %#x, want a|b", uint64(got))
 	}
 	if got := sys.Lower(x); got != ma {
 		t.Errorf("lower(x) = %#x, want a|b (b returns via the {b,c} edge)", uint64(got))
 	}
-	if st := sys.Stats(); st.MaskClasses != 3 {
-		t.Errorf("MaskClasses = %d, want 3 ({a}, {b}, {c})", st.MaskClasses)
-	}
 }
 
-// TestSolveMatchesReferenceRandom drives the condensed engine against
+// TestSolveMatchesReferenceRandom drives the worklist engine against
 // the naive reference on randomized systems: arbitrary masked edges in
 // both directions (satisfiable or not), random constant bounds.
 func TestSolveMatchesReferenceRandom(t *testing.T) {
@@ -231,8 +208,7 @@ func TestSolveMatchesReferenceRandom(t *testing.T) {
 
 // TestSolveMatchesReferenceCycleSystems runs the benchmark generator's
 // graph shapes — including structure-level masks — through the same
-// equivalence check, and re-solves after adding constraints to exercise
-// the incremental edge cache.
+// equivalence check, and re-solves after adding constraints.
 func TestSolveMatchesReferenceCycleSystems(t *testing.T) {
 	set := set2(t)
 	for _, cfg := range []benchgen.CycleConfig{
@@ -245,8 +221,7 @@ func TestSolveMatchesReferenceCycleSystems(t *testing.T) {
 			t.Fatalf("cfg %+v: generated system unsatisfiable", cfg)
 		}
 		checkAgainstReference(t, sys)
-		// Incremental re-solve: new constraints must invalidate and
-		// extend the cached edge arrays, not corrupt them.
+		// Re-solve: new constraints must invalidate the old solution.
 		v0 := constraint.Var(0)
 		w := sys.Fresh()
 		sys.Add(constraint.V(v0), constraint.V(w), constraint.Reason{})
@@ -414,7 +389,7 @@ func TestRestrictDeterministic(t *testing.T) {
 	}
 }
 
-// benchSolveConfigs are shared by the condensed-vs-reference benchmark
+// benchSolveSystems are shared by the engine-vs-reference benchmark
 // pair below; the wide shape models a multi-analysis registry (8
 // analyses, structure-level masks, long recursion cycles).
 func benchSolveSystems(b *testing.B) map[string]*constraint.System {
@@ -441,10 +416,9 @@ func benchSolveSystems(b *testing.B) map[string]*constraint.System {
 	return out
 }
 
-// BenchmarkSolveCondensed / BenchmarkSolveReference pit the condensed
-// engine against the pre-condensation worklist solver on identical
-// systems, keeping the speedup measurable in-tree.
-func BenchmarkSolveCondensed(b *testing.B) {
+// BenchmarkSolve / BenchmarkSolveReference pit the worklist engine
+// against the naive round-robin fixpoint on identical systems.
+func BenchmarkSolve(b *testing.B) {
 	for name, sys := range benchSolveSystems(b) {
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {

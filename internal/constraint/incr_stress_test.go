@@ -1,8 +1,7 @@
 package constraint_test
 
-// The incremental-solve stress test: a System re-solved after adding
-// constraints (the append-only edge cache) must match the naive
-// reference.
+// The re-solve stress test: a System re-solved after adding constraints
+// must match the naive reference.
 
 import (
 	"math/rand"

@@ -145,9 +145,8 @@ type Result struct {
 	Diagnostics []Diagnostic
 	// Timings records per-stage wall-clock times.
 	Timings Timings
-	// Solver records the size of the final constraint system and how much
-	// the solver's cycle condensation compressed it (zero value if the
-	// front end failed and the Solve stage never ran).
+	// Solver records the size of the final constraint system (zero value
+	// if the front end failed and the Solve stage never ran).
 	Solver constraint.SolveStats
 	// Delta is always nil. No effect; kept for bench/replay.go, removed
 	// with the next benchmark change.
@@ -329,7 +328,6 @@ func runAnalysis(ctx context.Context, cfg Config, res *Result) error {
 	res.Solver = a.SolveStats()
 	sp.SetAttr(obs.Int("vars", res.Solver.Vars),
 		obs.Int("constraints", res.Solver.Constraints),
-		obs.Int("mask_classes", res.Solver.MaskClasses),
 		obs.Int("conflicts", len(conflicts)))
 	sp.End()
 	if err := ctx.Err(); err != nil {

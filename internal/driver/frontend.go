@@ -6,7 +6,7 @@ package driver
 // language-agnostic — the lattice, the constraint solver, and the ref-type
 // discipline never mention C — and this file is where the repository makes
 // that concrete: a FrontEnd turns raw inputs into a Program, a Program
-// binds to an Engine, and everything from Solve onward (condensed solver,
+// binds to an Engine, and everything from Solve onward (solver,
 // classification, flow traces, JSON schema) is shared.
 //
 // Two front ends register themselves: "c" (internal/cfront + constinfer,
@@ -70,7 +70,7 @@ type Program interface {
 
 // Engine is the staged qualifier-inference engine over one program: the
 // Build/Constrain stages produce a constraint system, the Solve stage
-// runs the shared condensed solver, and Classify interprets the
+// runs the shared solver, and Classify interprets the
 // solution. *constinfer.Analysis is the C engine; internal/gofront
 // provides the Go one. SolveSession is SolveSystemContext with an
 // ignored session argument, kept for bench/replay.go and removed with

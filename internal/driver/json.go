@@ -68,16 +68,10 @@ type jsonFlow struct {
 	Note string `json:"note"`
 }
 
-// jsonSolver mirrors constraint.SolveStats: the final system's size and
-// the compression the solver's cycle condensation achieved on it.
+// jsonSolver mirrors constraint.SolveStats: the final system's size.
 type jsonSolver struct {
-	Vars          int `json:"vars"`
-	Constraints   int `json:"constraints"`
-	Components    int `json:"components"`
-	SCCsCollapsed int `json:"sccs_collapsed"`
-	VarsCollapsed int `json:"vars_collapsed"`
-	EdgesDropped  int `json:"edges_dropped"`
-	MaskClasses   int `json:"mask_classes"`
+	Vars        int `json:"vars"`
+	Constraints int `json:"constraints"`
 }
 
 type jsonTimings struct {
@@ -177,15 +171,7 @@ func (r *Result) JSON() ([]byte, error) {
 		AnalysisMS:  ms(t.Analysis()),
 	}
 	if r.Report != nil { // the Solve stage ran
-		out.Solver = &jsonSolver{
-			Vars:          r.Solver.Vars,
-			Constraints:   r.Solver.Constraints,
-			Components:    r.Solver.Components,
-			SCCsCollapsed: r.Solver.SCCsCollapsed,
-			VarsCollapsed: r.Solver.VarsCollapsed,
-			EdgesDropped:  r.Solver.EdgesDropped,
-			MaskClasses:   r.Solver.MaskClasses,
-		}
+		out.Solver = &jsonSolver{Vars: r.Solver.Vars, Constraints: r.Solver.Constraints}
 	}
 	return json.MarshalIndent(out, "", "  ")
 }

@@ -110,7 +110,7 @@ func RunLambdaContext(ctx context.Context, cfg LambdaConfig, file, src string) *
 
 	sp = tr.Start("driver", "lambda.solve")
 	start = time.Now()
-	conflicts := checker.Sys.SolveContext(ctx)
+	conflicts := checker.Sys.Solve()
 	res.Timings.Solve = time.Since(start)
 	sp.End()
 	res.Type = qt

@@ -105,9 +105,6 @@ func TestTraceCoversPipeline(t *testing.T) {
 	if count["constrain.func"] != 4 {
 		t.Errorf("constrain.func spans = %d, want 4 (one per defined function)", count["constrain.func"])
 	}
-	if count["solve.class"] < 1 {
-		t.Errorf("no solve.class spans; the solver sweep is untraced")
-	}
 	for _, e := range doc.TraceEvents {
 		if e.Name == "constrain.func" {
 			if _, ok := e.Args["func"].(string); !ok {

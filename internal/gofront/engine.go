@@ -278,15 +278,15 @@ func (e *engine) ConstrainContext(ctx context.Context, _ int) {
 }
 
 // SolveSystemContext is the cold Solve stage.
-func (e *engine) SolveSystemContext(ctx context.Context) []*constraint.Unsat {
-	return e.sys.SolveContext(ctx)
+func (e *engine) SolveSystemContext(context.Context) []*constraint.Unsat {
+	return e.sys.Solve()
 }
 
 // SolveSession is SolveSystemContext; the session argument has no
 // effect. Kept for bench/replay.go, removed with the next benchmark
 // change.
-func (e *engine) SolveSession(ctx context.Context, _ *constraint.Session) []*constraint.Unsat {
-	return e.sys.SolveContext(ctx)
+func (e *engine) SolveSession(context.Context, *constraint.Session) []*constraint.Unsat {
+	return e.sys.Solve()
 }
 
 func (e *engine) SolveStats() constraint.SolveStats { return e.sys.Stats() }

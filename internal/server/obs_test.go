@@ -147,7 +147,7 @@ func TestRequestTracing(t *testing.T) {
 	for _, e := range doc.TraceEvents {
 		names[e.Name] = true
 	}
-	for _, want := range []string{"driver.run", "driver.constrain", "solve.class"} {
+	for _, want := range []string{"driver.run", "driver.constrain", "driver.solve"} {
 		if !names[want] {
 			t.Errorf("trace missing span %q; got %v", want, names)
 		}

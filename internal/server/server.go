@@ -164,7 +164,9 @@ type Server struct {
 	stageRuns atomic.Uint64             // completed runs contributing to the stage sums
 	stageHist [numStages]*obs.Histogram // per-stage latency, seconds
 	reqHist   map[string]*obs.Histogram // end-to-end latency by cache hit/miss/session
-	solver    [6]*obs.Counter           // summed solver size and condensation counters
+
+	// Summed solver system sizes (see constraint.SolveStats).
+	solverVars, solverConstraints *obs.Counter
 
 	// perAnalysis is keyed by registered analysis name and fully
 	// populated at New — the map is never written afterwards, so
@@ -316,11 +318,10 @@ func (s *Server) registerMetrics() {
 			"Per-stage pipeline latency over completed analyses.", nil, obs.L("stage", name))
 	}
 
-	solverNames := [6]string{"vars", "constraints", "components", "sccs_collapsed", "vars_collapsed", "edges_dropped"}
-	for i, name := range solverNames {
-		s.solver[i] = r.NewCounter("cquald_solver_"+name+"_total",
-			"Summed solver counter over completed analyses (see constraint.SolveStats).")
-	}
+	s.solverVars = r.NewCounter("cquald_solver_vars_total",
+		"Summed solver counter over completed analyses (see constraint.SolveStats).")
+	s.solverConstraints = r.NewCounter("cquald_solver_constraints_total",
+		"Summed solver counter over completed analyses (see constraint.SolveStats).")
 
 	for _, name := range analysis.Names() {
 		s.perAnalysis[name] = &analysisCounters{
@@ -723,11 +724,8 @@ func (s *Server) recordTimings(t driver.Timings, st constraint.SolveStats) {
 		s.stageHist[i].Observe(d.Seconds())
 	}
 	s.stageRuns.Add(1)
-	for i, v := range [6]int{
-		st.Vars, st.Constraints, st.Components, st.SCCsCollapsed, st.VarsCollapsed, st.EdgesDropped,
-	} {
-		s.solver[i].Add(uint64(v))
-	}
+	s.solverVars.Add(uint64(st.Vars))
+	s.solverConstraints.Add(uint64(st.Constraints))
 }
 
 // countRequests credits one analyze request to each selected analysis.
@@ -971,16 +969,12 @@ type StageTotals struct {
 	AnalysisMS  float64 `json:"analysis_ms"`
 }
 
-// SolverTotals sums the solver's size and condensation counters (see
+// SolverTotals sums the solver's size counters (see
 // constraint.SolveStats) over every analysis run; like Stages, cache
 // hits run no solve and are excluded.
 type SolverTotals struct {
-	Vars          uint64 `json:"vars"`
-	Constraints   uint64 `json:"constraints"`
-	Components    uint64 `json:"components"`
-	SCCsCollapsed uint64 `json:"sccs_collapsed"`
-	VarsCollapsed uint64 `json:"vars_collapsed"`
-	EdgesDropped  uint64 `json:"edges_dropped"`
+	Vars        uint64 `json:"vars"`
+	Constraints uint64 `json:"constraints"`
 }
 
 // Snapshot returns the current metrics. Every read is an atomic load;
@@ -1008,14 +1002,7 @@ func (s *Server) Snapshot() Metrics {
 		ResultCache: s.results.Stats(),
 		Sessions:    s.sessions.Stats(),
 		PerAnalysis: per,
-		Solver: SolverTotals{
-			Vars:          s.solver[0].Value(),
-			Constraints:   s.solver[1].Value(),
-			Components:    s.solver[2].Value(),
-			SCCsCollapsed: s.solver[3].Value(),
-			VarsCollapsed: s.solver[4].Value(),
-			EdgesDropped:  s.solver[5].Value(),
-		},
+		Solver:      SolverTotals{Vars: s.solverVars.Value(), Constraints: s.solverConstraints.Value()},
 		Stages: StageTotals{
 			Runs:        s.stageRuns.Load(),
 			LoadMS:      stageMS(stageLoad),
