@@ -69,12 +69,12 @@ type Config struct {
 	IntHelpers int
 	// WideHubFrac is the probability a group emits a wide hub: a fan of
 	// one-step flow-through functions all feeding one dispatcher. Hubs
-	// broaden the constraint graph's condensation — many components at
-	// the same topological depth.
+	// widen the constraint graph — many short κ-chains meeting at one
+	// sink.
 	WideHubFrac float64
 	// DeepChainFrac is the probability a group emits a deep chain of
-	// flow-through functions. Chains deepen the condensation — many
-	// levels with few components each.
+	// flow-through functions. Chains deepen the constraint graph — long
+	// κ-paths with little width.
 	DeepChainFrac float64
 }
 
@@ -115,10 +115,10 @@ func PaperSuite() []Config {
 // corpus (named for the parallel solve it was first built to measure;
 // the bench's c-synth workloads use it): a program of about
 // targetLines lines mixing the paper's shapes with wide hubs and deep
-// chains, so the constraint graph has both broad and chain-shaped
-// condensations. Generation is deterministic
-// per seed and single-pass — the line count is tracked incrementally,
-// so a million-line corpus costs the same per line as a small one.
+// chains, so the constraint graph is both wide and deep in places.
+// Generation is deterministic per seed and single-pass — the line count
+// is tracked incrementally, so a million-line corpus costs the same per
+// line as a small one.
 func ParallelCorpus(targetLines int, seed int64) Config {
 	return Config{
 		Name:        fmt.Sprintf("synth-%dk", targetLines/1000),
@@ -266,7 +266,7 @@ func (g *gen) writer(id, k int) string {
 
 // wideHub emits a fan of one-step flow-through functions and the
 // dispatcher consuming all of them: w independent κ-chains of depth
-// one, all at the same topological depth in the condensation.
+// one, all meeting at the dispatcher.
 func (g *gen) wideHub(id int) {
 	r := g.rng
 	w := 8 + r.Intn(9)
@@ -281,7 +281,7 @@ func (g *gen) wideHub(id int) {
 }
 
 // deepChain emits a linear chain of flow-through functions: one
-// κ-chain of depth d, a condensation that is all levels and no width.
+// κ-chain of depth d, all depth and no width.
 func (g *gen) deepChain(id int) {
 	r := g.rng
 	d := 10 + r.Intn(7)

@@ -71,9 +71,8 @@ func TestTraceGoldenAcrossJobs(t *testing.T) {
 	}
 }
 
-// TestTraceCoversPipeline checks the span inventory: every driver stage,
-// at least one per-function constrain span, and at least one per-class
-// solver span.
+// TestTraceCoversPipeline checks the span inventory: every driver stage
+// and at least one per-function constrain span.
 func TestTraceCoversPipeline(t *testing.T) {
 	var doc struct {
 		TraceEvents []struct {
