@@ -180,9 +180,9 @@ func TestCqualGoldenDeterminism(t *testing.T) {
 }
 
 // TestCqualSchemesGolden pins qualifier-variable numbering and scheme
-// simplification: `-poly -schemes` and `-poly -simplify -schemes` over
-// the constinfer testdata corpus must match the committed goldens byte
-// for byte.
+// simplification: `-poly -schemes`, `-poly -simplify -schemes` and
+// `-polyrec -schemes` over the constinfer testdata corpus must match the
+// committed goldens byte for byte.
 func TestCqualSchemesGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden CLI tests in -short mode")
@@ -198,6 +198,7 @@ func TestCqualSchemesGolden(t *testing.T) {
 	}{
 		{"internal/constinfer/testdata/schemes.golden", []string{"-poly", "-schemes"}},
 		{"internal/constinfer/testdata/schemes-simplify.golden", []string{"-poly", "-simplify", "-schemes"}},
+		{"internal/constinfer/testdata/schemes-polyrec.golden", []string{"-polyrec", "-schemes"}},
 	} {
 		golden, mode := tc.golden, tc.mode
 		want, err := os.ReadFile(golden)

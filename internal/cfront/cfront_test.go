@@ -664,12 +664,18 @@ func TestParseErrors(t *testing.T) {
 }
 
 func TestSyntaxErrorPosition(t *testing.T) {
-	_, err := Parse("file.c", "int x;\nint y = @;")
-	if err == nil {
-		t.Fatal("no error")
-	}
-	if !strings.Contains(err.Error(), "file.c:2:") {
-		t.Errorf("error lacks position: %v", err)
+	for src, want := range map[string]string{
+		"int x;\nint y = @;": "file.c:2:",
+		// Declarators that name nothing where a name is required.
+		"int *;":         `file.c:1:6: expected declarator, found ';' ";"`,
+		"int (*)(void);": "file.c:1:14: expected declared name",
+	} {
+		_, err := Parse("file.c", src)
+		if err == nil {
+			t.Errorf("Parse(%q): no error", src)
+		} else if !strings.HasPrefix(err.Error(), want) {
+			t.Errorf("Parse(%q) = %v, want %s", src, err, want)
+		}
 	}
 }
 

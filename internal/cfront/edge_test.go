@@ -321,20 +321,44 @@ func TestMultiDimAndMixedDeclarators(t *testing.T) {
 		char grid[4][8];
 		int *a, b, **c, d[2];
 		const volatile int cv;
+		int (*(*f)(int))(char);
+		char *const *p;
+		int (*fa[4])(void);
+		int ((x));
+		unsigned long sz = sizeof(int (*)[3]);
+		void *q = (char (*)(int))p;
+		int g(int (*)(void), char []);
 	`)
+	// Abstract declarators are keyed by the construct holding them.
 	types := map[string]string{}
 	for _, d := range f.Decls {
-		if v, ok := d.(*VarDecl); ok {
-			types[v.Name] = v.Type.String()
+		switch d := d.(type) {
+		case *VarDecl:
+			types[d.Name] = d.Type.String()
+			switch init := d.Init.(type) {
+			case *SizeofType:
+				types["sizeof"] = init.T.String()
+			case *Cast:
+				types["cast"] = init.To.String()
+			}
+		case *FuncDecl:
+			types[d.Name] = d.Type.String()
 		}
 	}
 	wants := map[string]string{
-		"grid": "array[4](array[8](char))",
-		"a":    "ptr(int)",
-		"b":    "int",
-		"c":    "ptr(ptr(int))",
-		"d":    "array[2](int)",
-		"cv":   "const volatile int",
+		"grid":   "array[4](array[8](char))",
+		"a":      "ptr(int)",
+		"b":      "int",
+		"c":      "ptr(ptr(int))",
+		"d":      "array[2](int)",
+		"cv":     "const volatile int",
+		"f":      "ptr(fn(int) ptr(fn(char) int))",
+		"p":      "ptr(const ptr(char))",
+		"fa":     "array[4](ptr(fn() int))",
+		"x":      "int",
+		"sizeof": "ptr(array[3](int))",
+		"cast":   "ptr(fn(int) char)",
+		"g":      "fn(ptr(fn() int), ptr(char)) int",
 	}
 	for name, want := range wants {
 		if types[name] != want {

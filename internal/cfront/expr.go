@@ -159,18 +159,12 @@ func (p *Parser) parseCastExpr() (Expr, error) {
 
 // parenIsTypeName looks one token past '(' to decide cast vs expression.
 func (p *Parser) parenIsTypeName() bool {
-	saved := *p.lex
-	savedTok := p.tok
-	defer func() { *p.lex = saved; p.tok = savedTok }()
-	if p.next() != nil {
-		return false
-	}
-	switch p.tok.Kind {
+	switch t := p.peek(); t.Kind {
 	case kwVoid, kwChar, kwInt, kwLong, kwShort, kwSigned, kwUnsigned,
 		kwFloat, kwDouble, kwConst, kwVolatile, kwStruct, kwUnion, kwEnum:
 		return true
 	case IDENT:
-		_, ok := p.typedefs[p.tok.Text]
+		_, ok := p.typedefs[t.Text]
 		return ok
 	default:
 		return false

@@ -106,3 +106,45 @@ func FuzzLexerReference(f *testing.F) {
 		t.Fatalf("lexer did not terminate within %d tokens", len(src)+1)
 	})
 }
+
+// declaratorSeeds are the declarator shapes of
+// TestMultiDimAndMixedDeclarators, seeds of FuzzParse.
+var declaratorSeeds = []string{
+	"char grid[4][8];\nint *a, b, **c, d[2];\nconst volatile int cv;\n",
+	"int (*(*f)(int))(char);",
+	"char *const *p;",
+	"int (*a[4])(void);",
+	"int ((x));",
+	"unsigned long sz = sizeof(int (*)[3]);",
+	"void *q = (char (*)(int))p;",
+	"int g(int (*)(void), char []);",
+}
+
+// FuzzParse: the parser must never panic, and an accepted program must
+// survive printing — reparsing PrintFile's output gives an equal AST,
+// and printing that AST again gives the same text.
+func FuzzParse(f *testing.F) {
+	for _, s := range lexerSeeds {
+		f.Add(s)
+	}
+	for _, s := range declaratorSeeds {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		f1, err := Parse("fuzz.c", src)
+		if err != nil {
+			return
+		}
+		printed := PrintFile(f1)
+		f2, err := Parse("fuzz.c", printed)
+		if err != nil {
+			t.Fatalf("reparse: %v\n%s", err, printed)
+		}
+		if !equalFiles(f1, f2) {
+			t.Fatalf("round trip changed the AST:\n%s", printed)
+		}
+		if again := PrintFile(f2); again != printed {
+			t.Fatalf("second print differs:\n--- first ---\n%s--- second ---\n%s", printed, again)
+		}
+	})
+}

@@ -89,6 +89,18 @@ func (p *Parser) errf(format string, args ...interface{}) error {
 	return &SyntaxError{Pos: p.tok.Pos, Msg: fmt.Sprintf(format, args...)}
 }
 
+// peek returns the token after the current one without consuming it. A
+// lexical error there reads as EOF; the parser meets it again when it
+// consumes the token.
+func (p *Parser) peek() Token {
+	l := *p.lex
+	t, err := l.Next()
+	if err != nil {
+		return Token{Kind: EOF}
+	}
+	return t
+}
+
 // isTypeStart reports whether the current token can begin
 // declaration-specifiers.
 func (p *Parser) isTypeStart() bool {
@@ -411,151 +423,68 @@ func (p *Parser) parseEnumSpecifier() (*Type, error) {
 	return t, nil
 }
 
+// declarator is one parsed declarator before its base type is known:
+// the pointer levels, the array and parameter-list suffixes, and any
+// parenthesized declarator nested inside it, as in int (*f)(void).
+type declarator struct {
+	name string
+	pos  Pos
+	// ptrs holds the qualifiers of each '*', in source order.
+	ptrs []Quals
+	// suffixes holds array and function shells, in source order; apply
+	// fills in their element or result type.
+	suffixes []*Type
+	inner    *declarator
+}
+
+// apply completes the declarator over base: pointers first, then the
+// suffixes right to left (the one closest to the name binds tightest),
+// then the nested declarator.
+func (d *declarator) apply(base *Type) *Type {
+	t := base
+	for _, q := range d.ptrs {
+		pt := NewPointer(t)
+		pt.Quals = q
+		t = pt
+	}
+	for i := len(d.suffixes) - 1; i >= 0; i-- {
+		s := d.suffixes[i]
+		if s.Kind == TArray {
+			s.Elem = t
+		} else {
+			s.Ret = t
+		}
+		t = s
+	}
+	if d.inner != nil {
+		return d.inner.apply(t)
+	}
+	return t
+}
+
 // parseDeclarator parses a (possibly abstract when allowAbstract) C
 // declarator applied to the base type; it returns the declared name (""
 // for abstract), the complete type, and the name's position.
 func (p *Parser) parseDeclarator(base *Type, allowAbstract bool) (string, *Type, Pos, error) {
-	// Pointers: each '*' may be followed by qualifiers that attach to
-	// that pointer level.
-	t := base
-	for p.tok.Kind == STAR {
-		if err := p.next(); err != nil {
-			return "", nil, Pos{}, err
-		}
-		pt := NewPointer(t)
-		for p.tok.Kind == kwConst || p.tok.Kind == kwVolatile {
-			if p.tok.Kind == kwConst {
-				pt.Quals.Const = true
-				pt.Quals.ConstPos = p.tok.Pos
-			} else {
-				pt.Quals.Volatile = true
-			}
-			if err := p.next(); err != nil {
-				return "", nil, Pos{}, err
-			}
-		}
-		t = pt
-	}
-	return p.parseDirectDeclarator(t, allowAbstract)
-}
-
-func (p *Parser) parseDirectDeclarator(base *Type, allowAbstract bool) (string, *Type, Pos, error) {
-	if err := p.enter(); err != nil {
+	d, err := p.parseDeclaratorParts(allowAbstract)
+	if err != nil {
 		return "", nil, Pos{}, err
 	}
-	defer p.leave()
-	var name string
-	var namePos Pos
-	// inner defers wrapping a parenthesized declarator around the suffixed
-	// base (e.g. int (*f)(void)).
-	var inner func(*Type) (string, *Type, Pos, error)
-
-	switch {
-	case p.tok.Kind == IDENT:
-		name = p.tok.Text
-		namePos = p.tok.Pos
-		if err := p.next(); err != nil {
-			return "", nil, Pos{}, err
-		}
-	case p.tok.Kind == LPAREN && p.parenStartsDeclarator():
-		if err := p.next(); err != nil { // (
-			return "", nil, Pos{}, err
-		}
-		// Parse the inner declarator with its base type deferred; the
-		// suffixes collected below complete it.
-		innerName, innerComplete, innerPos, err := p.parseDeclaratorDeferred()
-		if err != nil {
-			return "", nil, Pos{}, err
-		}
-		if _, err := p.expect(RPAREN); err != nil {
-			return "", nil, Pos{}, err
-		}
-		name, namePos = innerName, innerPos
-		inner = innerComplete
-	default:
-		if !allowAbstract {
-			return "", nil, Pos{}, p.errf("expected declarator, found %s %q", p.tok.Kind, p.tok.Text)
-		}
-	}
-
-	// Suffixes: arrays and parameter lists, outermost first.
-	var suffixes []func(*Type) (*Type, error)
-	for {
-		switch p.tok.Kind {
-		case LBRACK:
-			if err := p.next(); err != nil {
-				return "", nil, Pos{}, err
-			}
-			length := int64(-1)
-			if p.tok.Kind != RBRACK {
-				e, err := p.parseAssignment()
-				if err != nil {
-					return "", nil, Pos{}, err
-				}
-				if v, ok := p.evalConst(e); ok {
-					length = v
-				}
-			}
-			if _, err := p.expect(RBRACK); err != nil {
-				return "", nil, Pos{}, err
-			}
-			n := length
-			suffixes = append(suffixes, func(elem *Type) (*Type, error) {
-				return &Type{Kind: TArray, Elem: elem, ArrayLen: n}, nil
-			})
-		case LPAREN:
-			if err := p.next(); err != nil {
-				return "", nil, Pos{}, err
-			}
-			params, variadic, err := p.parseParamList()
-			if err != nil {
-				return "", nil, Pos{}, err
-			}
-			if _, err := p.expect(RPAREN); err != nil {
-				return "", nil, Pos{}, err
-			}
-			ps, v := params, variadic
-			suffixes = append(suffixes, func(ret *Type) (*Type, error) {
-				return &Type{Kind: TFunc, Ret: ret, Params: ps, Variadic: v}, nil
-			})
-		default:
-			goto wrap
-		}
-	}
-wrap:
-	// Apply suffixes right-to-left around the base (closest suffix to the
-	// name binds tightest).
-	t := base
-	var err error
-	for i := len(suffixes) - 1; i >= 0; i-- {
-		t, err = suffixes[i](t)
-		if err != nil {
-			return "", nil, Pos{}, err
-		}
-	}
-	if inner != nil {
-		_, t, namePos, err = inner(t)
-		if err != nil {
-			return "", nil, Pos{}, err
-		}
-	}
-	return name, t, namePos, nil
+	return d.name, d.apply(base), d.pos, nil
 }
 
-// parseDeclaratorDeferred parses a declarator whose base type is not yet
-// known (inside parentheses); it returns a function that completes the
-// type once the base is available.
-func (p *Parser) parseDeclaratorDeferred() (string, func(*Type) (string, *Type, Pos, error), Pos, error) {
+// parseDeclaratorParts parses a declarator without applying it. A
+// parenthesized declarator nested inside may always be abstract.
+func (p *Parser) parseDeclaratorParts(allowAbstract bool) (declarator, error) {
+	var d declarator
 	if err := p.enter(); err != nil {
-		return "", nil, Pos{}, err
+		return d, err
 	}
 	defer p.leave()
-	// Collect pointer levels.
-	type ptrLevel struct{ quals Quals }
-	var ptrs []ptrLevel
+	// Each '*' may be followed by qualifiers that attach to that level.
 	for p.tok.Kind == STAR {
 		if err := p.next(); err != nil {
-			return "", nil, Pos{}, err
+			return d, err
 		}
 		var q Quals
 		for p.tok.Kind == kwConst || p.tok.Kind == kwVolatile {
@@ -566,127 +495,82 @@ func (p *Parser) parseDeclaratorDeferred() (string, func(*Type) (string, *Type, 
 				q.Volatile = true
 			}
 			if err := p.next(); err != nil {
-				return "", nil, Pos{}, err
+				return d, err
 			}
 		}
-		ptrs = append(ptrs, ptrLevel{q})
+		d.ptrs = append(d.ptrs, q)
 	}
 
-	var name string
-	var namePos Pos
-	var inner func(*Type) (string, *Type, Pos, error)
 	switch {
 	case p.tok.Kind == IDENT:
-		name = p.tok.Text
-		namePos = p.tok.Pos
+		d.name, d.pos = p.tok.Text, p.tok.Pos
 		if err := p.next(); err != nil {
-			return "", nil, Pos{}, err
+			return d, err
 		}
 	case p.tok.Kind == LPAREN && p.parenStartsDeclarator():
 		if err := p.next(); err != nil {
-			return "", nil, Pos{}, err
+			return d, err
 		}
-		n, f, np, err := p.parseDeclaratorDeferred()
+		inner, err := p.parseDeclaratorParts(true)
 		if err != nil {
-			return "", nil, Pos{}, err
+			return d, err
 		}
 		if _, err := p.expect(RPAREN); err != nil {
-			return "", nil, Pos{}, err
+			return d, err
 		}
-		name, inner, namePos = n, f, np
+		d.name, d.pos, d.inner = inner.name, inner.pos, &inner
+	case !allowAbstract:
+		return d, p.errf("expected declarator, found %s %q", p.tok.Kind, p.tok.Text)
 	}
 
-	var suffixes []func(*Type) (*Type, error)
 	for {
 		switch p.tok.Kind {
 		case LBRACK:
 			if err := p.next(); err != nil {
-				return "", nil, Pos{}, err
+				return d, err
 			}
 			length := int64(-1)
 			if p.tok.Kind != RBRACK {
 				e, err := p.parseAssignment()
 				if err != nil {
-					return "", nil, Pos{}, err
+					return d, err
 				}
 				if v, ok := p.evalConst(e); ok {
 					length = v
 				}
 			}
 			if _, err := p.expect(RBRACK); err != nil {
-				return "", nil, Pos{}, err
+				return d, err
 			}
-			n := length
-			suffixes = append(suffixes, func(elem *Type) (*Type, error) {
-				return &Type{Kind: TArray, Elem: elem, ArrayLen: n}, nil
-			})
+			d.suffixes = append(d.suffixes, &Type{Kind: TArray, ArrayLen: length})
 		case LPAREN:
 			if err := p.next(); err != nil {
-				return "", nil, Pos{}, err
+				return d, err
 			}
 			params, variadic, err := p.parseParamList()
 			if err != nil {
-				return "", nil, Pos{}, err
+				return d, err
 			}
 			if _, err := p.expect(RPAREN); err != nil {
-				return "", nil, Pos{}, err
+				return d, err
 			}
-			ps, v := params, variadic
-			suffixes = append(suffixes, func(ret *Type) (*Type, error) {
-				return &Type{Kind: TFunc, Ret: ret, Params: ps, Variadic: v}, nil
-			})
+			d.suffixes = append(d.suffixes, &Type{Kind: TFunc, Params: params, Variadic: variadic})
 		default:
-			goto build
+			return d, nil
 		}
 	}
-build:
-	finalName, finalPos := name, namePos
-	innerF := inner
-	ptrsCopy := ptrs
-	sufCopy := suffixes
-	complete := func(base *Type) (string, *Type, Pos, error) {
-		t := base
-		for _, pl := range ptrsCopy {
-			pt := NewPointer(t)
-			pt.Quals = pl.quals
-			t = pt
-		}
-		var err error
-		for i := len(sufCopy) - 1; i >= 0; i-- {
-			t, err = sufCopy[i](t)
-			if err != nil {
-				return "", nil, Pos{}, err
-			}
-		}
-		if innerF != nil {
-			return innerF(t)
-		}
-		return finalName, t, finalPos, nil
-	}
-	return name, complete, namePos, nil
 }
 
 // parenStartsDeclarator decides whether '(' begins a nested declarator
-// (true) or a parameter list of an abstract declarator (false).
+// (true) or a parameter list of an abstract declarator (false): "(*" and
+// "((" always begin one, "(name" unless name is a typedef.
 func (p *Parser) parenStartsDeclarator() bool {
-	// Cheap one-token lookahead on the lexer state.
-	saved := *p.lex
-	savedTok := p.tok
-	defer func() { *p.lex = saved; p.tok = savedTok }()
-	if p.next() != nil {
-		return false
-	}
-	switch p.tok.Kind {
-	case STAR, IDENT:
-		// "(*" is always a declarator. "(name" is a declarator unless
-		// name is a typedef (then it is a parameter list).
-		if p.tok.Kind == IDENT {
-			_, isType := p.typedefs[p.tok.Text]
-			return !isType
-		}
+	switch t := p.peek(); t.Kind {
+	case STAR, LPAREN:
 		return true
-	case LPAREN:
-		return true
+	case IDENT:
+		_, isType := p.typedefs[t.Text]
+		return !isType
 	default:
 		return false
 	}
@@ -698,18 +582,8 @@ func (p *Parser) parseParamList() ([]Param, bool, error) {
 	if p.tok.Kind == RPAREN {
 		return nil, false, nil // ()
 	}
-	// (void)
-	if p.tok.Kind == kwVoid {
-		saved := *p.lex
-		savedTok := p.tok
-		if err := p.next(); err != nil {
-			return nil, false, err
-		}
-		if p.tok.Kind == RPAREN {
-			return nil, false, nil
-		}
-		*p.lex = saved
-		p.tok = savedTok
+	if p.tok.Kind == kwVoid && p.peek().Kind == RPAREN {
+		return nil, false, p.next() // (void)
 	}
 	for {
 		if p.tok.Kind == ELLIPSIS {

@@ -266,7 +266,7 @@ func (p *Parser) parseStmt() (Stmt, error) {
 
 	case IDENT:
 		// Could be a label, a typedef-led declaration, or an expression.
-		if p.peekIsColon() {
+		if p.peek().Kind == COLON {
 			label := p.tok.Text
 			if err := p.next(); err != nil {
 				return nil, err
@@ -291,16 +291,6 @@ func (p *Parser) parseStmt() (Stmt, error) {
 		}
 		return p.parseExprStmt()
 	}
-}
-
-func (p *Parser) peekIsColon() bool {
-	saved := *p.lex
-	savedTok := p.tok
-	defer func() { *p.lex = saved; p.tok = savedTok }()
-	if p.next() != nil {
-		return false
-	}
-	return p.tok.Kind == COLON
 }
 
 func (p *Parser) parseExprStmt() (Stmt, error) {

@@ -3,6 +3,7 @@ package constinfer
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/analysis"
@@ -22,12 +23,11 @@ type Options struct {
 	// simplification); semantics are unchanged.
 	Simplify bool
 	// PolyRec additionally applies polymorphic recursion inside each
-	// strongly-connected component by Kleene iteration (the extension the
-	// paper attributes to Rehof); functions in a cycle may then use each
-	// other polymorphically.
+	// recursive strongly-connected component by re-walking its bodies
+	// twice against provisional schemes (the extension the paper
+	// attributes to Rehof); functions in a cycle may then use each other
+	// polymorphically.
 	PolyRec bool
-	// MaxPolyRecIters bounds the Kleene iteration (default 4).
-	MaxPolyRecIters int
 	// Suite selects the qualifier analyses to run together in one
 	// constraint pass over the shared product lattice (see
 	// internal/analysis). Nil selects the classic const-only suite.
@@ -130,8 +130,12 @@ type sccInfo struct {
 	funcs []*funcInfo
 	// sigVars/sigCons bracket the signature-creation fragment.
 	sigVars, sigCons [2]int
-	// bodyVars/bodyCons bracket the body fragment.
+	// bodyVars/bodyCons bracket the body fragment; under -polyrec it
+	// also covers the re-walks.
 	bodyVars, bodyCons [2]int
+	// positions brackets the component's entries in Analysis.positions,
+	// which a -polyrec re-walk repoints in place.
+	positions [2]int
 }
 
 type scheme struct {
@@ -183,9 +187,6 @@ func NewAnalysis(files []*cfront.File, opts Options) *Analysis {
 	}
 	set := suite.Set()
 	sys := constraint.NewSystem(set)
-	if opts.MaxPolyRecIters <= 0 {
-		opts.MaxPolyRecIters = 4
-	}
 	return &Analysis{
 		opts:        opts,
 		set:         set,
@@ -297,61 +298,62 @@ func (a *Analysis) Prepare() {
 // created first, in SCC order; then each SCC's bodies are walked in
 // order and, in polymorphic mode, the component is generalized into
 // schemes before the next one is walked, so later components instantiate
-// them. Polymorphic recursion re-analyzes bodies iteratively and creates
-// signatures per component (processSCC). A panic escapes to the caller;
-// Walking then names the function whose body it came from.
+// them. Under -polyrec each recursive component is re-walked twice
+// before it is generalized (polyRecIterate). A panic escapes to the
+// caller; Walking then names the function whose body it came from.
 func (a *Analysis) Constrain() {
 	a.ConstrainContext(context.Background(), 0)
 }
 
 // ConstrainContext is Constrain with tracing. When the context carries
 // an obs.Tracer, the stage emits "constrain.signatures" and
-// "constrain.globals" spans plus one "constrain.func" span per defined
-// function, with the function name. The int argument has no effect; it
-// is the jobs parameter of driver.Engine, kept for bench/replay.go.
+// "constrain.globals" spans plus one "constrain.func" span per body walk
+// (three for a recursive function under -polyrec), with the function
+// name. The int argument has no effect; it is the jobs parameter of
+// driver.Engine, kept for bench/replay.go.
 func (a *Analysis) ConstrainContext(ctx context.Context, _ int) {
 	tr := obs.FromContext(ctx)
 	a.Prepare()
-	if a.opts.PolyRec {
-		sp := tr.Start("constinfer", "constrain.polyrec",
-			obs.Int("sccs", len(a.sccs)))
-		for _, scc := range a.sccs {
-			a.processSCC(scc.funcs)
-		}
-		sp.End()
-		a.analyzeGlobalInits()
-		return
-	}
-
 	// Signatures and positions, SCC order. All exist before any body is
 	// walked, so a body sees the signature of every function it names.
 	sp := tr.Start("constinfer", "constrain.signatures",
 		obs.Int("sccs", len(a.sccs)), obs.Int("functions", len(a.defined)))
 	for _, scc := range a.sccs {
 		scc.sigVars[0], scc.sigCons[0] = a.sys.NumVars(), a.sys.NumConstraints()
+		scc.positions[0] = len(a.positions)
 		for _, fi := range scc.funcs {
 			fi.sig = a.tr.RValue(fi.decl.Type)
-			a.registerPositions(fi)
+			a.positions = a.appendPositions(a.positions, fi)
 		}
 		scc.sigVars[1], scc.sigCons[1] = a.sys.NumVars(), a.sys.NumConstraints()
+		scc.positions[1] = len(a.positions)
 	}
 	sp.End()
 
 	for _, scc := range a.sccs {
 		scc.bodyVars[0], scc.bodyCons[0] = a.sys.NumVars(), a.sys.NumConstraints()
-		for _, fi := range scc.funcs {
-			fsp := tr.Start("constinfer", "constrain.func", obs.String("func", fi.name))
-			a.analyzeBody(fi)
-			fsp.End()
-		}
+		a.walkBodies(tr, scc)
 		scc.bodyVars[1], scc.bodyCons[1] = a.sys.NumVars(), a.sys.NumConstraints()
 		if a.opts.Poly {
+			if a.opts.PolyRec {
+				a.polyRecIterate(tr, scc)
+			}
 			a.generalizeSCC(scc)
 		}
 	}
 	sp = tr.Start("constinfer", "constrain.globals")
 	a.analyzeGlobalInits()
 	sp.End()
+}
+
+// walkBodies walks the component's bodies in order, one "constrain.func"
+// span each.
+func (a *Analysis) walkBodies(tr *obs.Tracer, scc *sccInfo) {
+	for _, fi := range scc.funcs {
+		sp := tr.Start("constinfer", "constrain.func", obs.String("func", fi.name))
+		a.analyzeBody(fi)
+		sp.End()
+	}
 }
 
 // Walking names the function whose body the Constrain stage was walking
@@ -403,9 +405,7 @@ func (a *Analysis) SolveStats() constraint.SolveStats {
 // body ranges; under -simplify only those the projection keeps are
 // collected.
 func (a *Analysis) generalizeSCC(scc *sccInfo) {
-	all := a.sys.Constraints()
-	cons := append([]constraint.Constraint(nil), all[scc.sigCons[0]:scc.sigCons[1]]...)
-	cons = append(cons, all[scc.bodyCons[0]:scc.bodyCons[1]]...)
+	cons := a.fragment(scc.sigCons, scc.bodyCons)
 	var qvars map[constraint.Var]bool
 	if a.opts.Simplify {
 		cons, qvars = a.simplifySchemeCons(scc.funcs, cons, func(v constraint.Var) bool {
@@ -417,6 +417,20 @@ func (a *Analysis) generalizeSCC(scc *sccInfo) {
 	for _, fi := range scc.funcs {
 		fi.scheme = &scheme{sig: fi.sig, qvars: qvars, cons: cons}
 	}
+}
+
+// fragment copies the constraints of the half-open ranges, in order.
+func (a *Analysis) fragment(rgs ...[2]int) []constraint.Constraint {
+	all := a.sys.Constraints()
+	n := 0
+	for _, rg := range rgs {
+		n += rg[1] - rg[0]
+	}
+	out := make([]constraint.Constraint, 0, n)
+	for _, rg := range rgs {
+		out = append(out, all[rg[0]:rg[1]]...)
+	}
+	return out
 }
 
 // inRange reports whether v lies in the half-open variable range rg.
@@ -689,42 +703,6 @@ func occurrences(b *cfront.Block) []string {
 	return out
 }
 
-// processSCC creates the SCC's signatures, analyzes its bodies, and (in
-// polymorphic mode) generalizes the signatures into schemes.
-func (a *Analysis) processSCC(scc []*funcInfo) {
-	startVar := a.sys.NumVars()
-	startCon := a.sys.NumConstraints()
-
-	for _, fi := range scc {
-		fi.sig = a.tr.RValue(fi.decl.Type)
-		a.registerPositions(fi)
-	}
-	for _, fi := range scc {
-		a.analyzeBody(fi)
-	}
-
-	if !a.opts.Poly {
-		return
-	}
-	if a.opts.PolyRec && len(scc) > 0 {
-		a.polyRecIterate(scc, startVar, startCon)
-	}
-
-	endVar := a.sys.NumVars()
-	cons := append([]constraint.Constraint(nil), a.sys.Constraints()[startCon:]...)
-	var qvars map[constraint.Var]bool
-	if a.opts.Simplify {
-		cons, qvars = a.simplifySchemeCons(scc, cons, func(v constraint.Var) bool {
-			return inRange(v, [2]int{startVar, endVar}) && !a.tr.pinned[v]
-		})
-	} else {
-		qvars = a.unpinnedVars([2]int{startVar, endVar})
-	}
-	for _, fi := range scc {
-		fi.scheme = &scheme{sig: fi.sig, qvars: qvars, cons: cons}
-	}
-}
-
 // simplifySchemeCons projects the SCC's constraint fragment onto the
 // variables visible in its signatures plus any shared (pinned or
 // pre-existing) variables mentioned, and returns it with the quantified
@@ -779,78 +757,55 @@ func collectVars(t *RType, out []constraint.Var, seen map[*RType]bool) []constra
 	return out
 }
 
-// polyRecIterate re-analyzes the SCC's bodies with the functions bound to
+// polyRecIterate gives a recursive component polymorphic recursion
+// (Section 4.3): it re-walks the bodies twice with the functions bound to
 // provisional schemes, so that recursive calls instantiate fresh
-// qualifier variables — polymorphic recursion by Kleene iteration, which
-// terminates because the lattice is finite and qualifiers do not change
-// the type structure (Section 4.3).
-func (a *Analysis) polyRecIterate(scc []*funcInfo, startVar, startCon int) {
-	if len(scc) == 1 {
-		// Self-recursion only matters if the function mentions itself.
-		self := false
-		for _, n := range occurrences(scc[0].decl.Body) {
-			if n == scc[0].name {
-				self = true
-				break
-			}
-		}
-		if !self {
-			return
-		}
+// qualifier variables. The first scheme covers the signature and body
+// ranges, the second the first re-walk. The component's body bracket is
+// extended over both re-walks, so its final scheme includes every pass.
+func (a *Analysis) polyRecIterate(tr *obs.Tracer, scc *sccInfo) {
+	if len(scc.funcs) == 1 && !slices.Contains(occurrences(scc.funcs[0].decl.Body), scc.funcs[0].name) {
+		return // self-recursion only matters if the function mentions itself
 	}
-	for iter := 0; iter < a.opts.MaxPolyRecIters; iter++ {
-		endVar := a.sys.NumVars()
-		cons := append([]constraint.Constraint(nil), a.sys.Constraints()[startCon:]...)
-		qvars := a.unpinnedVars([2]int{startVar, endVar})
-		prevCount := a.sys.NumConstraints()
-		for _, fi := range scc {
-			fi.scheme = &scheme{sig: fi.sig, qvars: qvars, cons: cons}
-		}
-		// Re-analyze with recursive references now polymorphic; fresh
-		// signatures keep iterations independent.
-		startCon = a.sys.NumConstraints()
-		startVar = a.sys.NumVars()
-		for _, fi := range scc {
-			fi.sig = a.tr.RValue(fi.decl.Type)
-		}
-		for _, fi := range scc {
-			a.analyzeBody(fi)
-		}
-		// Repoint the recorded positions at the final signatures.
-		a.repointPositions(scc)
-		if a.sys.NumConstraints()-startCon >= prevCount-startCon && iter > 0 {
-			break // constraint growth stabilized
-		}
+	vars, cons := a.rewalk(tr, scc,
+		a.fragment(scc.sigCons, scc.bodyCons), a.unpinnedVars(scc.sigVars, scc.bodyVars))
+	a.rewalk(tr, scc, a.fragment(cons), a.unpinnedVars(vars))
+	for _, fi := range scc.funcs {
+		fi.scheme = nil
 	}
-	for _, fi := range scc {
-		fi.scheme = nil // final generalization happens in processSCC
-	}
+	scc.bodyVars[1], scc.bodyCons[1] = a.sys.NumVars(), a.sys.NumConstraints()
 }
 
-func (a *Analysis) repointPositions(scc []*funcInfo) {
-	names := map[string]*funcInfo{}
-	for _, fi := range scc {
-		names[fi.name] = fi
+// rewalk binds the component's functions to the provisional scheme
+// (cons, qvars), gives them fresh signatures, walks their bodies again
+// and repoints their positions at the new signatures. It returns the
+// variable and constraint ranges of the walk.
+func (a *Analysis) rewalk(tr *obs.Tracer, scc *sccInfo, cons []constraint.Constraint, qvars map[constraint.Var]bool) (vars, conRange [2]int) {
+	for _, fi := range scc.funcs {
+		fi.scheme = &scheme{sig: fi.sig, qvars: qvars, cons: cons}
 	}
-	kept := a.positions[:0]
-	for _, p := range a.positions {
-		if _, ours := names[p.Func]; !ours {
-			kept = append(kept, p)
-		}
+	vars[0], conRange[0] = a.sys.NumVars(), a.sys.NumConstraints()
+	for _, fi := range scc.funcs {
+		fi.sig = a.tr.RValue(fi.decl.Type)
 	}
-	a.positions = kept
-	for _, fi := range scc {
-		a.registerPositions(fi)
+	a.walkBodies(tr, scc)
+	// The fresh signatures have the old ones' shape, so they fill the
+	// component's position bracket exactly.
+	ps := a.positions[scc.positions[0]:scc.positions[0]:scc.positions[1]]
+	for _, fi := range scc.funcs {
+		ps = a.appendPositions(ps, fi)
 	}
+	vars[1], conRange[1] = a.sys.NumVars(), a.sys.NumConstraints()
+	return vars, conRange
 }
 
-// registerPositions records the interesting const positions of a defined
-// function: every pointer level of every parameter and of the result.
-// Positions are a const-analysis concept; suites without const track
-// none.
-func (a *Analysis) registerPositions(fi *funcInfo) {
+// appendPositions appends the interesting const positions of a defined
+// function to ps: every pointer level of every parameter and of the
+// result. Positions are a const-analysis concept; suites without const
+// track none.
+func (a *Analysis) appendPositions(ps []*Position, fi *funcInfo) []*Position {
 	if !a.constActive {
-		return
+		return ps
 	}
 	for i, p := range fi.sig.Params {
 		name := ""
@@ -862,18 +817,19 @@ func (a *Analysis) registerPositions(fi *funcInfo) {
 			}
 		}
 		for _, pr := range collectPositions(p, 0, nil) {
-			a.positions = append(a.positions, &Position{
+			ps = append(ps, &Position{
 				Func: fi.name, Param: name, Index: i, Depth: pr.depth,
 				Declared: pr.ref.DeclaredConst, Pos: pos, ref: pr.ref,
 			})
 		}
 	}
 	for _, pr := range collectPositions(fi.sig.Ret, 0, nil) {
-		a.positions = append(a.positions, &Position{
+		ps = append(ps, &Position{
 			Func: fi.name, Index: -1, Depth: pr.depth,
 			Declared: pr.ref.DeclaredConst, Pos: fi.decl.Pos, ref: pr.ref,
 		})
 	}
+	return ps
 }
 
 // useFunc returns the r-value type for an occurrence of a function name:

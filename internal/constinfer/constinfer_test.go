@@ -1,6 +1,7 @@
 package constinfer
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -383,6 +384,25 @@ func TestRecursivePointerFunction(t *testing.T) {
 	}
 	if polyrec.Inferred < poly.Inferred {
 		t.Errorf("polyrec inferred %d < poly %d", polyrec.Inferred, poly.Inferred)
+	}
+}
+
+// TestPolyRecWalkCounts pins how often -polyrec walks each body: a
+// recursive component (self-recursive f, mutually recursive even/odd) is
+// walked once and then re-walked twice; a non-recursive g is walked once.
+func TestPolyRecWalkCounts(t *testing.T) {
+	src := `
+		int f(char *s) { if (*s == 0) return 0; return f(s + 1); }
+		int even(int n);
+		int odd(int n) { if (n == 0) return 0; return even(n - 1); }
+		int even(int n) { if (n == 0) return 1; return odd(n - 1); }
+		int g(char *s) { return f(s) + even(*s); }`
+	walks := map[string]int{}
+	defer SetBodyHookForTest(func(name string) { walks[name]++ })()
+	mustClean(t, analyze(t, src, Options{Poly: true, PolyRec: true}))
+	want := map[string]int{"f": 3, "even": 3, "odd": 3, "g": 1}
+	if !reflect.DeepEqual(walks, want) {
+		t.Errorf("walks = %v, want %v", walks, want)
 	}
 }
 
