@@ -829,8 +829,8 @@ int shout(void) {
 	}
 }
 
-// TestCqualGoPolyError: -lang go -poly names the limitation and where
-// its resolution is tracked instead of a bare rejection.
+// TestCqualGoPolyError: -lang go -poly names the limitation and says
+// Go polymorphism is out of scope instead of a bare rejection.
 func TestCqualGoPolyError(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden CLI tests in -short mode")
@@ -841,7 +841,7 @@ func TestCqualGoPolyError(t *testing.T) {
 	if !ok || exit.ExitCode() != 2 {
 		t.Fatalf("cqual -lang go -poly: want exit 2, got %v\n%s", err, out)
 	}
-	for _, want := range []string{"monomorphic", "ROADMAP item 3"} {
+	for _, want := range []string{"monomorphic", "out of scope"} {
 		if !strings.Contains(string(out), want) {
 			t.Errorf("-lang go -poly error missing %q:\n%s", want, out)
 		}

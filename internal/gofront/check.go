@@ -2,10 +2,12 @@ package gofront
 
 // Parsing and type checking. The front end parses the loaded files into
 // one shared token.FileSet, groups them into packages by directory, and
-// type-checks each package with go/types. Imports resolve three ways,
+// type-checks each package with go/types. Imports resolve four ways,
 // in order: a package already checked in this run, a module-local
-// package loaded from disk and checked transitively, or the standard
-// library through the go/types source importer. Any import or
+// package loaded from disk and checked transitively, a package under
+// GOROOT through the process-wide source importer every run shares, or
+// any other package (GOPATH, a vendored tree) through this run's own
+// source importer. Any import or
 // type-check failure is downgraded to a warning diagnostic and the
 // failed package is replaced by an empty stub — the analysis always
 // proceeds on whatever type information exists, because a conservative
@@ -38,6 +40,60 @@ import (
 // fallback files instead of failing in containers without a C
 // toolchain.
 var noCgo sync.Once
+
+// std serves every import that resolves into $GOROOT/src, for every
+// Parse in the process. GOROOT is read-only while the process runs and
+// build.Default (cgo off, see noCgo) is process-wide, so a package
+// checked once is the package every later run would check: the import
+// path alone is the key. The importer is not safe for concurrent use,
+// hence the mutex. It never caches a failed import, so every run
+// retries a failure and reports it again. Its size is bounded by the
+// packages GOROOT holds.
+//
+// Standard-library positions live in the importer's own FileSet and are
+// never resolved through a run's: registerPositions and engine.pos use
+// nodes of requested files only, and loader.note resolves only the
+// positions of type errors in the run's own packages. The one position
+// go/types itself prints from another package, the "declared at" of a
+// type parameter it cannot infer, reads as "-": the importer's FileSet
+// starts at stdBase, above every run FileSet's positions.
+var std = newStdImporter()
+
+// stdBase is the first position of the standard-library FileSet: 1 GiB
+// of run sources fit below it, even with a 32-bit int.
+const stdBase = 1 << 30
+
+type stdImporter struct {
+	mu  sync.Mutex
+	src types.ImporterFrom
+}
+
+func newStdImporter() *stdImporter {
+	fset := token.NewFileSet()
+	fset.AddFile("", stdBase, 0)
+	return &stdImporter{src: importer.ForCompiler(fset, "source", nil).(types.ImporterFrom)}
+}
+
+// ImportFrom imports one GOROOT package. The lock is released by defer:
+// a go/types panic under it, which net/http recovers in a daemon
+// handler, must not block every later Go request.
+func (s *stdImporter) ImportFrom(path, srcDir string) (*types.Package, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.src.ImportFrom(path, srcDir, 0)
+}
+
+// inGoroot reports whether path, imported from srcDir, resolves into
+// $GOROOT/src. The directory test comes first because go/build's
+// lookup of a path outside GOROOT runs the go command in module mode.
+func inGoroot(path, srcDir string) bool {
+	fi, err := os.Stat(filepath.Join(build.Default.GOROOT, "src", filepath.FromSlash(path)))
+	if err != nil || !fi.IsDir() {
+		return false
+	}
+	bp, err := build.Default.Import(path, srcDir, build.FindOnly)
+	return err == nil && bp.Goroot
+}
 
 // maxPkgNotes bounds the type-error warnings reported per package;
 // beyond it one summary note stands in for the rest.
@@ -114,7 +170,7 @@ type pkgInfo struct {
 type loader struct {
 	fset *token.FileSet
 	prog *Program
-	src  types.ImporterFrom // source importer for GOROOT/GOPATH packages
+	src  types.ImporterFrom // source importer for imports outside GOROOT and the module
 
 	// modules caches go.mod lookups by directory.
 	modules map[string]moduleInfo
@@ -330,8 +386,9 @@ func (ld *loader) Import(path string) (*types.Package, error) {
 }
 
 // ImportFrom implements types.ImporterFrom: local packages first, then
-// the source importer, then a stub-with-warning so type checking (and
-// with it the analysis) always completes.
+// the shared GOROOT importer or this run's source importer, then a
+// stub-with-warning so type checking (and with it the analysis) always
+// completes.
 func (ld *loader) ImportFrom(path, srcDir string, _ types.ImportMode) (*types.Package, error) {
 	if path == "unsafe" {
 		return types.Unsafe, nil
@@ -342,7 +399,13 @@ func (ld *loader) ImportFrom(path, srcDir string, _ types.ImportMode) (*types.Pa
 	if dir, ok := ld.dirForImport(path); ok {
 		return ld.check(path, dir, nil, nil), nil
 	}
-	pkg, err := ld.src.ImportFrom(path, srcDir, 0)
+	var pkg *types.Package
+	var err error
+	if inGoroot(path, srcDir) {
+		pkg, err = std.ImportFrom(path, srcDir)
+	} else {
+		pkg, err = ld.src.ImportFrom(path, srcDir, 0)
+	}
 	if err != nil {
 		ld.note(token.NoPos, "go-import-error",
 			fmt.Sprintf("import %q: %v; treating it as an empty package (its calls get the conservative library rule)", path, err))

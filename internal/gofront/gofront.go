@@ -51,7 +51,7 @@ func (frontEnd) Extensions() []string { return []string{".go"} }
 // and has no flow-sensitive initialization checker.
 func (frontEnd) Check(cfg driver.Config) error {
 	if cfg.Options.Poly || cfg.Options.PolyRec {
-		return fmt.Errorf("gofront: the Go front end is monomorphic — every function gets one shared qualifier signature, so -poly/-polyrec have nothing to instantiate; polymorphic inference for Go is tracked as ROADMAP item 3")
+		return fmt.Errorf("gofront: the Go front end is monomorphic — every function gets one shared qualifier signature, so -poly/-polyrec have nothing to instantiate; polymorphic inference for Go is out of scope")
 	}
 	if cfg.Options.Simplify {
 		return fmt.Errorf("gofront: -simplify applies to polymorphic schemes and is not supported for -lang go")
