@@ -67,7 +67,7 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/constinfer"
 	"repro/internal/driver"
-	_ "repro/internal/gofront" // registers the -lang go front end
+	"repro/internal/gofront" // also registers the -lang go front end
 	"repro/internal/obs"
 	"repro/internal/qual"
 	"repro/internal/server"
@@ -196,6 +196,9 @@ func main() {
 
 	if *stats {
 		printSolverStats(res)
+		if *lang == "go" {
+			fmt.Fprintln(os.Stderr, "stdlib importer:", gofront.StdlibImporter())
+		}
 	}
 
 	if *jsonOut {

@@ -387,19 +387,23 @@ func TestCqualGoTaint(t *testing.T) {
 }
 
 // TestCqualGoSelf: the flagship workload — the checker analyzing one of
-// its own packages end to end with non-trivial statistics.
+// its own packages end to end with non-trivial statistics, its standard
+// library loaded from export data.
 func TestCqualGoSelf(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden CLI tests in -short mode")
 	}
 	bin := buildCqual(t)
-	out, err := exec.Command(bin, "-lang", "go", "./internal/qual").CombinedOutput()
+	out, err := exec.Command(bin, "-lang", "go", "-stats", "./internal/qual").CombinedOutput()
 	if err != nil {
 		t.Fatalf("self-analysis failed: %v\n%s", err, out)
 	}
 	got := string(out)
 	if !strings.Contains(got, "functions") || strings.Contains(got, " 0 functions") {
 		t.Errorf("self-analysis stats empty or missing:\n%s", got)
+	}
+	if !strings.Contains(got, "stdlib importer: export data, ") {
+		t.Errorf("-stats does not name the export-data importer:\n%s", got)
 	}
 }
 

@@ -5,9 +5,10 @@ package gofront
 // type-checks each package with go/types. Imports resolve four ways,
 // in order: a package already checked in this run, a module-local
 // package loaded from disk and checked transitively, a package under
-// GOROOT through the process-wide source importer every run shares, or
-// any other package (GOPATH, a vendored tree) through this run's own
-// source importer. Any import or
+// GOROOT through the process-wide importer every run shares (compiler
+// export data from the go command's build cache, or GOROOT's sources
+// when the go command cannot supply it), or any other package (GOPATH,
+// a vendored tree) through this run's own source importer. Any import or
 // type-check failure is downgraded to a warning diagnostic and the
 // failed package is replaced by an empty stub — the analysis always
 // proceeds on whatever type information exists, because a conservative
@@ -17,7 +18,10 @@ package gofront
 // edges).
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"errors"
 	"fmt"
 	"go/ast"
 	"go/build"
@@ -25,9 +29,13 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io"
+	"maps"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -35,20 +43,31 @@ import (
 	"repro/internal/driver"
 )
 
-// noCgo disables cgo in the build context the source importer reads, so
-// cgo-using stdlib packages (net, os/user) type-check their pure-Go
+// noCgo disables cgo in the build context the source importers read,
+// so cgo-using packages (net, os/user) type-check their pure-Go
 // fallback files instead of failing in containers without a C
 // toolchain.
 var noCgo sync.Once
 
 // std serves every import that resolves into $GOROOT/src, for every
-// Parse in the process. GOROOT is read-only while the process runs and
-// build.Default (cgo off, see noCgo) is process-wide, so a package
-// checked once is the package every later run would check: the import
-// path alone is the key. The importer is not safe for concurrent use,
-// hence the mutex. It never caches a failed import, so every run
-// retries a failure and reports it again. Its size is bounded by the
-// packages GOROOT holds.
+// Parse in the process, from the compiler's export data: the analysis
+// sees library code only through its exported signatures, and the go
+// command's build cache already holds them. GOROOT is read-only while
+// the process runs, so the import path alone is the key.
+//
+// The go command is asked once per Parse, in one batch, for the export
+// data of the requested files' GOROOT imports and their dependencies;
+// a later miss (a GOROOT import of a module-local dependency) lists
+// that one path. Failed lookups are not cached, so every run retries a
+// failure and reports it again.
+//
+// Until the first package is handed out, any failure of the go command
+// or of decoding its export data switches the whole process to the
+// source importer, which type-checks GOROOT from source. After that the
+// process never switches: a source-checked copy of a package would
+// carry its own io, fmt and so on, distinct from the ones the export
+// data already handed out, so an import the export path cannot serve
+// is reported as a failed import instead.
 //
 // Standard-library positions live in the importer's own FileSet and are
 // never resolved through a run's: registerPositions and engine.pos use
@@ -57,30 +76,196 @@ var noCgo sync.Once
 // go/types itself prints from another package, the "declared at" of a
 // type parameter it cannot infer, reads as "-": the importer's FileSet
 // starts at stdBase, above every run FileSet's positions.
-var std = newStdImporter()
+var std = newStdImporter(filepath.Join(build.Default.GOROOT, "bin", "go"))
 
 // stdBase is the first position of the standard-library FileSet: 1 GiB
 // of run sources fit below it, even with a 32-bit int.
 const stdBase = 1 << 30
 
+// stdImporter's mutex guards every field below it: the lookup table is
+// every run's, and go/importer's importers are not safe for concurrent
+// use.
 type stdImporter struct {
-	mu  sync.Mutex
-	src types.ImporterFrom
+	goCmd string // GOROOT's go command
+	fset  *token.FileSet
+
+	mu      sync.Mutex
+	exports map[string]string  // import path → export data file
+	gc      types.ImporterFrom // reads exports
+	served  int                // packages gc has handed out
+	src     types.ImporterFrom // non-nil once the process is on source
+	reason  string             // why src serves the process
 }
 
-func newStdImporter() *stdImporter {
+func newStdImporter(goCmd string) *stdImporter {
 	fset := token.NewFileSet()
 	fset.AddFile("", stdBase, 0)
-	return &stdImporter{src: importer.ForCompiler(fset, "source", nil).(types.ImporterFrom)}
+	s := &stdImporter{goCmd: goCmd, fset: fset, exports: map[string]string{}}
+	s.gc = importer.ForCompiler(fset, "gc", s.lookup).(types.ImporterFrom)
+	return s
+}
+
+// lookup opens one listed package's export data; gc calls it under mu,
+// only for the path ImportFrom listed, because export data carries the
+// declarations it needs from its dependencies.
+func (s *stdImporter) lookup(path string) (io.ReadCloser, error) {
+	file, ok := s.exports[path]
+	if !ok {
+		return nil, fmt.Errorf("%q is not listed", path)
+	}
+	return os.Open(file)
+}
+
+// prefetch lists paths that are not listed yet, and their dependencies,
+// in one go command run.
+func (s *stdImporter) prefetch(ctx context.Context, paths []string) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.src != nil {
+		return
+	}
+	var missing []string
+	for _, path := range paths {
+		if _, ok := s.exports[path]; !ok {
+			missing = append(missing, path)
+		}
+	}
+	if len(missing) > 0 {
+		// A failure is the first import's to report.
+		_, _ = s.list(ctx, missing)
+	}
+}
+
+// list runs `go list -export -deps` over paths, records every package
+// it gives export data for, and returns the go command's reason for
+// each package it could not build. It is GOROOT's own go command, run
+// in GOROOT, so the listing cannot resolve into the caller's module or
+// switch to another toolchain; every other variable (GOCACHE,
+// CGO_ENABLED, GOFLAGS) is the caller's, so the export data is what the
+// caller's own builds left in the cache. A failed run before anything
+// was served puts the process on the source importer; a cancelled one
+// changes nothing.
+func (s *stdImporter) list(ctx context.Context, paths []string) (map[string]string, error) {
+	cmd := exec.CommandContext(ctx, s.goCmd, append([]string{"list", "-e", "-export", "-deps", "-json=ImportPath,Export,Error"}, paths...)...)
+	cmd.Dir = filepath.Join(build.Default.GOROOT, "src")
+	cmd.Env = append(os.Environ(), "GOTOOLCHAIN=local")
+	var stderr strings.Builder
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if ctx.Err() != nil {
+		return nil, ctx.Err()
+	}
+	var listed, failed map[string]string
+	if err == nil {
+		listed, failed, err = parseList(out)
+	}
+	if err != nil {
+		err = fmt.Errorf("go list: %v", err)
+		if msg := strings.TrimSpace(stderr.String()); msg != "" {
+			err = fmt.Errorf("%v: %s", err, msg)
+		}
+		if s.served == 0 {
+			s.useSource(err.Error())
+		}
+		return nil, err
+	}
+	maps.Copy(s.exports, listed)
+	return failed, nil
+}
+
+// parseList reads `go list -json` output: the export data file of each
+// package that has one, and the error of each that has none.
+func parseList(out []byte) (listed, failed map[string]string, err error) {
+	listed, failed = map[string]string{}, map[string]string{}
+	dec := json.NewDecoder(bytes.NewReader(out))
+	for {
+		var p struct {
+			ImportPath, Export string
+			Error              *struct{ Err string }
+		}
+		if err := dec.Decode(&p); err == io.EOF {
+			return listed, failed, nil
+		} else if err != nil {
+			return nil, nil, err
+		}
+		switch {
+		case p.Export != "":
+			listed[p.ImportPath] = p.Export
+		case p.Error != nil:
+			failed[p.ImportPath] = p.Error.Err
+		}
+	}
+}
+
+// useSource puts the process on the source importer for good.
+func (s *stdImporter) useSource(reason string) {
+	s.src = importer.ForCompiler(s.fset, "source", nil).(types.ImporterFrom)
+	s.reason = reason
 }
 
 // ImportFrom imports one GOROOT package. The lock is released by defer:
 // a go/types panic under it, which net/http recovers in a daemon
 // handler, must not block every later Go request.
-func (s *stdImporter) ImportFrom(path, srcDir string) (*types.Package, error) {
+func (s *stdImporter) ImportFrom(ctx context.Context, path, srcDir string) (*types.Package, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.src.ImportFrom(path, srcDir, 0)
+	if _, ok := s.exports[path]; !ok && s.src == nil {
+		failed, err := s.list(ctx, []string{path})
+		switch {
+		case s.src != nil:
+			// The listing failed before anything was served.
+		case err != nil:
+			return nil, err
+		case failed[path] != "":
+			return nil, errors.New(failed[path])
+		}
+	}
+	if s.src != nil {
+		return s.src.ImportFrom(path, srcDir, 0)
+	}
+	pkg, err := s.decode(path, srcDir)
+	switch {
+	case err == nil:
+		s.served++
+	case s.served == 0:
+		s.useSource(err.Error())
+		return s.src.ImportFrom(path, srcDir, 0)
+	default:
+		// Listed again on the next run: the build cache may have
+		// dropped the file.
+		delete(s.exports, path)
+	}
+	return pkg, err
+}
+
+// decode reads one package's export data. Export data the importer
+// cannot read, such as a newer release's format, can panic the decoder.
+func (s *stdImporter) decode(path, srcDir string) (pkg *types.Package, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			pkg, err = nil, fmt.Errorf("export data for %q: %v", path, r)
+		}
+	}()
+	return s.gc.ImportFrom(path, srcDir, 0)
+}
+
+// StdlibImporter names the standard-library importer this process has
+// used so far: "export data" with its package counts, "source" with the
+// reason, or "none" before any Go run imported a GOROOT package.
+func StdlibImporter() string {
+	return std.describe()
+}
+
+func (s *stdImporter) describe() string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	switch {
+	case s.src != nil:
+		return "source (" + s.reason + ")"
+	case s.served > 0:
+		return fmt.Sprintf("export data, %d packages listed, %d imported", len(s.exports), s.served)
+	}
+	return "none"
 }
 
 // inGoroot reports whether path, imported from srcDir, resolves into
@@ -135,7 +320,8 @@ func (frontEnd) Parse(ctx context.Context, files []driver.Source, loadErrs []err
 	}
 	sort.Strings(dirs)
 
-	ld := newLoader(fset, prog)
+	ld := newLoader(ctx, fset, prog)
+	std.prefetch(ctx, gorootImports(parsed, files))
 	for _, dir := range dirs {
 		if ctx.Err() != nil {
 			break
@@ -153,6 +339,28 @@ func (frontEnd) Parse(ctx context.Context, files []driver.Source, loadErrs []err
 	return prog, parseErrs
 }
 
+// gorootImports lists the distinct GOROOT imports of the parsed files.
+func gorootImports(parsed []*ast.File, files []driver.Source) []string {
+	var paths []string
+	seen := map[string]bool{"unsafe": true}
+	for i, f := range parsed {
+		if f == nil {
+			continue
+		}
+		for _, imp := range f.Imports {
+			path, err := strconv.Unquote(imp.Path.Value)
+			if err != nil || seen[path] {
+				continue
+			}
+			seen[path] = true
+			if inGoroot(path, filepath.Dir(files[i].Path)) {
+				paths = append(paths, path)
+			}
+		}
+	}
+	return paths
+}
+
 // pkgInfo is one analyzed package: its parsed files and the go/types
 // results constraint generation walks.
 type pkgInfo struct {
@@ -168,6 +376,7 @@ type pkgInfo struct {
 
 // loader resolves and type-checks packages for one Parse call.
 type loader struct {
+	ctx  context.Context // the run's, for the go command std may start
 	fset *token.FileSet
 	prog *Program
 	src  types.ImporterFrom // source importer for imports outside GOROOT and the module
@@ -184,8 +393,9 @@ type moduleInfo struct {
 	Root, Path string
 }
 
-func newLoader(fset *token.FileSet, prog *Program) *loader {
+func newLoader(ctx context.Context, fset *token.FileSet, prog *Program) *loader {
 	return &loader{
+		ctx:     ctx,
 		fset:    fset,
 		prog:    prog,
 		src:     importer.ForCompiler(fset, "source", nil).(types.ImporterFrom),
@@ -242,8 +452,12 @@ func modulePathOf(path string) string {
 	for _, line := range strings.Split(string(data), "\n") {
 		line = strings.TrimSpace(line)
 		if rest, ok := strings.CutPrefix(line, "module"); ok {
+			rest, _, _ = strings.Cut(rest, "//")
 			rest = strings.TrimSpace(rest)
-			return strings.Trim(rest, `"`)
+			if unq, err := strconv.Unquote(rest); err == nil {
+				return unq
+			}
+			return rest
 		}
 	}
 	return ""
@@ -402,7 +616,7 @@ func (ld *loader) ImportFrom(path, srcDir string, _ types.ImportMode) (*types.Pa
 	var pkg *types.Package
 	var err error
 	if inGoroot(path, srcDir) {
-		pkg, err = std.ImportFrom(path, srcDir)
+		pkg, err = std.ImportFrom(ld.ctx, path, srcDir)
 	} else {
 		pkg, err = ld.src.ImportFrom(path, srcDir, 0)
 	}
