@@ -11,7 +11,6 @@
 //
 //   - BenchmarkAblationPolyFull      — polymorphic inference without
 //     scheme simplification (whole-SCC constraint replay);
-//   - BenchmarkAblationPolyRec       — polymorphic recursion;
 //   - BenchmarkAblationLambdaPoly    — mono vs poly on the example
 //     language (generated programs);
 //   - BenchmarkSolverScaling         — the atomic-subtyping solver alone;
@@ -194,21 +193,6 @@ func BenchmarkAblationPolyFull(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := constinfer.Analyze([]*cfront.File{e.file},
 					constinfer.Options{Poly: true}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkAblationPolyRec measures the polymorphic-recursion extension.
-func BenchmarkAblationPolyRec(b *testing.B) {
-	for _, e := range suite(b)[:4] {
-		e := e
-		b.Run(e.cfg.Name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := constinfer.Analyze([]*cfront.File{e.file},
-					constinfer.Options{Poly: true, PolyRec: true, Simplify: true}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -7,7 +7,7 @@
 //
 // Usage:
 //
-//	cqual [-analysis LIST] [-prelude FILES] [-poly] [-polyrec] [-simplify] [-v] [-json] [-stats] [-serve URL] file.c ...
+//	cqual [-analysis LIST] [-prelude FILES] [-poly] [-simplify] [-v] [-json] [-stats] [-serve URL] file.c ...
 //	cqual -analyses
 //
 // For every "interesting" position (each pointer level of the parameters
@@ -73,16 +73,15 @@ import (
 	"repro/internal/server"
 )
 
-const usage = "usage: cqual [-lang c|go] [-analysis LIST] [-prelude FILES] [-poly] [-polyrec] [-simplify] [-v] [-json] [-stats] [-lint] [-baseline FILE] [-trace FILE] [-serve URL] file.c ... | ./pkg/..."
+const usage = "usage: cqual [-lang c|go] [-analysis LIST] [-prelude FILES] [-poly] [-simplify] [-v] [-json] [-stats] [-lint] [-baseline FILE] [-trace FILE] [-serve URL] file.c ... | ./pkg/..."
 
 func main() {
 	lang := flag.String("lang", "c", "source language / front end (see driver.FrontEndLangs: c, go)")
 	poly := flag.Bool("poly", false, "polymorphic qualifier inference (Section 4.3)")
-	polyrec := flag.Bool("polyrec", false, "polymorphic recursion (implies -poly)")
 	simplify := flag.Bool("simplify", false, "simplify schemes (with -poly)")
 	verbose := flag.Bool("v", false, "list every position, not just the summary")
 	suggest := flag.Bool("suggest", false, "print re-declared signatures with inferred consts inserted")
-	schemes := flag.Bool("schemes", false, "print inferred polymorphic qualifier schemes (with -poly)")
+	schemes := flag.Bool("schemes", false, "print inferred polymorphic qualifier schemes (with -poly; implies -simplify)")
 	uninit := flag.Bool("uninit", false, "also run the flow-sensitive definite-initialization check (Section 6 extension)")
 	jsonOut := flag.Bool("json", false, "emit the report and diagnostics as JSON")
 	stats := flag.Bool("stats", false, "print solver statistics (system size, solve time) to stderr")
@@ -143,7 +142,7 @@ func main() {
 		}
 		os.Exit(runRemote(*serve, remoteOptions{
 			lang: *lang,
-			poly: *poly, polyrec: *polyrec, simplify: *simplify || *schemes,
+			poly: *poly, simplify: *simplify || *schemes,
 			uninit:   *uninit,
 			analyses: analyses, preludes: preludes, jsonOut: *jsonOut,
 		}, flag.Args(), os.Stdout, os.Stderr))
@@ -152,8 +151,7 @@ func main() {
 	cfg := driver.Config{
 		Lang: *lang,
 		Options: constinfer.Options{
-			Poly:     *poly || *polyrec,
-			PolyRec:  *polyrec,
+			Poly:     *poly,
 			Simplify: *simplify || *schemes,
 		},
 		Uninit:   *uninit,
@@ -384,11 +382,11 @@ func printAnalyses() {
 }
 
 type remoteOptions struct {
-	lang                            string
-	poly, polyrec, simplify, uninit bool
-	analyses                        []string
-	preludes                        []driver.PreludeFile
-	jsonOut                         bool
+	lang                   string
+	poly, simplify, uninit bool
+	analyses               []string
+	preludes               []driver.PreludeFile
+	jsonOut                bool
 }
 
 // runRemote is the -serve client: it reads the files locally, POSTs them
@@ -411,7 +409,6 @@ func runRemote(base string, opts remoteOptions, paths []string, stdout, stderr i
 	req := server.AnalyzeRequest{
 		Lang:     lang,
 		Poly:     opts.poly,
-		PolyRec:  opts.polyrec,
 		Simplify: opts.simplify,
 		Uninit:   opts.uninit,
 		Analyses: opts.analyses,
@@ -584,9 +581,6 @@ func printSummary(rep *constinfer.Report, opts constinfer.Options) {
 	mode := "monomorphic"
 	if opts.Poly {
 		mode = "polymorphic"
-		if opts.PolyRec {
-			mode = "polymorphic-recursive"
-		}
 	}
 	addable := rep.Inferred - rep.Declared
 	fmt.Printf("%s const inference: %d functions, %d positions\n", mode, rep.Functions, rep.Total)

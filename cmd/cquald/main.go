@@ -13,7 +13,7 @@
 //	       [-journal-entries n] [-retain-slowest n] [-retain-sample n]
 //	       [-slo endpoint=objective,...]
 //	cquald -watch DIR [-watch-interval d] [-lang l]
-//	       [-poly] [-polyrec] [-simplify] [-uninit]
+//	       [-poly] [-simplify] [-uninit]
 //	       [-analysis LIST] [-prelude FILES]
 //
 // POST a batch of sources to /v1/analyze and receive the same JSON
@@ -58,9 +58,9 @@
 // and re-runs the whole pipeline over the tree whenever a file
 // appears, changes, or disappears, printing conflict diagnostics with
 // their flow paths plus a per-run summary to stdout. The mode flags
-// (-lang, -poly, -polyrec, -simplify, -uninit, -analysis, -prelude)
-// mirror cqual and apply only to -watch, which fixes the configuration
-// for the process's lifetime.
+// (-lang, -poly, -simplify, -uninit, -analysis, -prelude) mirror cqual
+// and apply only to -watch, which fixes the configuration for the
+// process's lifetime.
 package main
 
 import (
@@ -101,7 +101,6 @@ func main() {
 	watchInterval := flag.Duration("watch-interval", 500*time.Millisecond, "poll interval for -watch")
 	lang := flag.String("lang", "", "with -watch: source language of the watched files (c, go; default c)")
 	poly := flag.Bool("poly", false, "with -watch: polymorphic qualifier inference")
-	polyrec := flag.Bool("polyrec", false, "with -watch: polymorphic recursion (implies -poly)")
 	simplify := flag.Bool("simplify", false, "with -watch: simplify schemes")
 	uninit := flag.Bool("uninit", false, "with -watch: also run the definite-initialization check")
 	analysisFlag := flag.String("analysis", "", "with -watch: comma-separated qualifier analyses (default const)")
@@ -115,7 +114,7 @@ func main() {
 
 	if *watch != "" {
 		os.Exit(runWatchMode(*watch, *watchInterval, watchOptions{
-			poly: *poly, polyrec: *polyrec, simplify: *simplify,
+			poly: *poly, simplify: *simplify,
 			uninit: *uninit, lang: *lang,
 			analyses: *analysisFlag, preludes: *preludeFlag,
 		}))
@@ -124,7 +123,7 @@ func main() {
 		set  bool
 		name string
 	}{
-		{*poly, "-poly"}, {*polyrec, "-polyrec"}, {*simplify, "-simplify"},
+		{*poly, "-poly"}, {*simplify, "-simplify"},
 		{*uninit, "-uninit"}, {*analysisFlag != "", "-analysis"}, {*preludeFlag != "", "-prelude"},
 		{*lang != "", "-lang"},
 	} {

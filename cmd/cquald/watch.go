@@ -28,10 +28,10 @@ import (
 
 // watchOptions carries the cqual-style mode flags into watch mode.
 type watchOptions struct {
-	poly, polyrec, simplify, uninit bool
-	lang                            string // front-end language ("" = c)
-	analyses                        string // comma-separated
-	preludes                        string // comma-separated file paths
+	poly, simplify, uninit bool
+	lang                   string // front-end language ("" = c)
+	analyses               string // comma-separated
+	preludes               string // comma-separated file paths
 }
 
 // runWatchMode validates the flags, builds the fixed run config, and
@@ -79,8 +79,7 @@ func runWatchMode(dir string, interval time.Duration, opts watchOptions) int {
 	}
 	cfg := driver.Config{
 		Options: constinfer.Options{
-			Poly:     opts.poly || opts.polyrec,
-			PolyRec:  opts.polyrec,
+			Poly:     opts.poly,
 			Simplify: opts.simplify,
 		},
 		Lang:     fe.Lang(),

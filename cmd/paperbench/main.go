@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	paperbench [-table1] [-table2] [-figure6] [-simplify] [-polyrec] [-out FILE]
+//	paperbench [-table1] [-table2] [-figure6] [-simplify] [-out FILE]
 //
 // With no selection flags, everything is printed. -out additionally
 // writes the Table 2 rows (one record per benchmark, with its generated
@@ -65,7 +65,6 @@ type benchJSON struct {
 type benchFile struct {
 	Options struct {
 		Simplify bool `json:"simplify"`
-		PolyRec  bool `json:"polyrec"`
 	} `json:"options"`
 	Benchmarks  []benchJSON `json:"benchmarks"`
 	SuiteMemory *memJSON    `json:"suite_memory,omitempty"`
@@ -76,11 +75,10 @@ func main() {
 	table2 := flag.Bool("table2", false, "print Table 2 only")
 	figure6 := flag.Bool("figure6", false, "print Figure 6 only")
 	simplify := flag.Bool("simplify", true, "scheme simplification in the polymorphic pass (the Section 6 optimization; disable with -simplify=false)")
-	polyrec := flag.Bool("polyrec", false, "enable polymorphic recursion in the polymorphic pass")
 	out := flag.String("out", "", "also write the Table 2 rows as JSON to this file")
 	flag.Parse()
 
-	opts := constinfer.Options{Simplify: *simplify, PolyRec: *polyrec}
+	opts := constinfer.Options{Simplify: *simplify}
 	var results []*experiment.Result
 	var err error
 	suiteMem := measureMem(func() { results, err = experiment.RunSuite(opts) })
@@ -102,7 +100,6 @@ func main() {
 
 	var f benchFile
 	f.Options.Simplify = opts.Simplify
-	f.Options.PolyRec = opts.PolyRec
 	f.SuiteMemory = &suiteMem
 	for _, r := range results {
 		f.Benchmarks = append(f.Benchmarks, benchJSON{

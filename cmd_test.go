@@ -180,9 +180,10 @@ func TestCqualGoldenDeterminism(t *testing.T) {
 }
 
 // TestCqualSchemesGolden pins qualifier-variable numbering and scheme
-// simplification: `-poly -schemes`, `-poly -simplify -schemes` and
-// `-polyrec -schemes` over the constinfer testdata corpus must match the
-// committed goldens byte for byte.
+// simplification: `-poly -schemes` over the constinfer testdata corpus
+// must match the committed golden byte for byte. -schemes implies
+// -simplify, so this is the simplified poly mode; constraints.golden
+// pins the unsimplified poly system.
 func TestCqualSchemesGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden CLI tests in -short mode")
@@ -192,28 +193,18 @@ func TestCqualSchemesGolden(t *testing.T) {
 		t.Fatalf("corpus missing: %v (%d files)", err, len(corpus))
 	}
 	bin := buildCqual(t)
-	for _, tc := range []struct {
-		golden string
-		mode   []string
-	}{
-		{"internal/constinfer/testdata/schemes.golden", []string{"-poly", "-schemes"}},
-		{"internal/constinfer/testdata/schemes-simplify.golden", []string{"-poly", "-simplify", "-schemes"}},
-		{"internal/constinfer/testdata/schemes-polyrec.golden", []string{"-polyrec", "-schemes"}},
-	} {
-		golden, mode := tc.golden, tc.mode
-		want, err := os.ReadFile(golden)
-		if err != nil {
-			t.Fatal(err)
-		}
-		args := append(mode, corpus...)
-		out, err := exec.Command(bin, args...).CombinedOutput()
-		if err != nil {
-			t.Fatalf("cqual %s: %v\n%s", strings.Join(args, " "), err, out)
-		}
-		if !bytes.Equal(out, want) {
-			t.Errorf("cqual %s drifted from %s\n--- got ---\n%s--- want ---\n%s",
-				strings.Join(mode, " "), golden, out, want)
-		}
+	const golden = "internal/constinfer/testdata/schemes.golden"
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	args := append([]string{"-poly", "-schemes"}, corpus...)
+	out, err := exec.Command(bin, args...).CombinedOutput()
+	if err != nil {
+		t.Fatalf("cqual %s: %v\n%s", strings.Join(args, " "), err, out)
+	}
+	if !bytes.Equal(out, want) {
+		t.Errorf("cqual -poly -schemes drifted from %s\n--- got ---\n%s--- want ---\n%s", golden, out, want)
 	}
 }
 
@@ -436,8 +427,8 @@ func TestCqualJSON(t *testing.T) {
 	}
 }
 
-// TestCqualJobsValidation: -jobs is retired from cqual and cquald, so
-// passing it is an unknown-flag usage error, exit 2.
+// TestCqualJobsValidation: -jobs and -polyrec are retired from cqual
+// and cquald, so passing either is an unknown-flag usage error, exit 2.
 func TestCqualJobsValidation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden CLI tests in -short mode")
@@ -447,17 +438,24 @@ func TestCqualJobsValidation(t *testing.T) {
 	if err := os.WriteFile(cFile, []byte("int f(int x) { return x; }\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	for _, cmd := range []*exec.Cmd{
-		exec.Command(buildCqual(t), "-jobs", "2", cFile),
-		exec.Command(buildCquald(t), "-jobs", "2"),
+	cqual, cquald := buildCqual(t), buildCquald(t)
+	for _, tc := range []struct {
+		cmd  *exec.Cmd
+		flag string
+	}{
+		{exec.Command(cqual, "-jobs", "2", cFile), "-jobs"},
+		{exec.Command(cquald, "-jobs", "2"), "-jobs"},
+		{exec.Command(cqual, "-polyrec", cFile), "-polyrec"},
+		{exec.Command(cquald, "-watch", dir, "-polyrec"), "-polyrec"},
 	} {
-		out, err := cmd.CombinedOutput()
+		name := filepath.Base(tc.cmd.Path) + " " + tc.flag
+		out, err := tc.cmd.CombinedOutput()
 		exit, ok := err.(*exec.ExitError)
 		if !ok || exit.ExitCode() != 2 {
-			t.Fatalf("%s -jobs 2: want exit 2, got %v\n%s", filepath.Base(cmd.Path), err, out)
+			t.Fatalf("%s: want exit 2, got %v\n%s", name, err, out)
 		}
-		if !strings.Contains(string(out), "flag provided but not defined: -jobs") {
-			t.Errorf("%s: no unknown-flag error for -jobs:\n%s", filepath.Base(cmd.Path), out)
+		if !strings.Contains(string(out), "flag provided but not defined: "+tc.flag) {
+			t.Errorf("%s: no unknown-flag error:\n%s", name, out)
 		}
 	}
 }

@@ -3,7 +3,6 @@ package constinfer
 import (
 	"context"
 	"fmt"
-	"slices"
 	"sort"
 
 	"repro/internal/analysis"
@@ -22,11 +21,10 @@ type Options struct {
 	// variables before storing it (Section 6's presentation/efficiency
 	// simplification); semantics are unchanged.
 	Simplify bool
-	// PolyRec additionally applies polymorphic recursion inside each
-	// recursive strongly-connected component by re-walking its bodies
-	// twice against provisional schemes (the extension the paper
-	// attributes to Rehof); functions in a cycle may then use each other
-	// polymorphically.
+	// PolyRec is rejected: polymorphic recursion inferred exactly what
+	// Poly infers on every corpus and was deleted, and the driver fails
+	// a run that sets it. Kept for bench/replay.go, removed with the
+	// next benchmark change.
 	PolyRec bool
 	// Suite selects the qualifier analyses to run together in one
 	// constraint pass over the shared product lattice (see
@@ -130,12 +128,8 @@ type sccInfo struct {
 	funcs []*funcInfo
 	// sigVars/sigCons bracket the signature-creation fragment.
 	sigVars, sigCons [2]int
-	// bodyVars/bodyCons bracket the body fragment; under -polyrec it
-	// also covers the re-walks.
+	// bodyVars/bodyCons bracket the body fragment.
 	bodyVars, bodyCons [2]int
-	// positions brackets the component's entries in Analysis.positions,
-	// which a -polyrec re-walk repoints in place.
-	positions [2]int
 }
 
 type scheme struct {
@@ -298,19 +292,18 @@ func (a *Analysis) Prepare() {
 // created first, in SCC order; then each SCC's bodies are walked in
 // order and, in polymorphic mode, the component is generalized into
 // schemes before the next one is walked, so later components instantiate
-// them. Under -polyrec each recursive component is re-walked twice
-// before it is generalized (polyRecIterate). A panic escapes to the
-// caller; Walking then names the function whose body it came from.
+// them. Calls within a component use the shared monomorphic signatures.
+// A panic escapes to the caller; Walking then names the function whose
+// body it came from.
 func (a *Analysis) Constrain() {
 	a.ConstrainContext(context.Background(), 0)
 }
 
 // ConstrainContext is Constrain with tracing. When the context carries
 // an obs.Tracer, the stage emits "constrain.signatures" and
-// "constrain.globals" spans plus one "constrain.func" span per body walk
-// (three for a recursive function under -polyrec), with the function
-// name. The int argument has no effect; it is the jobs parameter of
-// driver.Engine, kept for bench/replay.go.
+// "constrain.globals" spans plus one "constrain.func" span per function
+// body, with the function name. The int argument has no effect; it is
+// the jobs parameter of driver.Engine, kept for bench/replay.go.
 func (a *Analysis) ConstrainContext(ctx context.Context, _ int) {
 	tr := obs.FromContext(ctx)
 	a.Prepare()
@@ -320,40 +313,29 @@ func (a *Analysis) ConstrainContext(ctx context.Context, _ int) {
 		obs.Int("sccs", len(a.sccs)), obs.Int("functions", len(a.defined)))
 	for _, scc := range a.sccs {
 		scc.sigVars[0], scc.sigCons[0] = a.sys.NumVars(), a.sys.NumConstraints()
-		scc.positions[0] = len(a.positions)
 		for _, fi := range scc.funcs {
 			fi.sig = a.tr.RValue(fi.decl.Type)
 			a.positions = a.appendPositions(a.positions, fi)
 		}
 		scc.sigVars[1], scc.sigCons[1] = a.sys.NumVars(), a.sys.NumConstraints()
-		scc.positions[1] = len(a.positions)
 	}
 	sp.End()
 
 	for _, scc := range a.sccs {
 		scc.bodyVars[0], scc.bodyCons[0] = a.sys.NumVars(), a.sys.NumConstraints()
-		a.walkBodies(tr, scc)
+		for _, fi := range scc.funcs {
+			sp := tr.Start("constinfer", "constrain.func", obs.String("func", fi.name))
+			a.analyzeBody(fi)
+			sp.End()
+		}
 		scc.bodyVars[1], scc.bodyCons[1] = a.sys.NumVars(), a.sys.NumConstraints()
 		if a.opts.Poly {
-			if a.opts.PolyRec {
-				a.polyRecIterate(tr, scc)
-			}
 			a.generalizeSCC(scc)
 		}
 	}
 	sp = tr.Start("constinfer", "constrain.globals")
 	a.analyzeGlobalInits()
 	sp.End()
-}
-
-// walkBodies walks the component's bodies in order, one "constrain.func"
-// span each.
-func (a *Analysis) walkBodies(tr *obs.Tracer, scc *sccInfo) {
-	for _, fi := range scc.funcs {
-		sp := tr.Start("constinfer", "constrain.func", obs.String("func", fi.name))
-		a.analyzeBody(fi)
-		sp.End()
-	}
 }
 
 // Walking names the function whose body the Constrain stage was walking
@@ -755,48 +737,6 @@ func collectVars(t *RType, out []constraint.Var, seen map[*RType]bool) []constra
 	// Struct fields are pinned/shared and excluded from interfaces by
 	// construction; no need to walk them.
 	return out
-}
-
-// polyRecIterate gives a recursive component polymorphic recursion
-// (Section 4.3): it re-walks the bodies twice with the functions bound to
-// provisional schemes, so that recursive calls instantiate fresh
-// qualifier variables. The first scheme covers the signature and body
-// ranges, the second the first re-walk. The component's body bracket is
-// extended over both re-walks, so its final scheme includes every pass.
-func (a *Analysis) polyRecIterate(tr *obs.Tracer, scc *sccInfo) {
-	if len(scc.funcs) == 1 && !slices.Contains(occurrences(scc.funcs[0].decl.Body), scc.funcs[0].name) {
-		return // self-recursion only matters if the function mentions itself
-	}
-	vars, cons := a.rewalk(tr, scc,
-		a.fragment(scc.sigCons, scc.bodyCons), a.unpinnedVars(scc.sigVars, scc.bodyVars))
-	a.rewalk(tr, scc, a.fragment(cons), a.unpinnedVars(vars))
-	for _, fi := range scc.funcs {
-		fi.scheme = nil
-	}
-	scc.bodyVars[1], scc.bodyCons[1] = a.sys.NumVars(), a.sys.NumConstraints()
-}
-
-// rewalk binds the component's functions to the provisional scheme
-// (cons, qvars), gives them fresh signatures, walks their bodies again
-// and repoints their positions at the new signatures. It returns the
-// variable and constraint ranges of the walk.
-func (a *Analysis) rewalk(tr *obs.Tracer, scc *sccInfo, cons []constraint.Constraint, qvars map[constraint.Var]bool) (vars, conRange [2]int) {
-	for _, fi := range scc.funcs {
-		fi.scheme = &scheme{sig: fi.sig, qvars: qvars, cons: cons}
-	}
-	vars[0], conRange[0] = a.sys.NumVars(), a.sys.NumConstraints()
-	for _, fi := range scc.funcs {
-		fi.sig = a.tr.RValue(fi.decl.Type)
-	}
-	a.walkBodies(tr, scc)
-	// The fresh signatures have the old ones' shape, so they fill the
-	// component's position bracket exactly.
-	ps := a.positions[scc.positions[0]:scc.positions[0]:scc.positions[1]]
-	for _, fi := range scc.funcs {
-		ps = a.appendPositions(ps, fi)
-	}
-	vars[1], conRange[1] = a.sys.NumVars(), a.sys.NumConstraints()
-	return vars, conRange
 }
 
 // appendPositions appends the interesting const positions of a defined

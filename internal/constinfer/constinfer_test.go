@@ -1,7 +1,6 @@
 package constinfer
 
 import (
-	"reflect"
 	"strings"
 	"testing"
 
@@ -344,7 +343,7 @@ func TestMutualRecursionSCC(t *testing.T) {
 		int odd(int n) { if (n == 0) return 0; return even(n - 1); }
 		int even(int n) { if (n == 0) return 1; return odd(n - 1); }
 		int entry(char *s) { return even(*s); }`
-	for _, opts := range []Options{{}, {Poly: true}, {Poly: true, PolyRec: true}} {
+	for _, opts := range []Options{{}, {Poly: true}} {
 		rep := analyze(t, src, opts)
 		mustClean(t, rep)
 		if rep.Functions != 3 {
@@ -357,6 +356,12 @@ func TestMutualRecursionSCC(t *testing.T) {
 	}
 }
 
+// TestRecursivePointerFunction pins what polymorphism over the function
+// dependence graph (Section 4.3) gives a self-recursive function: skip's
+// own component is analyzed monomorphically, but use and look lie in
+// other components and instantiate its scheme afresh, so the write
+// through skip's result in use does not reach look's argument. The
+// monomorphic system shares one signature and loses look.
 func TestRecursivePointerFunction(t *testing.T) {
 	src := `
 		char *skip(char *s) {
@@ -367,42 +372,16 @@ func TestRecursivePointerFunction(t *testing.T) {
 		int look(char *b) { return *skip(b); }`
 	mono := analyze(t, src, Options{})
 	mustClean(t, mono)
+	if p := find(t, mono, "look", "b", 0); p.Verdict != MustNotConst {
+		t.Errorf("mono look.b = %v, want not-const", p.Verdict)
+	}
 	poly := analyze(t, src, Options{Poly: true})
 	mustClean(t, poly)
-	polyrec := analyze(t, src, Options{Poly: true, PolyRec: true})
-	mustClean(t, polyrec)
-	// Plain poly cannot separate the two users of the self-recursive skip
-	// (its SCC is analyzed monomorphically), but polymorphic recursion can.
-	if p := find(t, poly, "look", "b", 0); p.Verdict != MustNotConst {
-		t.Logf("note: poly look.b = %v", p.Verdict)
+	if p := find(t, poly, "look", "b", 0); p.Verdict != Either {
+		t.Errorf("poly look.b = %v, want either", p.Verdict)
 	}
-	if p := find(t, polyrec, "look", "b", 0); p.Verdict != Either {
-		t.Errorf("polyrec look.b = %v, want either", p.Verdict)
-	}
-	if p := find(t, polyrec, "use", "a", 0); p.Verdict != MustNotConst {
-		t.Errorf("polyrec use.a = %v, want not-const", p.Verdict)
-	}
-	if polyrec.Inferred < poly.Inferred {
-		t.Errorf("polyrec inferred %d < poly %d", polyrec.Inferred, poly.Inferred)
-	}
-}
-
-// TestPolyRecWalkCounts pins how often -polyrec walks each body: a
-// recursive component (self-recursive f, mutually recursive even/odd) is
-// walked once and then re-walked twice; a non-recursive g is walked once.
-func TestPolyRecWalkCounts(t *testing.T) {
-	src := `
-		int f(char *s) { if (*s == 0) return 0; return f(s + 1); }
-		int even(int n);
-		int odd(int n) { if (n == 0) return 0; return even(n - 1); }
-		int even(int n) { if (n == 0) return 1; return odd(n - 1); }
-		int g(char *s) { return f(s) + even(*s); }`
-	walks := map[string]int{}
-	defer SetBodyHookForTest(func(name string) { walks[name]++ })()
-	mustClean(t, analyze(t, src, Options{Poly: true, PolyRec: true}))
-	want := map[string]int{"f": 3, "even": 3, "odd": 3, "g": 1}
-	if !reflect.DeepEqual(walks, want) {
-		t.Errorf("walks = %v, want %v", walks, want)
+	if p := find(t, poly, "use", "a", 0); p.Verdict != MustNotConst {
+		t.Errorf("poly use.a = %v, want not-const", p.Verdict)
 	}
 }
 

@@ -32,20 +32,23 @@ func loadCorpus(t *testing.T) map[string]*cfront.File {
 	return out
 }
 
-// TestCorpusAllModes: every corpus file analyzes cleanly in every mode
-// with the paper's ordering between the modes.
+// TestCorpusAllModes: every corpus file and each of the six benchgen
+// paper programs analyzes cleanly in mono, poly and poly-simplify, and
+// the modes agree position by position: every position mono may make
+// const, poly may too, and simplification changes no verdict.
 func TestCorpusAllModes(t *testing.T) {
-	for name, f := range loadCorpus(t) {
-		name, f := name, f
+	files := loadCorpus(t)
+	for _, cfg := range benchgen.PaperSuite() {
+		f, err := cfront.Parse(cfg.Name+".c", benchgen.Generate(cfg))
+		if err != nil {
+			t.Fatalf("%s: %v", cfg.Name, err)
+		}
+		files[cfg.Name+".c"] = f
+	}
+	for name, f := range files {
 		t.Run(name, func(t *testing.T) {
-			modes := []Options{
-				{},
-				{Poly: true},
-				{Poly: true, Simplify: true},
-				{Poly: true, PolyRec: true, Simplify: true},
-			}
-			var inferred []int
-			for _, opts := range modes {
+			var reps []*Report
+			for _, opts := range []Options{{}, {Poly: true}, {Poly: true, Simplify: true}} {
 				rep, err := Analyze([]*cfront.File{f}, opts)
 				if err != nil {
 					t.Fatalf("opts %+v: %v", opts, err)
@@ -53,23 +56,36 @@ func TestCorpusAllModes(t *testing.T) {
 				if len(rep.Conflicts) > 0 {
 					t.Fatalf("opts %+v: conflict: %v", opts, rep.Conflicts[0].Error())
 				}
-				inferred = append(inferred, rep.Inferred)
 				if rep.Declared > rep.Inferred || rep.Inferred > rep.Total {
 					t.Errorf("opts %+v: ordering violated: %d/%d/%d", opts, rep.Declared, rep.Inferred, rep.Total)
 				}
+				reps = append(reps, rep)
 			}
-			// Poly ≥ mono; simplify neutral; polyrec ≥ poly.
-			if inferred[1] < inferred[0] {
-				t.Errorf("poly %d < mono %d", inferred[1], inferred[0])
+			mono, poly, simp := reps[0], reps[1], reps[2]
+			if len(mono.Positions) != len(poly.Positions) || len(simp.Positions) != len(poly.Positions) {
+				t.Fatalf("positions: mono %d, poly %d, simplify %d",
+					len(mono.Positions), len(poly.Positions), len(simp.Positions))
 			}
-			if inferred[2] != inferred[1] {
-				t.Errorf("simplify changed results: %d vs %d", inferred[2], inferred[1])
-			}
-			if inferred[3] < inferred[2] {
-				t.Errorf("polyrec %d < poly %d", inferred[3], inferred[2])
+			for i, p := range poly.Positions {
+				m, s := mono.Positions[i], simp.Positions[i]
+				if !samePosition(m.Position, p.Position) || !samePosition(s.Position, p.Position) {
+					t.Fatalf("position %d: mono %+v, poly %+v, simplify %+v", i, m.Position, p.Position, s.Position)
+				}
+				if m.Verdict != MustNotConst && p.Verdict == MustNotConst {
+					t.Errorf("%s/%s depth %d: mono %v, poly %v", p.Func, p.Param, p.Depth, m.Verdict, p.Verdict)
+				}
+				if s.Verdict != p.Verdict {
+					t.Errorf("%s/%s depth %d: poly %v, simplify %v", p.Func, p.Param, p.Depth, p.Verdict, s.Verdict)
+				}
 			}
 		})
 	}
+}
+
+// samePosition reports whether two reports' positions name the same
+// pointer level of the same parameter or result.
+func samePosition(a, b Position) bool {
+	return a.Func == b.Func && a.Param == b.Param && a.Index == b.Index && a.Depth == b.Depth && a.Pos == b.Pos
 }
 
 // TestCorpusPrintRoundTrip: the C printer round-trips every corpus file

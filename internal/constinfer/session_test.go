@@ -71,7 +71,3 @@ func TestSessionSolveMatchesColdPoly(t *testing.T) {
 func TestSessionSolveMatchesColdPolySimplify(t *testing.T) {
 	testSessionMatchesCold(t, Options{Poly: true, Simplify: true})
 }
-
-func TestSessionSolveMatchesColdPolyRec(t *testing.T) {
-	testSessionMatchesCold(t, Options{Poly: true, PolyRec: true})
-}

@@ -31,7 +31,8 @@ type Config struct {
 	// Lang selects the front end ("c", "go"); empty means "c". The
 	// language is part of every cache and session key.
 	Lang string
-	// Options is the inference mode (mono/poly/polyrec/simplify).
+	// Options is the inference mode (mono/poly/simplify). Setting
+	// Options.PolyRec fails the run.
 	Options constinfer.Options
 	// Jobs has no effect: constraint generation is sequential. Kept for
 	// bench/replay.go, removed with the next benchmark change.
@@ -174,6 +175,10 @@ func (r *Result) Errors() []Diagnostic {
 	return out
 }
 
+// errPolyRec rejects a config that sets the retired
+// constinfer.Options.PolyRec.
+var errPolyRec = errors.New("driver: polymorphic recursion (Options.PolyRec) was removed; Options.Poly is the polymorphic mode")
+
 // Run executes the full pipeline over the sources. Front-end failures do
 // not abort the run early: every source is loaded and parsed and every
 // failure is reported as a diagnostic, and only then, if any front-end
@@ -192,6 +197,9 @@ func Run(cfg Config, sources []Source) (*Result, error) {
 func RunContext(ctx context.Context, cfg Config, sources []Source) (*Result, error) {
 	if len(sources) == 0 {
 		return nil, errors.New("driver: no input sources")
+	}
+	if cfg.Options.PolyRec {
+		return nil, errPolyRec
 	}
 	fe, err := cfg.frontEnd()
 	if err != nil {
@@ -269,6 +277,9 @@ func RunContext(ctx context.Context, cfg Config, sources []Source) (*Result, err
 func RunFiles(cfg Config, files []*cfront.File) (*Result, error) {
 	if len(files) == 0 {
 		return nil, errors.New("driver: no input files")
+	}
+	if cfg.Options.PolyRec {
+		return nil, errPolyRec
 	}
 	res := &Result{Config: cfg, Files: files, Program: &CProgram{Files: files}}
 	if err := runAnalysis(context.Background(), cfg, res); err != nil {

@@ -116,7 +116,7 @@ func TestRunRecoversConstrainPanic(t *testing.T) {
 			panic("index out of range")
 		}
 	})()
-	for _, opts := range []constinfer.Options{{}, {Poly: true}, {Poly: true, PolyRec: true}} {
+	for _, opts := range []constinfer.Options{{}, {Poly: true}} {
 		res, err := Run(Config{Options: opts}, []Source{TextSource("demo.c", demo)})
 		want := "constrain: internal error in function set: index out of range"
 		if err == nil || err.Error() != want {
@@ -322,6 +322,26 @@ func TestRunLambdaParseAndTypeErrors(t *testing.T) {
 	res = RunLambda(LambdaConfig{Spec: core.ConstSpec()}, "test", "1 2")
 	if !res.HasErrors() {
 		t.Errorf("expected an error for application of a non-function: %v", res.Diagnostics)
+	}
+}
+
+// TestRunRejectsPolyRec: the retired Options.PolyRec fails the run with
+// an error and no result, in both entry points.
+func TestRunRejectsPolyRec(t *testing.T) {
+	cfg := Config{Options: constinfer.Options{Poly: true, PolyRec: true}}
+	res, err := Run(cfg, []Source{TextSource("demo.c", demo)})
+	if err == nil || !strings.Contains(err.Error(), "PolyRec") {
+		t.Errorf("Run: err = %v, want one naming PolyRec", err)
+	}
+	if res != nil {
+		t.Errorf("Run: got a result %+v", res)
+	}
+	f, err := cfront.Parse("demo.c", demo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res, err := RunFiles(cfg, []*cfront.File{f}); err == nil || res != nil {
+		t.Errorf("RunFiles: err = %v, result %v; want an error and no result", err, res)
 	}
 }
 

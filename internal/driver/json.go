@@ -91,14 +91,10 @@ type jsonTimings struct {
 
 // Mode names the inference mode of a config.
 func (c Config) Mode() string {
-	switch {
-	case c.Options.PolyRec:
-		return "polymorphic-recursive"
-	case c.Options.Poly:
+	if c.Options.Poly {
 		return "polymorphic"
-	default:
-		return "monomorphic"
 	}
+	return "monomorphic"
 }
 
 // JSON renders the report and diagnostics as indented, machine-readable

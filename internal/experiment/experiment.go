@@ -38,10 +38,10 @@ type Result struct {
 }
 
 // Run generates and measures one benchmark. PolyOpts lets callers select
-// simplification or polymorphic recursion for the polymorphic pass. The
-// monomorphic pass runs the full pipeline (its Parse timing is the
-// paper's "Compile time" column); the polymorphic pass reuses the parsed
-// files, so its cost is pure inference.
+// simplification for the polymorphic pass. The monomorphic pass runs the
+// full pipeline (its Parse timing is the paper's "Compile time" column);
+// the polymorphic pass reuses the parsed files, so its cost is pure
+// inference.
 func Run(cfg benchgen.Config, polyOpts constinfer.Options) (*Result, error) {
 	src := benchgen.Generate(cfg)
 	res := &Result{Config: cfg, Lines: strings.Count(src, "\n")}

@@ -25,7 +25,7 @@
 // Constraint generation is sequential and iterates in source order
 // (packages sorted by import path, files in load order, declarations in
 // file order), so output is byte-identical from run to run by
-// construction. The engine is monomorphic: -poly/-polyrec are rejected.
+// construction. The engine is monomorphic: -poly is rejected.
 package gofront
 
 import (
@@ -50,8 +50,8 @@ func (frontEnd) Extensions() []string { return []string{".go"} }
 // shared signature per function, Section 4.2's C type system analogue)
 // and has no flow-sensitive initialization checker.
 func (frontEnd) Check(cfg driver.Config) error {
-	if cfg.Options.Poly || cfg.Options.PolyRec {
-		return fmt.Errorf("gofront: the Go front end is monomorphic — every function gets one shared qualifier signature, so -poly/-polyrec have nothing to instantiate; polymorphic inference for Go is out of scope")
+	if cfg.Options.Poly {
+		return fmt.Errorf("gofront: the Go front end is monomorphic — every function gets one shared qualifier signature, so -poly has nothing to instantiate; polymorphic inference for Go is out of scope")
 	}
 	if cfg.Options.Simplify {
 		return fmt.Errorf("gofront: -simplify applies to polymorphic schemes and is not supported for -lang go")

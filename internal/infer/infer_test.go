@@ -526,7 +526,8 @@ func TestLetRecTyping(t *testing.T) {
 }
 
 // TestLetRecPolymorphism: a recursive flow-through function is qualifier-
-// polymorphic across its uses, like the C polyrec extension.
+// polymorphic across its uses after the letrec, like a self-recursive C
+// function's scheme under -poly.
 func TestLetRecPolymorphism(t *testing.T) {
 	set := constSet(t)
 	src := `

@@ -452,11 +452,14 @@ type AnalyzeRequest struct {
 	// are a local-filesystem concept; the server analyzes
 	// request-supplied texts only).
 	Lang string `json:"lang,omitempty"`
-	// Poly/PolyRec/Simplify/Uninit mirror the cqual flags.
+	// Poly/Simplify/Uninit mirror the cqual flags.
 	Poly     bool `json:"poly,omitempty"`
-	PolyRec  bool `json:"polyrec,omitempty"`
 	Simplify bool `json:"simplify,omitempty"`
 	Uninit   bool `json:"uninit,omitempty"`
+	// PolyRec is rejected: "polyrec": true is a 400, answered before any
+	// cache lookup. Kept for bench/replay.go, removed with the next
+	// benchmark change.
+	PolyRec bool `json:"polyrec,omitempty"`
 	// Analyses names the registered qualifier analyses to run together
 	// (empty = const). Unknown names are rejected with 400.
 	Analyses []string `json:"analyses,omitempty"`
@@ -533,6 +536,10 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, "invalid request: %v", err)
 		return
 	}
+	if req.PolyRec {
+		s.fail(w, http.StatusBadRequest, `invalid request: field "polyrec" was removed (polymorphic recursion inferred what "poly" infers)`)
+		return
+	}
 	if len(req.Sources) == 0 {
 		s.fail(w, http.StatusBadRequest, "no sources")
 		return
@@ -570,8 +577,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	cfg := driver.Config{
 		Lang: req.Lang,
 		Options: constinfer.Options{
-			Poly:     req.Poly || req.PolyRec,
-			PolyRec:  req.PolyRec,
+			Poly:     req.Poly,
 			Simplify: req.Simplify,
 		},
 		Uninit:   req.Uninit,

@@ -121,6 +121,7 @@ func TestAnalyzeBadRequests(t *testing.T) {
 		{"no sources", `{"sources":[]}`, 400, ""},
 		{"retired jobs", `{"sources":[{"path":"a.c","text":"int x;"}],"jobs":1}`, 400, `"jobs"`},
 		{"retired solve_jobs", `{"sources":[{"path":"a.c","text":"int x;"}],"solve_jobs":4}`, 400, `"solve_jobs"`},
+		{"retired polyrec", `{"sources":[{"path":"a.c","text":"int x;"}],"polyrec":true}`, 400, `"polyrec"`},
 		{"missing path", `{"sources":[{"text":"int x;"}]}`, 400, ""},
 		{"missing text", `{"sources":[{"path":"a.c"}]}`, 400, ""},
 		{"unknown field", `{"sources":[{"path":"a.c","text":"int x;"}],"bogus":1}`, 400, `"bogus"`},
@@ -152,18 +153,25 @@ func TestAnalyzeBadRequests(t *testing.T) {
 
 // TestAnalyzeSolveJobsAccepted pins how the retired solve_jobs field is
 // handled (see checkRetiredField).
-func TestAnalyzeSolveJobsAccepted(t *testing.T) { checkRetiredField(t, "solve_jobs", 4) }
+func TestAnalyzeSolveJobsAccepted(t *testing.T) { checkRetiredField(t, "solve_jobs", "4") }
 
 // TestAnalyzeJobsRejected pins the same for the retired jobs field: the
 // constraint-generation pool it sized is gone.
-func TestAnalyzeJobsRejected(t *testing.T) { checkRetiredField(t, "jobs", 1) }
+func TestAnalyzeJobsRejected(t *testing.T) { checkRetiredField(t, "jobs", "1") }
 
-// checkRetiredField: a body carrying the retired field is a 400 that
-// names the field, and the rejected request leaves the result-cache
-// entry of the same sources without the field untouched.
-func checkRetiredField(t *testing.T, field string, value int) {
+// TestAnalyzePolyRecRejected pins the same for the retired polyrec
+// field: polymorphic recursion is gone and "poly" is the one
+// polymorphic mode.
+func TestAnalyzePolyRecRejected(t *testing.T) { checkRetiredField(t, "polyrec", "true") }
+
+// checkRetiredField: a body carrying the retired field (value is its
+// JSON text) is a 400 that names the field, the rejected request caches
+// nothing, and it leaves the result-cache entry of the same sources
+// without the field untouched.
+func checkRetiredField(t *testing.T, field, value string) {
 	t.Helper()
-	ts := httptest.NewServer(New(Config{}))
+	srv := New(Config{})
+	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
 	srcs, _ := json.Marshal([]SourceJSON{{Path: "prog.c", Text: prog}})
@@ -172,13 +180,16 @@ func checkRetiredField(t *testing.T, field string, value int) {
 	if r1.StatusCode != 200 {
 		t.Fatalf("plain request: status %d (%s)", r1.StatusCode, d1)
 	}
-	r2, d2 := postAnalyze(t, ts, fmt.Sprintf(`{"sources":%s,%q:%d}`, srcs, field, value))
+	r2, d2 := postAnalyze(t, ts, fmt.Sprintf(`{"sources":%s,%q:%s}`, srcs, field, value))
 	if r2.StatusCode != 400 {
-		t.Fatalf("%s %d: status %d; want 400 (%s)", field, value, r2.StatusCode, d2)
+		t.Fatalf("%s %s: status %d; want 400 (%s)", field, value, r2.StatusCode, d2)
 	}
 	var e errorJSON
 	if err := json.Unmarshal(d2, &e); err != nil || !strings.Contains(e.Error, `"`+field+`"`) {
-		t.Fatalf("%s %d: error body %q does not name %q", field, value, d2, field)
+		t.Fatalf("%s %s: error body %q does not name %q", field, value, d2, field)
+	}
+	if st := srv.results.Stats(); st.Entries != 1 || st.Misses != 1 {
+		t.Errorf("%s %s: result cache %+v; want the plain request's one entry and one miss", field, value, st)
 	}
 	r3, d3 := postAnalyze(t, ts, plain)
 	if r3.StatusCode != 200 {
