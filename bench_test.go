@@ -9,8 +9,6 @@
 //
 // plus ablations for the design choices DESIGN.md calls out:
 //
-//   - BenchmarkAblationPolyFull      — polymorphic inference without
-//     scheme simplification (whole-SCC constraint replay);
 //   - BenchmarkAblationLambdaPoly    — mono vs poly on the example
 //     language (generated programs);
 //   - BenchmarkSolverScaling         — the atomic-subtyping solver alone;
@@ -113,7 +111,7 @@ func BenchmarkTable2Poly(b *testing.B) {
 		b.Run(e.cfg.Name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				rep, err := constinfer.Analyze([]*cfront.File{e.file},
-					constinfer.Options{Poly: true, Simplify: true})
+					constinfer.Options{Poly: true})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -133,7 +131,7 @@ func BenchmarkDriver(b *testing.B) {
 	for i, e := range entries {
 		files[i] = e.file
 	}
-	cfg := driver.Config{Options: constinfer.Options{Poly: true, Simplify: true}}
+	cfg := driver.Config{Options: constinfer.Options{Poly: true}}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res, err := driver.RunFiles(cfg, files)
@@ -171,7 +169,7 @@ func BenchmarkFigure6(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		var results []*experiment.Result
 		for _, cfg := range cfgs {
-			r, err := experiment.Run(cfg, constinfer.Options{Simplify: true})
+			r, err := experiment.Run(cfg)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -180,23 +178,6 @@ func BenchmarkFigure6(b *testing.B) {
 		if out := experiment.Figure6(results); len(out) == 0 {
 			b.Fatal("empty figure")
 		}
-	}
-}
-
-// BenchmarkAblationPolyFull measures polymorphic inference without the
-// Section 6 scheme simplification: schemes replay their whole SCC
-// fragment at every instantiation.
-func BenchmarkAblationPolyFull(b *testing.B) {
-	for _, e := range suite(b)[:4] { // the larger two take seconds per op
-		e := e
-		b.Run(e.cfg.Name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := constinfer.Analyze([]*cfront.File{e.file},
-					constinfer.Options{Poly: true}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }
 

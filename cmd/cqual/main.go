@@ -7,7 +7,7 @@
 //
 // Usage:
 //
-//	cqual [-analysis LIST] [-prelude FILES] [-poly] [-simplify] [-v] [-json] [-stats] [-serve URL] file.c ...
+//	cqual [-analysis LIST] [-prelude FILES] [-poly [-schemes]] [-v] [-json] [-stats] [-serve URL] file.c ...
 //	cqual -analyses
 //
 // For every "interesting" position (each pointer level of the parameters
@@ -73,15 +73,14 @@ import (
 	"repro/internal/server"
 )
 
-const usage = "usage: cqual [-lang c|go] [-analysis LIST] [-prelude FILES] [-poly] [-simplify] [-v] [-json] [-stats] [-lint] [-baseline FILE] [-trace FILE] [-serve URL] file.c ... | ./pkg/..."
+const usage = "usage: cqual [-lang c|go] [-analysis LIST] [-prelude FILES] [-poly [-schemes]] [-v] [-json] [-stats] [-lint] [-baseline FILE] [-trace FILE] [-serve URL] file.c ... | ./pkg/..."
 
 func main() {
 	lang := flag.String("lang", "c", "source language / front end (see driver.FrontEndLangs: c, go)")
 	poly := flag.Bool("poly", false, "polymorphic qualifier inference (Section 4.3)")
-	simplify := flag.Bool("simplify", false, "simplify schemes (with -poly)")
 	verbose := flag.Bool("v", false, "list every position, not just the summary")
 	suggest := flag.Bool("suggest", false, "print re-declared signatures with inferred consts inserted")
-	schemes := flag.Bool("schemes", false, "print inferred polymorphic qualifier schemes (with -poly; implies -simplify)")
+	schemes := flag.Bool("schemes", false, "print inferred polymorphic qualifier schemes (with -poly)")
 	uninit := flag.Bool("uninit", false, "also run the flow-sensitive definite-initialization check (Section 6 extension)")
 	jsonOut := flag.Bool("json", false, "emit the report and diagnostics as JSON")
 	stats := flag.Bool("stats", false, "print solver statistics (system size, solve time) to stderr")
@@ -131,6 +130,11 @@ func main() {
 		fmt.Fprintln(os.Stderr, "cqual: -baseline only applies with -lint")
 		os.Exit(2)
 	}
+	if *schemes && !*poly {
+		fmt.Fprintln(os.Stderr, "cqual: -schemes only applies with -poly")
+		fmt.Fprintln(os.Stderr, usage)
+		os.Exit(2)
+	}
 	if *serve != "" {
 		if *traceFile != "" {
 			fmt.Fprintln(os.Stderr, "cqual: -trace records the local pipeline and cannot be combined with -serve (use the daemon's ?trace=1 instead)")
@@ -141,19 +145,16 @@ func main() {
 			os.Exit(2)
 		}
 		os.Exit(runRemote(*serve, remoteOptions{
-			lang: *lang,
-			poly: *poly, simplify: *simplify || *schemes,
+			lang:     *lang,
+			poly:     *poly,
 			uninit:   *uninit,
 			analyses: analyses, preludes: preludes, jsonOut: *jsonOut,
 		}, flag.Args(), os.Stdout, os.Stderr))
 	}
 
 	cfg := driver.Config{
-		Lang: *lang,
-		Options: constinfer.Options{
-			Poly:     *poly,
-			Simplify: *simplify || *schemes,
-		},
+		Lang:     *lang,
+		Options:  constinfer.Options{Poly: *poly},
 		Uninit:   *uninit,
 		Analyses: analyses,
 		Preludes: preludes,
@@ -382,11 +383,11 @@ func printAnalyses() {
 }
 
 type remoteOptions struct {
-	lang                   string
-	poly, simplify, uninit bool
-	analyses               []string
-	preludes               []driver.PreludeFile
-	jsonOut                bool
+	lang         string
+	poly, uninit bool
+	analyses     []string
+	preludes     []driver.PreludeFile
+	jsonOut      bool
 }
 
 // runRemote is the -serve client: it reads the files locally, POSTs them
@@ -409,7 +410,6 @@ func runRemote(base string, opts remoteOptions, paths []string, stdout, stderr i
 	req := server.AnalyzeRequest{
 		Lang:     lang,
 		Poly:     opts.poly,
-		Simplify: opts.simplify,
 		Uninit:   opts.uninit,
 		Analyses: opts.analyses,
 	}

@@ -13,7 +13,7 @@
 //	       [-journal-entries n] [-retain-slowest n] [-retain-sample n]
 //	       [-slo endpoint=objective,...]
 //	cquald -watch DIR [-watch-interval d] [-lang l]
-//	       [-poly] [-simplify] [-uninit]
+//	       [-poly] [-uninit]
 //	       [-analysis LIST] [-prelude FILES]
 //
 // POST a batch of sources to /v1/analyze and receive the same JSON
@@ -58,7 +58,7 @@
 // and re-runs the whole pipeline over the tree whenever a file
 // appears, changes, or disappears, printing conflict diagnostics with
 // their flow paths plus a per-run summary to stdout. The mode flags
-// (-lang, -poly, -simplify, -uninit, -analysis, -prelude) mirror cqual
+// (-lang, -poly, -uninit, -analysis, -prelude) mirror cqual
 // and apply only to -watch, which fixes the configuration for the
 // process's lifetime.
 package main
@@ -101,7 +101,6 @@ func main() {
 	watchInterval := flag.Duration("watch-interval", 500*time.Millisecond, "poll interval for -watch")
 	lang := flag.String("lang", "", "with -watch: source language of the watched files (c, go; default c)")
 	poly := flag.Bool("poly", false, "with -watch: polymorphic qualifier inference")
-	simplify := flag.Bool("simplify", false, "with -watch: simplify schemes")
 	uninit := flag.Bool("uninit", false, "with -watch: also run the definite-initialization check")
 	analysisFlag := flag.String("analysis", "", "with -watch: comma-separated qualifier analyses (default const)")
 	preludeFlag := flag.String("prelude", "", "with -watch: comma-separated prelude files")
@@ -114,8 +113,7 @@ func main() {
 
 	if *watch != "" {
 		os.Exit(runWatchMode(*watch, *watchInterval, watchOptions{
-			poly: *poly, simplify: *simplify,
-			uninit: *uninit, lang: *lang,
+			poly: *poly, uninit: *uninit, lang: *lang,
 			analyses: *analysisFlag, preludes: *preludeFlag,
 		}))
 	}
@@ -123,8 +121,7 @@ func main() {
 		set  bool
 		name string
 	}{
-		{*poly, "-poly"}, {*simplify, "-simplify"},
-		{*uninit, "-uninit"}, {*analysisFlag != "", "-analysis"}, {*preludeFlag != "", "-prelude"},
+		{*poly, "-poly"}, {*uninit, "-uninit"}, {*analysisFlag != "", "-analysis"}, {*preludeFlag != "", "-prelude"},
 		{*lang != "", "-lang"},
 	} {
 		if f.set {

@@ -28,10 +28,10 @@ import (
 
 // watchOptions carries the cqual-style mode flags into watch mode.
 type watchOptions struct {
-	poly, simplify, uninit bool
-	lang                   string // front-end language ("" = c)
-	analyses               string // comma-separated
-	preludes               string // comma-separated file paths
+	poly, uninit bool
+	lang         string // front-end language ("" = c)
+	analyses     string // comma-separated
+	preludes     string // comma-separated file paths
 }
 
 // runWatchMode validates the flags, builds the fixed run config, and
@@ -78,10 +78,7 @@ func runWatchMode(dir string, interval time.Duration, opts watchOptions) int {
 		return 2
 	}
 	cfg := driver.Config{
-		Options: constinfer.Options{
-			Poly:     opts.poly,
-			Simplify: opts.simplify,
-		},
+		Options:  constinfer.Options{Poly: opts.poly},
 		Lang:     fe.Lang(),
 		Uninit:   opts.uninit,
 		Analyses: analyses,

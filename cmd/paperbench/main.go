@@ -5,12 +5,12 @@
 //
 // Usage:
 //
-//	paperbench [-table1] [-table2] [-figure6] [-simplify] [-out FILE]
+//	paperbench [-table1] [-table2] [-figure6] [-out FILE]
 //
 // With no selection flags, everything is printed. -out additionally
 // writes the Table 2 rows (one record per benchmark, with its generated
-// size) as JSON, together with the options used and the suite's
-// allocation footprint (runtime.ReadMemStats deltas).
+// size) as JSON, together with the suite's allocation footprint
+// (runtime.ReadMemStats deltas).
 package main
 
 import (
@@ -20,7 +20,6 @@ import (
 	"os"
 	"runtime"
 
-	"repro/internal/constinfer"
 	"repro/internal/experiment"
 )
 
@@ -63,9 +62,6 @@ type benchJSON struct {
 }
 
 type benchFile struct {
-	Options struct {
-		Simplify bool `json:"simplify"`
-	} `json:"options"`
 	Benchmarks  []benchJSON `json:"benchmarks"`
 	SuiteMemory *memJSON    `json:"suite_memory,omitempty"`
 }
@@ -74,14 +70,12 @@ func main() {
 	table1 := flag.Bool("table1", false, "print Table 1 only")
 	table2 := flag.Bool("table2", false, "print Table 2 only")
 	figure6 := flag.Bool("figure6", false, "print Figure 6 only")
-	simplify := flag.Bool("simplify", true, "scheme simplification in the polymorphic pass (the Section 6 optimization; disable with -simplify=false)")
 	out := flag.String("out", "", "also write the Table 2 rows as JSON to this file")
 	flag.Parse()
 
-	opts := constinfer.Options{Simplify: *simplify}
 	var results []*experiment.Result
 	var err error
-	suiteMem := measureMem(func() { results, err = experiment.RunSuite(opts) })
+	suiteMem := measureMem(func() { results, err = experiment.RunSuite() })
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "paperbench:", err)
 		os.Exit(1)
@@ -99,7 +93,6 @@ func main() {
 	}
 
 	var f benchFile
-	f.Options.Simplify = opts.Simplify
 	f.SuiteMemory = &suiteMem
 	for _, r := range results {
 		f.Benchmarks = append(f.Benchmarks, benchJSON{

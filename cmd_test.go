@@ -144,7 +144,7 @@ func TestCqualGoldenDeterminism(t *testing.T) {
 	modes := [][]string{
 		{"-v", "-suggest"},
 		{"-poly", "-v", "-schemes", "-suggest"},
-		{"-poly", "-simplify", "-json"},
+		{"-poly", "-json"},
 	}
 	for _, mode := range modes {
 		mode := mode
@@ -181,9 +181,8 @@ func TestCqualGoldenDeterminism(t *testing.T) {
 
 // TestCqualSchemesGolden pins qualifier-variable numbering and scheme
 // simplification: `-poly -schemes` over the constinfer testdata corpus
-// must match the committed golden byte for byte. -schemes implies
-// -simplify, so this is the simplified poly mode; constraints.golden
-// pins the unsimplified poly system.
+// must match the committed golden byte for byte; constraints.golden
+// pins the poly constraint system the schemes are instantiated into.
 func TestCqualSchemesGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden CLI tests in -short mode")
@@ -427,8 +426,10 @@ func TestCqualJSON(t *testing.T) {
 	}
 }
 
-// TestCqualJobsValidation: -jobs and -polyrec are retired from cqual
-// and cquald, so passing either is an unknown-flag usage error, exit 2.
+// TestCqualJobsValidation: -jobs, -polyrec and -simplify are retired
+// from cqual and cquald (and -simplify from paperbench), so passing any
+// of them is an unknown-flag usage error, exit 2. -schemes without
+// -poly is a usage error too, for C and Go alike.
 func TestCqualJobsValidation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden CLI tests in -short mode")
@@ -438,24 +439,42 @@ func TestCqualJobsValidation(t *testing.T) {
 	if err := os.WriteFile(cFile, []byte("int f(int x) { return x; }\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	goFile := filepath.Join(dir, "ok.go")
+	if err := os.WriteFile(goFile, []byte("package ok\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	cqual, cquald := buildCqual(t), buildCquald(t)
+	paperbench := filepath.Join(t.TempDir(), "paperbench")
+	if out, err := exec.Command("go", "build", "-o", paperbench, "./cmd/paperbench").CombinedOutput(); err != nil {
+		t.Fatalf("build paperbench: %v\n%s", err, out)
+	}
+	const unknown = "flag provided but not defined: "
 	for _, tc := range []struct {
 		cmd  *exec.Cmd
-		flag string
+		want string
 	}{
-		{exec.Command(cqual, "-jobs", "2", cFile), "-jobs"},
-		{exec.Command(cquald, "-jobs", "2"), "-jobs"},
-		{exec.Command(cqual, "-polyrec", cFile), "-polyrec"},
-		{exec.Command(cquald, "-watch", dir, "-polyrec"), "-polyrec"},
+		{exec.Command(cqual, "-jobs", "2", cFile), unknown + "-jobs"},
+		{exec.Command(cquald, "-jobs", "2"), unknown + "-jobs"},
+		{exec.Command(cqual, "-polyrec", cFile), unknown + "-polyrec"},
+		{exec.Command(cquald, "-watch", dir, "-polyrec"), unknown + "-polyrec"},
+		{exec.Command(cqual, "-simplify", cFile), unknown + "-simplify"},
+		{exec.Command(cqual, "-poly", "-simplify", cFile), unknown + "-simplify"},
+		{exec.Command(cquald, "-watch", dir, "-simplify"), unknown + "-simplify"},
+		{exec.Command(paperbench, "-simplify"), unknown + "-simplify"},
+		{exec.Command(cqual, "-schemes", cFile), "-schemes only applies with -poly"},
+		{exec.Command(cqual, "-lang", "go", "-schemes", goFile), "-schemes only applies with -poly"},
 	} {
-		name := filepath.Base(tc.cmd.Path) + " " + tc.flag
+		name := filepath.Base(tc.cmd.Path) + " " + strings.Join(tc.cmd.Args[1:], " ")
 		out, err := tc.cmd.CombinedOutput()
 		exit, ok := err.(*exec.ExitError)
 		if !ok || exit.ExitCode() != 2 {
 			t.Fatalf("%s: want exit 2, got %v\n%s", name, err, out)
 		}
-		if !strings.Contains(string(out), "flag provided but not defined: "+tc.flag) {
-			t.Errorf("%s: no unknown-flag error:\n%s", name, out)
+		if !strings.Contains(string(out), tc.want) {
+			t.Errorf("%s: output lacks %q:\n%s", name, tc.want, out)
+		}
+		if strings.Contains(tc.want, "-schemes") && strings.Contains(string(out), "-simplify") {
+			t.Errorf("%s: names a flag the command line lacks:\n%s", name, out)
 		}
 	}
 }

@@ -78,7 +78,7 @@ func TestGenerateAnalyzesCleanly(t *testing.T) {
 			if len(mono.Conflicts) > 0 {
 				t.Fatalf("mono conflicts: %v", mono.Conflicts[0].Error())
 			}
-			poly, err := constinfer.Analyze([]*cfront.File{f}, constinfer.Options{Poly: true, Simplify: true})
+			poly, err := constinfer.Analyze([]*cfront.File{f}, constinfer.Options{Poly: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -93,29 +93,6 @@ func TestGenerateAnalyzesCleanly(t *testing.T) {
 				t.Errorf("no polymorphism gain: mono=%d poly=%d", mono.Inferred, poly.Inferred)
 			}
 		})
-	}
-}
-
-// TestSimplifyDoesNotChangeResults: the Section 6 scheme simplification
-// is a pure optimization.
-func TestSimplifyDoesNotChangeResults(t *testing.T) {
-	cfg := PaperSuite()[0]
-	src := Generate(cfg)
-	f, err := cfront.Parse("t.c", src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	full, err := constinfer.Analyze([]*cfront.File{f}, constinfer.Options{Poly: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	simp, err := constinfer.Analyze([]*cfront.File{f}, constinfer.Options{Poly: true, Simplify: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if full.Inferred != simp.Inferred || full.Total != simp.Total || full.Declared != simp.Declared {
-		t.Errorf("simplification changed results: full %d/%d, simplified %d/%d",
-			full.Inferred, full.Total, simp.Inferred, simp.Total)
 	}
 }
 
@@ -169,7 +146,7 @@ func TestPrintAnalyzeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("printed benchmark does not reparse: %v", err)
 	}
-	for _, opts := range []constinfer.Options{{}, {Poly: true, Simplify: true}} {
+	for _, opts := range []constinfer.Options{{}, {Poly: true}} {
 		r1, err := constinfer.Analyze([]*cfront.File{f1}, opts)
 		if err != nil {
 			t.Fatal(err)

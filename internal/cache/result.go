@@ -21,17 +21,18 @@ func langKey(cfg driver.Config) string {
 }
 
 // RequestKey derives the result-cache key for an analysis request. It
-// hashes the front-end language, the inference mode (poly/simplify), the
-// uninit flag, the selected analyses, every prelude's path and text, and
+// hashes the front-end language, the inference mode (poly), the uninit
+// flag, the selected analyses, every prelude's path and text, and
 // every source's path and text, all length-prefixed so concatenations
 // cannot collide. Sources must carry their text: a path-only source
 // would key on the name rather than the content. cfg.Jobs, cfg.SolveJobs
 // and cfg.Summaries are deliberately excluded — they have no effect on
-// the report — and so is cfg.Options.PolyRec, which fails the run.
+// the report — and so are cfg.Options.PolyRec, which fails the run, and
+// cfg.Options.Simplify, which is ignored.
 func RequestKey(cfg driver.Config, sources []driver.Source) Key {
 	h := sha256.New()
 	fmt.Fprintf(h, "lang:%s;", langKey(cfg))
-	fmt.Fprintf(h, "cfg:%t,%t,%t;", cfg.Options.Poly, cfg.Options.Simplify, cfg.Uninit)
+	fmt.Fprintf(h, "cfg:%t,%t;", cfg.Options.Poly, cfg.Uninit)
 	for _, a := range cfg.AnalysisNames() {
 		fmt.Fprintf(h, "an:%d:%s;", len(a), a)
 	}

@@ -16,7 +16,7 @@ import (
 func SessionKey(cfg driver.Config, corpus string) string {
 	h := sha256.New()
 	fmt.Fprintf(h, "lang:%s;", langKey(cfg))
-	fmt.Fprintf(h, "cfg:%t,%t,%t;", cfg.Options.Poly, cfg.Options.Simplify, cfg.Uninit)
+	fmt.Fprintf(h, "cfg:%t,%t;", cfg.Options.Poly, cfg.Uninit)
 	for _, a := range cfg.AnalysisNames() {
 		fmt.Fprintf(h, "an:%d:%s;", len(a), a)
 	}

@@ -3,6 +3,7 @@ package constinfer
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/analysis"
@@ -17,9 +18,9 @@ type Options struct {
 	// Poly enables qualifier polymorphism over the function dependence
 	// graph (Section 4.3); off reproduces the monomorphic C type system.
 	Poly bool
-	// Simplify projects each scheme's constraints onto its interface
-	// variables before storing it (Section 6's presentation/efficiency
-	// simplification); semantics are unchanged.
+	// Simplify is ignored: polymorphic schemes are always projected
+	// onto their interface variables (Section 6's simplification). Kept
+	// for bench/, removed with the next benchmark change.
 	Simplify bool
 	// PolyRec is rejected: polymorphic recursion inferred exactly what
 	// Poly infers on every corpus and was deleted, and the driver fails
@@ -134,8 +135,8 @@ type sccInfo struct {
 
 type scheme struct {
 	sig   *RType
-	qvars map[constraint.Var]bool
-	cons  []constraint.Constraint
+	qvars []constraint.Var // quantified, in increasing order
+	proj  *constraint.Projection
 }
 
 // Analysis is the const-inference engine over one whole program (a set of
@@ -171,6 +172,10 @@ type Analysis struct {
 	// is cleared when the walk returns, so after a panic it names the
 	// body the panic escaped from.
 	walking string
+
+	// generalize, when set, replaces generalizeSCC; tests set it to the
+	// full-fragment reference generalization.
+	generalize func(*sccInfo)
 }
 
 // NewAnalysis prepares an analysis over the parsed files.
@@ -381,60 +386,61 @@ func (a *Analysis) SolveStats() constraint.SolveStats {
 	return a.sys.Stats()
 }
 
-// generalizeSCC captures the component's constraint fragment into a type
-// scheme for each member function (Section 4.3 generalization). The
-// quantified variables are the unpinned ones of the SCC's signature and
-// body ranges; under -simplify only those the projection keeps are
-// collected.
+// generalizeSCC captures the component's constraint fragment, its
+// signature and body ranges, into a type scheme for each member function
+// (Section 4.3 generalization), projected onto the scheme's interface
+// (Section 6's simplification): the variables of the component's
+// signatures plus every shared (pinned or pre-existing) variable the
+// fragment mentions. The quantified variables are the interface's
+// unpinned ones from the component's ranges.
 func (a *Analysis) generalizeSCC(scc *sccInfo) {
-	cons := a.fragment(scc.sigCons, scc.bodyCons)
-	var qvars map[constraint.Var]bool
-	if a.opts.Simplify {
-		cons, qvars = a.simplifySchemeCons(scc.funcs, cons, func(v constraint.Var) bool {
-			return (inRange(v, scc.sigVars) || inRange(v, scc.bodyVars)) && !a.tr.pinned[v]
-		})
-	} else {
-		qvars = a.unpinnedVars(scc.sigVars, scc.bodyVars)
+	if a.generalize != nil {
+		a.generalize(scc)
+		return
+	}
+	local := func(v constraint.Var) bool {
+		return (inRange(v, scc.sigVars) || inRange(v, scc.bodyVars)) && !a.tr.pinned[v]
+	}
+	seen := map[constraint.Var]bool{}
+	var iface []constraint.Var
+	add := func(v constraint.Var) {
+		if !seen[v] {
+			seen[v] = true
+			iface = append(iface, v)
+		}
 	}
 	for _, fi := range scc.funcs {
-		fi.scheme = &scheme{sig: fi.sig, qvars: qvars, cons: cons}
+		for _, v := range collectVars(fi.sig, nil, map[*RType]bool{}) {
+			add(v)
+		}
 	}
-}
-
-// fragment copies the constraints of the half-open ranges, in order.
-func (a *Analysis) fragment(rgs ...[2]int) []constraint.Constraint {
 	all := a.sys.Constraints()
-	n := 0
-	for _, rg := range rgs {
-		n += rg[1] - rg[0]
+	for _, rg := range [][2]int{scc.sigCons, scc.bodyCons} {
+		for _, c := range all[rg[0]:rg[1]] {
+			if c.L.IsVar() && !local(c.L.Var()) {
+				add(c.L.Var())
+			}
+			if c.R.IsVar() && !local(c.R.Var()) {
+				add(c.R.Var())
+			}
+		}
 	}
-	out := make([]constraint.Constraint, 0, n)
-	for _, rg := range rgs {
-		out = append(out, all[rg[0]:rg[1]]...)
+	var qvars []constraint.Var
+	for _, v := range iface {
+		if local(v) {
+			qvars = append(qvars, v)
+		}
 	}
-	return out
+	slices.Sort(qvars)
+	proj := a.sys.Project(iface, scc.sigCons, scc.bodyCons)
+	for _, fi := range scc.funcs {
+		fi.scheme = &scheme{sig: fi.sig, qvars: qvars, proj: proj}
+	}
 }
 
 // inRange reports whether v lies in the half-open variable range rg.
 func inRange(v constraint.Var, rg [2]int) bool {
 	return int(v) >= rg[0] && int(v) < rg[1]
-}
-
-// unpinnedVars collects the unpinned variables of the half-open ranges.
-func (a *Analysis) unpinnedVars(rgs ...[2]int) map[constraint.Var]bool {
-	n := 0
-	for _, rg := range rgs {
-		n += rg[1] - rg[0]
-	}
-	m := make(map[constraint.Var]bool, n)
-	for _, rg := range rgs {
-		for v := rg[0]; v < rg[1]; v++ {
-			if !a.tr.pinned[constraint.Var(v)] {
-				m[constraint.Var(v)] = true
-			}
-		}
-	}
-	return m
 }
 
 func sortedFuncs(m map[string]*funcInfo) []*funcInfo {
@@ -685,42 +691,6 @@ func occurrences(b *cfront.Block) []string {
 	return out
 }
 
-// simplifySchemeCons projects the SCC's constraint fragment onto the
-// variables visible in its signatures plus any shared (pinned or
-// pre-existing) variables mentioned, and returns it with the quantified
-// variables it keeps; quantified reports whether the scheme may
-// quantify a variable.
-func (a *Analysis) simplifySchemeCons(scc []*funcInfo, cons []constraint.Constraint, quantified func(constraint.Var) bool) ([]constraint.Constraint, map[constraint.Var]bool) {
-	iface := map[constraint.Var]bool{}
-	var order []constraint.Var
-	add := func(v constraint.Var) {
-		if !iface[v] {
-			iface[v] = true
-			order = append(order, v)
-		}
-	}
-	for _, fi := range scc {
-		for _, v := range collectVars(fi.sig, nil, map[*RType]bool{}) {
-			add(v)
-		}
-	}
-	for _, c := range cons {
-		for _, t := range []constraint.Term{c.L, c.R} {
-			if t.IsVar() && !quantified(t.Var()) {
-				add(t.Var())
-			}
-		}
-	}
-	restricted := constraint.Restrict(a.set, cons, order)
-	kept := map[constraint.Var]bool{}
-	for _, v := range order {
-		if quantified(v) {
-			kept[v] = true
-		}
-	}
-	return restricted, kept
-}
-
 func collectVars(t *RType, out []constraint.Var, seen map[*RType]bool) []constraint.Var {
 	if t == nil || seen[t] {
 		return out
@@ -787,22 +757,11 @@ func (a *Analysis) useFunc(fi *funcInfo) *RType {
 		return fi.sig
 	}
 	ren := make(map[constraint.Var]constraint.Var)
-	for _, v := range sortedVars(fi.scheme.qvars) {
+	for _, v := range fi.scheme.qvars {
 		ren[v] = a.sys.Fresh()
 	}
-	a.sys.AddConstraints(fi.scheme.cons, ren)
+	a.sys.Instantiate(fi.scheme.proj, ren)
 	return a.tr.instantiate(fi.scheme.sig, ren, map[*RType]*RType{})
-}
-
-// sortedVars returns the keys of a qualifier-variable set in increasing
-// order, for deterministic fresh-variable allocation.
-func sortedVars(m map[constraint.Var]bool) []constraint.Var {
-	out := make([]constraint.Var, 0, len(m))
-	for v := range m {
-		out = append(out, v)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // Classify is the final stage: it interprets the solved system over the

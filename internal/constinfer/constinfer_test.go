@@ -1,10 +1,12 @@
 package constinfer
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/cfront"
+	"repro/internal/constraint"
 )
 
 func analyze(t *testing.T, src string, opts Options) *Report {
@@ -179,13 +181,20 @@ func TestIdentityPolymorphismSimplified(t *testing.T) {
 		char *ident(char *s) { return s; }
 		void writer(char *buf) { char *t = ident(buf); *t = 0; }
 		int reader(char *msg) { char *u = ident(msg); return *u; }`
-	rep := analyze(t, src, Options{Poly: true, Simplify: true})
+	rep := analyze(t, src, Options{Poly: true})
 	mustClean(t, rep)
-	if p := find(t, rep, "reader", "msg", 0); p.Verdict != Either {
-		t.Errorf("simplified poly reader.msg = %v, want either", p.Verdict)
-	}
-	if p := find(t, rep, "writer", "buf", 0); p.Verdict != MustNotConst {
-		t.Errorf("simplified poly writer.buf = %v, want not-const", p.Verdict)
+	ref := analyzeReference(mustParseFiles(t, src), Options{Poly: true})
+	mustClean(t, ref)
+	for _, r := range []struct {
+		name string
+		rep  *Report
+	}{{"projected", rep}, {"reference", ref}} {
+		if p := find(t, r.rep, "reader", "msg", 0); p.Verdict != Either {
+			t.Errorf("%s poly reader.msg = %v, want either", r.name, p.Verdict)
+		}
+		if p := find(t, r.rep, "writer", "buf", 0); p.Verdict != MustNotConst {
+			t.Errorf("%s poly writer.buf = %v, want not-const", r.name, p.Verdict)
+		}
 	}
 }
 
@@ -692,7 +701,7 @@ func TestSuggestionsReturnPosition(t *testing.T) {
 func TestSchemeString(t *testing.T) {
 	a := NewAnalysis(mustParseFiles(t, `
 		char *ident(char *s) { return s; }
-		void w(char *p) { *p = 0; }`), Options{Poly: true, Simplify: true})
+		void w(char *p) { *p = 0; }`), Options{Poly: true})
 	rep, err := a.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -812,5 +821,46 @@ func TestFunctionSubtypingThroughPointers(t *testing.T) {
 	// buf reaches writerish through the pointer: not const.
 	if p := find(t, rep, "dispatch", "buf", 0); p.Verdict != MustNotConst {
 		t.Errorf("dispatch.buf = %v", p.Verdict)
+	}
+}
+
+// TestPolyConflictKeepsProvenance: a callee that writes through a local
+// copy of its parameter, called with a const argument. The conflict sits
+// on an instance of the callee's projected scheme; it must still report
+// the original write's position and message and the callee's internal
+// step, exactly as the full-fragment reference does (only κ labels may
+// differ).
+func TestPolyConflictKeepsProvenance(t *testing.T) {
+	const src = `void w(char *p) { char *q = p; *q = 0; } void g(const char *s) { w(s); }`
+	files := []*cfront.File{mustParse(t, "w.c", src)}
+	rep, err := Analyze(files, Options{Poly: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := analyzeReference([]*cfront.File{mustParse(t, "w.c", src)}, Options{Poly: true})
+	type step struct{ pos, msg string }
+	describe := func(u *constraint.Unsat) []step {
+		out := []step{{u.Con.Why.Pos, u.Con.Why.Msg}}
+		for _, c := range u.Path {
+			out = append(out, step{c.Why.Pos, c.Why.Msg})
+		}
+		return out
+	}
+	want := []step{
+		{"w.c:1:35", "assignment target is written"},
+		{"w.c:1:49", "declared const"},
+		{"w.c:1:68", "function argument"},
+		{"w.c:1:29", "initializer"},
+	}
+	for _, r := range []struct {
+		name string
+		rep  *Report
+	}{{"projected", rep}, {"reference", ref}} {
+		if len(r.rep.Conflicts) != 1 {
+			t.Fatalf("%s: %d conflicts, want 1", r.name, len(r.rep.Conflicts))
+		}
+		if got := describe(r.rep.Conflicts[0]); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: conflict (sink, flow...) = %v\nwant %v", r.name, got, want)
+		}
 	}
 }

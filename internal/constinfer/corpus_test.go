@@ -1,6 +1,7 @@
 package constinfer
 
 import (
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -33,9 +34,10 @@ func loadCorpus(t *testing.T) map[string]*cfront.File {
 }
 
 // TestCorpusAllModes: every corpus file and each of the six benchgen
-// paper programs analyzes cleanly in mono, poly and poly-simplify, and
-// the modes agree position by position: every position mono may make
-// const, poly may too, and simplification changes no verdict.
+// paper programs analyzes cleanly in mono, poly and the test-only
+// full-fragment reference (newReference), and the modes agree position
+// by position: every position mono may make const, poly may too, and
+// projecting schemes changes no verdict.
 func TestCorpusAllModes(t *testing.T) {
 	files := loadCorpus(t)
 	for _, cfg := range benchgen.PaperSuite() {
@@ -48,38 +50,48 @@ func TestCorpusAllModes(t *testing.T) {
 	for name, f := range files {
 		t.Run(name, func(t *testing.T) {
 			var reps []*Report
-			for _, opts := range []Options{{}, {Poly: true}, {Poly: true, Simplify: true}} {
-				rep, err := Analyze([]*cfront.File{f}, opts)
-				if err != nil {
-					t.Fatalf("opts %+v: %v", opts, err)
-				}
+			for i, run := range []func() *Report{
+				func() *Report { rep, _ := Analyze([]*cfront.File{f}, Options{}); return rep },
+				func() *Report { rep, _ := Analyze([]*cfront.File{f}, Options{Poly: true}); return rep },
+				func() *Report { return analyzeReference([]*cfront.File{f}, Options{Poly: true}) },
+			} {
+				rep := run()
 				if len(rep.Conflicts) > 0 {
-					t.Fatalf("opts %+v: conflict: %v", opts, rep.Conflicts[0].Error())
+					t.Fatalf("mode %d: conflict: %v", i, rep.Conflicts[0].Error())
 				}
 				if rep.Declared > rep.Inferred || rep.Inferred > rep.Total {
-					t.Errorf("opts %+v: ordering violated: %d/%d/%d", opts, rep.Declared, rep.Inferred, rep.Total)
+					t.Errorf("mode %d: ordering violated: %d/%d/%d", i, rep.Declared, rep.Inferred, rep.Total)
 				}
 				reps = append(reps, rep)
 			}
-			mono, poly, simp := reps[0], reps[1], reps[2]
-			if len(mono.Positions) != len(poly.Positions) || len(simp.Positions) != len(poly.Positions) {
-				t.Fatalf("positions: mono %d, poly %d, simplify %d",
-					len(mono.Positions), len(poly.Positions), len(simp.Positions))
-			}
-			for i, p := range poly.Positions {
-				m, s := mono.Positions[i], simp.Positions[i]
-				if !samePosition(m.Position, p.Position) || !samePosition(s.Position, p.Position) {
-					t.Fatalf("position %d: mono %+v, poly %+v, simplify %+v", i, m.Position, p.Position, s.Position)
-				}
-				if m.Verdict != MustNotConst && p.Verdict == MustNotConst {
-					t.Errorf("%s/%s depth %d: mono %v, poly %v", p.Func, p.Param, p.Depth, m.Verdict, p.Verdict)
-				}
-				if s.Verdict != p.Verdict {
-					t.Errorf("%s/%s depth %d: poly %v, simplify %v", p.Func, p.Param, p.Depth, p.Verdict, s.Verdict)
-				}
+			if err := compareModes(reps[0], reps[1], reps[2]); err != nil {
+				t.Error(err)
 			}
 		})
 	}
+}
+
+// compareModes checks mono, poly and reference reports of one program
+// position by position: mono's const-able positions are poly's too, and
+// poly's verdicts are the reference's.
+func compareModes(mono, poly, ref *Report) error {
+	if len(mono.Positions) != len(poly.Positions) || len(ref.Positions) != len(poly.Positions) {
+		return fmt.Errorf("positions: mono %d, poly %d, reference %d",
+			len(mono.Positions), len(poly.Positions), len(ref.Positions))
+	}
+	for i, p := range poly.Positions {
+		m, r := mono.Positions[i], ref.Positions[i]
+		if !samePosition(m.Position, p.Position) || !samePosition(r.Position, p.Position) {
+			return fmt.Errorf("position %d: mono %+v, poly %+v, reference %+v", i, m.Position, p.Position, r.Position)
+		}
+		if m.Verdict != MustNotConst && p.Verdict == MustNotConst {
+			return fmt.Errorf("%s/%s depth %d: mono %v, poly %v", p.Func, p.Param, p.Depth, m.Verdict, p.Verdict)
+		}
+		if r.Verdict != p.Verdict {
+			return fmt.Errorf("%s/%s depth %d: poly %v, reference %v", p.Func, p.Param, p.Depth, p.Verdict, r.Verdict)
+		}
+	}
+	return nil
 }
 
 // samePosition reports whether two reports' positions name the same
@@ -99,11 +111,11 @@ func TestCorpusPrintRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatalf("reparse: %v\n%s", err, printed)
 			}
-			r1, err := Analyze([]*cfront.File{f}, Options{Poly: true, Simplify: true})
+			r1, err := Analyze([]*cfront.File{f}, Options{Poly: true})
 			if err != nil {
 				t.Fatal(err)
 			}
-			r2, err := Analyze([]*cfront.File{f2}, Options{Poly: true, Simplify: true})
+			r2, err := Analyze([]*cfront.File{f2}, Options{Poly: true})
 			if err != nil {
 				t.Fatal(err)
 			}

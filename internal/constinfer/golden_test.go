@@ -18,7 +18,11 @@ var update = flag.Bool("update", false, "rewrite testdata/constraints.golden")
 // report.
 func runStaged(t *testing.T, files []*cfront.File, opts Options) (*Analysis, *Report) {
 	t.Helper()
-	a := NewAnalysis(files, opts)
+	return runAnalysis(NewAnalysis(files, opts))
+}
+
+// runAnalysis runs a's stages and returns it with its report.
+func runAnalysis(a *Analysis) (*Analysis, *Report) {
 	a.Prepare()
 	a.Constrain()
 	return a, a.Classify(a.SolveSystem())
@@ -83,7 +87,7 @@ int driver(struct late *l, int n) {
 // TestConstraintsGolden pins the whole constraint system — every
 // constraint with its reason, every verdict, suggestion and scheme — that
 // the testdata corpus (analyzed as one program) and sharedStateSrc
-// generate in mono, poly and poly-simplify mode. Run with -update to
+// generate in mono and poly mode. Run with -update to
 // rewrite testdata/constraints.golden.
 func TestConstraintsGolden(t *testing.T) {
 	corpus := loadCorpus(t)
@@ -113,7 +117,6 @@ func TestConstraintsGolden(t *testing.T) {
 	}{
 		{"mono", Options{}},
 		{"poly", Options{Poly: true}},
-		{"poly-simplify", Options{Poly: true, Simplify: true}},
 	}
 
 	var all strings.Builder
@@ -157,7 +160,7 @@ func TestConstraintsGolden(t *testing.T) {
 
 // TestConstrainDeterministic: the staged pipeline produces an identical
 // constraint system, classification, and scheme set on every fresh run
-// over the corpus, in every mode.
+// over the corpus, in mono, poly and the full-fragment reference.
 func TestConstrainDeterministic(t *testing.T) {
 	corpus := loadCorpus(t)
 	var order []string
@@ -170,16 +173,16 @@ func TestConstrainDeterministic(t *testing.T) {
 		files = append(files, corpus[name])
 	}
 
-	modes := []Options{
-		{},
-		{Poly: true},
-		{Poly: true, Simplify: true},
+	modes := []func() *Analysis{
+		func() *Analysis { return NewAnalysis(files, Options{}) },
+		func() *Analysis { return NewAnalysis(files, Options{Poly: true}) },
+		func() *Analysis { return newReference(files, Options{Poly: true}) },
 	}
-	for mi, opts := range modes {
+	for mi, mode := range modes {
 		t.Run(fmt.Sprintf("mode%d", mi), func(t *testing.T) {
-			want := snapshot(runStaged(t, files, opts))
+			want := snapshot(runAnalysis(mode()))
 			for run := 1; run <= 3; run++ {
-				got := snapshot(runStaged(t, files, opts))
+				got := snapshot(runAnalysis(mode()))
 				for i := range max(len(got), len(want)) {
 					if lineOr(got, i) != lineOr(want, i) {
 						t.Fatalf("run %d diverges at line %d:\n first: %s\n run %d: %s",
@@ -200,7 +203,7 @@ func TestConstrainSpeculationMisses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, opts := range []Options{{}, {Poly: true, Simplify: true}} {
+	for _, opts := range []Options{{}, {Poly: true}} {
 		a, rep := runStaged(t, []*cfront.File{f}, opts)
 		want := snapshot(a, rep)
 		got := snapshot(runStaged(t, []*cfront.File{f}, opts))
@@ -245,7 +248,7 @@ func lineOr(s []string, i int) string {
 func TestStagedMatchesRun(t *testing.T) {
 	corpus := loadCorpus(t)
 	for name, f := range corpus {
-		opts := Options{Poly: true, Simplify: true}
+		opts := Options{Poly: true}
 		repRun, err := Analyze([]*cfront.File{f}, opts)
 		if err != nil {
 			t.Fatal(err)

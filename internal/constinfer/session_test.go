@@ -67,7 +67,3 @@ func TestSessionSolveMatchesColdMono(t *testing.T) {
 func TestSessionSolveMatchesColdPoly(t *testing.T) {
 	testSessionMatchesCold(t, Options{Poly: true})
 }
-
-func TestSessionSolveMatchesColdPolySimplify(t *testing.T) {
-	testSessionMatchesCold(t, Options{Poly: true, Simplify: true})
-}

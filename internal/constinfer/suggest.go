@@ -2,6 +2,7 @@ package constinfer
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -111,12 +112,12 @@ func (a *Analysis) SchemeString(name string) (string, bool) {
 		return "", false
 	}
 	iface := collectVars(fi.sig, nil, map[*RType]bool{})
-	restricted := constraint.Restrict(a.set, fi.scheme.cons, iface)
+	restricted := constraint.Restrict(a.set, fi.scheme.proj.Cons, iface)
 
 	var b strings.Builder
 	quantified := make([]string, 0, len(iface))
 	for _, v := range iface {
-		if fi.scheme.qvars[v] {
+		if _, ok := slices.BinarySearch(fi.scheme.qvars, v); ok {
 			quantified = append(quantified, fmt.Sprintf("κ%d", int(v)))
 		}
 	}

@@ -21,6 +21,7 @@ package constraint
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -171,6 +172,9 @@ type System struct {
 	set  *qual.Set
 	n    int
 	cons []Constraint
+	// insts lists the instances of projections with witnesses, in
+	// constraint order; empty outside polymorphic inference.
+	insts []instance
 
 	solved bool
 	lower  []qual.Elem
@@ -293,8 +297,8 @@ func (s *System) Solve() []*Unsat {
 	}
 	inQ := make([]bool, n)
 	queue := make([]int32, 0, n)
-	propagate(newCSR(n, eFrom, eTo, eMask), lower, inQ, queue)
-	propagate(newCSR(n, eTo, eFrom, eMask), cleared, inQ, queue)
+	propagate(newCSR(n, eFrom, eTo, eMask, nil), lower, inQ, queue)
+	propagate(newCSR(n, eTo, eFrom, eMask, nil), cleared, inQ, queue)
 	upper := cleared
 	for v, x := range cleared {
 		upper[v] = top &^ x
@@ -323,6 +327,11 @@ func (s *System) Solve() []*Unsat {
 
 // buildUnsats converts violated constraint indices (ascending, in
 // constraint order) into deduplicated Unsat reports with blame paths.
+// Instances of projected constraints are reported along their witnesses:
+// a path step expands into the original steps it summarizes, and a
+// violated instance of a projected bound is reported as the original
+// bound, with the path inside the callee that leads to it ending the
+// flow.
 func (s *System) buildUnsats(viol []int32) []*Unsat {
 	var unsat []*Unsat
 	var incoming *incomingCSR
@@ -330,30 +339,40 @@ func (s *System) buildUnsats(viol []int32) []*Unsat {
 	for _, ci := range viol {
 		c := &s.cons[ci]
 		lv := s.valueLower(c.L)
-		bound := c.R.c
-		if !qual.LeqMask(lv, bound, c.Mask) {
-			bad := (lv &^ bound) & c.Mask
-			u := &Unsat{Con: *c, Lower: lv & c.Mask, Bound: bound | ^c.Mask}
-			if c.L.isVar {
-				if incoming == nil {
-					incoming = buildIncomingCSR(s.cons, s.n)
-				}
-				u.Path = s.blame(c.L.v, bad, incoming)
-			}
-			origin := ""
-			if len(u.Path) > 0 {
-				origin = u.Path[0].Why.String()
-			}
-			key := fmt.Sprintf("%s\x00%s\x00%x", origin, c.Why.String(), uint64(bad))
-			if reported == nil {
-				reported = make(map[string]bool)
-			}
-			if reported[key] {
-				continue
-			}
-			reported[key] = true
-			unsat = append(unsat, u)
+		if qual.LeqMask(lv, c.R.c, c.Mask) {
+			continue
 		}
+		bad := (lv &^ c.R.c) & c.Mask
+		var path []Constraint
+		if c.L.isVar {
+			if incoming == nil {
+				incoming = buildIncomingCSR(s.cons, s.n)
+			}
+			for _, k := range s.blame(c.L.v, bad, incoming) {
+				path = s.appendSteps(path, int(k))
+			}
+		}
+		con := *c
+		if len(s.insts) > 0 {
+			steps := s.appendSteps(nil, int(ci))
+			con = steps[len(steps)-1]
+			path = append(path, steps[:len(steps)-1]...)
+			bad = (lv &^ con.R.c) & con.Mask
+		}
+		u := &Unsat{Con: con, Lower: lv & con.Mask, Bound: con.R.c | ^con.Mask, Path: path}
+		origin := ""
+		if len(path) > 0 {
+			origin = path[0].Why.String()
+		}
+		key := fmt.Sprintf("%s\x00%s\x00%x", origin, con.Why.String(), uint64(bad))
+		if reported == nil {
+			reported = make(map[string]bool)
+		}
+		if reported[key] {
+			continue
+		}
+		reported[key] = true
+		unsat = append(unsat, u)
 	}
 	return unsat
 }
@@ -380,8 +399,9 @@ func (s *System) valueLower(t Term) qual.Elem {
 // insertion order (the frontier grows in discovery order and incoming
 // lists are scanned in insertion order). Insertion order is itself
 // deterministic — constraint generation walks bodies in SCC order — so
-// the extracted trace is byte-identical from run to run.
-func (s *System) blame(v Var, bad qual.Elem, incoming *incomingCSR) []Constraint {
+// the extracted trace is byte-identical from run to run. The path is
+// returned as constraint indices.
+func (s *System) blame(v Var, bad qual.Elem, incoming *incomingCSR) []int32 {
 	type node struct {
 		v    Var
 		bits qual.Elem
@@ -429,13 +449,13 @@ func (s *System) blame(v Var, bad qual.Elem, incoming *incomingCSR) []Constraint
 	// prev[src] is the edge src ⊑ parent along which the backward search
 	// discovered src; following prev from the origin variable walks the
 	// flow forward until it reaches v.
-	path := []Constraint{s.cons[origin]}
+	path := []int32{int32(origin)}
 	for at := originVar; at != v; {
 		ci, ok := prev[at]
 		if !ok {
 			break
 		}
-		path = append(path, s.cons[ci])
+		path = append(path, int32(ci))
 		at = s.cons[ci].R.v
 	}
 	return path
@@ -499,9 +519,7 @@ func (s *System) Restrict(iface []Var) []Constraint {
 }
 
 // Restrict projects an arbitrary constraint slice onto the interface
-// variables; see (*System).Restrict. It is used by the polymorphic
-// inference to simplify the constraint fragment captured in a type scheme
-// before storing it.
+// variables; see (*System).Restrict and (*System).Project.
 //
 // The projection preserves, per lattice component, reachability through
 // internal variables only: interface variables terminate the search, so
@@ -509,20 +527,127 @@ func (s *System) Restrict(iface []Var) []Constraint {
 // one masked-reachability worklist per interface variable forward and one
 // backward, each propagating per node the bitset of lattice components on
 // which the node is reachable, all components at once. Constant bounds
-// are pre-aggregated per variable, so recording them is a pair of mask
+// are pre-aggregated per variable, so testing them is a pair of mask
 // operations.
+//
+// Each projected constraint carries the Reason of the first original
+// constraint its witness crosses (see Projection): an edge or a lower
+// bound the first hop of its path, an upper bound the original bound.
+// Lower bounds reaching x from different original bounds stay separate
+// constraints, so each keeps its own provenance.
 //
 // A direct self-loop x ⊑ x in the input says nothing and is skipped; a
 // cycle x ⊑ i ⊑ x through an internal variable i still projects to x ⊑ x.
 func Restrict(set *qual.Set, cons []Constraint, iface []Var) []Constraint {
+	out, _, _ := restrict(set, cons, [][2]int{{0, len(cons)}}, iface, true)
+	return out
+}
+
+// Projection is a constraint fragment projected onto interface variables
+// (see Restrict) together with its provenance. The witness of Cons[i]
+// lists, source first, the constraints of the System that Cons[i]
+// summarizes: for an edge, one path through internal variables that
+// carries its bits (the path of first discovery); for a bound, that path
+// and the original constant bound at its far end. Witnesses index the
+// System the fragment was projected from, so every instance of a
+// projection shares them.
+type Projection struct {
+	Cons []Constraint
+	// wit[span[2i]:span[2i+1]] is the witness of Cons[i]. Both are nil
+	// in a Projection built by hand, whose constraints stand for
+	// themselves.
+	span, wit []int32
+}
+
+// instance records one instantiation of a projection with witnesses: its
+// constraints occupy cons[start : start+len(p.Cons)]. Project leaves out
+// the self-loops x ⊑ x, the only projected constraints AddMasked would
+// drop (renaming never merges two distinct variables), so the k-th
+// constraint of the instance is cons[start+k].
+type instance struct {
+	start int
+	p     *Projection
+}
+
+// Project restricts the constraints in the half-open index ranges rgs to
+// the interface variables (see Restrict) and records each projected
+// constraint's witness. Self-loops x ⊑ x, which instantiation would drop
+// anyway, are left out.
+func (s *System) Project(iface []Var, rgs ...[2]int) *Projection {
+	out, span, wit := restrict(s.set, s.cons, rgs, iface, false)
+	return &Projection{Cons: out, span: span, wit: wit}
+}
+
+// Instantiate adds p's constraints with variables renamed through rename
+// (variables absent from rename are kept as-is): the instantiation step
+// of qualifier polymorphism. Instances of a projection with witnesses are
+// recorded, so a conflict that runs through one is reported along the
+// original constraints (see buildUnsats); nothing is copied but the
+// constraints themselves.
+func (s *System) Instantiate(p *Projection, rename map[Var]Var) {
+	if p.span != nil {
+		s.insts = append(s.insts, instance{start: len(s.cons), p: p})
+	}
+	s.AddConstraints(p.Cons, rename)
+}
+
+// witness returns the witness of constraint ci when ci is an instance of
+// a projected constraint, else nil.
+func (s *System) witness(ci int) []int32 {
+	i := sort.Search(len(s.insts), func(i int) bool { return s.insts[i].start > ci }) - 1
+	if i < 0 {
+		return nil
+	}
+	in := s.insts[i]
+	k := ci - in.start
+	if k >= len(in.p.Cons) {
+		return nil
+	}
+	return in.p.wit[in.p.span[2*k]:in.p.span[2*k+1]]
+}
+
+// appendSteps appends constraint ci to dst or, when ci is an instance of
+// a projected constraint, the constraints of its witness, each expanded
+// the same way (a witness may cross instances of a callee's scheme). The
+// witness runs between the scheme's generic variables; its two ends are
+// renamed to the instance's, so only the callee's internal steps print
+// generic variables.
+func (s *System) appendSteps(dst []Constraint, ci int) []Constraint {
+	c := s.cons[ci]
+	w := s.witness(ci)
+	if w == nil {
+		return append(dst, c)
+	}
+	first := len(dst)
+	for _, k := range w {
+		dst = s.appendSteps(dst, int(k))
+	}
+	if c.L.isVar {
+		dst[first].L = c.L
+	}
+	if c.R.isVar {
+		dst[len(dst)-1].R = c.R
+	}
+	return dst
+}
+
+// restrict is Restrict over the constraints of cons in the half-open
+// index ranges rgs, also returning witnesses as indices into cons (see
+// Projection); loops keeps the x ⊑ x edges of cycles through internal
+// variables.
+func restrict(set *qual.Set, cons []Constraint, rgs [][2]int, iface []Var, loops bool) (out []Constraint, span, wit []int32) {
 	full := set.FullMask()
 	top := set.Top()
 
 	// Local dense ids: interface variables first (deduplicated), then
 	// every other variable in first-occurrence order, so a node is an
 	// interface variable iff its id is below nIface.
+	n := 0
+	for _, rg := range rgs {
+		n += rg[1] - rg[0]
+	}
 	id := make(map[Var]int32, 2*len(iface))
-	locals := make([]Var, 0, len(iface)+2*len(cons))
+	locals := make([]Var, 0, len(iface)+2*n)
 	lid := func(v Var) int32 {
 		i, ok := id[v]
 		if !ok {
@@ -536,58 +661,103 @@ func Restrict(set *qual.Set, cons []Constraint, iface []Var) []Constraint {
 		lid(v)
 	}
 	nIface := int32(len(locals))
-	var eFrom, eTo []int32
+	var eFrom, eTo, eCon []int32
 	var eMask []qual.Elem
-	for _, c := range cons {
-		switch {
-		case c.L.isVar && c.R.isVar:
-			u, v := lid(c.L.v), lid(c.R.v)
-			if u != v {
-				eFrom = append(eFrom, u)
-				eTo = append(eTo, v)
-				eMask = append(eMask, c.Mask)
+	for _, rg := range rgs {
+		for i := rg[0]; i < rg[1]; i++ {
+			switch c := &cons[i]; {
+			case c.L.isVar && c.R.isVar:
+				u, v := lid(c.L.v), lid(c.R.v)
+				if u != v {
+					eFrom = append(eFrom, u)
+					eTo = append(eTo, v)
+					eMask = append(eMask, c.Mask)
+					eCon = append(eCon, int32(i))
+				}
+			case c.L.isVar:
+				lid(c.L.v)
+			case c.R.isVar:
+				lid(c.R.v)
 			}
-		case c.L.isVar:
-			lid(c.L.v)
-		case c.R.isVar:
-			lid(c.R.v)
 		}
 	}
 	nl := len(locals)
-	fwd := newCSR(nl, eFrom, eTo, eMask)
-	rev := newCSR(nl, eTo, eFrom, eMask)
+	fwd := newCSR(nl, eFrom, eTo, eMask, eCon)
+	rev := newCSR(nl, eTo, eFrom, eMask, eCon)
 
 	// Constant bounds aggregated per variable. For upper bounds κ ⊑ c
 	// the per-component bound is binary — the component bit is either
 	// kept (every bound carries it) or cleared — so the aggregate is one
 	// AND per constraint; upCover marks components with at least one
-	// bound. reach holds, per node, the bitset of lattice components on
-	// which the node is reachable from (or backwards to) the current
-	// interface variable; em collects the components on which each
-	// interface variable is reached.
+	// bound. The bounds themselves are listed per variable in constraint
+	// order, for witnesses: loHead/upHead start a list of entries, and
+	// entry bounds[e] names a constraint and links to the next entry.
+	// reach holds, per node, the bitset of lattice components on which
+	// the node is reachable from (or backwards to) the current interface
+	// variable; em collects the components on which each interface
+	// variable is reached.
 	loAgg := make([]qual.Elem, nl)
 	upAgg := make([]qual.Elem, nl)
 	upCover := make([]qual.Elem, nl)
 	reach := make([]qual.Elem, nl)
 	em := make([]qual.Elem, nIface)
+	heads := make([]int32, 2*nl)
+	loHead, upHead := heads[:nl], heads[nl:]
+	var bounds []struct{ con, next int32 }
 	for i := range upAgg {
 		upAgg[i] = top
 	}
-	for _, c := range cons {
-		switch {
-		case !c.L.isVar && c.R.isVar:
-			loAgg[id[c.R.v]] |= c.L.c & c.Mask
-		case c.L.isVar && !c.R.isVar:
-			u := id[c.L.v]
-			upAgg[u] &= c.R.c | ^c.Mask
-			upCover[u] |= c.Mask
+	for i := range heads {
+		heads[i] = -1
+	}
+	for r := len(rgs) - 1; r >= 0; r-- {
+		for i := rgs[r][1] - 1; i >= rgs[r][0]; i-- {
+			var head *int32
+			switch c := &cons[i]; {
+			case !c.L.isVar && c.R.isVar:
+				u := id[c.R.v]
+				loAgg[u] |= c.L.c & c.Mask
+				head = &loHead[u]
+			case c.L.isVar && !c.R.isVar:
+				u := id[c.L.v]
+				upAgg[u] &= c.R.c | ^c.Mask
+				upCover[u] |= c.Mask
+				head = &upHead[u]
+			default:
+				continue
+			}
+			bounds = append(bounds, struct{ con, next int32 }{int32(i), *head})
+			*head = int32(len(bounds) - 1)
 		}
 	}
+	// par[u] is the constraint by which the current pass first reached
+	// u, and from[u] the node at its other end, so following them from a
+	// reached node walks back to the interface variable of the pass.
+	// emPar/emFrom record the same for the first arrival at an interface
+	// variable.
+	links := make([]int32, 2*nl+2*int(nIface))
+	par, from := links[:nl], links[nl:2*nl]
+	emPar, emFrom := links[2*nl:2*nl+int(nIface)], links[2*nl+int(nIface):]
 	inQ := make([]bool, nl)
 	var queue, touched, emTouched []int32
 
-	why := Reason{Msg: "restricted scheme constraint"}
-	var out []Constraint
+	emit := func(c Constraint, w0 int) {
+		out = append(out, c)
+		span = append(span, int32(w0), int32(len(wit)))
+	}
+	// pathFrom appends the links from u back to x: the backward pass's
+	// path from u to x, source first.
+	pathFrom := func(u, x int32) {
+		for ; u != x; u = from[u] {
+			wit = append(wit, par[u])
+		}
+	}
+	// pathTo appends the forward pass's path from x to u, source first.
+	pathTo := func(x, u int32) {
+		w0 := len(wit)
+		pathFrom(u, x)
+		slices.Reverse(wit[w0:])
+	}
 
 	for x := int32(0); x < nIface; x++ {
 		// Forward pass: interface edges, and constant upper bounds on
@@ -604,7 +774,23 @@ func Restrict(set *qual.Set, cons []Constraint, iface []Var) []Constraint {
 			queue = queue[:len(queue)-1]
 			inQ[u] = false
 			b := reach[u]
-			upperClear |= upCover[u] & b &^ upAgg[u]
+			if clear := upCover[u] & b &^ upAgg[u] &^ upperClear; clear != 0 {
+				upperClear |= clear
+				for bits := clear; bits != 0; bits &= bits - 1 {
+					bit := bits & -bits
+					// The first bound at u that clears bit.
+					var k int32
+					for e := upHead[u]; ; e = bounds[e].next {
+						if k = bounds[e].con; cons[k].Mask&^cons[k].R.c&bit != 0 {
+							break
+						}
+					}
+					w0 := len(wit)
+					pathTo(x, u)
+					wit = append(wit, k)
+					emit(Constraint{L: V(locals[x]), R: C(top &^ bit), Mask: bit, Why: cons[k].Why}, w0)
+				}
+			}
 			for e := fwd.off[u]; e < fwd.off[u+1]; e++ {
 				bits := b & fwd.mask[e]
 				if bits == 0 {
@@ -614,6 +800,7 @@ func Restrict(set *qual.Set, cons []Constraint, iface []Var) []Constraint {
 				if v < nIface {
 					if em[v] == 0 {
 						emTouched = append(emTouched, v)
+						emPar[v], emFrom[v] = fwd.con[e], u
 					}
 					em[v] |= bits
 					continue
@@ -623,6 +810,7 @@ func Restrict(set *qual.Set, cons []Constraint, iface []Var) []Constraint {
 				}
 				if reach[v] == 0 {
 					touched = append(touched, v)
+					par[v], from[v] = fwd.con[e], u
 				}
 				reach[v] |= bits
 				if !inQ[v] {
@@ -632,7 +820,12 @@ func Restrict(set *qual.Set, cons []Constraint, iface []Var) []Constraint {
 			}
 		}
 		for _, v := range emTouched {
-			out = append(out, Constraint{L: V(locals[x]), R: V(locals[v]), Mask: em[v], Why: why})
+			if v != x || loops {
+				w0 := len(wit)
+				pathTo(x, emFrom[v])
+				wit = append(wit, emPar[v])
+				emit(Constraint{L: V(locals[x]), R: V(locals[v]), Mask: em[v], Why: cons[wit[w0]].Why}, w0)
+			}
 			em[v] = 0
 		}
 		emTouched = emTouched[:0]
@@ -640,9 +833,10 @@ func Restrict(set *qual.Set, cons []Constraint, iface []Var) []Constraint {
 			reach[u] = 0
 		}
 
-		// Backward pass: constant lower bounds flowing into x. Interface
-		// sources terminate the walk (their flow is covered by the edge
-		// kept from them).
+		// Backward pass: constant lower bounds flowing into x, one
+		// projected bound per original bound that brings new components.
+		// Interface sources terminate the walk (their flow is covered by
+		// the edge kept from them).
 		var lowerIn qual.Elem
 		reach[x] = full
 		touched = append(touched[:0], x)
@@ -653,7 +847,19 @@ func Restrict(set *qual.Set, cons []Constraint, iface []Var) []Constraint {
 			queue = queue[:len(queue)-1]
 			inQ[u] = false
 			b := reach[u]
-			lowerIn |= loAgg[u] & b
+			if in := loAgg[u] & b &^ lowerIn; in != 0 {
+				lowerIn |= in
+				for e := loHead[u]; in != 0; e = bounds[e].next {
+					k := bounds[e].con
+					if bits := cons[k].L.c & cons[k].Mask & in; bits != 0 {
+						in &^= bits
+						w0 := len(wit)
+						wit = append(wit, k)
+						pathFrom(u, x)
+						emit(Constraint{L: C(bits), R: V(locals[x]), Mask: bits, Why: cons[k].Why}, w0)
+					}
+				}
+			}
 			for e := rev.off[u]; e < rev.off[u+1]; e++ {
 				bits := b & rev.mask[e]
 				v := rev.to[e]
@@ -662,6 +868,7 @@ func Restrict(set *qual.Set, cons []Constraint, iface []Var) []Constraint {
 				}
 				if reach[v] == 0 {
 					touched = append(touched, v)
+					par[v], from[v] = rev.con[e], u
 				}
 				reach[v] |= bits
 				if !inQ[v] {
@@ -673,21 +880,27 @@ func Restrict(set *qual.Set, cons []Constraint, iface []Var) []Constraint {
 		for _, u := range touched {
 			reach[u] = 0
 		}
-
-		if lowerIn != 0 {
-			out = append(out, Constraint{L: C(lowerIn), R: V(locals[x]), Mask: lowerIn, Why: why})
-		}
-		for bits := upperClear; bits != 0; bits &= bits - 1 {
-			bit := bits & -bits
-			out = append(out, Constraint{L: V(locals[x]), R: C(top &^ bit), Mask: bit, Why: why})
-		}
 	}
 
 	// Emission order above follows traversal order; scheme constraints
-	// feed instantiation replay, so the projection is sorted into a
-	// canonical deterministic order.
-	sort.Slice(out, func(i, j int) bool { return less(out[i], out[j]) })
-	return out
+	// feed instantiation, so the projection is sorted into a canonical
+	// deterministic order, witness spans alongside.
+	sort.Sort(bySpan{out, span})
+	return out, span, wit
+}
+
+// bySpan sorts projected constraints with their witness spans.
+type bySpan struct {
+	cons []Constraint
+	span []int32
+}
+
+func (p bySpan) Len() int           { return len(p.cons) }
+func (p bySpan) Less(i, j int) bool { return less(p.cons[i], p.cons[j]) }
+func (p bySpan) Swap(i, j int) {
+	p.cons[i], p.cons[j] = p.cons[j], p.cons[i]
+	p.span[2*i], p.span[2*j] = p.span[2*j], p.span[2*i]
+	p.span[2*i+1], p.span[2*j+1] = p.span[2*j+1], p.span[2*i+1]
 }
 
 // less orders constraints deterministically: variables before constants,

@@ -559,20 +559,21 @@ func TestRestrictKeepsConstBounds(t *testing.T) {
 
 // TestRestrictSelfLoop pins the projection's self-loop rule: a direct
 // x ⊑ x in the input says nothing and projects away, while a cycle
-// through an internal variable still yields x ⊑ x.
+// through an internal variable still yields x ⊑ x, carrying the reason
+// of its first hop.
 func TestRestrictSelfLoop(t *testing.T) {
 	set := testSet(t)
 	full := set.FullMask()
 	x, i := Var(0), Var(1)
-	why := Reason{Msg: "restricted scheme constraint"}
+	out, back := Reason{Pos: "t.c:1:1", Msg: "out"}, Reason{Pos: "t.c:2:1", Msg: "back"}
 	for _, tc := range []struct {
 		name string
 		cons []Constraint
 		want []Constraint
 	}{
 		{"direct", []Constraint{{L: V(x), R: V(x), Mask: full}}, nil},
-		{"through-internal", []Constraint{{L: V(x), R: V(i), Mask: full}, {L: V(i), R: V(x), Mask: full}},
-			[]Constraint{{L: V(x), R: V(x), Mask: full, Why: why}}},
+		{"through-internal", []Constraint{{L: V(x), R: V(i), Mask: full, Why: out}, {L: V(i), R: V(x), Mask: full, Why: back}},
+			[]Constraint{{L: V(x), R: V(x), Mask: full, Why: out}}},
 	} {
 		got := Restrict(set, tc.cons, []Var{x})
 		if !reflect.DeepEqual(got, tc.want) {

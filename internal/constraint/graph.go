@@ -14,21 +14,29 @@ package constraint
 //
 // Blame paths run breadth-first over the original constraint list (see
 // (*System).blame) through incomingCSR, which keeps insertion order, so
-// extracted traces are deterministic.
+// extracted traces are deterministic. Restrict's adjacency also carries
+// each edge's constraint index, from which it records witnesses.
 
 import "repro/internal/qual"
 
 // csr is compressed-sparse-row adjacency: the edges leaving node u go to
-// to[off[u]:off[u+1]] and carry the masks mask[off[u]:off[u+1]].
+// to[off[u]:off[u+1]] and carry the masks mask[off[u]:off[u+1]]. When
+// built with constraint indices, con[e] names the constraint edge e
+// came from.
 type csr struct {
 	off, to []int32
 	mask    []qual.Elem
+	con     []int32
 }
 
-// newCSR builds the adjacency of the edges from[i] → to[i] (mask[i])
-// over n nodes, keeping each node's edges in input order.
-func newCSR(n int, from, to []int32, mask []qual.Elem) csr {
+// newCSR builds the adjacency of the edges from[i] → to[i] (mask[i],
+// constraint con[i] when con is non-nil) over n nodes, keeping each
+// node's edges in input order.
+func newCSR(n int, from, to []int32, mask []qual.Elem, con []int32) csr {
 	g := csr{off: make([]int32, n+1), to: make([]int32, len(from)), mask: make([]qual.Elem, len(from))}
+	if con != nil {
+		g.con = make([]int32, len(from))
+	}
 	for _, u := range from {
 		g.off[u]++
 	}
@@ -42,6 +50,9 @@ func newCSR(n int, from, to []int32, mask []qual.Elem) csr {
 		g.off[u]--
 		g.to[g.off[u]] = to[i]
 		g.mask[g.off[u]] = mask[i]
+		if con != nil {
+			g.con[g.off[u]] = con[i]
+		}
 	}
 	return g
 }

@@ -31,8 +31,8 @@ type Config struct {
 	// Lang selects the front end ("c", "go"); empty means "c". The
 	// language is part of every cache and session key.
 	Lang string
-	// Options is the inference mode (mono/poly/simplify). Setting
-	// Options.PolyRec fails the run.
+	// Options is the inference mode (mono/poly). Setting
+	// Options.PolyRec fails the run; Options.Simplify is ignored.
 	Options constinfer.Options
 	// Jobs has no effect: constraint generation is sequential. Kept for
 	// bench/replay.go, removed with the next benchmark change.

@@ -37,12 +37,11 @@ type Result struct {
 	PolyReport *constinfer.Report
 }
 
-// Run generates and measures one benchmark. PolyOpts lets callers select
-// simplification for the polymorphic pass. The monomorphic pass runs the
+// Run generates and measures one benchmark. The monomorphic pass runs the
 // full pipeline (its Parse timing is the paper's "Compile time" column);
 // the polymorphic pass reuses the parsed files, so its cost is pure
 // inference.
-func Run(cfg benchgen.Config, polyOpts constinfer.Options) (*Result, error) {
+func Run(cfg benchgen.Config) (*Result, error) {
 	src := benchgen.Generate(cfg)
 	res := &Result{Config: cfg, Lines: strings.Count(src, "\n")}
 
@@ -62,8 +61,7 @@ func Run(cfg benchgen.Config, polyOpts constinfer.Options) (*Result, error) {
 	res.CompileTime = monoRes.Timings.Parse
 	res.MonoTime = monoRes.Timings.Analysis()
 
-	polyOpts.Poly = true
-	polyRes, err := driver.RunFiles(driver.Config{Options: polyOpts}, monoRes.Files)
+	polyRes, err := driver.RunFiles(driver.Config{Options: constinfer.Options{Poly: true}}, monoRes.Files)
 	if err != nil {
 		return nil, fmt.Errorf("experiment %s: poly: %w", cfg.Name, err)
 	}
@@ -84,10 +82,10 @@ func Run(cfg benchgen.Config, polyOpts constinfer.Options) (*Result, error) {
 }
 
 // RunSuite measures every benchmark of the paper suite.
-func RunSuite(polyOpts constinfer.Options) ([]*Result, error) {
+func RunSuite() ([]*Result, error) {
 	var out []*Result
 	for _, cfg := range benchgen.PaperSuite() {
-		r, err := Run(cfg, polyOpts)
+		r, err := Run(cfg)
 		if err != nil {
 			return nil, err
 		}

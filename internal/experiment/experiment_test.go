@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/benchgen"
-	"repro/internal/constinfer"
 )
 
 func smallConfig() benchgen.Config {
@@ -19,7 +18,7 @@ func smallConfig() benchgen.Config {
 }
 
 func TestRunProducesConsistentCounters(t *testing.T) {
-	res, err := Run(smallConfig(), constinfer.Options{Simplify: true})
+	res, err := Run(smallConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +38,7 @@ func TestRunProducesConsistentCounters(t *testing.T) {
 }
 
 func TestTablesRender(t *testing.T) {
-	res, err := Run(smallConfig(), constinfer.Options{Simplify: true})
+	res, err := Run(smallConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +76,7 @@ func TestRunSuiteShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full suite in -short mode")
 	}
-	results, err := RunSuite(constinfer.Options{Simplify: true})
+	results, err := RunSuite()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -53,9 +53,6 @@ func (frontEnd) Check(cfg driver.Config) error {
 	if cfg.Options.Poly {
 		return fmt.Errorf("gofront: the Go front end is monomorphic — every function gets one shared qualifier signature, so -poly has nothing to instantiate; polymorphic inference for Go is out of scope")
 	}
-	if cfg.Options.Simplify {
-		return fmt.Errorf("gofront: -simplify applies to polymorphic schemes and is not supported for -lang go")
-	}
 	if cfg.Uninit {
 		return fmt.Errorf("gofront: -uninit (the C definite-initialization check) is not supported for -lang go")
 	}

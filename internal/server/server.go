@@ -452,10 +452,13 @@ type AnalyzeRequest struct {
 	// are a local-filesystem concept; the server analyzes
 	// request-supplied texts only).
 	Lang string `json:"lang,omitempty"`
-	// Poly/Simplify/Uninit mirror the cqual flags.
-	Poly     bool `json:"poly,omitempty"`
+	// Poly/Uninit mirror the cqual flags.
+	Poly   bool `json:"poly,omitempty"`
+	Uninit bool `json:"uninit,omitempty"`
+	// Simplify is accepted and ignored: polymorphic schemes are always
+	// projected. Kept for bench/, removed with the next benchmark
+	// change.
 	Simplify bool `json:"simplify,omitempty"`
-	Uninit   bool `json:"uninit,omitempty"`
 	// PolyRec is rejected: "polyrec": true is a 400, answered before any
 	// cache lookup. Kept for bench/replay.go, removed with the next
 	// benchmark change.
@@ -575,11 +578,8 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		preludes[i] = driver.PreludeFile{Path: p.Path, Text: p.Text}
 	}
 	cfg := driver.Config{
-		Lang: req.Lang,
-		Options: constinfer.Options{
-			Poly:     req.Poly,
-			Simplify: req.Simplify,
-		},
+		Lang:     req.Lang,
+		Options:  constinfer.Options{Poly: req.Poly},
 		Uninit:   req.Uninit,
 		Analyses: req.Analyses,
 		Preludes: preludes,

@@ -164,6 +164,32 @@ func TestAnalyzeJobsRejected(t *testing.T) { checkRetiredField(t, "jobs", "1") }
 // polymorphic mode.
 func TestAnalyzePolyRecRejected(t *testing.T) { checkRetiredField(t, "polyrec", "true") }
 
+// TestAnalyzeSimplifyIgnored: "simplify" is accepted and ignored, since
+// polymorphic schemes are always projected. A poly request with it and
+// one without are the same result-cache entry: the second is a hit and
+// answers the first's bytes.
+func TestAnalyzeSimplifyIgnored(t *testing.T) {
+	srv := New(Config{})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	srcs, _ := json.Marshal([]SourceJSON{{Path: "prog.c", Text: prog}})
+	r1, d1 := postAnalyze(t, ts, fmt.Sprintf(`{"poly":true,"sources":%s}`, srcs))
+	r2, d2 := postAnalyze(t, ts, fmt.Sprintf(`{"poly":true,"simplify":true,"sources":%s}`, srcs))
+	if r1.StatusCode != 200 || r2.StatusCode != 200 {
+		t.Fatalf("status %d, %d; want 200, 200 (%s / %s)", r1.StatusCode, r2.StatusCode, d1, d2)
+	}
+	if got := r2.Header.Get("X-Cache"); got != "hit" {
+		t.Errorf("simplify request: X-Cache %q; want hit", got)
+	}
+	if !bytes.Equal(d1, d2) {
+		t.Errorf("simplify request answered different bytes:\n%s\n---\n%s", d1, d2)
+	}
+	if st := srv.results.Stats(); st.Entries != 1 {
+		t.Errorf("result cache %+v; want one entry", st)
+	}
+}
+
 // checkRetiredField: a body carrying the retired field (value is its
 // JSON text) is a 400 that names the field, the rejected request caches
 // nothing, and it leaves the result-cache entry of the same sources
