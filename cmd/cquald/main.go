@@ -8,10 +8,7 @@
 //	cquald [-addr host:port] [-max-concurrent n]
 //	       [-timeout d] [-shutdown-timeout d]
 //	       [-result-cache-entries n] [-result-cache-bytes n]
-//	       [-session-entries n]
-//	       [-pprof] [-slow-request d] [-trace-entries n]
-//	       [-journal-entries n] [-retain-slowest n] [-retain-sample n]
-//	       [-slo endpoint=objective,...]
+//	       [-session-entries n] [-pprof]
 //	cquald -watch DIR [-watch-interval d] [-lang l]
 //	       [-poly] [-uninit]
 //	       [-analysis LIST] [-prelude FILES]
@@ -28,24 +25,19 @@
 // Every analyze response carries an X-Trace-Id, and every request
 // records spans into the flight recorder: at request end a
 // tail-retention policy keeps the traces of slow, failed, shed, and
-// 1-in-K sampled requests (?trace=1 forces retention), retrievable at
-// /v1/traces/<id> after the fact.
-// -trace-entries bounds the retention ring; -retain-slowest and
-// -retain-sample tune the policy. GET /v1/events serves the structured
-// event journal (session evictions, cache churn, slow requests;
-// ?since=<seq> resumes, ?wait=1 long-polls), bounded by
-// -journal-entries. GET /v1/introspect dumps live state: retained
-// sessions with their last run's solve stats,
-// cache occupancy, worker depths, ring and journal stats, SLO burn
-// rates. -slo declares per-endpoint latency objectives
-// ("analyze=250ms,metrics=50ms"); burn-rate gauges over 5m/1h/6h
-// windows are computed at scrape time. The cqualtop command renders all
-// of this as a live dashboard.
+// 1-in-64 sampled requests (?trace=1 forces retention) in a 32-entry
+// ring, retrievable at /v1/traces/<id> after the fact. GET /v1/events
+// serves the structured event journal (session and result-cache
+// evictions, pipeline failures; ?since=<seq> resumes, ?wait=1
+// long-polls), 1024 events deep and mirrored to the log. GET
+// /v1/introspect dumps live state: retained sessions with their last
+// run's solve stats, cache occupancy, worker depths, ring and journal
+// stats, and the burn rates of the analyze SLO (250ms for 99% of
+// requests), whose 5m/1h/6h burn-rate gauges are computed at scrape
+// time. The cqualtop command renders all of this as a live dashboard.
 //
-// -pprof mounts the net/http/pprof handlers under /debug/pprof/;
-// -slow-request logs requests slower than the threshold (the records
-// also land in the event journal). SIGINT/SIGTERM drain in-flight
-// requests before exiting.
+// -pprof mounts the net/http/pprof handlers under /debug/pprof/.
+// SIGINT/SIGTERM drain in-flight requests before exiting.
 //
 // Requests carrying a "session" id share a retained session (bounded by
 // -session-entries): the corpus's runs serialize, bypass the result
@@ -73,7 +65,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -90,13 +81,6 @@ func main() {
 	resultBytes := flag.Int64("result-cache-bytes", 256<<20, "result cache: max stored report bytes (0 = 256 MiB)")
 	sessionEntries := flag.Int("session-entries", 0, "retained sessions (0 = 64)")
 	enablePprof := flag.Bool("pprof", false, "mount the net/http/pprof profiling handlers under /debug/pprof/")
-	slowRequest := flag.Duration("slow-request", 0, "log analyze requests at or above this latency (0 = disabled)")
-	traceEntries := flag.Int("trace-entries", 0, "flight-recorder retained-trace ring entries (0 = 32)")
-	journalEntries := flag.Int("journal-entries", 0, "structured event journal entries (0 = 1024)")
-	retainSlowest := flag.Int("retain-slowest", 0, "retain the first n traces per latency bucket, then only new bucket maxima (0 = 2, negative disables)")
-	retainSample := flag.Int("retain-sample", 0, "retain one trace in every n requests as a baseline sample (0 = 64, negative disables)")
-	sloFlag := flag.String("slo", "", `per-endpoint latency objectives as "endpoint=objective,..." (e.g. "analyze=250ms,metrics=50ms"; default analyze=250ms)`)
-	sloTarget := flag.Float64("slo-target", 0, "SLO success-fraction objective shared by all endpoints (0 = 0.99)")
 	watch := flag.String("watch", "", "watch this directory of source files instead of serving HTTP; re-analyze the whole tree on change")
 	watchInterval := flag.Duration("watch-interval", 500*time.Millisecond, "poll interval for -watch")
 	lang := flag.String("lang", "", "with -watch: source language of the watched files (c, go; default c)")
@@ -130,16 +114,6 @@ func main() {
 		}
 	}
 
-	slos, err := parseSLOs(*sloFlag)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "cquald: %v\n", err)
-		os.Exit(2)
-	}
-	if *sloTarget < 0 || *sloTarget >= 1 {
-		fmt.Fprintln(os.Stderr, "cquald: -slo-target must be in [0, 1)")
-		os.Exit(2)
-	}
-
 	srv := server.New(server.Config{
 		MaxConcurrent:  *maxConcurrent,
 		RequestTimeout: *timeout,
@@ -147,13 +121,6 @@ func main() {
 		ResultBytes:    *resultBytes,
 		SessionEntries: *sessionEntries,
 		EnablePprof:    *enablePprof,
-		SlowRequest:    *slowRequest,
-		TraceEntries:   *traceEntries,
-		JournalEntries: *journalEntries,
-		RetainSlowest:  *retainSlowest,
-		RetainSample:   *retainSample,
-		SLOs:           slos,
-		SLOTarget:      *sloTarget,
 	})
 
 	ln, err := net.Listen("tcp", *addr)
@@ -190,29 +157,4 @@ func main() {
 		os.Exit(1)
 	}
 	log.Printf("cquald: bye")
-}
-
-// parseSLOs parses the -slo flag: a comma-separated list of
-// endpoint=objective pairs ("analyze=250ms,metrics=50ms"). An empty
-// flag returns nil, leaving the server's default (analyze=250ms); a
-// present flag replaces the default outright, so "-slo ”" cannot be
-// used to disable it — pass an objective for no endpoint you care
-// about instead.
-func parseSLOs(s string) (map[string]time.Duration, error) {
-	if s == "" {
-		return nil, nil
-	}
-	slos := make(map[string]time.Duration)
-	for _, part := range strings.Split(s, ",") {
-		endpoint, obj, ok := strings.Cut(strings.TrimSpace(part), "=")
-		if !ok || endpoint == "" {
-			return nil, fmt.Errorf("-slo: %q is not endpoint=objective", part)
-		}
-		d, err := time.ParseDuration(obj)
-		if err != nil || d <= 0 {
-			return nil, fmt.Errorf("-slo: bad objective in %q (want a positive duration like 250ms)", part)
-		}
-		slos[endpoint] = d
-	}
-	return slos, nil
 }

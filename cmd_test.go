@@ -427,9 +427,11 @@ func TestCqualJSON(t *testing.T) {
 }
 
 // TestCqualJobsValidation: -jobs, -polyrec and -simplify are retired
-// from cqual and cquald (and -simplify from paperbench), so passing any
-// of them is an unknown-flag usage error, exit 2. -schemes without
-// -poly is a usage error too, for C and Go alike.
+// from cqual and cquald (and -simplify from paperbench), and so are
+// cquald's observability knobs (-slo, -slo-target, -slow-request,
+// -trace-entries, -journal-entries, -retain-slowest, -retain-sample),
+// so passing any of them is an unknown-flag usage error, exit 2.
+// -schemes without -poly is a usage error too, for C and Go alike.
 func TestCqualJobsValidation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden CLI tests in -short mode")
@@ -461,6 +463,13 @@ func TestCqualJobsValidation(t *testing.T) {
 		{exec.Command(cqual, "-poly", "-simplify", cFile), unknown + "-simplify"},
 		{exec.Command(cquald, "-watch", dir, "-simplify"), unknown + "-simplify"},
 		{exec.Command(paperbench, "-simplify"), unknown + "-simplify"},
+		{exec.Command(cquald, "-slo", "analyze=1s"), unknown + "-slo"},
+		{exec.Command(cquald, "-slo-target", "0.9"), unknown + "-slo-target"},
+		{exec.Command(cquald, "-slow-request", "1s"), unknown + "-slow-request"},
+		{exec.Command(cquald, "-trace-entries", "4"), unknown + "-trace-entries"},
+		{exec.Command(cquald, "-journal-entries", "4"), unknown + "-journal-entries"},
+		{exec.Command(cquald, "-retain-slowest", "1"), unknown + "-retain-slowest"},
+		{exec.Command(cquald, "-retain-sample", "1"), unknown + "-retain-sample"},
 		{exec.Command(cqual, "-schemes", cFile), "-schemes only applies with -poly"},
 		{exec.Command(cqual, "-lang", "go", "-schemes", goFile), "-schemes only applies with -poly"},
 	} {

@@ -91,7 +91,6 @@ func (l *lru[K, V]) get(k K) (V, bool) {
 // the cache silently useless for that key.
 func (l *lru[K, V]) put(k K, v V, cost int64) {
 	l.mu.Lock()
-	var evicted []K
 	if e, ok := l.items[k]; ok {
 		l.bytes.Add(cost - e.cost)
 		e.val, e.cost = v, cost
@@ -104,6 +103,14 @@ func (l *lru[K, V]) put(k K, v V, cost int64) {
 		l.bytes.Add(cost)
 		l.entries.Add(1)
 	}
+	l.evictAndUnlock()
+}
+
+// evictAndUnlock evicts from the cold end until both bounds hold,
+// releases the map mutex the caller holds, and then reports each
+// evicted key to onEvict.
+func (l *lru[K, V]) evictAndUnlock() {
+	var evicted []K
 	for len(l.items) > 1 &&
 		((l.maxEntries > 0 && len(l.items) > l.maxEntries) ||
 			(l.maxBytes > 0 && l.bytes.Load() > l.maxBytes)) {

@@ -67,23 +67,7 @@ func (c *SessionStore) GetOrCreate(key string, mk func() *driver.Session) (*driv
 	l.pushFront(e)
 	l.bytes.Add(1)
 	l.entries.Add(1)
-	var evicted []string
-	for len(l.items) > 1 && l.maxEntries > 0 && len(l.items) > l.maxEntries {
-		cold := l.root.prev
-		l.unlink(cold)
-		delete(l.items, cold.key)
-		l.bytes.Add(-cold.cost)
-		l.entries.Add(-1)
-		l.evictions.Add(1)
-		if l.onEvict != nil {
-			evicted = append(evicted, cold.key)
-		}
-	}
-	hook := l.onEvict
-	l.mu.Unlock()
-	for _, key := range evicted {
-		hook(key)
-	}
+	l.evictAndUnlock()
 	return sess, false
 }
 

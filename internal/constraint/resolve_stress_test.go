@@ -11,9 +11,10 @@ import (
 	"repro/internal/qual"
 )
 
-// TestIncrementalSolveStress re-solves growing random masked systems,
-// comparing every intermediate solution against the naive reference.
-func TestIncrementalSolveStress(t *testing.T) {
+// TestColdResolveGrowingSystems re-solves growing random masked
+// systems from scratch after every batch of constraints, comparing
+// every intermediate solution against the naive reference.
+func TestColdResolveGrowingSystems(t *testing.T) {
 	set, err := qual.NewSet(
 		qual.Qualifier{Name: "a", Sign: qual.Positive},
 		qual.Qualifier{Name: "b", Sign: qual.Positive},

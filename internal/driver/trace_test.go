@@ -26,13 +26,12 @@ void set(char *p) { *p = 0; }
 
 // runTraced runs the pipeline under an injected fake clock and returns
 // the exported trace bytes.
-func runTraced(t *testing.T, jobs int) []byte {
+func runTraced(t *testing.T) []byte {
 	t.Helper()
 	tracer := obs.NewTracer(obs.NewFakeClock(time.Unix(0, 0), time.Microsecond))
 	ctx := obs.WithTracer(context.Background(), tracer)
 	res, err := RunContext(ctx, Config{
 		Options: constinfer.Options{Poly: true},
-		Jobs:    jobs,
 	}, []Source{TextSource("demo.c", traceDemo)})
 	if err != nil {
 		t.Fatal(err)
@@ -47,15 +46,14 @@ func runTraced(t *testing.T, jobs int) []byte {
 	return buf.Bytes()
 }
 
-// TestTraceGoldenAcrossJobs is the trace acceptance check: spans are
-// recorded only on the caller's goroutine, so with a monotonic fake clock
-// the exported trace equals testdata/trace.golden byte for byte, for
-// every Jobs value (which has no effect). Run with -update to rewrite
-// the golden.
-func TestTraceGoldenAcrossJobs(t *testing.T) {
+// TestTraceGolden is the trace acceptance check: spans are recorded
+// only on the caller's goroutine, so with a monotonic fake clock the
+// exported trace equals testdata/trace.golden byte for byte, on every
+// run. Run with -update to rewrite the golden.
+func TestTraceGolden(t *testing.T) {
 	const path = "testdata/trace.golden"
 	if *update {
-		if err := os.WriteFile(path, runTraced(t, 0), 0o644); err != nil {
+		if err := os.WriteFile(path, runTraced(t), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
@@ -64,9 +62,9 @@ func TestTraceGoldenAcrossJobs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, jobs := range []int{0, 1, 4} {
-		if got := runTraced(t, jobs); !bytes.Equal(got, golden) {
-			t.Errorf("trace for jobs=%d differs from %s:\n got:  %s\n want: %s", jobs, path, got, golden)
+	for run := 1; run <= 2; run++ {
+		if got := runTraced(t); !bytes.Equal(got, golden) {
+			t.Errorf("trace of run %d differs from %s:\n got:  %s\n want: %s", run, path, got, golden)
 		}
 	}
 }
@@ -83,7 +81,7 @@ func TestTraceCoversPipeline(t *testing.T) {
 			Args map[string]any `json:"args"`
 		} `json:"traceEvents"`
 	}
-	if err := json.Unmarshal(runTraced(t, 0), &doc); err != nil {
+	if err := json.Unmarshal(runTraced(t), &doc); err != nil {
 		t.Fatalf("trace is not valid JSON: %v", err)
 	}
 	count := map[string]int{}

@@ -21,9 +21,3 @@ func FromContext(ctx context.Context) *Tracer {
 	t, _ := ctx.Value(tracerKey{}).(*Tracer)
 	return t
 }
-
-// StartSpan opens a span on the context's tracer. It returns a nil
-// (no-op) span when the context carries no tracer.
-func StartSpan(ctx context.Context, cat, name string, attrs ...Attr) *Span {
-	return FromContext(ctx).Start(cat, name, attrs...)
-}

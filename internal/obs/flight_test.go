@@ -1,7 +1,7 @@
 package obs
 
 // Unit tests for the flight-recorder building blocks: the tail-retention
-// ring, the event journal and its slog bridges, the SLO burn-rate
+// ring, the event journal and its slog mirror, the SLO burn-rate
 // tracker, OpenMetrics rendering with exemplars, and /metrics content
 // negotiation.
 
@@ -9,8 +9,10 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"log/slog"
 	"regexp"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -20,7 +22,12 @@ import (
 // --- Recorder -------------------------------------------------------
 
 func TestRecorderDecideReasons(t *testing.T) {
-	r := NewRecorder(RetainPolicy{SlowestPerBucket: -1, SampleEvery: -1})
+	r := NewRecorder()
+	// Spend the first sample ordinal and the zero-latency bucket's slow
+	// admissions, so the cases below see neither policy.
+	for i := 0; i < slowestPerBucket; i++ {
+		r.Decide(Sample{})
+	}
 	cases := []struct {
 		s    Sample
 		want []string
@@ -45,69 +52,69 @@ func TestRecorderDecideReasons(t *testing.T) {
 
 func TestRecorderSlowPolicy(t *testing.T) {
 	// Two admissions per bucket, then only new bucket maxima.
-	r := NewRecorder(RetainPolicy{SlowestPerBucket: 2, SampleEvery: -1, Buckets: []float64{0.1, 1}})
+	r := NewRecorder()
+	r.Decide(Sample{Forced: true}) // the first request is sampled
 	decide := func(sec float64) bool {
 		ok, _ := r.Decide(Sample{Seconds: sec})
 		return ok
 	}
-	if !decide(0.05) || !decide(0.06) {
+	// 0.06 and 0.07 share the (0.05, 0.1] bucket of DefLatencyBuckets.
+	if !decide(0.06) || !decide(0.07) {
 		t.Fatal("first two in bucket should be retained")
 	}
-	if decide(0.04) {
+	if decide(0.055) {
 		t.Fatal("below-max third entry should not be retained")
 	}
-	if !decide(0.07) {
+	if !decide(0.08) {
 		t.Fatal("new bucket maximum should be retained")
 	}
-	if decide(0.07) {
+	if decide(0.08) {
 		t.Fatal("equal-to-max entry should not be retained")
 	}
 	// A different bucket has its own budget.
-	if !decide(0.5) {
+	if !decide(0.3) {
 		t.Fatal("first entry of second bucket should be retained")
 	}
 }
 
 func TestRecorderSampleEvery(t *testing.T) {
-	r := NewRecorder(RetainPolicy{SlowestPerBucket: -1, SampleEvery: 4})
+	r := NewRecorder()
 	var got []int
-	for i := 1; i <= 9; i++ {
-		if ok, reasons := r.Decide(Sample{}); ok {
-			if len(reasons) != 1 || reasons[0] != "sample" {
-				t.Fatalf("request %d: reasons = %v", i, reasons)
-			}
+	for i := 1; i <= 2*sampleEvery+1; i++ {
+		_, reasons := r.Decide(Sample{})
+		if slices.Contains(reasons, "sample") {
 			got = append(got, i)
 		}
 	}
-	// The first request is always sampled, then every 4th after it.
-	if fmt.Sprint(got) != fmt.Sprint([]int{1, 5, 9}) {
-		t.Fatalf("sampled ordinals = %v, want [1 5 9]", got)
+	// The first request is always sampled, then every 64th after it.
+	if fmt.Sprint(got) != fmt.Sprint([]int{1, 65, 129}) {
+		t.Fatalf("sampled ordinals = %v, want [1 65 129]", got)
 	}
 }
 
 func TestRecorderRingEvictionAndReconcile(t *testing.T) {
-	r := NewRecorder(RetainPolicy{RingEntries: 4})
-	for i := 0; i < 10; i++ {
+	r := NewRecorder()
+	for i := 0; i < 40; i++ {
 		r.Put(fmt.Sprintf("t%02d", i), []byte("x"), 0.001, []string{"sample"})
 	}
 	st := r.Stats()
-	if st.Admitted != 10 || st.Resident != 4 || st.Evicted != 6 {
-		t.Fatalf("stats = %+v, want admitted 10 = resident 4 + evicted 6", st)
+	if st.Admitted != 40 || st.Resident != 32 || st.Evicted != 8 {
+		t.Fatalf("stats = %+v, want admitted 40 = resident 32 + evicted 8", st)
 	}
-	if _, ok := r.Get("t09"); !ok {
+	if _, ok := r.Get("t39"); !ok {
 		t.Fatal("newest entry missing")
 	}
-	if _, ok := r.Get("t03"); ok {
+	if _, ok := r.Get("t07"); ok {
 		t.Fatal("evicted entry still retrievable")
 	}
 	infos := r.Retained()
-	if len(infos) != 4 || infos[0].ID != "t09" || infos[3].ID != "t06" {
-		t.Fatalf("Retained() = %+v, want t09..t06 newest first", infos)
+	if len(infos) != 32 || infos[0].ID != "t39" || infos[31].ID != "t08" {
+		t.Fatalf("Retained() = %+v, want t39..t08 newest first", infos)
 	}
 }
 
 func TestRecorderConcurrentReconcile(t *testing.T) {
-	r := NewRecorder(RetainPolicy{RingEntries: 8})
+	r := NewRecorder()
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
@@ -133,36 +140,44 @@ func TestRecorderConcurrentReconcile(t *testing.T) {
 
 // --- Journal --------------------------------------------------------
 
+// quietJournal is a journal whose mirror discards its records.
+func quietJournal() *Journal {
+	j := NewJournal()
+	j.mirror = slog.New(slog.NewTextHandler(io.Discard, nil))
+	return j
+}
+
 func TestJournalSinceAndDrop(t *testing.T) {
-	j := NewJournal(3)
-	j.SetClock(func() time.Time { return time.UnixMilli(42) })
-	for i := 1; i <= 5; i++ {
+	j := quietJournal()
+	j.clock = func() time.Time { return time.UnixMilli(42) }
+	const total = journalEntries + 2
+	for i := 1; i <= total; i++ {
 		seq := j.Append("cache_evict", "info", fmt.Sprintf("evict %d", i), "key", fmt.Sprint(i))
 		if seq != uint64(i) {
 			t.Fatalf("Append seq = %d, want %d", seq, i)
 		}
 	}
 	evs, next := j.Since(0, 0)
-	if len(evs) != 3 || evs[0].Seq != 3 || evs[2].Seq != 5 {
-		t.Fatalf("Since(0) = %+v, want seqs 3..5", evs)
+	if len(evs) != journalEntries || evs[0].Seq != 3 || evs[len(evs)-1].Seq != total {
+		t.Fatalf("Since(0) = %d events from seq %d, want seqs 3..%d", len(evs), evs[0].Seq, total)
 	}
-	if next != 5 {
-		t.Fatalf("next = %d, want 5", next)
+	if next != total {
+		t.Fatalf("next = %d, want %d", next, total)
 	}
 	if evs[0].TimeMS != 42 || evs[0].Attrs["key"] != "3" {
 		t.Fatalf("event fields wrong: %+v", evs[0])
 	}
-	if evs2, next2 := j.Since(5, 0); evs2 != nil || next2 != 5 {
-		t.Fatalf("Since(5) = %v, %d, want nil, 5", evs2, next2)
+	if evs2, next2 := j.Since(total, 0); evs2 != nil || next2 != total {
+		t.Fatalf("Since(%d) = %v, %d, want nil, %d", total, evs2, next2, total)
 	}
 	st := j.Stats()
-	if st.NextSeq != 6 || st.Entries != 3 || st.Dropped != 2 {
+	if st.NextSeq != total+1 || st.Entries != journalEntries || st.Dropped != 2 {
 		t.Fatalf("stats = %+v", st)
 	}
 }
 
 func TestJournalWaitLongPoll(t *testing.T) {
-	j := NewJournal(8)
+	j := quietJournal()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	done := make(chan bool, 1)
@@ -181,48 +196,27 @@ func TestJournalWaitLongPoll(t *testing.T) {
 }
 
 func TestJournalSlogBridges(t *testing.T) {
-	j := NewJournal(8)
+	if NewJournal().mirror != slog.Default() {
+		t.Fatal("journal does not mirror to slog.Default()")
+	}
+	j := NewJournal()
 	var buf bytes.Buffer
-	raw := slog.New(slog.NewTextHandler(&buf, nil))
-	j.SetMirror(raw)
+	j.mirror = slog.New(slog.NewTextHandler(&buf, nil))
 
 	// Append mirrors to slog.
 	j.Append("session_evict", "warn", "session evicted", "key", "abc")
-	if out := buf.String(); !strings.Contains(out, "session evicted") || !strings.Contains(out, "event=session_evict") {
+	if out := buf.String(); !strings.Contains(out, "session evicted") || !strings.Contains(out, "event=session_evict") ||
+		!strings.Contains(out, "key=abc") || !strings.Contains(out, "level=WARN") {
 		t.Fatalf("mirror output missing event: %q", out)
-	}
-
-	// slog through JournalHandler lands in the journal and the inner
-	// handler, and does NOT re-mirror (no loop).
-	before := buf.Len()
-	wrapped := slog.New(NewJournalHandler(j, slog.NewTextHandler(&buf, nil)))
-	wrapped.Warn("slow request", "trace", "t01")
-	evs, _ := j.Since(1, 0)
-	if len(evs) != 1 || evs[0].Type != "log" || evs[0].Level != "warn" || evs[0].Attrs["trace"] != "t01" {
-		t.Fatalf("journal fan-in event wrong: %+v", evs)
-	}
-	inner := buf.String()[before:]
-	if !strings.Contains(inner, "slow request") {
-		t.Fatalf("inner handler not forwarded: %q", inner)
-	}
-	if strings.Count(inner, "slow request") != 1 {
-		t.Fatalf("handler record mirrored back (loop): %q", inner)
-	}
-
-	// WithAttrs attrs reach the journal.
-	slog.New(NewJournalHandler(j, nil)).With("shard", "2").Info("hello")
-	evs, _ = j.Since(2, 0)
-	if len(evs) != 1 || evs[0].Attrs["shard"] != "2" {
-		t.Fatalf("WithAttrs attrs missing: %+v", evs)
 	}
 }
 
 // --- SLO ------------------------------------------------------------
 
 func TestSLOBurnRate(t *testing.T) {
-	tr := NewSLOTracker("analyze", 250*time.Millisecond, 0.99)
+	tr := NewSLOTracker(250 * time.Millisecond)
 	now := time.Unix(1_000_000, 0)
-	tr.SetClock(func() time.Time { return now })
+	tr.clock = func() time.Time { return now }
 
 	// 98 good, 1 slow, 1 failed: 2% bad against a 1% budget → burn 2.
 	for i := 0; i < 98; i++ {
@@ -231,7 +225,7 @@ func TestSLOBurnRate(t *testing.T) {
 	tr.Observe(0.5, false)
 	tr.Observe(0.01, true)
 
-	good, bad := tr.Totals(5 * time.Minute)
+	good, bad := tr.totals(5 * time.Minute)
 	if good != 98 || bad != 2 {
 		t.Fatalf("totals = %d good, %d bad", good, bad)
 	}
@@ -250,9 +244,9 @@ func TestSLOBurnRate(t *testing.T) {
 }
 
 func TestSLOZeroTrafficAndDefaults(t *testing.T) {
-	tr := NewSLOTracker("analyze", 100*time.Millisecond, 0)
-	if tr.Target() != DefSLOTarget {
-		t.Fatalf("default target = %v", tr.Target())
+	tr := NewSLOTracker(100 * time.Millisecond)
+	if tr.Objective() != 0.1 {
+		t.Fatalf("objective = %v, want 0.1", tr.Objective())
 	}
 	if br := tr.BurnRate(time.Hour); br != 0 {
 		t.Fatalf("zero-traffic burn = %v, want 0", br)

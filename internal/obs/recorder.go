@@ -18,12 +18,12 @@ package obs
 //   - forced:   the client passed ?trace=1 (always kept)
 //   - error:    the request failed (non-200)
 //   - shed:     the request was load-shed or timed out (429/504)
-//   - slow:     per latency-histogram bucket, the first SlowestPerBucket
+//   - slow:     per latency-histogram bucket, the first slowestPerBucket
 //     requests landing in the bucket are kept, and afterwards only new
 //     per-bucket maxima — so every populated latency bucket always has
 //     recent representative traces, and the slowest tail is always
 //     retained (this is also what the OpenMetrics exemplars link to)
-//   - sample:   a deterministic 1-in-SampleEvery pick by request
+//   - sample:   a deterministic 1-in-sampleEvery pick by request
 //     ordinal (the first request is always sampled, so a fresh server
 //     has a baseline trace immediately)
 //
@@ -40,39 +40,15 @@ import (
 	"sync/atomic"
 )
 
-// RetainPolicy configures the tail-retention decision. Zero values
-// select the documented defaults.
-type RetainPolicy struct {
-	// RingEntries bounds the retained-trace ring (0 = 64).
-	RingEntries int
-	// SlowestPerBucket is the per-latency-bucket admission count before
-	// only new bucket maxima are kept (0 = 2; negative disables the
-	// slow policy).
-	SlowestPerBucket int
-	// SampleEvery keeps one request in every SampleEvery as a baseline
-	// sample (0 = 64; negative disables sampling).
-	SampleEvery int
-	// Buckets are the latency bucket upper bounds, in seconds, for the
-	// slow policy (nil = DefLatencyBuckets). Use the same buckets as the
-	// latency histogram the exemplars annotate.
-	Buckets []float64
-}
-
-func (p RetainPolicy) withDefaults() RetainPolicy {
-	if p.RingEntries <= 0 {
-		p.RingEntries = 64
-	}
-	if p.SlowestPerBucket == 0 {
-		p.SlowestPerBucket = 2
-	}
-	if p.SampleEvery == 0 {
-		p.SampleEvery = 64
-	}
-	if p.Buckets == nil {
-		p.Buckets = DefLatencyBuckets
-	}
-	return p
-}
+// The retention constants. RetainedTraces bounds the ring; the slow
+// policy admits the first slowestPerBucket requests of each
+// DefLatencyBuckets bucket (the buckets of the latency histograms the
+// exemplars annotate); sampleEvery is the baseline sample's K.
+const (
+	RetainedTraces   = 32
+	slowestPerBucket = 2
+	sampleEvery      = 64
+)
 
 // Sample is one finished request presented to Decide.
 type Sample struct {
@@ -119,8 +95,7 @@ type RecorderStats struct {
 // Recorder decides and stores tail-retained traces. Create with
 // NewRecorder; all methods are safe for concurrent use and lock-free.
 type Recorder struct {
-	pol         RetainPolicy
-	slots       []atomic.Pointer[RetainedTrace]
+	slots       [RetainedTraces]atomic.Pointer[RetainedTrace]
 	cursor      atomic.Uint64
 	decisions   atomic.Uint64
 	admitted    atomic.Uint64
@@ -130,20 +105,13 @@ type Recorder struct {
 	bucketMax   []atomic.Uint64  // float bits of the slowest retained latency per bucket
 }
 
-// NewRecorder builds a recorder with the given policy (zero value for
-// defaults).
-func NewRecorder(pol RetainPolicy) *Recorder {
-	pol = pol.withDefaults()
+// NewRecorder builds a recorder with an empty ring.
+func NewRecorder() *Recorder {
 	return &Recorder{
-		pol:         pol,
-		slots:       make([]atomic.Pointer[RetainedTrace], pol.RingEntries),
-		bucketCount: make([]atomic.Uint64, len(pol.Buckets)+1),
-		bucketMax:   make([]atomic.Uint64, len(pol.Buckets)+1),
+		bucketCount: make([]atomic.Uint64, len(DefLatencyBuckets)+1),
+		bucketMax:   make([]atomic.Uint64, len(DefLatencyBuckets)+1),
 	}
 }
-
-// Policy returns the recorder's effective (defaulted) policy.
-func (r *Recorder) Policy() RetainPolicy { return r.pol }
 
 // Decide evaluates the retention policy for one finished request and
 // returns whether to retain its trace, with the matched reasons in
@@ -168,7 +136,7 @@ func (r *Recorder) Decide(s Sample) (bool, []string) {
 		reasons = append(reasons, "slow")
 		r.byReason[3].Add(1)
 	}
-	if k := r.pol.SampleEvery; k > 0 && ordinal%uint64(k) == 1%uint64(k) {
+	if ordinal%sampleEvery == 1 {
 		reasons = append(reasons, "sample")
 		r.byReason[4].Add(1)
 	}
@@ -176,16 +144,12 @@ func (r *Recorder) Decide(s Sample) (bool, []string) {
 }
 
 // slowRetain is the per-bucket slow policy: admit the first
-// SlowestPerBucket requests of a bucket, then only new bucket maxima.
+// slowestPerBucket requests of a bucket, then only new bucket maxima.
 func (r *Recorder) slowRetain(seconds float64) bool {
-	n := r.pol.SlowestPerBucket
-	if n <= 0 {
-		return false
-	}
-	i := sort.SearchFloat64s(r.pol.Buckets, seconds)
+	i := sort.SearchFloat64s(DefLatencyBuckets, seconds)
 	for {
 		c := r.bucketCount[i].Load()
-		if c >= uint64(n) {
+		if c >= slowestPerBucket {
 			break
 		}
 		if r.bucketCount[i].CompareAndSwap(c, c+1) {

@@ -79,9 +79,6 @@ func String(key, value string) Attr { return Attr{key, value} }
 // Int builds an integer attribute.
 func Int(key string, value int) Attr { return Attr{key, value} }
 
-// Bool builds a boolean attribute.
-func Bool(key string, value bool) Attr { return Attr{key, value} }
-
 // span is one finished (or still-open) trace span.
 type span struct {
 	name  string

@@ -42,7 +42,7 @@ func TestTracerNestingAndExport(t *testing.T) {
 	root := tr.Start("driver", "driver.run", String("mode", "monomorphic"))
 	child := tr.Start("driver", "driver.parse", Int("files", 2))
 	child.End()
-	root.SetAttr(Bool("ok", true))
+	root.SetAttr(Attr{"ok", true})
 	root.End()
 
 	var buf bytes.Buffer
@@ -114,17 +114,17 @@ func TestContextPlumbing(t *testing.T) {
 	if FromContext(ctx) != nil {
 		t.Fatal("empty context has a tracer")
 	}
-	if sp := StartSpan(ctx, "x", "a"); sp != nil {
-		t.Fatal("StartSpan on empty context returned a live span")
+	if sp := FromContext(ctx).Start("x", "a"); sp != nil {
+		t.Fatal("Start on an empty context's tracer returned a live span")
 	}
 	tr := NewTracer(NewFakeClock(time.Unix(0, 0), time.Microsecond))
 	ctx = WithTracer(ctx, tr)
 	if FromContext(ctx) != tr {
 		t.Fatal("tracer did not round-trip through context")
 	}
-	sp := StartSpan(ctx, "x", "a")
+	sp := FromContext(ctx).Start("x", "a")
 	if sp == nil {
-		t.Fatal("StartSpan returned nil with a tracer attached")
+		t.Fatal("Start returned nil with a tracer attached")
 	}
 	sp.End()
 }

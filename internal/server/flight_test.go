@@ -97,11 +97,11 @@ func TestFlightRecorderRetainsWithoutOptIn(t *testing.T) {
 	}
 }
 
-// TestTraceRingEvictionHammer hammers a tiny retention ring from
-// concurrent requests (run under -race in CI): evicted ids 404 cleanly
-// and the retention counters reconcile with admissions.
+// TestTraceRingEvictionHammer overfills the 32-entry retention ring
+// from concurrent requests (run under -race in CI): evicted ids 404
+// cleanly and the retention counters reconcile with admissions.
 func TestTraceRingEvictionHammer(t *testing.T) {
-	ts := httptest.NewServer(New(Config{TraceEntries: 4}))
+	ts := httptest.NewServer(New(Config{}))
 	defer ts.Close()
 
 	var mu sync.Mutex
@@ -113,7 +113,7 @@ func TestTraceRingEvictionHammer(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 10; i++ {
 				// ?trace=1 forces retention, so every request competes
-				// for the 4 ring slots.
+				// for the 32 ring slots.
 				resp, err := http.Post(ts.URL+"/v1/analyze?trace=1", "application/json",
 					strings.NewReader(analyzeBody(map[string]string{
 						"p.c": fmt.Sprintf("int f%d_%d(int *p) { return *p; }", g, i),
@@ -141,8 +141,8 @@ func TestTraceRingEvictionHammer(t *testing.T) {
 	if ret.Admitted != uint64(ret.Resident)+ret.Evicted {
 		t.Fatalf("admitted %d != resident %d + evicted %d", ret.Admitted, ret.Resident, ret.Evicted)
 	}
-	if ret.Resident != 4 {
-		t.Fatalf("resident = %d, want ring size 4", ret.Resident)
+	if ret.Resident != 32 {
+		t.Fatalf("resident = %d, want ring size 32", ret.Resident)
 	}
 
 	// Every id either serves its trace (resident) or 404s (evicted);
@@ -164,8 +164,8 @@ func TestTraceRingEvictionHammer(t *testing.T) {
 			t.Fatalf("GET /v1/traces/%s: status %d", id, resp.StatusCode)
 		}
 	}
-	if served != 4 || missing != 36 {
-		t.Fatalf("served/missing = %d/%d, want 4/36", served, missing)
+	if served != 32 || missing != 8 {
+		t.Fatalf("served/missing = %d/%d, want 32/8", served, missing)
 	}
 }
 

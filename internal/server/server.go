@@ -26,14 +26,14 @@
 //	                    trace-id exemplars on histogram buckets
 //	GET  /v1/traces/<id> — the Chrome trace-event JSON of a retained
 //	                    request (tail-retained or ?trace=1-forced)
-//	GET  /v1/events   — the structured event journal: session evictions,
-//	                    cache churn, slow requests.
+//	GET  /v1/events   — the structured event journal: session and
+//	                    result-cache evictions, pipeline failures.
 //	                    ?since=<seq> resumes after a known event;
 //	                    ?wait=1 long-polls until something newer arrives
 //	GET  /v1/introspect — live server state: retained sessions with
 //	                    their last solve stats, cache occupancy,
 //	                    worker/queue depths, retention ring and journal
-//	                    stats, SLO burn rates
+//	                    stats, the analyze SLO's burn rates
 //	/debug/pprof/     — net/http/pprof profiling handlers, mounted only
 //	                    when Config.EnablePprof is set
 //
@@ -57,7 +57,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"log/slog"
 	"net/http"
 	"net/http/pprof"
 	"runtime"
@@ -94,36 +93,18 @@ type Config struct {
 	// /debug/pprof/. Off by default: the endpoints expose goroutine
 	// stacks and heap contents, so they are opt-in.
 	EnablePprof bool
-	// SlowRequest is the latency threshold at or above which a completed
-	// analyze request is logged through Logger (0 = disabled).
-	SlowRequest time.Duration
-	// Logger receives slow-request records (nil = slog.Default()). The
-	// server additionally routes these records into the event journal.
-	Logger *slog.Logger
-	// TraceEntries bounds the flight recorder's retained-trace ring
-	// (0 = 32).
-	TraceEntries int
-	// JournalEntries bounds the structured event journal (0 = 1024).
-	JournalEntries int
-	// RetainSlowest is the flight recorder's per-latency-bucket slow
-	// admission count (0 = 2; negative disables the slow policy).
-	RetainSlowest int
-	// RetainSample keeps one request in every RetainSample as a baseline
-	// trace sample (0 = 64; negative disables sampling).
-	RetainSample int
-	// SLOs declares per-endpoint latency objectives for burn-rate
-	// tracking, keyed by endpoint name ("analyze", "metrics", ...); nil
-	// selects {"analyze": 250ms}. An explicitly empty non-nil map
-	// declares no SLOs.
-	SLOs map[string]time.Duration
-	// SLOTarget is the success-fraction objective shared by all declared
-	// SLOs (0 = 0.99).
-	SLOTarget float64
 }
 
 // DefaultRequestTimeout is the per-request deadline when none is
 // configured.
 const DefaultRequestTimeout = 30 * time.Second
+
+// maxRequestBytes caps an analyze request body; a larger body is a 413.
+const maxRequestBytes = 64 << 20
+
+// analyzeObjective is the latency objective of the analyze endpoint's
+// SLO, the one SLO the server tracks (at obs.SLOTarget).
+const analyzeObjective = 250 * time.Millisecond
 
 // stage indexes the per-stage aggregates. The order matches the driver
 // pipeline and the Prometheus "stage" label values.
@@ -151,7 +132,6 @@ type Server struct {
 	sem      chan struct{}
 	mux      *http.ServeMux
 	start    time.Time
-	logger   *slog.Logger
 
 	// Every aggregate below is an atomic or an obs.Registry series
 	// (atomics underneath): the /metrics handler takes no lock.
@@ -174,7 +154,8 @@ type Server struct {
 	perAnalysis map[string]*analysisCounters
 
 	// endpoints is the per-endpoint RED instrumentation (requests,
-	// errors, duration, optional SLO tracker), fully populated at New.
+	// errors, duration, and the analyze SLO tracker), fully populated at
+	// New.
 	endpoints map[string]*endpointMetrics
 
 	reg      *obs.Registry
@@ -185,7 +166,7 @@ type Server struct {
 }
 
 // endpointMetrics is one endpoint's RED slice: rate, errors, duration,
-// plus the SLO tracker when an objective is declared for it.
+// plus the SLO tracker on the analyze endpoint.
 type endpointMetrics struct {
 	requests *obs.Counter
 	errors   *obs.Counter
@@ -216,21 +197,6 @@ func New(cfg Config) *Server {
 	if cfg.SessionEntries == 0 {
 		cfg.SessionEntries = 64
 	}
-	if cfg.TraceEntries == 0 {
-		cfg.TraceEntries = 32
-	}
-	if cfg.SLOs == nil {
-		cfg.SLOs = map[string]time.Duration{"analyze": 250 * time.Millisecond}
-	}
-	rawLogger := cfg.Logger
-	if rawLogger == nil {
-		rawLogger = slog.Default()
-	}
-	journal := obs.NewJournal(cfg.JournalEntries)
-	// Journal events mirror to the raw logger; slog records (the
-	// slow-request log) fan into the journal through the handler bridge.
-	// The two bridges are loop-safe: see obs.Journal.
-	journal.SetMirror(rawLogger)
 	s := &Server{
 		cfg:         cfg,
 		results:     cache.NewResultCache(cfg.ResultEntries, cfg.ResultBytes),
@@ -238,16 +204,11 @@ func New(cfg Config) *Server {
 		sem:         make(chan struct{}, cfg.MaxConcurrent),
 		mux:         http.NewServeMux(),
 		start:       time.Now(),
-		logger:      slog.New(obs.NewJournalHandler(journal, rawLogger.Handler())),
 		perAnalysis: make(map[string]*analysisCounters),
 		endpoints:   make(map[string]*endpointMetrics),
 		reg:         obs.NewRegistry(),
-		journal:     journal,
-		recorder: obs.NewRecorder(obs.RetainPolicy{
-			RingEntries:      cfg.TraceEntries,
-			SlowestPerBucket: cfg.RetainSlowest,
-			SampleEvery:      cfg.RetainSample,
-		}),
+		journal:     obs.NewJournal(),
+		recorder:    obs.NewRecorder(),
 	}
 	s.sessions.OnEvict(func(key string) {
 		s.journal.Append("session_evict", "warn", "session evicted; the next request for its corpus starts a fresh one",
@@ -332,9 +293,9 @@ func (s *Server) registerMetrics() {
 		}
 	}
 
-	// Per-endpoint RED series, plus SLO burn-rate gauges for endpoints
-	// with declared objectives. Burn rates are computed at scrape time
-	// from the trackers' atomic slot rings.
+	// Per-endpoint RED series, plus the analyze SLO's burn-rate gauges.
+	// Burn rates are computed at scrape time from the tracker's atomic
+	// slot ring.
 	for _, ep := range endpointNames {
 		em := &endpointMetrics{
 			requests: r.NewCounter("cquald_endpoint_requests_total",
@@ -344,15 +305,15 @@ func (s *Server) registerMetrics() {
 			hist: r.NewHistogram("cquald_endpoint_seconds",
 				"End-to-end request latency, by endpoint.", nil, obs.L("endpoint", ep)),
 		}
-		if obj, ok := s.cfg.SLOs[ep]; ok {
-			em.slo = obs.NewSLOTracker(ep, obj, s.cfg.SLOTarget)
+		if ep == "analyze" {
+			em.slo = obs.NewSLOTracker(analyzeObjective)
 			tr := em.slo
 			r.NewGaugeFunc("cquald_slo_objective_seconds",
 				"Declared latency objective, by endpoint.",
 				tr.Objective, obs.L("endpoint", ep))
 			r.NewGaugeFunc("cquald_slo_target",
 				"Declared success-fraction objective, by endpoint.",
-				tr.Target, obs.L("endpoint", ep))
+				func() float64 { return obs.SLOTarget }, obs.L("endpoint", ep))
 			for _, w := range obs.BurnWindows {
 				w := w
 				r.NewGaugeFunc("cquald_slo_burn_rate",
@@ -530,12 +491,17 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	// pre-recorder contract — only the header and the ring change.
 	tracer := obs.NewTracer(nil)
 	fin := &finishState{forced: r.URL.Query().Get("trace") == "1"}
-	defer s.finishAnalyze(w, r, tracer, traceID, fin, began)
+	defer s.finishAnalyze(w, tracer, traceID, fin, began)
 
 	var req AnalyzeRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 64<<20))
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			s.fail(w, http.StatusRequestEntityTooLarge, "request body exceeds the %d MiB cap", maxRequestBytes>>20)
+			return
+		}
 		s.fail(w, http.StatusBadRequest, "invalid request: %v", err)
 		return
 	}
@@ -595,7 +561,6 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 			func() *driver.Session { return driver.NewSession(cfg) })
 	}
 
-	fin.sources = len(sources)
 	key := cache.RequestKey(cfg, sources)
 	if sess == nil {
 		if report, ok := s.results.Get(key); ok {
@@ -664,15 +629,13 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 type finishState struct {
 	forced     bool
 	cacheState string
-	sources    int
 }
 
 // finishAnalyze is the flight recorder's tail: it runs after the
 // response is written, decides trace retention now that latency and
-// outcome are known, observes the latency histogram (attaching the
-// trace id as the bucket exemplar when the trace was retained), and
-// emits the slow-request log line when the configured threshold is met.
-func (s *Server) finishAnalyze(w http.ResponseWriter, r *http.Request, tracer *obs.Tracer, traceID string, fin *finishState, began time.Time) {
+// outcome are known, and observes the latency histogram (attaching the
+// trace id as the bucket exemplar when the trace was retained).
+func (s *Server) finishAnalyze(w http.ResponseWriter, tracer *obs.Tracer, traceID string, fin *finishState, began time.Time) {
 	dur := time.Since(began)
 	status := http.StatusOK
 	if sw, ok := w.(*statusWriter); ok {
@@ -696,15 +659,6 @@ func (s *Server) finishAnalyze(w http.ResponseWriter, r *http.Request, tracer *o
 	}
 	if fin.cacheState != "" {
 		s.reqHist[fin.cacheState].ObserveExemplar(dur.Seconds(), exemplar)
-	}
-	if s.cfg.SlowRequest > 0 && dur >= s.cfg.SlowRequest {
-		s.logger.Warn("slow analyze request",
-			"trace_id", traceID,
-			"duration_ms", float64(dur.Microseconds())/1000,
-			"threshold_ms", float64(s.cfg.SlowRequest.Microseconds())/1000,
-			"cache", fin.cacheState,
-			"sources", fin.sources,
-			"remote", r.RemoteAddr)
 	}
 }
 
@@ -765,7 +719,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	id := strings.TrimPrefix(r.URL.Path, "/v1/traces/")
 	data, ok := s.recorder.Get(id)
 	if !ok {
-		s.fail(w, http.StatusNotFound, "no retained trace %q (the flight recorder retains slow, failed, shed, sampled, and ?trace=1 requests, bounded to the most recent %d)", id, s.cfg.TraceEntries)
+		s.fail(w, http.StatusNotFound, "no retained trace %q (the flight recorder retains slow, failed, shed, sampled, and ?trace=1 requests, bounded to the most recent %d)", id, obs.RetainedTraces)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -892,22 +846,10 @@ func (s *Server) handleIntrospect(w http.ResponseWriter, r *http.Request) {
 	for i, e := range entries {
 		sess[i] = SessionIntrospect{Key: shortKey(e.Key), Last: e.Session.Snapshot()}
 	}
-	slos := make([]SLOIntrospect, 0, len(s.cfg.SLOs))
-	for _, ep := range endpointNames {
-		em := s.endpoints[ep]
-		if em.slo == nil {
-			continue
-		}
-		burn := make(map[string]float64, len(obs.BurnWindows))
-		for _, win := range obs.BurnWindows {
-			burn[obs.WindowLabel(win)] = em.slo.BurnRate(win)
-		}
-		slos = append(slos, SLOIntrospect{
-			Endpoint:    ep,
-			ObjectiveMS: em.slo.Objective() * 1000,
-			Target:      em.slo.Target(),
-			Burn:        burn,
-		})
+	slo := s.endpoints["analyze"].slo
+	burn := make(map[string]float64, len(obs.BurnWindows))
+	for _, win := range obs.BurnWindows {
+		burn[obs.WindowLabel(win)] = slo.BurnRate(win)
 	}
 	out := Introspection{
 		UptimeMS: time.Since(s.start).Seconds() * 1000,
@@ -923,7 +865,12 @@ func (s *Server) handleIntrospect(w http.ResponseWriter, r *http.Request) {
 		Sessions:  sess,
 		Retention: RetentionIntrospect{RecorderStats: s.recorder.Stats(), Traces: s.recorder.Retained()},
 		Journal:   s.journal.Stats(),
-		SLOs:      slos,
+		SLOs: []SLOIntrospect{{
+			Endpoint:    "analyze",
+			ObjectiveMS: slo.Objective() * 1000,
+			Target:      obs.SLOTarget,
+			Burn:        burn,
+		}},
 	}
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)

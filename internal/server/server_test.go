@@ -108,25 +108,35 @@ func stripMS(s string) string {
 	return strings.Join(out, "\n")
 }
 
+// badRequest is one malformed analyze body and the answer it gets.
+type badRequest struct {
+	name, body string
+	status     int
+	mention    string // the error must name this, when set
+}
+
+// badRequests are the malformed bodies of TestAnalyzeBadRequests, also
+// FuzzAnalyzeRequest's seeds.
+var badRequests = []badRequest{
+	{"empty", `{}`, 400, ""},
+	{"no sources", `{"sources":[]}`, 400, ""},
+	{"retired jobs", `{"sources":[{"path":"a.c","text":"int x;"}],"jobs":1}`, 400, `"jobs"`},
+	{"retired solve_jobs", `{"sources":[{"path":"a.c","text":"int x;"}],"solve_jobs":4}`, 400, `"solve_jobs"`},
+	{"retired polyrec", `{"sources":[{"path":"a.c","text":"int x;"}],"polyrec":true}`, 400, `"polyrec"`},
+	{"missing path", `{"sources":[{"text":"int x;"}]}`, 400, ""},
+	{"missing text", `{"sources":[{"path":"a.c"}]}`, 400, ""},
+	{"unknown field", `{"sources":[{"path":"a.c","text":"int x;"}],"bogus":1}`, 400, `"bogus"`},
+	{"malformed", `{"sources":`, 400, ""},
+}
+
 func TestAnalyzeBadRequests(t *testing.T) {
 	ts := httptest.NewServer(New(Config{}))
 	defer ts.Close()
 
-	for _, tc := range []struct {
-		name, body string
-		status     int
-		mention    string // the error must name this, when set
-	}{
-		{"empty", `{}`, 400, ""},
-		{"no sources", `{"sources":[]}`, 400, ""},
-		{"retired jobs", `{"sources":[{"path":"a.c","text":"int x;"}],"jobs":1}`, 400, `"jobs"`},
-		{"retired solve_jobs", `{"sources":[{"path":"a.c","text":"int x;"}],"solve_jobs":4}`, 400, `"solve_jobs"`},
-		{"retired polyrec", `{"sources":[{"path":"a.c","text":"int x;"}],"polyrec":true}`, 400, `"polyrec"`},
-		{"missing path", `{"sources":[{"text":"int x;"}]}`, 400, ""},
-		{"missing text", `{"sources":[{"path":"a.c"}]}`, 400, ""},
-		{"unknown field", `{"sources":[{"path":"a.c","text":"int x;"}],"bogus":1}`, 400, `"bogus"`},
-		{"malformed", `{"sources":`, 400, ""},
-	} {
+	// One byte over the body cap is a 413 naming the cap.
+	prefix, suffix := `{"sources":[{"path":"a.c","text":"`, `"}]}`
+	oversize := prefix + strings.Repeat("x", maxRequestBytes+1-len(prefix)-len(suffix)) + suffix
+	for _, tc := range append(badRequests, badRequest{"over the cap", oversize, 413, "64 MiB"}) {
 		resp, data := postAnalyze(t, ts, tc.body)
 		if resp.StatusCode != tc.status {
 			t.Errorf("%s: status %d; want %d (%s)", tc.name, resp.StatusCode, tc.status, data)
@@ -151,9 +161,9 @@ func TestAnalyzeBadRequests(t *testing.T) {
 	}
 }
 
-// TestAnalyzeSolveJobsAccepted pins how the retired solve_jobs field is
+// TestAnalyzeSolveJobsRejected pins how the retired solve_jobs field is
 // handled (see checkRetiredField).
-func TestAnalyzeSolveJobsAccepted(t *testing.T) { checkRetiredField(t, "solve_jobs", "4") }
+func TestAnalyzeSolveJobsRejected(t *testing.T) { checkRetiredField(t, "solve_jobs", "4") }
 
 // TestAnalyzeJobsRejected pins the same for the retired jobs field: the
 // constraint-generation pool it sized is gone.
