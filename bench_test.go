@@ -25,7 +25,6 @@ import (
 	"repro/internal/benchgen"
 	"repro/internal/cfront"
 	"repro/internal/constinfer"
-	"repro/internal/constraint"
 	"repro/internal/core"
 	"repro/internal/driver"
 	"repro/internal/experiment"
@@ -312,7 +311,7 @@ func BenchmarkSolverScaling(b *testing.B) {
 }
 
 // BenchmarkRestrictScaling measures the scheme-simplification projection
-// (constraint.Restrict) on cycle-heavy graphs: one forward and one
+// ((*constraint.System).Restrict) on cycle-heavy graphs: one forward and one
 // backward masked worklist per interface variable, the let-generalization
 // hot path of polymorphic inference.
 func BenchmarkRestrictScaling(b *testing.B) {
@@ -327,10 +326,9 @@ func BenchmarkRestrictScaling(b *testing.B) {
 				MaskedFrac: 0.2,
 				Seed:       int64(size),
 			})
-			cons := sys.Constraints()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if out := constraint.Restrict(set, cons, iface); len(out) == 0 {
+				if out := sys.Restrict(iface); len(out) == 0 {
 					b.Fatal("empty projection")
 				}
 			}

@@ -77,8 +77,10 @@ func main() {
 	maxConcurrent := flag.Int("max-concurrent", 0, "simultaneous analyses (0 = GOMAXPROCS)")
 	timeout := flag.Duration("timeout", server.DefaultRequestTimeout, "per-request deadline including queue time (negative = none)")
 	shutdownTimeout := flag.Duration("shutdown-timeout", 10*time.Second, "grace period for draining in-flight requests on SIGINT/SIGTERM")
-	resultEntries := flag.Int("result-cache-entries", 1024, "result cache: max entries (0 = 1024)")
-	resultBytes := flag.Int64("result-cache-bytes", 256<<20, "result cache: max stored report bytes (0 = 256 MiB)")
+	resultEntries := flag.Int("result-cache-entries", server.DefaultResultEntries,
+		fmt.Sprintf("result cache: max entries (0 = %d)", server.DefaultResultEntries))
+	resultBytes := flag.Int64("result-cache-bytes", server.DefaultResultBytes,
+		fmt.Sprintf("result cache: max stored report bytes (0 = %d MiB)", server.DefaultResultBytes>>20))
 	sessionEntries := flag.Int("session-entries", 0, "retained sessions (0 = 64)")
 	enablePprof := flag.Bool("pprof", false, "mount the net/http/pprof profiling handlers under /debug/pprof/")
 	watch := flag.String("watch", "", "watch this directory of source files instead of serving HTTP; re-analyze the whole tree on change")

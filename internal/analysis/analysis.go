@@ -24,6 +24,7 @@ package analysis
 
 import (
 	"fmt"
+	"go/token"
 	"sort"
 	"strings"
 	"sync"
@@ -84,7 +85,7 @@ type LibUse struct {
 	Fn string
 	// Pos is the declaration position (prototype rule) or the argument
 	// position (implicit-declaration call sites).
-	Pos string
+	Pos constraint.Pos
 	// DeclaredConst reports whether the reference was declared const in
 	// the prototype.
 	DeclaredConst bool
@@ -253,11 +254,18 @@ func annVerb(k AnnKind) string {
 	}
 }
 
+// TokenPos is constraint.TokenPos, for the positions the Go front end
+// passes to ApplyParam, ApplyRecv and LibUse. The self-analysis loader
+// gives this package its own copy of package constraint (ROADMAP item 1),
+// so a constraint.Pos built in the Go front end is, to that lint, another
+// type; one built here is not.
+func TokenPos(p token.Position) constraint.Pos { return constraint.TokenPos(p) }
+
 // ApplyParam applies the prelude annotation for argument i (0-based) of
 // a call to the entry's function; pos is the argument's source
 // position. Unannotated ("_") and variadic-extra arguments are left
 // unconstrained.
-func (b *Binding) ApplyParam(sys *constraint.System, ent *Entry, i int, t constraint.Term, pos string) {
+func (b *Binding) ApplyParam(sys *constraint.System, ent *Entry, i int, t constraint.Term, pos constraint.Pos) {
 	name := ent.Param(i)
 	if name == "" || name == Wildcard {
 		return
@@ -276,7 +284,7 @@ func (b *Binding) ApplyParam(sys *constraint.System, ent *Entry, i int, t constr
 // ApplyRecv applies the entry's receiver annotation (`recv: ann`, Go
 // method entries) to the receiver value at a call site; pos is the
 // call's source position. Entries without one are left unconstrained.
-func (b *Binding) ApplyRecv(sys *constraint.System, ent *Entry, t constraint.Term, pos string) {
+func (b *Binding) ApplyRecv(sys *constraint.System, ent *Entry, t constraint.Term, pos constraint.Pos) {
 	name := ent.Recv
 	if name == "" || name == Wildcard {
 		return
@@ -304,7 +312,7 @@ func (b *Binding) ApplyResult(sys *constraint.System, ent *Entry, t constraint.T
 		return
 	}
 	why := constraint.Reason{
-		Pos: ent.Pos,
+		Pos: constraint.Pos{File: ent.Pos}, // "path:line", formatted by the prelude parser
 		Msg: fmt.Sprintf("result of %q %s %s (prelude)", ent.Func, annVerb(ann.Kind), name),
 	}
 	b.Apply(sys, name, t, why)

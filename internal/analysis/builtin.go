@@ -27,7 +27,7 @@ func init() {
 					return
 				}
 				sys.AddMasked(constraint.C(b.Present), q, b.Mask,
-					constraint.Reason{Pos: quals.ConstPos.String(), Msg: "declared const"})
+					constraint.Reason{Pos: cpos(quals.ConstPos), Msg: "declared const"})
 			},
 			Write: func(sys *constraint.System, b *Binding, target constraint.Term, guards []constraint.Term, why constraint.Reason) {
 				// Assign': a written-through reference, and every qualifier
@@ -66,4 +66,9 @@ func init() {
 		// the prelude's seeds into the prelude's sinks through the
 		// ordinary subtyping constraints.
 	})
+}
+
+// cpos converts a C position for constraint provenance.
+func cpos(p cfront.Pos) constraint.Pos {
+	return constraint.Pos{File: p.File, Line: int32(p.Line), Col: int32(p.Col)}
 }

@@ -414,9 +414,9 @@ func (a *Analysis) generalizeSCC(scc *sccInfo) {
 			add(v)
 		}
 	}
-	all := a.sys.Constraints()
 	for _, rg := range [][2]int{scc.sigCons, scc.bodyCons} {
-		for _, c := range all[rg[0]:rg[1]] {
+		for i := rg[0]; i < rg[1]; i++ {
+			c := a.sys.At(i)
 			if c.L.IsVar() && !local(c.L.Var()) {
 				add(c.L.Var())
 			}
@@ -490,7 +490,7 @@ func (a *Analysis) makeLibSignature(fi *funcInfo) {
 		for _, p := range fi.sig.Params {
 			for _, pr := range collectPositions(p, 0, nil) {
 				b.A.Hooks.LibRef(a.sys, b, analysis.LibUse{
-					Fn: fi.name, Pos: fi.decl.Pos.String(),
+					Fn: fi.name, Pos: cpos(fi.decl.Pos),
 					DeclaredConst: pr.ref.DeclaredConst,
 				}, pr.ref.Q)
 			}
@@ -507,7 +507,7 @@ func (a *Analysis) preludeArg(fn string, i int, rv *RType, pos cfront.Pos) {
 	}
 	for _, b := range a.suite.Bindings() {
 		if ent, ok := b.Entry(fn); ok {
-			b.ApplyParam(a.sys, ent, i, rv.Q, pos.String())
+			b.ApplyParam(a.sys, ent, i, rv.Q, cpos(pos))
 		}
 	}
 }

@@ -35,7 +35,12 @@ func (e *env) lookup(name string) (*RType, bool) {
 }
 
 func why(pos cfront.Pos, msg string) constraint.Reason {
-	return constraint.Reason{Pos: pos.String(), Msg: msg}
+	return constraint.Reason{Pos: cpos(pos), Msg: msg}
+}
+
+// cpos converts a C position for constraint provenance.
+func cpos(p cfront.Pos) constraint.Pos {
+	return constraint.Pos{File: p.File, Line: int32(p.Line), Col: int32(p.Col)}
 }
 
 // bodyHook, when set, runs before each body walk. Only tests set it,
@@ -445,12 +450,12 @@ func (a *Analysis) exprR(env *env, e cfront.Expr) *RType {
 						}
 						for _, b := range a.suite.Bindings() {
 							if ent, ok := b.Entry(id.Name); ok {
-								b.ApplyParam(a.sys, ent, i, rv.Q, arg.ExprPos().String())
+								b.ApplyParam(a.sys, ent, i, rv.Q, cpos(arg.ExprPos()))
 								continue
 							}
 							if b.A.Hooks.LibRef != nil && rv.Kind == RRef {
 								b.A.Hooks.LibRef(a.sys, b, analysis.LibUse{
-									Fn: id.Name, Pos: arg.ExprPos().String(), Implicit: true,
+									Fn: id.Name, Pos: cpos(arg.ExprPos()), Implicit: true,
 								}, rv.Q)
 							}
 						}

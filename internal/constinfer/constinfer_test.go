@@ -840,9 +840,9 @@ func TestPolyConflictKeepsProvenance(t *testing.T) {
 	ref := analyzeReference([]*cfront.File{mustParse(t, "w.c", src)}, Options{Poly: true})
 	type step struct{ pos, msg string }
 	describe := func(u *constraint.Unsat) []step {
-		out := []step{{u.Con.Why.Pos, u.Con.Why.Msg}}
+		out := []step{{u.Con.Why.Pos.String(), u.Con.Why.Msg}}
 		for _, c := range u.Path {
-			out = append(out, step{c.Why.Pos, c.Why.Msg})
+			out = append(out, step{c.Why.Pos.String(), c.Why.Msg})
 		}
 		return out
 	}

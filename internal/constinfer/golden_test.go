@@ -35,7 +35,8 @@ func snapshot(a *Analysis, rep *Report) []string {
 	var out []string
 	out = append(out, fmt.Sprintf("vars=%d cons=%d funcs=%d sccs=%d", rep.Vars, rep.Constraints, rep.Functions, rep.SCCs))
 	out = append(out, fmt.Sprintf("declared=%d inferred=%d total=%d conflicts=%d", rep.Declared, rep.Inferred, rep.Total, len(rep.Conflicts)))
-	for _, c := range a.sys.Constraints() {
+	for i := 0; i < a.sys.NumConstraints(); i++ {
+		c := a.sys.At(i)
 		out = append(out, c.String()+" // "+c.Why.String())
 	}
 	for _, p := range rep.Positions {

@@ -33,7 +33,7 @@ func analyzeReference(files []*cfront.File, opts Options) *Report {
 func fragment(sys *constraint.System, rgs ...[2]int) []constraint.Constraint {
 	var out []constraint.Constraint
 	for _, rg := range rgs {
-		out = append(out, sys.Constraints()[rg[0]:rg[1]]...)
+		out = append(out, sys.Slice(rg[0], rg[1])...)
 	}
 	return out
 }

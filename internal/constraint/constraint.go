@@ -21,8 +21,10 @@ package constraint
 
 import (
 	"fmt"
+	"go/token"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/qual"
@@ -32,15 +34,16 @@ import (
 type Var int
 
 // Term is one side of an atomic constraint: either a qualifier variable or
-// a constant lattice element.
+// a constant lattice element. It holds no pointers and takes 16 bytes: the
+// constant, the variable's index and a tag.
 type Term struct {
-	isVar bool
-	v     Var
 	c     qual.Elem
+	v     int32
+	isVar bool
 }
 
 // V wraps a variable as a Term.
-func V(v Var) Term { return Term{isVar: true, v: v} }
+func V(v Var) Term { return Term{isVar: true, v: int32(v)} }
 
 // C wraps a constant lattice element as a Term.
 func C(e qual.Elem) Term { return Term{c: e} }
@@ -53,7 +56,7 @@ func (t Term) Var() Var {
 	if !t.isVar {
 		panic("constraint: Var called on constant term")
 	}
-	return t.v
+	return Var(t.v)
 }
 
 // Const returns the lattice element of a constant term; it panics on
@@ -67,7 +70,7 @@ func (t Term) Const() qual.Elem {
 
 func (t Term) String() string {
 	if t.isVar {
-		return fmt.Sprintf("κ%d", int(t.v))
+		return fmt.Sprintf("κ%d", t.v)
 	}
 	return fmt.Sprintf("L(%#x)", uint64(t.c))
 }
@@ -75,7 +78,7 @@ func (t Term) String() string {
 // Format renders the term using the qualifier set for constants.
 func (t Term) Format(set *qual.Set) string {
 	if t.isVar {
-		return fmt.Sprintf("κ%d", int(t.v))
+		return fmt.Sprintf("κ%d", t.v)
 	}
 	return set.Describe(t.c)
 }
@@ -84,30 +87,67 @@ func (t Term) Format(set *qual.Set) string {
 // components in mask, as a masked constraint sees them.
 func (t Term) FormatMask(set *qual.Set, mask qual.Elem) string {
 	if t.isVar {
-		return fmt.Sprintf("κ%d", int(t.v))
+		return fmt.Sprintf("κ%d", t.v)
 	}
 	return set.DescribeMask(t.c, mask)
 }
 
+// Pos is the source position of a constraint's provenance. The zero Pos
+// means no position. Positions are kept unformatted: String renders one
+// only when a conflict, trace or golden shows it.
+type Pos struct {
+	File      string
+	Line, Col int32
+}
+
+// String renders the position as file:line:col, leaving out the file when
+// it is empty and the column when it is zero, the format of the C and
+// lambda front ends' positions and of go/token.Position. A position
+// without a line renders as its file alone, so the zero Pos renders as "".
+func (p Pos) String() string {
+	if p.Line <= 0 {
+		return p.File
+	}
+	b := make([]byte, 0, len(p.File)+24)
+	if p.File != "" {
+		b = append(append(b, p.File...), ':')
+	}
+	b = strconv.AppendInt(b, int64(p.Line), 10)
+	if p.Col != 0 {
+		b = strconv.AppendInt(append(b, ':'), int64(p.Col), 10)
+	}
+	return string(b)
+}
+
+// TokenPos converts a go/token position. An invalid position without a
+// file becomes "-", as token.Position renders it.
+func TokenPos(p token.Position) Pos {
+	if !p.IsValid() && p.Filename == "" {
+		return Pos{File: "-"}
+	}
+	return Pos{File: p.Filename, Line: int32(p.Line), Col: int32(p.Column)}
+}
+
 // Reason records where and why a constraint was generated, for diagnostics.
 type Reason struct {
-	// Pos is a source position, typically "file:line:col"; may be empty.
-	Pos string
+	// Pos is the source position; the zero Pos means none.
+	Pos Pos
 	// Msg describes the language construct that generated the constraint,
 	// e.g. `assignment to "x"` or `assertion e|¬const`.
 	Msg string
 }
 
 func (r Reason) String() string {
+	pos := r.Pos.String()
 	switch {
-	case r.Pos == "" && r.Msg == "":
+	case pos == "" && r.Msg == "":
 		return "(no provenance)"
-	case r.Pos == "":
+	case pos == "":
 		return r.Msg
 	case r.Msg == "":
-		return r.Pos
+		return pos
 	default:
-		return r.Pos + ": " + r.Msg
+		return pos + ": " + r.Msg
 	}
 }
 
@@ -157,7 +197,7 @@ func (u *Unsat) Explain(set *qual.Set) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "qualifier %s does not fit under bound %s",
 		set.DescribeMask(u.Lower, u.Con.Mask), set.DescribeMask(u.Bound, u.Con.Mask))
-	if u.Con.Why.Pos != "" || u.Con.Why.Msg != "" {
+	if u.Con.Why != (Reason{}) {
 		fmt.Fprintf(&b, " at %v", u.Con.Why)
 	}
 	for _, c := range u.Path {
@@ -166,12 +206,64 @@ func (u *Unsat) Explain(set *qual.Set) string {
 	return b.String()
 }
 
+// record is the stored form of a Constraint: 56 bytes and no pointers, so
+// the store's chunks sit in spans the garbage collector does not scan.
+// file and msg index the System's intern tables; line and col complete
+// the position.
+type record struct {
+	l, r      Term
+	mask      qual.Elem
+	file, msg uint32
+	line, col int32
+}
+
+// chunkSize is the number of records per store chunk (56 KiB). Every chunk
+// but the first is allocated at full size and never copied; the first
+// grows by doubling, so small systems stay small.
+const (
+	chunkBits = 10
+	chunkSize = 1 << chunkBits
+)
+
+// interner assigns dense ids to strings; id 0 is the empty string.
+type interner struct {
+	strs []string
+	ids  map[string]uint32
+	last uint32 // the previous lookup's id, checked first
+}
+
+func newInterner() interner { return interner{strs: []string{""}} }
+
+func (t *interner) id(s string) uint32 {
+	if t.strs[t.last] == s {
+		return t.last
+	}
+	if s == "" {
+		return 0
+	}
+	id, ok := t.ids[s]
+	if !ok {
+		if t.ids == nil {
+			t.ids = make(map[string]uint32)
+		}
+		id = uint32(len(t.strs))
+		t.strs = append(t.strs, s)
+		t.ids[s] = id
+	}
+	t.last = id
+	return id
+}
+
 // System accumulates atomic constraints over a qualifier set and solves
 // them. The zero value is not usable; call NewSystem.
 type System struct {
-	set  *qual.Set
-	n    int
-	cons []Constraint
+	set *qual.Set
+	n   int
+	// chunks holds the constraints in insertion order, chunkSize records
+	// per chunk; ncons counts them.
+	chunks      [][]record
+	ncons       int
+	files, msgs interner
 	// insts lists the instances of projections with witnesses, in
 	// constraint order; empty outside polymorphic inference.
 	insts []instance
@@ -189,7 +281,7 @@ type SolveStats struct {
 
 // NewSystem creates an empty constraint system over the qualifier set.
 func NewSystem(set *qual.Set) *System {
-	return &System{set: set}
+	return &System{set: set, files: newInterner(), msgs: newInterner()}
 }
 
 // Set returns the qualifier set the system is defined over.
@@ -207,11 +299,52 @@ func (s *System) Fresh() Var {
 func (s *System) NumVars() int { return s.n }
 
 // NumConstraints reports how many constraints have been added.
-func (s *System) NumConstraints() int { return len(s.cons) }
+func (s *System) NumConstraints() int { return s.ncons }
 
-// Constraints returns the recorded constraints; the slice must not be
-// modified.
-func (s *System) Constraints() []Constraint { return s.cons }
+// rec returns the stored record of constraint i.
+func (s *System) rec(i int) *record {
+	return &s.chunks[i>>chunkBits][i&(chunkSize-1)]
+}
+
+// why expands the provenance of a stored record.
+func (s *System) why(r *record) Reason {
+	return Reason{Pos: Pos{File: s.files.strs[r.file], Line: r.line, Col: r.col}, Msg: s.msgs.strs[r.msg]}
+}
+
+// At returns constraint i, 0 ≤ i < NumConstraints, in insertion order.
+func (s *System) At(i int) Constraint {
+	r := s.rec(i)
+	return Constraint{L: r.l, R: r.r, Mask: r.mask, Why: s.why(r)}
+}
+
+// Slice returns copies of the constraints lo..hi-1.
+func (s *System) Slice(lo, hi int) []Constraint {
+	out := make([]Constraint, 0, hi-lo)
+	for i := lo; i < hi; i++ {
+		out = append(out, s.At(i))
+	}
+	return out
+}
+
+// push appends a record to the store.
+func (s *System) push(r record) {
+	k := len(s.chunks) - 1
+	if k < 0 || len(s.chunks[k]) == chunkSize {
+		size := chunkSize
+		if k < 0 {
+			size = 16
+		}
+		s.chunks = append(s.chunks, make([]record, 0, size))
+		k++
+	}
+	if c := s.chunks[k]; len(c) == cap(c) {
+		grown := make([]record, len(c), min(2*cap(c), chunkSize))
+		copy(grown, c)
+		s.chunks[k] = grown
+	}
+	s.chunks[k] = append(s.chunks[k], r)
+	s.ncons++
+}
 
 // Add records the constraint l ⊑ r over the full lattice.
 func (s *System) Add(l, r Term, why Reason) {
@@ -231,7 +364,11 @@ func (s *System) AddMasked(l, r Term, mask qual.Elem, why Reason) {
 	if !l.isVar && !r.isVar && qual.LeqMask(l.c, r.c, mask) {
 		return
 	}
-	s.cons = append(s.cons, Constraint{L: l, R: r, Mask: mask, Why: why})
+	s.push(record{
+		l: l, r: r, mask: mask,
+		file: s.files.id(why.Pos.File), msg: s.msgs.id(why.Msg),
+		line: why.Pos.Line, col: why.Pos.Col,
+	})
 	s.solved = false
 }
 
@@ -244,12 +381,12 @@ func (s *System) AddConstraints(cons []Constraint, rename map[Var]Var) {
 	for _, c := range cons {
 		l, r := c.L, c.R
 		if l.isVar {
-			if nv, ok := rename[l.v]; ok {
+			if nv, ok := rename[Var(l.v)]; ok {
 				l = V(nv)
 			}
 		}
 		if r.isVar {
-			if nv, ok := rename[r.v]; ok {
+			if nv, ok := rename[Var(r.v)]; ok {
 				r = V(nv)
 			}
 		}
@@ -274,25 +411,28 @@ func (s *System) Solve() []*Unsat {
 	lower, cleared := sol[:n:n], sol[n:]
 
 	m := 0
-	for i := range s.cons {
-		if s.cons[i].L.isVar && s.cons[i].R.isVar {
-			m++
+	for _, ch := range s.chunks {
+		for i := range ch {
+			if ch[i].l.isVar && ch[i].r.isVar {
+				m++
+			}
 		}
 	}
 	ends := make([]int32, 2*m)
 	eFrom, eTo := ends[:0:m], ends[m:m]
 	eMask := make([]qual.Elem, 0, m)
-	for i := range s.cons {
-		c := &s.cons[i]
-		switch {
-		case c.L.isVar && c.R.isVar:
-			eFrom = append(eFrom, int32(c.L.v))
-			eTo = append(eTo, int32(c.R.v))
-			eMask = append(eMask, c.Mask)
-		case c.R.isVar:
-			lower[c.R.v] |= c.L.c & c.Mask
-		case c.L.isVar:
-			cleared[c.L.v] |= c.Mask &^ c.R.c & top
+	for _, ch := range s.chunks {
+		for i := range ch {
+			switch c := &ch[i]; {
+			case c.l.isVar && c.r.isVar:
+				eFrom = append(eFrom, c.l.v)
+				eTo = append(eTo, c.r.v)
+				eMask = append(eMask, c.mask)
+			case c.r.isVar:
+				lower[c.r.v] |= c.l.c & c.mask
+			case c.l.isVar:
+				cleared[c.l.v] |= c.mask &^ c.r.c & top
+			}
 		}
 	}
 	inQ := make([]bool, n)
@@ -317,9 +457,11 @@ func (s *System) Solve() []*Unsat {
 	// offending bits all coincide are reported once, keeping the first in
 	// constraint order.
 	var viol []int32
-	for i := range s.cons {
-		if c := &s.cons[i]; !c.R.isVar && !qual.LeqMask(s.valueLower(c.L), c.R.c, c.Mask) {
-			viol = append(viol, int32(i))
+	for k, ch := range s.chunks {
+		for i := range ch {
+			if c := &ch[i]; !c.r.isVar && !qual.LeqMask(s.valueLower(c.l), c.r.c, c.mask) {
+				viol = append(viol, int32(k<<chunkBits+i))
+			}
 		}
 	}
 	return s.buildUnsats(viol)
@@ -337,22 +479,21 @@ func (s *System) buildUnsats(viol []int32) []*Unsat {
 	var incoming *incomingCSR
 	var reported map[string]bool // allocated on the first conflict
 	for _, ci := range viol {
-		c := &s.cons[ci]
-		lv := s.valueLower(c.L)
-		if qual.LeqMask(lv, c.R.c, c.Mask) {
+		con := s.At(int(ci))
+		lv := s.valueLower(con.L)
+		if qual.LeqMask(lv, con.R.c, con.Mask) {
 			continue
 		}
-		bad := (lv &^ c.R.c) & c.Mask
+		bad := (lv &^ con.R.c) & con.Mask
 		var path []Constraint
-		if c.L.isVar {
+		if con.L.isVar {
 			if incoming == nil {
-				incoming = buildIncomingCSR(s.cons, s.n)
+				incoming = s.buildIncomingCSR()
 			}
-			for _, k := range s.blame(c.L.v, bad, incoming) {
+			for _, k := range s.blame(Var(con.L.v), bad, incoming) {
 				path = s.appendSteps(path, int(k))
 			}
 		}
-		con := *c
 		if len(s.insts) > 0 {
 			steps := s.appendSteps(nil, int(ci))
 			con = steps[len(steps)-1]
@@ -381,7 +522,7 @@ func (s *System) buildUnsats(viol []int32) []*Unsat {
 // not been solved since the last modification.
 func (s *System) Stats() SolveStats {
 	s.mustSolved()
-	return SolveStats{Vars: s.n, Constraints: len(s.cons)}
+	return SolveStats{Vars: s.n, Constraints: s.ncons}
 }
 
 func (s *System) valueLower(t Term) qual.Elem {
@@ -416,20 +557,20 @@ func (s *System) blame(v Var, bad qual.Elem, incoming *incomingCSR) []int32 {
 		for _, nd := range frontier {
 			for ii := incoming.off[nd.v]; ii < incoming.off[nd.v+1]; ii++ {
 				ci := int(incoming.cons[ii])
-				c := s.cons[ci]
-				bits := nd.bits & c.Mask
+				c := s.rec(ci)
+				bits := nd.bits & c.mask
 				if bits == 0 {
 					continue
 				}
-				if !c.L.isVar {
-					if c.L.c&bits != 0 {
+				if !c.l.isVar {
+					if c.l.c&bits != 0 {
 						origin = ci
 						originVar = nd.v
 						break
 					}
 					continue
 				}
-				src := c.L.v
+				src := Var(c.l.v)
 				if seen[src] || s.lower[src]&bits == 0 {
 					continue
 				}
@@ -456,7 +597,7 @@ func (s *System) blame(v Var, bad qual.Elem, incoming *incomingCSR) []int32 {
 			break
 		}
 		path = append(path, int32(ci))
-		at = s.cons[ci].R.v
+		at = Var(s.rec(ci).r.v)
 	}
 	return path
 }
@@ -515,7 +656,8 @@ func (s *System) mustSolved() {
 // constraints are checked once, at generalization time); Restrict itself
 // does not re-check them.
 func (s *System) Restrict(iface []Var) []Constraint {
-	return Restrict(s.set, s.cons, iface)
+	out, _, _ := s.restrict([][2]int{{0, s.ncons}}, iface, true)
+	return out
 }
 
 // Restrict projects an arbitrary constraint slice onto the interface
@@ -539,8 +681,9 @@ func (s *System) Restrict(iface []Var) []Constraint {
 // A direct self-loop x ⊑ x in the input says nothing and is skipped; a
 // cycle x ⊑ i ⊑ x through an internal variable i still projects to x ⊑ x.
 func Restrict(set *qual.Set, cons []Constraint, iface []Var) []Constraint {
-	out, _, _ := restrict(set, cons, [][2]int{{0, len(cons)}}, iface, true)
-	return out
+	s := NewSystem(set)
+	s.AddConstraints(cons, nil)
+	return s.Restrict(iface)
 }
 
 // Projection is a constraint fragment projected onto interface variables
@@ -560,10 +703,10 @@ type Projection struct {
 }
 
 // instance records one instantiation of a projection with witnesses: its
-// constraints occupy cons[start : start+len(p.Cons)]. Project leaves out
-// the self-loops x ⊑ x, the only projected constraints AddMasked would
-// drop (renaming never merges two distinct variables), so the k-th
-// constraint of the instance is cons[start+k].
+// constraints are start..start+len(p.Cons)-1. Project leaves out the
+// self-loops x ⊑ x, the only projected constraints AddMasked would drop
+// (renaming never merges two distinct variables), so the k-th constraint
+// of the instance is start+k.
 type instance struct {
 	start int
 	p     *Projection
@@ -574,7 +717,7 @@ type instance struct {
 // constraint's witness. Self-loops x ⊑ x, which instantiation would drop
 // anyway, are left out.
 func (s *System) Project(iface []Var, rgs ...[2]int) *Projection {
-	out, span, wit := restrict(s.set, s.cons, rgs, iface, false)
+	out, span, wit := s.restrict(rgs, iface, false)
 	return &Projection{Cons: out, span: span, wit: wit}
 }
 
@@ -586,7 +729,7 @@ func (s *System) Project(iface []Var, rgs ...[2]int) *Projection {
 // constraints themselves.
 func (s *System) Instantiate(p *Projection, rename map[Var]Var) {
 	if p.span != nil {
-		s.insts = append(s.insts, instance{start: len(s.cons), p: p})
+		s.insts = append(s.insts, instance{start: s.ncons, p: p})
 	}
 	s.AddConstraints(p.Cons, rename)
 }
@@ -613,7 +756,7 @@ func (s *System) witness(ci int) []int32 {
 // renamed to the instance's, so only the callee's internal steps print
 // generic variables.
 func (s *System) appendSteps(dst []Constraint, ci int) []Constraint {
-	c := s.cons[ci]
+	c := s.At(ci)
 	w := s.witness(ci)
 	if w == nil {
 		return append(dst, c)
@@ -631,13 +774,12 @@ func (s *System) appendSteps(dst []Constraint, ci int) []Constraint {
 	return dst
 }
 
-// restrict is Restrict over the constraints of cons in the half-open
-// index ranges rgs, also returning witnesses as indices into cons (see
-// Projection); loops keeps the x ⊑ x edges of cycles through internal
-// variables.
-func restrict(set *qual.Set, cons []Constraint, rgs [][2]int, iface []Var, loops bool) (out []Constraint, span, wit []int32) {
-	full := set.FullMask()
-	top := set.Top()
+// restrict is Restrict over the constraints in the half-open index ranges
+// rgs, also returning witnesses as constraint indices (see Projection);
+// loops keeps the x ⊑ x edges of cycles through internal variables.
+func (s *System) restrict(rgs [][2]int, iface []Var, loops bool) (out []Constraint, span, wit []int32) {
+	full := s.set.FullMask()
+	top := s.set.Top()
 
 	// Local dense ids: interface variables first (deduplicated), then
 	// every other variable in first-occurrence order, so a node is an
@@ -665,19 +807,19 @@ func restrict(set *qual.Set, cons []Constraint, rgs [][2]int, iface []Var, loops
 	var eMask []qual.Elem
 	for _, rg := range rgs {
 		for i := rg[0]; i < rg[1]; i++ {
-			switch c := &cons[i]; {
-			case c.L.isVar && c.R.isVar:
-				u, v := lid(c.L.v), lid(c.R.v)
+			switch c := s.rec(i); {
+			case c.l.isVar && c.r.isVar:
+				u, v := lid(Var(c.l.v)), lid(Var(c.r.v))
 				if u != v {
 					eFrom = append(eFrom, u)
 					eTo = append(eTo, v)
-					eMask = append(eMask, c.Mask)
+					eMask = append(eMask, c.mask)
 					eCon = append(eCon, int32(i))
 				}
-			case c.L.isVar:
-				lid(c.L.v)
-			case c.R.isVar:
-				lid(c.R.v)
+			case c.l.isVar:
+				lid(Var(c.l.v))
+			case c.r.isVar:
+				lid(Var(c.r.v))
 			}
 		}
 	}
@@ -713,15 +855,15 @@ func restrict(set *qual.Set, cons []Constraint, rgs [][2]int, iface []Var, loops
 	for r := len(rgs) - 1; r >= 0; r-- {
 		for i := rgs[r][1] - 1; i >= rgs[r][0]; i-- {
 			var head *int32
-			switch c := &cons[i]; {
-			case !c.L.isVar && c.R.isVar:
-				u := id[c.R.v]
-				loAgg[u] |= c.L.c & c.Mask
+			switch c := s.rec(i); {
+			case !c.l.isVar && c.r.isVar:
+				u := id[Var(c.r.v)]
+				loAgg[u] |= c.l.c & c.mask
 				head = &loHead[u]
-			case c.L.isVar && !c.R.isVar:
-				u := id[c.L.v]
-				upAgg[u] &= c.R.c | ^c.Mask
-				upCover[u] |= c.Mask
+			case c.l.isVar && !c.r.isVar:
+				u := id[Var(c.l.v)]
+				upAgg[u] &= c.r.c | ^c.mask
+				upCover[u] |= c.mask
 				head = &upHead[u]
 			default:
 				continue
@@ -781,14 +923,15 @@ func restrict(set *qual.Set, cons []Constraint, rgs [][2]int, iface []Var, loops
 					// The first bound at u that clears bit.
 					var k int32
 					for e := upHead[u]; ; e = bounds[e].next {
-						if k = bounds[e].con; cons[k].Mask&^cons[k].R.c&bit != 0 {
+						k = bounds[e].con
+						if c := s.rec(int(k)); c.mask&^c.r.c&bit != 0 {
 							break
 						}
 					}
 					w0 := len(wit)
 					pathTo(x, u)
 					wit = append(wit, k)
-					emit(Constraint{L: V(locals[x]), R: C(top &^ bit), Mask: bit, Why: cons[k].Why}, w0)
+					emit(Constraint{L: V(locals[x]), R: C(top &^ bit), Mask: bit, Why: s.why(s.rec(int(k)))}, w0)
 				}
 			}
 			for e := fwd.off[u]; e < fwd.off[u+1]; e++ {
@@ -824,7 +967,7 @@ func restrict(set *qual.Set, cons []Constraint, rgs [][2]int, iface []Var, loops
 				w0 := len(wit)
 				pathTo(x, emFrom[v])
 				wit = append(wit, emPar[v])
-				emit(Constraint{L: V(locals[x]), R: V(locals[v]), Mask: em[v], Why: cons[wit[w0]].Why}, w0)
+				emit(Constraint{L: V(locals[x]), R: V(locals[v]), Mask: em[v], Why: s.why(s.rec(int(wit[w0])))}, w0)
 			}
 			em[v] = 0
 		}
@@ -851,12 +994,13 @@ func restrict(set *qual.Set, cons []Constraint, rgs [][2]int, iface []Var, loops
 				lowerIn |= in
 				for e := loHead[u]; in != 0; e = bounds[e].next {
 					k := bounds[e].con
-					if bits := cons[k].L.c & cons[k].Mask & in; bits != 0 {
+					c := s.rec(int(k))
+					if bits := c.l.c & c.mask & in; bits != 0 {
 						in &^= bits
 						w0 := len(wit)
 						wit = append(wit, k)
 						pathFrom(u, x)
-						emit(Constraint{L: C(bits), R: V(locals[x]), Mask: bits, Why: cons[k].Why}, w0)
+						emit(Constraint{L: C(bits), R: V(locals[x]), Mask: bits, Why: s.why(c)}, w0)
 					}
 				}
 			}

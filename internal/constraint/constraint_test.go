@@ -57,8 +57,8 @@ func TestReasonString(t *testing.T) {
 	}{
 		{Reason{}, "(no provenance)"},
 		{Reason{Msg: "m"}, "m"},
-		{Reason{Pos: "f:1:2"}, "f:1:2"},
-		{Reason{Pos: "f:1:2", Msg: "m"}, "f:1:2: m"},
+		{Reason{Pos: Pos{File: "f", Line: 1, Col: 2}}, "f:1:2"},
+		{Reason{Pos: Pos{File: "f", Line: 1, Col: 2}, Msg: "m"}, "f:1:2: m"},
 	}
 	for _, c := range cases {
 		if got := c.r.String(); got != c.want {
@@ -118,9 +118,9 @@ func TestUnsatConflict(t *testing.T) {
 	set := testSet(t)
 	sys := NewSystem(set)
 	a, b := sys.Fresh(), sys.Fresh()
-	sys.Add(C(set.MustElem("const")), V(a), Reason{Pos: "f:1:1", Msg: "annotation const"})
-	sys.Add(V(a), V(b), Reason{Pos: "f:2:1", Msg: "flow"})
-	sys.Add(V(b), C(set.MustNot("const")), Reason{Pos: "f:3:1", Msg: "assignment"})
+	sys.Add(C(set.MustElem("const")), V(a), Reason{Pos: Pos{File: "f", Line: 1, Col: 1}, Msg: "annotation const"})
+	sys.Add(V(a), V(b), Reason{Pos: Pos{File: "f", Line: 2, Col: 1}, Msg: "flow"})
+	sys.Add(V(b), C(set.MustNot("const")), Reason{Pos: Pos{File: "f", Line: 3, Col: 1}, Msg: "assignment"})
 	errs := sys.Solve()
 	if len(errs) != 1 {
 		t.Fatalf("got %d unsat constraints, want 1", len(errs))
@@ -140,7 +140,7 @@ func TestUnsatConflict(t *testing.T) {
 	if len(u.Path) == 0 {
 		t.Fatal("no blame path")
 	}
-	if got := u.Path[0].Why.Pos; got != "f:1:1" {
+	if got := u.Path[0].Why.Pos.String(); got != "f:1:1" {
 		t.Errorf("blame origin = %q, want f:1:1", got)
 	}
 	exp := u.Explain(set)
@@ -262,7 +262,7 @@ func TestAddConstraintsRename(t *testing.T) {
 	a, b := src.Fresh(), src.Fresh()
 	src.Add(C(set.MustElem("const")), V(a), Reason{Msg: "seed"})
 	src.Add(V(a), V(b), Reason{Msg: "edge"})
-	scheme := src.Constraints()
+	scheme := src.Slice(0, src.NumConstraints())
 
 	dst := NewSystem(set)
 	x, y := dst.Fresh(), dst.Fresh()
@@ -355,7 +355,7 @@ func TestLeastSolutionProperty(t *testing.T) {
 		lower := make([]qual.Elem, n)
 		for changed := true; changed; {
 			changed = false
-			for _, c := range sys.Constraints() {
+			for _, c := range sys.Slice(0, sys.NumConstraints()) {
 				if !c.R.IsVar() {
 					continue
 				}
@@ -381,7 +381,7 @@ func TestLeastSolutionProperty(t *testing.T) {
 		// Satisfiability agrees with brute force: all upper-bound
 		// constraints hold under the least fixpoint.
 		sat := true
-		for _, c := range sys.Constraints() {
+		for _, c := range sys.Slice(0, sys.NumConstraints()) {
 			if c.R.IsVar() {
 				continue
 			}
@@ -470,7 +470,7 @@ func TestRestrictEquivalence(t *testing.T) {
 		for _, v := range vars {
 			renameF[v] = full.Fresh()
 		}
-		full.AddConstraints(sys.Constraints(), renameF)
+		full.AddConstraints(sys.Slice(0, sys.NumConstraints()), renameF)
 		if errs := full.Solve(); errs != nil {
 			t.Fatalf("trial %d: renamed full system unsat", trial)
 		}
@@ -565,7 +565,7 @@ func TestRestrictSelfLoop(t *testing.T) {
 	set := testSet(t)
 	full := set.FullMask()
 	x, i := Var(0), Var(1)
-	out, back := Reason{Pos: "t.c:1:1", Msg: "out"}, Reason{Pos: "t.c:2:1", Msg: "back"}
+	out, back := Reason{Pos: Pos{File: "t.c", Line: 1, Col: 1}, Msg: "out"}, Reason{Pos: Pos{File: "t.c", Line: 2, Col: 1}, Msg: "back"}
 	for _, tc := range []struct {
 		name string
 		cons []Constraint
@@ -731,7 +731,7 @@ func TestRestrictEquivalenceMasked(t *testing.T) {
 		for _, v := range vars {
 			renameF[v] = full.Fresh()
 		}
-		full.AddConstraints(sys.Constraints(), renameF)
+		full.AddConstraints(sys.Slice(0, sys.NumConstraints()), renameF)
 		// Push an extra bound into one interface variable in both
 		// systems, exercising interaction across the projection.
 		extra := qual.Elem(rng.Intn(8))

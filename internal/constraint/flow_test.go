@@ -121,9 +121,9 @@ func TestConflictDedup(t *testing.T) {
 	a, b := sys.Fresh(), sys.Fresh()
 	sys.Add(C(seed), V(a), Reason{Msg: "seed"})
 	sys.Add(V(a), V(b), Reason{Msg: "hop"})
-	sys.Add(V(b), C(bottom), Reason{Pos: "f.c:3:1", Msg: "sink"})
-	sys.Add(V(b), C(bottom), Reason{Pos: "f.c:3:1", Msg: "sink"}) // replayed copy
-	sys.Add(V(b), C(bottom), Reason{Pos: "f.c:9:1", Msg: "other sink"})
+	sys.Add(V(b), C(bottom), Reason{Pos: Pos{File: "f.c", Line: 3, Col: 1}, Msg: "sink"})
+	sys.Add(V(b), C(bottom), Reason{Pos: Pos{File: "f.c", Line: 3, Col: 1}, Msg: "sink"}) // replayed copy
+	sys.Add(V(b), C(bottom), Reason{Pos: Pos{File: "f.c", Line: 9, Col: 1}, Msg: "other sink"})
 
 	unsat := sys.Solve()
 	if len(unsat) != 2 {

@@ -97,11 +97,14 @@ type incomingCSR struct {
 	cons []int32
 }
 
-func buildIncomingCSR(cons []Constraint, n int) *incomingCSR {
+func (s *System) buildIncomingCSR() *incomingCSR {
+	n := s.n
 	in := &incomingCSR{off: make([]int32, n+1)}
-	for _, c := range cons {
-		if c.R.isVar {
-			in.off[c.R.v+1]++
+	for _, ch := range s.chunks {
+		for i := range ch {
+			if c := &ch[i]; c.r.isVar {
+				in.off[c.r.v+1]++
+			}
 		}
 	}
 	for i := 0; i < n; i++ {
@@ -110,10 +113,12 @@ func buildIncomingCSR(cons []Constraint, n int) *incomingCSR {
 	in.cons = make([]int32, in.off[n])
 	cur := make([]int32, n)
 	copy(cur, in.off[:n])
-	for i, c := range cons {
-		if c.R.isVar {
-			in.cons[cur[c.R.v]] = int32(i)
-			cur[c.R.v]++
+	for k, ch := range s.chunks {
+		for i := range ch {
+			if c := &ch[i]; c.r.isVar {
+				in.cons[cur[c.r.v]] = int32(k<<chunkBits + i)
+				cur[c.r.v]++
+			}
 		}
 	}
 	return in

@@ -33,7 +33,7 @@ func referenceSolve(sys *constraint.System) (lower, upper []qual.Elem) {
 	}
 	fwd := make([][]edge, n)
 	rev := make([][]edge, n)
-	for _, c := range sys.Constraints() {
+	for _, c := range sys.Slice(0, sys.NumConstraints()) {
 		switch {
 		case c.L.IsVar() && c.R.IsVar():
 			fwd[c.L.Var()] = append(fwd[c.L.Var()], edge{c.R.Var(), c.Mask})
@@ -375,9 +375,9 @@ func TestRestrictDeterministic(t *testing.T) {
 	sys, iface := benchgen.CycleSystem(set, benchgen.CycleConfig{
 		Vars: 200, CycleFrac: 0.7, CycleLen: 5, CrossEdges: 120, MaskedFrac: 0.4, Seed: 7,
 	})
-	first := constraint.Restrict(set, sys.Constraints(), iface)
+	first := constraint.Restrict(set, sys.Slice(0, sys.NumConstraints()), iface)
 	for i := 0; i < 5; i++ {
-		again := constraint.Restrict(set, sys.Constraints(), iface)
+		again := constraint.Restrict(set, sys.Slice(0, sys.NumConstraints()), iface)
 		if len(again) != len(first) {
 			t.Fatalf("run %d: %d constraints, want %d", i, len(again), len(first))
 		}

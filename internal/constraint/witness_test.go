@@ -25,7 +25,7 @@ func TestProjectWitnessExpandsConflicts(t *testing.T) {
 	set := testSet(t)
 	notConst := C(set.MustNot("const"))
 	constant := C(set.MustElem("const"))
-	why := func(msg string) Reason { return Reason{Pos: "w.c:" + msg, Msg: msg} }
+	why := func(msg string) Reason { return Reason{Pos: Pos{File: "w.c:" + msg}, Msg: msg} }
 
 	sys := NewSystem(set)
 	// Callee w: parameter p is copied into the local q, which is written
@@ -57,7 +57,7 @@ func TestProjectWitnessExpandsConflicts(t *testing.T) {
 	var got [][]string
 	for _, u := range sys.Solve() {
 		got = append(got, append([]string{u.Con.Why.Msg}, msgs(u.Path)...))
-		if u.Con.Why.Pos == "" {
+		if u.Con.Why.Pos == (Pos{}) {
 			t.Errorf("conflict lost its position: %v", u.Con)
 		}
 	}

@@ -159,7 +159,7 @@ func conflictDiagnostic(set *qual.Set, suite *analysis.Suite, u *constraint.Unsa
 		owner = suite.Owner(u.Lower &^ u.Bound)
 	}
 	d := Diagnostic{
-		Pos:      u.Con.Why.Pos,
+		Pos:      u.Con.Why.Pos.String(),
 		Severity: SevError,
 		Stage:    StageSolve,
 		Code:     "qualifier-conflict",
@@ -169,7 +169,7 @@ func conflictDiagnostic(set *qual.Set, suite *analysis.Suite, u *constraint.Unsa
 	}
 	for _, c := range u.Path {
 		d.Flow = append(d.Flow, FlowStep{
-			Pos:  c.Why.Pos,
+			Pos:  c.Why.Pos.String(),
 			Note: fmt.Sprintf("%s ⊑ %s (%s)", c.L.FormatMask(set, c.Mask), c.R.FormatMask(set, c.Mask), c.Why.Msg),
 		})
 	}

@@ -160,11 +160,11 @@ func (bc *bodyCtx) libraryCall(x *ast.CallExpr, obj *types.Func, recvRV *rtype) 
 			// Prelude parameter positions count declared parameters;
 			// the receiver is annotated separately via "recv:".
 			if recvRV != nil {
-				b.ApplyRecv(en.sys, ent, recvRV.q, en.pos(x).String())
+				b.ApplyRecv(en.sys, ent, recvRV.q, analysis.TokenPos(en.pos(x)))
 			}
 			for i, rv := range args {
 				if rv != nil {
-					b.ApplyParam(en.sys, ent, i, rv.q, en.pos(x.Args[i]).String())
+					b.ApplyParam(en.sys, ent, i, rv.q, analysis.TokenPos(en.pos(x.Args[i])))
 				}
 			}
 			continue
@@ -180,7 +180,7 @@ func (bc *bodyCtx) libraryCall(x *ast.CallExpr, obj *types.Func, recvRV *rtype) 
 			for _, pr := range refPositions(rv, 0, nil) {
 				b.A.Hooks.LibRef(en.sys, b, analysis.LibUse{
 					Fn:  name,
-					Pos: en.pos(x).String(),
+					Pos: analysis.TokenPos(en.pos(x)),
 				}, pr.ref.q)
 			}
 		}
@@ -219,7 +219,7 @@ func (bc *bodyCtx) unknownCall(x *ast.CallExpr, what string) []*rtype {
 		for _, b := range en.suite.Bindings() {
 			if h := b.A.Hooks.LibRef; h != nil {
 				for _, pr := range refPositions(rv, 0, nil) {
-					h(en.sys, b, analysis.LibUse{Fn: what, Pos: en.pos(x).String()}, pr.ref.q)
+					h(en.sys, b, analysis.LibUse{Fn: what, Pos: analysis.TokenPos(en.pos(x))}, pr.ref.q)
 				}
 			}
 		}

@@ -346,5 +346,5 @@ func (e *engine) pos(n ast.Node) token.Position {
 }
 
 func (e *engine) why(n ast.Node, msg string) constraint.Reason {
-	return constraint.Reason{Pos: e.pos(n).String(), Msg: msg}
+	return constraint.Reason{Pos: constraint.TokenPos(e.pos(n)), Msg: msg}
 }

@@ -162,7 +162,7 @@ func (c *Checker) intType(q constraint.Term) *qtype.QType {
 }
 
 func why(pos lambda.Pos, msg string) constraint.Reason {
-	return constraint.Reason{Pos: pos.String(), Msg: msg}
+	return constraint.Reason{Pos: constraint.Pos{File: pos.File, Line: int32(pos.Line), Col: int32(pos.Col)}, Msg: msg}
 }
 
 // Infer computes the qualified type of e under env, adding constraints to
@@ -483,8 +483,8 @@ func (c *Checker) generalizeRec(env *Env, e *lambda.LetRec) (*Scheme, error) {
 // created since the snapshot (which can never be free in the enclosing
 // environment) and capturing the constraints generated alongside.
 func (c *Checker) generalizeFrom(startVar, startCon int, body *qtype.QType) *Scheme {
-	endVar := c.Sys.NumVars()
-	cons := append([]constraint.Constraint(nil), c.Sys.Constraints()[startCon:]...)
+	endVar, endCon := c.Sys.NumVars(), c.Sys.NumConstraints()
+	cons := c.Sys.Slice(startCon, endCon)
 
 	qvars := make([]constraint.Var, 0, endVar-startVar)
 	for i := startVar; i < endVar; i++ {

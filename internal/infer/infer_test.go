@@ -688,7 +688,7 @@ func TestDerefHook(t *testing.T) {
 			got = append(got, refQ, resQ)
 			// Custom rule: reading a const ref marks the result const.
 			sys.AddMasked(refQ, resQ, set.MustMask("const"),
-				constraint.Reason{Pos: pos.String(), Msg: "const contents stay const"})
+				why(pos, "const contents stay const"))
 		},
 	}
 	res := mustPass(t, set, rules, "!(@const ref 1)")

@@ -21,7 +21,7 @@ func ConstRules(set *qual.Set) Rules {
 	return Rules{
 		Assign: func(sys *constraint.System, refQ constraint.Term, pos lambda.Pos) {
 			sys.Add(refQ, constraint.C(notConst),
-				constraint.Reason{Pos: pos.String(), Msg: "assignment target must not be const"})
+				why(pos, "assignment target must not be const"))
 		},
 	}
 }
@@ -44,11 +44,11 @@ func NonzeroRules(set *qual.Set) Rules {
 		Bin: func(sys *constraint.System, op lambda.BinOp, lq, rq, resQ constraint.Term, pos lambda.Pos) {
 			if op == lambda.OpDiv {
 				sys.Add(rq, constraint.C(requireNZ),
-					constraint.Reason{Pos: pos.String(), Msg: "divisor must be nonzero"})
+					why(pos, "divisor must be nonzero"))
 			}
 			// Results of arithmetic are not known to be nonzero.
 			sys.AddMasked(constraint.C(bit), resQ, bit,
-				constraint.Reason{Pos: pos.String(), Msg: "arithmetic result not known nonzero"})
+				why(pos, "arithmetic result not known nonzero"))
 		},
 	}
 }
@@ -67,20 +67,20 @@ func BindingTimeRules(set *qual.Set) Rules {
 		},
 		App: func(sys *constraint.System, funQ, resQ constraint.Term, pos lambda.Pos) {
 			sys.AddMasked(funQ, resQ, dyn,
-				constraint.Reason{Pos: pos.String(), Msg: "applying a dynamic function yields a dynamic result"})
+				why(pos, "applying a dynamic function yields a dynamic result"))
 		},
 		If: func(sys *constraint.System, condQ, resQ constraint.Term, pos lambda.Pos) {
 			sys.AddMasked(condQ, resQ, dyn,
-				constraint.Reason{Pos: pos.String(), Msg: "branching on a dynamic guard yields a dynamic result"})
+				why(pos, "branching on a dynamic guard yields a dynamic result"))
 		},
 		Bin: func(sys *constraint.System, op lambda.BinOp, lq, rq, resQ constraint.Term, pos lambda.Pos) {
-			r := constraint.Reason{Pos: pos.String(), Msg: "arithmetic on dynamic operands yields a dynamic result"}
+			r := why(pos, "arithmetic on dynamic operands yields a dynamic result")
 			sys.AddMasked(lq, resQ, dyn, r)
 			sys.AddMasked(rq, resQ, dyn, r)
 		},
 		Deref: func(sys *constraint.System, refQ, resQ constraint.Term, pos lambda.Pos) {
 			sys.AddMasked(refQ, resQ, dyn,
-				constraint.Reason{Pos: pos.String(), Msg: "reading a dynamic reference yields a dynamic result"})
+				why(pos, "reading a dynamic reference yields a dynamic result"))
 		},
 	}
 }
@@ -94,7 +94,7 @@ func TaintRules(set *qual.Set) Rules {
 	taint := set.MustMask("tainted")
 	return Rules{
 		Bin: func(sys *constraint.System, op lambda.BinOp, lq, rq, resQ constraint.Term, pos lambda.Pos) {
-			r := constraint.Reason{Pos: pos.String(), Msg: "taint propagates through arithmetic"}
+			r := why(pos, "taint propagates through arithmetic")
 			sys.AddMasked(lq, resQ, taint, r)
 			sys.AddMasked(rq, resQ, taint, r)
 		},

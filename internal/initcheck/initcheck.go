@@ -190,7 +190,7 @@ func checkFunc(fd *cfront.FuncDecl) []Warning {
 		// provenance position.
 		pos := u.Con.Why.Pos
 		for _, use := range c.uses {
-			if use.Pos.String() == pos {
+			if cpos(use.Pos) == pos {
 				c.warnings = append(c.warnings, use)
 				break
 			}
@@ -238,7 +238,7 @@ func (c *checker) stmt(flow *infer.Flow, s cfront.Stmt, addrTaken map[string]boo
 				initial = c.set.Bottom()
 			}
 			c.tracked[v.Name] = true
-			flow.Declare(v.Name, initial, constraint.Reason{Pos: v.Pos.String(), Msg: "declaration of " + v.Name})
+			flow.Declare(v.Name, initial, why(v.Pos, "declaration of "+v.Name))
 		}
 	case *cfront.ExprStmt:
 		c.expr(flow, s.X)
@@ -249,14 +249,14 @@ func (c *checker) stmt(flow *infer.Flow, s cfront.Stmt, addrTaken map[string]boo
 		c.stmt(thenBr, s.Then, addrTaken)
 		elseBr := flow.Fork()
 		c.stmt(elseBr, s.Else, addrTaken)
-		thenBr.Join(elseBr, constraint.Reason{Pos: s.Pos.String(), Msg: "if join"})
+		thenBr.Join(elseBr, why(s.Pos, "if join"))
 		*flow = *thenBr
 	case *cfront.WhileStmt:
 		c.expr(flow, s.Cond)
 		entry := flow.Fork()
 		body := flow.Fork()
 		c.stmt(body, s.Body, addrTaken)
-		body.Widen(entry, constraint.Reason{Pos: s.Pos.String(), Msg: "loop back-edge"})
+		body.Widen(entry, why(s.Pos, "loop back-edge"))
 		// Zero-iteration path: continue from entry (Widen already merged
 		// body effects into entry's points).
 		*flow = *entry
@@ -265,7 +265,7 @@ func (c *checker) stmt(flow *infer.Flow, s cfront.Stmt, addrTaken map[string]boo
 		entry := flow.Fork()
 		c.stmt(flow, s.Body, addrTaken)
 		c.expr(flow, s.Cond)
-		flow.Widen(entry, constraint.Reason{Pos: s.Pos.String(), Msg: "do-while back-edge"})
+		flow.Widen(entry, why(s.Pos, "do-while back-edge"))
 		// Unlike while, effects of one guaranteed iteration are kept weak
 		// through the widen; this is conservative.
 	case *cfront.ForStmt:
@@ -279,7 +279,7 @@ func (c *checker) stmt(flow *infer.Flow, s cfront.Stmt, addrTaken map[string]boo
 		if s.Post != nil {
 			c.expr(body, s.Post)
 		}
-		body.Widen(entry, constraint.Reason{Pos: s.Pos.String(), Msg: "loop back-edge"})
+		body.Widen(entry, why(s.Pos, "loop back-edge"))
 		*flow = *entry
 	case *cfront.ReturnStmt:
 		if s.Value != nil {
@@ -295,7 +295,7 @@ func (c *checker) stmt(flow *infer.Flow, s cfront.Stmt, addrTaken map[string]boo
 		// this simple model could prove anyway).
 		body := flow.Fork()
 		c.stmt(body, s.Body, addrTaken)
-		body.Join(flow, constraint.Reason{Pos: s.Pos.String(), Msg: "switch join"})
+		body.Join(flow, why(s.Pos, "switch join"))
 		*flow = *body
 	case *cfront.CaseStmt:
 		if s.Value != nil {
@@ -358,7 +358,7 @@ func (c *checker) expr(flow *infer.Flow, e cfront.Expr) {
 		c.expr(t, e.T)
 		f := flow.Fork()
 		c.expr(f, e.F)
-		t.Join(f, constraint.Reason{Pos: e.Pos.String(), Msg: "?: join"})
+		t.Join(f, why(e.Pos, "?: join"))
 		*flow = *t
 	case *cfront.Call:
 		c.expr(flow, e.Fn)
@@ -385,10 +385,19 @@ func (c *checker) expr(flow *infer.Flow, e cfront.Expr) {
 func (c *checker) use(flow *infer.Flow, name string, pos cfront.Pos) {
 	w := Warning{Func: c.fn, Var: name, Pos: pos}
 	c.uses = append(c.uses, w)
-	_ = flow.Assert(name, c.notUnin, constraint.Reason{Pos: pos.String(), Msg: "use of " + name})
+	_ = flow.Assert(name, c.notUnin, why(pos, "use of "+name))
 }
 
 func (c *checker) assign(flow *infer.Flow, name string, pos cfront.Pos) {
 	fresh := constraint.V(c.sys.Fresh())
-	_ = flow.StrongUpdate(name, fresh, constraint.Reason{Pos: pos.String(), Msg: "assignment to " + name})
+	_ = flow.StrongUpdate(name, fresh, why(pos, "assignment to "+name))
+}
+
+func why(pos cfront.Pos, msg string) constraint.Reason {
+	return constraint.Reason{Pos: cpos(pos), Msg: msg}
+}
+
+// cpos converts a C position for constraint provenance.
+func cpos(p cfront.Pos) constraint.Pos {
+	return constraint.Pos{File: p.File, Line: int32(p.Line), Col: int32(p.Col)}
 }

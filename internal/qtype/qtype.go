@@ -219,9 +219,9 @@ func occurs(v *Type, t *Type) bool {
 }
 
 // bind links variable node v to type t with an occurs check.
-func bind(v *Type, t *Type, pos string) error {
+func bind(v *Type, t *Type, pos constraint.Pos) error {
 	if occurs(v, t) {
-		return &TypeError{Pos: pos, Msg: "infinite type (occurs check failed)"}
+		return &TypeError{Pos: pos.String(), Msg: "infinite type (occurs check failed)"}
 	}
 	v.link = t
 	return nil
@@ -310,7 +310,7 @@ func (b *Builder) relate(qa constraint.Term, ta *Type, qb constraint.Term, tb *T
 		return b.relateArgs(ta, clone, why)
 	}
 	if ta.Con != tb.Con {
-		return &TypeError{Pos: why.Pos, Msg: "type constructor mismatch in " + why.Msg, Want: tb.Con.Name, Got: ta.Con.Name}
+		return &TypeError{Pos: why.Pos.String(), Msg: "type constructor mismatch in " + why.Msg, Want: tb.Con.Name, Got: ta.Con.Name}
 	}
 	return b.relateArgs(ta, tb, why)
 }
@@ -358,7 +358,7 @@ func (b *Builder) unifyEqual(qa constraint.Term, ta *Type, qb constraint.Term, t
 		return nil
 	}
 	if ta.Con != tb.Con {
-		return &TypeError{Pos: why.Pos, Msg: "type constructor mismatch in " + why.Msg, Want: tb.Con.Name, Got: ta.Con.Name}
+		return &TypeError{Pos: why.Pos.String(), Msg: "type constructor mismatch in " + why.Msg, Want: tb.Con.Name, Got: ta.Con.Name}
 	}
 	for i := range ta.Args {
 		if err := b.Equal(ta.Args[i], tb.Args[i], why); err != nil {

@@ -129,7 +129,7 @@ func TestConstructorMismatch(t *testing.T) {
 	_, _, b := setup(t)
 	a := b.Apply(conInt)
 	c := b.Apply(conUnit)
-	err := b.Subtype(a, c, constraint.Reason{Pos: "p:1:1", Msg: "mismatch"})
+	err := b.Subtype(a, c, constraint.Reason{Pos: constraint.Pos{File: "p", Line: 1, Col: 1}, Msg: "mismatch"})
 	if err == nil {
 		t.Fatal("int ≤ unit accepted")
 	}
@@ -209,7 +209,7 @@ func TestOccursCheck(t *testing.T) {
 	_, _, b := setup(t)
 	v := b.Qual(b.FreshTVar())
 	f := b.Apply(conFun, v, b.Apply(conInt))
-	err := b.Subtype(v, f, constraint.Reason{Pos: "x:1:1"})
+	err := b.Subtype(v, f, constraint.Reason{Pos: constraint.Pos{File: "x", Line: 1, Col: 1}})
 	if err == nil {
 		t.Fatal("infinite type accepted")
 	}

@@ -82,7 +82,7 @@ type Config struct {
 	// (0 = 30s; negative = no deadline).
 	RequestTimeout time.Duration
 	// ResultEntries/ResultBytes bound the request-level result cache
-	// (0 = 1024 entries / 256 MiB).
+	// (0 = DefaultResultEntries / DefaultResultBytes).
 	ResultEntries int
 	ResultBytes   int64
 	// SessionEntries bounds the retained sessions (0 = 64). Eviction
@@ -98,6 +98,13 @@ type Config struct {
 // DefaultRequestTimeout is the per-request deadline when none is
 // configured.
 const DefaultRequestTimeout = 30 * time.Second
+
+// DefaultResultEntries and DefaultResultBytes bound the result cache when
+// the configuration leaves ResultEntries or ResultBytes zero.
+const (
+	DefaultResultEntries = 1024
+	DefaultResultBytes   = 256 << 20
+)
 
 // maxRequestBytes caps an analyze request body; a larger body is a 413.
 const maxRequestBytes = 64 << 20
@@ -189,10 +196,10 @@ func New(cfg Config) *Server {
 		cfg.RequestTimeout = DefaultRequestTimeout
 	}
 	if cfg.ResultEntries == 0 {
-		cfg.ResultEntries = 1024
+		cfg.ResultEntries = DefaultResultEntries
 	}
 	if cfg.ResultBytes == 0 {
-		cfg.ResultBytes = 256 << 20
+		cfg.ResultBytes = DefaultResultBytes
 	}
 	if cfg.SessionEntries == 0 {
 		cfg.SessionEntries = 64
