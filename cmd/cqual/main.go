@@ -534,7 +534,10 @@ func emitJSON(res *driver.Result) {
 		fmt.Fprintln(os.Stderr, "cqual:", err)
 		os.Exit(2)
 	}
-	os.Stdout.Write(append(data, '\n'))
+	// The newline goes out on its own: appending it to a report of
+	// megabytes could copy the whole report to make room.
+	os.Stdout.Write(data)
+	os.Stdout.Write([]byte{'\n'})
 }
 
 // printSolverStats reports, on stderr, the size of the final constraint

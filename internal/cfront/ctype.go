@@ -57,14 +57,9 @@ type Quals struct {
 }
 
 func (q Quals) String() string {
-	var parts []string
-	if q.Const {
-		parts = append(parts, "const")
-	}
-	if q.Volatile {
-		parts = append(parts, "volatile")
-	}
-	return strings.Join(parts, " ")
+	var b strings.Builder
+	writeQuals(&b, q)
+	return b.String()
 }
 
 // StructType is a struct or union definition. Declarations referring to

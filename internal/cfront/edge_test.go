@@ -242,6 +242,23 @@ func TestPosAccessors(t *testing.T) {
 	}
 }
 
+// TestPosString checks the fmt-free Pos.String against the format it
+// replaced, with and without a file name.
+func TestPosString(t *testing.T) {
+	for _, p := range []Pos{
+		{}, {Line: 2, Col: 3}, {File: "a.c", Line: 10, Col: 1},
+		{File: "dir/x y.c", Line: 123456, Col: 78}, {File: "f", Line: -1, Col: -9223372036854775808},
+	} {
+		want := fmt.Sprintf("%s:%d:%d", p.File, p.Line, p.Col)
+		if p.File == "" {
+			want = fmt.Sprintf("%d:%d", p.Line, p.Col)
+		}
+		if got := p.String(); got != want {
+			t.Errorf("%#v.String() = %q, want %q", p, got, want)
+		}
+	}
+}
+
 func TestExprPosAccessors(t *testing.T) {
 	f := parse(t, `
 		struct s { int f; };

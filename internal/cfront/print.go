@@ -2,6 +2,7 @@ package cfront
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -15,74 +16,123 @@ import (
 // syntax, e.g. ("f", fn(int)→ptr(int)) ⇒ "int *f(int)". An empty name
 // yields an abstract declarator (for casts).
 func TypeDecl(name string, t *Type) string {
-	base, decl := declParts(name, t)
-	if decl == "" {
-		return base
-	}
-	return base + " " + decl
+	var b strings.Builder
+	WriteTypeDecl(&b, name, t)
+	return b.String()
 }
 
-// declParts splits a declaration into base-specifier text and declarator
-// text.
-func declParts(name string, t *Type) (string, string) {
-	decl := name
-	for {
-		switch t.Kind {
-		case TPointer:
-			q := t.Quals.String()
-			if q != "" {
-				q += " "
-			}
-			decl = "*" + q + decl
-			t = t.Elem
-			// Pointer to array or function needs parentheses.
-			if t.Kind == TArray || t.Kind == TFunc {
-				decl = "(" + decl + ")"
-			}
-		case TArray:
-			if t.ArrayLen >= 0 {
-				decl = fmt.Sprintf("%s[%d]", decl, t.ArrayLen)
-			} else {
-				decl += "[]"
-			}
-			t = t.Elem
-		case TFunc:
-			var ps []string
-			for _, p := range t.Params {
-				ps = append(ps, TypeDecl(p.Name, p.Type))
-			}
-			if t.Variadic {
-				ps = append(ps, "...")
-			}
-			if len(ps) == 0 {
-				ps = []string{"void"}
-			}
-			decl += "(" + strings.Join(ps, ", ") + ")"
+// WriteTypeDecl writes TypeDecl(name, t) to b.
+//
+// A declarator reads inside-out: the outermost type constructor sits
+// next to the name and each one further in wraps the text so far. So
+// the chain from t down to its base type is collected first; the
+// pointers' prefixes are written innermost first, then the name, then
+// the array, function and closing-parenthesis suffixes outermost first.
+func WriteTypeDecl(b *strings.Builder, name string, t *Type) {
+	var stack [8]*Type
+	chain := stack[:0]
+	for t.Kind == TPointer || t.Kind == TArray || t.Kind == TFunc {
+		chain = append(chain, t)
+		if t.Kind == TFunc {
 			t = t.Ret
-		default:
-			base := baseName(t)
-			if q := t.Quals.String(); q != "" {
-				base = q + " " + base
-			}
-			return base, decl
+		} else {
+			t = t.Elem
 		}
 	}
+	if writeQuals(b, t.Quals) {
+		b.WriteByte(' ')
+	}
+	writeBaseName(b, t)
+	if name == "" && len(chain) == 0 {
+		return
+	}
+	b.WriteByte(' ')
+	for i := len(chain) - 1; i >= 0; i-- {
+		if c := chain[i]; c.Kind == TPointer {
+			// Pointer to array or function needs parentheses.
+			if k := c.Elem.Kind; k == TArray || k == TFunc {
+				b.WriteByte('(')
+			}
+			b.WriteByte('*')
+			if writeQuals(b, c.Quals) {
+				b.WriteByte(' ')
+			}
+		}
+	}
+	b.WriteString(name)
+	for _, c := range chain {
+		switch c.Kind {
+		case TPointer:
+			if k := c.Elem.Kind; k == TArray || k == TFunc {
+				b.WriteByte(')')
+			}
+		case TArray:
+			b.WriteByte('[')
+			if c.ArrayLen >= 0 {
+				var num [20]byte
+				b.Write(strconv.AppendInt(num[:0], c.ArrayLen, 10))
+			}
+			b.WriteByte(']')
+		case TFunc:
+			b.WriteByte('(')
+			for i, p := range c.Params {
+				if i > 0 {
+					b.WriteString(", ")
+				}
+				WriteTypeDecl(b, p.Name, p.Type)
+			}
+			switch {
+			case c.Variadic && len(c.Params) > 0:
+				b.WriteString(", ...")
+			case c.Variadic:
+				b.WriteString("...")
+			case len(c.Params) == 0:
+				b.WriteString("void")
+			}
+			b.WriteByte(')')
+		}
+	}
+}
+
+// writeQuals writes q ("const", "volatile" or "const volatile") and
+// reports whether it wrote anything.
+func writeQuals(b *strings.Builder, q Quals) bool {
+	switch {
+	case q.Const && q.Volatile:
+		b.WriteString("const volatile")
+	case q.Const:
+		b.WriteString("const")
+	case q.Volatile:
+		b.WriteString("volatile")
+	default:
+		return false
+	}
+	return true
 }
 
 func baseName(t *Type) string {
+	var b strings.Builder
+	writeBaseName(&b, t)
+	return b.String()
+}
+
+func writeBaseName(b *strings.Builder, t *Type) {
 	switch t.Kind {
 	case TStruct:
-		return structName(t.Struct)
+		b.WriteString(structName(t.Struct))
 	case TEnum:
 		if t.EnumTag != "" {
-			return "enum " + t.EnumTag
+			b.WriteString("enum ")
+			b.WriteString(t.EnumTag)
+		} else {
+			b.WriteString("int")
 		}
-		return "int"
 	default:
 		if t.Spelling != "" {
-			return t.Spelling
+			b.WriteString(t.Spelling)
+		} else {
+			b.WriteString(t.Kind.String())
 		}
-		return t.Kind.String()
 	}
 }
 

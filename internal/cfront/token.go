@@ -10,7 +10,11 @@
 // effectively did).
 package cfront
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+	"strings"
+)
 
 // Pos is a source position.
 type Pos struct {
@@ -19,11 +23,20 @@ type Pos struct {
 	Col  int
 }
 
+// String renders "file:line:col", or "line:col" when File is empty, in
+// one allocation.
 func (p Pos) String() string {
-	if p.File == "" {
-		return fmt.Sprintf("%d:%d", p.Line, p.Col)
+	var num [20]byte
+	var b strings.Builder
+	b.Grow(len(p.File) + 2*len(num))
+	if p.File != "" {
+		b.WriteString(p.File)
+		b.WriteByte(':')
 	}
-	return fmt.Sprintf("%s:%d:%d", p.File, p.Line, p.Col)
+	b.Write(strconv.AppendInt(num[:0], int64(p.Line), 10))
+	b.WriteByte(':')
+	b.Write(strconv.AppendInt(num[:0], int64(p.Col), 10))
+	return b.String()
 }
 
 // IsValid reports whether the position was set.

@@ -773,6 +773,7 @@ func (a *Analysis) Classify(conflicts []*constraint.Unsat) *Report {
 		SCCs:        len(a.sccs),
 		Constraints: a.sys.NumConstraints(),
 		Vars:        a.sys.NumVars(),
+		Positions:   make([]PositionResult, 0, len(a.positions)),
 	}
 	for _, p := range a.positions {
 		v := Either

@@ -29,47 +29,120 @@ type Suggestion struct {
 }
 
 // buildSuggestions computes the re-declared signatures for every defined
-// function with at least one addable const; solve attaches the result to
-// the report.
+// function with at least one addable const, sorted by function name;
+// Classify attaches the result to the report. A function's positions are
+// contiguous in rep.Positions (appendPositions adds them in one call), so
+// one walk over the runs of equal Func visits each function once. Old and
+// New of every suggestion are substrings of one rendered text.
 func (a *Analysis) buildSuggestions(rep *Report) []Suggestion {
-	// Group addable positions by function.
-	addable := map[string][]PositionResult{}
-	for _, p := range rep.Positions {
-		if !p.Declared && (p.Verdict == Either || p.Verdict == MustConst) {
-			addable[p.Func] = append(addable[p.Func], p)
+	var (
+		out  []Suggestion
+		offs []int // out[i].Old is text[offs[2i]:offs[2i+1]], New runs to the next offset
+		sig  sigCopy
+		b    strings.Builder
+	)
+	ps := rep.Positions
+	for lo, hi := 0, 0; lo < len(ps); lo = hi {
+		name := ps[lo].Func
+		for hi = lo + 1; hi < len(ps) && ps[hi].Func == name; hi++ {
 		}
-	}
-	var out []Suggestion
-	for name, ps := range addable {
 		fi := a.funcs[name]
 		if fi == nil || !fi.defined {
 			continue
 		}
-		clone := fi.decl.Type.Clone()
+		var fn *cfront.Type
 		added := 0
-		for _, p := range ps {
-			if markConst(clone, p.Index, p.Depth) {
+		for _, p := range ps[lo:hi] {
+			if p.Declared || (p.Verdict != Either && p.Verdict != MustConst) {
+				continue
+			}
+			if fn == nil {
+				fn = sig.reset(fi.decl.Type)
+			}
+			sig.ownPath(p.Index, p.Depth)
+			if markConst(fn, p.Index, p.Depth) {
 				added++
 			}
 		}
 		if added == 0 {
 			continue
 		}
-		out = append(out, Suggestion{
-			Func:  name,
-			Pos:   fi.decl.Pos,
-			Old:   cfront.TypeDecl(name, fi.decl.Type),
-			New:   cfront.TypeDecl(name, clone),
-			Added: added,
-		})
+		offs = append(offs, b.Len())
+		cfront.WriteTypeDecl(&b, name, fi.decl.Type)
+		offs = append(offs, b.Len())
+		cfront.WriteTypeDecl(&b, name, fn)
+		out = append(out, Suggestion{Func: name, Pos: fi.decl.Pos, Added: added})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Func < out[j].Func })
+	text := b.String()
+	offs = append(offs, len(text))
+	for i := range out {
+		out[i].Old = text[offs[2*i]:offs[2*i+1]]
+		out[i].New = text[offs[2*i+1]:offs[2*i+2]]
+	}
+	slices.SortFunc(out, func(x, y Suggestion) int { return strings.Compare(x.Func, y.Func) })
 	return out
 }
 
-// markConst sets the const flag at the pointer level `depth` of parameter
-// `index` (or the result for index < 0) of a cloned function type. Depth
-// 0 is the immediate pointee — `char *s` becomes `const char *s`.
+// sigCopy is the copy of one declared function type that buildSuggestions
+// marks consts in. The function node and its Params slice are copied per
+// function; a type node below them is copied only when a const is about
+// to be written at or under it, so the declaration stays untouched
+// without cloning the whole type. The storage is reused from function to
+// function.
+type sigCopy struct {
+	fn     cfront.Type
+	params []cfront.Param
+	nodes  []*cfront.Type // nodes[:used] are the current function's copies
+	used   int
+}
+
+// reset starts a copy of decl and returns its function node.
+func (s *sigCopy) reset(decl *cfront.Type) *cfront.Type {
+	s.fn = *decl
+	s.params = append(s.params[:0], decl.Params...)
+	s.fn.Params = s.params
+	s.used = 0
+	return &s.fn
+}
+
+// ownPath replaces, in the copy, every type node that markConst(&s.fn,
+// index, depth) may write or walk through with one of the copy's own:
+// the parameter (or result) type, depth further pointer levels, and the
+// pointee whose const flag is set.
+func (s *sigCopy) ownPath(index, depth int) {
+	slot := &s.fn.Ret
+	if index >= 0 {
+		if index >= len(s.fn.Params) {
+			return
+		}
+		slot = &s.fn.Params[index].Type
+	}
+	for i := 0; i <= depth+1 && *slot != nil; i++ {
+		*slot = s.own(*slot)
+		slot = &(*slot).Elem
+	}
+}
+
+// own returns t if it is one of the current function's copies, else a
+// copy of it.
+func (s *sigCopy) own(t *cfront.Type) *cfront.Type {
+	for _, n := range s.nodes[:s.used] {
+		if n == t {
+			return t
+		}
+	}
+	if s.used == len(s.nodes) {
+		s.nodes = append(s.nodes, new(cfront.Type))
+	}
+	n := s.nodes[s.used]
+	s.used++
+	*n = *t
+	return n
+}
+
+// markConst sets, in place, the const flag at the pointer level `depth`
+// of parameter `index` (or the result for index < 0) of a function type.
+// Depth 0 is the immediate pointee — `char *s` becomes `const char *s`.
 func markConst(fn *cfront.Type, index, depth int) bool {
 	var t *cfront.Type
 	if index < 0 {

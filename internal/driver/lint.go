@@ -135,11 +135,33 @@ func (b *Baseline) New(findings []Finding) []Finding {
 }
 
 // baselineKey identifies a finding across unrelated edits: the rule,
-// the file (position with line:col stripped), and the message.
+// the file (position with line:col stripped), and the message. The
+// count in a package's `N more type errors suppressed` finding is left
+// out, so the summary of a package's type errors matches however many
+// there are.
 func baselineKey(f Finding) string {
 	file := f.Pos
 	if i := strings.IndexByte(file, ':'); i >= 0 {
 		file = file[:i]
 	}
-	return f.Rule + "\x00" + file + "\x00" + f.Message
+	msg := f.Message
+	if head, ok := strings.CutSuffix(msg, suppressedSuffix); ok {
+		if i := strings.LastIndexByte(head, ' '); i >= 0 && isDigits(head[i+1:]) {
+			msg = head[:i+1] + "N" + suppressedSuffix
+		}
+	}
+	return f.Rule + "\x00" + file + "\x00" + msg
+}
+
+// suppressedSuffix ends the message of the finding that stands for a
+// package's type errors past the first few (internal/gofront).
+const suppressedSuffix = " more type errors suppressed"
+
+func isDigits(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if s[i] < '0' || s[i] > '9' {
+			return false
+		}
+	}
+	return s != ""
 }

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/benchgen"
@@ -76,13 +77,7 @@ func TestRunSuiteShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full suite in -short mode")
 	}
-	results, err := RunSuite()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 6 {
-		t.Fatalf("suite has %d results", len(results))
-	}
+	results := suiteResults(t)
 	for _, r := range results {
 		if !(r.Declared <= r.Mono && r.Mono <= r.Poly && r.Poly <= r.Total) {
 			t.Errorf("%s: ordering violated: %d/%d/%d/%d",
@@ -105,6 +100,54 @@ func TestRunSuiteShape(t *testing.T) {
 			t.Errorf("totals wildly non-monotone: %s=%d after %s=%d",
 				results[i].Config.Name, results[i].Total,
 				results[i-1].Config.Name, results[i-1].Total)
+		}
+	}
+}
+
+var suite struct {
+	once    sync.Once
+	results []*Result
+	err     error
+}
+
+// suiteResults runs the paper suite once for every test that reads it.
+func suiteResults(t *testing.T) []*Result {
+	t.Helper()
+	suite.once.Do(func() { suite.results, suite.err = RunSuite() })
+	if suite.err != nil {
+		t.Fatal(suite.err)
+	}
+	if len(suite.results) != 6 {
+		t.Fatalf("suite has %d results", len(suite.results))
+	}
+	return suite.results
+}
+
+// TestTable2Pinned pins the Table 2 counts of the six generated paper
+// programs, the measured table of EXPERIMENTS.md: a change to the
+// generator or to the inference that moves any of them fails here, and
+// the table is regenerated with `go run ./cmd/paperbench -table2`.
+func TestTable2Pinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full suite in -short mode")
+	}
+	want := []struct {
+		name                        string
+		declared, mono, poly, total int
+	}{
+		{"woman-3.0a", 64, 88, 94, 118},
+		{"patch-2.5", 223, 286, 295, 400},
+		{"m4-1.4", 124, 372, 396, 547},
+		{"diffutils-2.7", 255, 378, 438, 649},
+		{"ssh-1.2.26", 358, 889, 964, 1317},
+		{"uucp-1.04", 692, 1790, 1988, 2728},
+	}
+	for i, r := range suiteResults(t) {
+		w := want[i]
+		got := [4]int{r.Declared, r.Mono, r.Poly, r.Total}
+		if r.Config.Name != w.name || got != [4]int{w.declared, w.mono, w.poly, w.total} {
+			t.Errorf("%s: declared/mono/poly/total = %v, want %s %d/%d/%d/%d",
+				r.Config.Name, got, w.name, w.declared, w.mono, w.poly, w.total)
 		}
 	}
 }

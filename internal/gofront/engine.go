@@ -303,6 +303,7 @@ func (e *engine) Classify(conflicts []*constraint.Unsat) *constinfer.Report {
 		Functions:   len(e.funcs),
 		Constraints: e.sys.NumConstraints(),
 		Vars:        e.sys.NumVars(),
+		Positions:   make([]constinfer.PositionResult, 0, len(e.positions)),
 	}
 	for _, p := range e.positions {
 		v := constinfer.Either
