@@ -13,13 +13,18 @@
 //     language (generated programs);
 //   - BenchmarkSolverScaling         — the atomic-subtyping solver alone;
 //   - BenchmarkGoFrontSelf           — the Go front end analyzing one of
-//     this repository's own packages (the self-analysis workload).
+//     this repository's own packages (the self-analysis workload);
+//   - BenchmarkCSynthOp              — one op of bench/'s c-synth-100k
+//     workload in process, the target for CPU and memory profiles.
 //
 // Run with: go test -bench=. -benchmem
 package repro
 
 import (
+	"context"
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/benchgen"
@@ -156,6 +161,34 @@ func BenchmarkGoFrontSelf(b *testing.B) {
 		}
 		if res.Report == nil || res.Report.Functions == 0 {
 			b.Fatalf("self-analysis produced no report: %v", res.Diagnostics)
+		}
+	}
+}
+
+// BenchmarkCSynthOp is one c-synth-100k op in process: the generated
+// 100k-line program at seed 11, read from a file, analyzed in the
+// default (monomorphic const) configuration by driver.RunContext and
+// rendered by Result.JSON, as bench/'s batch child does. Profile it with
+//
+//	go test -run '^$' -bench CSynthOp -benchmem -memprofile mem.out -cpuprofile cpu.out
+func BenchmarkCSynthOp(b *testing.B) {
+	path := filepath.Join(b.TempDir(), "synth.c")
+	src := benchgen.Generate(benchgen.ParallelCorpus(100000, 11))
+	if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := driver.RunContext(context.Background(), driver.Config{}, driver.FileSources(path))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Report == nil || res.HasErrors() {
+			b.Fatalf("driver errors: %v", res.Diagnostics)
+		}
+		if _, err := res.JSON(); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -29,7 +29,6 @@ import (
 	"strings"
 	"sync"
 
-	"repro/internal/cfront"
 	"repro/internal/constraint"
 	"repro/internal/qual"
 )
@@ -100,8 +99,10 @@ type LibUse struct {
 // private systems).
 type Hooks struct {
 	// DeclQual seeds a freshly created reference from source-declared C
-	// qualifiers (e.g. const on a declaration level).
-	DeclQual func(sys *constraint.System, b *Binding, q constraint.Term, quals cfront.Quals)
+	// qualifiers: declaredConst reports a const spelled on the
+	// reference's declaration level, at constPos (the zero Pos when
+	// declaredConst is false).
+	DeclQual func(sys *constraint.System, b *Binding, q constraint.Term, declaredConst bool, constPos constraint.Pos)
 	// Write is the paper's Assign' rule: the target reference (and any
 	// guarding enclosing qualifiers, e.g. the struct object of a member
 	// write) is written through.

@@ -3,7 +3,6 @@ package analysis
 import (
 	"fmt"
 
-	"repro/internal/cfront"
 	"repro/internal/constraint"
 	"repro/internal/qual"
 )
@@ -22,12 +21,12 @@ func init() {
 			"const": {Kind: Seed, Present: true, Doc: "the function does not write through this reference"},
 		},
 		Hooks: Hooks{
-			DeclQual: func(sys *constraint.System, b *Binding, q constraint.Term, quals cfront.Quals) {
-				if !quals.Const {
+			DeclQual: func(sys *constraint.System, b *Binding, q constraint.Term, declaredConst bool, constPos constraint.Pos) {
+				if !declaredConst {
 					return
 				}
 				sys.AddMasked(constraint.C(b.Present), q, b.Mask,
-					constraint.Reason{Pos: cpos(quals.ConstPos), Msg: "declared const"})
+					constraint.Reason{Pos: constPos, Msg: "declared const"})
 			},
 			Write: func(sys *constraint.System, b *Binding, target constraint.Term, guards []constraint.Term, why constraint.Reason) {
 				// Assign': a written-through reference, and every qualifier
@@ -66,9 +65,4 @@ func init() {
 		// the prelude's seeds into the prelude's sinks through the
 		// ordinary subtyping constraints.
 	})
-}
-
-// cpos converts a C position for constraint provenance.
-func cpos(p cfront.Pos) constraint.Pos {
-	return constraint.Pos{File: p.File, Line: int32(p.Line), Col: int32(p.Col)}
 }

@@ -405,6 +405,89 @@ func TestParseTypedef(t *testing.T) {
 	}
 }
 
+// TestDeclaratorsOwnTheirTypes checks that the declarators of one list
+// (int *a, b;), of one typedef list, and each later use of a typedef
+// own disjoint type trees, so marking one declaration's level const, as
+// the const inference's re-annotation does, shows up nowhere else. Only
+// struct definitions are shared.
+func TestDeclaratorsOwnTheirTypes(t *testing.T) {
+	f := parse(t, `
+		typedef char *str, *pair[2];
+		struct s { char *x, *y; } sa, *sp;
+		char *a, *b, c;
+		str u, v;
+		str w;
+		int f(str p, str q) {
+			char *l1, *l2;
+			str l3, l4;
+			return 0;
+		}
+		enum e { E0, E1 } ea, eb;
+	`)
+	owner := map[*Type]string{}
+	var claim func(name string, t *Type)
+	claim = func(name string, typ *Type) {
+		if typ == nil {
+			return
+		}
+		if prev, ok := owner[typ]; ok {
+			t.Errorf("%s and %s share the type node %s", prev, name, typ)
+			return
+		}
+		owner[typ] = name
+		claim(name, typ.Elem)
+		claim(name, typ.Ret)
+		for _, p := range typ.Params {
+			claim(name+"."+p.Name, p.Type)
+		}
+	}
+	decls := map[string]*Type{}
+	var visit func(d Decl)
+	visit = func(d Decl) {
+		switch d := d.(type) {
+		case *VarDecl:
+			decls[d.Name] = d.Type
+		case *TypedefDecl:
+			decls[d.Name] = d.Type
+		case *FuncDecl:
+			decls[d.Name] = d.Type
+			for _, it := range d.Body.Items {
+				if ds, ok := it.(*DeclStmt); ok {
+					for _, d := range ds.Decls {
+						visit(d)
+					}
+				}
+			}
+		}
+	}
+	for _, d := range f.Decls {
+		visit(d)
+	}
+	for name, typ := range decls {
+		claim(name, typ)
+	}
+	if st := decls["sa"].Struct; st == nil || decls["sp"].Elem.Struct != st {
+		t.Error("sa and *sp do not share their struct definition")
+	} else {
+		for _, fd := range st.Fields {
+			claim("field "+fd.Name, fd.Type)
+		}
+	}
+
+	// Marking a level const leaves every sibling and later use alone.
+	decls["a"].Elem.Quals.Const = true
+	decls["u"].Elem.Quals.Const = true
+	decls["str"].Elem.Quals.Const = true
+	for _, name := range []string{"b", "v", "w", "l1", "l2", "l3", "l4"} {
+		if decls[name].Elem.Quals.Const {
+			t.Errorf("const marked on a sibling or typedef use shows in %s", name)
+		}
+	}
+	if decls["c"].Quals.Const || decls["f"].Params[0].Type.Elem.Quals.Const || decls["pair"].Elem.Elem.Quals.Const {
+		t.Error("const marked on a sibling shows in c, f's parameter or pair")
+	}
+}
+
 func TestParseStatements(t *testing.T) {
 	f := parse(t, `
 		int f(int n) {

@@ -242,19 +242,26 @@ func TestPosAccessors(t *testing.T) {
 	}
 }
 
-// TestPosString checks the fmt-free Pos.String against the format it
-// replaced, with and without a file name.
+// TestPosString checks the fmt-free Pos.String and SyntaxError.Error
+// against the fmt forms they replaced, with and without a file name.
 func TestPosString(t *testing.T) {
 	for _, p := range []Pos{
-		{}, {Line: 2, Col: 3}, {File: "a.c", Line: 10, Col: 1},
-		{File: "dir/x y.c", Line: 123456, Col: 78}, {File: "f", Line: -1, Col: -9223372036854775808},
+		{}, {Line: 2, Col: 3}, {Line: 10, Col: 1}, {Line: 123456, Col: 78},
+		{Line: -1, Col: -2147483648}, {Line: 2147483647, Col: 2147483647},
 	} {
-		want := fmt.Sprintf("%s:%d:%d", p.File, p.Line, p.Col)
-		if p.File == "" {
-			want = fmt.Sprintf("%d:%d", p.Line, p.Col)
-		}
+		want := fmt.Sprintf("%d:%d", p.Line, p.Col)
 		if got := p.String(); got != want {
 			t.Errorf("%#v.String() = %q, want %q", p, got, want)
+		}
+		for _, file := range []string{"", "a.c", "dir/x y.c"} {
+			e := &SyntaxError{File: file, Pos: p, Msg: "unexpected ';'"}
+			want := fmt.Sprintf("%s:%d:%d: %s", file, p.Line, p.Col, e.Msg)
+			if file == "" {
+				want = fmt.Sprintf("%d:%d: %s", p.Line, p.Col, e.Msg)
+			}
+			if got := e.Error(); got != want {
+				t.Errorf("%#v.Error() = %q, want %q", e, got, want)
+			}
 		}
 	}
 }

@@ -82,8 +82,8 @@ func FuzzLexerReference(f *testing.F) {
 			}
 			if err != nil {
 				se, rse := err.(*SyntaxError), refErr.(*SyntaxError)
-				if se.Pos != rse.Pos {
-					t.Fatalf("error at %v, reference at %v", se.Pos, rse.Pos)
+				if se.File != rse.File || se.Pos != rse.Pos {
+					t.Fatalf("error at %s:%v, reference at %s:%v", se.File, se.Pos, rse.File, rse.Pos)
 				}
 				if strings.HasPrefix(rse.Msg, "unexpected character") {
 					// The reference skipped whitespace but consumed nothing else.

@@ -15,12 +15,17 @@ type Lexer struct {
 	col  int
 }
 
-// NewLexer creates a lexer over src; file is used in positions.
+// NewLexer creates a lexer over src; file names it in syntax errors.
 func NewLexer(file, src string) *Lexer {
 	return &Lexer{src: src, file: file, line: 1, col: 1}
 }
 
-func (l *Lexer) pos() Pos { return Pos{File: l.file, Line: l.line, Col: l.col} }
+func (l *Lexer) pos() Pos { return Pos{Line: int32(l.line), Col: int32(l.col)} }
+
+// errAt builds a syntax error at p in the lexer's file.
+func (l *Lexer) errAt(p Pos, msg string) *SyntaxError {
+	return &SyntaxError{File: l.file, Pos: p, Msg: msg}
+}
 
 func (l *Lexer) peek() byte {
 	if l.off >= len(l.src) {
@@ -75,7 +80,7 @@ func (l *Lexer) skip() error {
 				l.advance()
 			}
 			if !closed {
-				return &SyntaxError{Pos: start, Msg: "unterminated comment"}
+				return l.errAt(start, "unterminated comment")
 			}
 		case c == '#' && l.col == l.lineIndentCol():
 			// Preprocessor directive: skip to end of line, honoring
@@ -191,7 +196,7 @@ func (l *Lexer) Next() (Token, error) {
 		l.col += len(text)
 		return Token{Kind: k, Text: text, Pos: p}, nil
 	}
-	return Token{}, &SyntaxError{Pos: p, Msg: fmt.Sprintf("unexpected character %q", l.src[l.off:l.off+1])}
+	return Token{}, l.errAt(p, fmt.Sprintf("unexpected character %q", l.src[l.off:l.off+1]))
 }
 
 // punct returns the kind of the longest operator or punctuator at the
@@ -382,7 +387,7 @@ func (l *Lexer) charLit(p Pos) (Token, error) {
 			break
 		}
 	}
-	return Token{}, &SyntaxError{Pos: p, Msg: "unterminated character literal"}
+	return Token{}, l.errAt(p, "unterminated character literal")
 }
 
 func (l *Lexer) strLit(p Pos) (Token, error) {
@@ -401,7 +406,7 @@ func (l *Lexer) strLit(p Pos) (Token, error) {
 			break
 		}
 	}
-	return Token{}, &SyntaxError{Pos: p, Msg: "unterminated string literal"}
+	return Token{}, l.errAt(p, "unterminated string literal")
 }
 
 // Tokenize lexes the entire input, mainly for tests.

@@ -1,7 +1,8 @@
 package cfront
 
 // The reference lexer: the lexer as it was before scanning became
-// table-driven, kept verbatim (names prefixed "ref", Tokenize left out)
+// table-driven, kept verbatim (names prefixed "ref", Tokenize left out;
+// positions since reduced to line:col, the file moved to SyntaxError)
 // as the oracle of FuzzLexerReference. It builds map literals per
 // operator token, so it must never move out of test code.
 
@@ -20,12 +21,12 @@ type refLexer struct {
 	col  int
 }
 
-// newRefLexer creates a lexer over src; file is used in positions.
+// newRefLexer creates a lexer over src; file names it in syntax errors.
 func newRefLexer(file, src string) *refLexer {
 	return &refLexer{src: src, file: file, line: 1, col: 1}
 }
 
-func (l *refLexer) pos() Pos { return Pos{File: l.file, Line: l.line, Col: l.col} }
+func (l *refLexer) pos() Pos { return Pos{Line: int32(l.line), Col: int32(l.col)} }
 
 func (l *refLexer) peek() byte {
 	if l.off >= len(l.src) {
@@ -80,7 +81,7 @@ func (l *refLexer) skip() error {
 				l.advance()
 			}
 			if !closed {
-				return &SyntaxError{Pos: start, Msg: "unterminated comment"}
+				return &SyntaxError{File: l.file, Pos: start, Msg: "unterminated comment"}
 			}
 		case c == '#' && l.col == l.lineIndentCol():
 			// Preprocessor directive: skip to end of line, honoring
@@ -196,7 +197,7 @@ func (l *refLexer) Next() (Token, error) {
 		l.advance()
 		return Token{Kind: k, Text: string(rune(c)), Pos: p}, nil
 	}
-	return Token{}, &SyntaxError{Pos: p, Msg: "unexpected character " + strings.TrimSpace(string(rune(c)))}
+	return Token{}, &SyntaxError{File: l.file, Pos: p, Msg: "unexpected character " + strings.TrimSpace(string(rune(c)))}
 }
 
 func (l *refLexer) slice(n int) string {
@@ -281,7 +282,7 @@ func (l *refLexer) charLit(p Pos) (Token, error) {
 			break
 		}
 	}
-	return Token{}, &SyntaxError{Pos: p, Msg: "unterminated character literal"}
+	return Token{}, &SyntaxError{File: l.file, Pos: p, Msg: "unterminated character literal"}
 }
 
 func (l *refLexer) strLit(p Pos) (Token, error) {
@@ -300,7 +301,7 @@ func (l *refLexer) strLit(p Pos) (Token, error) {
 			break
 		}
 	}
-	return Token{}, &SyntaxError{Pos: p, Msg: "unterminated string literal"}
+	return Token{}, &SyntaxError{File: l.file, Pos: p, Msg: "unterminated string literal"}
 }
 
 var refKeywords = map[string]TokKind{

@@ -79,14 +79,14 @@ func (p *Parser) next() error {
 
 func (p *Parser) expect(k TokKind) (Token, error) {
 	if p.tok.Kind != k {
-		return Token{}, &SyntaxError{Pos: p.tok.Pos, Msg: fmt.Sprintf("expected %s, found %s %q", k, p.tok.Kind, p.tok.Text)}
+		return Token{}, p.lex.errAt(p.tok.Pos, fmt.Sprintf("expected %s, found %s %q", k, p.tok.Kind, p.tok.Text))
 	}
 	t := p.tok
 	return t, p.next()
 }
 
 func (p *Parser) errf(format string, args ...interface{}) error {
-	return &SyntaxError{Pos: p.tok.Pos, Msg: fmt.Sprintf(format, args...)}
+	return p.lex.errAt(p.tok.Pos, fmt.Sprintf(format, args...))
 }
 
 // peek returns the token after the current one without consuming it. A
@@ -124,11 +124,25 @@ type declSpecs struct {
 	storage StorageClass
 	base    *Type
 	pos     Pos
+	taken   bool // base belongs to a declarator; see take
+}
+
+// take returns the base type for the next declarator in a list: base
+// itself the first time, a deep copy of it for every later declarator
+// (int *a, b;), so no two declarators share a qualifier level. Nothing
+// writes to a declared type while its declaration is parsed, so the copy
+// is taken from a pristine base.
+func (ds *declSpecs) take() *Type {
+	if !ds.taken {
+		ds.taken = true
+		return ds.base
+	}
+	return ds.base.Clone()
 }
 
 // parseDeclSpecs parses storage classes, qualifiers and type specifiers.
-func (p *Parser) parseDeclSpecs() (*declSpecs, error) {
-	ds := &declSpecs{pos: p.tok.Pos}
+func (p *Parser) parseDeclSpecs() (declSpecs, error) {
+	ds := declSpecs{pos: p.tok.Pos}
 	var quals Quals
 	var (
 		sawSigned, sawUnsigned bool
@@ -142,7 +156,7 @@ func (p *Parser) parseDeclSpecs() (*declSpecs, error) {
 		switch p.tok.Kind {
 		case kwTypedef, kwExtern, kwStatic, kwAuto, kwRegister:
 			if ds.storage != SCNone {
-				return nil, p.errf("multiple storage classes")
+				return declSpecs{}, p.errf("multiple storage classes")
 			}
 			switch p.tok.Kind {
 			case kwTypedef:
@@ -157,63 +171,63 @@ func (p *Parser) parseDeclSpecs() (*declSpecs, error) {
 				ds.storage = SCRegister
 			}
 			if err := p.next(); err != nil {
-				return nil, err
+				return declSpecs{}, err
 			}
 		case kwConst:
 			quals.Const = true
 			quals.ConstPos = p.tok.Pos
 			if err := p.next(); err != nil {
-				return nil, err
+				return declSpecs{}, err
 			}
 		case kwVolatile:
 			quals.Volatile = true
 			if err := p.next(); err != nil {
-				return nil, err
+				return declSpecs{}, err
 			}
 		case kwSigned:
 			sawSigned = true
 			if err := p.next(); err != nil {
-				return nil, err
+				return declSpecs{}, err
 			}
 		case kwUnsigned:
 			sawUnsigned = true
 			if err := p.next(); err != nil {
-				return nil, err
+				return declSpecs{}, err
 			}
 		case kwLong:
 			longs++
 			if err := p.next(); err != nil {
-				return nil, err
+				return declSpecs{}, err
 			}
 		case kwShort:
 			shorts++
 			if err := p.next(); err != nil {
-				return nil, err
+				return declSpecs{}, err
 			}
 		case kwVoid, kwChar, kwInt, kwFloat, kwDouble:
 			if baseKw >= 0 || ds.base != nil {
-				return nil, p.errf("multiple type specifiers")
+				return declSpecs{}, p.errf("multiple type specifiers")
 			}
 			baseKw = p.tok.Kind
 			if err := p.next(); err != nil {
-				return nil, err
+				return declSpecs{}, err
 			}
 		case kwStruct, kwUnion:
 			if sawSpecifier() {
-				return nil, p.errf("struct specifier after another type specifier")
+				return declSpecs{}, p.errf("struct specifier after another type specifier")
 			}
 			st, err := p.parseStructSpecifier(p.tok.Kind == kwUnion)
 			if err != nil {
-				return nil, err
+				return declSpecs{}, err
 			}
 			ds.base = &Type{Kind: TStruct, Struct: st}
 		case kwEnum:
 			if sawSpecifier() {
-				return nil, p.errf("enum specifier after another type specifier")
+				return declSpecs{}, p.errf("enum specifier after another type specifier")
 			}
 			et, err := p.parseEnumSpecifier()
 			if err != nil {
-				return nil, err
+				return declSpecs{}, err
 			}
 			ds.base = et
 		case IDENT:
@@ -224,7 +238,7 @@ func (p *Parser) parseDeclSpecs() (*declSpecs, error) {
 				// independent qualifier positions (paper Section 4.2).
 				ds.base = td.Clone()
 				if err := p.next(); err != nil {
-					return nil, err
+					return declSpecs{}, err
 				}
 				continue
 			}
@@ -238,7 +252,7 @@ done:
 		spelling, kind := intSpelling(baseKw, sawSigned, sawUnsigned, longs, shorts)
 		if kind == TypeKind(-1) {
 			if !sawSpecifier() && !quals.Const && !quals.Volatile && ds.storage == SCNone {
-				return nil, p.errf("expected declaration, found %s %q", p.tok.Kind, p.tok.Text)
+				return declSpecs{}, p.errf("expected declaration, found %s %q", p.tok.Kind, p.tok.Text)
 			}
 			// Implicit int (K&R style "const x;" or bare storage class).
 			spelling, kind = "int", TInt
@@ -323,7 +337,7 @@ func (p *Parser) parseStructSpecifier(isUnion bool) (*StructType, error) {
 		return st, nil
 	}
 	if st.Complete {
-		return nil, &SyntaxError{Pos: defPos, Msg: fmt.Sprintf("redefinition of %s", st)}
+		return nil, p.lex.errAt(defPos, fmt.Sprintf("redefinition of %s", st))
 	}
 	if err := p.next(); err != nil { // {
 		return nil, err
@@ -334,7 +348,7 @@ func (p *Parser) parseStructSpecifier(isUnion bool) (*StructType, error) {
 			return nil, err
 		}
 		for {
-			name, typ, namePos, err := p.parseDeclarator(ds.base.Clone(), false)
+			name, typ, namePos, err := p.parseDeclarator(ds.take(), false)
 			if err != nil {
 				return nil, err
 			}
@@ -597,7 +611,7 @@ func (p *Parser) parseParamList() ([]Param, bool, error) {
 		if err != nil {
 			return nil, false, err
 		}
-		name, typ, namePos, err := p.parseDeclarator(ds.base.Clone(), true)
+		name, typ, namePos, err := p.parseDeclarator(ds.base, true)
 		if err != nil {
 			return nil, false, err
 		}
@@ -650,7 +664,7 @@ func (p *Parser) parseExternalDecl() ([]Decl, error) {
 	var decls []Decl
 	first := true
 	for {
-		name, typ, namePos, err := p.parseDeclarator(ds.base.Clone(), false)
+		name, typ, namePos, err := p.parseDeclarator(ds.take(), false)
 		if err != nil {
 			return nil, err
 		}

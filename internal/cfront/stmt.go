@@ -322,7 +322,7 @@ func (p *Parser) parseLocalDecl() (*DeclStmt, error) {
 		return out, nil
 	}
 	for {
-		name, typ, namePos, err := p.parseDeclarator(ds.base.Clone(), false)
+		name, typ, namePos, err := p.parseDeclarator(ds.take(), false)
 		if err != nil {
 			return nil, err
 		}

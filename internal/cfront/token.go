@@ -13,30 +13,28 @@ package cfront
 import (
 	"fmt"
 	"strconv"
-	"strings"
 )
 
-// Pos is a source position.
+// Pos is a position within one translation unit: line and column, both
+// 1-based. It carries no file name and no pointer, so the many AST nodes
+// that hold one cost the collector nothing to scan; every node belongs to
+// exactly one File, whose Name supplies the file where a position leaves
+// the tree (constraint provenance, reports, syntax errors).
 type Pos struct {
-	File string
-	Line int
-	Col  int
+	Line, Col int32
 }
 
-// String renders "file:line:col", or "line:col" when File is empty, in
-// one allocation.
+// String renders "line:col" in one allocation.
 func (p Pos) String() string {
-	var num [20]byte
-	var b strings.Builder
-	b.Grow(len(p.File) + 2*len(num))
-	if p.File != "" {
-		b.WriteString(p.File)
-		b.WriteByte(':')
-	}
-	b.Write(strconv.AppendInt(num[:0], int64(p.Line), 10))
-	b.WriteByte(':')
-	b.Write(strconv.AppendInt(num[:0], int64(p.Col), 10))
-	return b.String()
+	var b [24]byte
+	return string(p.append(b[:0]))
+}
+
+// append appends "line:col" to b.
+func (p Pos) append(b []byte) []byte {
+	b = strconv.AppendInt(b, int64(p.Line), 10)
+	b = append(b, ':')
+	return strconv.AppendInt(b, int64(p.Col), 10)
 }
 
 // IsValid reports whether the position was set.
@@ -202,10 +200,18 @@ type Token struct {
 
 // SyntaxError is a lexing or parsing error with a source position.
 type SyntaxError struct {
-	Pos Pos
-	Msg string
+	// File names the translation unit; empty for an unnamed source.
+	File string
+	Pos  Pos
+	Msg  string
 }
 
+// Error renders "file:line:col: msg", or "line:col: msg" without a file.
 func (e *SyntaxError) Error() string {
-	return fmt.Sprintf("%s: %s", e.Pos, e.Msg)
+	b := make([]byte, 0, len(e.File)+len(e.Msg)+26)
+	if e.File != "" {
+		b = append(append(b, e.File...), ':')
+	}
+	b = append(e.Pos.append(b), ": "...)
+	return string(append(b, e.Msg...))
 }

@@ -74,7 +74,7 @@ type Position struct {
 	// Declared reports whether the source already spelled const here.
 	Declared bool
 	// Pos locates the parameter or result in the source.
-	Pos cfront.Pos
+	Pos constraint.Pos
 
 	ref *RType
 }
@@ -114,6 +114,7 @@ type Report struct {
 type funcInfo struct {
 	name    string
 	decl    *cfront.FuncDecl // the defining decl, or a prototype
+	file    string           // the name of decl's translation unit
 	defined bool
 	sig     *RType // RFunc; created when the function's SCC is processed
 	scheme  *scheme
@@ -131,6 +132,13 @@ type sccInfo struct {
 	sigVars, sigCons [2]int
 	// bodyVars/bodyCons bracket the body fragment.
 	bodyVars, bodyCons [2]int
+}
+
+// globalDecl is a global variable declaration and the name of its
+// translation unit.
+type globalDecl struct {
+	decl *cfront.VarDecl
+	file string
 }
 
 type scheme struct {
@@ -163,7 +171,7 @@ type Analysis struct {
 	constActive bool
 
 	// Staged-pipeline state, filled by Prepare.
-	globalDecls []*cfront.VarDecl
+	globalDecls []globalDecl
 	defined     []*funcInfo
 	sccs        []*sccInfo
 	prepared    bool
@@ -246,15 +254,15 @@ func (a *Analysis) Prepare() {
 			case *cfront.FuncDecl:
 				fi := a.funcs[d.Name]
 				if fi == nil {
-					fi = &funcInfo{name: d.Name, decl: d, scc: -1}
+					fi = &funcInfo{name: d.Name, decl: d, file: f.Name, scc: -1}
 					a.funcs[d.Name] = fi
 				}
 				if d.Body != nil && !fi.defined {
-					fi.decl = d
+					fi.decl, fi.file = d, f.Name
 					fi.defined = true
 				}
 			case *cfront.VarDecl:
-				a.globalDecls = append(a.globalDecls, d)
+				a.globalDecls = append(a.globalDecls, globalDecl{d, f.Name})
 			}
 		}
 		for name := range f.EnumConsts {
@@ -263,12 +271,12 @@ func (a *Analysis) Prepare() {
 	}
 
 	// Globals are monomorphic and pinned.
-	for _, d := range a.globalDecls {
-		if _, dup := a.globals[d.Name]; dup {
+	for _, g := range a.globalDecls {
+		if _, dup := a.globals[g.decl.Name]; dup {
 			continue // tentative definitions / extern redeclarations
 		}
-		a.tr.pinning = true
-		a.globals[d.Name] = a.tr.LValue(d.Type)
+		a.tr.pinning, a.tr.file = true, g.file
+		a.globals[g.decl.Name] = a.tr.LValue(g.decl.Type)
 		a.tr.pinning = false
 	}
 
@@ -319,6 +327,7 @@ func (a *Analysis) ConstrainContext(ctx context.Context, _ int) {
 	for _, scc := range a.sccs {
 		scc.sigVars[0], scc.sigCons[0] = a.sys.NumVars(), a.sys.NumConstraints()
 		for _, fi := range scc.funcs {
+			a.tr.file = fi.file
 			fi.sig = a.tr.RValue(fi.decl.Type)
 			a.positions = a.appendPositions(a.positions, fi)
 		}
@@ -352,11 +361,10 @@ func (a *Analysis) Walking() string { return a.walking }
 // (Section 4.3: "After we reach the root node of the FDG, we analyze any
 // global variable definitions").
 func (a *Analysis) analyzeGlobalInits() {
-	for _, d := range a.globalDecls {
-		if d.Init != nil {
-			env := newEnv(a)
-			lv := a.globals[d.Name]
-			a.initialize(env, lv, d.Init)
+	for _, g := range a.globalDecls {
+		if g.decl.Init != nil {
+			a.tr.file = g.file
+			a.initialize(newEnv(a), a.globals[g.decl.Name], g.decl.Init)
 		}
 	}
 }
@@ -474,9 +482,7 @@ func (a *Analysis) definedFuncs() []*funcInfo {
 // parameter (for const: parameters not declared const are treated as
 // written through).
 func (a *Analysis) makeLibSignature(fi *funcInfo) {
-	a.tr.pinning = true
-	fi.sig = a.tr.RValue(fi.decl.Type)
-	a.tr.pinning = false
+	fi.sig = a.monoSig(fi)
 	for _, b := range a.suite.Bindings() {
 		if ent, ok := b.Entry(fi.name); ok {
 			if fi.sig.Ret != nil {
@@ -490,12 +496,22 @@ func (a *Analysis) makeLibSignature(fi *funcInfo) {
 		for _, p := range fi.sig.Params {
 			for _, pr := range collectPositions(p, 0, nil) {
 				b.A.Hooks.LibRef(a.sys, b, analysis.LibUse{
-					Fn: fi.name, Pos: cpos(fi.decl.Pos),
+					Fn: fi.name, Pos: filePos(fi.file, fi.decl.Pos),
 					DeclaredConst: pr.ref.DeclaredConst,
 				}, pr.ref.Q)
 			}
 		}
 	}
+}
+
+// monoSig translates fi's declared type into a pinned, monomorphic
+// signature whose positions lie in fi's translation unit.
+func (a *Analysis) monoSig(fi *funcInfo) *RType {
+	file := a.tr.file
+	a.tr.pinning, a.tr.file = true, fi.file
+	sig := a.tr.RValue(fi.decl.Type)
+	a.tr.pinning, a.tr.file = false, file
+	return sig
 }
 
 // preludeArg applies per-argument prelude annotations for a direct call
@@ -507,7 +523,7 @@ func (a *Analysis) preludeArg(fn string, i int, rv *RType, pos cfront.Pos) {
 	}
 	for _, b := range a.suite.Bindings() {
 		if ent, ok := b.Entry(fn); ok {
-			b.ApplyParam(a.sys, ent, i, rv.Q, cpos(pos))
+			b.ApplyParam(a.sys, ent, i, rv.Q, a.tr.pos(pos))
 		}
 	}
 }
@@ -520,15 +536,21 @@ func (a *Analysis) buildSCCs(defined []*funcInfo) [][]*funcInfo {
 	for i, fi := range defined {
 		index[fi.name] = i
 	}
+	// Edges keep the order of each callee's first occurrence, which
+	// fixes the SCC order. stamp[j] == i+1 marks j as already an edge
+	// of i, so one slice dedupes callees for every function.
 	adj := make([][]int, len(defined))
-	for i, fi := range defined {
-		seen := map[int]bool{}
-		for _, name := range occurrences(fi.decl.Body) {
-			if j, ok := index[name]; ok && j != i && !seen[j] {
-				adj[i] = append(adj[i], j)
-				seen[j] = true
-			}
+	stamp := make([]int, len(defined))
+	cur := 0
+	edge := nameVisitor(func(name string) {
+		if j, ok := index[name]; ok && j != cur && stamp[j] != cur+1 {
+			stamp[j] = cur + 1
+			adj[cur] = append(adj[cur], j)
 		}
+	})
+	for i, fi := range defined {
+		cur = i
+		edge.stmt(fi.decl.Body)
 	}
 
 	// Tarjan's algorithm, iterative to survive deep call chains.
@@ -598,97 +620,94 @@ func (a *Analysis) buildSCCs(defined []*funcInfo) [][]*funcInfo {
 	return sccs
 }
 
-// occurrences collects identifier names occurring in a body.
-func occurrences(b *cfront.Block) []string {
-	var out []string
-	var walkS func(cfront.Stmt)
-	var walkE func(cfront.Expr)
-	walkE = func(e cfront.Expr) {
-		switch e := e.(type) {
-		case nil:
-		case *cfront.Ident:
-			out = append(out, e.Name)
-		case *cfront.Unary:
-			walkE(e.X)
-		case *cfront.Postfix:
-			walkE(e.X)
-		case *cfront.Binary:
-			walkE(e.L)
-			walkE(e.R)
-		case *cfront.AssignExpr:
-			walkE(e.L)
-			walkE(e.R)
-		case *cfront.Cond:
-			walkE(e.C)
-			walkE(e.T)
-			walkE(e.F)
-		case *cfront.Call:
-			walkE(e.Fn)
-			for _, x := range e.Args {
-				walkE(x)
-			}
-		case *cfront.Index:
-			walkE(e.X)
-			walkE(e.I)
-		case *cfront.Member:
-			walkE(e.X)
-		case *cfront.Cast:
-			walkE(e.X)
-		case *cfront.SizeofExpr:
-			walkE(e.X)
-		case *cfront.Comma:
-			walkE(e.L)
-			walkE(e.R)
-		case *cfront.InitList:
-			for _, x := range e.Items {
-				walkE(x)
-			}
+// nameVisitor is called on every identifier occurring in a body, in
+// source order; its methods walk statements and expressions.
+type nameVisitor func(name string)
+
+func (visit nameVisitor) expr(e cfront.Expr) {
+	switch e := e.(type) {
+	case nil:
+	case *cfront.Ident:
+		visit(e.Name)
+	case *cfront.Unary:
+		visit.expr(e.X)
+	case *cfront.Postfix:
+		visit.expr(e.X)
+	case *cfront.Binary:
+		visit.expr(e.L)
+		visit.expr(e.R)
+	case *cfront.AssignExpr:
+		visit.expr(e.L)
+		visit.expr(e.R)
+	case *cfront.Cond:
+		visit.expr(e.C)
+		visit.expr(e.T)
+		visit.expr(e.F)
+	case *cfront.Call:
+		visit.expr(e.Fn)
+		for _, x := range e.Args {
+			visit.expr(x)
+		}
+	case *cfront.Index:
+		visit.expr(e.X)
+		visit.expr(e.I)
+	case *cfront.Member:
+		visit.expr(e.X)
+	case *cfront.Cast:
+		visit.expr(e.X)
+	case *cfront.SizeofExpr:
+		visit.expr(e.X)
+	case *cfront.Comma:
+		visit.expr(e.L)
+		visit.expr(e.R)
+	case *cfront.InitList:
+		for _, x := range e.Items {
+			visit.expr(x)
 		}
 	}
-	walkS = func(s cfront.Stmt) {
-		switch s := s.(type) {
-		case nil:
-		case *cfront.Block:
-			for _, it := range s.Items {
-				walkS(it)
-			}
-		case *cfront.DeclStmt:
-			for _, d := range s.Decls {
-				if v, ok := d.(*cfront.VarDecl); ok && v.Init != nil {
-					walkE(v.Init)
-				}
-			}
-		case *cfront.ExprStmt:
-			walkE(s.X)
-		case *cfront.IfStmt:
-			walkE(s.Cond)
-			walkS(s.Then)
-			walkS(s.Else)
-		case *cfront.WhileStmt:
-			walkE(s.Cond)
-			walkS(s.Body)
-		case *cfront.DoWhileStmt:
-			walkS(s.Body)
-			walkE(s.Cond)
-		case *cfront.ForStmt:
-			walkS(s.Init)
-			walkE(s.Cond)
-			walkE(s.Post)
-			walkS(s.Body)
-		case *cfront.ReturnStmt:
-			walkE(s.Value)
-		case *cfront.LabelStmt:
-			walkS(s.Stmt)
-		case *cfront.SwitchStmt:
-			walkE(s.Tag)
-			walkS(s.Body)
-		case *cfront.CaseStmt:
-			walkE(s.Value)
-			walkS(s.Stmt)
+}
+
+func (visit nameVisitor) stmt(s cfront.Stmt) {
+	switch s := s.(type) {
+	case nil:
+	case *cfront.Block:
+		for _, it := range s.Items {
+			visit.stmt(it)
 		}
+	case *cfront.DeclStmt:
+		for _, d := range s.Decls {
+			if v, ok := d.(*cfront.VarDecl); ok && v.Init != nil {
+				visit.expr(v.Init)
+			}
+		}
+	case *cfront.ExprStmt:
+		visit.expr(s.X)
+	case *cfront.IfStmt:
+		visit.expr(s.Cond)
+		visit.stmt(s.Then)
+		visit.stmt(s.Else)
+	case *cfront.WhileStmt:
+		visit.expr(s.Cond)
+		visit.stmt(s.Body)
+	case *cfront.DoWhileStmt:
+		visit.stmt(s.Body)
+		visit.expr(s.Cond)
+	case *cfront.ForStmt:
+		visit.stmt(s.Init)
+		visit.expr(s.Cond)
+		visit.expr(s.Post)
+		visit.stmt(s.Body)
+	case *cfront.ReturnStmt:
+		visit.expr(s.Value)
+	case *cfront.LabelStmt:
+		visit.stmt(s.Stmt)
+	case *cfront.SwitchStmt:
+		visit.expr(s.Tag)
+		visit.stmt(s.Body)
+	case *cfront.CaseStmt:
+		visit.expr(s.Value)
+		visit.stmt(s.Stmt)
 	}
-	walkS(b)
-	return out
 }
 
 func collectVars(t *RType, out []constraint.Var, seen map[*RType]bool) []constraint.Var {
@@ -717,13 +736,14 @@ func (a *Analysis) appendPositions(ps []*Position, fi *funcInfo) []*Position {
 	if !a.constActive {
 		return ps
 	}
+	declPos := filePos(fi.file, fi.decl.Pos)
 	for i, p := range fi.sig.Params {
 		name := ""
-		pos := fi.decl.Pos
+		pos := declPos
 		if i < len(fi.decl.Type.Params) {
 			name = fi.decl.Type.Params[i].Name
-			if fi.decl.Type.Params[i].Pos.IsValid() {
-				pos = fi.decl.Type.Params[i].Pos
+			if pp := fi.decl.Type.Params[i].Pos; pp.IsValid() {
+				pos = filePos(fi.file, pp)
 			}
 		}
 		for _, pr := range collectPositions(p, 0, nil) {
@@ -736,7 +756,7 @@ func (a *Analysis) appendPositions(ps []*Position, fi *funcInfo) []*Position {
 	for _, pr := range collectPositions(fi.sig.Ret, 0, nil) {
 		ps = append(ps, &Position{
 			Func: fi.name, Index: -1, Depth: pr.depth,
-			Declared: pr.ref.DeclaredConst, Pos: fi.decl.Pos, ref: pr.ref,
+			Declared: pr.ref.DeclaredConst, Pos: declPos, ref: pr.ref,
 		})
 	}
 	return ps
@@ -749,9 +769,7 @@ func (a *Analysis) useFunc(fi *funcInfo) *RType {
 	if fi.sig == nil {
 		// Referenced before its SCC is processed; only possible through
 		// odd declaration orders — make a monomorphic signature now.
-		a.tr.pinning = true
-		fi.sig = a.tr.RValue(fi.decl.Type)
-		a.tr.pinning = false
+		fi.sig = a.monoSig(fi)
 	}
 	if fi.scheme == nil {
 		return fi.sig

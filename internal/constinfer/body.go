@@ -34,15 +34,6 @@ func (e *env) lookup(name string) (*RType, bool) {
 	return nil, false
 }
 
-func why(pos cfront.Pos, msg string) constraint.Reason {
-	return constraint.Reason{Pos: cpos(pos), Msg: msg}
-}
-
-// cpos converts a C position for constraint provenance.
-func cpos(p cfront.Pos) constraint.Pos {
-	return constraint.Pos{File: p.File, Line: int32(p.Line), Col: int32(p.Col)}
-}
-
 // bodyHook, when set, runs before each body walk. Only tests set it,
 // through SetBodyHookForTest.
 var bodyHook func(name string)
@@ -63,6 +54,7 @@ func (a *Analysis) analyzeBody(fi *funcInfo) {
 	if bodyHook != nil {
 		bodyHook(fi.name)
 	}
+	a.tr.file = fi.file
 	env := newEnv(a)
 	env.fn = fi
 	for i, p := range fi.decl.Type.Params {
@@ -119,11 +111,11 @@ func (a *Analysis) stmt(env *env, s cfront.Stmt) {
 	case *cfront.ReturnStmt:
 		if s.Value != nil && env.fn != nil {
 			rv := a.exprR(env, s.Value)
-			a.tr.subtype(rv, env.fn.sig.Ret, why(s.Pos, "returned value"))
+			a.tr.subtype(rv, env.fn.sig.Ret, a.tr.why(s.Pos, "returned value"))
 			if rv != nil {
 				for _, b := range a.suite.Bindings() {
 					if h := b.A.Hooks.Return; h != nil {
-						h(a.sys, b, rv.Q, why(s.Pos, "returned from "+env.fn.name))
+						h(a.sys, b, rv.Q, a.tr.why(s.Pos, "returned from "+env.fn.name))
 					}
 				}
 			}
@@ -164,7 +156,7 @@ func (a *Analysis) initialize(env *env, lv *RType, init cfront.Expr) {
 		return
 	}
 	rv := a.exprR(env, init)
-	a.tr.subtype(rv, lv.Elem, why(init.ExprPos(), "initializer"))
+	a.tr.subtype(rv, lv.Elem, a.tr.why(init.ExprPos(), "initializer"))
 }
 
 // initList relates braced initializers: array elements flow to the
@@ -184,7 +176,7 @@ func (a *Analysis) initList(env *env, content *RType, il *cfront.InitList) {
 				continue
 			}
 			rv := a.exprR(env, item)
-			a.tr.subtype(rv, content.Elem, why(item.ExprPos(), "array initializer element"))
+			a.tr.subtype(rv, content.Elem, a.tr.why(item.ExprPos(), "array initializer element"))
 		}
 	case RStruct:
 		i := 0
@@ -203,7 +195,7 @@ func (a *Analysis) initList(env *env, content *RType, il *cfront.InitList) {
 				continue
 			}
 			rv := a.exprR(env, item)
-			a.tr.subtype(rv, fieldRef.Elem, why(item.ExprPos(), "struct initializer field"))
+			a.tr.subtype(rv, fieldRef.Elem, a.tr.why(item.ExprPos(), "struct initializer field"))
 		}
 	default:
 		for _, item := range il.Items {
@@ -396,9 +388,9 @@ func (a *Analysis) exprR(env *env, e cfront.Expr) *RType {
 			a.exprR(env, e.L)
 			return rv
 		}
-		a.forbidWrite(lv, why(e.Pos, "assignment target is written"))
+		a.forbidWrite(lv, a.tr.why(e.Pos, "assignment target is written"))
 		if e.Op == cfront.PlainAssign {
-			a.tr.subtype(rv, lv.ref.Elem, why(e.Pos, "assigned value"))
+			a.tr.subtype(rv, lv.ref.Elem, a.tr.why(e.Pos, "assigned value"))
 		}
 		return lv.ref.Elem
 
@@ -408,8 +400,8 @@ func (a *Analysis) exprR(env *env, e cfront.Expr) *RType {
 		f := a.exprR(env, e.F)
 		if t != nil && f != nil && t.Kind == RRef && f.Kind == RRef {
 			res := a.freshen(t, map[*RType]*RType{})
-			a.tr.subtype(t, res, why(e.Pos, "conditional branch"))
-			a.tr.subtype(f, res, why(e.Pos, "conditional branch"))
+			a.tr.subtype(t, res, a.tr.why(e.Pos, "conditional branch"))
+			a.tr.subtype(f, res, a.tr.why(e.Pos, "conditional branch"))
 			return res
 		}
 		if t != nil {
@@ -432,6 +424,7 @@ func (a *Analysis) exprR(env *env, e cfront.Expr) *RType {
 					// arguments are treated as written through).
 					fi := &funcInfo{
 						name: id.Name,
+						file: a.tr.file,
 						decl: &cfront.FuncDecl{
 							Name: id.Name,
 							Type: &cfront.Type{Kind: cfront.TFunc,
@@ -450,12 +443,12 @@ func (a *Analysis) exprR(env *env, e cfront.Expr) *RType {
 						}
 						for _, b := range a.suite.Bindings() {
 							if ent, ok := b.Entry(id.Name); ok {
-								b.ApplyParam(a.sys, ent, i, rv.Q, cpos(arg.ExprPos()))
+								b.ApplyParam(a.sys, ent, i, rv.Q, a.tr.pos(arg.ExprPos()))
 								continue
 							}
 							if b.A.Hooks.LibRef != nil && rv.Kind == RRef {
 								b.A.Hooks.LibRef(a.sys, b, analysis.LibUse{
-									Fn: id.Name, Pos: cpos(arg.ExprPos()), Implicit: true,
+									Fn: id.Name, Pos: a.tr.pos(arg.ExprPos()), Implicit: true,
 								}, rv.Q)
 							}
 						}
@@ -477,7 +470,7 @@ func (a *Analysis) exprR(env *env, e cfront.Expr) *RType {
 		for i, arg := range e.Args {
 			rv := a.exprR(env, arg)
 			if i < len(fn.Params) {
-				a.tr.subtype(rv, fn.Params[i], why(arg.ExprPos(), "function argument"))
+				a.tr.subtype(rv, fn.Params[i], a.tr.why(arg.ExprPos(), "function argument"))
 			}
 			// Extra (variadic or excess) arguments are ignored, as the
 			// paper does for wrong-arity calls.
@@ -528,7 +521,7 @@ func (a *Analysis) mutate(env *env, x cfront.Expr, pos cfront.Pos, what string) 
 	if lv == nil {
 		return a.exprR(env, x)
 	}
-	a.forbidWrite(lv, why(pos, what+" target is written"))
+	a.forbidWrite(lv, a.tr.why(pos, what+" target is written"))
 	return lv.ref.Elem
 }
 

@@ -55,8 +55,6 @@ type RType struct {
 
 	// DeclaredConst marks a ref whose C type carried const in the source.
 	DeclaredConst bool
-	// ConstPos is where that const appeared.
-	ConstPos cfront.Pos
 }
 
 // String renders the type with qualifier variables as κn.
@@ -103,6 +101,9 @@ type translator struct {
 	pinned map[constraint.Var]bool
 	// pinning is enabled while translating struct fields and globals.
 	pinning bool
+	// file names the translation unit whose declarations are being
+	// translated or walked; it places the unit's in-file positions.
+	file string
 }
 
 func newTranslator(sys *constraint.System, suite *analysis.Suite) *translator {
@@ -127,17 +128,30 @@ func (tr *translator) freshQ() constraint.Term {
 // analysis seed it from the source-declared C qualifiers (const seeds
 // its component when the source spelled const here).
 func (tr *translator) newRef(elem *RType, quals cfront.Quals) *RType {
-	r := &RType{Kind: RRef, Q: tr.freshQ(), Elem: elem}
+	r := &RType{Kind: RRef, Q: tr.freshQ(), Elem: elem, DeclaredConst: quals.Const}
+	var constPos constraint.Pos
 	if quals.Const {
-		r.DeclaredConst = true
-		r.ConstPos = quals.ConstPos
+		constPos = tr.pos(quals.ConstPos)
 	}
 	for _, b := range tr.suite.Bindings() {
 		if h := b.A.Hooks.DeclQual; h != nil {
-			h(tr.sys, b, r.Q, quals)
+			h(tr.sys, b, r.Q, quals.Const, constPos)
 		}
 	}
 	return r
+}
+
+// filePos places an in-file position in the named translation unit.
+func filePos(file string, p cfront.Pos) constraint.Pos {
+	return constraint.Pos{File: file, Line: p.Line, Col: p.Col}
+}
+
+// pos places an in-file position of the current translation unit.
+func (tr *translator) pos(p cfront.Pos) constraint.Pos { return filePos(tr.file, p) }
+
+// why records provenance at an in-file position of the current unit.
+func (tr *translator) why(p cfront.Pos, msg string) constraint.Reason {
+	return constraint.Reason{Pos: tr.pos(p), Msg: msg}
 }
 
 // LValue translates a declared C type to the l-value ref type of a
@@ -277,7 +291,7 @@ func (tr *translator) instantiate(t *RType, ren map[constraint.Var]constraint.Va
 	}
 	out := &RType{
 		Kind: t.Kind, Q: renameTerm(t.Q, ren), Variadic: t.Variadic,
-		Spelling: t.Spelling, DeclaredConst: t.DeclaredConst, ConstPos: t.ConstPos,
+		Spelling: t.Spelling, DeclaredConst: t.DeclaredConst,
 		Struct: t.Struct, Fields: t.Fields,
 	}
 	memo[t] = out

@@ -18,7 +18,7 @@ type Suggestion struct {
 	// Func is the function name.
 	Func string
 	// Pos locates its definition.
-	Pos cfront.Pos
+	Pos constraint.Pos
 	// Old is the declaration as written.
 	Old string
 	// New is the declaration with every const-able position declared
@@ -71,7 +71,7 @@ func (a *Analysis) buildSuggestions(rep *Report) []Suggestion {
 		cfront.WriteTypeDecl(&b, name, fi.decl.Type)
 		offs = append(offs, b.Len())
 		cfront.WriteTypeDecl(&b, name, fn)
-		out = append(out, Suggestion{Func: name, Pos: fi.decl.Pos, Added: added})
+		out = append(out, Suggestion{Func: name, Pos: filePos(fi.file, fi.decl.Pos), Added: added})
 	}
 	text := b.String()
 	offs = append(offs, len(text))

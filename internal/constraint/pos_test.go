@@ -12,11 +12,12 @@ import (
 // TestPosString checks that a constraint.Pos renders exactly as the
 // front-end position it was built from did, so provenance formatted on
 // demand matches the strings once stored with every constraint. The C
-// and lambda front ends copy their positions field by field; the Go
-// front end converts through TokenPos.
+// front end adds its unit's file name to an in-file line:col, the lambda
+// front end copies its positions field by field, and the Go front end
+// converts through TokenPos.
 func TestPosString(t *testing.T) {
-	fromC := func(p cfront.Pos) constraint.Pos {
-		return constraint.Pos{File: p.File, Line: int32(p.Line), Col: int32(p.Col)}
+	fromC := func(file string, p cfront.Pos) constraint.Pos {
+		return constraint.Pos{File: file, Line: p.Line, Col: p.Col}
 	}
 	fromLambda := func(p lambda.Pos) constraint.Pos {
 		return constraint.Pos{File: p.File, Line: int32(p.Line), Col: int32(p.Col)}
@@ -26,8 +27,8 @@ func TestPosString(t *testing.T) {
 		pos  constraint.Pos
 		want string
 	}{
-		{"cfront with file", fromC(cfront.Pos{File: "dir/a.c", Line: 12, Col: 5}), cfront.Pos{File: "dir/a.c", Line: 12, Col: 5}.String()},
-		{"cfront without file", fromC(cfront.Pos{Line: 3, Col: 14}), cfront.Pos{Line: 3, Col: 14}.String()},
+		{"cfront with file", fromC("dir/a.c", cfront.Pos{Line: 12, Col: 5}), "dir/a.c:" + cfront.Pos{Line: 12, Col: 5}.String()},
+		{"cfront without file", fromC("", cfront.Pos{Line: 3, Col: 14}), cfront.Pos{Line: 3, Col: 14}.String()},
 		{"lambda with file", fromLambda(lambda.Pos{File: "e.q", Line: 1, Col: 9}), lambda.Pos{File: "e.q", Line: 1, Col: 9}.String()},
 		{"lambda without file", fromLambda(lambda.Pos{Line: 2, Col: 1}), lambda.Pos{Line: 2, Col: 1}.String()},
 		{"go/token", constraint.TokenPos(token.Position{Filename: "m.go", Line: 40, Column: 2}), token.Position{Filename: "m.go", Line: 40, Column: 2}.String()},

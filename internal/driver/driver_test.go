@@ -153,6 +153,83 @@ func TestRunConflictDiagnostics(t *testing.T) {
 	}
 }
 
+// TestRunFileAttribution checks that positions name the file they come
+// from when a program spans files: AST positions are in-file line:col,
+// and the engine adds each unit's name where a position leaves the tree
+// (constraint provenance, report positions, suggestions, warnings and
+// syntax errors).
+func TestRunFileAttribution(t *testing.T) {
+	a := TextSource("a.c", `void set(const char *p);
+int use(const char *s)
+{
+    set(s);
+    return 0;
+}
+`)
+	b := TextSource("b.c", `void set(char *p)
+{
+    *p = 0;
+}
+int peek(char *q, int c)
+{
+    int x;
+    if (c) x = *q;
+    return x;
+}
+`)
+	res, err := Run(Config{Uninit: true}, []Source{a, b})
+	if err != nil {
+		t.Fatal(err)
+	}
+	errs := res.Errors()
+	if len(errs) != 1 || errs[0].Code != "qualifier-conflict" {
+		t.Fatalf("errors = %v, want one qualifier conflict", errs)
+	}
+	var got []string
+	got = append(got, errs[0].Pos)
+	for _, f := range errs[0].Flow {
+		got = append(got, f.Pos)
+	}
+	// The write in b.c's definition of set, reached from the const
+	// declared in a.c and passed at a.c's call.
+	if want := []string{"b.c:3:8", "a.c:2:9", "a.c:4:9"}; strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Errorf("conflict at %v, want %v\n%s", got, want, errs[0])
+	}
+	var warn []string
+	for _, d := range res.Diagnostics {
+		if d.Stage == StageInit {
+			warn = append(warn, d.Pos)
+		}
+	}
+	if strings.Join(warn, " ") != "b.c:9:12" {
+		t.Errorf("uninit warnings at %v, want [b.c:9:12]", warn)
+	}
+	pos := map[string]string{}
+	for _, p := range res.Report.Positions {
+		pos[p.Func+"."+p.Param] = p.Pos.String()
+	}
+	for key, want := range map[string]string{"use.s": "a.c:2:21", "set.p": "b.c:1:16", "peek.q": "b.c:5:16"} {
+		if pos[key] != want {
+			t.Errorf("position %s at %q, want %q", key, pos[key], want)
+		}
+	}
+	for _, s := range res.Report.Suggested {
+		if s.Func == "peek" && s.Pos.String() != "b.c:5:5" {
+			t.Errorf("suggestion for peek at %s, want b.c:5:5", s.Pos)
+		}
+	}
+
+	// A syntax error in the second file names that file.
+	res, err = Run(Config{}, []Source{a, TextSource("c.c", "int f(void)\n{\n    return 1 +;\n}\n")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	errs = res.Errors()
+	if len(errs) != 1 || errs[0].Pos != "c.c" || errs[0].Message != `c.c:3:15: expected expression, found ';' ";"` {
+		t.Errorf("syntax errors = %v, want one at c.c:3:15", errs)
+	}
+}
+
 func TestRunUninitWarnings(t *testing.T) {
 	res, err := Run(Config{Uninit: true}, []Source{TextSource("demo.c", demo)})
 	if err != nil {

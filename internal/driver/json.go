@@ -5,8 +5,6 @@ import (
 	"strconv"
 	"time"
 	"unicode/utf8"
-
-	"repro/internal/cfront"
 )
 
 // The JSON report schema is stable output for tooling: the key names,
@@ -86,7 +84,7 @@ func (r *Result) JSON() ([]byte, error) {
 				w.buf = strconv.AppendBool(w.buf, p.Declared)
 				w.strMember("verdict", p.Verdict.String())
 				w.key("pos")
-				w.pos(p.Pos)
+				w.pos(p.Pos.File, p.Pos.Line, p.Pos.Col)
 				w.close('}')
 			}
 			w.close(']')
@@ -99,7 +97,7 @@ func (r *Result) JSON() ([]byte, error) {
 				w.open('{')
 				w.strMember("func", s.Func)
 				w.key("pos")
-				w.pos(s.Pos)
+				w.pos(s.Pos.File, s.Pos.Line, s.Pos.Col)
 				w.strMember("old", s.Old)
 				w.strMember("new", s.New)
 				w.intMember("added", s.Added)
@@ -191,7 +189,7 @@ func (r *Result) jsonSize() int {
 		for i := range rep.Positions {
 			p := &rep.Positions[i]
 			n += 140 + len(p.Func) + len(p.Param) + len(p.Pos.File) +
-				digits(p.Index) + digits(p.Depth) + digits(p.Pos.Line) + digits(p.Pos.Col)
+				digits(p.Index) + digits(p.Depth) + digits(int(p.Pos.Line)) + digits(int(p.Pos.Col))
 			if p.Param != "" {
 				n += 19
 			}
@@ -199,7 +197,7 @@ func (r *Result) jsonSize() int {
 		for i := range rep.Suggested {
 			s := &rep.Suggested[i]
 			n += 104 + len(s.Func) + len(s.Pos.File) + len(s.Old) + len(s.New) +
-				digits(s.Pos.Line) + digits(s.Pos.Col) + digits(s.Added)
+				digits(int(s.Pos.Line)) + digits(int(s.Pos.Col)) + digits(s.Added)
 		}
 	}
 	for _, d := range r.Diagnostics {
@@ -331,16 +329,18 @@ func (w *jsonWriter) files(r *Result) {
 	}
 }
 
-// pos writes p as the string p.String() renders.
-func (w *jsonWriter) pos(p cfront.Pos) {
+// pos writes a report position as "file:line:col", or "line:col"
+// without a file. Unlike constraint.Pos.String, it keeps a zero line or
+// column (a Go position without a column), as the report always has.
+func (w *jsonWriter) pos(file string, line, col int32) {
 	w.buf = append(w.buf, '"')
-	if p.File != "" {
-		w.buf = appendStringBody(w.buf, p.File)
+	if file != "" {
+		w.buf = appendStringBody(w.buf, file)
 		w.buf = append(w.buf, ':')
 	}
-	w.buf = strconv.AppendInt(w.buf, int64(p.Line), 10)
+	w.buf = strconv.AppendInt(w.buf, int64(line), 10)
 	w.buf = append(w.buf, ':')
-	w.buf = strconv.AppendInt(w.buf, int64(p.Col), 10)
+	w.buf = strconv.AppendInt(w.buf, int64(col), 10)
 	w.buf = append(w.buf, '"')
 }
 

@@ -7,7 +7,10 @@ package driver
 
 import (
 	"encoding/json"
+	"fmt"
 	"time"
+
+	"repro/internal/constraint"
 )
 
 type jsonOutput struct {
@@ -125,12 +128,12 @@ func refJSON(r *Result) ([]byte, error) {
 		for _, p := range rep.Positions {
 			out.Positions = append(out.Positions, jsonPosition{
 				Func: p.Func, Param: p.Param, Index: p.Index, Depth: p.Depth,
-				Declared: p.Declared, Verdict: p.Verdict.String(), Pos: p.Pos.String(),
+				Declared: p.Declared, Verdict: p.Verdict.String(), Pos: refPos(p.Pos),
 			})
 		}
 		for _, s := range rep.Suggested {
 			out.Suggestions = append(out.Suggestions, jsonSuggestion{
-				Func: s.Func, Pos: s.Pos.String(), Old: s.Old, New: s.New, Added: s.Added,
+				Func: s.Func, Pos: refPos(s.Pos), Old: s.Old, New: s.New, Added: s.Added,
 			})
 		}
 	}
@@ -168,4 +171,13 @@ func refJSON(r *Result) ([]byte, error) {
 
 func refMS(d time.Duration) float64 {
 	return d.Seconds() * 1000
+}
+
+// refPos renders a report position in the report's format: the file if
+// any, then line and column, each kept even when zero.
+func refPos(p constraint.Pos) string {
+	if p.File == "" {
+		return fmt.Sprintf("%d:%d", p.Line, p.Col)
+	}
+	return fmt.Sprintf("%s:%d:%d", p.File, p.Line, p.Col)
 }

@@ -123,12 +123,12 @@ func fuzzResult(a, b, c string, n, m int, d int64, shape uint16) *Result {
 		if bit(6) {
 			rep.Positions = []constinfer.PositionResult{
 				{Position: constinfer.Position{Func: a, Param: b, Index: n, Depth: m, Declared: bit(7),
-					Pos: cfront.Pos{File: c, Line: n, Col: m}}, Verdict: constinfer.Verdict(n & 3)},
+					Pos: constraint.Pos{File: c, Line: int32(n), Col: int32(m)}}, Verdict: constinfer.Verdict(n & 3)},
 				{Position: constinfer.Position{Func: c, Index: -1, Depth: n,
-					Pos: cfront.Pos{Line: m, Col: n}}, Verdict: constinfer.Either},
+					Pos: constraint.Pos{Line: int32(m), Col: int32(n)}}, Verdict: constinfer.Either},
 			}
 			rep.Suggested = []constinfer.Suggestion{
-				{Func: a, Pos: cfront.Pos{File: b, Line: m, Col: n}, Old: b, New: c, Added: n},
+				{Func: a, Pos: constraint.Pos{File: b, Line: int32(m), Col: int32(n)}, Old: b, New: c, Added: n},
 			}
 		} else if bit(10) {
 			rep.Positions = []constinfer.PositionResult{}
@@ -169,11 +169,11 @@ func FuzzReportJSON(f *testing.F) {
 		r := c.res
 		if rep := r.Report; rep != nil && len(rep.Positions) > 0 {
 			p := rep.Positions[len(rep.Positions)-1]
-			f.Add(p.Func, p.Param, p.Pos.File, p.Pos.Line, p.Pos.Col, int64(r.Timings.Constrain), uint16(0x0170), refMS(r.Timings.Solve))
+			f.Add(p.Func, p.Param, p.Pos.File, int(p.Pos.Line), int(p.Pos.Col), int64(r.Timings.Constrain), uint16(0x0170), refMS(r.Timings.Solve))
 		}
 		if rep := r.Report; rep != nil && len(rep.Suggested) > 0 {
 			s := rep.Suggested[0]
-			f.Add(s.Func, s.Old, s.New, s.Added, s.Pos.Line, int64(r.Timings.Parse), uint16(0x0061), refMS(r.Timings.Parse))
+			f.Add(s.Func, s.Old, s.New, s.Added, int(s.Pos.Line), int64(r.Timings.Parse), uint16(0x0061), refMS(r.Timings.Parse))
 		}
 		for _, d := range r.Diagnostics {
 			note := ""

@@ -19,7 +19,6 @@ import (
 	"go/types"
 
 	"repro/internal/analysis"
-	"repro/internal/cfront"
 	"repro/internal/constinfer"
 	"repro/internal/constraint"
 	"repro/internal/driver"
@@ -325,17 +324,12 @@ func (e *engine) Classify(conflicts []*constraint.Unsat) *constinfer.Report {
 				Param: p.param,
 				Index: p.index,
 				Depth: p.depth,
-				Pos:   cfrontPos(p.pos),
+				Pos:   constraint.Pos{File: p.pos.Filename, Line: int32(p.pos.Line), Col: int32(p.pos.Column)},
 			},
 			Verdict: v,
 		})
 	}
 	return rep
-}
-
-// cfrontPos converts a token.Position to the report's position type.
-func cfrontPos(p token.Position) cfront.Pos {
-	return cfront.Pos{File: p.Filename, Line: p.Line, Col: p.Column}
 }
 
 // pos renders a node position for constraint provenance.

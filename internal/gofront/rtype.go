@@ -22,7 +22,6 @@ import (
 	"go/types"
 
 	"repro/internal/analysis"
-	"repro/internal/cfront"
 	"repro/internal/constraint"
 	"repro/internal/qual"
 )
@@ -89,12 +88,12 @@ func (tr *translator) freshQ() constraint.Term { return constraint.V(tr.sys.Fres
 
 // newRef wraps contents in a reference with a fresh qualifier. Go has
 // no source-spelled qualifiers, so every analysis's DeclQual hook sees
-// the zero qualifier set (nothing seeds; taint and const both infer).
+// no declared const (nothing seeds; taint and const both infer).
 func (tr *translator) newRef(elem *rtype) *rtype {
 	r := &rtype{kind: rref, q: tr.freshQ(), elem: elem}
 	for _, b := range tr.suite.Bindings() {
 		if h := b.A.Hooks.DeclQual; h != nil {
-			h(tr.sys, b, r.q, cfront.Quals{})
+			h(tr.sys, b, r.q, false, constraint.Pos{})
 		}
 	}
 	return r

@@ -27,7 +27,7 @@ import (
 type Warning struct {
 	Func string
 	Var  string
-	Pos  cfront.Pos
+	Pos  constraint.Pos
 }
 
 func (w Warning) String() string {
@@ -40,7 +40,7 @@ func CheckFile(f *cfront.File) []Warning {
 	var out []Warning
 	for _, d := range f.Decls {
 		if fd, ok := d.(*cfront.FuncDecl); ok && fd.Body != nil {
-			out = append(out, checkFunc(fd)...)
+			out = append(out, checkFunc(f.Name, fd)...)
 		}
 	}
 	sort.Slice(out, func(i, j int) bool {
@@ -64,6 +64,7 @@ func CheckSource(name, src string) ([]Warning, error) {
 type checker struct {
 	set      *qual.Set
 	sys      *constraint.System
+	file     string // the translation unit's name, for positions
 	fn       string
 	uninit   qual.Elem
 	notUnin  qual.Elem
@@ -73,11 +74,12 @@ type checker struct {
 	uses []Warning
 }
 
-func checkFunc(fd *cfront.FuncDecl) []Warning {
+func checkFunc(file string, fd *cfront.FuncDecl) []Warning {
 	set := qual.MustSet(qual.Qualifier{Name: "uninit", Sign: qual.Positive})
 	c := &checker{
 		set:     set,
 		sys:     constraint.NewSystem(set),
+		file:    file,
 		fn:      fd.Name,
 		uninit:  set.MustOnly("uninit"),
 		notUnin: set.MustNot("uninit"),
@@ -190,7 +192,7 @@ func checkFunc(fd *cfront.FuncDecl) []Warning {
 		// provenance position.
 		pos := u.Con.Why.Pos
 		for _, use := range c.uses {
-			if cpos(use.Pos) == pos {
+			if use.Pos == pos {
 				c.warnings = append(c.warnings, use)
 				break
 			}
@@ -238,7 +240,7 @@ func (c *checker) stmt(flow *infer.Flow, s cfront.Stmt, addrTaken map[string]boo
 				initial = c.set.Bottom()
 			}
 			c.tracked[v.Name] = true
-			flow.Declare(v.Name, initial, why(v.Pos, "declaration of "+v.Name))
+			flow.Declare(v.Name, initial, c.why(v.Pos, "declaration of "+v.Name))
 		}
 	case *cfront.ExprStmt:
 		c.expr(flow, s.X)
@@ -249,14 +251,14 @@ func (c *checker) stmt(flow *infer.Flow, s cfront.Stmt, addrTaken map[string]boo
 		c.stmt(thenBr, s.Then, addrTaken)
 		elseBr := flow.Fork()
 		c.stmt(elseBr, s.Else, addrTaken)
-		thenBr.Join(elseBr, why(s.Pos, "if join"))
+		thenBr.Join(elseBr, c.why(s.Pos, "if join"))
 		*flow = *thenBr
 	case *cfront.WhileStmt:
 		c.expr(flow, s.Cond)
 		entry := flow.Fork()
 		body := flow.Fork()
 		c.stmt(body, s.Body, addrTaken)
-		body.Widen(entry, why(s.Pos, "loop back-edge"))
+		body.Widen(entry, c.why(s.Pos, "loop back-edge"))
 		// Zero-iteration path: continue from entry (Widen already merged
 		// body effects into entry's points).
 		*flow = *entry
@@ -265,7 +267,7 @@ func (c *checker) stmt(flow *infer.Flow, s cfront.Stmt, addrTaken map[string]boo
 		entry := flow.Fork()
 		c.stmt(flow, s.Body, addrTaken)
 		c.expr(flow, s.Cond)
-		flow.Widen(entry, why(s.Pos, "do-while back-edge"))
+		flow.Widen(entry, c.why(s.Pos, "do-while back-edge"))
 		// Unlike while, effects of one guaranteed iteration are kept weak
 		// through the widen; this is conservative.
 	case *cfront.ForStmt:
@@ -279,7 +281,7 @@ func (c *checker) stmt(flow *infer.Flow, s cfront.Stmt, addrTaken map[string]boo
 		if s.Post != nil {
 			c.expr(body, s.Post)
 		}
-		body.Widen(entry, why(s.Pos, "loop back-edge"))
+		body.Widen(entry, c.why(s.Pos, "loop back-edge"))
 		*flow = *entry
 	case *cfront.ReturnStmt:
 		if s.Value != nil {
@@ -295,7 +297,7 @@ func (c *checker) stmt(flow *infer.Flow, s cfront.Stmt, addrTaken map[string]boo
 		// this simple model could prove anyway).
 		body := flow.Fork()
 		c.stmt(body, s.Body, addrTaken)
-		body.Join(flow, why(s.Pos, "switch join"))
+		body.Join(flow, c.why(s.Pos, "switch join"))
 		*flow = *body
 	case *cfront.CaseStmt:
 		if s.Value != nil {
@@ -358,7 +360,7 @@ func (c *checker) expr(flow *infer.Flow, e cfront.Expr) {
 		c.expr(t, e.T)
 		f := flow.Fork()
 		c.expr(f, e.F)
-		t.Join(f, why(e.Pos, "?: join"))
+		t.Join(f, c.why(e.Pos, "?: join"))
 		*flow = *t
 	case *cfront.Call:
 		c.expr(flow, e.Fn)
@@ -383,21 +385,21 @@ func (c *checker) expr(flow *infer.Flow, e cfront.Expr) {
 }
 
 func (c *checker) use(flow *infer.Flow, name string, pos cfront.Pos) {
-	w := Warning{Func: c.fn, Var: name, Pos: pos}
+	w := Warning{Func: c.fn, Var: name, Pos: c.cpos(pos)}
 	c.uses = append(c.uses, w)
-	_ = flow.Assert(name, c.notUnin, why(pos, "use of "+name))
+	_ = flow.Assert(name, c.notUnin, c.why(pos, "use of "+name))
 }
 
 func (c *checker) assign(flow *infer.Flow, name string, pos cfront.Pos) {
 	fresh := constraint.V(c.sys.Fresh())
-	_ = flow.StrongUpdate(name, fresh, why(pos, "assignment to "+name))
+	_ = flow.StrongUpdate(name, fresh, c.why(pos, "assignment to "+name))
 }
 
-func why(pos cfront.Pos, msg string) constraint.Reason {
-	return constraint.Reason{Pos: cpos(pos), Msg: msg}
+func (c *checker) why(pos cfront.Pos, msg string) constraint.Reason {
+	return constraint.Reason{Pos: c.cpos(pos), Msg: msg}
 }
 
-// cpos converts a C position for constraint provenance.
-func cpos(p cfront.Pos) constraint.Pos {
-	return constraint.Pos{File: p.File, Line: int32(p.Line), Col: int32(p.Col)}
+// cpos places a position of the checked file.
+func (c *checker) cpos(p cfront.Pos) constraint.Pos {
+	return constraint.Pos{File: c.file, Line: p.Line, Col: p.Col}
 }
