@@ -15,7 +15,8 @@
 //   - BenchmarkGoFrontSelf           — the Go front end analyzing one of
 //     this repository's own packages (the self-analysis workload);
 //   - BenchmarkCSynthOp              — one op of bench/'s c-synth-100k
-//     workload in process, the target for CPU and memory profiles.
+//     workload in process, the target for CPU and memory profiles;
+//   - BenchmarkCSynthOpPoly          — the same op with -poly.
 //
 // Run with: go test -bench=. -benchmem
 package repro
@@ -170,8 +171,17 @@ func BenchmarkGoFrontSelf(b *testing.B) {
 // default (monomorphic const) configuration by driver.RunContext and
 // rendered by Result.JSON, as bench/'s batch child does. Profile it with
 //
-//	go test -run '^$' -bench CSynthOp -benchmem -memprofile mem.out -cpuprofile cpu.out
-func BenchmarkCSynthOp(b *testing.B) {
+//	go test -run '^$' -bench 'CSynthOp$' -benchmem -memprofile mem.out -cpuprofile cpu.out
+func BenchmarkCSynthOp(b *testing.B) { benchCSynthOp(b, driver.Config{}) }
+
+// BenchmarkCSynthOpPoly is BenchmarkCSynthOp with qualifier polymorphism
+// (-poly): the same corpus, with every SCC generalized into schemes and
+// every call instantiating one.
+func BenchmarkCSynthOpPoly(b *testing.B) {
+	benchCSynthOp(b, driver.Config{Options: constinfer.Options{Poly: true}})
+}
+
+func benchCSynthOp(b *testing.B, cfg driver.Config) {
 	path := filepath.Join(b.TempDir(), "synth.c")
 	src := benchgen.Generate(benchgen.ParallelCorpus(100000, 11))
 	if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
@@ -180,7 +190,7 @@ func BenchmarkCSynthOp(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := driver.RunContext(context.Background(), driver.Config{}, driver.FileSources(path))
+		res, err := driver.RunContext(context.Background(), cfg, driver.FileSources(path))
 		if err != nil {
 			b.Fatal(err)
 		}

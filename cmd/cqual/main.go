@@ -49,7 +49,9 @@
 // ids). -baseline FILE suppresses the findings recorded in a committed
 // baseline — itself just an earlier `-lint -json` output — so CI can
 // gate on *new* findings only (the repository's own gate runs the Go
-// front end over ./internal/... against lint-baseline.json).
+// front end over ./internal/... against lint-baseline.json). Baseline
+// entries that no longer fire are printed as stale and counted in the
+// summary; they do not change the exit status.
 package main
 
 import (
@@ -298,6 +300,7 @@ func main() {
 func runLint(res *driver.Result, baselinePath string, jsonOut bool) int {
 	findings := driver.Findings(res)
 	shown := findings
+	var stale []driver.Finding
 	if baselinePath != "" {
 		base, err := driver.LoadBaseline(baselinePath)
 		if err != nil {
@@ -305,6 +308,7 @@ func runLint(res *driver.Result, baselinePath string, jsonOut bool) int {
 			return 2
 		}
 		shown = base.New(findings)
+		stale = base.Stale(findings)
 	}
 	if jsonOut {
 		if err := driver.WriteLintJSON(os.Stdout, findings); err != nil {
@@ -316,8 +320,11 @@ func runLint(res *driver.Result, baselinePath string, jsonOut bool) int {
 			fmt.Println(f.String())
 		}
 		if baselinePath != "" {
-			fmt.Fprintf(os.Stderr, "cqual: %d new finding(s), %d suppressed by baseline %s\n",
-				len(shown), len(findings)-len(shown), baselinePath)
+			for _, f := range stale {
+				fmt.Fprintf(os.Stderr, "cqual: stale baseline entry: %s\n", f)
+			}
+			fmt.Fprintf(os.Stderr, "cqual: %d new finding(s), %d suppressed by baseline %s, %d stale\n",
+				len(shown), len(findings)-len(shown), baselinePath, len(stale))
 		}
 	}
 	switch {

@@ -784,7 +784,8 @@ func TestCqualGoFdstate(t *testing.T) {
 // "file:line:col: analysis: message", emits stable rule ids in JSON,
 // and the baseline turns the exit status incremental — the dogfood
 // gate's negative test: a synthetic new conflict fails the run even
-// under the old baseline.
+// under the old baseline, and an entry that no longer fires is reported
+// stale.
 func TestCqualLint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden CLI tests in -short mode")
@@ -834,6 +835,9 @@ int run(void) {
 	if !strings.Contains(string(out), "0 new finding(s), 1 suppressed") {
 		t.Errorf("baseline summary missing:\n%s", out)
 	}
+	if !strings.Contains(string(out), ", 0 stale\n") {
+		t.Errorf("baseline summary missing the stale count:\n%s", out)
+	}
 
 	// The negative test: a synthetic new conflict must fail the gate.
 	if err := os.WriteFile(src, []byte(`extern char *getenv(char *name);
@@ -856,6 +860,25 @@ int shout(void) {
 	}
 	if !strings.Contains(string(out), `"printf" must be untainted`) || strings.Contains(string(out), `"system" must be untainted`) {
 		t.Errorf("gate must report exactly the new finding (printf), suppressing the baselined one (system):\n%s", out)
+	}
+
+	// Fixing the baselined conflict leaves its entry stale: the run
+	// passes, names the entry and counts it.
+	if err := os.WriteFile(src, []byte(`extern char *getenv(char *name);
+int run(void) {
+    char *cmd = getenv("CMD");
+    return cmd != 0;
+}
+`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out, err = exec.Command(bin, append(append([]string{"-lint", "-baseline", baseline}, args...), src)...).CombinedOutput()
+	if err != nil {
+		t.Fatalf("stale baseline: want exit 0, got %v\n%s", err, out)
+	}
+	if !strings.Contains(string(out), "stale baseline entry: ") || !strings.Contains(string(out), `"system" must be untainted`) ||
+		!strings.Contains(string(out), "0 new finding(s), 0 suppressed by baseline "+baseline+", 1 stale\n") {
+		t.Errorf("stale entry not reported:\n%s", out)
 	}
 }
 
@@ -898,5 +921,10 @@ func TestCqualDogfood(t *testing.T) {
 	}
 	if !strings.Contains(string(out), "0 new finding(s)") {
 		t.Errorf("gate summary missing:\n%s", out)
+	}
+	// A stale entry would keep suppressing any later finding with its
+	// rule, file and message: prune it (see the refresh command above).
+	if !strings.Contains(string(out), ", 0 stale\n") {
+		t.Errorf("lint-baseline.json has entries that no longer fire:\n%s", out)
 	}
 }

@@ -176,6 +176,10 @@ type Analysis struct {
 	sccs        []*sccInfo
 	prepared    bool
 
+	// env is the lexical environment of the body or global initializer
+	// being walked.
+	env env
+
 	// walking names the function whose body analyzeBody is walking. It
 	// is cleared when the walk returns, so after a panic it names the
 	// body the panic escaped from.
@@ -338,7 +342,10 @@ func (a *Analysis) ConstrainContext(ctx context.Context, _ int) {
 	for _, scc := range a.sccs {
 		scc.bodyVars[0], scc.bodyCons[0] = a.sys.NumVars(), a.sys.NumConstraints()
 		for _, fi := range scc.funcs {
-			sp := tr.Start("constinfer", "constrain.func", obs.String("func", fi.name))
+			var sp *obs.Span
+			if tr != nil { // the attributes would escape even for a nil tracer
+				sp = tr.Start("constinfer", "constrain.func", obs.String("func", fi.name))
+			}
 			a.analyzeBody(fi)
 			sp.End()
 		}
@@ -364,7 +371,8 @@ func (a *Analysis) analyzeGlobalInits() {
 	for _, g := range a.globalDecls {
 		if g.decl.Init != nil {
 			a.tr.file = g.file
-			a.initialize(newEnv(a), a.globals[g.decl.Name], g.decl.Init)
+			a.env.reset(nil)
+			a.initialize(&a.env, a.globals[g.decl.Name], g.decl.Init)
 		}
 	}
 }
@@ -485,20 +493,20 @@ func (a *Analysis) makeLibSignature(fi *funcInfo) {
 	fi.sig = a.monoSig(fi)
 	for _, b := range a.suite.Bindings() {
 		if ent, ok := b.Entry(fi.name); ok {
-			if fi.sig.Ret != nil {
-				b.ApplyResult(a.sys, ent, fi.sig.Ret.Q)
+			if ret := fi.sig.Ret(); ret != nil {
+				b.ApplyResult(a.sys, ent, ret.Q)
 			}
 			continue
 		}
 		if b.A.Hooks.LibRef == nil {
 			continue
 		}
-		for _, p := range fi.sig.Params {
-			for _, pr := range collectPositions(p, 0, nil) {
+		for _, p := range fi.sig.Params() {
+			for r := p; isRef(r); r = r.Elem {
 				b.A.Hooks.LibRef(a.sys, b, analysis.LibUse{
 					Fn: fi.name, Pos: filePos(fi.file, fi.decl.Pos),
-					DeclaredConst: pr.ref.DeclaredConst,
-				}, pr.ref.Q)
+					DeclaredConst: r.DeclaredConst,
+				}, r.Q)
 			}
 		}
 	}
@@ -719,8 +727,8 @@ func collectVars(t *RType, out []constraint.Var, seen map[*RType]bool) []constra
 		out = append(out, t.Q.Var())
 	}
 	out = collectVars(t.Elem, out, seen)
-	out = collectVars(t.Ret, out, seen)
-	for _, p := range t.Params {
+	out = collectVars(t.Ret(), out, seen)
+	for _, p := range t.Params() {
 		out = collectVars(p, out, seen)
 	}
 	// Struct fields are pinned/shared and excluded from interfaces by
@@ -737,7 +745,7 @@ func (a *Analysis) appendPositions(ps []*Position, fi *funcInfo) []*Position {
 		return ps
 	}
 	declPos := filePos(fi.file, fi.decl.Pos)
-	for i, p := range fi.sig.Params {
+	for i, p := range fi.sig.Params() {
 		name := ""
 		pos := declPos
 		if i < len(fi.decl.Type.Params) {
@@ -746,17 +754,17 @@ func (a *Analysis) appendPositions(ps []*Position, fi *funcInfo) []*Position {
 				pos = filePos(fi.file, pp)
 			}
 		}
-		for _, pr := range collectPositions(p, 0, nil) {
+		for depth, r := 0, p; isRef(r); depth, r = depth+1, r.Elem {
 			ps = append(ps, &Position{
-				Func: fi.name, Param: name, Index: i, Depth: pr.depth,
-				Declared: pr.ref.DeclaredConst, Pos: pos, ref: pr.ref,
+				Func: fi.name, Param: name, Index: i, Depth: depth,
+				Declared: r.DeclaredConst, Pos: pos, ref: r,
 			})
 		}
 	}
-	for _, pr := range collectPositions(fi.sig.Ret, 0, nil) {
+	for depth, r := 0, fi.sig.Ret(); isRef(r); depth, r = depth+1, r.Elem {
 		ps = append(ps, &Position{
-			Func: fi.name, Index: -1, Depth: pr.depth,
-			Declared: pr.ref.DeclaredConst, Pos: declPos, ref: pr.ref,
+			Func: fi.name, Index: -1, Depth: depth,
+			Declared: r.DeclaredConst, Pos: declPos, ref: r,
 		})
 	}
 	return ps

@@ -6,29 +6,46 @@ import (
 	"repro/internal/constraint"
 )
 
-// env is the lexical environment during body analysis: scoped l-value
-// types for parameters and locals.
+// binding is one name in scope and its l-value type.
+type binding struct {
+	name string
+	lv   *RType
+}
+
+// env is the lexical environment during body analysis: the l-value
+// types of the parameters and locals in scope, in declaration order.
+// marks[i] is where the i-th open block's bindings start. A lookup
+// searches from the back, so an inner declaration shadows an outer one
+// and a redeclaration in the same block shadows the earlier one.
+// Analysis keeps one env and resets it for every body and global
+// initializer, so its slices are reused.
 type env struct {
-	a      *Analysis
-	scopes []map[string]*RType
-	fn     *funcInfo // for return statements
+	binds []binding
+	marks []int
+	fn    *funcInfo // for return statements; nil for global initializers
 }
 
-func newEnv(a *Analysis) *env {
-	return &env{a: a, scopes: []map[string]*RType{{}}}
+// reset empties the environment for a walk of fn's body (nil for a
+// global initializer).
+func (e *env) reset(fn *funcInfo) {
+	e.binds, e.marks, e.fn = e.binds[:0], e.marks[:0], fn
 }
 
-func (e *env) push() { e.scopes = append(e.scopes, map[string]*RType{}) }
-func (e *env) pop()  { e.scopes = e.scopes[:len(e.scopes)-1] }
+func (e *env) push() { e.marks = append(e.marks, len(e.binds)) }
+
+func (e *env) pop() {
+	e.binds = e.binds[:e.marks[len(e.marks)-1]]
+	e.marks = e.marks[:len(e.marks)-1]
+}
 
 func (e *env) bind(name string, lv *RType) {
-	e.scopes[len(e.scopes)-1][name] = lv
+	e.binds = append(e.binds, binding{name, lv})
 }
 
 func (e *env) lookup(name string) (*RType, bool) {
-	for i := len(e.scopes) - 1; i >= 0; i-- {
-		if lv, ok := e.scopes[i][name]; ok {
-			return lv, true
+	for i := len(e.binds) - 1; i >= 0; i-- {
+		if e.binds[i].name == name {
+			return e.binds[i].lv, true
 		}
 	}
 	return nil, false
@@ -55,13 +72,13 @@ func (a *Analysis) analyzeBody(fi *funcInfo) {
 		bodyHook(fi.name)
 	}
 	a.tr.file = fi.file
-	env := newEnv(a)
-	env.fn = fi
+	env := &a.env
+	env.reset(fi)
 	for i, p := range fi.decl.Type.Params {
 		if p.Name == "" {
 			continue
 		}
-		content := fi.sig.Params[i]
+		content := fi.sig.fn.params[i]
 		cell := a.tr.newRef(content, p.Type.Quals)
 		env.bind(p.Name, cell)
 	}
@@ -111,7 +128,7 @@ func (a *Analysis) stmt(env *env, s cfront.Stmt) {
 	case *cfront.ReturnStmt:
 		if s.Value != nil && env.fn != nil {
 			rv := a.exprR(env, s.Value)
-			a.tr.subtype(rv, env.fn.sig.Ret, a.tr.why(s.Pos, "returned value"))
+			a.tr.subtype(rv, env.fn.sig.Ret(), a.tr.why(s.Pos, "returned value"))
 			if rv != nil {
 				for _, b := range a.suite.Bindings() {
 					if h := b.A.Hooks.Return; h != nil {
@@ -180,7 +197,7 @@ func (a *Analysis) initList(env *env, content *RType, il *cfront.InitList) {
 		}
 	case RStruct:
 		i := 0
-		for _, f := range content.Struct.Fields {
+		for _, f := range content.shared.st.Fields {
 			if i >= len(il.Items) {
 				break
 			}
@@ -204,9 +221,9 @@ func (a *Analysis) initList(env *env, content *RType, il *cfront.InitList) {
 	}
 }
 
-// freshLeaf makes an unconstrained scalar.
-func (a *Analysis) freshLeaf(spelling string) *RType {
-	return &RType{Kind: RLeaf, Q: constraint.V(a.sys.Fresh()), Spelling: spelling}
+// freshLeaf makes an unconstrained scalar with the given leaf record.
+func (a *Analysis) freshLeaf(leaf *sharedPart) *RType {
+	return &RType{Kind: RLeaf, Q: constraint.V(a.sys.Fresh()), shared: leaf}
 }
 
 // lval is a tracked l-value: the reference written through, plus guard
@@ -218,46 +235,45 @@ type lval struct {
 	guards []constraint.Term
 }
 
-// exprL computes the l-value of an expression, or nil when the
+// exprL computes the l-value of an expression; ok is false when the
 // expression has no l-value this analysis tracks.
-func (a *Analysis) exprL(env *env, e cfront.Expr) *lval {
+func (a *Analysis) exprL(env *env, e cfront.Expr) (lv lval, ok bool) {
 	switch e := e.(type) {
 	case *cfront.Ident:
-		if lv, ok := env.lookup(e.Name); ok {
-			return &lval{ref: lv}
+		if ref, ok := env.lookup(e.Name); ok {
+			return lval{ref: ref}, true
 		}
-		if lv, ok := a.globals[e.Name]; ok {
-			return &lval{ref: lv}
+		if ref, ok := a.globals[e.Name]; ok {
+			return lval{ref: ref}, true
 		}
 		if a.enums[e.Name] {
-			return nil
+			return lval{}, false
 		}
 		if _, ok := a.funcs[e.Name]; ok {
-			return nil
+			return lval{}, false
 		}
 		// Unknown name: create an implicit pinned global so repeated
 		// uses alias.
 		a.tr.pinning = true
-		lv := a.tr.newRef(a.freshLeaf("int"), cfront.Quals{})
+		ref := a.tr.newRef(a.freshLeaf(intLeaf), cfront.Quals{})
 		a.tr.pinning = false
-		a.globals[e.Name] = lv
-		return &lval{ref: lv}
+		a.globals[e.Name] = ref
+		return lval{ref: ref}, true
 	case *cfront.Unary:
 		if e.Op == cfront.UDeref {
 			rv := a.exprR(env, e.X)
 			if rv != nil && rv.Kind == RRef {
-				return &lval{ref: rv}
+				return lval{ref: rv}, true
 			}
-			return nil
 		}
-		return nil
+		return lval{}, false
 	case *cfront.Index:
 		base := a.exprR(env, e.X)
 		a.exprR(env, e.I)
 		if base != nil && base.Kind == RRef {
-			return &lval{ref: base}
+			return lval{ref: base}, true
 		}
-		return nil
+		return lval{}, false
 	case *cfront.Member:
 		var sv *RType
 		var guards []constraint.Term
@@ -267,30 +283,27 @@ func (a *Analysis) exprL(env *env, e cfront.Expr) *lval {
 				sv = rv.Elem
 				guards = append(guards, rv.Q)
 			}
-		} else {
-			inner := a.exprL(env, e.X)
-			if inner != nil && inner.ref.Kind == RRef {
-				sv = inner.ref.Elem
-				guards = append(guards, inner.guards...)
-				guards = append(guards, inner.ref.Q)
-			}
+		} else if inner, ok := a.exprL(env, e.X); ok && inner.ref.Kind == RRef {
+			sv = inner.ref.Elem
+			guards = append(guards, inner.guards...)
+			guards = append(guards, inner.ref.Q)
 		}
 		if sv == nil || sv.Kind != RStruct {
-			return nil
+			return lval{}, false
 		}
 		if f, ok := a.tr.Field(sv, e.Name); ok {
-			return &lval{ref: f, guards: guards}
+			return lval{ref: f, guards: guards}, true
 		}
-		return nil
+		return lval{}, false
 	default:
-		return nil
+		return lval{}, false
 	}
 }
 
 // forbidWrite runs every analysis's write rule (the paper's Assign') on
 // an l-value: for const it bounds the reference and guard qualifiers
 // away from const.
-func (a *Analysis) forbidWrite(lv *lval, r constraint.Reason) {
+func (a *Analysis) forbidWrite(lv lval, r constraint.Reason) {
 	for _, b := range a.suite.Bindings() {
 		if h := b.A.Hooks.Write; h != nil {
 			h(a.sys, b, lv.ref.Q, lv.guards, r)
@@ -318,26 +331,25 @@ func (a *Analysis) exprR(env *env, e cfront.Expr) *RType {
 			return a.useFunc(fi)
 		}
 		if a.enums[e.Name] {
-			return a.freshLeaf("int")
+			return a.freshLeaf(intLeaf)
 		}
-		lv := a.exprL(env, e) // creates the implicit global
-		if lv != nil {
+		if lv, ok := a.exprL(env, e); ok { // creates the implicit global
 			return lv.ref.Elem
 		}
-		return a.freshLeaf("int")
+		return a.freshLeaf(intLeaf)
 
 	case *cfront.IntLit, *cfront.CharLit, *cfront.FloatLit, *cfront.SizeofType:
-		return a.freshLeaf("int")
+		return a.freshLeaf(intLeaf)
 
 	case *cfront.SizeofExpr:
 		// The operand is not evaluated; its type effects are irrelevant.
-		return a.freshLeaf("int")
+		return a.freshLeaf(intLeaf)
 
 	case *cfront.StrLit:
 		// Each string literal is a fresh unconstrained character buffer:
 		// it may be viewed const or not per use site.
 		return &RType{Kind: RRef, Q: constraint.V(a.sys.Fresh()),
-			Elem: a.freshLeaf("char")}
+			Elem: a.freshLeaf(charLeaf)}
 
 	case *cfront.Unary:
 		switch e.Op {
@@ -350,19 +362,19 @@ func (a *Analysis) exprR(env *env, e cfront.Expr) *RType {
 				// *fp where fp is a function pointer: still the function.
 				return rv
 			}
-			return a.freshLeaf("int")
+			return a.freshLeaf(intLeaf)
 		case cfront.UAddr:
-			if lv := a.exprL(env, e.X); lv != nil {
+			if lv, ok := a.exprL(env, e.X); ok {
 				return lv.ref
 			}
 			a.exprR(env, e.X)
 			return &RType{Kind: RRef, Q: constraint.V(a.sys.Fresh()),
-				Elem: a.freshLeaf("int")}
+				Elem: a.freshLeaf(intLeaf)}
 		case cfront.UPreInc, cfront.UPreDec:
 			return a.mutate(env, e.X, e.Pos, "increment/decrement")
 		default:
 			a.exprR(env, e.X)
-			return a.freshLeaf("int")
+			return a.freshLeaf(intLeaf)
 		}
 
 	case *cfront.Postfix:
@@ -378,12 +390,12 @@ func (a *Analysis) exprR(env *env, e cfront.Expr) *RType {
 		if r != nil && r.Kind == RRef && e.Op == cfront.BAdd {
 			return r
 		}
-		return a.freshLeaf("int")
+		return a.freshLeaf(intLeaf)
 
 	case *cfront.AssignExpr:
-		lv := a.exprL(env, e.L)
+		lv, ok := a.exprL(env, e.L)
 		rv := a.exprR(env, e.R)
-		if lv == nil {
+		if !ok {
 			// Untracked l-value (e.g. cast target): effects severed.
 			a.exprR(env, e.L)
 			return rv
@@ -453,7 +465,7 @@ func (a *Analysis) exprR(env *env, e cfront.Expr) *RType {
 							}
 						}
 					}
-					return fn.Ret
+					return fn.Ret()
 				}
 			}
 		}
@@ -465,12 +477,12 @@ func (a *Analysis) exprR(env *env, e cfront.Expr) *RType {
 			for _, arg := range e.Args {
 				a.exprR(env, arg)
 			}
-			return a.freshLeaf("int")
+			return a.freshLeaf(intLeaf)
 		}
 		for i, arg := range e.Args {
 			rv := a.exprR(env, arg)
-			if i < len(fn.Params) {
-				a.tr.subtype(rv, fn.Params[i], a.tr.why(arg.ExprPos(), "function argument"))
+			if i < len(fn.fn.params) {
+				a.tr.subtype(rv, fn.fn.params[i], a.tr.why(arg.ExprPos(), "function argument"))
 			}
 			// Extra (variadic or excess) arguments are ignored, as the
 			// paper does for wrong-arity calls.
@@ -480,19 +492,19 @@ func (a *Analysis) exprR(env *env, e cfront.Expr) *RType {
 				a.preludeArg(callee.name, i, rv, arg.ExprPos())
 			}
 		}
-		return fn.Ret
+		return fn.fn.ret
 
 	case *cfront.Index:
-		if lv := a.exprL(env, e); lv != nil {
+		if lv, ok := a.exprL(env, e); ok {
 			return lv.ref.Elem
 		}
-		return a.freshLeaf("int")
+		return a.freshLeaf(intLeaf)
 
 	case *cfront.Member:
-		if lv := a.exprL(env, e); lv != nil {
+		if lv, ok := a.exprL(env, e); ok {
 			return lv.ref.Elem
 		}
-		return a.freshLeaf("int")
+		return a.freshLeaf(intLeaf)
 
 	case *cfront.Cast:
 		// Explicit casts lose any association between the value being
@@ -508,17 +520,17 @@ func (a *Analysis) exprR(env *env, e cfront.Expr) *RType {
 		for _, item := range e.Items {
 			a.exprR(env, item)
 		}
-		return a.freshLeaf("int")
+		return a.freshLeaf(intLeaf)
 
 	default:
-		return a.freshLeaf("int")
+		return a.freshLeaf(intLeaf)
 	}
 }
 
 // mutate handles ++/--: the target cell is written through.
 func (a *Analysis) mutate(env *env, x cfront.Expr, pos cfront.Pos, what string) *RType {
-	lv := a.exprL(env, x)
-	if lv == nil {
+	lv, ok := a.exprL(env, x)
+	if !ok {
 		return a.exprR(env, x)
 	}
 	a.forbidWrite(lv, a.tr.why(pos, what+" target is written"))
@@ -538,13 +550,18 @@ func (a *Analysis) freshen(t *RType, memo map[*RType]*RType) *RType {
 	if got, ok := memo[t]; ok {
 		return got
 	}
-	out := &RType{Kind: t.Kind, Q: constraint.V(a.sys.Fresh()),
-		Variadic: t.Variadic, Spelling: t.Spelling, Struct: t.Struct, Fields: t.Fields}
+	q := constraint.V(a.sys.Fresh())
+	if t.Kind == RFunc {
+		out := newFunc(q, t.Variadic, len(t.fn.params))
+		memo[t] = out
+		out.fn.ret = a.freshen(t.fn.ret, memo)
+		for i, p := range t.fn.params {
+			out.fn.params[i] = a.freshen(p, memo)
+		}
+		return out
+	}
+	out := &RType{Kind: t.Kind, Q: q, shared: t.shared}
 	memo[t] = out
 	out.Elem = a.freshen(t.Elem, memo)
-	out.Ret = a.freshen(t.Ret, memo)
-	for _, p := range t.Params {
-		out.Params = append(out.Params, a.freshen(p, memo))
-	}
 	return out
 }

@@ -310,7 +310,7 @@ func TestStructFieldSharing(t *testing.T) {
 	if st == nil {
 		t.Fatal("struct not translated")
 	}
-	fieldRef := a.tr.structVals[st].Fields["p"]
+	fieldRef := a.tr.structVals[st].shared.fields["p"]
 	inner := fieldRef.Elem // the char* value stored in the field
 	if inner.Kind != RRef {
 		t.Fatalf("field content kind %v", inner.Kind)
@@ -861,6 +861,53 @@ func TestPolyConflictKeepsProvenance(t *testing.T) {
 		}
 		if got := describe(r.rep.Conflicts[0]); !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: conflict (sink, flow...) = %v\nwant %v", r.name, got, want)
+		}
+	}
+}
+
+// TestEnvScopes pins the lexical scoping of body analysis: an inner
+// declaration shadows a parameter only inside its block, a same-scope
+// redeclaration replaces the earlier binding, and no parameter binding
+// survives its body into the next body or into a global initializer
+// (every unknown name there is an implicit global). Callees are walked
+// before callers, so leaker is walked before reader, and last, which
+// calls every other function, is the final body before the global
+// initializers.
+func TestEnvScopes(t *testing.T) {
+	const src = `
+		char *gp = kept;
+		void shadow(char *p) {
+			{ char *p = 0; *p = 'x'; }
+		}
+		void after(char *p) {
+			{ char *p = 0; p = 0; }
+			*p = 'x';
+		}
+		void redecl(char *p, char *q) {
+			char *r = p;
+			char *r = q;
+			*r = 'x';
+		}
+		void leaker(char *held) { }
+		void reader(char *q) { leaker(q); *held = 'x'; *gp = 'x'; }
+		void last(char *kept) { shadow(0); after(0); redecl(0, 0); reader(0); }`
+	for _, opts := range []Options{{}, {Poly: true}} {
+		rep := analyze(t, src, opts)
+		mustClean(t, rep)
+		for _, c := range []struct {
+			fn, param string
+			want      Verdict
+		}{
+			{"shadow", "p", Either},       // the write goes through the inner p
+			{"after", "p", MustNotConst},  // the block has closed
+			{"redecl", "p", Either},       // r was redeclared ...
+			{"redecl", "q", MustNotConst}, // ... to alias q
+			{"leaker", "held", Either},    // reader's held is not leaker's
+			{"last", "kept", Either},      // gp's kept is not last's
+		} {
+			if got := find(t, rep, c.fn, c.param, 0).Verdict; got != c.want {
+				t.Errorf("poly=%v: %s.%s = %v, want %v", opts.Poly, c.fn, c.param, got, c.want)
+			}
 		}
 	}
 }

@@ -46,7 +46,7 @@ func TestASTLayout(t *testing.T) {
 		{cfront.Ident{}, 24},
 		{cfront.Binary{}, 48},
 		{cfront.Type{}, 144},
-		{RType{}, 112},
+		{RType{}, 48},
 	} {
 		typ := reflect.TypeOf(c.v)
 		if size := typ.Size(); size > c.max {

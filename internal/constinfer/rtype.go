@@ -22,7 +22,7 @@ import (
 )
 
 // RKind enumerates the analysis type constructors.
-type RKind int
+type RKind uint8
 
 // Analysis type kinds.
 const (
@@ -34,27 +34,85 @@ const (
 
 // RType is a qualified ref type. Q is the top-level qualifier term; for
 // RRef nodes it is the qualifier the const inference classifies.
+//
+// Constraint generation makes one RType per l-value, literal and
+// intermediate value, so the record holds only what every kind needs
+// (48 bytes, one allocation size class). A function's result and
+// parameters sit behind fn, allocated with the RType itself; a leaf's
+// spelling and a struct value's definition and fields sit behind
+// shared, one record per spelling or per struct.
 type RType struct {
-	Kind RKind
-	Q    constraint.Term
+	Q constraint.Term
 
 	// Elem is the referent of an RRef.
 	Elem *RType
 
-	// Func parts; Params hold the r-value types of parameters.
-	Ret      *RType
-	Params   []*RType
+	fn     *funcParts  // RFunc only
+	shared *sharedPart // RLeaf and RStruct only
+
+	Kind RKind
+
+	// Variadic marks an RFunc whose parameter list ends in "...".
 	Variadic bool
-
-	// Struct identity and shared field l-values.
-	Struct *cfront.StructType
-	Fields map[string]*RType // field name → RRef, shared per Struct
-
-	// Spelling preserves the C scalar spelling for display.
-	Spelling string
 
 	// DeclaredConst marks a ref whose C type carried const in the source.
 	DeclaredConst bool
+}
+
+// funcParts holds the result and the parameter r-value types of an
+// RFunc.
+type funcParts struct {
+	ret    *RType
+	params []*RType
+}
+
+// sharedPart is the part of a leaf or struct value that many RTypes
+// share: a leaf's C spelling, kept for display, or a struct value's
+// definition and its field references. Leaf records are never written
+// after they are made, so the package-level ones serve concurrent
+// analyses; struct records belong to one translator.
+type sharedPart struct {
+	spelling string
+	st       *cfront.StructType
+	fields   map[string]*RType // field name → RRef, shared per struct
+}
+
+// Leaf records for the spellings constraint generation gives the values
+// it makes up (literals, comparisons, untracked expressions).
+var (
+	intLeaf  = &sharedPart{spelling: "int"}
+	charLeaf = &sharedPart{spelling: "char"}
+)
+
+// newFunc returns an RFunc with room for n parameters; its funcParts
+// share the RType's allocation.
+func newFunc(q constraint.Term, variadic bool, n int) *RType {
+	f := &struct {
+		t  RType
+		fn funcParts
+	}{t: RType{Kind: RFunc, Q: q, Variadic: variadic}}
+	if n > 0 {
+		f.fn.params = make([]*RType, n)
+	}
+	f.t.fn = &f.fn
+	return &f.t
+}
+
+// Ret returns the result type of an RFunc, nil for other kinds.
+func (t *RType) Ret() *RType {
+	if t.fn == nil {
+		return nil
+	}
+	return t.fn.ret
+}
+
+// Params returns the parameter r-value types of an RFunc, nil for
+// other kinds.
+func (t *RType) Params() []*RType {
+	if t.fn == nil {
+		return nil
+	}
+	return t.fn.params
 }
 
 // String renders the type with qualifier variables as κn.
@@ -64,15 +122,15 @@ func (t *RType) String() string {
 	}
 	switch t.Kind {
 	case RLeaf:
-		if t.Spelling != "" {
-			return t.Spelling
+		if t.shared != nil && t.shared.spelling != "" {
+			return t.shared.spelling
 		}
 		return "scalar"
 	case RRef:
 		return fmt.Sprintf("%v ref(%s)", t.Q, t.Elem)
 	case RFunc:
 		s := "fn("
-		for i, p := range t.Params {
+		for i, p := range t.Params() {
 			if i > 0 {
 				s += ", "
 			}
@@ -81,9 +139,9 @@ func (t *RType) String() string {
 		if t.Variadic {
 			s += ", ..."
 		}
-		return s + ") " + t.Ret.String()
+		return s + ") " + t.Ret().String()
 	case RStruct:
-		return t.Struct.String()
+		return t.shared.st.String()
 	default:
 		return fmt.Sprintf("RKind(%d)", int(t.Kind))
 	}
@@ -96,6 +154,9 @@ type translator struct {
 	set        *qual.Set
 	suite      *analysis.Suite
 	structVals map[*cfront.StructType]*RType
+	// leaves holds one leaf record per spelling the translated C types
+	// use.
+	leaves map[string]*sharedPart
 	// pinned qualifier variables must never be quantified: struct fields
 	// and globals are monomorphic (paper Section 4.2/4.3).
 	pinned map[constraint.Var]bool
@@ -112,6 +173,7 @@ func newTranslator(sys *constraint.System, suite *analysis.Suite) *translator {
 		set:        sys.Set(),
 		suite:      suite,
 		structVals: make(map[*cfront.StructType]*RType),
+		leaves:     make(map[string]*sharedPart),
 		pinned:     make(map[constraint.Var]bool),
 	}
 }
@@ -179,17 +241,33 @@ func (tr *translator) RValue(ct *cfront.Type) *RType {
 		inner := tr.RValue(ct.Elem)
 		return tr.newRef(inner, ct.Elem.Quals)
 	case cfront.TFunc:
-		f := &RType{Kind: RFunc, Q: tr.freshQ(), Variadic: ct.Variadic}
-		f.Ret = tr.RValue(ct.Ret)
-		for _, p := range ct.Params {
-			f.Params = append(f.Params, tr.RValue(p.Type))
+		f := newFunc(tr.freshQ(), ct.Variadic, len(ct.Params))
+		f.fn.ret = tr.RValue(ct.Ret)
+		for i, p := range ct.Params {
+			f.fn.params[i] = tr.RValue(p.Type)
 		}
 		return f
 	case cfront.TStruct:
 		return tr.structVal(ct.Struct)
 	default:
-		return &RType{Kind: RLeaf, Q: tr.freshQ(), Spelling: ct.Spelling}
+		return &RType{Kind: RLeaf, Q: tr.freshQ(), shared: tr.leaf(ct.Spelling)}
 	}
+}
+
+// leaf returns the leaf record of a C scalar spelling.
+func (tr *translator) leaf(spelling string) *sharedPart {
+	switch spelling {
+	case "int":
+		return intLeaf
+	case "char":
+		return charLeaf
+	}
+	l, ok := tr.leaves[spelling]
+	if !ok {
+		l = &sharedPart{spelling: spelling}
+		tr.leaves[spelling] = l
+	}
+	return l
 }
 
 // structVal returns the shared struct-value type for a definition,
@@ -202,10 +280,11 @@ func (tr *translator) structVal(st *cfront.StructType) *RType {
 	}
 	savedPinning := tr.pinning
 	tr.pinning = true
-	v := &RType{Kind: RStruct, Q: tr.freshQ(), Struct: st, Fields: make(map[string]*RType)}
+	sp := &sharedPart{st: st, fields: make(map[string]*RType, len(st.Fields))}
+	v := &RType{Kind: RStruct, Q: tr.freshQ(), shared: sp}
 	tr.structVals[st] = v // register before fields: self-referencing structs
 	for _, f := range st.Fields {
-		v.Fields[f.Name] = tr.fieldLValue(f)
+		sp.fields[f.Name] = tr.fieldLValue(f)
 	}
 	tr.pinning = savedPinning
 	return v
@@ -220,19 +299,20 @@ func (tr *translator) fieldLValue(f cfront.Field) *RType {
 // late-completed fields on demand (the struct may have been incomplete at
 // first use).
 func (tr *translator) Field(sv *RType, name string) (*RType, bool) {
-	if f, ok := sv.Fields[name]; ok {
+	sp := sv.shared
+	if f, ok := sp.fields[name]; ok {
 		return f, true
 	}
 	// The definition may have been completed after sv was created.
-	for _, f := range sv.Struct.Fields {
-		if _, ok := sv.Fields[f.Name]; !ok {
+	for _, f := range sp.st.Fields {
+		if _, ok := sp.fields[f.Name]; !ok {
 			savedPinning := tr.pinning
 			tr.pinning = true
-			sv.Fields[f.Name] = tr.fieldLValue(f)
+			sp.fields[f.Name] = tr.fieldLValue(f)
 			tr.pinning = savedPinning
 		}
 	}
-	f, ok := sv.Fields[name]
+	f, ok := sp.fields[name]
 	return f, ok
 }
 
@@ -252,13 +332,13 @@ func (tr *translator) subtype(a, b *RType, why constraint.Reason) {
 		tr.sys.Add(a.Q, b.Q, why)
 	case a.Kind == RFunc && b.Kind == RFunc:
 		tr.sys.Add(a.Q, b.Q, why)
-		tr.subtype(a.Ret, b.Ret, why)
-		for i := range a.Params {
-			if i < len(b.Params) {
-				tr.subtype(b.Params[i], a.Params[i], why) // contravariant
+		tr.subtype(a.fn.ret, b.fn.ret, why)
+		for i, ap := range a.fn.params {
+			if i < len(b.fn.params) {
+				tr.subtype(b.fn.params[i], ap, why) // contravariant
 			}
 		}
-	case a.Kind == RStruct && b.Kind == RStruct && a.Struct == b.Struct:
+	case a.Kind == RStruct && b.Kind == RStruct && a.shared == b.shared:
 		// Shared fields: only the (value-level) qualifier relates.
 		tr.sys.Add(a.Q, b.Q, why)
 	default:
@@ -289,20 +369,19 @@ func (tr *translator) instantiate(t *RType, ren map[constraint.Var]constraint.Va
 	if got, ok := memo[t]; ok {
 		return got
 	}
-	out := &RType{
-		Kind: t.Kind, Q: renameTerm(t.Q, ren), Variadic: t.Variadic,
-		Spelling: t.Spelling, DeclaredConst: t.DeclaredConst,
-		Struct: t.Struct, Fields: t.Fields,
+	q := renameTerm(t.Q, ren)
+	if t.Kind == RFunc {
+		out := newFunc(q, t.Variadic, len(t.fn.params))
+		memo[t] = out
+		out.fn.ret = tr.instantiate(t.fn.ret, ren, memo)
+		for i, p := range t.fn.params {
+			out.fn.params[i] = tr.instantiate(p, ren, memo)
+		}
+		return out
 	}
+	out := &RType{Kind: t.Kind, Q: q, DeclaredConst: t.DeclaredConst, shared: t.shared}
 	memo[t] = out
 	out.Elem = tr.instantiate(t.Elem, ren, memo)
-	out.Ret = tr.instantiate(t.Ret, ren, memo)
-	if t.Params != nil {
-		out.Params = make([]*RType, len(t.Params))
-		for i, p := range t.Params {
-			out.Params[i] = tr.instantiate(p, ren, memo)
-		}
-	}
 	return out
 }
 
@@ -315,24 +394,11 @@ func renameTerm(t constraint.Term, ren map[constraint.Var]constraint.Var) constr
 	return t
 }
 
-// collectPositions walks the pointer spine of an r-value type and
-// appends every reference level — the paper's "interesting" const
+// isRef reports whether t is a reference level. The reference levels
+// along the pointer spine of a parameter or result type, from the top
+// down to the first non-reference, are the paper's "interesting" const
 // positions: recall consts can only be placed on pointers, so the
 // positions of int foo(int x, int *y) are exactly the contents of y.
 // Struct interiors and function types are not positions of this
 // parameter (struct fields are shared declarations, counted separately).
-func collectPositions(t *RType, depth int, out []*posRef) []*posRef {
-	if t == nil {
-		return out
-	}
-	if t.Kind == RRef {
-		out = append(out, &posRef{ref: t, depth: depth})
-		return collectPositions(t.Elem, depth+1, out)
-	}
-	return out
-}
-
-type posRef struct {
-	ref   *RType
-	depth int
-}
+func isRef(t *RType) bool { return t != nil && t.Kind == RRef }

@@ -164,7 +164,7 @@ func TestSessionDeltaFourAnalyses(t *testing.T) {
 // diagnostics flatten to vet-shaped findings with stable rule ids, the
 // JSON round-trips as a baseline, and the baseline keys on rule + file
 // + message — positions move without reopening findings, new messages
-// fail.
+// fail, and entries that no longer fire are stale.
 func TestFindingsAndBaseline(t *testing.T) {
 	res, err := Run(expansionConfig(1), []Source{TextSource("demo.c", expansionDemo)})
 	if err != nil {
@@ -218,5 +218,11 @@ func TestFindingsAndBaseline(t *testing.T) {
 	renamed.Message = "a brand new conflict"
 	if fresh := base.New([]Finding{renamed}); len(fresh) != 1 {
 		t.Error("a new message must count as a new finding")
+	}
+	if stale := base.Stale(findings); len(stale) != 0 {
+		t.Errorf("entries of a baseline that all fire reported stale: %+v", stale)
+	}
+	if stale := base.Stale(append([]Finding{moved, renamed}, findings[2:]...)); len(stale) != 1 || stale[0].Message != findings[1].Message {
+		t.Errorf("stale = %+v, want only the entry that no longer fires, %+v", stale, findings[1])
 	}
 }

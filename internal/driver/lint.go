@@ -100,7 +100,8 @@ func WriteLintJSON(w io.Writer, findings []Finding) error {
 // ignore line and column: adding a line above a known finding must not
 // re-open it, so a finding is identified by rule + file + message.
 type Baseline struct {
-	keys map[string]bool
+	keys    map[string]bool
+	entries []Finding // the first finding of each key, in file order
 }
 
 // LoadBaseline reads a baseline file (the schema of `-lint -json`).
@@ -115,7 +116,10 @@ func LoadBaseline(path string) (*Baseline, error) {
 	}
 	b := &Baseline{keys: make(map[string]bool, len(doc.Findings))}
 	for _, f := range doc.Findings {
-		b.keys[baselineKey(f)] = true
+		if k := baselineKey(f); !b.keys[k] {
+			b.keys[k] = true
+			b.entries = append(b.entries, f)
+		}
 	}
 	return b, nil
 }
@@ -129,6 +133,23 @@ func (b *Baseline) New(findings []Finding) []Finding {
 	for _, f := range findings {
 		if !b.keys[baselineKey(f)] {
 			out = append(out, f)
+		}
+	}
+	return out
+}
+
+// Stale returns the baseline entries that none of findings matches:
+// accepted findings that no longer fire. A stale entry would go on
+// suppressing any later finding with the same rule, file and message.
+func (b *Baseline) Stale(findings []Finding) []Finding {
+	fired := make(map[string]bool, len(findings))
+	for _, f := range findings {
+		fired[baselineKey(f)] = true
+	}
+	var out []Finding
+	for _, e := range b.entries {
+		if !fired[baselineKey(e)] {
+			out = append(out, e)
 		}
 	}
 	return out
