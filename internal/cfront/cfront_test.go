@@ -342,22 +342,16 @@ func TestParseUnionAndEnum(t *testing.T) {
 }
 
 func TestEnumConstantsEvaluated(t *testing.T) {
-	p := &Parser{
-		lex:      NewLexer("t.c", "enum e { A, B = 10, C, D = B + 5 }; int arr[D];"),
-		typedefs: map[string]*Type{},
-		tags:     map[string]*StructType{},
-		enums:    map[string]int64{},
-	}
+	p := newParser("t.c", "enum e { A, B = 10, C, D = B + 5 }; int arr[D];")
 	if err := p.next(); err != nil {
 		t.Fatal(err)
 	}
 	var decls []Decl
 	for p.tok.Kind != EOF {
-		ds, err := p.parseExternalDecl()
-		if err != nil {
+		var err error
+		if decls, err = p.parseExternalDecl(decls); err != nil {
 			t.Fatal(err)
 		}
-		decls = append(decls, ds...)
 	}
 	wantConsts := map[string]int64{"A": 0, "B": 10, "C": 11, "D": 15}
 	for name, want := range wantConsts {

@@ -22,10 +22,35 @@ func (p *Parser) parseExpr() (Expr, error) {
 	return e, nil
 }
 
-var assignOps = map[TokKind]BinaryOp{
-	ASSIGN: PlainAssign,
-	MULEQ:  BMul, DIVEQ: BDiv, MODEQ: BMod, ADDEQ: BAdd, SUBEQ: BSub,
-	SHLEQ: BShl, SHREQ: BShr, ANDEQ: BAnd, XOREQ: BXor, OREQ: BOr,
+// infixOp describes a token kind as an operator between two operands:
+// a binary operator's precedence, from 1 for || to 10 for * / % (0 for
+// every other kind), or an assignment; and the node's operator.
+type infixOp struct {
+	prec   int8
+	assign bool
+	op     BinaryOp
+}
+
+// infixOps is the one precedence table of the expression grammar,
+// indexed by token kind.
+var infixOps = [len(tokText)]infixOp{
+	OROR:   {prec: 1, op: BLOr},
+	ANDAND: {prec: 2, op: BLAnd},
+	PIPE:   {prec: 3, op: BOr},
+	CARET:  {prec: 4, op: BXor},
+	AMP:    {prec: 5, op: BAnd},
+	EQ:     {prec: 6, op: BEq}, NE: {prec: 6, op: BNe},
+	LT: {prec: 7, op: BLt}, GT: {prec: 7, op: BGt}, LE: {prec: 7, op: BLe}, GE: {prec: 7, op: BGe},
+	SHL: {prec: 8, op: BShl}, SHR: {prec: 8, op: BShr},
+	PLUS: {prec: 9, op: BAdd}, MINUS: {prec: 9, op: BSub},
+	STAR: {prec: 10, op: BMul}, SLASH: {prec: 10, op: BDiv}, PERCENT: {prec: 10, op: BMod},
+
+	ASSIGN: {assign: true, op: PlainAssign},
+	MULEQ:  {assign: true, op: BMul}, DIVEQ: {assign: true, op: BDiv},
+	MODEQ: {assign: true, op: BMod}, ADDEQ: {assign: true, op: BAdd},
+	SUBEQ: {assign: true, op: BSub}, SHLEQ: {assign: true, op: BShl},
+	SHREQ: {assign: true, op: BShr}, ANDEQ: {assign: true, op: BAnd},
+	XOREQ: {assign: true, op: BXor}, OREQ: {assign: true, op: BOr},
 }
 
 func (p *Parser) parseAssignment() (Expr, error) {
@@ -33,7 +58,7 @@ func (p *Parser) parseAssignment() (Expr, error) {
 	if err != nil {
 		return nil, err
 	}
-	if op, ok := assignOps[p.tok.Kind]; ok {
+	if o := infixOps[p.tok.Kind]; o.assign {
 		pos := p.tok.Pos
 		if err := p.next(); err != nil {
 			return nil, err
@@ -46,13 +71,15 @@ func (p *Parser) parseAssignment() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &AssignExpr{Op: op, L: l, R: r, Pos: pos}, nil
+		a := p.assigns.alloc(&p.lex, assignBytes)
+		*a = AssignExpr{Op: o.op, L: l, R: r, Pos: pos}
+		return a, nil
 	}
 	return l, nil
 }
 
 func (p *Parser) parseConditional() (Expr, error) {
-	c, err := p.parseBinary(0)
+	c, err := p.parseBinary()
 	if err != nil {
 		return nil, err
 	}
@@ -81,51 +108,42 @@ func (p *Parser) parseConditional() (Expr, error) {
 	return &Cond{C: c, T: t, F: f, Pos: pos}, nil
 }
 
-// binLevels lists binary operators from lowest to highest precedence.
-var binLevels = [][]struct {
-	tok TokKind
-	op  BinaryOp
-}{
-	{{OROR, BLOr}},
-	{{ANDAND, BLAnd}},
-	{{PIPE, BOr}},
-	{{CARET, BXor}},
-	{{AMP, BAnd}},
-	{{EQ, BEq}, {NE, BNe}},
-	{{LT, BLt}, {GT, BGt}, {LE, BLe}, {GE, BGe}},
-	{{SHL, BShl}, {SHR, BShr}},
-	{{PLUS, BAdd}, {MINUS, BSub}},
-	{{STAR, BMul}, {SLASH, BDiv}, {PERCENT, BMod}},
-}
-
-func (p *Parser) parseBinary(level int) (Expr, error) {
-	if level >= len(binLevels) {
-		return p.parseCastExpr()
-	}
-	e, err := p.parseBinary(level + 1)
+// parseBinary parses a binary expression by precedence climbing over
+// infixOps.
+func (p *Parser) parseBinary() (Expr, error) {
+	x, err := p.parseCastExpr()
 	if err != nil {
 		return nil, err
 	}
+	return p.climb(x, 1)
+}
+
+// climb extends the operand x with every binary operator of precedence
+// lowest or above. Operators of equal precedence group to the left; climb
+// recurses only for an operator that binds tighter than the one before
+// it, so an operand costs one call, not one per precedence level.
+func (p *Parser) climb(x Expr, lowest int8) (Expr, error) {
 	for {
-		matched := false
-		for _, cand := range binLevels[level] {
-			if p.tok.Kind == cand.tok {
-				pos := p.tok.Pos
-				if err := p.next(); err != nil {
-					return nil, err
-				}
-				r, err := p.parseBinary(level + 1)
-				if err != nil {
-					return nil, err
-				}
-				e = &Binary{Op: cand.op, L: e, R: r, Pos: pos}
-				matched = true
-				break
+		o := infixOps[p.tok.Kind]
+		if o.prec < lowest {
+			return x, nil
+		}
+		pos := p.tok.Pos
+		if err := p.next(); err != nil {
+			return nil, err
+		}
+		y, err := p.parseCastExpr()
+		if err != nil {
+			return nil, err
+		}
+		if infixOps[p.tok.Kind].prec > o.prec {
+			if y, err = p.climb(y, o.prec+1); err != nil {
+				return nil, err
 			}
 		}
-		if !matched {
-			return e, nil
-		}
+		b := p.binaries.alloc(&p.lex, binaryBytes)
+		*b = Binary{Op: o.op, L: x, R: y, Pos: pos}
+		x = b
 	}
 }
 
@@ -191,6 +209,12 @@ func (p *Parser) parseTypeName() (*Type, error) {
 	return typ, nil
 }
 
+// prefixOps maps the tokens of the unary operators that take a cast
+// expression to their operators.
+var prefixOps = [len(tokText)]UnaryOp{
+	AMP: UAddr, STAR: UDeref, PLUS: UPlus, MINUS: UNeg, TILDE: UBNot, NOT: UNot,
+}
+
 // parseUnary counts one nesting level, which also bounds parentheses,
 // subscripts and call arguments: every nested expression reaches its
 // primary through here.
@@ -215,11 +239,7 @@ func (p *Parser) parseUnary() (Expr, error) {
 		}
 		return &Unary{Op: op, X: x, Pos: pos}, nil
 	case AMP, STAR, PLUS, MINUS, TILDE, NOT:
-		ops := map[TokKind]UnaryOp{
-			AMP: UAddr, STAR: UDeref, PLUS: UPlus, MINUS: UNeg,
-			TILDE: UBNot, NOT: UNot,
-		}
-		op := ops[p.tok.Kind]
+		op := prefixOps[p.tok.Kind]
 		if err := p.next(); err != nil {
 			return nil, err
 		}
@@ -227,7 +247,9 @@ func (p *Parser) parseUnary() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &Unary{Op: op, X: x, Pos: pos}, nil
+		u := p.unaries.alloc(&p.lex, unaryBytes)
+		*u = Unary{Op: op, X: x, Pos: pos}
+		return u, nil
 	case kwSizeof:
 		if err := p.next(); err != nil {
 			return nil, err
@@ -279,13 +301,13 @@ func (p *Parser) parsePostfix() (Expr, error) {
 			if err := p.next(); err != nil {
 				return nil, err
 			}
-			var args []Expr
+			base := len(p.args)
 			for p.tok.Kind != RPAREN {
 				a, err := p.parseAssignment()
 				if err != nil {
 					return nil, err
 				}
-				args = append(args, a)
+				p.args = append(p.args, a)
 				if p.tok.Kind != COMMA {
 					break
 				}
@@ -296,7 +318,9 @@ func (p *Parser) parsePostfix() (Expr, error) {
 			if _, err := p.expect(RPAREN); err != nil {
 				return nil, err
 			}
-			e = &Call{Fn: e, Args: args, Pos: pos}
+			c := p.calls.alloc(&p.lex, callBytes)
+			*c = Call{Fn: e, Args: popStack(&p.args, base), Pos: pos}
+			e = c
 		case DOT, ARROW:
 			arrow := p.tok.Kind == ARROW
 			if err := p.next(); err != nil {
@@ -326,17 +350,13 @@ func (p *Parser) parsePrimary() (Expr, error) {
 	pos := p.tok.Pos
 	switch p.tok.Kind {
 	case IDENT:
-		name := p.tok.Text
-		if err := p.next(); err != nil {
-			return nil, err
-		}
-		return &Ident{Name: name, Pos: pos}, nil
+		id := p.idents.alloc(&p.lex, identBytes)
+		*id = Ident{Name: p.tok.Text, Pos: pos}
+		return id, p.next()
 	case INTLIT:
-		text := p.tok.Text
-		if err := p.next(); err != nil {
-			return nil, err
-		}
-		return &IntLit{Text: text, Val: parseIntText(text), Pos: pos}, nil
+		lit := p.intLits.alloc(&p.lex, intLitBytes)
+		*lit = IntLit{Text: p.tok.Text, Val: parseIntText(p.tok.Text), Pos: pos}
+		return lit, p.next()
 	case FLOATLIT:
 		text := p.tok.Text
 		if err := p.next(); err != nil {

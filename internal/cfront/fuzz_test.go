@@ -2,6 +2,7 @@ package cfront
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -145,6 +146,103 @@ func FuzzParse(f *testing.F) {
 		}
 		if again := PrintFile(f2); again != printed {
 			t.Fatalf("second print differs:\n--- first ---\n%s--- second ---\n%s", printed, again)
+		}
+	})
+}
+
+// binaryOps spells the 18 binary operators, loosest-binding first.
+var binaryOps = []string{
+	"||", "&&", "|", "^", "&", "==", "!=", "<", ">", "<=", ">=",
+	"<<", ">>", "+", "-", "*", "/", "%",
+}
+
+// exprDiff parses src as one expression with the parser and with the
+// reference expression parser (expr_ref_test.go), T naming a typedef of
+// int for both, and describes the first difference in the tree (node
+// kinds, fields and positions), the error, or the token each stopped
+// at; "" when they agree.
+func exprDiff(src string) string {
+	parse := func(ref bool) (Expr, Token, error) {
+		p := newParser("expr.c", src)
+		p.typedefs["T"] = NewPrim(TInt, "int")
+		if err := p.next(); err != nil {
+			return nil, Token{}, err
+		}
+		var e Expr
+		var err error
+		if ref {
+			e, err = p.refParseExpr()
+		} else {
+			e, err = p.parseExpr()
+		}
+		return e, p.tok, err
+	}
+	got, gotTok, err := parse(false)
+	want, wantTok, refErr := parse(true)
+	switch {
+	case (err == nil) != (refErr == nil):
+		return fmt.Sprintf("%q: error %v, reference error %v", src, err, refErr)
+	case err != nil:
+		if err.Error() != refErr.Error() {
+			return fmt.Sprintf("%q: error %q, reference error %q", src, err, refErr)
+		}
+	case !reflect.DeepEqual(got, want):
+		return fmt.Sprintf("%q: parsed %s, reference %s", src, ExprString(got), ExprString(want))
+	case gotTok != wantTok:
+		return fmt.Sprintf("%q: stopped at %+v, reference at %+v", src, gotTok, wantTok)
+	}
+	return ""
+}
+
+// TestBinaryPrecedenceReference: for every pair of binary operators,
+// the precedence-climbing parser builds the reference parser's tree
+// over plain, cast, unary and conditional operands.
+func TestBinaryPrecedenceReference(t *testing.T) {
+	templates := []string{
+		"a %[1]s b %[2]s c",
+		"(T)a %[1]s -b %[2]s *(char *)c",
+		"!a %[1]s sizeof b %[2]s ~c++ %[1]s d",
+		"a %[1]s b ? c %[2]s d : e %[1]s f",
+		"x = a %[1]s (b %[2]s c) %[2]s d, e %[1]s f",
+	}
+	for _, op1 := range binaryOps {
+		for _, op2 := range binaryOps {
+			for _, tmpl := range templates {
+				if d := exprDiff(fmt.Sprintf(tmpl, op1, op2)); d != "" {
+					t.Error(d)
+				}
+			}
+		}
+	}
+}
+
+// FuzzExprReference: the precedence-climbing parser and the reference
+// expression parser agree on every input: the same tree, or the same
+// syntax error.
+func FuzzExprReference(f *testing.F) {
+	for _, op := range binaryOps {
+		f.Add("a " + op + " b * c - d " + op + " e")
+	}
+	for _, s := range []string{
+		"x = y += z ? w : v, u",
+		"a < b == c & d ^ e | f && g || h ? i : j",
+		"(T)(a + b) * -(T)c / sizeof(T) % sizeof x",
+		"f(a, b + c)[d].e->g++ - --h",
+		"&*p + !q - ~r << 1 >> 2",
+		"'c' + \"s\" \"t\" + 1.5e3 + 0x1fUL",
+		"a + (b",
+		"a ? b : ",
+		"(char (*)(int))p + 1",
+		"a = b = c *= d <<= e",
+		"((((((((a))))))))",
+		"a +",
+		"* / %",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		if d := exprDiff(src); d != "" {
+			t.Fatal(d)
 		}
 	})
 }

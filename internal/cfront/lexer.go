@@ -175,10 +175,7 @@ func (l *Lexer) Next() (Token, error) {
 		text := l.src[l.off:end]
 		l.col += end - l.off // identifiers hold no newline
 		l.off = end
-		if kw, ok := keywords[text]; ok {
-			return Token{Kind: kw, Text: text, Pos: p}, nil
-		}
-		return Token{Kind: IDENT, Text: text, Pos: p}, nil
+		return Token{Kind: keyword(text), Text: text, Pos: p}, nil
 
 	case isDigit(c) || c == '.' && isDigit(l.peekAt(1)):
 		return l.number(p)

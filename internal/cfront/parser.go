@@ -10,8 +10,14 @@ import (
 // struct/union tag registry (shared definitions give shared field
 // qualifiers), and an enum-constant table.
 type Parser struct {
-	lex *Lexer
+	lex Lexer
 	tok Token
+
+	// ahead is the token after tok once peek has lexed it, aheadErr the
+	// error lexing it gave; next takes them instead of lexing again.
+	ahead    Token
+	aheadErr error
+	hasAhead bool
 
 	typedefs map[string]*Type
 	tags     map[string]*StructType
@@ -19,6 +25,15 @@ type Parser struct {
 	anonID   int
 
 	depth int // current grammar nesting; see enter
+
+	// stmts, args and params are scratch stacks: a block's statements,
+	// a call's arguments and a parameter list collect on them and are
+	// copied out once, into an exactly sized slice (see popStack).
+	stmts  []Stmt
+	args   []Expr
+	params []Param
+
+	slabs
 }
 
 // maxDepth bounds the nesting of the recursive grammar: parenthesised,
@@ -43,25 +58,29 @@ func (p *Parser) leave() { p.depth-- }
 
 // Parse parses a complete translation unit.
 func Parse(file, src string) (*File, error) {
-	p := &Parser{
-		lex:      NewLexer(file, src),
-		typedefs: make(map[string]*Type),
-		tags:     make(map[string]*StructType),
-		enums:    make(map[string]int64),
-	}
+	p := newParser(file, src)
 	if err := p.next(); err != nil {
 		return nil, err
 	}
 	f := &File{Name: file}
 	for p.tok.Kind != EOF {
-		decls, err := p.parseExternalDecl()
-		if err != nil {
+		var err error
+		if f.Decls, err = p.parseExternalDecl(f.Decls); err != nil {
 			return nil, err
 		}
-		f.Decls = append(f.Decls, decls...)
 	}
 	f.EnumConsts = p.enums
 	return f, nil
+}
+
+// newParser returns a parser over src, before its first token.
+func newParser(file, src string) *Parser {
+	return &Parser{
+		lex:      Lexer{src: src, file: file, line: 1, col: 1},
+		typedefs: make(map[string]*Type),
+		tags:     make(map[string]*StructType),
+		enums:    make(map[string]int64),
+	}
 }
 
 // EnumConstants exposes the enum constants seen while parsing, for
@@ -69,7 +88,13 @@ func Parse(file, src string) (*File, error) {
 func (p *Parser) EnumConstants() map[string]int64 { return p.enums }
 
 func (p *Parser) next() error {
-	t, err := p.lex.Next()
+	var t Token
+	var err error
+	if p.hasAhead {
+		t, err, p.hasAhead = p.ahead, p.aheadErr, false
+	} else {
+		t, err = p.lex.Next()
+	}
 	if err != nil {
 		return err
 	}
@@ -89,16 +114,18 @@ func (p *Parser) errf(format string, args ...interface{}) error {
 	return p.lex.errAt(p.tok.Pos, fmt.Sprintf(format, args...))
 }
 
-// peek returns the token after the current one without consuming it. A
-// lexical error there reads as EOF; the parser meets it again when it
-// consumes the token.
+// peek returns the token after the current one without consuming it;
+// next takes it from there. A lexical error there reads as EOF, and
+// next returns the error when it consumes the token.
 func (p *Parser) peek() Token {
-	l := *p.lex
-	t, err := l.Next()
-	if err != nil {
+	if !p.hasAhead {
+		p.ahead, p.aheadErr = p.lex.Next()
+		p.hasAhead = true
+	}
+	if p.aheadErr != nil {
 		return Token{Kind: EOF}
 	}
-	return t
+	return p.ahead
 }
 
 // isTypeStart reports whether the current token can begin
@@ -591,14 +618,14 @@ func (p *Parser) parenStartsDeclarator() bool {
 }
 
 func (p *Parser) parseParamList() ([]Param, bool, error) {
-	var params []Param
-	variadic := false
 	if p.tok.Kind == RPAREN {
 		return nil, false, nil // ()
 	}
 	if p.tok.Kind == kwVoid && p.peek().Kind == RPAREN {
 		return nil, false, p.next() // (void)
 	}
+	base := len(p.params)
+	variadic := false
 	for {
 		if p.tok.Kind == ELLIPSIS {
 			variadic = true
@@ -617,7 +644,7 @@ func (p *Parser) parseParamList() ([]Param, bool, error) {
 		}
 		// Arrays and functions decay to pointers in parameter position.
 		typ = decay(typ)
-		params = append(params, Param{Name: name, Type: typ, Pos: namePos})
+		p.params = append(p.params, Param{Name: name, Type: typ, Pos: namePos})
 		if p.tok.Kind != COMMA {
 			break
 		}
@@ -625,7 +652,7 @@ func (p *Parser) parseParamList() ([]Param, bool, error) {
 			return nil, false, err
 		}
 	}
-	return params, variadic, nil
+	return popStack(&p.params, base), variadic, nil
 }
 
 // decay converts array-of-T to pointer-to-T and function types to
@@ -644,8 +671,9 @@ func decay(t *Type) *Type {
 }
 
 // parseExternalDecl parses one top-level declaration, which may expand to
-// several Decl nodes (comma-separated declarators).
-func (p *Parser) parseExternalDecl() ([]Decl, error) {
+// several Decl nodes (comma-separated declarators), and appends them to
+// decls.
+func (p *Parser) parseExternalDecl(decls []Decl) ([]Decl, error) {
 	ds, err := p.parseDeclSpecs()
 	if err != nil {
 		return nil, err
@@ -658,10 +686,9 @@ func (p *Parser) parseExternalDecl() ([]Decl, error) {
 		if err := p.next(); err != nil {
 			return nil, err
 		}
-		return []Decl{&TagDecl{Type: ds.base, Pos: ds.pos}}, nil
+		return append(decls, &TagDecl{Type: ds.base, Pos: ds.pos}), nil
 	}
 
-	var decls []Decl
 	first := true
 	for {
 		name, typ, namePos, err := p.parseDeclarator(ds.take(), false)

@@ -7,7 +7,7 @@ func (p *Parser) parseBlock() (*Block, error) {
 	if _, err := p.expect(LBRACE); err != nil {
 		return nil, err
 	}
-	b := &Block{Pos: pos}
+	base := len(p.stmts)
 	for p.tok.Kind != RBRACE {
 		if p.tok.Kind == EOF {
 			return nil, p.errf("unexpected end of file in block")
@@ -16,16 +16,25 @@ func (p *Parser) parseBlock() (*Block, error) {
 		if err != nil {
 			return nil, err
 		}
-		b.Items = append(b.Items, s)
+		p.stmts = append(p.stmts, s)
 	}
+	b := p.blocks.alloc(&p.lex, blockBytes)
+	*b = Block{Items: popStack(&p.stmts, base), Pos: pos}
 	return b, p.next() // consume }
 }
 
+// parseStmt counts one nesting level around stmt. It leaves without a
+// defer: stmt's many returns would keep a deferred call out of line.
 func (p *Parser) parseStmt() (Stmt, error) {
 	if err := p.enter(); err != nil {
 		return nil, err
 	}
-	defer p.leave()
+	s, err := p.stmt()
+	p.leave()
+	return s, err
+}
+
+func (p *Parser) stmt() (Stmt, error) {
 	pos := p.tok.Pos
 	switch p.tok.Kind {
 	case LBRACE:
@@ -133,7 +142,9 @@ func (p *Parser) parseStmt() (Stmt, error) {
 			if err != nil {
 				return nil, err
 			}
-			init = &ExprStmt{X: e, Pos: e.ExprPos()}
+			es := p.exprStmts.alloc(&p.lex, exprStmtBytes)
+			*es = ExprStmt{X: e, Pos: e.ExprPos()}
+			init = es
 			if _, err := p.expect(SEMI); err != nil {
 				return nil, err
 			}
@@ -181,7 +192,9 @@ func (p *Parser) parseStmt() (Stmt, error) {
 		if _, err := p.expect(SEMI); err != nil {
 			return nil, err
 		}
-		return &ReturnStmt{Value: val, Pos: pos}, nil
+		r := p.returns.alloc(&p.lex, returnBytes)
+		*r = ReturnStmt{Value: val, Pos: pos}
+		return r, nil
 
 	case kwBreak:
 		if err := p.next(); err != nil {
@@ -302,7 +315,9 @@ func (p *Parser) parseExprStmt() (Stmt, error) {
 	if _, err := p.expect(SEMI); err != nil {
 		return nil, err
 	}
-	return &ExprStmt{X: e, Pos: pos}, nil
+	es := p.exprStmts.alloc(&p.lex, exprStmtBytes)
+	*es = ExprStmt{X: e, Pos: pos}
+	return es, nil
 }
 
 // parseLocalDecl parses a declaration inside a block (consuming the

@@ -162,14 +162,38 @@ var tokText = [...]string{
 	XOREQ: "^=", OREQ: "|=",
 }
 
-// keywords maps each keyword's spelling to its kind.
-var keywords = func() map[string]TokKind {
-	m := make(map[string]TokKind, kwWhile-kwAuto+1)
+// kwHash is a perfect hash of the keywords: their length, first and last
+// byte tell all 32 apart, and these multipliers map them to distinct
+// slots of kwTable.
+func kwHash(s string) int {
+	return (54*int(s[0]) + int(s[len(s)-1]) + len(s)) & (kwSlots - 1)
+}
+
+const kwSlots = 64
+
+// kwTable holds each keyword's kind at its kwHash slot, EOF elsewhere.
+var kwTable = func() (t [kwSlots]TokKind) {
 	for k := kwAuto; k <= kwWhile; k++ {
-		m[tokText[k]] = k
+		h := kwHash(tokText[k])
+		if t[h] != EOF {
+			panic("cfront: keywords " + tokText[t[h]] + " and " + tokText[k] + " share a hash slot")
+		}
+		t[h] = k
 	}
-	return m
+	return t
 }()
+
+// keyword returns the kind of an identifier-shaped word: its keyword
+// kind, or IDENT.
+func keyword(s string) TokKind {
+	if len(s) < 2 || len(s) > 8 { // from "do" to "continue"
+		return IDENT
+	}
+	if k := kwTable[kwHash(s)]; k != EOF && tokText[k] == s {
+		return k
+	}
+	return IDENT
+}
 
 // tokNames names every kind for messages; keywords and punctuators are
 // their quoted spelling.

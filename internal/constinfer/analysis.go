@@ -787,7 +787,7 @@ func (a *Analysis) useFunc(fi *funcInfo) *RType {
 		ren[v] = a.sys.Fresh()
 	}
 	a.sys.Instantiate(fi.scheme.proj, ren)
-	return a.tr.instantiate(fi.scheme.sig, ren, map[*RType]*RType{})
+	return a.tr.instantiate(fi.scheme.sig, ren)
 }
 
 // Classify is the final stage: it interprets the solved system over the

@@ -411,7 +411,7 @@ func (a *Analysis) exprR(env *env, e cfront.Expr) *RType {
 		t := a.exprR(env, e.T)
 		f := a.exprR(env, e.F)
 		if t != nil && f != nil && t.Kind == RRef && f.Kind == RRef {
-			res := a.freshen(t, map[*RType]*RType{})
+			res := a.freshen(t)
 			a.tr.subtype(t, res, a.tr.why(e.Pos, "conditional branch"))
 			a.tr.subtype(f, res, a.tr.why(e.Pos, "conditional branch"))
 			return res
@@ -539,29 +539,23 @@ func (a *Analysis) mutate(env *env, x cfront.Expr, pos cfront.Pos, what string) 
 
 // freshen copies a type shape with all-fresh qualifier variables (struct
 // values stay shared), used for merge points like the conditional
-// operator.
-func (a *Analysis) freshen(t *RType, memo map[*RType]*RType) *RType {
+// operator. The copy relies on a type being a tree below its structs:
+// no node is reached twice.
+func (a *Analysis) freshen(t *RType) *RType {
 	if t == nil {
 		return nil
 	}
 	if t.Kind == RStruct {
 		return t
 	}
-	if got, ok := memo[t]; ok {
-		return got
-	}
 	q := constraint.V(a.sys.Fresh())
 	if t.Kind == RFunc {
 		out := newFunc(q, t.Variadic, len(t.fn.params))
-		memo[t] = out
-		out.fn.ret = a.freshen(t.fn.ret, memo)
+		out.fn.ret = a.freshen(t.fn.ret)
 		for i, p := range t.fn.params {
-			out.fn.params[i] = a.freshen(p, memo)
+			out.fn.params[i] = a.freshen(p)
 		}
 		return out
 	}
-	out := &RType{Kind: t.Kind, Q: q, shared: t.shared}
-	memo[t] = out
-	out.Elem = a.freshen(t.Elem, memo)
-	return out
+	return &RType{Kind: t.Kind, Q: q, shared: t.shared, Elem: a.freshen(t.Elem)}
 }

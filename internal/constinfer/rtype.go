@@ -358,31 +358,25 @@ func (tr *translator) equal(a, b *RType, why constraint.Reason) {
 // instantiate deep-copies t, renaming qualifier variables through ren
 // (missing entries are allocated fresh lazily only for quantified vars —
 // the caller prepares ren from the scheme's quantified set). Struct
-// values are shared, never copied.
-func (tr *translator) instantiate(t *RType, ren map[constraint.Var]constraint.Var, memo map[*RType]*RType) *RType {
+// values are shared, never copied. The copy relies on a signature being
+// a tree below its structs: no node is reached twice.
+func (tr *translator) instantiate(t *RType, ren map[constraint.Var]constraint.Var) *RType {
 	if t == nil {
 		return nil
 	}
 	if t.Kind == RStruct {
 		return t // shared, monomorphic
 	}
-	if got, ok := memo[t]; ok {
-		return got
-	}
 	q := renameTerm(t.Q, ren)
 	if t.Kind == RFunc {
 		out := newFunc(q, t.Variadic, len(t.fn.params))
-		memo[t] = out
-		out.fn.ret = tr.instantiate(t.fn.ret, ren, memo)
+		out.fn.ret = tr.instantiate(t.fn.ret, ren)
 		for i, p := range t.fn.params {
-			out.fn.params[i] = tr.instantiate(p, ren, memo)
+			out.fn.params[i] = tr.instantiate(p, ren)
 		}
 		return out
 	}
-	out := &RType{Kind: t.Kind, Q: q, DeclaredConst: t.DeclaredConst, shared: t.shared}
-	memo[t] = out
-	out.Elem = tr.instantiate(t.Elem, ren, memo)
-	return out
+	return &RType{Kind: t.Kind, Q: q, DeclaredConst: t.DeclaredConst, shared: t.shared, Elem: tr.instantiate(t.Elem, ren)}
 }
 
 func renameTerm(t constraint.Term, ren map[constraint.Var]constraint.Var) constraint.Term {
