@@ -101,7 +101,9 @@ int partial(int c) {
 		t.Errorf("qlambda on a const violation exited 0:\n%s", outB)
 	}
 
-	// The examples all run to completion.
+	// The examples all run to completion. The lambda-language examples
+	// print exactly their committed expected.txt, apart from κ labels.
+	lambdaExamples := map[string]bool{"quickstart": true, "taint": true, "bindingtime": true, "nonzero": true, "flowcheck": true}
 	for _, ex := range []string{"quickstart", "constcheck", "taint", "bindingtime", "nonzero", "flowcheck"} {
 		ex := ex
 		t.Run("example-"+ex, func(t *testing.T) {
@@ -111,6 +113,17 @@ int partial(int c) {
 			}
 			if len(out) == 0 {
 				t.Errorf("example %s produced no output", ex)
+			}
+			if !lambdaExamples[ex] {
+				return
+			}
+			path := "examples/" + ex + "/expected.txt"
+			golden, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if normalizeKappa(string(out)) != normalizeKappa(string(golden)) {
+				t.Errorf("output drifted from %s\n--- got ---\n%s--- want ---\n%s", path, out, golden)
 			}
 		})
 	}
