@@ -3,7 +3,6 @@ package constinfer
 import (
 	"context"
 	"fmt"
-	"slices"
 	"sort"
 
 	"repro/internal/analysis"
@@ -402,13 +401,11 @@ func (a *Analysis) SolveStats() constraint.SolveStats {
 	return a.sys.Stats()
 }
 
-// generalizeSCC captures the component's constraint fragment, its
-// signature and body ranges, into a type scheme for each member function
-// (Section 4.3 generalization), projected onto the scheme's interface
-// (Section 6's simplification): the variables of the component's
-// signatures plus every shared (pinned or pre-existing) variable the
-// fragment mentions. The quantified variables are the interface's
-// unpinned ones from the component's ranges.
+// generalizeSCC turns the component's constraint fragment, its signature
+// and body ranges, into a type scheme for each member function (Section
+// 4.3) through System.Generalize. The body is the component's
+// signatures; a variable is local when it is unpinned and lies in the
+// component's ranges.
 func (a *Analysis) generalizeSCC(scc *sccInfo) {
 	if a.generalize != nil {
 		a.generalize(scc)
@@ -417,38 +414,12 @@ func (a *Analysis) generalizeSCC(scc *sccInfo) {
 	local := func(v constraint.Var) bool {
 		return (inRange(v, scc.sigVars) || inRange(v, scc.bodyVars)) && !a.tr.pinned[v]
 	}
-	seen := map[constraint.Var]bool{}
-	var iface []constraint.Var
-	add := func(v constraint.Var) {
-		if !seen[v] {
-			seen[v] = true
-			iface = append(iface, v)
-		}
-	}
+	var body []constraint.Var
+	seen := map[*RType]bool{}
 	for _, fi := range scc.funcs {
-		for _, v := range collectVars(fi.sig, nil, map[*RType]bool{}) {
-			add(v)
-		}
+		body = collectVars(fi.sig, body, seen)
 	}
-	for _, rg := range [][2]int{scc.sigCons, scc.bodyCons} {
-		for i := rg[0]; i < rg[1]; i++ {
-			c := a.sys.At(i)
-			if c.L.IsVar() && !local(c.L.Var()) {
-				add(c.L.Var())
-			}
-			if c.R.IsVar() && !local(c.R.Var()) {
-				add(c.R.Var())
-			}
-		}
-	}
-	var qvars []constraint.Var
-	for _, v := range iface {
-		if local(v) {
-			qvars = append(qvars, v)
-		}
-	}
-	slices.Sort(qvars)
-	proj := a.sys.Project(iface, scc.sigCons, scc.bodyCons)
+	qvars, proj := a.sys.Generalize(body, local, scc.sigCons, scc.bodyCons)
 	for _, fi := range scc.funcs {
 		fi.scheme = &scheme{sig: fi.sig, qvars: qvars, proj: proj}
 	}

@@ -721,6 +721,42 @@ func (s *System) Project(iface []Var, rgs ...[2]int) *Projection {
 	return &Projection{Cons: out, span: span, wit: wit}
 }
 
+// Generalize turns the constraint fragment in the half-open index ranges
+// rgs into a scheme ∀qvars. body \ p (§3.2), projected onto its interface
+// (§6): body's variables, deduplicated, followed by every non-local
+// variable the fragment mentions, in constraint order. The quantified
+// variables are the local interface variables, sorted; local variables
+// outside the interface are projected away.
+func (s *System) Generalize(body []Var, local func(Var) bool, rgs ...[2]int) (qvars []Var, p *Projection) {
+	seen := make(map[Var]bool, len(body))
+	iface := make([]Var, 0, len(body))
+	add := func(v Var) {
+		if !seen[v] {
+			seen[v] = true
+			iface = append(iface, v)
+		}
+	}
+	for _, v := range body {
+		add(v)
+	}
+	for _, rg := range rgs {
+		for i := rg[0]; i < rg[1]; i++ {
+			for _, t := range [2]Term{s.rec(i).l, s.rec(i).r} {
+				if t.isVar && !local(Var(t.v)) {
+					add(Var(t.v))
+				}
+			}
+		}
+	}
+	for _, v := range iface {
+		if local(v) {
+			qvars = append(qvars, v)
+		}
+	}
+	slices.Sort(qvars)
+	return qvars, s.Project(iface, rgs...)
+}
+
 // Instantiate adds p's constraints with variables renamed through rename
 // (variables absent from rename are kept as-is): the instantiation step
 // of qualifier polymorphism. Instances of a projection with witnesses are

@@ -88,3 +88,56 @@ func TestRestrictLowerBoundsKeepSources(t *testing.T) {
 		t.Errorf("lower-bound reasons = %v, want %v", got, want)
 	}
 }
+
+// TestGeneralize pins the policy of System.Generalize. The interface is
+// the body's variables, deduplicated, followed by every non-local
+// variable the fragment mentions, in constraint order; the projection
+// equals Project over exactly that interface, and over no reordering of
+// it. The quantified variables are the local interface variables,
+// sorted: a local variable projected away, or one that occurs only
+// outside the ranges, is never quantified, nor is a non-local variable
+// of the body.
+func TestGeneralize(t *testing.T) {
+	set := testSet(t)
+	why := func(msg string) Reason { return Reason{Msg: msg} }
+	sys := NewSystem(set)
+	// g0..g2 are shared: created before the fragment.
+	g0, g1, g2 := sys.Fresh(), sys.Fresh(), sys.Fresh()
+	sys.Add(V(g0), V(g1), why("before"))
+	first := sys.NumVars()
+	local := func(v Var) bool { return int(v) >= first }
+	// a and b are the body's; i is internal; o occurs only outside the
+	// ranges.
+	a, b, i, o := sys.Fresh(), sys.Fresh(), sys.Fresh(), sys.Fresh()
+	lo := sys.NumConstraints()
+	sys.Add(V(g2), V(i), why("g2 to i"))
+	sys.Add(V(i), V(a), why("i to a"))
+	sys.Add(V(b), V(g1), why("b to g1"))
+	sys.Add(V(a), V(b), why("a to b"))
+	sys.Add(V(g2), V(b), why("g2 to b"))
+	r1 := [2]int{lo, sys.NumConstraints()}
+	sys.Add(V(o), V(a), why("outside"))
+	sys.Add(V(g0), V(o), why("outside"))
+	lo = sys.NumConstraints()
+	sys.Add(V(b), C(set.MustNot("const")), why("bound"))
+	sys.Add(V(g0), V(a), why("g0 to a"))
+	r2 := [2]int{lo, sys.NumConstraints()}
+
+	qvars, p := sys.Generalize([]Var{b, a, b, g1}, local, r1, r2)
+	if want := []Var{a, b}; !reflect.DeepEqual(qvars, want) {
+		t.Errorf("qvars = %v, want %v", qvars, want)
+	}
+	iface := []Var{b, a, g1, g2, g0}
+	if want := sys.Project(iface, r1, r2); !reflect.DeepEqual(p, want) {
+		t.Errorf("projection = %v, want Project over %v: %v", p.Cons, iface, want.Cons)
+	}
+	for _, other := range [][]Var{
+		{a, b, g1, g2, g0}, // body out of order
+		{b, a, g1, g0, g2}, // non-local out of constraint order
+		{g2, b, a, g1, g0}, // a non-local before the body
+	} {
+		if reflect.DeepEqual(p, sys.Project(other, r1, r2)) {
+			t.Errorf("projection is also Project over %v: the check cannot see the interface order", other)
+		}
+	}
+}

@@ -15,8 +15,10 @@
 //
 // Polymorphism is let-style and ranges over qualifiers only (Section
 // 3.2): let-bound syntactic values are generalized into constrained type
-// schemes ∀κ⃗. ρ \ C, instantiated with fresh qualifier variables and a
-// copy of C at every use.
+// schemes ∀κ⃗. ρ \ C. As in the C engine, C is the fragment projected onto
+// the scheme's interface by constraint.System.Generalize (Section 6), and
+// each use adds a renamed instance of the projection with fresh
+// qualifier variables.
 package infer
 
 import (
@@ -73,17 +75,24 @@ type Rules struct {
 	WellFormed func(sys *constraint.System, parent, child constraint.Term)
 }
 
-// Scheme is a constrained polymorphic type ∀κ⃗. ρ \ C. A scheme with no
-// quantified variables and no constraints is a monomorphic binding.
+// Scheme is a constrained polymorphic type ∀κ⃗. ρ \ C, or a monomorphic
+// binding.
 type Scheme struct {
-	// QVars are the quantified qualifier variables, renamed fresh at each
-	// instantiation.
-	QVars []constraint.Var
 	// Body is the scheme's qualified type.
 	Body *qtype.QType
-	// Cons is the captured constraint fragment C, replayed (with QVars
-	// renamed) at each instantiation.
-	Cons []constraint.Constraint
+	// gen is nil for a monomorphic binding.
+	gen *generic
+}
+
+// generic is a generalized value's fragment: iface, the body's qualifier
+// variables at generalization, and the half-open variable and constraint
+// ranges of its inference. The first instantiation projects it into the
+// quantified variables and C; many let-bound values are never used.
+type generic struct {
+	iface      []constraint.Var
+	vars, cons [2]int
+	qvars      []constraint.Var
+	proj       *constraint.Projection
 }
 
 // Mono wraps a qualified type as a monomorphic scheme.
@@ -119,15 +128,15 @@ type Checker struct {
 	Rules Rules
 	Sys   *constraint.System
 	B     *qtype.Builder
-	// Simplify enables scheme simplification: the constraint fragment
-	// captured at generalization is projected onto the scheme's interface
-	// variables (the paper's Section 6 presentation problem). Semantics
-	// are unchanged; schemes get smaller and instantiation cheaper.
-	Simplify bool
 	// Monomorphic disables qualifier polymorphism: let-bound values get
 	// plain monomorphic types, as in the C type system. The paper's
 	// experiments compare exactly these two modes.
 	Monomorphic bool
+
+	// generalize, when set, replaces System.Generalize at a scheme's
+	// first instantiation. Tests set it to the full-fragment replay
+	// (newReference) that projected schemes are checked against.
+	generalize func(g *generic)
 }
 
 // New creates a checker for the qualifier set with the given rules.
@@ -479,59 +488,42 @@ func (c *Checker) generalizeRec(env *Env, e *lambda.LetRec) (*Scheme, error) {
 	return c.generalizeFrom(startVar, startCon, init), nil
 }
 
-// generalizeFrom builds a scheme quantifying the qualifier variables
-// created since the snapshot (which can never be free in the enclosing
-// environment) and capturing the constraints generated alongside.
+// generalizeFrom builds a scheme over the qualifier variables created
+// since the snapshot (which can never be free in the enclosing
+// environment) and the constraints generated alongside. Body's variables
+// are read now: its type variables may later resolve to types the
+// fragment never saw.
 func (c *Checker) generalizeFrom(startVar, startCon int, body *qtype.QType) *Scheme {
-	endVar, endCon := c.Sys.NumVars(), c.Sys.NumConstraints()
-	cons := c.Sys.Slice(startCon, endCon)
-
-	qvars := make([]constraint.Var, 0, endVar-startVar)
-	for i := startVar; i < endVar; i++ {
-		qvars = append(qvars, constraint.Var(i))
-	}
-	if c.Simplify {
-		// Project the fragment onto the variables visible in the scheme
-		// body plus the pre-existing (shared) variables it mentions.
-		iface := qtype.FreeQVars(body, nil)
-		seen := map[constraint.Var]bool{}
-		for _, v := range iface {
-			seen[v] = true
-		}
-		for _, con := range cons {
-			for _, t := range []constraint.Term{con.L, con.R} {
-				if t.IsVar() && int(t.Var()) < startVar && !seen[t.Var()] {
-					iface = append(iface, t.Var())
-					seen[t.Var()] = true
-				}
-			}
-		}
-		cons = constraint.Restrict(c.Set, cons, iface)
-		// Only quantify variables that can still occur in the scheme.
-		kept := make([]constraint.Var, 0, len(qvars))
-		for _, v := range qvars {
-			if seen[v] {
-				kept = append(kept, v)
-			}
-		}
-		qvars = kept
-	}
-	return &Scheme{QVars: qvars, Body: body, Cons: cons}
+	return &Scheme{Body: body, gen: &generic{
+		iface: qtype.FreeQVars(body, nil),
+		vars:  [2]int{startVar, c.Sys.NumVars()},
+		cons:  [2]int{startCon, c.Sys.NumConstraints()},
+	}}
 }
 
 // Instantiate implements the (Var') rule: the scheme's quantified
 // qualifier variables are replaced with fresh ones in both the body and
-// the captured constraints. Type variables are shared — polymorphism
-// ranges over qualifiers only.
+// an instance of its projected constraints. Type variables are shared —
+// polymorphism ranges over qualifiers only.
 func (c *Checker) Instantiate(s *Scheme) *qtype.QType {
-	if len(s.QVars) == 0 && len(s.Cons) == 0 {
+	g := s.gen
+	if g == nil {
 		return s.Body
 	}
-	rename := make(map[constraint.Var]constraint.Var, len(s.QVars))
-	for _, v := range s.QVars {
+	if g.proj == nil && c.generalize != nil {
+		c.generalize(g)
+	} else if g.proj == nil {
+		local := func(v constraint.Var) bool { return int(v) >= g.vars[0] && int(v) < g.vars[1] }
+		g.qvars, g.proj = c.Sys.Generalize(g.iface, local, g.cons)
+	}
+	if len(g.qvars) == 0 && len(g.proj.Cons) == 0 {
+		return s.Body
+	}
+	rename := make(map[constraint.Var]constraint.Var, len(g.qvars))
+	for _, v := range g.qvars {
 		rename[v] = c.Sys.Fresh()
 	}
-	c.Sys.AddConstraints(s.Cons, rename)
+	c.Sys.Instantiate(g.proj, rename)
 	return renameQType(s.Body, rename, map[*qtype.Type]*qtype.Type{})
 }
 

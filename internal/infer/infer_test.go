@@ -1,6 +1,7 @@
 package infer
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -311,28 +312,6 @@ func TestPolyId(t *testing.T) {
 	}
 }
 
-// TestPolyIdSimplified runs the same example with scheme simplification
-// enabled; results must not change.
-func TestPolyIdSimplified(t *testing.T) {
-	set := constSet(t)
-	src := `
-		let id = fn x => x in
-		let y = id (ref 1) in
-		let u = y := 2 in
-		let z = id (@const ref 1) in
-		()
-		ni ni ni ni`
-	c := New(set, ConstRules(set))
-	c.Simplify = true
-	res, err := c.CheckSource("poly", src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Conflicts) != 0 {
-		t.Errorf("simplified polymorphic inference rejected the id example: %v", res.Conflicts[0].Explain(set))
-	}
-}
-
 func TestValueRestriction(t *testing.T) {
 	set := constSet(t)
 	// A ref is not a value, so its type is monomorphic and the cell is
@@ -397,6 +376,77 @@ func TestTaint(t *testing.T) {
 		let sink = fn x => x |[^tainted] in
 		sink 42
 		ni`)
+}
+
+// TestPolyConflictKeepsProvenance: a conflict whose flow crosses an
+// instance of a let-bound function is reported along the original
+// constraints of its body, with their positions, exactly as the
+// full-fragment replay reports it. The first program is examples/taint's
+// "taint through arithmetic"; in the second the arithmetic sits inside a
+// let-bound helper, so its two steps are one projected constraint of the
+// helper's scheme and print only if the instance records its witnesses.
+func TestPolyConflictKeepsProvenance(t *testing.T) {
+	set := qual.MustSet(qual.Qualifier{Name: "tainted", Sign: qual.Positive})
+	type step struct{ pos, msg string }
+	describe := func(u *constraint.Unsat) []step {
+		out := []step{{u.Con.Why.Pos.String(), u.Con.Why.Msg}}
+		for _, c := range u.Path {
+			out = append(out, step{c.Why.Pos.String(), c.Why.Msg})
+		}
+		return out
+	}
+	cases := []struct {
+		name, src string
+		want      []step
+	}{
+		{"arithmetic", `
+			let read_input = fn u => @tainted (u + 0) in
+			let exec = fn cmd => cmd |[^tainted] in
+			exec (read_input 1 + 100)
+			ni ni`, []step{
+			{"taint:3:29", "assertion |[^tainted]"},
+			{"taint:2:29", "annotation @tainted"},
+			{"taint:4:10", "application: function type"},
+			{"taint:4:10", "left operand of +"},
+			{"taint:4:23", "taint propagates through arithmetic"},
+			{"taint:4:23", "application: argument"},
+			{"taint:4:4", "application: function type"},
+		}},
+		{"helper", `
+			let read_input = fn u => @tainted (u + 0) in
+			let exec = fn cmd => cmd |[^tainted] in
+			let prep = fn v => v + 100 in
+			exec (prep (read_input 1))
+			ni ni ni`, []step{
+			{"taint:3:29", "assertion |[^tainted]"},
+			{"taint:2:29", "annotation @tainted"},
+			{"taint:5:16", "application: function type"},
+			{"taint:5:16", "application: argument"},
+			{"taint:5:10", "application: function type"},
+			{"taint:4:23", "left operand of +"},
+			{"taint:4:25", "taint propagates through arithmetic"},
+			{"taint:5:10", "application: function type"},
+			{"taint:5:10", "application: argument"},
+			{"taint:5:4", "application: function type"},
+		}},
+	}
+	for _, tc := range cases {
+		for _, c := range []struct {
+			name string
+			c    *Checker
+		}{{"projected", New(set, TaintRules(set))}, {"reference", newReference(set, TaintRules(set))}} {
+			res, err := c.c.CheckSource("taint", tc.src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Conflicts) != 1 {
+				t.Fatalf("%s/%s: %d conflicts, want 1", tc.name, c.name, len(res.Conflicts))
+			}
+			if got := describe(res.Conflicts[0]); !reflect.DeepEqual(got, tc.want) {
+				t.Errorf("%s/%s: conflict (sink, flow...) = %v\nwant %v", tc.name, c.name, got, tc.want)
+			}
+		}
+	}
 }
 
 // TestObservation1 checks the paper's Observation 1 on concrete programs:
@@ -573,13 +623,13 @@ func TestLetRecMutualViaRef(t *testing.T) {
 
 // TestPropertyMonoAcceptImpliesPolyAccept: over a generated corpus, every
 // program the monomorphic system accepts is also accepted polymorphically
-// (polymorphism only relaxes constraints), and scheme simplification
-// never changes the verdict.
+// (polymorphism only relaxes constraints), and projected schemes give
+// the verdict of the full-fragment replay (newReference).
 func TestPropertyMonoAcceptImpliesPolyAccept(t *testing.T) {
 	set := constSet(t)
 	rules := ConstRules(set)
 	g := progen.New(31, progen.DefaultConfig())
-	monoAccepted, polyAccepted, simplifyMismatch := 0, 0, 0
+	monoAccepted, polyAccepted, refMismatch := 0, 0, 0
 	for i := 0; i < 2000; i++ {
 		prog := g.Program()
 
@@ -596,16 +646,15 @@ func TestPropertyMonoAcceptImpliesPolyAccept(t *testing.T) {
 			t.Fatalf("iteration %d: %v", i, err)
 		}
 
-		simp := New(set, rules)
-		simp.Simplify = true
-		sres, err := simp.Check(nil, prog)
+		ref := newReference(set, rules)
+		rres, err := ref.Check(nil, prog)
 		if err != nil {
 			t.Fatalf("iteration %d: %v", i, err)
 		}
 
 		mok := len(mres.Conflicts) == 0
 		pok := len(pres.Conflicts) == 0
-		sok := len(sres.Conflicts) == 0
+		rok := len(rres.Conflicts) == 0
 		if mok {
 			monoAccepted++
 			if !pok {
@@ -616,17 +665,17 @@ func TestPropertyMonoAcceptImpliesPolyAccept(t *testing.T) {
 		if pok {
 			polyAccepted++
 		}
-		if pok != sok {
-			simplifyMismatch++
-			t.Errorf("iteration %d: simplify changed the verdict (poly=%v simplified=%v):\n%s",
-				i, pok, sok, lambda.Print(prog))
+		if pok != rok {
+			refMismatch++
+			t.Errorf("iteration %d: projection changed the verdict (poly=%v reference=%v):\n%s",
+				i, pok, rok, lambda.Print(prog))
 		}
 	}
 	if polyAccepted < monoAccepted {
 		t.Errorf("poly accepted %d < mono accepted %d", polyAccepted, monoAccepted)
 	}
-	t.Logf("mono accepted %d, poly accepted %d, simplify mismatches %d",
-		monoAccepted, polyAccepted, simplifyMismatch)
+	t.Logf("mono accepted %d, poly accepted %d, reference mismatches %d",
+		monoAccepted, polyAccepted, refMismatch)
 }
 
 // TestMergeAllHooks: merging rule sets composes every hook; each
