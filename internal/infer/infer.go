@@ -489,10 +489,10 @@ func (c *Checker) generalizeRec(env *Env, e *lambda.LetRec) (*Scheme, error) {
 }
 
 // generalizeFrom builds a scheme over the qualifier variables created
-// since the snapshot (which can never be free in the enclosing
-// environment) and the constraints generated alongside. Body's variables
-// are read now: its type variables may later resolve to types the
-// fragment never saw.
+// since the snapshot and the constraints generated alongside. Body's
+// variables are read now, as its type variables may later resolve to
+// types the fragment never saw. A variable the value bound into an
+// enclosing λ-parameter's type still counts as local (ROADMAP item 7).
 func (c *Checker) generalizeFrom(startVar, startCon int, body *qtype.QType) *Scheme {
 	return &Scheme{Body: body, gen: &generic{
 		iface: qtype.FreeQVars(body, nil),
