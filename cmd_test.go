@@ -102,7 +102,8 @@ int partial(int c) {
 	}
 
 	// The examples all run to completion. The lambda-language examples
-	// print exactly their committed expected.txt, apart from κ labels.
+	// print their committed expected.txt up to a bijective renaming of
+	// κ labels.
 	lambdaExamples := map[string]bool{"quickstart": true, "taint": true, "bindingtime": true, "nonzero": true, "flowcheck": true}
 	for _, ex := range []string{"quickstart", "constcheck", "taint", "bindingtime", "nonzero", "flowcheck"} {
 		ex := ex
@@ -122,8 +123,8 @@ int partial(int c) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if normalizeKappa(string(out)) != normalizeKappa(string(golden)) {
-				t.Errorf("output drifted from %s\n--- got ---\n%s--- want ---\n%s", path, out, golden)
+			if err := kappaEqual(string(out), string(golden)); err != nil {
+				t.Errorf("output drifted from %s up to κ renaming: %v\n--- got ---\n%s--- want ---\n%s", path, err, out, golden)
 			}
 		})
 	}
@@ -303,26 +304,6 @@ func TestCqualTaint(t *testing.T) {
 	}
 }
 
-// normalizeKappa rewrites solver-variable numbers (κ582) to a fixed
-// token so golden comparisons pin the flow structure, not the
-// allocation order of constraint variables.
-func normalizeKappa(s string) string {
-	var b strings.Builder
-	for i := 0; i < len(s); {
-		if strings.HasPrefix(s[i:], "κ") {
-			b.WriteString("κ#")
-			i += len("κ")
-			for i < len(s) && s[i] >= '0' && s[i] <= '9' {
-				i++
-			}
-			continue
-		}
-		b.WriteByte(s[i])
-		i++
-	}
-	return b.String()
-}
-
 // TestCqualTaintPolyGolden pins the polymorphic const+taint JSON report
 // over examples/taint-c, timings aside, including the qualifier
 // variables its flow notes name.
@@ -379,8 +360,8 @@ func TestCqualGoTaint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if normalizeKappa(dirty) != normalizeKappa(string(golden)) {
-		t.Errorf("dirty output drifted from examples/go-taint/expected_dirty.txt\n--- got ---\n%s--- want ---\n%s", dirty, golden)
+	if err := kappaEqual(dirty, string(golden)); err != nil {
+		t.Errorf("dirty output drifted from examples/go-taint/expected_dirty.txt up to κ renaming: %v\n--- got ---\n%s--- want ---\n%s", err, dirty, golden)
 	}
 
 	clean := run("./examples/go-taint/clean", 0)
@@ -709,8 +690,8 @@ func TestCqualUniqueC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if normalizeKappa(out) != normalizeKappa(string(golden)) {
-		t.Errorf("output drifted from examples/unique-c/expected.txt\n--- got ---\n%s--- want ---\n%s", out, golden)
+	if err := kappaEqual(out, string(golden)); err != nil {
+		t.Errorf("output drifted from examples/unique-c/expected.txt up to κ renaming: %v\n--- got ---\n%s--- want ---\n%s", err, out, golden)
 	}
 	// The recovery rule: borrow_then_free writes and frees its buffer
 	// after a borrow and must NOT be reported.
@@ -739,8 +720,8 @@ func TestCqualFdstateC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if normalizeKappa(out) != normalizeKappa(string(golden)) {
-		t.Errorf("output drifted from examples/fdstate/expected.txt\n--- got ---\n%s--- want ---\n%s", out, golden)
+	if err := kappaEqual(out, string(golden)); err != nil {
+		t.Errorf("output drifted from examples/fdstate/expected.txt up to κ renaming: %v\n--- got ---\n%s--- want ---\n%s", err, out, golden)
 	}
 	if strings.Contains(out, "copy_request") || !strings.Contains(out, "returned from stale_handle") {
 		t.Errorf("leak-on-return or clean-discipline check failed:\n%s", out)
@@ -778,8 +759,8 @@ func TestCqualGoFdstate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if normalizeKappa(dirty) != normalizeKappa(string(golden)) {
-		t.Errorf("dirty output drifted from examples/go-fdstate/expected_dirty.txt\n--- got ---\n%s--- want ---\n%s", dirty, golden)
+	if err := kappaEqual(dirty, string(golden)); err != nil {
+		t.Errorf("dirty output drifted from examples/go-fdstate/expected_dirty.txt up to κ renaming: %v\n--- got ---\n%s--- want ---\n%s", err, dirty, golden)
 	}
 	for _, want := range []string{
 		`receiver of "os.File.Read" must be open`,

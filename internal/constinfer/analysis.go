@@ -184,6 +184,10 @@ type Analysis struct {
 	// body the panic escaped from.
 	walking string
 
+	// sigVars is generalizeSCC's buffer for a component's signature
+	// variables, reused from component to component.
+	sigVars []constraint.Var
+
 	// generalize, when set, replaces generalizeSCC; tests set it to the
 	// full-fragment reference generalization.
 	generalize func(*sccInfo)
@@ -412,13 +416,13 @@ func (a *Analysis) generalizeSCC(scc *sccInfo) {
 		return
 	}
 	local := func(v constraint.Var) bool {
-		return (inRange(v, scc.sigVars) || inRange(v, scc.bodyVars)) && !a.tr.pinned[v]
+		return (inRange(v, scc.sigVars) || inRange(v, scc.bodyVars)) && !a.tr.pinned(v)
 	}
-	var body []constraint.Var
-	seen := map[*RType]bool{}
+	body := a.sigVars[:0]
 	for _, fi := range scc.funcs {
-		body = collectVars(fi.sig, body, seen)
+		body = collectVars(fi.sig, body)
 	}
+	a.sigVars = body
 	qvars, proj := a.sys.Generalize(body, local, scc.sigCons, scc.bodyCons)
 	for _, fi := range scc.funcs {
 		fi.scheme = &scheme{sig: fi.sig, qvars: qvars, proj: proj}
@@ -689,18 +693,21 @@ func (visit nameVisitor) stmt(s cfront.Stmt) {
 	}
 }
 
-func collectVars(t *RType, out []constraint.Var, seen map[*RType]bool) []constraint.Var {
-	if t == nil || seen[t] {
+// collectVars appends the qualifier variables of t to out, in preorder.
+// A signature shares no RType but struct values, whose variables are
+// pinned, so out repeats only variables that are never quantified;
+// Generalize and Restrict deduplicate their interfaces anyway.
+func collectVars(t *RType, out []constraint.Var) []constraint.Var {
+	if t == nil {
 		return out
 	}
-	seen[t] = true
 	if t.Q.IsVar() {
 		out = append(out, t.Q.Var())
 	}
-	out = collectVars(t.Elem, out, seen)
-	out = collectVars(t.Ret(), out, seen)
+	out = collectVars(t.Elem, out)
+	out = collectVars(t.Ret(), out)
 	for _, p := range t.Params() {
-		out = collectVars(p, out, seen)
+		out = collectVars(p, out)
 	}
 	// Struct fields are pinned/shared and excluded from interfaces by
 	// construction; no need to walk them.

@@ -44,7 +44,7 @@ func unpinnedVars(a *Analysis, rgs ...[2]int) []constraint.Var {
 	var out []constraint.Var
 	for _, rg := range rgs {
 		for v := rg[0]; v < rg[1]; v++ {
-			if !a.tr.pinned[constraint.Var(v)] {
+			if !a.tr.pinned(constraint.Var(v)) {
 				out = append(out, constraint.Var(v))
 			}
 		}

@@ -157,9 +157,11 @@ type translator struct {
 	// leaves holds one leaf record per spelling the translated C types
 	// use.
 	leaves map[string]*sharedPart
-	// pinned qualifier variables must never be quantified: struct fields
-	// and globals are monomorphic (paper Section 4.2/4.3).
-	pinned map[constraint.Var]bool
+	// pins marks, by variable, the pinned qualifier variables, which
+	// must never be quantified: struct fields and globals are
+	// monomorphic (paper Section 4.2/4.3). It ends at the last pinned
+	// variable; see pinned.
+	pins []bool
 	// pinning is enabled while translating struct fields and globals.
 	pinning bool
 	// file names the translation unit whose declarations are being
@@ -174,16 +176,23 @@ func newTranslator(sys *constraint.System, suite *analysis.Suite) *translator {
 		suite:      suite,
 		structVals: make(map[*cfront.StructType]*RType),
 		leaves:     make(map[string]*sharedPart),
-		pinned:     make(map[constraint.Var]bool),
 	}
 }
 
 func (tr *translator) freshQ() constraint.Term {
 	v := tr.sys.Fresh()
 	if tr.pinning {
-		tr.pinned[v] = true
+		if n := int(v) + 1; n > len(tr.pins) {
+			tr.pins = append(tr.pins, make([]bool, n-len(tr.pins))...)
+		}
+		tr.pins[v] = true
 	}
 	return constraint.V(v)
+}
+
+// pinned reports whether v is pinned against generalization.
+func (tr *translator) pinned(v constraint.Var) bool {
+	return int(v) < len(tr.pins) && tr.pins[v]
 }
 
 // newRef builds a reference with a fresh qualifier and lets every

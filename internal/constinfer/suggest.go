@@ -184,7 +184,7 @@ func (a *Analysis) SchemeString(name string) (string, bool) {
 	if fi == nil || fi.scheme == nil {
 		return "", false
 	}
-	iface := collectVars(fi.sig, nil, map[*RType]bool{})
+	iface := collectVars(fi.sig, nil)
 	restricted := constraint.Restrict(a.set, fi.scheme.proj.Cons, iface)
 
 	var b strings.Builder

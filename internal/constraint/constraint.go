@@ -267,6 +267,8 @@ type System struct {
 	// insts lists the instances of projections with witnesses, in
 	// constraint order; empty outside polymorphic inference.
 	insts []instance
+	// ws is the scratch of Generalize and the projections.
+	ws workspace
 
 	solved bool
 	lower  []qual.Elem
@@ -437,8 +439,9 @@ func (s *System) Solve() []*Unsat {
 	}
 	inQ := make([]bool, n)
 	queue := make([]int32, 0, n)
-	propagate(newCSR(n, eFrom, eTo, eMask, nil), lower, inQ, queue)
-	propagate(newCSR(n, eTo, eFrom, eMask, nil), cleared, inQ, queue)
+	g := newCSR(csr{}, n, eFrom, eTo, eMask, nil)
+	propagate(g, lower, inQ, queue)
+	propagate(newCSR(g, n, eTo, eFrom, eMask, nil), cleared, inQ, queue)
 	upper := cleared
 	for v, x := range cleared {
 		upper[v] = top &^ x
@@ -680,10 +683,47 @@ func (s *System) Restrict(iface []Var) []Constraint {
 //
 // A direct self-loop x ⊑ x in the input says nothing and is skipped; a
 // cycle x ⊑ i ⊑ x through an internal variable i still projects to x ⊑ x.
+//
+// The slice's variables are renumbered densely for the projection and
+// back after it: the workspace indexes its marks by variable, and a
+// scheme's constraints name variables from all over the System they came
+// from. The renumbering keeps their order, so it keeps the sort order of
+// the result.
 func Restrict(set *qual.Set, cons []Constraint, iface []Var) []Constraint {
+	vars := slices.Clone(iface)
+	for _, c := range cons {
+		for _, t := range [2]Term{c.L, c.R} {
+			if t.isVar {
+				vars = append(vars, Var(t.v))
+			}
+		}
+	}
+	slices.Sort(vars)
+	vars = slices.Compact(vars)
+	dense := func(t Term) Term {
+		if t.isVar {
+			i, _ := slices.BinarySearch(vars, Var(t.v))
+			t.v = int32(i)
+		}
+		return t
+	}
 	s := NewSystem(set)
-	s.AddConstraints(cons, nil)
-	return s.Restrict(iface)
+	for _, c := range cons {
+		s.AddMasked(dense(c.L), dense(c.R), c.Mask, c.Why)
+	}
+	ids := make([]Var, len(iface))
+	for i, v := range iface {
+		ids[i] = Var(dense(V(v)).v)
+	}
+	out := s.Restrict(ids)
+	for i := range out {
+		for _, t := range [2]*Term{&out[i].L, &out[i].R} {
+			if t.isVar {
+				t.v = int32(vars[t.v])
+			}
+		}
+	}
+	return out
 }
 
 // Projection is a constraint fragment projected onto interface variables
@@ -728,32 +768,41 @@ func (s *System) Project(iface []Var, rgs ...[2]int) *Projection {
 // variables are the local interface variables, sorted; local variables
 // outside the interface are projected away.
 func (s *System) Generalize(body []Var, local func(Var) bool, rgs ...[2]int) (qvars []Var, p *Projection) {
-	seen := make(map[Var]bool, len(body))
-	iface := make([]Var, 0, len(body))
-	add := func(v Var) {
-		if !seen[v] {
-			seen[v] = true
-			iface = append(iface, v)
-		}
-	}
+	// The workspace's marks deduplicate the interface; they are cleared
+	// before Project, which numbers the interface afresh.
+	w := &s.ws
 	for _, v := range body {
-		add(v)
+		w.lid(v)
 	}
 	for _, rg := range rgs {
 		for i := rg[0]; i < rg[1]; i++ {
-			for _, t := range [2]Term{s.rec(i).l, s.rec(i).r} {
-				if t.isVar && !local(Var(t.v)) {
-					add(Var(t.v))
-				}
+			c := s.rec(i)
+			if c.l.isVar && !local(Var(c.l.v)) {
+				w.lid(Var(c.l.v))
+			}
+			if c.r.isVar && !local(Var(c.r.v)) {
+				w.lid(Var(c.r.v))
 			}
 		}
 	}
+	iface := append(w.iface[:0], w.locals...)
+	w.iface = iface
+	w.unmark()
+	n := 0
 	for _, v := range iface {
 		if local(v) {
-			qvars = append(qvars, v)
+			n++
 		}
 	}
-	slices.Sort(qvars)
+	if n > 0 {
+		qvars = make([]Var, 0, n)
+		for _, v := range iface {
+			if local(v) {
+				qvars = append(qvars, v)
+			}
+		}
+		slices.Sort(qvars)
+	}
 	return qvars, s.Project(iface, rgs...)
 }
 
@@ -812,40 +861,26 @@ func (s *System) appendSteps(dst []Constraint, ci int) []Constraint {
 
 // restrict is Restrict over the constraints in the half-open index ranges
 // rgs, also returning witnesses as constraint indices (see Projection);
-// loops keeps the x ⊑ x edges of cycles through internal variables.
+// loops keeps the x ⊑ x edges of cycles through internal variables. Its
+// scratch is the System's workspace; only the returned slices are new.
 func (s *System) restrict(rgs [][2]int, iface []Var, loops bool) (out []Constraint, span, wit []int32) {
 	full := s.set.FullMask()
 	top := s.set.Top()
+	w := &s.ws
 
 	// Local dense ids: interface variables first (deduplicated), then
 	// every other variable in first-occurrence order, so a node is an
 	// interface variable iff its id is below nIface.
-	n := 0
-	for _, rg := range rgs {
-		n += rg[1] - rg[0]
-	}
-	id := make(map[Var]int32, 2*len(iface))
-	locals := make([]Var, 0, len(iface)+2*n)
-	lid := func(v Var) int32 {
-		i, ok := id[v]
-		if !ok {
-			i = int32(len(locals))
-			id[v] = i
-			locals = append(locals, v)
-		}
-		return i
-	}
 	for _, v := range iface {
-		lid(v)
+		w.lid(v)
 	}
-	nIface := int32(len(locals))
-	var eFrom, eTo, eCon []int32
-	var eMask []qual.Elem
+	nIface := int32(len(w.locals))
+	eFrom, eTo, eCon, eMask := w.eFrom[:0], w.eTo[:0], w.eCon[:0], w.eMask[:0]
 	for _, rg := range rgs {
 		for i := rg[0]; i < rg[1]; i++ {
 			switch c := s.rec(i); {
 			case c.l.isVar && c.r.isVar:
-				u, v := lid(Var(c.l.v)), lid(Var(c.r.v))
+				u, v := w.lid(Var(c.l.v)), w.lid(Var(c.r.v))
 				if u != v {
 					eFrom = append(eFrom, u)
 					eTo = append(eTo, v)
@@ -853,15 +888,18 @@ func (s *System) restrict(rgs [][2]int, iface []Var, loops bool) (out []Constrai
 					eCon = append(eCon, int32(i))
 				}
 			case c.l.isVar:
-				lid(Var(c.l.v))
+				w.lid(Var(c.l.v))
 			case c.r.isVar:
-				lid(Var(c.r.v))
+				w.lid(Var(c.r.v))
 			}
 		}
 	}
+	w.eFrom, w.eTo, w.eCon, w.eMask = eFrom, eTo, eCon, eMask
+	locals := w.locals
 	nl := len(locals)
-	fwd := newCSR(nl, eFrom, eTo, eMask, eCon)
-	rev := newCSR(nl, eTo, eFrom, eMask, eCon)
+	w.fwd = newCSR(w.fwd, nl, eFrom, eTo, eMask, eCon)
+	w.rev = newCSR(w.rev, nl, eTo, eFrom, eMask, eCon)
+	fwd, rev := w.fwd, w.rev
 
 	// Constant bounds aggregated per variable. For upper bounds κ ⊑ c
 	// the per-component bound is binary — the component bit is either
@@ -874,50 +912,54 @@ func (s *System) restrict(rgs [][2]int, iface []Var, loops bool) (out []Constrai
 	// the node is reachable from (or backwards to) the current interface
 	// variable; em collects the components on which each interface
 	// variable is reached.
-	loAgg := make([]qual.Elem, nl)
-	upAgg := make([]qual.Elem, nl)
-	upCover := make([]qual.Elem, nl)
-	reach := make([]qual.Elem, nl)
-	em := make([]qual.Elem, nIface)
-	heads := make([]int32, 2*nl)
-	loHead, upHead := heads[:nl], heads[nl:]
-	var bounds []struct{ con, next int32 }
+	elems := resize(&w.elems, 4*nl+int(nIface))
+	loAgg, upAgg, upCover, reach, em := elems[:nl], elems[nl:2*nl], elems[2*nl:3*nl], elems[3*nl:4*nl], elems[4*nl:]
+	clear(elems)
 	for i := range upAgg {
 		upAgg[i] = top
 	}
+	heads := resize(&w.heads, 2*nl)
+	loHead, upHead := heads[:nl], heads[nl:]
 	for i := range heads {
 		heads[i] = -1
 	}
+	bounds := w.bounds[:0]
 	for r := len(rgs) - 1; r >= 0; r-- {
 		for i := rgs[r][1] - 1; i >= rgs[r][0]; i-- {
 			var head *int32
 			switch c := s.rec(i); {
 			case !c.l.isVar && c.r.isVar:
-				u := id[Var(c.r.v)]
+				u := w.id[c.r.v] - 1
 				loAgg[u] |= c.l.c & c.mask
 				head = &loHead[u]
 			case c.l.isVar && !c.r.isVar:
-				u := id[Var(c.l.v)]
+				u := w.id[c.l.v] - 1
 				upAgg[u] &= c.r.c | ^c.mask
 				upCover[u] |= c.mask
 				head = &upHead[u]
 			default:
 				continue
 			}
-			bounds = append(bounds, struct{ con, next int32 }{int32(i), *head})
+			bounds = append(bounds, bound{int32(i), *head})
 			*head = int32(len(bounds) - 1)
 		}
 	}
+	w.bounds = bounds
+	// The local ids are all assigned; the marks go, so the workspace
+	// is clean for the next call whatever happens below.
+	w.unmark()
 	// par[u] is the constraint by which the current pass first reached
 	// u, and from[u] the node at its other end, so following them from a
 	// reached node walks back to the interface variable of the pass.
 	// emPar/emFrom record the same for the first arrival at an interface
 	// variable.
-	links := make([]int32, 2*nl+2*int(nIface))
+	links := resize(&w.links, 2*nl+2*int(nIface))
 	par, from := links[:nl], links[nl:2*nl]
 	emPar, emFrom := links[2*nl:2*nl+int(nIface)], links[2*nl+int(nIface):]
-	inQ := make([]bool, nl)
-	var queue, touched, emTouched []int32
+	inQ := resize(&w.inQ, nl)
+	clear(inQ)
+	queue, touched, emTouched := w.queue[:0], w.touched[:0], w.emTouched[:0]
+	out, span, wit = w.out[:0], w.span[:0], w.wit[:0]
 
 	emit := func(c Constraint, w0 int) {
 		out = append(out, c)
@@ -1061,12 +1103,106 @@ func (s *System) restrict(rgs [][2]int, iface []Var, loops bool) (out []Constrai
 			reach[u] = 0
 		}
 	}
+	w.queue, w.touched, w.emTouched = queue, touched, emTouched
+	w.out, w.span, w.wit = out, span, wit
 
 	// Emission order above follows traversal order; scheme constraints
 	// feed instantiation, so the projection is sorted into a canonical
-	// deterministic order, witness spans alongside.
-	sort.Sort(bySpan{out, span})
-	return out, span, wit
+	// deterministic order, witness spans alongside. The sorted result is
+	// copied out of the workspace at its exact size: the Projection
+	// outlives this call, the workspace's buffers do not.
+	w.sort = bySpan{out, span}
+	sort.Sort(&w.sort)
+	if len(out) == 0 {
+		return nil, nil, nil
+	}
+	cons := make([]Constraint, len(out))
+	copy(cons, out)
+	ints := make([]int32, len(span)+len(wit))
+	copy(ints, span)
+	copy(ints[len(span):], wit)
+	return cons, ints[:len(span):len(span)], ints[len(span):]
+}
+
+// workspace is the scratch of restrict and Generalize. A System owns one,
+// and every projection of its fragments reuses it, so a polymorphic run
+// allocates projection scratch a few times, grown to its largest
+// component, instead of once per component. Nothing a call returns points
+// into it.
+//
+// id is indexed by variable and sized by the largest variable a call has
+// seen, which can exceed NumVars: Restrict projects constraints over
+// variables its fresh System never allocated. Between calls every entry
+// of id is zero. A call does not clear id whole, which would cost
+// O(NumVars) per component: it zeroes the entries it set, listed in
+// locals. Every other array is indexed by local id, and sized and
+// cleared per call.
+type workspace struct {
+	// id maps a variable to its local id + 1, and to 0 when the current
+	// call has not seen it; locals maps the local ids back.
+	id     []int32
+	locals []Var
+	// iface is Generalize's interface, handed to restrict.
+	iface []Var
+
+	eFrom, eTo, eCon []int32
+	eMask            []qual.Elem
+	fwd, rev         csr
+	// elems backs loAgg, upAgg, upCover, reach and em; heads backs
+	// loHead and upHead; links backs par, from, emPar and emFrom.
+	elems                     []qual.Elem
+	heads, links              []int32
+	inQ                       []bool
+	bounds                    []bound
+	queue, touched, emTouched []int32
+	// out, span and wit collect the projection, which is sorted in
+	// place and copied out at its exact size. sort is their sorter,
+	// kept here so that passing it to sort.Sort allocates nothing.
+	out       []Constraint
+	span, wit []int32
+	sort      bySpan
+}
+
+// bound is one entry of a variable's list of constant bounds: the
+// constraint, and the next entry or -1.
+type bound struct{ con, next int32 }
+
+// lid returns v's local id, giving it the next one on first sight.
+func (w *workspace) lid(v Var) int32 {
+	if int(v) >= len(w.id) {
+		w.growID(int(v) + 1)
+	}
+	if i := w.id[v]; i != 0 {
+		return i - 1
+	}
+	w.locals = append(w.locals, v)
+	w.id[v] = int32(len(w.locals))
+	return int32(len(w.locals)) - 1
+}
+
+// growID extends id to at least n entries, at least doubling it.
+func (w *workspace) growID(n int) {
+	id := make([]int32, max(n, 2*len(w.id)))
+	copy(id, w.id)
+	w.id = id
+}
+
+// unmark clears the local ids of the current call.
+func (w *workspace) unmark() {
+	for _, v := range w.locals {
+		w.id[v] = 0
+	}
+	w.locals = w.locals[:0]
+}
+
+// resize returns *buf at length n, growing its array (at least doubling
+// it) when it is too small. The contents are unspecified.
+func resize[T any](buf *[]T, n int) []T {
+	if cap(*buf) < n {
+		*buf = make([]T, n, max(n, 2*cap(*buf)))
+	}
+	*buf = (*buf)[:n]
+	return *buf
 }
 
 // bySpan sorts projected constraints with their witness spans.

@@ -31,11 +31,14 @@ type csr struct {
 
 // newCSR builds the adjacency of the edges from[i] → to[i] (mask[i],
 // constraint con[i] when con is non-nil) over n nodes, keeping each
-// node's edges in input order.
-func newCSR(n int, from, to []int32, mask []qual.Elem, con []int32) csr {
-	g := csr{off: make([]int32, n+1), to: make([]int32, len(from)), mask: make([]qual.Elem, len(from))}
+// node's edges in input order. It fills g's arrays in place where they
+// are large enough, so g must not be in use.
+func newCSR(g csr, n int, from, to []int32, mask []qual.Elem, con []int32) csr {
+	clear(resize(&g.off, n+1))
+	resize(&g.to, len(from))
+	resize(&g.mask, len(from))
 	if con != nil {
-		g.con = make([]int32, len(from))
+		resize(&g.con, len(from))
 	}
 	for _, u := range from {
 		g.off[u]++

@@ -23,6 +23,7 @@ package infer
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/constraint"
 	"repro/internal/lambda"
@@ -91,8 +92,12 @@ type Scheme struct {
 type generic struct {
 	iface      []constraint.Var
 	vars, cons [2]int
-	qvars      []constraint.Var
-	proj       *constraint.Projection
+	// escaped lists, sorted, the variables of the vars range that are
+	// free in the environment after the value's inference; they are
+	// never quantified.
+	escaped []constraint.Var
+	qvars   []constraint.Var
+	proj    *constraint.Projection
 }
 
 // Mono wraps a qualified type as a monomorphic scheme.
@@ -137,6 +142,8 @@ type Checker struct {
 	// first instantiation. Tests set it to the full-fragment replay
 	// (newReference) that projected schemes are checked against.
 	generalize func(g *generic)
+	// free is generalizeFrom's buffer for the environment's variables.
+	free []constraint.Var
 }
 
 // New creates a checker for the qualifier set with the given rules.
@@ -449,11 +456,11 @@ func (c *Checker) inferAssert(env *Env, e *lambda.Assert) (*qtype.QType, error) 
 }
 
 // Generalize infers the type of a syntactic value and abstracts over the
-// qualifier variables created during its inference (which can never be
-// free in the environment), capturing the constraint fragment generated
-// alongside — the paper's (Letv) rule. The fragment also stays in the
-// global system, implementing the existential quantification ∃κ⃗.C1 that
-// checks the purely local constraints once.
+// qualifier variables created during its inference that are not free in
+// the environment, capturing the constraint fragment generated alongside
+// — the paper's (Letv) rule. The fragment also stays in the global
+// system, implementing the existential quantification ∃κ⃗.C1 that checks
+// the purely local constraints once.
 func (c *Checker) Generalize(env *Env, v lambda.Expr) (*Scheme, error) {
 	startVar := c.Sys.NumVars()
 	startCon := c.Sys.NumConstraints()
@@ -461,7 +468,7 @@ func (c *Checker) Generalize(env *Env, v lambda.Expr) (*Scheme, error) {
 	if err != nil {
 		return nil, err
 	}
-	return c.generalizeFrom(startVar, startCon, body), nil
+	return c.generalizeFrom(env, startVar, startCon, body), nil
 }
 
 // generalizeRec infers a recursive binding: the name is visible inside
@@ -485,20 +492,52 @@ func (c *Checker) generalizeRec(env *Env, e *lambda.LetRec) (*Scheme, error) {
 	if c.Monomorphic {
 		return Mono(init), nil
 	}
-	return c.generalizeFrom(startVar, startCon, init), nil
+	return c.generalizeFrom(env, startVar, startCon, init), nil
 }
 
 // generalizeFrom builds a scheme over the qualifier variables created
 // since the snapshot and the constraints generated alongside. Body's
 // variables are read now, as its type variables may later resolve to
-// types the fragment never saw. A variable the value bound into an
-// enclosing λ-parameter's type still counts as local (ROADMAP item 7).
-func (c *Checker) generalizeFrom(startVar, startCon int, body *qtype.QType) *Scheme {
-	return &Scheme{Body: body, gen: &generic{
+// types the fragment never saw. So are the variables of the range that
+// are free in env: the value can bind an enclosing λ-parameter's type
+// variable to a type that holds them, and the (Let) rule generalizes only
+// variables not free in Γ (§2.4, §3.2). Every binding in env predates
+// the range, so only the value can have put them there. The scan costs
+// O(|Γ|) per let.
+func (c *Checker) generalizeFrom(env *Env, startVar, startCon int, body *qtype.QType) *Scheme {
+	g := &generic{
 		iface: qtype.FreeQVars(body, nil),
 		vars:  [2]int{startVar, c.Sys.NumVars()},
 		cons:  [2]int{startCon, c.Sys.NumConstraints()},
-	}}
+	}
+	free := c.free[:0]
+	for e := env; e != nil; e = e.next {
+		free = qtype.FreeQVars(e.scheme.Body, free)
+	}
+	for _, v := range free {
+		if g.inRange(v) {
+			g.escaped = append(g.escaped, v)
+		}
+	}
+	c.free = free[:0]
+	slices.Sort(g.escaped)
+	g.escaped = slices.Compact(g.escaped)
+	return &Scheme{Body: body, gen: g}
+}
+
+// inRange reports whether v was created while the value was inferred.
+func (g *generic) inRange(v constraint.Var) bool {
+	return int(v) >= g.vars[0] && int(v) < g.vars[1]
+}
+
+// local reports whether v may be quantified: it was created while the
+// value was inferred and is not free in the environment.
+func (g *generic) local(v constraint.Var) bool {
+	if !g.inRange(v) {
+		return false
+	}
+	_, free := slices.BinarySearch(g.escaped, v)
+	return !free
 }
 
 // Instantiate implements the (Var') rule: the scheme's quantified
@@ -513,8 +552,7 @@ func (c *Checker) Instantiate(s *Scheme) *qtype.QType {
 	if g.proj == nil && c.generalize != nil {
 		c.generalize(g)
 	} else if g.proj == nil {
-		local := func(v constraint.Var) bool { return int(v) >= g.vars[0] && int(v) < g.vars[1] }
-		g.qvars, g.proj = c.Sys.Generalize(g.iface, local, g.cons)
+		g.qvars, g.proj = c.Sys.Generalize(g.iface, g.local, g.cons)
 	}
 	if len(g.qvars) == 0 && len(g.proj.Cons) == 0 {
 		return s.Body

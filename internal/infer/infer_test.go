@@ -378,6 +378,29 @@ func TestTaint(t *testing.T) {
 		ni`)
 }
 
+// TestLetKeepsEnvironmentVarsMonomorphic is the (Let) side condition:
+// only qualifier variables not free in Γ are generalized (§2.4, §3.2).
+// The let-bound f writes its argument through y, so inferring f binds
+// the λ-parameter y's type to a ref over f's parameter qualifier. That
+// variable was created inside f's value but is free in the environment:
+// quantifying it would let each use of f write into a fresh copy of y's
+// contents, and the tainted write would never reach the assertion,
+// which evaluation then fails. The test reference shares the rule, so
+// it must reject the program too.
+func TestLetKeepsEnvironmentVarsMonomorphic(t *testing.T) {
+	set := qual.MustSet(qual.Qualifier{Name: "tainted", Sign: qual.Positive})
+	rules := TaintRules(set)
+	src := `(fn y => let f = fn x => y := x in f (@tainted 1); (!y) |[^tainted] ni) (ref 0)`
+	mustFail(t, set, rules, src)
+	res, err := newReference(set, rules).CheckSource("test", src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Conflicts) == 0 {
+		t.Errorf("reference accepts %q, want qualifier conflict", src)
+	}
+}
+
 // TestPolyConflictKeepsProvenance: a conflict whose flow crosses an
 // instance of a let-bound function is reported along the original
 // constraints of its body, with their positions, exactly as the

@@ -7,7 +7,8 @@ import (
 
 // newReference returns a checker whose polymorphic schemes keep the
 // whole constraint fragment of their value, quantified over every
-// variable created during its inference and replayed in full at each
+// variable created during its inference that is not free in the
+// environment (generic.local), and replayed in full at each
 // instantiation: generalization before Section 6's projection. It is
 // the test-only reference that projected schemes are checked against,
 // verdict by verdict.
@@ -19,7 +20,9 @@ func newReference(set *qual.Set, rules Rules) *Checker {
 
 		qvars := make([]constraint.Var, 0, endVar-startVar)
 		for i := startVar; i < endVar; i++ {
-			qvars = append(qvars, constraint.Var(i))
+			if g.local(constraint.Var(i)) {
+				qvars = append(qvars, constraint.Var(i))
+			}
 		}
 		g.qvars, g.proj = qvars, &constraint.Projection{Cons: cons}
 	}
