@@ -11,9 +11,10 @@ import (
 // FuzzAnalyze drives the whole C pipeline (parse, constrain, solve,
 // classify) over arbitrary sources, seeded from the testdata corpus and
 // the C examples. On every input that parses, mono and poly inference
-// must not panic, every position mono may make const poly may too, and
-// the projected poly verdicts equal those of the full-fragment reference
-// (newReference), position by position.
+// must not panic, the projected poly verdicts must equal those of the
+// full-fragment reference (newReference), position by position, and on
+// a program without conflicts every position mono may make const poly
+// may too (compareModes).
 func FuzzAnalyze(f *testing.F) {
 	for _, pattern := range []string{"testdata/*.c", "../../examples/*/*.c"} {
 		paths, err := filepath.Glob(pattern)

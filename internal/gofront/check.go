@@ -1,21 +1,25 @@
 package gofront
 
-// Parsing and type checking. The front end parses the loaded files into
-// one shared token.FileSet, groups them into packages by directory, and
+// Parsing and type checking. The front end reads the loaded files'
+// import headers, starts the go command listing their standard-library
+// imports, and parses the files into one shared token.FileSet while the
+// listing runs. It then groups them into packages by directory and
 // type-checks each package with go/types. Imports resolve four ways,
-// in order: a package already checked in this run, a module-local
-// package loaded from disk and checked transitively, a package under
-// GOROOT through the process-wide importer every run shares (compiler
-// export data from the go command's build cache, or GOROOT's sources
-// when the go command cannot supply it), or any other package (GOPATH,
-// a vendored tree) through this run's own source importer. Any import or
-// type-check failure is downgraded to a warning diagnostic and the
-// failed package is replaced by an empty stub — the analysis always
-// proceeds on whatever type information exists, because a conservative
-// answer on a partially typed program is still sound for the positive
-// const question ("is this reference never written through?" is only
-// ever weakened by missing information we treat as writes at call
-// edges).
+// in order: a package already checked in this run; a module-local
+// package, checked transitively from its files on disk with the
+// request's cleanly parsed files as an overlay (such a file is not
+// parsed again, and a dependency check sees the request's text, not the
+// disk copy); a package under GOROOT, through the process-wide importer
+// every run shares (compiler export data from the go command's build
+// cache, or GOROOT's sources when the go command cannot supply it); or
+// any other package (GOPATH, a vendored tree), through this run's own
+// source importer. Any import or type-check failure is downgraded to a
+// warning diagnostic and the failed package is replaced by an empty
+// stub — the analysis always proceeds on whatever type information
+// exists, because a conservative answer on a partially typed program is
+// still sound for the positive const question ("is this reference never
+// written through?" is only ever weakened by missing information we
+// treat as writes at call edges).
 
 import (
 	"bytes"
@@ -38,6 +42,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"time"
 
 	"repro/internal/analysis"
 	"repro/internal/driver"
@@ -56,9 +61,12 @@ var noCgo sync.Once
 // the process runs, so the import path alone is the key.
 //
 // The go command is asked once per Parse, in one batch, for the export
-// data of the requested files' GOROOT imports and their dependencies;
-// a later miss (a GOROOT import of a module-local dependency) lists
-// that one path. Failed lookups are not cached, so every run retries a
+// data of the requested files' GOROOT imports and their dependencies.
+// The batch runs in the background while Parse parses the files, and
+// holds mu until it ends, so the run's first import waits for it rather
+// than listing its own path; Parse does not return before it ends. A
+// later miss (a GOROOT import of a module-local dependency) lists that
+// one path. Failed lookups are not cached, so every run retries a
 // failure and reports it again.
 //
 // Until the first package is handed out, any failure of the go command
@@ -93,6 +101,8 @@ type stdImporter struct {
 	exports map[string]string  // import path → export data file
 	gc      types.ImporterFrom // reads exports
 	served  int                // packages gc has handed out
+	lists   int                // go command processes list started
+	listDur time.Duration      // their total wall time
 	src     types.ImporterFrom // non-nil once the process is on source
 	reason  string             // why src serves the process
 }
@@ -116,24 +126,33 @@ func (s *stdImporter) lookup(path string) (io.ReadCloser, error) {
 	return os.Open(file)
 }
 
-// prefetch lists paths that are not listed yet, and their dependencies,
-// in one go command run.
-func (s *stdImporter) prefetch(ctx context.Context, paths []string) {
+// prefetch starts one go command run, in the background, listing the
+// paths that are not listed yet and their dependencies, and returns a
+// function that waits for it to end. It takes mu before it returns and
+// the listing releases it, so an ImportFrom made meanwhile waits for
+// the batch instead of listing its own path. A failure is the first
+// import's to report.
+func (s *stdImporter) prefetch(ctx context.Context, paths []string) (wait func()) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.src != nil {
-		return
-	}
 	var missing []string
-	for _, path := range paths {
-		if _, ok := s.exports[path]; !ok {
-			missing = append(missing, path)
+	if s.src == nil {
+		for _, path := range paths {
+			if _, ok := s.exports[path]; !ok {
+				missing = append(missing, path)
+			}
 		}
 	}
-	if len(missing) > 0 {
-		// A failure is the first import's to report.
-		_, _ = s.list(ctx, missing)
+	if len(missing) == 0 {
+		s.mu.Unlock()
+		return func() {}
 	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		defer s.mu.Unlock()
+		_, _ = s.list(ctx, missing)
+	}()
+	return func() { <-done }
 }
 
 // list runs `go list -export -deps` over paths, records every package
@@ -144,14 +163,20 @@ func (s *stdImporter) prefetch(ctx context.Context, paths []string) {
 // CGO_ENABLED, GOFLAGS) is the caller's, so the export data is what the
 // caller's own builds left in the cache. A failed run before anything
 // was served puts the process on the source importer; a cancelled one
-// changes nothing.
+// changes nothing. Every run that starts the go command, cancelled or
+// not, counts in StdlibImporter's tally of runs and wall time.
 func (s *stdImporter) list(ctx context.Context, paths []string) (map[string]string, error) {
 	cmd := exec.CommandContext(ctx, s.goCmd, append([]string{"list", "-e", "-export", "-deps", "-json=ImportPath,Export,Error"}, paths...)...)
 	cmd.Dir = filepath.Join(build.Default.GOROOT, "src")
 	cmd.Env = append(os.Environ(), "GOTOOLCHAIN=local")
 	var stderr strings.Builder
 	cmd.Stderr = &stderr
+	start := time.Now()
 	out, err := cmd.Output()
+	if cmd.Process != nil {
+		s.lists++
+		s.listDur += time.Since(start)
+	}
 	if ctx.Err() != nil {
 		return nil, ctx.Err()
 	}
@@ -250,8 +275,9 @@ func (s *stdImporter) decode(path, srcDir string) (pkg *types.Package, err error
 }
 
 // StdlibImporter names the standard-library importer this process has
-// used so far: "export data" with its package counts, "source" with the
-// reason, or "none" before any Go run imported a GOROOT package.
+// used so far: "export data" with its package counts and the go command
+// runs that listed them, "source" with the reason, or "none" before any
+// Go run imported a GOROOT package.
 func StdlibImporter() string {
 	return std.describe()
 }
@@ -263,7 +289,12 @@ func (s *stdImporter) describe() string {
 	case s.src != nil:
 		return "source (" + s.reason + ")"
 	case s.served > 0:
-		return fmt.Sprintf("export data, %d packages listed, %d imported", len(s.exports), s.served)
+		runs := "runs"
+		if s.lists == 1 {
+			runs = "run"
+		}
+		return fmt.Sprintf("export data, %d packages listed by %d go list %s in %d ms, %d imported",
+			len(s.exports), s.lists, runs, s.listDur.Milliseconds(), s.served)
 	}
 	return "none"
 }
@@ -287,8 +318,15 @@ const maxPkgNotes = 8
 // Parse parses the loaded files and type-checks them as packages. The
 // returned error slice is parallel to files (syntax errors only);
 // type-check problems become warning notes on the Program.
+//
+// The go command lists the files' GOROOT imports while the files
+// parse: their import headers are read first, into a throwaway
+// FileSet, and std lists them in the background. Parse waits for that
+// listing before it returns, on every path.
 func (frontEnd) Parse(ctx context.Context, files []driver.Source, loadErrs []error) (driver.Program, []error) {
 	noCgo.Do(func() { build.Default.CgoEnabled = false })
+	wait := std.prefetch(ctx, gorootImports(ctx, files, loadErrs))
+	defer wait()
 	fset := token.NewFileSet()
 	parsed := make([]*ast.File, len(files))
 	parseErrs := make([]error, len(files))
@@ -300,6 +338,7 @@ func (frontEnd) Parse(ctx context.Context, files []driver.Source, loadErrs []err
 	}
 
 	prog := &Program{fset: fset}
+	ld := newLoader(ctx, fset, prog)
 	// Group the parsed files into packages by directory, preserving load
 	// order within each package.
 	groups := map[string]*pkgInfo{}
@@ -307,6 +346,9 @@ func (frontEnd) Parse(ctx context.Context, files []driver.Source, loadErrs []err
 	for i, f := range parsed {
 		if f == nil {
 			continue
+		}
+		if abs, err := filepath.Abs(files[i].Path); err == nil && parseErrs[i] == nil {
+			ld.overlay[abs] = f
 		}
 		dir := filepath.Dir(files[i].Path)
 		g := groups[dir]
@@ -320,8 +362,6 @@ func (frontEnd) Parse(ctx context.Context, files []driver.Source, loadErrs []err
 	}
 	sort.Strings(dirs)
 
-	ld := newLoader(ctx, fset, prog)
-	std.prefetch(ctx, gorootImports(parsed, files))
 	for _, dir := range dirs {
 		if ctx.Err() != nil {
 			break
@@ -339,11 +379,19 @@ func (frontEnd) Parse(ctx context.Context, files []driver.Source, loadErrs []err
 	return prog, parseErrs
 }
 
-// gorootImports lists the distinct GOROOT imports of the parsed files.
-func gorootImports(parsed []*ast.File, files []driver.Source) []string {
+// gorootImports lists the distinct GOROOT imports of the loaded files,
+// read from their import headers alone. The headers parse into a
+// FileSet of their own, so the run's FileSet, and every position in
+// it, is the full parse's alone.
+func gorootImports(ctx context.Context, files []driver.Source, loadErrs []error) []string {
+	fset := token.NewFileSet()
 	var paths []string
 	seen := map[string]bool{"unsafe": true}
-	for i, f := range parsed {
+	for i, src := range files {
+		if loadErrs[i] != nil || ctx.Err() != nil {
+			continue
+		}
+		f, _ := parser.ParseFile(fset, src.Path, src.Text, parser.ImportsOnly)
 		if f == nil {
 			continue
 		}
@@ -353,7 +401,7 @@ func gorootImports(parsed []*ast.File, files []driver.Source) []string {
 				continue
 			}
 			seen[path] = true
-			if inGoroot(path, filepath.Dir(files[i].Path)) {
+			if inGoroot(path, filepath.Dir(src.Path)) {
 				paths = append(paths, path)
 			}
 		}
@@ -381,6 +429,11 @@ type loader struct {
 	prog *Program
 	src  types.ImporterFrom // source importer for imports outside GOROOT and the module
 
+	// overlay maps the absolute path of each requested file that parsed
+	// cleanly to its syntax tree: a package checked from disk takes
+	// these in place of the disk copies.
+	overlay map[string]*ast.File
+
 	// modules caches go.mod lookups by directory.
 	modules map[string]moduleInfo
 	// done maps import path → checked package (requested, local
@@ -399,6 +452,7 @@ func newLoader(ctx context.Context, fset *token.FileSet, prog *Program) *loader 
 		fset:    fset,
 		prog:    prog,
 		src:     importer.ForCompiler(fset, "source", nil).(types.ImporterFrom),
+		overlay: map[string]*ast.File{},
 		modules: map[string]moduleInfo{},
 		done:    map[string]*types.Package{},
 		loading: map[string]bool{},
@@ -531,10 +585,12 @@ func (ld *loader) checkRequested(g *pkgInfo) {
 	g.Pkg = ld.check(g.Path, g.Dir, g.Files, g.Info)
 }
 
-// check type-checks one package (parsing its files from disk when the
-// caller supplies none), records its type errors as warning notes, and
-// returns the — possibly incomplete — package. Import cycles and
-// re-checks resolve through the done/loading maps.
+// check type-checks one package, records its type errors as warning
+// notes, and returns the — possibly incomplete — package. When the
+// caller supplies no files, the package's files on disk are checked,
+// each taken from the overlay when the request supplied it and parsed
+// from disk otherwise. Import cycles and re-checks resolve through the
+// done/loading maps.
 func (ld *loader) check(path, dir string, files []*ast.File, info *types.Info) *types.Package {
 	if pkg, ok := ld.done[path]; ok && info == nil {
 		return pkg
@@ -559,6 +615,10 @@ func (ld *loader) check(path, dir string, files []*ast.File, info *types.Info) *
 			return ld.stub(path)
 		}
 		for _, name := range names {
+			if f := ld.overlay[name]; f != nil {
+				files = append(files, f)
+				continue
+			}
 			f, err := parser.ParseFile(ld.fset, name, nil, parser.SkipObjectResolution)
 			if err != nil {
 				ld.note(token.NoPos, "go-parse-error", fmt.Sprintf("loading %q: %v", path, err))

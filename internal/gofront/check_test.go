@@ -133,15 +133,22 @@ func goCommand(t *testing.T) string {
 // standard-library importer and returns its report without timings.
 func runWith(t *testing.T, imp *stdImporter, cfg driver.Config, src driver.Source) string {
 	t.Helper()
-	old := std
-	std = imp
-	defer func() { std = old }()
 	cfg.Lang = "go"
-	res, err := driver.Run(cfg, []driver.Source{src})
+	var res *driver.Result
+	var err error
+	withStd(imp, func() { res, err = driver.Run(cfg, []driver.Source{src}) })
 	if err != nil {
 		t.Fatal(err)
 	}
 	return reportWithoutTimings(t, res)
+}
+
+// withStd calls f with imp as the process's standard-library importer.
+func withStd(imp *stdImporter, f func()) {
+	old := std
+	std = imp
+	defer func() { std = old }()
+	f()
 }
 
 // TestImportersAgree: a fresh importer reading export data and a fresh
@@ -289,15 +296,16 @@ func write(r *http.Request) func(io.Writer) error { return r.Write }
 		imp := newStdImporter(goCmd)
 		cancelled, cancel := context.WithCancel(ctx)
 		cancel()
-		imp.prefetch(cancelled, []string{"fmt"})
+		imp.prefetch(cancelled, []string{"fmt"})()
 		if _, err := imp.ImportFrom(cancelled, "fmt", dir); !errors.Is(err, context.Canceled) {
 			t.Errorf("cancelled ImportFrom(fmt) error = %v; want context.Canceled", err)
 		}
 		if len(imp.exports) != 0 || imp.src != nil || imp.served != 0 {
 			t.Errorf("a cancelled run changed the importer: %d listed, %q", len(imp.exports), imp.describe())
 		}
-		if _, err := imp.ImportFrom(ctx, "fmt", dir); err != nil || !strings.HasPrefix(imp.describe(), "export data") {
-			t.Errorf("ImportFrom(fmt) after the cancelled run = %v, %q; want export data", err, imp.describe())
+		// The cancelled listing never started the go command.
+		if _, err := imp.ImportFrom(ctx, "fmt", dir); err != nil || !strings.Contains(imp.describe(), " listed by 1 go list run in ") {
+			t.Errorf("ImportFrom(fmt) after the cancelled run = %v, %q; want export data listed by one go list run", err, imp.describe())
 		}
 	})
 }
@@ -316,20 +324,10 @@ func importOf(pkg *types.Package, path string) *types.Package {
 // comment and quote its path; module-local imports must resolve the
 // same either way.
 func TestModulePathComment(t *testing.T) {
-	dir := t.TempDir()
-	files := map[string]string{
+	dir := writeModule(t, map[string]string{
 		"a/a.go": "package a\n\nfunc Get(p *int) int { return *p }\n",
 		"b/b.go": "package b\n\nimport \"example.com/m/a\"\n\nfunc Use(p *int) int { return a.Get(p) }\n",
-	}
-	for name, text := range files {
-		path := filepath.Join(dir, filepath.FromSlash(name))
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, []byte(text), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
+	})
 	var want string
 	for _, mod := range []string{
 		"module example.com/m\n",
