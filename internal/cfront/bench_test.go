@@ -47,11 +47,12 @@ func BenchmarkCLex(b *testing.B) {
 var benchFile *File
 
 // TestParseAllocs pins how many objects parsing a ~2k-line generated
-// program allocates at the count measured with node slabs and scratch
-// stacks (4,840) plus 10%, room for a toolchain's own allocations, so a
-// change that puts back per-node allocation fails it.
+// program allocates at the count measured with node and type slabs and
+// scratch stacks (3,439) plus 10%, room for a toolchain's own
+// allocations, so a change that puts back per-node or per-type
+// allocation fails it.
 func TestParseAllocs(t *testing.T) {
-	const measured = 4840
+	const measured = 3439
 	src := benchgen.Generate(benchgen.ParallelCorpus(2_000, 11))
 	allocs := testing.AllocsPerRun(5, func() {
 		if _, err := Parse("synth.c", src); err != nil {

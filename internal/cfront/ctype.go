@@ -149,20 +149,29 @@ func NewPointer(elem *Type) *Type { return &Type{Kind: TPointer, Elem: elem} }
 // copied — the paper requires declarations of the same struct type to
 // share field qualifiers, while typedefs are macro-expanded so that each
 // use gets fresh qualifier positions.
-func (t *Type) Clone() *Type {
+func (t *Type) Clone() *Type { return t.clone(nil) }
+
+// clone is Clone with the copies taken from p's slab when p is set.
+func (t *Type) clone(p *Parser) *Type {
 	if t == nil {
 		return nil
 	}
-	out := *t
-	out.Elem = t.Elem.Clone()
-	out.Ret = t.Ret.Clone()
+	var out *Type
+	if p != nil {
+		out = p.newType()
+	} else {
+		out = new(Type)
+	}
+	*out = *t
+	out.Elem = t.Elem.clone(p)
+	out.Ret = t.Ret.clone(p)
 	if t.Params != nil {
 		out.Params = make([]Param, len(t.Params))
-		for i, p := range t.Params {
-			out.Params[i] = Param{Name: p.Name, Type: p.Type.Clone(), Pos: p.Pos}
+		for i, pa := range t.Params {
+			out.Params[i] = Param{Name: pa.Name, Type: pa.Type.clone(p), Pos: pa.Pos}
 		}
 	}
-	return &out
+	return out
 }
 
 // IsInteger reports whether the type is an integer-like scalar (enums

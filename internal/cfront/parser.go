@@ -159,12 +159,12 @@ type declSpecs struct {
 // (int *a, b;), so no two declarators share a qualifier level. Nothing
 // writes to a declared type while its declaration is parsed, so the copy
 // is taken from a pristine base.
-func (ds *declSpecs) take() *Type {
+func (ds *declSpecs) take(p *Parser) *Type {
 	if !ds.taken {
 		ds.taken = true
 		return ds.base
 	}
-	return ds.base.Clone()
+	return ds.base.clone(p)
 }
 
 // parseDeclSpecs parses storage classes, qualifiers and type specifiers.
@@ -247,7 +247,8 @@ func (p *Parser) parseDeclSpecs() (declSpecs, error) {
 			if err != nil {
 				return declSpecs{}, err
 			}
-			ds.base = &Type{Kind: TStruct, Struct: st}
+			ds.base = p.newType()
+			ds.base.Kind, ds.base.Struct = TStruct, st
 		case kwEnum:
 			if sawSpecifier() {
 				return declSpecs{}, p.errf("enum specifier after another type specifier")
@@ -263,7 +264,7 @@ func (p *Parser) parseDeclSpecs() (declSpecs, error) {
 			if td, ok := p.typedefs[p.tok.Text]; ok && !sawSpecifier() {
 				// Macro-expand the typedef: deep-copy so each use has
 				// independent qualifier positions (paper Section 4.2).
-				ds.base = td.Clone()
+				ds.base = td.clone(p)
 				if err := p.next(); err != nil {
 					return declSpecs{}, err
 				}
@@ -284,7 +285,8 @@ done:
 			// Implicit int (K&R style "const x;" or bare storage class).
 			spelling, kind = "int", TInt
 		}
-		ds.base = NewPrim(kind, spelling)
+		ds.base = p.newType()
+		ds.base.Kind, ds.base.Spelling = kind, spelling
 	}
 	ds.base.Quals.Const = ds.base.Quals.Const || quals.Const
 	ds.base.Quals.Volatile = ds.base.Quals.Volatile || quals.Volatile
@@ -375,7 +377,7 @@ func (p *Parser) parseStructSpecifier(isUnion bool) (*StructType, error) {
 			return nil, err
 		}
 		for {
-			name, typ, namePos, err := p.parseDeclarator(ds.take(), false)
+			name, typ, namePos, err := p.parseDeclarator(ds.take(p), false)
 			if err != nil {
 				return nil, err
 			}
@@ -420,7 +422,8 @@ func (p *Parser) parseEnumSpecifier() (*Type, error) {
 			return nil, err
 		}
 	}
-	t := &Type{Kind: TEnum, EnumTag: tag, Spelling: "int"}
+	t := p.newType()
+	t.Kind, t.EnumTag, t.Spelling = TEnum, tag, "int"
 	if p.tok.Kind != LBRACE {
 		if tag == "" {
 			return nil, p.errf("anonymous enum without a body")
@@ -481,12 +484,10 @@ type declarator struct {
 // apply completes the declarator over base: pointers first, then the
 // suffixes right to left (the one closest to the name binds tightest),
 // then the nested declarator.
-func (d *declarator) apply(base *Type) *Type {
+func (d *declarator) apply(p *Parser, base *Type) *Type {
 	t := base
 	for _, q := range d.ptrs {
-		pt := NewPointer(t)
-		pt.Quals = q
-		t = pt
+		t = p.pointer(t, q)
 	}
 	for i := len(d.suffixes) - 1; i >= 0; i-- {
 		s := d.suffixes[i]
@@ -498,7 +499,7 @@ func (d *declarator) apply(base *Type) *Type {
 		t = s
 	}
 	if d.inner != nil {
-		return d.inner.apply(t)
+		return d.inner.apply(p, t)
 	}
 	return t
 }
@@ -511,7 +512,7 @@ func (p *Parser) parseDeclarator(base *Type, allowAbstract bool) (string, *Type,
 	if err != nil {
 		return "", nil, Pos{}, err
 	}
-	return d.name, d.apply(base), d.pos, nil
+	return d.name, d.apply(p, base), d.pos, nil
 }
 
 // parseDeclaratorParts parses a declarator without applying it. A
@@ -583,7 +584,9 @@ func (p *Parser) parseDeclaratorParts(allowAbstract bool) (declarator, error) {
 			if _, err := p.expect(RBRACK); err != nil {
 				return d, err
 			}
-			d.suffixes = append(d.suffixes, &Type{Kind: TArray, ArrayLen: length})
+			s := p.newType()
+			s.Kind, s.ArrayLen = TArray, length
+			d.suffixes = append(d.suffixes, s)
 		case LPAREN:
 			if err := p.next(); err != nil {
 				return d, err
@@ -595,7 +598,9 @@ func (p *Parser) parseDeclaratorParts(allowAbstract bool) (declarator, error) {
 			if _, err := p.expect(RPAREN); err != nil {
 				return d, err
 			}
-			d.suffixes = append(d.suffixes, &Type{Kind: TFunc, Params: params, Variadic: variadic})
+			s := p.newType()
+			s.Kind, s.Params, s.Variadic = TFunc, params, variadic
+			d.suffixes = append(d.suffixes, s)
 		default:
 			return d, nil
 		}
@@ -643,7 +648,7 @@ func (p *Parser) parseParamList() ([]Param, bool, error) {
 			return nil, false, err
 		}
 		// Arrays and functions decay to pointers in parameter position.
-		typ = decay(typ)
+		typ = p.decay(typ)
 		p.params = append(p.params, Param{Name: name, Type: typ, Pos: namePos})
 		if p.tok.Kind != COMMA {
 			break
@@ -657,17 +662,26 @@ func (p *Parser) parseParamList() ([]Param, bool, error) {
 
 // decay converts array-of-T to pointer-to-T and function types to
 // pointers-to-function in parameter position.
-func decay(t *Type) *Type {
+func (p *Parser) decay(t *Type) *Type {
 	switch t.Kind {
 	case TArray:
-		pt := NewPointer(t.Elem)
-		pt.Quals = t.Quals
-		return pt
+		return p.pointer(t.Elem, t.Quals)
 	case TFunc:
-		return NewPointer(t)
+		return p.pointer(t, Quals{})
 	default:
 		return t
 	}
+}
+
+// newType returns a zeroed Type from the parser's slab.
+func (p *Parser) newType() *Type { return p.types.alloc(&p.lex, typeBytes) }
+
+// pointer returns a pointer to elem with the given qualifiers, from the
+// parser's slab.
+func (p *Parser) pointer(elem *Type, q Quals) *Type {
+	t := p.newType()
+	t.Kind, t.Elem, t.Quals = TPointer, elem, q
+	return t
 }
 
 // parseExternalDecl parses one top-level declaration, which may expand to
@@ -691,7 +705,7 @@ func (p *Parser) parseExternalDecl(decls []Decl) ([]Decl, error) {
 
 	first := true
 	for {
-		name, typ, namePos, err := p.parseDeclarator(ds.take(), false)
+		name, typ, namePos, err := p.parseDeclarator(ds.take(p), false)
 		if err != nil {
 			return nil, err
 		}

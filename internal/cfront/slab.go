@@ -1,5 +1,7 @@
 package cfront
 
+import "slices"
+
 // Node slabs: the parser takes its most common nodes from typed chunks
 // rather than allocating each on its own. A chunk lives as long as any
 // node in it, and every node of a File shares the File's lifetime, so a
@@ -7,7 +9,8 @@ package cfront
 
 // slab hands out T values from chunks of a []T. Each chunk is sized to
 // the nodes the rest of the source is expected to need, so a small file
-// wastes nothing and a large one takes a few chunks of at most maxChunk.
+// wastes nothing and a large one takes a few chunks of at most maxChunk,
+// each rounded up to fill the memory its allocation takes anyway.
 type slab[T any] struct {
 	chunk []T
 	used  int // nodes handed out, over all chunks
@@ -34,6 +37,7 @@ const (
 	exprStmtBytes = 128
 	returnBytes   = 512
 	blockBytes    = 256
+	typeBytes     = 32
 )
 
 // alloc returns a zeroed T. l is the lexer the parser reads: its offset
@@ -46,7 +50,7 @@ func (s *slab[T]) alloc(l *Lexer, per int) *T {
 		if s.used > 0 && l.off > 0 {
 			want = int(int64(s.used) * int64(rest) / int64(l.off))
 		}
-		s.chunk = make([]T, 0, min(max(want, 1), maxChunk))
+		s.chunk = slices.Grow([]T(nil), min(max(want, 1), maxChunk))
 	}
 	s.chunk = s.chunk[:len(s.chunk)+1]
 	s.used++
@@ -64,6 +68,7 @@ type slabs struct {
 	exprStmts slab[ExprStmt]
 	returns   slab[ReturnStmt]
 	blocks    slab[Block]
+	types     slab[Type]
 }
 
 // popStack copies the top of a scratch stack, from base up, into an

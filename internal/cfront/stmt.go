@@ -337,7 +337,7 @@ func (p *Parser) parseLocalDecl() (*DeclStmt, error) {
 		return out, nil
 	}
 	for {
-		name, typ, namePos, err := p.parseDeclarator(ds.take(), false)
+		name, typ, namePos, err := p.parseDeclarator(ds.take(p), false)
 		if err != nil {
 			return nil, err
 		}

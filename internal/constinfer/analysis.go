@@ -289,8 +289,10 @@ func (a *Analysis) Prepare() {
 
 	// Undefined (library) functions get monomorphic signatures with the
 	// paper's conservative rule: parameters not declared const are
-	// treated as written through.
-	for _, fi := range sortedFuncs(a.funcs) {
+	// treated as written through. Library signatures add no function,
+	// so the one sorted list also yields the defined functions.
+	funcs := sortedFuncs(a.funcs)
+	for _, fi := range funcs {
 		if !fi.defined {
 			a.makeLibSignature(fi)
 		}
@@ -298,7 +300,11 @@ func (a *Analysis) Prepare() {
 
 	// FDG over defined functions; SCCs come out callees-first (Tarjan
 	// emits components in reverse topological order).
-	a.defined = a.definedFuncs()
+	for _, fi := range funcs {
+		if fi.defined {
+			a.defined = append(a.defined, fi)
+		}
+	}
 	for i, comp := range a.buildSCCs(a.defined) {
 		a.sccs = append(a.sccs, &sccInfo{funcs: comp})
 		for _, fi := range comp {
@@ -443,16 +449,6 @@ func sortedFuncs(m map[string]*funcInfo) []*funcInfo {
 	out := make([]*funcInfo, len(names))
 	for i, n := range names {
 		out[i] = m[n]
-	}
-	return out
-}
-
-func (a *Analysis) definedFuncs() []*funcInfo {
-	var out []*funcInfo
-	for _, fi := range sortedFuncs(a.funcs) {
-		if fi.defined {
-			out = append(out, fi)
-		}
 	}
 	return out
 }

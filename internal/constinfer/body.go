@@ -223,7 +223,7 @@ func (a *Analysis) initList(env *env, content *RType, il *cfront.InitList) {
 
 // freshLeaf makes an unconstrained scalar with the given leaf record.
 func (a *Analysis) freshLeaf(leaf *sharedPart) *RType {
-	return &RType{Kind: RLeaf, Q: constraint.V(a.sys.Fresh()), shared: leaf}
+	return a.tr.rtype(RType{Kind: RLeaf, Q: constraint.V(a.sys.Fresh()), shared: leaf})
 }
 
 // lval is a tracked l-value: the reference written through, plus guard
@@ -348,8 +348,8 @@ func (a *Analysis) exprR(env *env, e cfront.Expr) *RType {
 	case *cfront.StrLit:
 		// Each string literal is a fresh unconstrained character buffer:
 		// it may be viewed const or not per use site.
-		return &RType{Kind: RRef, Q: constraint.V(a.sys.Fresh()),
-			Elem: a.freshLeaf(charLeaf)}
+		return a.tr.rtype(RType{Kind: RRef, Q: constraint.V(a.sys.Fresh()),
+			Elem: a.freshLeaf(charLeaf)})
 
 	case *cfront.Unary:
 		switch e.Op {
@@ -368,8 +368,8 @@ func (a *Analysis) exprR(env *env, e cfront.Expr) *RType {
 				return lv.ref
 			}
 			a.exprR(env, e.X)
-			return &RType{Kind: RRef, Q: constraint.V(a.sys.Fresh()),
-				Elem: a.freshLeaf(intLeaf)}
+			return a.tr.rtype(RType{Kind: RRef, Q: constraint.V(a.sys.Fresh()),
+				Elem: a.freshLeaf(intLeaf)})
 		case cfront.UPreInc, cfront.UPreDec:
 			return a.mutate(env, e.X, e.Pos, "increment/decrement")
 		default:
@@ -557,5 +557,5 @@ func (a *Analysis) freshen(t *RType) *RType {
 		}
 		return out
 	}
-	return &RType{Kind: t.Kind, Q: q, shared: t.shared, Elem: a.freshen(t.Elem)}
+	return a.tr.rtype(RType{Kind: t.Kind, Q: q, shared: t.shared, Elem: a.freshen(t.Elem)})
 }

@@ -167,6 +167,28 @@ type translator struct {
 	// file names the translation unit whose declarations are being
 	// translated or walked; it places the unit's in-file positions.
 	file string
+	// rtypes holds the chunk rtype hands RTypes out of.
+	rtypes []RType
+}
+
+// RType chunks start at firstRChunk records and double up to
+// maxRChunk (48 KB), so a small program takes a few small chunks and a
+// large one wastes at most one chunk's tail.
+const (
+	firstRChunk = 16
+	maxRChunk   = 1024
+)
+
+// rtype returns a copy of t from the translator's current chunk. Every
+// RType the analysis makes but newFunc's comes from here: a chunk lives
+// as long as any record in it, and the records of one analysis share
+// its lifetime.
+func (tr *translator) rtype(t RType) *RType {
+	if len(tr.rtypes) == cap(tr.rtypes) {
+		tr.rtypes = make([]RType, 0, min(max(2*cap(tr.rtypes), firstRChunk), maxRChunk))
+	}
+	tr.rtypes = append(tr.rtypes, t)
+	return &tr.rtypes[len(tr.rtypes)-1]
 }
 
 func newTranslator(sys *constraint.System, suite *analysis.Suite) *translator {
@@ -199,7 +221,7 @@ func (tr *translator) pinned(v constraint.Var) bool {
 // analysis seed it from the source-declared C qualifiers (const seeds
 // its component when the source spelled const here).
 func (tr *translator) newRef(elem *RType, quals cfront.Quals) *RType {
-	r := &RType{Kind: RRef, Q: tr.freshQ(), Elem: elem, DeclaredConst: quals.Const}
+	r := tr.rtype(RType{Kind: RRef, Q: tr.freshQ(), Elem: elem, DeclaredConst: quals.Const})
 	var constPos constraint.Pos
 	if quals.Const {
 		constPos = tr.pos(quals.ConstPos)
@@ -259,7 +281,7 @@ func (tr *translator) RValue(ct *cfront.Type) *RType {
 	case cfront.TStruct:
 		return tr.structVal(ct.Struct)
 	default:
-		return &RType{Kind: RLeaf, Q: tr.freshQ(), shared: tr.leaf(ct.Spelling)}
+		return tr.rtype(RType{Kind: RLeaf, Q: tr.freshQ(), shared: tr.leaf(ct.Spelling)})
 	}
 }
 
@@ -290,7 +312,7 @@ func (tr *translator) structVal(st *cfront.StructType) *RType {
 	savedPinning := tr.pinning
 	tr.pinning = true
 	sp := &sharedPart{st: st, fields: make(map[string]*RType, len(st.Fields))}
-	v := &RType{Kind: RStruct, Q: tr.freshQ(), shared: sp}
+	v := tr.rtype(RType{Kind: RStruct, Q: tr.freshQ(), shared: sp})
 	tr.structVals[st] = v // register before fields: self-referencing structs
 	for _, f := range st.Fields {
 		sp.fields[f.Name] = tr.fieldLValue(f)
@@ -385,7 +407,7 @@ func (tr *translator) instantiate(t *RType, ren map[constraint.Var]constraint.Va
 		}
 		return out
 	}
-	return &RType{Kind: t.Kind, Q: q, DeclaredConst: t.DeclaredConst, shared: t.shared, Elem: tr.instantiate(t.Elem, ren)}
+	return tr.rtype(RType{Kind: t.Kind, Q: q, DeclaredConst: t.DeclaredConst, shared: t.shared, Elem: tr.instantiate(t.Elem, ren)})
 }
 
 func renameTerm(t constraint.Term, ren map[constraint.Var]constraint.Var) constraint.Term {

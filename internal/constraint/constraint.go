@@ -929,11 +929,11 @@ func (s *System) restrict(rgs [][2]int, iface []Var, loops bool) (out []Constrai
 			var head *int32
 			switch c := s.rec(i); {
 			case !c.l.isVar && c.r.isVar:
-				u := w.id[c.r.v] - 1
+				u := w.marked(Var(c.r.v))
 				loAgg[u] |= c.l.c & c.mask
 				head = &loHead[u]
 			case c.l.isVar && !c.r.isVar:
-				u := w.id[c.l.v] - 1
+				u := w.marked(Var(c.l.v))
 				upAgg[u] &= c.r.c | ^c.mask
 				upCover[u] |= c.mask
 				head = &upHead[u]
@@ -1130,17 +1130,19 @@ func (s *System) restrict(rgs [][2]int, iface []Var, loops bool) (out []Constrai
 // component, instead of once per component. Nothing a call returns points
 // into it.
 //
-// id is indexed by variable and sized by the largest variable a call has
-// seen, which can exceed NumVars: Restrict projects constraints over
-// variables its fresh System never allocated. Between calls every entry
-// of id is zero. A call does not clear id whole, which would cost
-// O(NumVars) per component: it zeroes the entries it set, listed in
-// locals. Every other array is indexed by local id, and sized and
-// cleared per call.
+// id is indexed by variable, in idPages made on first use: a
+// polymorphic run's projections see variables up to the latest one, so
+// a single array would be copied at every doubling as the run
+// allocates variables, and a page is never copied. A variable can
+// exceed NumVars: Restrict projects constraints over variables its
+// fresh System never allocated. Between calls every entry of id is
+// zero. A call does not clear id whole, which would cost O(NumVars) per
+// component: it zeroes the entries it set, listed in locals. Every
+// other array is indexed by local id, and sized and cleared per call.
 type workspace struct {
 	// id maps a variable to its local id + 1, and to 0 when the current
 	// call has not seen it; locals maps the local ids back.
-	id     []int32
+	id     []*idPage
 	locals []Var
 	// iface is Generalize's interface, handed to restrict.
 	iface []Var
@@ -1167,30 +1169,45 @@ type workspace struct {
 // constraint, and the next entry or -1.
 type bound struct{ con, next int32 }
 
-// lid returns v's local id, giving it the next one on first sight.
-func (w *workspace) lid(v Var) int32 {
-	if int(v) >= len(w.id) {
-		w.growID(int(v) + 1)
+// idPageBits sets the length of an id page, 4,096 entries (16 KB).
+const idPageBits = 12
+
+type idPage [1 << idPageBits]int32
+
+// slot returns v's entry of id, making its page on first use.
+func (w *workspace) slot(v Var) *int32 {
+	pg := int(v >> idPageBits)
+	if pg >= len(w.id) {
+		w.id = append(w.id, make([]*idPage, pg+1-len(w.id))...)
 	}
-	if i := w.id[v]; i != 0 {
-		return i - 1
+	p := w.id[pg]
+	if p == nil {
+		p = new(idPage)
+		w.id[pg] = p
 	}
-	w.locals = append(w.locals, v)
-	w.id[v] = int32(len(w.locals))
-	return int32(len(w.locals)) - 1
+	return &p[v&(1<<idPageBits-1)]
 }
 
-// growID extends id to at least n entries, at least doubling it.
-func (w *workspace) growID(n int) {
-	id := make([]int32, max(n, 2*len(w.id)))
-	copy(id, w.id)
-	w.id = id
+// lid returns v's local id, giving it the next one on first sight.
+func (w *workspace) lid(v Var) int32 {
+	i := w.slot(v)
+	if *i != 0 {
+		return *i - 1
+	}
+	w.locals = append(w.locals, v)
+	*i = int32(len(w.locals))
+	return *i - 1
+}
+
+// marked returns the local id of a variable the current call has seen.
+func (w *workspace) marked(v Var) int32 {
+	return w.id[v>>idPageBits][v&(1<<idPageBits-1)] - 1
 }
 
 // unmark clears the local ids of the current call.
 func (w *workspace) unmark() {
 	for _, v := range w.locals {
-		w.id[v] = 0
+		w.id[v>>idPageBits][v&(1<<idPageBits-1)] = 0
 	}
 	w.locals = w.locals[:0]
 }

@@ -18,9 +18,11 @@ package driver
 import (
 	"context"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"sort"
+	"strings"
 	"sync"
 
 	"repro/internal/analysis"
@@ -162,14 +164,27 @@ func (cFrontEnd) Load(sources []Source) ([]Source, []error) {
 		if s.Text != "" {
 			continue
 		}
-		data, err := os.ReadFile(s.Path)
-		if err != nil {
-			errs[i] = err
-			continue
-		}
-		files[i].Text = string(data)
+		files[i].Text, errs[i] = readFileString(s.Path)
 	}
 	return files, errs
+}
+
+// readFileString reads a file straight into a string sized from its
+// length, where os.ReadFile and a string conversion would copy it twice.
+func readFileString(path string) (string, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return "", err
+	}
+	defer f.Close()
+	var b strings.Builder
+	if fi, err := f.Stat(); err == nil {
+		b.Grow(int(fi.Size()))
+	}
+	if _, err := io.Copy(&b, f); err != nil {
+		return "", err
+	}
+	return b.String(), nil
 }
 
 // Parse parses translation units concurrently on a GOMAXPROCS-bounded

@@ -38,6 +38,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -639,6 +640,10 @@ func (ld *loader) check(path, dir string, files []*ast.File, info *types.Info) *
 		IgnoreFuncBodies: info == nil, // dependency packages: interfaces only
 	}
 	pkg, _ := conf.Check(path, ld.fset, files, info)
+	if info == nil {
+		// A requested file's errors are the full check's to report.
+		errs = slices.DeleteFunc(errs, func(e types.Error) bool { return ld.requested(e.Pos) })
+	}
 	for i, e := range errs {
 		if i == maxPkgNotes {
 			ld.note(token.NoPos, "go-type-error",
@@ -652,6 +657,13 @@ func (ld *loader) check(path, dir string, files []*ast.File, info *types.Info) *
 	}
 	ld.done[path] = pkg
 	return pkg
+}
+
+// requested reports whether pos lies in a requested file, one the
+// overlay holds.
+func (ld *loader) requested(pos token.Pos) bool {
+	abs, err := filepath.Abs(ld.fset.Position(pos).Filename)
+	return err == nil && ld.overlay[abs] != nil
 }
 
 // Import implements types.Importer.

@@ -109,6 +109,21 @@ func TestOverlay(t *testing.T) {
 	checkFilesParsedOnce(t, prog, 2)
 }
 
+// TestRequestedTypeErrorOnce: a type error in a requested package that
+// another requested package imports is reported once, by the package's
+// own check, not again by the importer's dependency check.
+func TestRequestedTypeErrorOnce(t *testing.T) {
+	dir := writeModule(t, map[string]string{
+		"a/a.go": "package a\n\nimport \"example.com/m/b\"\n\nfunc Use() int { return b.X }\n",
+		"b/b.go": "package b\n\nvar X int = \"s\"\n",
+	})
+	prog := parseSources(t, driver.Source{Path: filepath.Join(dir, "...")})
+	errs := notesWith(prog, "go-type-error")
+	if len(errs) != 1 || !strings.Contains(errs[0], filepath.Join("b", "b.go")+":3:13: ") {
+		t.Errorf("type errors:\n%s\nwant one, at b/b.go:3:13", strings.Join(errs, "\n"))
+	}
+}
+
 // TestGoSelfParsedOnce: the go-self snapshot's packages import one
 // another, and each of its 76 files is parsed once.
 func TestGoSelfParsedOnce(t *testing.T) {

@@ -20,13 +20,9 @@ func FuzzAnalyzeRequest(f *testing.F) {
 	}
 	f.Add(analyzeBody(map[string]string{"prog.c": prog}))
 	f.Fuzz(func(t *testing.T, body string) {
-		// The server decodes the first JSON value with these field
-		// rules, so this probe sees every "lang" the server would.
-		var probe struct {
-			Lang string `json:"lang"`
-		}
-		json.NewDecoder(strings.NewReader(body)).Decode(&probe)
-		if probe.Lang == "go" {
+		// The probe is the server's own decoder, so it sees every
+		// "lang" the server would act on.
+		if probe, err := decodeRequest([]byte(body)); err == nil && probe.Lang == "go" {
 			t.Skip("the Go front end runs go list")
 		}
 		w := httptest.NewRecorder()

@@ -500,15 +500,16 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	fin := &finishState{forced: r.URL.Query().Get("trace") == "1"}
 	defer s.finishAnalyze(w, tracer, traceID, fin, began)
 
+	body, err := readBody(w, r)
+	if errors.Is(err, errBodyTooLarge) {
+		s.fail(w, http.StatusRequestEntityTooLarge, "%v", err)
+		return
+	}
 	var req AnalyzeRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			s.fail(w, http.StatusRequestEntityTooLarge, "request body exceeds the %d MiB cap", maxRequestBytes>>20)
-			return
-		}
+	if err == nil {
+		req, err = decodeRequest(body)
+	}
+	if err != nil {
 		s.fail(w, http.StatusBadRequest, "invalid request: %v", err)
 		return
 	}
@@ -596,7 +597,6 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	}
 
 	var res *driver.Result
-	var err error
 	if sess != nil {
 		res, err = sess.RunDelta(ctx, sources)
 	} else {
