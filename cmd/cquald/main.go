@@ -7,8 +7,7 @@
 //
 //	cquald [-addr host:port] [-max-concurrent n]
 //	       [-timeout d] [-shutdown-timeout d]
-//	       [-result-cache-entries n] [-result-cache-bytes n]
-//	       [-session-entries n] [-pprof]
+//	       [-result-cache-entries n] [-result-cache-bytes n] [-pprof]
 //	cquald -watch DIR [-watch-interval d] [-lang l]
 //	       [-poly] [-uninit]
 //	       [-analysis LIST] [-prelude FILES]
@@ -27,11 +26,10 @@
 // tail-retention policy keeps the traces of slow, failed, shed, and
 // 1-in-64 sampled requests (?trace=1 forces retention) in a 32-entry
 // ring, retrievable at /v1/traces/<id> after the fact. GET /v1/events
-// serves the structured event journal (session and result-cache
-// evictions, pipeline failures; ?since=<seq> resumes, ?wait=1
-// long-polls), 1024 events deep and mirrored to the log. GET
-// /v1/introspect dumps live state: retained sessions with their last
-// run's solve stats, cache occupancy, worker depths, ring and journal
+// serves the structured event journal (result-cache evictions,
+// pipeline failures; ?since=<seq> resumes, ?wait=1 long-polls), 1024
+// events deep and mirrored to the log. GET /v1/introspect dumps live
+// state: result-cache occupancy, worker depths, ring and journal
 // stats, and the burn rates of the analyze SLO (250ms for 99% of
 // requests), whose 5m/1h/6h burn-rate gauges are computed at scrape
 // time. The cqualtop command renders all of this as a live dashboard.
@@ -39,10 +37,9 @@
 // -pprof mounts the net/http/pprof handlers under /debug/pprof/.
 // SIGINT/SIGTERM drain in-flight requests before exiting.
 //
-// Requests carrying a "session" id share a retained session (bounded by
-// -session-entries): the corpus's runs serialize, bypass the result
-// cache (X-Cache: session), and show up in /v1/introspect. Each run
-// solves cold; its report equals a plain request's.
+// A request carrying a "session" id runs without reading or writing
+// the result cache and answers X-Cache: session; the daemon keeps
+// nothing per session, and the report equals a plain request's.
 //
 // With -watch DIR the daemon serves no HTTP at all: it walks DIR
 // recursively for the active front end's source files (.c by default,
@@ -81,7 +78,6 @@ func main() {
 		fmt.Sprintf("result cache: max entries (0 = %d)", server.DefaultResultEntries))
 	resultBytes := flag.Int64("result-cache-bytes", server.DefaultResultBytes,
 		fmt.Sprintf("result cache: max stored report bytes (0 = %d MiB)", server.DefaultResultBytes>>20))
-	sessionEntries := flag.Int("session-entries", 0, "retained sessions (0 = 64)")
 	enablePprof := flag.Bool("pprof", false, "mount the net/http/pprof profiling handlers under /debug/pprof/")
 	watch := flag.String("watch", "", "watch this directory of source files instead of serving HTTP; re-analyze the whole tree on change")
 	watchInterval := flag.Duration("watch-interval", 500*time.Millisecond, "poll interval for -watch")
@@ -121,7 +117,6 @@ func main() {
 		RequestTimeout: *timeout,
 		ResultEntries:  *resultEntries,
 		ResultBytes:    *resultBytes,
-		SessionEntries: *sessionEntries,
 		EnablePprof:    *enablePprof,
 	})
 

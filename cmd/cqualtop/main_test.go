@@ -11,12 +11,13 @@ import (
 )
 
 // TestRunOnce drives the dashboard against a real in-process daemon
-// retaining one session: one clean analyze, two runs of session "top",
-// then one of session "next", which evicts "top". Then two frames. The first frame must carry every section with live
-// numbers; the second must show a request rate and resume the journal
-// tail without re-printing consumed events.
+// with room for one cached result: one clean analyze, a session
+// request (uncached), and a second distinct analyze, which evicts the
+// first result. Then two frames. The first frame must carry every
+// section with live numbers; the second must show a request rate and
+// resume the journal tail without re-printing consumed events.
 func TestRunOnce(t *testing.T) {
-	ts := httptest.NewServer(server.New(server.Config{MaxConcurrent: 3, SessionEntries: 1}))
+	ts := httptest.NewServer(server.New(server.Config{MaxConcurrent: 3, ResultEntries: 1}))
 	defer ts.Close()
 
 	post := func(body string) {
@@ -29,8 +30,7 @@ func TestRunOnce(t *testing.T) {
 	}
 	post(`{"sources":[{"path":"a.c","text":"int id(int x) { return x; }"}]}`)
 	post(`{"session":"top","sources":[{"path":"s.c","text":"int one(void) { return 1; }"}]}`)
-	post(`{"session":"top","sources":[{"path":"s.c","text":"int one(void) { return 1; }\nint two(void) { return 2; }"}]}`)
-	post(`{"session":"next","sources":[{"path":"n.c","text":"int three(void) { return 3; }"}]}`)
+	post(`{"sources":[{"path":"n.c","text":"int three(void) { return 3; }"}]}`)
 
 	st := newTopState(ts.URL, 8)
 	base := time.Unix(1700000000, 0)
@@ -43,18 +43,17 @@ func TestRunOnce(t *testing.T) {
 	got := frame1.String()
 	for _, want := range []string{
 		"cqualtop — " + ts.URL,
-		"requests  4",
+		"requests  3",
 		"in-flight 0/3",
+		"caches    result 1 entry 0% hit",
 		"solver    ",
 		"slo",
 		"analyze", // the default SLO endpoint
 		"5m",      // burn windows rendered short-to-long
-		"flight    4 decision(s)",
+		"flight    3 decision(s)",
 		"traces    (newest first",
-		"sessions  (most recent first)",
-		"run 1   1 file(s) 0 diag", // the resident session, "next"
 		"events    (journal tail",
-		"session_evict", // "next" evicted "top"
+		"cache_evict", // "n.c" evicted "a.c"
 	} {
 		if !strings.Contains(got, want) {
 			t.Errorf("frame missing %q:\n%s", want, got)
@@ -65,7 +64,10 @@ func TestRunOnce(t *testing.T) {
 	}
 
 	// Second frame: rate appears, consumed events don't repeat.
-	firstEvents := strings.Count(got, "session_evict")
+	if strings.Contains(got, "session") {
+		t.Errorf("frame still shows sessions:\n%s", got)
+	}
+	firstEvents := strings.Count(got, "cache_evict")
 	post(`{"sources":[{"path":"b.c","text":"int id2(int x) { return x; }"}]}`)
 	st.now = func() time.Time { return base.Add(2 * time.Second) }
 	var frame2 strings.Builder
@@ -73,11 +75,11 @@ func TestRunOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	got2 := frame2.String()
-	if !strings.Contains(got2, "requests  5 (0.5/s)") {
+	if !strings.Contains(got2, "requests  4 (0.5/s)") {
 		t.Errorf("second frame missing request rate:\n%s", got2)
 	}
-	if n := strings.Count(got2, "session_evict"); n != firstEvents {
-		t.Errorf("event tail changed across frames: %d vs %d occurrences (tail must accumulate, not refetch)", n, firstEvents)
+	if n := strings.Count(got2, "cache_evict"); n != firstEvents+1 {
+		t.Errorf("event tail has %d cache_evict events, want %d (the new eviction appended, consumed ones not refetched)", n, firstEvents+1)
 	}
 }
 

@@ -1,8 +1,8 @@
-// Package cache provides the caches behind the cquald analysis server:
-// a request-level result cache keyed by source texts plus analysis
-// configuration, and a store of named driver sessions. Both are bounded
-// LRU maps, safe for concurrent use, with hit/miss/eviction counters
-// exported for the server's /metrics endpoint.
+// Package cache provides the cquald analysis server's request-level
+// result cache, keyed by source texts plus analysis configuration: a
+// bounded LRU map, safe for concurrent use, with hit/miss/eviction
+// counters exported for the server's /metrics endpoint. The session
+// store beside it serves only bench/replay.go.
 package cache
 
 import (

@@ -29,7 +29,7 @@ import (
 // pipeline.
 type Config struct {
 	// Lang selects the front end ("c", "go"); empty means "c". The
-	// language is part of every cache and session key.
+	// language is part of every result-cache key.
 	Lang string
 	// Options is the inference mode (mono/poly). Setting
 	// Options.PolyRec fails the run; Options.Simplify is ignored.

@@ -12,8 +12,8 @@ package driver
 // Two front ends register themselves: "c" (internal/cfront + constinfer,
 // registered here) and "go" (internal/gofront, registered by importing
 // that package — every binary that wants -lang go imports it). The
-// selected language travels in Config.Lang and is part of every cache and
-// session key (see internal/cache).
+// selected language travels in Config.Lang and is part of every
+// result-cache key (see internal/cache).
 
 import (
 	"context"

@@ -63,9 +63,6 @@ func checkSessionMatchesCold(t *testing.T, cfg Config, path string, rounds []str
 			t.Fatalf("round %d: reports differ\n got: %s\nwant: %s", round, gj, wj)
 		}
 	}
-	if snap := sess.Snapshot(); snap == nil || snap.Runs != uint64(len(rounds)) {
-		t.Fatalf("snapshot = %+v, want %d runs", snap, len(rounds))
-	}
 }
 
 func TestSessionRunDeltaMatchesCold(t *testing.T) {

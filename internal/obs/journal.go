@@ -1,10 +1,10 @@
 package obs
 
 // The structured event journal: a typed, bounded, in-memory ring of
-// service-level events — session evictions, cache evictions, pipeline
-// failures — each stamped with a
-// monotonic sequence number so clients can poll incrementally
-// ("give me everything after seq N") and long-poll for the next one.
+// service-level events — result-cache evictions, pipeline failures —
+// each stamped with a monotonic sequence number so clients can poll
+// incrementally ("give me everything after seq N") and long-poll for
+// the next one.
 //
 // The journal is the flight recorder's narrative track: where the trace
 // ring answers "what did request X spend its time on", the journal

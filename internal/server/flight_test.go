@@ -173,30 +173,31 @@ func TestTraceRingEvictionHammer(t *testing.T) {
 // monotonic sequence numbers, ?since resumes incrementally, and ?wait=1
 // long-polls until a new event arrives.
 func TestEventsEndpoint(t *testing.T) {
-	ts := httptest.NewServer(New(Config{SessionEntries: 1}))
+	ts := httptest.NewServer(New(Config{ResultEntries: 1}))
 	defer ts.Close()
 
-	// With room for one session, a second session id evicts the first
-	// and journals a session_evict event.
-	postAnalyze(t, ts, sessionBody("ev", prog))
-	postAnalyze(t, ts, sessionBody("ev-b", prog))
+	// With room for one result, a second distinct request evicts the
+	// first and journals a cache_evict event.
+	plain := func(src string) { postAnalyze(t, ts, analyzeBody(map[string]string{"prog.c": src})) }
+	plain(prog)
+	plain(prog + "\nint g(int *q) { return deref(q); }\n")
 
 	var ev EventsResponse
 	getJSON(t, ts.URL+"/v1/events", &ev)
 	if len(ev.Events) == 0 {
-		t.Fatal("no events after a session eviction")
+		t.Fatal("no events after a result-cache eviction")
 	}
 	evicted := 0
 	for i, e := range ev.Events {
 		if i > 0 && e.Seq <= ev.Events[i-1].Seq {
 			t.Fatalf("sequence not monotonic: %+v", ev.Events)
 		}
-		if e.Type == "session_evict" && e.Attrs["key"] != "" {
+		if e.Type == "cache_evict" && e.Attrs["key"] != "" {
 			evicted++
 		}
 	}
 	if evicted != 1 {
-		t.Fatalf("want one session_evict event with a key: %+v", ev.Events)
+		t.Fatalf("want one cache_evict event with a key: %+v", ev.Events)
 	}
 	if ev.Next != ev.Events[len(ev.Events)-1].Seq {
 		t.Fatalf("next = %d, want last seq %d", ev.Next, ev.Events[len(ev.Events)-1].Seq)
@@ -217,7 +218,7 @@ func TestEventsEndpoint(t *testing.T) {
 		done <- ev3
 	}()
 	time.Sleep(20 * time.Millisecond) // let the poller park
-	postAnalyze(t, ts, sessionBody("ev2", prog))
+	plain(prog + "\nint h(int *r) { return deref(r); }\n")
 	select {
 	case ev3 := <-done:
 		if len(ev3.Events) == 0 {
@@ -239,32 +240,28 @@ func TestEventsEndpoint(t *testing.T) {
 	}
 }
 
-// TestIntrospectEndpoint checks /v1/introspect exposes retained
-// sessions with their last-run stats, worker state, and SLO burn rates.
+// TestIntrospectEndpoint checks /v1/introspect exposes worker state,
+// result-cache occupancy, the retention ring, and SLO burn rates.
 func TestIntrospectEndpoint(t *testing.T) {
 	ts := httptest.NewServer(New(Config{MaxConcurrent: 3}))
 	defer ts.Close()
 
-	postAnalyze(t, ts, sessionBody("intro", prog))
-	postAnalyze(t, ts, sessionBody("intro", prog+"\nint g(int *q) { return deref(q); }\n"))
+	postAnalyze(t, ts, analyzeBody(map[string]string{"prog.c": prog}))
+	postAnalyze(t, ts, analyzeBody(map[string]string{"prog.c": prog + "\nint g(int *q) { return deref(q); }\n"}))
 
 	var intro Introspection
 	getJSON(t, ts.URL+"/v1/introspect", &intro)
-	if intro.Workers.MaxConcurrent != 3 {
-		t.Errorf("max_concurrent = %d, want 3", intro.Workers.MaxConcurrent)
+	if intro.Workers.MaxConcurrent != 3 || intro.Workers.InFlight != 0 || intro.Workers.Running != 0 {
+		t.Errorf("workers = %+v, want max_concurrent 3 and nothing in flight", intro.Workers)
 	}
-	if len(intro.Sessions) != 1 {
-		t.Fatalf("sessions = %+v, want one", intro.Sessions)
+	if rc := intro.Caches.Result; rc.Entries != 2 || rc.Misses != 2 {
+		t.Errorf("result cache = %+v, want 2 entries, 2 misses", rc)
 	}
-	last := intro.Sessions[0].Last
-	if last == nil || last.Runs != 2 {
-		t.Fatalf("session snapshot = %+v, want 2 runs", last)
-	}
-	if last.Solver.Vars == 0 {
-		t.Errorf("session snapshot missing solver stats: %+v", last)
-	}
-	if intro.Caches.Session.Entries != 1 {
-		t.Errorf("session cache entries = %d, want 1", intro.Caches.Session.Entries)
+	// A fresh recorder's slow policy keeps the first requests of a
+	// latency bucket, so both analyses were decided and at least one
+	// was retained.
+	if ret := intro.Retention; ret.Decisions != 2 || ret.Admitted == 0 || len(ret.Traces) != ret.Resident {
+		t.Errorf("retention = %+v, want 2 decisions, some admitted, one listed trace per resident", ret)
 	}
 	found := false
 	for _, slo := range intro.SLOs {

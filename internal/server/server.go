@@ -9,8 +9,9 @@
 //
 //	POST /v1/analyze  — analyze a batch of sources; the response body is
 //	                    byte-identical to cqual -json over the same
-//	                    inputs, X-Cache reports hit or miss, X-Trace-Id
-//	                    identifies the request. Every request records
+//	                    inputs, X-Cache reports hit, miss or session
+//	                    (a request naming a session runs uncached);
+//	                    X-Trace-Id identifies the request. Every request records
 //	                    spans into the flight recorder; at request end a
 //	                    tail-retention policy decides whether the trace
 //	                    is kept (slow, failed, shed, and sampled
@@ -26,12 +27,11 @@
 //	                    trace-id exemplars on histogram buckets
 //	GET  /v1/traces/<id> — the Chrome trace-event JSON of a retained
 //	                    request (tail-retained or ?trace=1-forced)
-//	GET  /v1/events   — the structured event journal: session and
-//	                    result-cache evictions, pipeline failures.
+//	GET  /v1/events   — the structured event journal: result-cache
+//	                    evictions, pipeline failures.
 //	                    ?since=<seq> resumes after a known event;
 //	                    ?wait=1 long-polls until something newer arrives
-//	GET  /v1/introspect — live server state: retained sessions with
-//	                    their last solve stats, cache occupancy,
+//	GET  /v1/introspect — live server state: result-cache occupancy,
 //	                    worker/queue depths, retention ring and journal
 //	                    stats, the analyze SLO's burn rates
 //	/debug/pprof/     — net/http/pprof profiling handlers, mounted only
@@ -85,10 +85,6 @@ type Config struct {
 	// (0 = DefaultResultEntries / DefaultResultBytes).
 	ResultEntries int
 	ResultBytes   int64
-	// SessionEntries bounds the retained sessions (0 = 64). Eviction
-	// drops the session's introspection snapshot; the next request for
-	// that corpus starts a fresh one.
-	SessionEntries int
 	// EnablePprof mounts the net/http/pprof handlers under
 	// /debug/pprof/. Off by default: the endpoints expose goroutine
 	// stacks and heap contents, so they are opt-in.
@@ -133,12 +129,11 @@ var stageNames = [numStages]string{
 // Server is the analysis service. Create with New; it implements
 // http.Handler and is safe for concurrent use.
 type Server struct {
-	cfg      Config
-	results  *cache.ResultCache
-	sessions *cache.SessionStore
-	sem      chan struct{}
-	mux      *http.ServeMux
-	start    time.Time
+	cfg     Config
+	results *cache.ResultCache
+	sem     chan struct{}
+	mux     *http.ServeMux
+	start   time.Time
 
 	// Every aggregate below is an atomic or an obs.Registry series
 	// (atomics underneath): the /metrics handler takes no lock.
@@ -201,13 +196,9 @@ func New(cfg Config) *Server {
 	if cfg.ResultBytes == 0 {
 		cfg.ResultBytes = DefaultResultBytes
 	}
-	if cfg.SessionEntries == 0 {
-		cfg.SessionEntries = 64
-	}
 	s := &Server{
 		cfg:         cfg,
 		results:     cache.NewResultCache(cfg.ResultEntries, cfg.ResultBytes),
-		sessions:    cache.NewSessionStore(cfg.SessionEntries),
 		sem:         make(chan struct{}, cfg.MaxConcurrent),
 		mux:         http.NewServeMux(),
 		start:       time.Now(),
@@ -217,10 +208,6 @@ func New(cfg Config) *Server {
 		journal:     obs.NewJournal(),
 		recorder:    obs.NewRecorder(),
 	}
-	s.sessions.OnEvict(func(key string) {
-		s.journal.Append("session_evict", "warn", "session evicted; the next request for its corpus starts a fresh one",
-			"key", shortKey(key))
-	})
 	s.results.OnEvict(func(k cache.Key) {
 		s.journal.Append("cache_evict", "info", "result-cache entry evicted",
 			"cache", "result", "key", fmt.Sprintf("%x", k[:6]))
@@ -257,21 +244,12 @@ func (s *Server) registerMetrics() {
 	r.NewGaugeFunc("cquald_uptime_seconds", "Seconds since the server started.",
 		func() float64 { return time.Since(s.start).Seconds() })
 
-	for _, c := range []struct {
-		name  string
-		stats func() cache.Stats
-	}{
-		{"result", s.results.Stats},
-		{"session", s.sessions.Stats},
-	} {
-		stats := c.stats
-		lbl := obs.L("cache", c.name)
-		r.NewGaugeFunc("cquald_cache_hits", "Cache hits.", func() float64 { return float64(stats().Hits) }, lbl)
-		r.NewGaugeFunc("cquald_cache_misses", "Cache misses.", func() float64 { return float64(stats().Misses) }, lbl)
-		r.NewGaugeFunc("cquald_cache_evictions", "Cache evictions.", func() float64 { return float64(stats().Evictions) }, lbl)
-		r.NewGaugeFunc("cquald_cache_entries", "Entries resident in the cache.", func() float64 { return float64(stats().Entries) }, lbl)
-		r.NewGaugeFunc("cquald_cache_bytes", "Bytes resident in the cache.", func() float64 { return float64(stats().Bytes) }, lbl)
-	}
+	stats, lbl := s.results.Stats, obs.L("cache", "result")
+	r.NewGaugeFunc("cquald_cache_hits", "Cache hits.", func() float64 { return float64(stats().Hits) }, lbl)
+	r.NewGaugeFunc("cquald_cache_misses", "Cache misses.", func() float64 { return float64(stats().Misses) }, lbl)
+	r.NewGaugeFunc("cquald_cache_evictions", "Cache evictions.", func() float64 { return float64(stats().Evictions) }, lbl)
+	r.NewGaugeFunc("cquald_cache_entries", "Entries resident in the cache.", func() float64 { return float64(stats().Entries) }, lbl)
+	r.NewGaugeFunc("cquald_cache_bytes", "Bytes resident in the cache.", func() float64 { return float64(stats().Bytes) }, lbl)
 
 	s.reqHist = map[string]*obs.Histogram{
 		"hit": r.NewHistogram("cquald_request_seconds",
@@ -356,14 +334,6 @@ func (s *Server) registerMetrics() {
 // order.
 var endpointNames = []string{"analyze", "metrics", "traces", "events", "introspect"}
 
-// shortKey abbreviates a session key for journal events.
-func shortKey(key string) string {
-	if len(key) > 12 {
-		return key[:12]
-	}
-	return key
-}
-
 // statusWriter captures the response status for RED accounting and the
 // retention decision. A handler that never calls WriteHeader answered
 // 200.
@@ -437,12 +407,10 @@ type AnalyzeRequest struct {
 	// Preludes carry qualifier prelude texts declaring library seeds
 	// and sinks for the selected analyses.
 	Preludes []PreludeJSON `json:"preludes,omitempty"`
-	// Session names a corpus: requests carrying the same session id
-	// (under the same mode, analyses, and preludes) share one retained
-	// driver.Session, which serializes their runs and is listed by
-	// /v1/introspect. Every session run bypasses the result cache and
-	// answers X-Cache "session"; the report is byte-identical to a cold
-	// run's.
+	// Session, when set, makes the request a plain run that neither
+	// reads nor writes the result cache and answers X-Cache "session";
+	// the server keeps nothing per session id. Kept for bench/, removed
+	// with the next benchmark change.
 	Session string `json:"session,omitempty"`
 }
 
@@ -560,17 +528,12 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	}
 	s.countRequests(cfg.AnalysisNames())
 
-	// Session requests bypass the result cache in both directions: every
-	// session request runs, so its session's snapshot always describes
-	// the corpus's latest version.
-	var sess *driver.Session
-	if req.Session != "" {
-		sess, _ = s.sessions.GetOrCreate(cache.SessionKey(cfg, req.Session),
-			func() *driver.Session { return driver.NewSession(cfg) })
-	}
-
-	key := cache.RequestKey(cfg, sources)
-	if sess == nil {
+	// A session request runs uncached: it neither reads nor writes the
+	// result cache, so only the cached path hashes the sources.
+	session := req.Session != ""
+	var key cache.Key
+	if !session {
+		key = cache.RequestKey(cfg, sources)
 		if report, ok := s.results.Get(key); ok {
 			s.writeReport(w, report, "hit")
 			fin.cacheState = "hit"
@@ -596,12 +559,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	var res *driver.Result
-	if sess != nil {
-		res, err = sess.RunDelta(ctx, sources)
-	} else {
-		res, err = driver.RunContext(ctx, cfg, sources)
-	}
+	res, err := driver.RunContext(ctx, cfg, sources)
 	if err != nil {
 		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
 			s.deadline(w, err)
@@ -620,7 +578,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	s.analyses.Inc()
 	s.countDiagnostics(res.Diagnostics)
 	s.recordTimings(res.Timings, res.Solver)
-	if sess != nil {
+	if session {
 		s.writeReport(w, report, "session")
 		fin.cacheState = "session"
 		return
@@ -796,7 +754,6 @@ type Introspection struct {
 	UptimeMS  float64             `json:"uptime_ms"`
 	Workers   WorkerIntrospect    `json:"workers"`
 	Caches    CacheIntrospect     `json:"caches"`
-	Sessions  []SessionIntrospect `json:"sessions"`
 	Retention RetentionIntrospect `json:"retention"`
 	Journal   obs.JournalStats    `json:"journal"`
 	SLOs      []SLOIntrospect     `json:"slos"`
@@ -813,18 +770,9 @@ type WorkerIntrospect struct {
 	MaxConcurrent int `json:"max_concurrent"`
 }
 
-// CacheIntrospect groups the two cache stat blocks.
+// CacheIntrospect holds the result cache's stat block.
 type CacheIntrospect struct {
-	Result  cache.Stats `json:"result"`
-	Session cache.Stats `json:"session"`
-}
-
-// SessionIntrospect is one retained session: its (abbreviated)
-// key and the lock-free snapshot of its last completed run.
-type SessionIntrospect struct {
-	Key string `json:"key"`
-	// Last is nil for a session created but never run.
-	Last *driver.SessionSnapshot `json:"last,omitempty"`
+	Result cache.Stats `json:"result"`
 }
 
 // RetentionIntrospect is the flight recorder's ring state.
@@ -844,15 +792,9 @@ type SLOIntrospect struct {
 }
 
 // handleIntrospect dumps live server state as JSON. Every read is an
-// atomic load or a short-lived cache-lock copy; an in-flight analysis
-// is never blocked by an introspection poll (session state comes from
-// lock-free snapshots, not the sessions' run locks).
+// atomic load or a short-lived copy under a lock; an in-flight analysis
+// is never blocked by an introspection poll.
 func (s *Server) handleIntrospect(w http.ResponseWriter, r *http.Request) {
-	entries := s.sessions.Entries()
-	sess := make([]SessionIntrospect, len(entries))
-	for i, e := range entries {
-		sess[i] = SessionIntrospect{Key: shortKey(e.Key), Last: e.Session.Snapshot()}
-	}
 	slo := s.endpoints["analyze"].slo
 	burn := make(map[string]float64, len(obs.BurnWindows))
 	for _, win := range obs.BurnWindows {
@@ -865,11 +807,7 @@ func (s *Server) handleIntrospect(w http.ResponseWriter, r *http.Request) {
 			Running:       len(s.sem),
 			MaxConcurrent: s.cfg.MaxConcurrent,
 		},
-		Caches: CacheIntrospect{
-			Result:  s.results.Stats(),
-			Session: s.sessions.Stats(),
-		},
-		Sessions:  sess,
+		Caches:    CacheIntrospect{Result: s.results.Stats()},
 		Retention: RetentionIntrospect{RecorderStats: s.recorder.Stats(), Traces: s.recorder.Retained()},
 		Journal:   s.journal.Stats(),
 		SLOs: []SLOIntrospect{{
@@ -896,10 +834,12 @@ type Metrics struct {
 	ResultCache cache.Stats `json:"result_cache"`
 	// SummaryCache is always zero: there is no summary cache. Kept for
 	// bench/daemon.go, removed with the next benchmark change.
-	SummaryCache cache.Stats  `json:"summary_cache"`
-	Sessions     cache.Stats  `json:"sessions"`
-	Stages       StageTotals  `json:"stages"`
-	Solver       SolverTotals `json:"solver"`
+	SummaryCache cache.Stats `json:"summary_cache"`
+	// Sessions is always zero: the server keeps no sessions. Kept for
+	// bench/daemon.go, removed with the next benchmark change.
+	Sessions cache.Stats  `json:"sessions"`
+	Stages   StageTotals  `json:"stages"`
+	Solver   SolverTotals `json:"solver"`
 	// PerAnalysis breaks request and diagnostic counts down by qualifier
 	// analysis ("const", "taint", ...).
 	PerAnalysis map[string]AnalysisMetrics `json:"per_analysis"`
@@ -960,7 +900,6 @@ func (s *Server) Snapshot() Metrics {
 		Timeouts:    s.timeouts.Value(),
 		InFlight:    s.inFlight.Load(),
 		ResultCache: s.results.Stats(),
-		Sessions:    s.sessions.Stats(),
 		PerAnalysis: per,
 		Solver:      SolverTotals{Vars: s.solverVars.Value(), Constraints: s.solverConstraints.Value()},
 		Stages: StageTotals{

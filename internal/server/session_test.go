@@ -6,7 +6,10 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
+
+	"repro/internal/cache"
 )
 
 const sessV1 = `
@@ -52,7 +55,7 @@ func metricsSnapshot(t *testing.T, ts *httptest.Server) Metrics {
 // TestAnalyzeSession drives one corpus through v1 → v2 → a front-end
 // error → v1 with a session id. Every session report must equal a
 // sessionless run of the same sources byte for byte once the timings
-// are removed, and session traffic must stay out of the result cache.
+// are removed, and session traffic must leave the result cache alone.
 func TestAnalyzeSession(t *testing.T) {
 	ts := httptest.NewServer(New(Config{}))
 	defer ts.Close()
@@ -67,6 +70,14 @@ func TestAnalyzeSession(t *testing.T) {
 		}
 		reports = append(reports, data)
 	}
+	// Session requests neither read nor write the result cache.
+	m := metricsSnapshot(t, ts)
+	if rc := m.ResultCache; rc.Hits != 0 || rc.Misses != 0 || rc.Entries != 0 {
+		t.Fatalf("result cache after session traffic: %+v; want untouched", rc)
+	}
+	if m.Sessions != (cache.Stats{}) {
+		t.Fatalf("sessions block: %+v; want zero", m.Sessions)
+	}
 	for round, src := range rounds {
 		resp, cold := postAnalyze(t, ts, analyzeBody(map[string]string{"prog.c": src}))
 		if resp.StatusCode != 200 {
@@ -76,16 +87,10 @@ func TestAnalyzeSession(t *testing.T) {
 			t.Fatalf("round %d: session report differs from cold:\n%s\n---\n%s", round, got, want)
 		}
 	}
-
-	m := metricsSnapshot(t, ts)
-	if m.Sessions.Entries != 1 || m.Sessions.Misses != 1 || m.Sessions.Hits != 3 {
-		t.Fatalf("session store stats: %+v", m.Sessions)
-	}
-	// Session traffic must not leak into the result cache: the cold
-	// verification runs (three distinct source versions) are its only
-	// entries.
-	if m.ResultCache.Entries != 3 {
-		t.Fatalf("result cache entries: %d; want 3 (cold runs only)", m.ResultCache.Entries)
+	// The cold runs (three distinct source versions, one repeat) are the
+	// result cache's only traffic.
+	if rc := metricsSnapshot(t, ts).ResultCache; rc.Hits != 1 || rc.Misses != 3 || rc.Entries != 3 {
+		t.Fatalf("result cache after cold runs: %+v; want 1 hit, 3 misses, 3 entries", rc)
 	}
 
 	promResp, err := http.Get(ts.URL + "/metrics?format=prometheus")
@@ -97,52 +102,57 @@ func TestAnalyzeSession(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{
-		`cquald_cache_entries{cache="session"} 1`,
-		`cquald_request_seconds_count{cache="session"} 4`,
-	} {
-		if !strings.Contains(string(prom), want) {
-			t.Fatalf("prometheus exposition missing %q:\n%s", want, prom)
-		}
+	if want := `cquald_request_seconds_count{cache="session"} 4`; !strings.Contains(string(prom), want) {
+		t.Fatalf("prometheus exposition missing %q:\n%s", want, prom)
 	}
 }
 
-// TestAnalyzeSessionIsolation pins the session key: two corpus ids
-// never share a session, and the same id under a different mode is a
-// different session.
-func TestAnalyzeSessionIsolation(t *testing.T) {
+// TestAnalyzeSessionConcurrent sends two versions of one corpus under
+// the same session id at once. Nothing serializes them, and each must
+// answer what a cold run of its own sources does.
+func TestAnalyzeSessionConcurrent(t *testing.T) {
 	ts := httptest.NewServer(New(Config{}))
 	defer ts.Close()
 
-	poly, _ := json.Marshal(AnalyzeRequest{
-		Sources: []SourceJSON{{Path: "prog.c", Text: sessV1}},
-		Session: "corpus-a",
-		Poly:    true,
-	})
-	for _, body := range []string{
-		sessionBody("corpus-a", sessV1),
-		sessionBody("corpus-b", sessV1), // a different corpus id
-		string(poly),                    // same id, different mode
-	} {
-		if resp, data := postAnalyze(t, ts, body); resp.StatusCode != 200 {
-			t.Fatalf("status %d (%s)", resp.StatusCode, data)
+	srcs := []string{sessV1, sessV2}
+	type answer struct {
+		status int
+		xcache string
+		body   []byte
+	}
+	answers := make([]answer, len(srcs))
+	var wg sync.WaitGroup
+	for i, src := range srcs {
+		wg.Add(1)
+		go func(i int, src string) {
+			defer wg.Done()
+			resp, err := http.Post(ts.URL+"/v1/analyze", "application/json",
+				strings.NewReader(sessionBody("shared", src)))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer resp.Body.Close()
+			data, err := io.ReadAll(resp.Body)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			answers[i] = answer{resp.StatusCode, resp.Header.Get("X-Cache"), data}
+		}(i, src)
+	}
+	wg.Wait()
+	for i, src := range srcs {
+		a := answers[i]
+		if a.status != 200 || a.xcache != "session" {
+			t.Fatalf("request %d: status %d, X-Cache %q; want 200 session (%s)", i, a.status, a.xcache, a.body)
 		}
-	}
-	if s := metricsSnapshot(t, ts).Sessions; s.Entries != 3 || s.Misses != 3 || s.Hits != 0 {
-		t.Fatalf("session store stats: %+v; want three distinct sessions", s)
-	}
-}
-
-// TestSessionEviction checks the LRU bound: with room for one session,
-// alternating corpora create a fresh session every time.
-func TestSessionEviction(t *testing.T) {
-	ts := httptest.NewServer(New(Config{SessionEntries: 1}))
-	defer ts.Close()
-
-	for _, corpus := range []string{"a", "b", "a"} {
-		postAnalyze(t, ts, sessionBody(corpus, sessV1))
-	}
-	if s := metricsSnapshot(t, ts).Sessions; s.Entries != 1 || s.Misses != 3 || s.Evictions != 2 {
-		t.Fatalf("session store stats: %+v; want 1 entry, 3 misses, 2 evictions", s)
+		resp, cold := postAnalyze(t, ts, analyzeBody(map[string]string{"prog.c": src}))
+		if resp.StatusCode != 200 {
+			t.Fatalf("cold %d: status %d", i, resp.StatusCode)
+		}
+		if got, want := stripMS(string(a.body)), stripMS(string(cold)); got != want {
+			t.Fatalf("request %d: session report differs from cold:\n%s\n---\n%s", i, got, want)
+		}
 	}
 }
