@@ -63,8 +63,11 @@ import (
 	"io"
 	"net/http"
 	"os"
+	"runtime"
+	"runtime/metrics"
 	"sort"
 	"strings"
+	"time"
 
 	"repro/internal/analysis"
 	"repro/internal/constinfer"
@@ -85,7 +88,7 @@ func main() {
 	schemes := flag.Bool("schemes", false, "print inferred polymorphic qualifier schemes (with -poly)")
 	uninit := flag.Bool("uninit", false, "also run the flow-sensitive definite-initialization check (Section 6 extension)")
 	jsonOut := flag.Bool("json", false, "emit the report and diagnostics as JSON")
-	stats := flag.Bool("stats", false, "print solver statistics (system size, solve time) to stderr")
+	stats := flag.Bool("stats", false, "print solver statistics (system size, solve time) and the garbage collector's cost to stderr")
 	traceFile := flag.String("trace", "", "write a Chrome trace-event JSON of the pipeline to this file (view in chrome://tracing or Perfetto)")
 	serve := flag.String("serve", "", "analyze via a running cquald daemon at this base URL instead of locally")
 	analysisFlag := flag.String("analysis", "const", "comma-separated qualifier analyses to run together (see -analyses)")
@@ -200,6 +203,7 @@ func main() {
 		if *lang == "go" {
 			fmt.Fprintln(os.Stderr, "stdlib importer:", gofront.StdlibImporter())
 		}
+		fmt.Fprintln(os.Stderr, gcStats())
 	}
 
 	if *jsonOut {
@@ -554,6 +558,30 @@ func printSolverStats(res *driver.Result) {
 	st := res.Solver
 	fmt.Fprintf(os.Stderr, "solver: %d vars, %d constraints\n", st.Vars, st.Constraints)
 	fmt.Fprintf(os.Stderr, "  solve time: %v (analysis %v)\n", res.Timings.Solve, res.Timings.Analysis())
+}
+
+// gcStats describes the garbage collector's work in this process so far,
+// from runtime/metrics: its cycles, the total time the program was
+// paused for it, and its CPU time as a share of the CPU time the process
+// used (the runtime's estimates: the available CPU time less idle time).
+func gcStats() string {
+	s := []metrics.Sample{
+		{Name: "/gc/cycles/total:gc-cycles"},
+		{Name: "/cpu/classes/gc/pause:cpu-seconds"},
+		{Name: "/cpu/classes/gc/total:cpu-seconds"},
+		{Name: "/cpu/classes/total:cpu-seconds"},
+		{Name: "/cpu/classes/idle:cpu-seconds"},
+	}
+	metrics.Read(s) // every one of them exists since Go 1.20
+	cycles := s[0].Value.Uint64()
+	// The pause metric counts every P as busy while the world is stopped.
+	pause := time.Duration(s[1].Value.Float64() / float64(runtime.GOMAXPROCS(0)) * float64(time.Second))
+	gc, used := s[2].Value.Float64(), s[3].Value.Float64()-s[4].Value.Float64()
+	share := 0.0
+	if used > 0 {
+		share = 100 * gc / used
+	}
+	return fmt.Sprintf("gc: %d cycles, %v total pause, %.1f%% of process CPU", cycles, pause.Round(time.Microsecond), share)
 }
 
 func printPositions(rep *constinfer.Report) {

@@ -8,6 +8,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"syscall"
 	"testing"
@@ -388,6 +389,29 @@ func TestCqualGoSelf(t *testing.T) {
 	}
 	if !strings.Contains(got, "stdlib importer: export data, ") {
 		t.Errorf("-stats does not name the export-data importer:\n%s", got)
+	}
+}
+
+// TestCqualStatsGC: -stats ends with one line on the garbage
+// collector's cost, from runtime/metrics.
+func TestCqualStatsGC(t *testing.T) {
+	if testing.Short() {
+		t.Skip("golden CLI tests in -short mode")
+	}
+	corpus, err := filepath.Glob("internal/constinfer/testdata/*.c")
+	if err != nil || len(corpus) == 0 {
+		t.Fatalf("corpus missing: %v (%d files)", err, len(corpus))
+	}
+	bin := buildCqual(t)
+	cmd := exec.Command(bin, append([]string{"-stats"}, corpus...)...)
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	if err := cmd.Run(); err != nil {
+		t.Fatalf("cqual -stats: %v\n%s", err, stderr.String())
+	}
+	line := regexp.MustCompile(`(?m)^gc: \d+ cycles, \S+ total pause, \d+\.\d% of process CPU$`)
+	if !line.MatchString(stderr.String()) {
+		t.Errorf("-stats prints no gc line:\n%s", stderr.String())
 	}
 }
 

@@ -241,8 +241,8 @@ func TestParseFunctionDef(t *testing.T) {
 	if fd.Name != "add" || fd.Body == nil {
 		t.Fatal("definition not recognized")
 	}
-	if len(fd.Type.Params) != 2 || fd.Type.Params[0].Name != "a" || fd.Type.Params[1].Name != "b" {
-		t.Errorf("params: %+v", fd.Type.Params)
+	if len(fd.Type.Params()) != 2 || fd.Type.Params()[0].Name != "a" || fd.Type.Params()[1].Name != "b" {
+		t.Errorf("params: %+v", fd.Type.Params())
 	}
 	if len(fd.Body.Items) != 1 {
 		t.Fatalf("body items: %d", len(fd.Body.Items))
@@ -272,11 +272,11 @@ func TestParseStructSharing(t *testing.T) {
 	if len(types) != 3 {
 		t.Fatalf("got %d vars", len(types))
 	}
-	sa, sb := types[0].Struct, types[1].Struct
+	sa, sb := types[0].Struct(), types[1].Struct()
 	if sa == nil || sa != sb {
 		t.Error("a and b do not share the struct definition")
 	}
-	if types[2].Kind != TPointer || types[2].Elem.Struct != sa {
+	if types[2].Kind != TPointer || types[2].Elem.Struct() != sa {
 		t.Error("p does not point to the shared struct")
 	}
 	if len(sa.Fields) != 2 || sa.Fields[1].Type.String() != "ptr(char)" {
@@ -295,8 +295,8 @@ func TestParseIncompleteAndSelfRefStruct(t *testing.T) {
 	`)
 	var node *StructType
 	for _, d := range f.Decls {
-		if td, ok := d.(*TagDecl); ok && td.Type.Struct != nil && td.Type.Struct.Tag == "node" {
-			node = td.Type.Struct
+		if td, ok := d.(*TagDecl); ok && td.Type.Struct() != nil && td.Type.Struct().Tag == "node" {
+			node = td.Type.Struct()
 		}
 	}
 	if node == nil {
@@ -305,7 +305,7 @@ func TestParseIncompleteAndSelfRefStruct(t *testing.T) {
 	if !node.Complete {
 		t.Error("node incomplete")
 	}
-	if node.Fields[1].Type.Elem.Struct != node {
+	if node.Fields[1].Type.Elem.Struct() != node {
 		t.Error("self reference does not share definition")
 	}
 }
@@ -321,7 +321,7 @@ func TestParseUnionAndEnum(t *testing.T) {
 	for _, d := range f.Decls {
 		switch d := d.(type) {
 		case *TagDecl:
-			if d.Type.Struct != nil && d.Type.Struct.Union {
+			if d.Type.Struct() != nil && d.Type.Struct().Union {
 				found++
 			}
 			if d.Type.Kind == TEnum {
@@ -331,7 +331,7 @@ func TestParseUnionAndEnum(t *testing.T) {
 			if d.Name == "c" && d.Type.Kind == TEnum {
 				found++
 			}
-			if d.Name == "uu" && d.Type.Kind == TStruct && d.Type.Struct.Union {
+			if d.Name == "uu" && d.Type.Kind == TStruct && d.Type.Struct().Union {
 				found++
 			}
 		}
@@ -361,8 +361,8 @@ func TestEnumConstantsEvaluated(t *testing.T) {
 	}
 	for _, d := range decls {
 		if v, ok := d.(*VarDecl); ok && v.Name == "arr" {
-			if v.Type.ArrayLen != 15 {
-				t.Errorf("arr length %d, want 15", v.Type.ArrayLen)
+			if v.Type.ArrayLen() != 15 {
+				t.Errorf("arr length %d, want 15", v.Type.ArrayLen())
 			}
 		}
 	}
@@ -391,7 +391,7 @@ func TestParseTypedef(t *testing.T) {
 		t.Error("c and d share a type tree; typedef must macro-expand")
 	}
 	// But struct definitions inside typedefs stay shared.
-	if byName["pp"].Type.Struct == nil {
+	if byName["pp"].Type.Struct() == nil {
 		t.Fatal("pp lost its struct")
 	}
 	if got := byName["n"].Type.String(); got != "unsigned long" {
@@ -430,8 +430,8 @@ func TestDeclaratorsOwnTheirTypes(t *testing.T) {
 		}
 		owner[typ] = name
 		claim(name, typ.Elem)
-		claim(name, typ.Ret)
-		for _, p := range typ.Params {
+		claim(name, typ.Ret())
+		for _, p := range typ.Params() {
 			claim(name+"."+p.Name, p.Type)
 		}
 	}
@@ -460,7 +460,7 @@ func TestDeclaratorsOwnTheirTypes(t *testing.T) {
 	for name, typ := range decls {
 		claim(name, typ)
 	}
-	if st := decls["sa"].Struct; st == nil || decls["sp"].Elem.Struct != st {
+	if st := decls["sa"].Struct(); st == nil || decls["sp"].Elem.Struct() != st {
 		t.Error("sa and *sp do not share their struct definition")
 	} else {
 		for _, fd := range st.Fields {
@@ -477,7 +477,7 @@ func TestDeclaratorsOwnTheirTypes(t *testing.T) {
 			t.Errorf("const marked on a sibling or typedef use shows in %s", name)
 		}
 	}
-	if decls["c"].Quals.Const || decls["f"].Params[0].Type.Elem.Quals.Const || decls["pair"].Elem.Elem.Quals.Const {
+	if decls["c"].Quals.Const || decls["f"].Params()[0].Type.Elem.Quals.Const || decls["pair"].Elem.Elem.Quals.Const {
 		t.Error("const marked on a sibling shows in c, f's parameter or pair")
 	}
 }
@@ -657,16 +657,16 @@ func TestVariadicAndVoidParams(t *testing.T) {
 			fns[fd.Name] = fd
 		}
 	}
-	if !fns["printf"].Type.Variadic {
+	if !fns["printf"].Type.Variadic() {
 		t.Error("printf not variadic")
 	}
-	if got := fns["printf"].Type.Params[0].Type.String(); got != "ptr(const char)" {
+	if got := fns["printf"].Type.Params()[0].Type.String(); got != "ptr(const char)" {
 		t.Errorf("printf fmt: %s", got)
 	}
-	if len(fns["nop"].Type.Params) != 0 {
+	if len(fns["nop"].Type.Params()) != 0 {
 		t.Error("nop has params")
 	}
-	if len(fns["bare"].Type.Params) != 0 {
+	if len(fns["bare"].Type.Params()) != 0 {
 		t.Error("bare has params")
 	}
 }
@@ -674,7 +674,7 @@ func TestVariadicAndVoidParams(t *testing.T) {
 func TestArrayParamDecay(t *testing.T) {
 	f := parse(t, `void sort(int base[], int n);`)
 	fd := f.Decls[0].(*FuncDecl)
-	if got := fd.Type.Params[0].Type.String(); got != "ptr(int)" {
+	if got := fd.Type.Params()[0].Type.String(); got != "ptr(int)" {
 		t.Errorf("array param type %s, want ptr(int)", got)
 	}
 }
@@ -841,14 +841,34 @@ func TestTypeHelpers(t *testing.T) {
 	}
 	// Clone shares struct definitions but copies the spine.
 	st := &StructType{Tag: "s", Complete: true}
-	orig := NewPointer(&Type{Kind: TStruct, Struct: st})
+	orig := NewPointer(&Type{Kind: TStruct, parts: st.typeParts()})
 	cl := orig.Clone()
 	if cl == orig || cl.Elem == orig.Elem {
 		t.Error("Clone shared spine")
 	}
-	if cl.Elem.Struct != st {
+	if cl.Elem.Struct() != st {
 		t.Error("Clone copied struct definition")
 	}
+	// A function type's parts are its own: a clone gets copies, and
+	// SetFunc on the clone leaves the original alone.
+	fn := NewFunc(NewPrim(TInt, "unsigned long"), []Param{{Name: "p", Type: NewPointer(NewPrim(TChar, "char"))}}, true)
+	if got := fn.String(); got != "fn(ptr(char), ...) unsigned long" {
+		t.Errorf("NewFunc = %s", got)
+	}
+	fc := fn.Clone()
+	if fc.Ret() == fn.Ret() || fc.Params()[0].Type == fn.Params()[0].Type || fc.String() != fn.String() {
+		t.Error("Clone shared a function's parts")
+	}
+	fc.SetFunc(nil, nil, false)
+	if fn.Ret() == nil || len(fn.Params()) != 1 || !fn.Variadic() {
+		t.Error("SetFunc on a clone changed the original")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("NewPrim accepted a spelling no declaration produces")
+		}
+	}()
+	NewPrim(TInt, "long short")
 }
 
 func TestStorageClassString(t *testing.T) {

@@ -40,8 +40,8 @@ func TestEvalConstOperators(t *testing.T) {
 		}
 	}
 	for _, d := range f.Decls {
-		if v, ok := d.(*VarDecl); ok && v.Name == "arr" && v.Type.ArrayLen != 3 {
-			t.Errorf("arr length %d", v.Type.ArrayLen)
+		if v, ok := d.(*VarDecl); ok && v.Name == "arr" && v.Type.ArrayLen() != 3 {
+			t.Errorf("arr length %d", v.Type.ArrayLen())
 		}
 	}
 }
@@ -52,8 +52,8 @@ func TestEvalConstNonConstant(t *testing.T) {
 	f := parse(t, "extern int n; int arr[n + 1];")
 	for _, d := range f.Decls {
 		if v, ok := d.(*VarDecl); ok && v.Name == "arr" {
-			if v.Type.ArrayLen != -1 {
-				t.Errorf("arr length %d, want -1 (unknown)", v.Type.ArrayLen)
+			if v.Type.ArrayLen() != -1 {
+				t.Errorf("arr length %d, want -1 (unknown)", v.Type.ArrayLen())
 			}
 		}
 	}
@@ -452,7 +452,7 @@ func TestStringEscapes(t *testing.T) {
 func TestPointerToFunctionParams(t *testing.T) {
 	f := parse(t, "void qsort(void *base, unsigned long n, unsigned long sz, int (*cmp)(const void *, const void *));")
 	fd := f.Decls[0].(*FuncDecl)
-	cmp := fd.Type.Params[3].Type
+	cmp := fd.Type.Params()[3].Type
 	if cmp.String() != "ptr(fn(ptr(const void), ptr(const void)) int)" {
 		t.Errorf("cmp: %s", cmp)
 	}

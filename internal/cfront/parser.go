@@ -248,7 +248,7 @@ func (p *Parser) parseDeclSpecs() (declSpecs, error) {
 				return declSpecs{}, err
 			}
 			ds.base = p.newType()
-			ds.base.Kind, ds.base.Struct = TStruct, st
+			ds.base.Kind, ds.base.parts = TStruct, st.typeParts()
 		case kwEnum:
 			if sawSpecifier() {
 				return declSpecs{}, p.errf("enum specifier after another type specifier")
@@ -277,16 +277,16 @@ func (p *Parser) parseDeclSpecs() (declSpecs, error) {
 	}
 done:
 	if ds.base == nil {
-		spelling, kind := intSpelling(baseKw, sawSigned, sawUnsigned, longs, shorts)
-		if kind == TypeKind(-1) {
+		spell, kind, ok := intSpelling(baseKw, sawSigned, sawUnsigned, longs, shorts)
+		if !ok {
 			if !sawSpecifier() && !quals.Const && !quals.Volatile && ds.storage == SCNone {
 				return declSpecs{}, p.errf("expected declaration, found %s %q", p.tok.Kind, p.tok.Text)
 			}
 			// Implicit int (K&R style "const x;" or bare storage class).
-			spelling, kind = "int", TInt
+			spell, kind = spellInt, TInt
 		}
 		ds.base = p.newType()
-		ds.base.Kind, ds.base.Spelling = kind, spelling
+		ds.base.Kind, ds.base.spell = kind, spell
 	}
 	ds.base.Quals.Const = ds.base.Quals.Const || quals.Const
 	ds.base.Quals.Volatile = ds.base.Quals.Volatile || quals.Volatile
@@ -296,41 +296,44 @@ done:
 	return ds, nil
 }
 
-func intSpelling(base TokKind, signed, unsigned bool, longs, shorts int) (string, TypeKind) {
-	prefix := ""
+// intSpelling returns the spelling and kind that a declaration's type
+// keywords (base is -1 when there is none) and sign and length
+// modifiers make, and false when they name no type.
+func intSpelling(base TokKind, signed, unsigned bool, longs, shorts int) (spelling, TypeKind, bool) {
+	var sign spelling // the offset of the "signed " and "unsigned " forms
 	if unsigned {
-		prefix = "unsigned "
+		sign = 2
 	} else if signed {
-		prefix = "signed "
+		sign = 1
 	}
 	switch base {
 	case kwVoid:
-		return "void", TVoid
+		return spellVoid, TVoid, true
 	case kwChar:
-		return prefix + "char", TChar
+		return spellChar + sign, TChar, true
 	case kwFloat:
-		return "float", TFloat
+		return spellFloat, TFloat, true
 	case kwDouble:
 		if longs > 0 {
-			return "long double", TFloat
+			return spellLongDouble, TFloat, true
 		}
-		return "double", TFloat
+		return spellDouble, TFloat, true
 	case kwInt, TokKind(-1):
 		if base == TokKind(-1) && !signed && !unsigned && longs == 0 && shorts == 0 {
-			return "", TypeKind(-1)
+			return spellNone, 0, false
 		}
 		switch {
 		case longs >= 2:
-			return prefix + "long long", TInt
+			return spellLongLong + sign, TInt, true
 		case longs == 1:
-			return prefix + "long", TInt
+			return spellLong + sign, TInt, true
 		case shorts >= 1:
-			return prefix + "short", TInt
+			return spellShort + sign, TInt, true
 		default:
-			return prefix + "int", TInt
+			return spellInt + sign, TInt, true
 		}
 	default:
-		return "", TypeKind(-1)
+		return spellNone, 0, false
 	}
 }
 
@@ -423,7 +426,7 @@ func (p *Parser) parseEnumSpecifier() (*Type, error) {
 		}
 	}
 	t := p.newType()
-	t.Kind, t.EnumTag, t.Spelling = TEnum, tag, "int"
+	t.Kind, t.spell, t.parts = TEnum, spellInt, newRare(rareParts{enumTag: tag})
 	if p.tok.Kind != LBRACE {
 		if tag == "" {
 			return nil, p.errf("anonymous enum without a body")
@@ -452,7 +455,8 @@ func (p *Parser) parseEnumSpecifier() (*Type, error) {
 			}
 		}
 		p.enums[name.Text] = val
-		t.Enumerators = append(t.Enumerators, Enumerator{Name: name.Text, Value: val})
+		r := t.parts.rare
+		r.enumerators = append(r.enumerators, Enumerator{Name: name.Text, Value: val})
 		val++
 		if p.tok.Kind != COMMA {
 			break
@@ -494,7 +498,7 @@ func (d *declarator) apply(p *Parser, base *Type) *Type {
 		if s.Kind == TArray {
 			s.Elem = t
 		} else {
-			s.Ret = t
+			s.parts.ret = t
 		}
 		t = s
 	}
@@ -585,7 +589,7 @@ func (p *Parser) parseDeclaratorParts(allowAbstract bool) (declarator, error) {
 				return d, err
 			}
 			s := p.newType()
-			s.Kind, s.ArrayLen = TArray, length
+			s.Kind, s.parts = TArray, newRare(rareParts{arrayLen: length})
 			d.suffixes = append(d.suffixes, s)
 		case LPAREN:
 			if err := p.next(); err != nil {
@@ -598,9 +602,7 @@ func (p *Parser) parseDeclaratorParts(allowAbstract bool) (declarator, error) {
 			if _, err := p.expect(RPAREN); err != nil {
 				return d, err
 			}
-			s := p.newType()
-			s.Kind, s.Params, s.Variadic = TFunc, params, variadic
-			d.suffixes = append(d.suffixes, s)
+			d.suffixes = append(d.suffixes, p.newFunc(params, variadic))
 		default:
 			return d, nil
 		}
@@ -675,6 +677,15 @@ func (p *Parser) decay(t *Type) *Type {
 
 // newType returns a zeroed Type from the parser's slab.
 func (p *Parser) newType() *Type { return p.types.alloc(&p.lex, typeBytes) }
+
+// newFunc returns a function type with the given parameters and no
+// result yet, allocated with its parts from the parser's slab.
+func (p *Parser) newFunc(params []Param, variadic bool) *Type {
+	f := p.funcs.alloc(&p.lex, funcBytes)
+	f.t.Kind, f.t.parts = TFunc, &f.parts
+	f.parts.params, f.parts.variadic = params, variadic
+	return &f.t
+}
 
 // pointer returns a pointer to elem with the given qualifiers, from the
 // parser's slab.

@@ -34,7 +34,7 @@ func WriteTypeDecl(b *strings.Builder, name string, t *Type) {
 	for t.Kind == TPointer || t.Kind == TArray || t.Kind == TFunc {
 		chain = append(chain, t)
 		if t.Kind == TFunc {
-			t = t.Ret
+			t = t.Ret()
 		} else {
 			t = t.Elem
 		}
@@ -68,25 +68,26 @@ func WriteTypeDecl(b *strings.Builder, name string, t *Type) {
 			}
 		case TArray:
 			b.WriteByte('[')
-			if c.ArrayLen >= 0 {
+			if n := c.ArrayLen(); n >= 0 {
 				var num [20]byte
-				b.Write(strconv.AppendInt(num[:0], c.ArrayLen, 10))
+				b.Write(strconv.AppendInt(num[:0], n, 10))
 			}
 			b.WriteByte(']')
 		case TFunc:
 			b.WriteByte('(')
-			for i, p := range c.Params {
+			params := c.Params()
+			for i, p := range params {
 				if i > 0 {
 					b.WriteString(", ")
 				}
 				WriteTypeDecl(b, p.Name, p.Type)
 			}
 			switch {
-			case c.Variadic && len(c.Params) > 0:
+			case c.Variadic() && len(params) > 0:
 				b.WriteString(", ...")
-			case c.Variadic:
+			case c.Variadic():
 				b.WriteString("...")
-			case len(c.Params) == 0:
+			case len(params) == 0:
 				b.WriteString("void")
 			}
 			b.WriteByte(')')
@@ -119,17 +120,17 @@ func baseName(t *Type) string {
 func writeBaseName(b *strings.Builder, t *Type) {
 	switch t.Kind {
 	case TStruct:
-		b.WriteString(structName(t.Struct))
+		b.WriteString(structName(t.Struct()))
 	case TEnum:
-		if t.EnumTag != "" {
+		if tag := t.EnumTag(); tag != "" {
 			b.WriteString("enum ")
-			b.WriteString(t.EnumTag)
+			b.WriteString(tag)
 		} else {
 			b.WriteString("int")
 		}
 	default:
-		if t.Spelling != "" {
-			b.WriteString(t.Spelling)
+		if s := t.Spelling(); s != "" {
+			b.WriteString(s)
 		} else {
 			b.WriteString(t.Kind.String())
 		}
@@ -190,22 +191,22 @@ func (p *printer) emitStructsOf(t *Type) {
 		return
 	}
 	p.emitStructsOf(t.Elem)
-	p.emitStructsOf(t.Ret)
-	for _, param := range t.Params {
+	p.emitStructsOf(t.Ret())
+	for _, param := range t.Params() {
 		p.emitStructsOf(param.Type)
 	}
-	if t.Kind == TStruct && t.Struct != nil && t.Struct.Complete && !p.emitted[t.Struct] {
-		p.emitted[t.Struct] = true
+	if st := t.Struct(); st != nil && st.Complete && !p.emitted[st] {
+		p.emitted[st] = true
 		// Fields may reference other structs; emit those first (pointers
 		// to the struct being defined are fine in C).
-		for _, fld := range t.Struct.Fields {
+		for _, fld := range st.Fields {
 			if fld.Type.Kind != TPointer {
 				p.emitStructsOf(fld.Type)
 			}
 		}
-		p.line("%s {", structName(t.Struct))
+		p.line("%s {", structName(st))
 		p.indent++
-		for _, fld := range t.Struct.Fields {
+		for _, fld := range st.Fields {
 			p.line("%s;", TypeDecl(fld.Name, fld.Type))
 		}
 		p.indent--
@@ -261,16 +262,16 @@ func (p *printer) varDecl(d *VarDecl) {
 func (p *printer) tagDecl(t *Type) {
 	// Complete struct definitions were emitted by emitStructsOf; print a
 	// reference declaration for anything else (incomplete tags, enums).
-	if t.Kind == TStruct && t.Struct != nil && p.emitted[t.Struct] {
+	if st := t.Struct(); st != nil && p.emitted[st] {
 		return
 	}
-	if t.Kind == TEnum && len(t.Enumerators) > 0 {
-		tag := t.EnumTag
+	if enums := t.Enumerators(); len(enums) > 0 {
+		tag := t.EnumTag()
 		if tag != "" {
 			tag = " " + tag
 		}
 		var items []string
-		for _, e := range t.Enumerators {
+		for _, e := range enums {
 			items = append(items, fmt.Sprintf("%s = %d", e.Name, e.Value))
 		}
 		p.line("enum%s { %s };", tag, strings.Join(items, ", "))

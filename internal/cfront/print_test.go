@@ -297,34 +297,34 @@ func equalTypes(a, b *Type, sm map[*StructType]*StructType) bool {
 	}
 	switch a.Kind {
 	case TVoid, TChar, TInt, TFloat:
-		return a.Spelling == b.Spelling
+		return a.Spelling() == b.Spelling()
 	case TPointer:
 		return equalTypes(a.Elem, b.Elem, sm)
 	case TArray:
-		return a.ArrayLen == b.ArrayLen && equalTypes(a.Elem, b.Elem, sm)
+		return a.ArrayLen() == b.ArrayLen() && equalTypes(a.Elem, b.Elem, sm)
 	case TFunc:
-		if a.Variadic != b.Variadic || len(a.Params) != len(b.Params) {
+		ap, bp := a.Params(), b.Params()
+		if a.Variadic() != b.Variadic() || len(ap) != len(bp) {
 			return false
 		}
-		for i := range a.Params {
-			if a.Params[i].Name != b.Params[i].Name ||
-				!equalTypes(a.Params[i].Type, b.Params[i].Type, sm) {
+		for i := range ap {
+			if ap[i].Name != bp[i].Name || !equalTypes(ap[i].Type, bp[i].Type, sm) {
 				return false
 			}
 		}
-		return equalTypes(a.Ret, b.Ret, sm)
+		return equalTypes(a.Ret(), b.Ret(), sm)
 	case TStruct:
-		if mapped, ok := sm[a.Struct]; ok {
-			return mapped == b.Struct
+		as, bs := a.Struct(), b.Struct()
+		if mapped, ok := sm[as]; ok {
+			return mapped == bs
 		}
-		sm[a.Struct] = b.Struct
-		if a.Struct.Union != b.Struct.Union || a.Struct.Complete != b.Struct.Complete ||
-			len(a.Struct.Fields) != len(b.Struct.Fields) {
+		sm[as] = bs
+		if as.Union != bs.Union || as.Complete != bs.Complete || len(as.Fields) != len(bs.Fields) {
 			return false
 		}
-		for i := range a.Struct.Fields {
-			if a.Struct.Fields[i].Name != b.Struct.Fields[i].Name ||
-				!equalTypes(a.Struct.Fields[i].Type, b.Struct.Fields[i].Type, sm) {
+		for i := range as.Fields {
+			if as.Fields[i].Name != bs.Fields[i].Name ||
+				!equalTypes(as.Fields[i].Type, bs.Fields[i].Type, sm) {
 				return false
 			}
 		}

@@ -38,6 +38,7 @@ const (
 	returnBytes   = 512
 	blockBytes    = 256
 	typeBytes     = 32
+	funcBytes     = 256
 )
 
 // alloc returns a zeroed T. l is the lexer the parser reads: its offset
@@ -69,6 +70,7 @@ type slabs struct {
 	returns   slab[ReturnStmt]
 	blocks    slab[Block]
 	types     slab[Type]
+	funcs     slab[funcType]
 }
 
 // popStack copies the top of a scratch stack, from base up, into an

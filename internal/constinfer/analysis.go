@@ -1,9 +1,11 @@
 package constinfer
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 
 	"repro/internal/analysis"
 	"repro/internal/cfront"
@@ -111,27 +113,34 @@ type Report struct {
 }
 
 type funcInfo struct {
-	name    string
-	decl    *cfront.FuncDecl // the defining decl, or a prototype
-	file    string           // the name of decl's translation unit
+	name   string
+	decl   *cfront.FuncDecl // the defining decl, or a prototype
+	file   string           // the name of decl's translation unit
+	sig    *RType           // RFunc; created when the function's SCC is processed
+	scheme *scheme
+	// index is the function's position in Analysis.defined, -1 when it
+	// has no definition.
+	index   int32
 	defined bool
-	sig     *RType // RFunc; created when the function's SCC is processed
-	scheme  *scheme
-	scc     int // index into Analysis.sccs; -1 until Prepare assigns it
 }
 
 // sccInfo is one strongly-connected component of the function dependence
 // graph with the variable/constraint brackets the staged pipeline needs
 // for generalization: every signature is created in a first sweep and
 // the component's bodies are walked later, so its fragment is the union
-// of two contiguous ranges rather than one.
+// of two contiguous ranges rather than one. It holds no pointer, so the
+// collector never scans Analysis.sccs.
 type sccInfo struct {
-	funcs []*funcInfo
+	// lo and hi bracket the member functions in Analysis.members.
+	lo, hi int32
 	// sigVars/sigCons bracket the signature-creation fragment.
-	sigVars, sigCons [2]int
+	sigVars, sigCons [2]int32
 	// bodyVars/bodyCons bracket the body fragment.
-	bodyVars, bodyCons [2]int
+	bodyVars, bodyCons [2]int32
 }
+
+// wide returns the half-open range r as the System's ints.
+func wide(r [2]int32) [2]int { return [2]int{int(r[0]), int(r[1])} }
 
 // globalDecl is a global variable declaration and the name of its
 // translation unit.
@@ -169,10 +178,14 @@ type Analysis struct {
 	suite       *analysis.Suite
 	constActive bool
 
-	// Staged-pipeline state, filled by Prepare.
+	// Staged-pipeline state, filled by Prepare. defined lists the
+	// defined functions by name; members lists them again component by
+	// component, in the order the components come out of Tarjan's
+	// algorithm, and sccs brackets each component there.
 	globalDecls []globalDecl
 	defined     []*funcInfo
-	sccs        []*sccInfo
+	members     []*funcInfo
+	sccs        []sccInfo
 	prepared    bool
 
 	// env is the lexical environment of the body or global initializer
@@ -208,7 +221,6 @@ func NewAnalysis(files []*cfront.File, opts Options) *Analysis {
 		tr:          newTranslator(sys, suite),
 		files:       files,
 		globals:     make(map[string]*RType),
-		funcs:       make(map[string]*funcInfo),
 		enums:       make(map[string]bool),
 		suite:       suite,
 		constActive: suite.Binding("const") != nil,
@@ -250,30 +262,45 @@ func (a *Analysis) Run() (*Report, error) {
 // signatures, and computes the strongly-connected components of the
 // function dependence graph. It allocates qualifier variables but walks
 // no function bodies.
+//
+// The function records live until the report is written, so they are
+// allocated as arrays: one funcInfo per declared name in one slice, the
+// components' members in one slice and the components themselves as
+// values.
 func (a *Analysis) Prepare() {
 	if a.prepared {
 		return
 	}
 	a.prepared = true
+	n := 0
+	for _, f := range a.files {
+		for _, d := range f.Decls {
+			if _, ok := d.(*cfront.FuncDecl); ok {
+				n++
+			}
+		}
+	}
+	infos := make([]funcInfo, 0, n)
 	for _, f := range a.files {
 		for _, d := range f.Decls {
 			switch d := d.(type) {
 			case *cfront.FuncDecl:
-				fi := a.funcs[d.Name]
-				if fi == nil {
-					fi = &funcInfo{name: d.Name, decl: d, file: f.Name, scc: -1}
-					a.funcs[d.Name] = fi
-				}
-				if d.Body != nil && !fi.defined {
-					fi.decl, fi.file = d, f.Name
-					fi.defined = true
-				}
+				infos = append(infos, funcInfo{name: d.Name, decl: d, file: f.Name, defined: d.Body != nil})
 			case *cfront.VarDecl:
 				a.globalDecls = append(a.globalDecls, globalDecl{d, f.Name})
 			}
 		}
 		for name := range f.EnumConsts {
 			a.enums[name] = true
+		}
+	}
+	funcs := sortedFuncs(infos)
+	a.funcs = make(map[string]*funcInfo, len(funcs))
+	ndefined := 0
+	for i := range funcs {
+		a.funcs[funcs[i].name] = &funcs[i]
+		if funcs[i].defined {
+			ndefined++
 		}
 	}
 
@@ -291,26 +318,30 @@ func (a *Analysis) Prepare() {
 	// paper's conservative rule: parameters not declared const are
 	// treated as written through. Library signatures add no function,
 	// so the one sorted list also yields the defined functions.
-	funcs := sortedFuncs(a.funcs)
-	for _, fi := range funcs {
+	a.defined = make([]*funcInfo, 0, ndefined)
+	for i := range funcs {
+		fi := &funcs[i]
+		fi.index = -1
 		if !fi.defined {
 			a.makeLibSignature(fi)
+			continue
 		}
+		fi.index = int32(len(a.defined))
+		a.defined = append(a.defined, fi)
 	}
 
 	// FDG over defined functions; SCCs come out callees-first (Tarjan
 	// emits components in reverse topological order).
-	for _, fi := range funcs {
-		if fi.defined {
-			a.defined = append(a.defined, fi)
-		}
-	}
-	for i, comp := range a.buildSCCs(a.defined) {
-		a.sccs = append(a.sccs, &sccInfo{funcs: comp})
-		for _, fi := range comp {
-			fi.scc = i
-		}
-	}
+	a.buildSCCs()
+}
+
+// sccFuncs returns the member functions of a component.
+func (a *Analysis) sccFuncs(scc *sccInfo) []*funcInfo { return a.members[scc.lo:scc.hi] }
+
+// mark returns the System's current variable and constraint counts, the
+// ends of a component's fragment ranges.
+func (a *Analysis) mark() (vars, cons int32) {
+	return int32(a.sys.NumVars()), int32(a.sys.NumConstraints())
 }
 
 // Constrain is the constraint-generation stage, the bottom-up pass over
@@ -337,20 +368,22 @@ func (a *Analysis) ConstrainContext(ctx context.Context, _ int) {
 	// walked, so a body sees the signature of every function it names.
 	sp := tr.Start("constinfer", "constrain.signatures",
 		obs.Int("sccs", len(a.sccs)), obs.Int("functions", len(a.defined)))
-	for _, scc := range a.sccs {
-		scc.sigVars[0], scc.sigCons[0] = a.sys.NumVars(), a.sys.NumConstraints()
-		for _, fi := range scc.funcs {
+	for i := range a.sccs {
+		scc := &a.sccs[i]
+		scc.sigVars[0], scc.sigCons[0] = a.mark()
+		for _, fi := range a.sccFuncs(scc) {
 			a.tr.file = fi.file
 			fi.sig = a.tr.RValue(fi.decl.Type)
 			a.positions = a.appendPositions(a.positions, fi)
 		}
-		scc.sigVars[1], scc.sigCons[1] = a.sys.NumVars(), a.sys.NumConstraints()
+		scc.sigVars[1], scc.sigCons[1] = a.mark()
 	}
 	sp.End()
 
-	for _, scc := range a.sccs {
-		scc.bodyVars[0], scc.bodyCons[0] = a.sys.NumVars(), a.sys.NumConstraints()
-		for _, fi := range scc.funcs {
+	for i := range a.sccs {
+		scc := &a.sccs[i]
+		scc.bodyVars[0], scc.bodyCons[0] = a.mark()
+		for _, fi := range a.sccFuncs(scc) {
 			var sp *obs.Span
 			if tr != nil { // the attributes would escape even for a nil tracer
 				sp = tr.Start("constinfer", "constrain.func", obs.String("func", fi.name))
@@ -358,7 +391,7 @@ func (a *Analysis) ConstrainContext(ctx context.Context, _ int) {
 			a.analyzeBody(fi)
 			sp.End()
 		}
-		scc.bodyVars[1], scc.bodyCons[1] = a.sys.NumVars(), a.sys.NumConstraints()
+		scc.bodyVars[1], scc.bodyCons[1] = a.mark()
 		if a.opts.Poly {
 			a.generalizeSCC(scc)
 		}
@@ -425,30 +458,45 @@ func (a *Analysis) generalizeSCC(scc *sccInfo) {
 		return (inRange(v, scc.sigVars) || inRange(v, scc.bodyVars)) && !a.tr.pinned(v)
 	}
 	body := a.sigVars[:0]
-	for _, fi := range scc.funcs {
+	members := a.sccFuncs(scc)
+	for _, fi := range members {
 		body = collectVars(fi.sig, body)
 	}
 	a.sigVars = body
-	qvars, proj := a.sys.Generalize(body, local, scc.sigCons, scc.bodyCons)
-	for _, fi := range scc.funcs {
+	qvars, proj := a.sys.Generalize(body, local, wide(scc.sigCons), wide(scc.bodyCons))
+	for _, fi := range members {
 		fi.scheme = &scheme{sig: fi.sig, qvars: qvars, proj: proj}
 	}
 }
 
 // inRange reports whether v lies in the half-open variable range rg.
-func inRange(v constraint.Var, rg [2]int) bool {
-	return int(v) >= rg[0] && int(v) < rg[1]
+func inRange(v constraint.Var, rg [2]int32) bool {
+	return int32(v) >= rg[0] && int32(v) < rg[1]
 }
 
-func sortedFuncs(m map[string]*funcInfo) []*funcInfo {
-	names := make([]string, 0, len(m))
-	for n := range m {
-		names = append(names, n)
+// sortedFuncs sorts the records of infos, one per function declaration
+// in declaration order, by name and keeps one record per name in place:
+// the first definition, else the first declaration. It returns the kept
+// prefix of infos.
+func sortedFuncs(infos []funcInfo) []funcInfo {
+	for i := range infos {
+		infos[i].index = int32(i) // the declaration order, which ties break by
 	}
-	sort.Strings(names)
-	out := make([]*funcInfo, len(names))
-	for i, n := range names {
-		out[i] = m[n]
+	slices.SortFunc(infos, func(x, y funcInfo) int {
+		if c := strings.Compare(x.name, y.name); c != 0 {
+			return c
+		}
+		return cmp.Compare(x.index, y.index)
+	})
+	out := infos[:0]
+	for lo, hi := 0, 0; lo < len(infos); lo = hi {
+		keep := lo
+		for hi = lo + 1; hi < len(infos) && infos[hi].name == infos[lo].name; hi++ {
+			if !infos[keep].defined && infos[hi].defined {
+				keep = hi
+			}
+		}
+		out = append(out, infos[keep])
 	}
 	return out
 }
@@ -508,65 +556,69 @@ func (a *Analysis) preludeArg(fn string, i int, rv *RType, pos cfront.Pos) {
 }
 
 // buildSCCs computes the strongly-connected components of the function
-// dependence graph (Definition 4: an edge from f to g iff f's body
-// contains an occurrence of the name g), returned callees-first.
-func (a *Analysis) buildSCCs(defined []*funcInfo) [][]*funcInfo {
-	index := make(map[string]int, len(defined))
-	for i, fi := range defined {
-		index[fi.name] = i
-	}
-	// Edges keep the order of each callee's first occurrence, which
-	// fixes the SCC order. stamp[j] == i+1 marks j as already an edge
-	// of i, so one slice dedupes callees for every function.
-	adj := make([][]int, len(defined))
-	stamp := make([]int, len(defined))
-	cur := 0
+// dependence graph over a.defined (Definition 4: an edge from f to g iff
+// f's body contains an occurrence of the name g) into a.members and
+// a.sccs, callees-first.
+func (a *Analysis) buildSCCs() {
+	defined := a.defined
+	n := len(defined)
+	// The edges of function i are dst[off[i]:off[i+1]], in the order of
+	// each callee's first occurrence, which fixes the SCC order.
+	// stamp[j] == i+1 marks j as already an edge of i, so one slice
+	// dedupes callees for every function.
+	off := make([]int32, n+1)
+	var dst []int32
+	stamp := make([]int32, n)
+	var cur int32
 	edge := nameVisitor(func(name string) {
-		if j, ok := index[name]; ok && j != cur && stamp[j] != cur+1 {
-			stamp[j] = cur + 1
-			adj[cur] = append(adj[cur], j)
+		if fi := a.funcs[name]; fi != nil && fi.index >= 0 && fi.index != cur && stamp[fi.index] != cur+1 {
+			stamp[fi.index] = cur + 1
+			dst = append(dst, fi.index)
 		}
 	})
 	for i, fi := range defined {
-		cur = i
+		cur = int32(i)
 		edge.stmt(fi.decl.Body)
+		off[i+1] = int32(len(dst))
 	}
 
-	// Tarjan's algorithm, iterative to survive deep call chains.
-	n := len(defined)
-	idx := make([]int, n)
-	low := make([]int, n)
+	// Tarjan's algorithm, iterative to survive deep call chains. Each
+	// component's members go to the end of a.members as it is found.
+	idx := make([]int32, n)
+	low := make([]int32, n)
 	onStack := make([]bool, n)
 	for i := range idx {
 		idx[i] = -1
 	}
-	var stack []int
-	var sccs [][]*funcInfo
-	counter := 0
+	stack := make([]int32, 0, n)
+	a.members = make([]*funcInfo, 0, n)
+	a.sccs = make([]sccInfo, 0, n)
+	var counter int32
 
 	type frame struct {
-		v, child int
+		v, child int32 // child indexes dst from off[v]
 	}
-	for start := 0; start < n; start++ {
+	var frames []frame
+	for start := int32(0); start < int32(n); start++ {
 		if idx[start] != -1 {
 			continue
 		}
-		frames := []frame{{start, 0}}
+		frames = append(frames[:0], frame{start, off[start]})
 		idx[start], low[start] = counter, counter
 		counter++
 		stack = append(stack, start)
 		onStack[start] = true
 		for len(frames) > 0 {
 			f := &frames[len(frames)-1]
-			if f.child < len(adj[f.v]) {
-				w := adj[f.v][f.child]
+			if f.child < off[f.v+1] {
+				w := dst[f.child]
 				f.child++
 				if idx[w] == -1 {
 					idx[w], low[w] = counter, counter
 					counter++
 					stack = append(stack, w)
 					onStack[w] = true
-					frames = append(frames, frame{w, 0})
+					frames = append(frames, frame{w, off[w]})
 				} else if onStack[w] && idx[w] < low[f.v] {
 					low[f.v] = idx[w]
 				}
@@ -582,21 +634,20 @@ func (a *Analysis) buildSCCs(defined []*funcInfo) [][]*funcInfo {
 				}
 			}
 			if low[v] == idx[v] {
-				var comp []*funcInfo
+				lo := int32(len(a.members))
 				for {
 					w := stack[len(stack)-1]
 					stack = stack[:len(stack)-1]
 					onStack[w] = false
-					comp = append(comp, defined[w])
+					a.members = append(a.members, defined[w])
 					if w == v {
 						break
 					}
 				}
-				sccs = append(sccs, comp)
+				a.sccs = append(a.sccs, sccInfo{lo: lo, hi: int32(len(a.members))})
 			}
 		}
 	}
-	return sccs
 }
 
 // nameVisitor is called on every identifier occurring in a body, in
@@ -719,12 +770,13 @@ func (a *Analysis) appendPositions(ps []*Position, fi *funcInfo) []*Position {
 		return ps
 	}
 	declPos := filePos(fi.file, fi.decl.Pos)
+	declParams := fi.decl.Type.Params()
 	for i, p := range fi.sig.Params() {
 		name := ""
 		pos := declPos
-		if i < len(fi.decl.Type.Params) {
-			name = fi.decl.Type.Params[i].Name
-			if pp := fi.decl.Type.Params[i].Pos; pp.IsValid() {
+		if i < len(declParams) {
+			name = declParams[i].Name
+			if pp := declParams[i].Pos; pp.IsValid() {
 				pos = filePos(fi.file, pp)
 			}
 		}

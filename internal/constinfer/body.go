@@ -74,7 +74,7 @@ func (a *Analysis) analyzeBody(fi *funcInfo) {
 	a.tr.file = fi.file
 	env := &a.env
 	env.reset(fi)
-	for i, p := range fi.decl.Type.Params {
+	for i, p := range fi.decl.Type.Params() {
 		if p.Name == "" {
 			continue
 		}
@@ -439,11 +439,10 @@ func (a *Analysis) exprR(env *env, e cfront.Expr) *RType {
 						file: a.tr.file,
 						decl: &cfront.FuncDecl{
 							Name: id.Name,
-							Type: &cfront.Type{Kind: cfront.TFunc,
-								Ret: cfront.NewPrim(cfront.TInt, "int"), Variadic: true},
-							Pos: id.Pos,
+							Type: cfront.NewFunc(cfront.NewPrim(cfront.TInt, "int"), nil, true),
+							Pos:  id.Pos,
 						},
-						scc: -1,
+						index: -1,
 					}
 					a.funcs[id.Name] = fi
 					a.makeLibSignature(fi)

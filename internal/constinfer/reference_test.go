@@ -14,9 +14,9 @@ import (
 func newReference(files []*cfront.File, opts Options) *Analysis {
 	a := NewAnalysis(files, opts)
 	a.generalize = func(scc *sccInfo) {
-		proj := &constraint.Projection{Cons: fragment(a.sys, scc.sigCons, scc.bodyCons)}
-		qvars := unpinnedVars(a, scc.sigVars, scc.bodyVars)
-		for _, fi := range scc.funcs {
+		proj := &constraint.Projection{Cons: fragment(a.sys, wide(scc.sigCons), wide(scc.bodyCons))}
+		qvars := unpinnedVars(a, wide(scc.sigVars), wide(scc.bodyVars))
+		for _, fi := range a.sccFuncs(scc) {
 			fi.scheme = &scheme{sig: fi.sig, qvars: qvars, proj: proj}
 		}
 	}

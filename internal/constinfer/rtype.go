@@ -272,16 +272,17 @@ func (tr *translator) RValue(ct *cfront.Type) *RType {
 		inner := tr.RValue(ct.Elem)
 		return tr.newRef(inner, ct.Elem.Quals)
 	case cfront.TFunc:
-		f := newFunc(tr.freshQ(), ct.Variadic, len(ct.Params))
-		f.fn.ret = tr.RValue(ct.Ret)
-		for i, p := range ct.Params {
+		params := ct.Params()
+		f := newFunc(tr.freshQ(), ct.Variadic(), len(params))
+		f.fn.ret = tr.RValue(ct.Ret())
+		for i, p := range params {
 			f.fn.params[i] = tr.RValue(p.Type)
 		}
 		return f
 	case cfront.TStruct:
-		return tr.structVal(ct.Struct)
+		return tr.structVal(ct.Struct())
 	default:
-		return tr.rtype(RType{Kind: RLeaf, Q: tr.freshQ(), shared: tr.leaf(ct.Spelling)})
+		return tr.rtype(RType{Kind: RLeaf, Q: tr.freshQ(), shared: tr.leaf(ct.Spelling())})
 	}
 }
 

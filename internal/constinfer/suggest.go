@@ -84,13 +84,13 @@ func (a *Analysis) buildSuggestions(rep *Report) []Suggestion {
 }
 
 // sigCopy is the copy of one declared function type that buildSuggestions
-// marks consts in. The function node and its Params slice are copied per
-// function; a type node below them is copied only when a const is about
-// to be written at or under it, so the declaration stays untouched
+// marks consts in. The function node and its parameter list are copied
+// per function; a type node below them is copied only when a const is
+// about to be written at or under it, so the declaration stays untouched
 // without cloning the whole type. The storage is reused from function to
 // function.
 type sigCopy struct {
-	fn     cfront.Type
+	fn     cfront.Type // a function type with parts of its own, set by reset
 	params []cfront.Param
 	nodes  []*cfront.Type // nodes[:used] are the current function's copies
 	used   int
@@ -98,9 +98,9 @@ type sigCopy struct {
 
 // reset starts a copy of decl and returns its function node.
 func (s *sigCopy) reset(decl *cfront.Type) *cfront.Type {
-	s.fn = *decl
-	s.params = append(s.params[:0], decl.Params...)
-	s.fn.Params = s.params
+	s.params = append(s.params[:0], decl.Params()...)
+	s.fn.Quals = decl.Quals
+	s.fn.SetFunc(decl.Ret(), s.params, decl.Variadic())
 	s.used = 0
 	return &s.fn
 }
@@ -110,16 +110,20 @@ func (s *sigCopy) reset(decl *cfront.Type) *cfront.Type {
 // the parameter (or result) type, depth further pointer levels, and the
 // pointee whose const flag is set.
 func (s *sigCopy) ownPath(index, depth int) {
-	slot := &s.fn.Ret
+	ret := s.fn.Ret()
+	slot := &ret
 	if index >= 0 {
-		if index >= len(s.fn.Params) {
+		if index >= len(s.params) {
 			return
 		}
-		slot = &s.fn.Params[index].Type
+		slot = &s.params[index].Type
 	}
 	for i := 0; i <= depth+1 && *slot != nil; i++ {
 		*slot = s.own(*slot)
 		slot = &(*slot).Elem
+	}
+	if index < 0 {
+		s.fn.SetFunc(ret, s.params, s.fn.Variadic())
 	}
 }
 
@@ -146,12 +150,13 @@ func (s *sigCopy) own(t *cfront.Type) *cfront.Type {
 func markConst(fn *cfront.Type, index, depth int) bool {
 	var t *cfront.Type
 	if index < 0 {
-		t = fn.Ret
+		t = fn.Ret()
 	} else {
-		if index >= len(fn.Params) {
+		params := fn.Params()
+		if index >= len(params) {
 			return false
 		}
-		t = fn.Params[index].Type
+		t = params[index].Type
 	}
 	// Walk down `depth` pointer levels; the const attaches to the pointee
 	// reached from the final pointer.

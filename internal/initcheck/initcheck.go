@@ -178,7 +178,7 @@ func checkFunc(file string, fd *cfront.FuncDecl) []Warning {
 
 	flow := infer.NewFlow(c.sys)
 	// Parameters are initialized by the caller.
-	for _, p := range fd.Type.Params {
+	for _, p := range fd.Type.Params() {
 		if p.Name != "" {
 			flow.Declare(p.Name, set.Bottom(), constraint.Reason{Msg: "parameter"})
 		}
