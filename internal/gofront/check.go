@@ -4,22 +4,22 @@ package gofront
 // import headers, starts the go command listing their standard-library
 // imports, and parses the files into one shared token.FileSet while the
 // listing runs. It then groups them into packages by directory and
-// type-checks each package with go/types. Imports resolve four ways,
-// in order: a package already checked in this run; a module-local
-// package, checked transitively from its files on disk with the
-// request's cleanly parsed files as an overlay (such a file is not
-// parsed again, and a dependency check sees the request's text, not the
-// disk copy); a package under GOROOT, through the process-wide importer
-// every run shares (compiler export data from the go command's build
-// cache, or GOROOT's sources when the go command cannot supply it); or
-// any other package (GOPATH, a vendored tree), through this run's own
-// source importer. Any import or type-check failure is downgraded to a
-// warning diagnostic and the failed package is replaced by an empty
-// stub — the analysis always proceeds on whatever type information
-// exists, because a conservative answer on a partially typed program is
-// still sound for the positive const question ("is this reference never
-// written through?" is only ever weakened by missing information we
-// treat as writes at call edges).
+// type-checks each package with go/types. Imports resolve three ways,
+// in order: a package already checked in this run; a package under
+// GOROOT, through the process-wide importer every run shares (compiler
+// export data from the go command's build cache, or GOROOT's sources
+// when the go command cannot supply it); or any other package, checked
+// transitively from its files on disk with the request's cleanly parsed
+// files as an overlay (such a file is not parsed again, and a dependency
+// check sees the request's text, not the disk copy). go/build finds a
+// package outside the modules seen so far, and its module is then
+// registered for the rest of the run. Any import or type-check failure
+// is downgraded to a warning diagnostic and the failed package is
+// replaced by an empty stub — the analysis always proceeds on whatever
+// type information exists, because a conservative answer on a partially
+// typed program is still sound for the positive const question ("is
+// this reference never written through?" is only ever weakened by
+// missing information we treat as writes at call edges).
 
 import (
 	"bytes"
@@ -49,11 +49,11 @@ import (
 	"repro/internal/driver"
 )
 
-// noCgo disables cgo in the build context the source importers read,
-// so cgo-using packages (net, os/user) type-check their pure-Go
-// fallback files instead of failing in containers without a C
-// toolchain.
-var noCgo sync.Once
+// noCgo disables cgo in the build context that goFilesIn and the
+// standard library's source importer read, so cgo-using packages (net,
+// os/user) type-check their pure-Go fallback files instead of failing
+// in containers without a C toolchain.
+var noCgo = sync.OnceFunc(func() { build.Default.CgoEnabled = false })
 
 // std serves every import that resolves into $GOROOT/src, for every
 // Parse in the process, from the compiler's export data: the analysis
@@ -325,7 +325,7 @@ const maxPkgNotes = 8
 // FileSet, and std lists them in the background. Parse waits for that
 // listing before it returns, on every path.
 func (frontEnd) Parse(ctx context.Context, files []driver.Source, loadErrs []error) (driver.Program, []error) {
-	noCgo.Do(func() { build.Default.CgoEnabled = false })
+	noCgo()
 	wait := std.prefetch(ctx, gorootImports(ctx, files, loadErrs))
 	defer wait()
 	fset := token.NewFileSet()
@@ -425,18 +425,19 @@ type pkgInfo struct {
 
 // loader resolves and type-checks packages for one Parse call.
 type loader struct {
-	ctx  context.Context // the run's, for the go command std may start
+	ctx  context.Context // the run's: once done, nothing more is imported
 	fset *token.FileSet
 	prog *Program
-	src  types.ImporterFrom // source importer for imports outside GOROOT and the module
 
 	// overlay maps the absolute path of each requested file that parsed
 	// cleanly to its syntax tree: a package checked from disk takes
 	// these in place of the disk copies.
 	overlay map[string]*ast.File
 
-	// modules caches go.mod lookups by directory.
+	// modules caches go.mod lookups by directory; roots lists the
+	// modules found, in the order found.
 	modules map[string]moduleInfo
+	roots   []moduleInfo
 	// done maps import path → checked package (requested, local
 	// dependency, or stub). loading guards import cycles.
 	done    map[string]*types.Package
@@ -452,7 +453,6 @@ func newLoader(ctx context.Context, fset *token.FileSet, prog *Program) *loader 
 		ctx:     ctx,
 		fset:    fset,
 		prog:    prog,
-		src:     importer.ForCompiler(fset, "source", nil).(types.ImporterFrom),
 		overlay: map[string]*ast.File{},
 		modules: map[string]moduleInfo{},
 		done:    map[string]*types.Package{},
@@ -460,31 +460,25 @@ func newLoader(ctx context.Context, fset *token.FileSet, prog *Program) *loader 
 	}
 }
 
-// moduleFor walks up from dir to the enclosing go.mod, caching results.
+// moduleFor walks up from dir to the enclosing go.mod, caching results
+// by directory and recording each go.mod it finds in roots.
 func (ld *loader) moduleFor(dir string) (moduleInfo, bool) {
-	abs, err := filepath.Abs(dir)
+	at, err := filepath.Abs(dir)
 	if err != nil {
 		return moduleInfo{}, false
 	}
-	if m, ok := ld.modules[abs]; ok {
-		return m, m.Root != ""
-	}
+	var m moduleInfo
 	var walk []string
-	at := abs
 	for {
-		if m, ok := ld.modules[at]; ok {
-			for _, d := range walk {
-				ld.modules[d] = m
-			}
-			return m, m.Root != ""
+		if cached, ok := ld.modules[at]; ok {
+			m = cached
+			break
 		}
 		walk = append(walk, at)
 		if path := modulePathOf(filepath.Join(at, "go.mod")); path != "" {
-			m := moduleInfo{Root: at, Path: path}
-			for _, d := range walk {
-				ld.modules[d] = m
-			}
-			return m, true
+			m = moduleInfo{Root: at, Path: path}
+			ld.roots = append(ld.roots, m)
+			break
 		}
 		parent := filepath.Dir(at)
 		if parent == at {
@@ -493,9 +487,9 @@ func (ld *loader) moduleFor(dir string) (moduleInfo, bool) {
 		at = parent
 	}
 	for _, d := range walk {
-		ld.modules[d] = moduleInfo{}
+		ld.modules[d] = m
 	}
-	return moduleInfo{}, false
+	return m, m.Root != ""
 }
 
 // modulePathOf reads the module path from a go.mod, or "".
@@ -537,40 +531,22 @@ func (ld *loader) importPathFor(dir string) string {
 	return "./" + filepath.ToSlash(filepath.Clean(dir))
 }
 
-// dirForImport maps an import path back to a module-local directory, if
-// the path falls under a module this run has seen.
+// dirForImport maps an import path back to a directory of a module
+// this run has seen. The longest module path that prefixes it wins, so
+// a nested module shadows its parent; of two modules with one path, the
+// first seen wins.
 func (ld *loader) dirForImport(path string) (string, bool) {
-	for _, m := range ld.sortedModules() {
-		if path == m.Path {
-			return m.Root, true
-		}
-		if rest, ok := strings.CutPrefix(path, m.Path+"/"); ok {
-			return filepath.Join(m.Root, filepath.FromSlash(rest)), true
-		}
-	}
-	return "", false
-}
-
-// sortedModules lists the distinct modules seen so far, deterministic
-// (longest path first so nested modules shadow their parents).
-func (ld *loader) sortedModules() []moduleInfo {
-	seen := map[string]moduleInfo{}
-	for _, m := range ld.modules {
-		if m.Root != "" {
-			seen[m.Path] = m
+	var best *moduleInfo
+	for i, m := range ld.roots {
+		under := path == m.Path || strings.HasPrefix(path, m.Path+"/")
+		if under && (best == nil || len(m.Path) > len(best.Path)) {
+			best = &ld.roots[i]
 		}
 	}
-	out := make([]moduleInfo, 0, len(seen))
-	for _, m := range seen {
-		out = append(out, m)
+	if best == nil {
+		return "", false
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if len(out[i].Path) != len(out[j].Path) {
-			return len(out[i].Path) > len(out[j].Path)
-		}
-		return out[i].Path < out[j].Path
-	})
-	return out
+	return filepath.Join(best.Root, filepath.FromSlash(strings.TrimPrefix(path, best.Path))), true
 }
 
 // checkRequested type-checks one requested package group, retaining the
@@ -671,13 +647,18 @@ func (ld *loader) Import(path string) (*types.Package, error) {
 	return ld.ImportFrom(path, "", 0)
 }
 
-// ImportFrom implements types.ImporterFrom: local packages first, then
-// the shared GOROOT importer or this run's source importer, then a
-// stub-with-warning so type checking (and with it the analysis) always
-// completes.
+// ImportFrom implements types.ImporterFrom: packages of the modules
+// seen so far first, then the shared GOROOT importer, then any other
+// package go/build finds, then a stub-with-warning so type checking
+// (and with it the analysis) always completes. Once the run is
+// cancelled every import is a stub without a warning: the run checks
+// no further dependency and starts no further go command.
 func (ld *loader) ImportFrom(path, srcDir string, _ types.ImportMode) (*types.Package, error) {
 	if path == "unsafe" {
 		return types.Unsafe, nil
+	}
+	if ld.ctx.Err() != nil {
+		return ld.stub(path), nil
 	}
 	if pkg, ok := ld.done[path]; ok {
 		return pkg, nil
@@ -690,7 +671,7 @@ func (ld *loader) ImportFrom(path, srcDir string, _ types.ImportMode) (*types.Pa
 	if inGoroot(path, srcDir) {
 		pkg, err = std.ImportFrom(ld.ctx, path, srcDir)
 	} else {
-		pkg, err = ld.src.ImportFrom(path, srcDir, 0)
+		pkg, err = ld.checkFound(path, srcDir)
 	}
 	if err != nil {
 		ld.note(token.NoPos, "go-import-error",
@@ -699,6 +680,25 @@ func (ld *loader) ImportFrom(path, srcDir string, _ types.ImportMode) (*types.Pa
 	}
 	ld.done[path] = pkg
 	return pkg, nil
+}
+
+// checkFound checks a package outside GOROOT and the modules seen so
+// far from the directory go/build finds for it, and registers its
+// go.mod, so the rest of that module resolves without the go command.
+// go/build's go command runs in srcDir, to resolve path in the
+// importing package's module rather than the process's.
+func (ld *loader) checkFound(path, srcDir string) (*types.Package, error) {
+	ctxt := build.Default
+	var err error
+	if ctxt.Dir, err = filepath.Abs(srcDir); err != nil {
+		return nil, err
+	}
+	bp, err := ctxt.Import(path, ctxt.Dir, build.FindOnly)
+	if err != nil {
+		return nil, err
+	}
+	ld.moduleFor(bp.Dir)
+	return ld.check(path, bp.Dir, nil, nil), nil
 }
 
 // stub makes (and remembers) an empty package for a failed import.

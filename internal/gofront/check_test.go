@@ -19,7 +19,7 @@ import (
 
 // TestImportRouting: standard-library paths go to the process-wide
 // importer, so two runs' loaders get the same *types.Package; paths that
-// resolve outside GOROOT stay with the run's own importer.
+// resolve outside GOROOT are the run's to check from their files.
 func TestImportRouting(t *testing.T) {
 	dir := t.TempDir()
 	for _, path := range []string{"fmt", "net/http"} {
@@ -44,9 +44,9 @@ func TestImportRouting(t *testing.T) {
 // TestWarmRunMatchesFirst runs each input twice in one process: the
 // second run, served by the warm standard-library importer, must
 // report byte for byte what the first did, timings aside. A failed
-// import is not cached, so its note appears on both runs, whether the
-// per-run importer ("nosuchpkg/x") or the shared one ("go", a GOROOT
-// directory without Go files) failed.
+// import is not cached, so its note appears on both runs, whether
+// go/build found no package ("nosuchpkg/x") or the shared importer
+// failed ("go", a GOROOT directory without Go files).
 func TestWarmRunMatchesFirst(t *testing.T) {
 	prelude := func(path string) []driver.PreludeFile { return readPrelude(t, path) }
 	cases := []struct {

@@ -29,7 +29,9 @@
 package gofront
 
 import (
+	"errors"
 	"fmt"
+	"go/build"
 	"os"
 	"path/filepath"
 	"sort"
@@ -165,24 +167,22 @@ func skipDirName(name string) bool {
 		strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")
 }
 
-// goFilesIn lists the buildable .go files directly in dir, sorted.
-// Test files are excluded: the corpus is the shipped program, as the
-// paper analyzes program sources, not their harnesses.
+// goFilesIn lists the .go files in dir that a build with cgo disabled
+// compiles, sorted: go/build applies the file name and //go:build
+// constraints. Test files are excluded: the corpus is the shipped
+// program, as the paper analyzes program sources, not their harnesses.
+// A file go/build finds fault with stays listed, for the parser and the
+// type checker to report.
 func goFilesIn(dir string) ([]string, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
+	noCgo()
+	bp, err := build.Default.ImportDir(dir, 0)
+	var noGo *build.NoGoError
+	if err != nil && len(bp.InvalidGoFiles) == 0 && !errors.As(err, &noGo) {
 		return nil, err
 	}
-	var out []string
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") ||
-			strings.HasSuffix(name, "_test.go") ||
-			strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
-			continue
-		}
-		out = append(out, filepath.Join(dir, name))
+	out := make([]string, len(bp.GoFiles))
+	for i, name := range bp.GoFiles {
+		out[i] = filepath.Join(dir, name)
 	}
-	sort.Strings(out)
 	return out, nil
 }

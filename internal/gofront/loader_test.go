@@ -5,7 +5,9 @@ import (
 	"go/build"
 	"go/token"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -77,6 +79,13 @@ func writeModule(t *testing.T, files map[string]string) string {
 	t.Helper()
 	dir := t.TempDir()
 	files["go.mod"] = "module example.com/m\n"
+	writeFiles(t, dir, files)
+	return dir
+}
+
+// writeFiles writes files, keyed by slash path, under dir.
+func writeFiles(t *testing.T, dir string, files map[string]string) {
+	t.Helper()
 	for name, text := range files {
 		path := filepath.Join(dir, filepath.FromSlash(name))
 		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
@@ -86,7 +95,137 @@ func writeModule(t *testing.T, files map[string]string) string {
 			t.Fatal(err)
 		}
 	}
-	return dir
+}
+
+// crossModule writes module example.com/a from a and module
+// example.com/b, which requires a through a replace directive, from b,
+// side by side in a temporary directory, and returns b's root. The go
+// command resolves b's imports offline.
+func crossModule(t *testing.T, a, b map[string]string) string {
+	t.Helper()
+	goCommand(t)
+	t.Setenv("GOFLAGS", "-mod=mod")
+	t.Setenv("GOPROXY", "off")
+	root := t.TempDir()
+	a["go.mod"] = "module example.com/a\n\ngo 1.23\n"
+	b["go.mod"] = "module example.com/b\n\ngo 1.23\n\nrequire example.com/a v0.0.0\n\nreplace example.com/a => ../a\n"
+	writeFiles(t, filepath.Join(root, "a"), a)
+	writeFiles(t, filepath.Join(root, "b"), b)
+	return filepath.Join(root, "b")
+}
+
+// checkNoImportNotes fails on any type or import error note.
+func checkNoImportNotes(t *testing.T, p *Program) {
+	t.Helper()
+	for _, code := range []string{"go-type-error", "go-import-error"} {
+		if notes := notesWith(p, code); len(notes) != 0 {
+			t.Errorf("%s notes:\n%s", code, strings.Join(notes, "\n"))
+		}
+	}
+}
+
+// TestCrossModuleImport: a package of another module is checked from
+// its files like a module-local one, so the standard-library types in
+// its API are the ones the requesting package imports, and every run
+// reads its files afresh.
+func TestCrossModuleImport(t *testing.T) {
+	const aText = `package a
+
+import (
+	"context"
+	"io"
+	"time"
+)
+
+func Wait(ctx context.Context, d time.Duration, w io.Writer) error {
+	select {
+	case <-ctx.Done():
+		return ctx.Err()
+	case <-time.After(d):
+		_, err := io.WriteString(w, "done\n")
+		return err
+	}
+}
+`
+	const bText = `package b
+
+import (
+	"context"
+	"os"
+	"time"
+
+	"example.com/a"
+)
+
+func Run() error { return a.Wait(context.Background(), time.Second, os.Stdout) }
+`
+	bDir := crossModule(t, map[string]string{"a.go": aText}, map[string]string{"b.go": bText})
+	for run := 1; run <= 2; run++ {
+		prog := parseSources(t, driver.Source{Path: bDir})
+		checkNoImportNotes(t, prog)
+		if len(prog.Pkgs) != 1 {
+			t.Fatalf("run %d: %d requested packages; want b alone", run, len(prog.Pkgs))
+		}
+		b := prog.Pkgs[0].Pkg
+		a := importOf(b, "example.com/a")
+		if a == nil {
+			t.Fatalf("run %d: b does not import example.com/a", run)
+		}
+		if ctx := importOf(b, "context"); ctx == nil || ctx != importOf(a, "context") {
+			t.Errorf("run %d: a and b import different context packages", run)
+		}
+		if edited := a.Scope().Lookup("Edited") != nil; edited != (run == 2) {
+			t.Errorf("run %d: a declares Edited = %v; want it only after the edit", run, edited)
+		}
+		writeFiles(t, filepath.Join(bDir, "..", "a"), map[string]string{"a.go": aText + "\nfunc Edited() {}\n"})
+	}
+}
+
+// TestFileSelection: a package's files are the ones the go command
+// builds with cgo disabled, whether the package is requested or another
+// module's dependency. The other files redeclare X, so one of them
+// taken in would be a type error.
+func TestFileSelection(t *testing.T) {
+	bDir := crossModule(t, map[string]string{
+		"x/x.go":         "//go:build !windows\n\npackage x\n\nfunc X() int { return 1 }\n",
+		"x/x_windows.go": "package x\n\nfunc X() int { return 2 }\n",
+		"x/gen.go":       "//go:build ignore\n\npackage main\n\nfunc X() int { return 3 }\n",
+		"x/cgo.go":       "package x\n\nimport \"C\"\n\nfunc X() int { return 4 }\n",
+	}, map[string]string{
+		"b.go": "package b\n\nimport \"example.com/a/x\"\n\nfunc Y() int { return x.X() }\n",
+	})
+	xDir := filepath.Join(filepath.Dir(bDir), "a", "x")
+	cmd := exec.Command(goCommand(t), "list", "-f", "{{.GoFiles}}", ".")
+	cmd.Dir = xDir
+	cmd.Env = append(os.Environ(), "CGO_ENABLED=0")
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("go list: %v", err)
+	}
+	want := strings.Fields(strings.Trim(strings.TrimSpace(string(out)), "[]"))
+
+	requested := parseSources(t, driver.Source{Path: xDir})
+	checkNoImportNotes(t, requested)
+	var got []string
+	for _, name := range requested.FileNames() {
+		got = append(got, filepath.Base(name))
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("requested package: files %v; go list builds %v", got, want)
+	}
+
+	dependent := parseSources(t, driver.Source{Path: bDir})
+	checkNoImportNotes(t, dependent)
+	got = nil
+	dependent.fset.Iterate(func(f *token.File) bool {
+		if filepath.Dir(f.Name()) == xDir {
+			got = append(got, filepath.Base(f.Name()))
+		}
+		return true
+	})
+	if !slices.Equal(got, want) {
+		t.Errorf("dependency: files %v; go list builds %v", got, want)
+	}
 }
 
 // TestOverlay: when a requested package imports another requested

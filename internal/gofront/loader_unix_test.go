@@ -4,6 +4,7 @@ package gofront
 
 import (
 	"context"
+	"go/token"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -20,7 +21,7 @@ import (
 // go command here is a script that blocks until the test has seen it
 // start, and whose background child keeps its output open for a second
 // after the script is killed, so the listing outlasts the run's own
-// work.
+// work. A run cancelled mid-check imports only stubs from then on.
 func TestCancelledListing(t *testing.T) {
 	goCmd := goCommand(t)
 	dir := t.TempDir()
@@ -79,6 +80,24 @@ func TestCancelledListing(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatalf("%d goroutines after the cancelled run; %d before", runtime.NumGoroutine(), goroutines)
 		}
+	}
+
+	// A run cancelled while it type-checks imports nothing more: each
+	// import, module-local, GOROOT or another module's, is a stub with
+	// no note, no file is parsed and no go command starts.
+	ld := newLoader(ctx, token.NewFileSet(), &Program{})
+	ld.moduleFor(".")
+	lists := imp.lists
+	withStd(imp, func() {
+		for _, path := range []string{"repro/internal/constraint", "net/url", "example.com/other"} {
+			if pkg, err := ld.ImportFrom(path, ".", 0); err != nil || pkg.Scope().Len() != 0 {
+				t.Errorf("cancelled ImportFrom(%q) = %v, %v; want an empty stub", path, pkg, err)
+			}
+		}
+	})
+	if len(ld.prog.notes) != 0 || ld.fset.Base() != 1 || imp.lists != lists {
+		t.Errorf("cancelled imports left %d notes, %d bytes of parsed files and %d more go list runs; want none",
+			len(ld.prog.notes), ld.fset.Base()-1, imp.lists-lists)
 	}
 
 	imp.goCmd = goCmd
