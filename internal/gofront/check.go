@@ -37,6 +37,7 @@ import (
 	"maps"
 	"os"
 	"os/exec"
+	"path"
 	"path/filepath"
 	"slices"
 	"sort"
@@ -434,10 +435,13 @@ type loader struct {
 	// these in place of the disk copies.
 	overlay map[string]*ast.File
 
-	// modules caches go.mod lookups by directory; roots lists the
-	// modules found, in the order found.
+	// modules caches go.mod lookups by directory. roots lists, in the
+	// order found, the requested packages' modules and those the go
+	// command located, which it resolves imports in from reqDir, the
+	// requested package's absolute directory.
 	modules map[string]moduleInfo
 	roots   []moduleInfo
+	reqDir  string
 	// done maps import path → checked package (requested, local
 	// dependency, or stub). loading guards import cycles.
 	done    map[string]*types.Package
@@ -461,7 +465,7 @@ func newLoader(ctx context.Context, fset *token.FileSet, prog *Program) *loader 
 }
 
 // moduleFor walks up from dir to the enclosing go.mod, caching results
-// by directory and recording each go.mod it finds in roots.
+// by directory.
 func (ld *loader) moduleFor(dir string) (moduleInfo, bool) {
 	at, err := filepath.Abs(dir)
 	if err != nil {
@@ -477,7 +481,6 @@ func (ld *loader) moduleFor(dir string) (moduleInfo, bool) {
 		walk = append(walk, at)
 		if path := modulePathOf(filepath.Join(at, "go.mod")); path != "" {
 			m = moduleInfo{Root: at, Path: path}
-			ld.roots = append(ld.roots, m)
 			break
 		}
 		parent := filepath.Dir(at)
@@ -490,6 +493,15 @@ func (ld *loader) moduleFor(dir string) (moduleInfo, bool) {
 		ld.modules[d] = m
 	}
 	return m, m.Root != ""
+}
+
+// addRoot records the module enclosing dir, if any, in roots.
+func (ld *loader) addRoot(dir string) (moduleInfo, bool) {
+	m, ok := ld.moduleFor(dir)
+	if ok && !slices.Contains(ld.roots, m) {
+		ld.roots = append(ld.roots, m)
+	}
+	return m, ok
 }
 
 // modulePathOf reads the module path from a go.mod, or "".
@@ -516,25 +528,21 @@ func modulePathOf(path string) string {
 // module path plus the module-relative directory, or a synthetic
 // directory-derived path outside any module.
 func (ld *loader) importPathFor(dir string) string {
-	if m, ok := ld.moduleFor(dir); ok {
-		abs, err := filepath.Abs(dir)
-		if err == nil {
-			rel, err := filepath.Rel(m.Root, abs)
-			if err == nil {
-				if rel == "." {
-					return m.Path
-				}
-				return m.Path + "/" + filepath.ToSlash(rel)
+	if m, ok := ld.addRoot(dir); ok {
+		if abs, err := filepath.Abs(dir); err == nil {
+			if rel, err := filepath.Rel(m.Root, abs); err == nil {
+				return path.Join(m.Path, filepath.ToSlash(rel))
 			}
 		}
 	}
 	return "./" + filepath.ToSlash(filepath.Clean(dir))
 }
 
-// dirForImport maps an import path back to a directory of a module
-// this run has seen. The longest module path that prefixes it wins, so
-// a nested module shadows its parent; of two modules with one path, the
-// first seen wins.
+// dirForImport maps an import path back to a directory of a module in
+// roots. The longest module path that prefixes it wins; of two modules
+// with one path, the first seen wins. The directory must exist and lie
+// in that module, not a nested one: the go command finds a nested
+// module the run has not seen (a module zip leaves nested modules out).
 func (ld *loader) dirForImport(path string) (string, bool) {
 	var best *moduleInfo
 	for i, m := range ld.roots {
@@ -546,7 +554,14 @@ func (ld *loader) dirForImport(path string) (string, bool) {
 	if best == nil {
 		return "", false
 	}
-	return filepath.Join(best.Root, filepath.FromSlash(strings.TrimPrefix(path, best.Path))), true
+	dir := filepath.Join(best.Root, filepath.FromSlash(strings.TrimPrefix(path, best.Path)))
+	if fi, err := os.Stat(dir); err != nil || !fi.IsDir() {
+		return "", false
+	}
+	if m, _ := ld.moduleFor(dir); m != *best {
+		return "", false
+	}
+	return dir, true
 }
 
 // checkRequested type-checks one requested package group, retaining the
@@ -559,6 +574,7 @@ func (ld *loader) checkRequested(g *pkgInfo) {
 		Selections: map[*ast.SelectorExpr]*types.Selection{},
 		Implicits:  map[ast.Node]types.Object{},
 	}
+	ld.reqDir, _ = filepath.Abs(g.Dir)
 	g.Pkg = ld.check(g.Path, g.Dir, g.Files, g.Info)
 }
 
@@ -682,22 +698,22 @@ func (ld *loader) ImportFrom(path, srcDir string, _ types.ImportMode) (*types.Pa
 	return pkg, nil
 }
 
-// checkFound checks a package outside GOROOT and the modules seen so
-// far from the directory go/build finds for it, and registers its
-// go.mod, so the rest of that module resolves without the go command.
-// go/build's go command runs in srcDir, to resolve path in the
-// importing package's module rather than the process's.
+// checkFound checks a package outside GOROOT and roots from the
+// directory go/build finds for it, and adds its module to roots. The go
+// command runs in reqDir, not the importer's directory: a dependency's
+// own go.mod does not decide its imports.
 func (ld *loader) checkFound(path, srcDir string) (*types.Package, error) {
 	ctxt := build.Default
-	var err error
-	if ctxt.Dir, err = filepath.Abs(srcDir); err != nil {
-		return nil, err
-	}
-	bp, err := ctxt.Import(path, ctxt.Dir, build.FindOnly)
+	ctxt.Dir = ld.reqDir
+	srcDir, err := filepath.Abs(srcDir)
 	if err != nil {
 		return nil, err
 	}
-	ld.moduleFor(bp.Dir)
+	bp, err := ctxt.Import(path, srcDir, build.FindOnly)
+	if err != nil {
+		return nil, err
+	}
+	ld.addRoot(bp.Dir)
 	return ld.check(path, bp.Dir, nil, nil), nil
 }
 

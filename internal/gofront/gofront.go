@@ -34,6 +34,7 @@ import (
 	"go/build"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 
@@ -172,7 +173,9 @@ func skipDirName(name string) bool {
 // constraints. Test files are excluded: the corpus is the shipped
 // program, as the paper analyzes program sources, not their harnesses.
 // A file go/build finds fault with stays listed, for the parser and the
-// type checker to report.
+// type checker to report: go/build keeps one that fails to parse in
+// GoFiles, and lists one whose //go:build line it cannot read in
+// InvalidGoFiles alone.
 func goFilesIn(dir string) ([]string, error) {
 	noCgo()
 	bp, err := build.Default.ImportDir(dir, 0)
@@ -180,9 +183,13 @@ func goFilesIn(dir string) ([]string, error) {
 	if err != nil && len(bp.InvalidGoFiles) == 0 && !errors.As(err, &noGo) {
 		return nil, err
 	}
-	out := make([]string, len(bp.GoFiles))
-	for i, name := range bp.GoFiles {
-		out[i] = filepath.Join(dir, name)
+	var out []string
+	for _, name := range slices.Concat(bp.GoFiles, bp.InvalidGoFiles) {
+		path := filepath.Join(dir, name)
+		if !slices.Contains(out, path) && !slices.Contains(bp.IgnoredGoFiles, name) && !strings.HasSuffix(name, "_test.go") {
+			out = append(out, path)
+		}
 	}
+	sort.Strings(out)
 	return out, nil
 }

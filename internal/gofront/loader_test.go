@@ -99,8 +99,9 @@ func writeFiles(t *testing.T, dir string, files map[string]string) {
 
 // crossModule writes module example.com/a from a and module
 // example.com/b, which requires a through a replace directive, from b,
-// side by side in a temporary directory, and returns b's root. The go
-// command resolves b's imports offline.
+// side by side in a temporary directory, and returns b's root. b's
+// go.mod ends with b["go.mod"], if given. The go command resolves b's
+// imports offline.
 func crossModule(t *testing.T, a, b map[string]string) string {
 	t.Helper()
 	goCommand(t)
@@ -108,7 +109,7 @@ func crossModule(t *testing.T, a, b map[string]string) string {
 	t.Setenv("GOPROXY", "off")
 	root := t.TempDir()
 	a["go.mod"] = "module example.com/a\n\ngo 1.23\n"
-	b["go.mod"] = "module example.com/b\n\ngo 1.23\n\nrequire example.com/a v0.0.0\n\nreplace example.com/a => ../a\n"
+	b["go.mod"] = "module example.com/b\n\ngo 1.23\n\nrequire example.com/a v0.0.0\n\nreplace example.com/a => ../a\n" + b["go.mod"]
 	writeFiles(t, filepath.Join(root, "a"), a)
 	writeFiles(t, filepath.Join(root, "b"), b)
 	return filepath.Join(root, "b")
@@ -178,6 +179,83 @@ func Run() error { return a.Wait(context.Background(), time.Second, os.Stdout) }
 			t.Errorf("run %d: a declares Edited = %v; want it only after the edit", run, edited)
 		}
 		writeFiles(t, filepath.Join(bDir, "..", "a"), map[string]string{"a.go": aText + "\nfunc Edited() {}\n"})
+	}
+}
+
+// TestTransitiveModuleImport: a dependency's imports resolve in the
+// requesting package's module, not the dependency's. a imports c, which
+// only b's go.mod provides, so a's c is b's c.
+func TestTransitiveModuleImport(t *testing.T) {
+	bDir := crossModule(t, map[string]string{
+		"a.go": "package a\n\nimport \"example.com/c\"\n\nfunc New() c.T { return c.T{} }\n",
+	}, map[string]string{
+		"go.mod": "\nrequire example.com/c v0.0.0\n\nreplace example.com/c => ../c\n",
+		"b.go":   "package b\n\nimport (\n\t\"example.com/a\"\n\t\"example.com/c\"\n)\n\nfunc Get() c.T { return a.New() }\n",
+	})
+	writeFiles(t, filepath.Join(bDir, "..", "c"), map[string]string{
+		"go.mod": "module example.com/c\n\ngo 1.23\n",
+		"c.go":   "package c\n\ntype T struct{}\n",
+	})
+	prog := parseSources(t, driver.Source{Path: bDir})
+	checkNoImportNotes(t, prog)
+	b := prog.Pkgs[0].Pkg
+	c := importOf(b, "example.com/c")
+	if c == nil || c.Scope().Lookup("T") == nil || c != importOf(importOf(b, "example.com/a"), "example.com/c") {
+		t.Errorf("a and b do not share b's example.com/c")
+	}
+}
+
+// TestNestedModuleImport: a nested module resolves through the go
+// command, not under its parent module's root, whether the parent's
+// tree leaves it out (as a module zip does) or holds another copy of it.
+func TestNestedModuleImport(t *testing.T) {
+	for name, inA := range map[string]map[string]string{
+		"absent": {},
+		"shadowed": {
+			"sub/go.mod": "module example.com/a/sub\n\ngo 1.23\n",
+			"sub/sub.go": "package sub\n\nfunc Old() int { return 0 }\n",
+			"sub/d/d.go": "package d\n\nfunc Old() int { return 0 }\n",
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			inA["a.go"] = "package a\n\nfunc A() int { return 1 }\n"
+			bDir := crossModule(t, inA, map[string]string{
+				"go.mod": "\nrequire example.com/a/sub v0.0.0\n\nreplace example.com/a/sub => ../asub\n",
+				"b.go":   "package b\n\nimport (\n\t\"example.com/a\"\n\t\"example.com/a/sub\"\n\t\"example.com/a/sub/d\"\n)\n\nfunc Sum() int { return a.A() + sub.Sub() + d.D() }\n",
+			})
+			writeFiles(t, filepath.Join(bDir, "..", "asub"), map[string]string{
+				"go.mod": "module example.com/a/sub\n\ngo 1.23\n",
+				"sub.go": "package sub\n\nfunc Sub() int { return 2 }\n",
+				"d/d.go": "package d\n\nfunc D() int { return 3 }\n",
+			})
+			prog := parseSources(t, driver.Source{Path: bDir})
+			checkNoImportNotes(t, prog)
+			if notes := notesWith(prog, "go-load-error"); len(notes) != 0 {
+				t.Errorf("go-load-error notes:\n%s", strings.Join(notes, "\n"))
+			}
+		})
+	}
+}
+
+// TestInvalidFileListed: a file whose //go:build line go/build cannot
+// read is listed, as a file without constraints would be; test files
+// and files excluded for cgo stay out.
+func TestInvalidFileListed(t *testing.T) {
+	dir := writeModule(t, map[string]string{
+		"x/x.go":        "package x\n",
+		"x/bad.go":      "//go:build (\n\npackage x\n",
+		"x/bad_test.go": "//go:build (\n\npackage x\n",
+		"x/cgo.go":      "package x\n\n// #cgo CFLAGS\nimport \"C\"\n",
+	})
+	names, err := goFilesIn(filepath.Join(dir, "x"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, name := range names {
+		names[i] = filepath.Base(name)
+	}
+	if want := []string{"bad.go", "x.go"}; !slices.Equal(names, want) {
+		t.Errorf("goFilesIn = %v; want %v", names, want)
 	}
 }
 

@@ -86,7 +86,7 @@ func TestCancelledListing(t *testing.T) {
 	// import, module-local, GOROOT or another module's, is a stub with
 	// no note, no file is parsed and no go command starts.
 	ld := newLoader(ctx, token.NewFileSet(), &Program{})
-	ld.moduleFor(".")
+	ld.addRoot(".")
 	lists := imp.lists
 	withStd(imp, func() {
 		for _, path := range []string{"repro/internal/constraint", "net/url", "example.com/other"} {

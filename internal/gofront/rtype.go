@@ -124,16 +124,8 @@ func (tr *translator) rvalue(t types.Type) *rtype {
 	defer delete(tr.visiting, t)
 
 	switch u := t.Underlying().(type) {
-	case *types.Pointer:
-		return tr.newRef(tr.rvalue(u.Elem()))
-	case *types.Slice:
-		return tr.newRef(tr.rvalue(u.Elem()))
-	case *types.Array:
-		return tr.newRef(tr.rvalue(u.Elem()))
-	case *types.Map:
-		return tr.newRef(tr.rvalue(u.Elem()))
-	case *types.Chan:
-		return tr.newRef(tr.rvalue(u.Elem()))
+	case *types.Pointer, *types.Slice, *types.Array, *types.Map, *types.Chan:
+		return tr.newRef(tr.rvalue(u.(interface{ Elem() types.Type }).Elem()))
 	case *types.Signature:
 		return tr.signature(u)
 	case *types.Struct:
@@ -200,21 +192,22 @@ func (tr *translator) newStructVal(named *types.Named, u *types.Struct) *rtype {
 	return v
 }
 
-// subtype records r-value a ≤ b. Shape mismatches (a pointer boxed into
-// an interface leaf, unrelated structs) sever the relation after
-// propagating the top-level qualifier — the treatment the paper gives C
-// casts.
+// subtype records r-value a ≤ b. The top-level qualifiers always
+// relate: a tainted slice boxed into an interface yields a tainted
+// value. Below them, refs relate their contents and functions their
+// signatures; struct values share their field cells already, and other
+// shapes (a pointer boxed into an interface leaf, unrelated structs)
+// sever the relation — the treatment the paper gives C casts.
 func (tr *translator) subtype(a, b *rtype, why constraint.Reason) {
 	if a == nil || b == nil || a == b {
 		return
 	}
+	tr.sys.Add(a.q, b.q, why)
 	switch {
 	case a.kind == rref && b.kind == rref:
-		tr.sys.Add(a.q, b.q, why)
 		// SubRef: contents are invariant.
 		tr.equal(a.elem, b.elem, why)
 	case a.kind == rfunc && b.kind == rfunc:
-		tr.sys.Add(a.q, b.q, why)
 		for i := range a.rets {
 			if i < len(b.rets) {
 				tr.subtype(a.rets[i], b.rets[i], why)
@@ -225,27 +218,7 @@ func (tr *translator) subtype(a, b *rtype, why constraint.Reason) {
 				tr.subtype(b.params[i], a.params[i], why) // contravariant
 			}
 		}
-	case a.kind == rstruct && b.kind == rstruct && sameStruct(a, b):
-		// Shared fields: only the value-level qualifier relates.
-		tr.sys.Add(a.q, b.q, why)
-	default:
-		// Severed shapes still carry their top-level qualifier: a
-		// tainted slice boxed into an interface yields a tainted value.
-		tr.sys.Add(a.q, b.q, why)
 	}
-}
-
-// sameStruct reports whether two struct values share their field cells.
-func sameStruct(a, b *rtype) bool {
-	if len(a.fields) != len(b.fields) {
-		return false
-	}
-	for name, f := range a.fields {
-		if b.fields[name] != f {
-			return false
-		}
-	}
-	return true
 }
 
 // equal records a = b (both directions).
