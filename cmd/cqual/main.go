@@ -8,6 +8,7 @@
 // Usage:
 //
 //	cqual [-analysis LIST] [-prelude FILES] [-poly [-schemes]] [-v] [-json] [-stats] [-serve URL] file.c ...
+//	cqual [-lang c|go] [-analysis LIST] [-prelude FILES] [-poly] [-json] ... -watch DIR
 //	cqual -analyses
 //
 // For every "interesting" position (each pointer level of the parameters
@@ -42,6 +43,15 @@
 // recorder retains failing runs' traces at /v1/traces/<id>); without
 // -json the report stays byte-verbatim and a failing run prints the
 // trace URL as a stderr footer instead.
+//
+// With -watch, the one argument is a directory: cqual walks it
+// recursively for the front end's source files (.c by default, .go with
+// -lang go; mtime/size polling every 500 ms) and, whenever one appears,
+// changes or disappears, runs over the whole tree what a one-shot cqual
+// with the same flags runs, printing its output under a "watch: run N:
+// K file(s)" header and logging one event=watch_run record on stderr.
+// SIGINT or SIGTERM ends the watch with a poll/re-analysis summary and
+// exit status 0. -watch cannot be combined with -serve.
 //
 // With -lint the run reports vet-style findings instead of the
 // experiment summary: one "file:line:col: analysis: message" line per
@@ -78,7 +88,7 @@ import (
 	"repro/internal/server"
 )
 
-const usage = "usage: cqual [-lang c|go] [-analysis LIST] [-prelude FILES] [-poly [-schemes]] [-v] [-json] [-stats] [-lint] [-baseline FILE] [-trace FILE] [-serve URL] file.c ... | ./pkg/..."
+const usage = "usage: cqual [-lang c|go] [-analysis LIST] [-prelude FILES] [-poly [-schemes]] [-v] [-json] [-stats] [-lint] [-baseline FILE] [-trace FILE] [-serve URL] file.c ... | ./pkg/... | -watch DIR"
 
 func main() {
 	lang := flag.String("lang", "c", "source language / front end (see driver.FrontEndLangs: c, go)")
@@ -96,39 +106,35 @@ func main() {
 	listAnalyses := flag.Bool("analyses", false, "list the registered qualifier analyses and exit")
 	lint := flag.Bool("lint", false, "vet-style output: one finding per line (with -json, a findings array with stable rule ids)")
 	baselineFlag := flag.String("baseline", "", "with -lint, suppress findings recorded in this baseline file (a previous `-lint -json` output)")
+	watch := flag.Bool("watch", false, "watch the one directory argument and re-analyze its source files whenever one appears, changes or disappears")
 	flag.Parse()
 
 	if *listAnalyses {
 		printAnalyses()
 		return
 	}
-	if _, ok := driver.LookupFrontEnd(*lang); !ok {
-		fmt.Fprintf(os.Stderr, "cqual: unknown language %q (registered: %s)\n",
-			*lang, strings.Join(driver.FrontEndLangs(), ", "))
+	cfg := driver.Config{
+		Lang:     *lang,
+		Options:  constinfer.Options{Poly: *poly},
+		Uninit:   *uninit,
+		Analyses: splitList(*analysisFlag),
+	}
+	if err := cfg.Check(); err != nil {
+		fmt.Fprintln(os.Stderr, "cqual:", err)
 		fmt.Fprintln(os.Stderr, usage)
 		os.Exit(2)
-	}
-	analyses := splitList(*analysisFlag)
-	for _, name := range analyses {
-		if _, ok := analysis.Lookup(name); !ok {
-			fmt.Fprintf(os.Stderr, "cqual: unknown analysis %q (registered: %s)\n",
-				name, strings.Join(analysis.Names(), ", "))
-			fmt.Fprintln(os.Stderr, usage)
-			os.Exit(2)
-		}
 	}
 	if flag.NArg() == 0 {
 		fmt.Fprintln(os.Stderr, usage)
 		os.Exit(2)
 	}
-	var preludes []driver.PreludeFile
 	for _, path := range splitList(*preludeFlag) {
 		text, err := os.ReadFile(path)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "cqual:", err)
 			os.Exit(2)
 		}
-		preludes = append(preludes, driver.PreludeFile{Path: path, Text: string(text)})
+		cfg.Preludes = append(cfg.Preludes, driver.PreludeFile{Path: path, Text: string(text)})
 	}
 
 	if *baselineFlag != "" && !*lint {
@@ -140,7 +146,16 @@ func main() {
 		fmt.Fprintln(os.Stderr, usage)
 		os.Exit(2)
 	}
+	if *watch && flag.NArg() != 1 {
+		fmt.Fprintln(os.Stderr, "cqual: -watch takes one directory argument")
+		fmt.Fprintln(os.Stderr, usage)
+		os.Exit(2)
+	}
 	if *serve != "" {
+		if *watch {
+			fmt.Fprintln(os.Stderr, "cqual: -watch runs the local pipeline and cannot be combined with -serve")
+			os.Exit(2)
+		}
 		if *traceFile != "" {
 			fmt.Fprintln(os.Stderr, "cqual: -trace records the local pipeline and cannot be combined with -serve (use the daemon's ?trace=1 instead)")
 			os.Exit(2)
@@ -149,93 +164,109 @@ func main() {
 			fmt.Fprintln(os.Stderr, "cqual: -lint renders findings from the local pipeline and cannot be combined with -serve")
 			os.Exit(2)
 		}
-		os.Exit(runRemote(*serve, remoteOptions{
-			lang:     *lang,
-			poly:     *poly,
-			uninit:   *uninit,
-			analyses: analyses, preludes: preludes, jsonOut: *jsonOut,
-		}, flag.Args(), os.Stdout, os.Stderr))
+		os.Exit(runRemote(*serve, cfg, *jsonOut, flag.Args(), os.Stdout, os.Stderr))
 	}
 
-	cfg := driver.Config{
-		Lang:     *lang,
-		Options:  constinfer.Options{Poly: *poly},
-		Uninit:   *uninit,
-		Analyses: analyses,
-		Preludes: preludes,
+	local := &localRun{
+		cfg:     cfg,
+		verbose: *verbose, suggest: *suggest, schemes: *schemes,
+		jsonOut: *jsonOut, stats: *stats, lint: *lint,
+		traceFile: *traceFile, baseline: *baselineFlag,
 	}
-	ctx := context.Background()
+	if *watch {
+		os.Exit(runWatch(local, flag.Arg(0)))
+	}
+	_, code := local.run(context.Background(), flag.Args(), os.Stdout, os.Stderr)
+	os.Exit(code)
+}
+
+// localRun is what one local analysis needs: the pipeline config and
+// the flags that shape the output.
+type localRun struct {
+	cfg                                             driver.Config
+	verbose, suggest, schemes, jsonOut, stats, lint bool
+	traceFile, baseline                             string
+}
+
+// run analyzes the inputs once and writes what cqual prints: the report
+// to stdout, warnings, failures and -stats to stderr. It returns the
+// pipeline's result (nil if the pipeline failed) and the exit status: 0
+// clean, 1 qualifier conflicts (or new -lint findings), 2 a front-end or
+// pipeline failure.
+func (o *localRun) run(ctx context.Context, inputs []string, stdout, stderr io.Writer) (*driver.Result, int) {
 	var tracer *obs.Tracer
-	if *traceFile != "" {
+	if o.traceFile != "" {
 		tracer = obs.NewTracer(nil)
 		ctx = obs.WithTracer(ctx, tracer)
 	}
-	res, err := driver.RunContext(ctx, cfg, driver.FileSources(flag.Args()...))
+	res, err := driver.RunContext(ctx, o.cfg, driver.FileSources(inputs...))
 	if tracer != nil {
 		// Written before the exit-status paths below: a run that found
 		// conflicts is exactly the one worth profiling.
-		if werr := writeTrace(*traceFile, tracer); werr != nil {
-			fmt.Fprintln(os.Stderr, "cqual:", werr)
-			os.Exit(2)
+		if werr := writeTrace(o.traceFile, tracer); werr != nil {
+			fmt.Fprintln(stderr, "cqual:", werr)
+			return res, 2
 		}
 	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "cqual:", err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, "cqual:", err)
+		return nil, 2
 	}
-	if *lint {
-		os.Exit(runLint(res, *baselineFlag, *jsonOut))
+	if o.lint {
+		return res, runLint(res, o.baseline, o.jsonOut, stdout, stderr)
 	}
 	if res.Report == nil {
 		// Front-end failure: every load/parse error has a diagnostic.
-		if *jsonOut {
-			emitJSON(res)
-			os.Exit(2)
+		if o.jsonOut {
+			emitJSON(res, stdout, stderr)
+			return res, 2
 		}
 		for _, d := range res.Errors() {
-			fmt.Fprintln(os.Stderr, "cqual:", d.Message)
+			fmt.Fprintln(stderr, "cqual:", d.Message)
 		}
-		os.Exit(2)
+		return res, 2
 	}
 
-	if *stats {
-		printSolverStats(res)
-		if *lang == "go" {
-			fmt.Fprintln(os.Stderr, "stdlib importer:", gofront.StdlibImporter())
+	if o.stats {
+		printSolverStats(stderr, res)
+		if o.cfg.Lang == "go" {
+			fmt.Fprintln(stderr, "stdlib importer:", gofront.StdlibImporter())
 		}
-		fmt.Fprintln(os.Stderr, gcStats())
+		fmt.Fprintln(stderr, gcStats())
 	}
 
-	if *jsonOut {
-		emitJSON(res)
+	if o.jsonOut {
+		if !emitJSON(res, stdout, stderr) {
+			return res, 2
+		}
 		if len(res.Report.Conflicts) > 0 {
-			os.Exit(1)
+			return res, 1
 		}
-		return
+		return res, 0
 	}
 
 	for _, d := range res.Diagnostics {
 		if d.Severity == driver.SevWarning && d.Stage == driver.StageBuild {
-			fmt.Fprintln(os.Stderr, "cqual: warning:", d.Message)
+			fmt.Fprintln(stderr, "cqual: warning:", d.Message)
 		}
 	}
 
 	rep := res.Report
 	constSelected := false
-	for _, name := range analyses {
+	for _, name := range o.cfg.Analyses {
 		if name == "const" {
 			constSelected = true
 		}
 	}
-	if *verbose && constSelected {
-		printPositions(rep)
+	if o.verbose && constSelected {
+		printPositions(stdout, rep)
 	}
-	if *suggest && constSelected {
+	if o.suggest && constSelected {
 		for _, s := range rep.Suggested {
-			fmt.Printf("%s: %s\n    was: %s\n    now: %s\n", s.Pos, s.Func, s.Old, s.New)
+			fmt.Fprintf(stdout, "%s: %s\n    was: %s\n    now: %s\n", s.Pos, s.Func, s.Old, s.New)
 		}
 	}
-	if *schemes && constSelected && res.Analysis != nil {
+	if o.schemes && constSelected && res.Analysis != nil {
 		names := make([]string, 0, len(rep.Positions))
 		seen := map[string]bool{}
 		for _, p := range rep.Positions {
@@ -247,12 +278,12 @@ func main() {
 		sort.Strings(names)
 		for _, name := range names {
 			if s, ok := res.Analysis.SchemeString(name); ok {
-				fmt.Println(s)
+				fmt.Fprintln(stdout, s)
 			}
 		}
 	}
 	if constSelected {
-		printSummary(rep, cfg.Options)
+		printSummary(stdout, rep, o.cfg.Options)
 	} else {
 		// The position summary is const-specific; other analyses report
 		// per-analysis conflict counts instead.
@@ -262,22 +293,22 @@ func main() {
 				counts[d.Analysis]++
 			}
 		}
-		fmt.Printf("qualifier analysis (%s): %d functions, %d constraints\n",
-			strings.Join(analyses, ", "), rep.Functions, rep.Constraints)
-		for _, name := range analyses {
-			fmt.Printf("  %-10s %d conflict(s)\n", name+":", counts[name])
+		fmt.Fprintf(stdout, "qualifier analysis (%s): %d functions, %d constraints\n",
+			strings.Join(o.cfg.Analyses, ", "), rep.Functions, rep.Constraints)
+		for _, name := range o.cfg.Analyses {
+			fmt.Fprintf(stdout, "  %-10s %d conflict(s)\n", name+":", counts[name])
 		}
 	}
 
-	if *uninit {
+	if o.cfg.Uninit {
 		warned := 0
 		for _, d := range res.Diagnostics {
 			if d.Stage == driver.StageInit {
-				fmt.Printf("%s: %s\n", d.Pos, d.Message)
+				fmt.Fprintf(stdout, "%s: %s\n", d.Pos, d.Message)
 				warned++
 			}
 		}
-		fmt.Printf("definite-initialization: %d warning(s)\n", warned)
+		fmt.Fprintf(stdout, "definite-initialization: %d warning(s)\n", warned)
 	}
 
 	var conflicts []driver.Diagnostic
@@ -287,12 +318,13 @@ func main() {
 		}
 	}
 	if len(conflicts) > 0 {
-		fmt.Printf("\n%d qualifier conflict(s):\n", len(conflicts))
+		fmt.Fprintf(stdout, "\n%d qualifier conflict(s):\n", len(conflicts))
 		for _, d := range conflicts {
-			fmt.Println("  " + strings.ReplaceAll(d.String(), "\n", "\n  "))
+			fmt.Fprintln(stdout, "  "+strings.ReplaceAll(d.String(), "\n", "\n  "))
 		}
-		os.Exit(1)
+		return res, 1
 	}
+	return res, 0
 }
 
 // runLint renders the run as vet-style findings and returns the exit
@@ -301,33 +333,33 @@ func main() {
 // and the exit status; `-json` always emits the full findings array
 // (so redirecting it refreshes the baseline) while the exit status
 // still honors the baseline.
-func runLint(res *driver.Result, baselinePath string, jsonOut bool) int {
+func runLint(res *driver.Result, baselinePath string, jsonOut bool, stdout, stderr io.Writer) int {
 	findings := driver.Findings(res)
 	shown := findings
 	var stale []driver.Finding
 	if baselinePath != "" {
 		base, err := driver.LoadBaseline(baselinePath)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "cqual:", err)
+			fmt.Fprintln(stderr, "cqual:", err)
 			return 2
 		}
 		shown = base.New(findings)
 		stale = base.Stale(findings)
 	}
 	if jsonOut {
-		if err := driver.WriteLintJSON(os.Stdout, findings); err != nil {
-			fmt.Fprintln(os.Stderr, "cqual:", err)
+		if err := driver.WriteLintJSON(stdout, findings); err != nil {
+			fmt.Fprintln(stderr, "cqual:", err)
 			return 2
 		}
 	} else {
 		for _, f := range shown {
-			fmt.Println(f.String())
+			fmt.Fprintln(stdout, f.String())
 		}
 		if baselinePath != "" {
 			for _, f := range stale {
-				fmt.Fprintf(os.Stderr, "cqual: stale baseline entry: %s\n", f)
+				fmt.Fprintf(stderr, "cqual: stale baseline entry: %s\n", f)
 			}
-			fmt.Fprintf(os.Stderr, "cqual: %d new finding(s), %d suppressed by baseline %s, %d stale\n",
+			fmt.Fprintf(stderr, "cqual: %d new finding(s), %d suppressed by baseline %s, %d stale\n",
 				len(shown), len(findings)-len(shown), baselinePath, len(stale))
 		}
 	}
@@ -393,14 +425,6 @@ func printAnalyses() {
 	}
 }
 
-type remoteOptions struct {
-	lang         string
-	poly, uninit bool
-	analyses     []string
-	preludes     []driver.PreludeFile
-	jsonOut      bool
-}
-
 // runRemote is the -serve client: it reads the files locally, POSTs them
 // to a cquald daemon, and prints the daemon's report verbatim. The exit
 // status mirrors the -json local path (0 clean, 1 conflicts, 2 front-end
@@ -413,18 +437,18 @@ type remoteOptions struct {
 // report as a leading "trace_id" member; without -json the report
 // stays byte-verbatim (scripts diff it), and a failing run instead
 // points at the retained trace in a stderr footer.
-func runRemote(base string, opts remoteOptions, paths []string, stdout, stderr io.Writer) int {
-	lang := opts.lang
+func runRemote(base string, cfg driver.Config, jsonOut bool, paths []string, stdout, stderr io.Writer) int {
+	lang := cfg.Lang
 	if lang == "c" {
 		lang = "" // the wire default; keeps C requests byte-identical
 	}
 	req := server.AnalyzeRequest{
 		Lang:     lang,
-		Poly:     opts.poly,
-		Uninit:   opts.uninit,
-		Analyses: opts.analyses,
+		Poly:     cfg.Options.Poly,
+		Uninit:   cfg.Uninit,
+		Analyses: cfg.Analyses,
 	}
-	for _, p := range opts.preludes {
+	for _, p := range cfg.Preludes {
 		req.Preludes = append(req.Preludes, server.PreludeJSON{Path: p.Path, Text: p.Text})
 	}
 	for _, p := range paths {
@@ -458,7 +482,7 @@ func runRemote(base string, opts remoteOptions, paths []string, stdout, stderr i
 		traceFooter(stderr, base, traceID)
 		return 2
 	}
-	if opts.jsonOut {
+	if jsonOut {
 		stdout.Write(spliceTraceID(report, traceID))
 	} else {
 		stdout.Write(report)
@@ -478,7 +502,7 @@ func runRemote(base string, opts remoteOptions, paths []string, stdout, stderr i
 	// With -json the trace id is already in the report; for humans, a
 	// failing run gets a stderr pointer at the retained trace instead.
 	footer := func() {
-		if !opts.jsonOut {
+		if !jsonOut {
 			traceFooter(stderr, base, traceID)
 		}
 	}
@@ -539,25 +563,28 @@ func writeTrace(path string, tracer *obs.Tracer) error {
 	return f.Close()
 }
 
-func emitJSON(res *driver.Result) {
+// emitJSON writes the JSON report to stdout. It reports an encoding
+// failure on stderr and returns false.
+func emitJSON(res *driver.Result, stdout, stderr io.Writer) bool {
 	data, err := res.JSON()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "cqual:", err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, "cqual:", err)
+		return false
 	}
 	// The newline goes out on its own: appending it to a report of
 	// megabytes could copy the whole report to make room.
-	os.Stdout.Write(data)
-	os.Stdout.Write([]byte{'\n'})
+	stdout.Write(data)
+	stdout.Write([]byte{'\n'})
+	return true
 }
 
 // printSolverStats reports, on stderr, the size of the final constraint
 // system (the counters the JSON report carries in its "solver" block)
 // and the solve time.
-func printSolverStats(res *driver.Result) {
+func printSolverStats(w io.Writer, res *driver.Result) {
 	st := res.Solver
-	fmt.Fprintf(os.Stderr, "solver: %d vars, %d constraints\n", st.Vars, st.Constraints)
-	fmt.Fprintf(os.Stderr, "  solve time: %v (analysis %v)\n", res.Timings.Solve, res.Timings.Analysis())
+	fmt.Fprintf(w, "solver: %d vars, %d constraints\n", st.Vars, st.Constraints)
+	fmt.Fprintf(w, "  solve time: %v (analysis %v)\n", res.Timings.Solve, res.Timings.Analysis())
 }
 
 // gcStats describes the garbage collector's work in this process so far,
@@ -584,7 +611,7 @@ func gcStats() string {
 	return fmt.Sprintf("gc: %d cycles, %v total pause, %.1f%% of process CPU", cycles, pause.Round(time.Microsecond), share)
 }
 
-func printPositions(rep *constinfer.Report) {
+func printPositions(w io.Writer, rep *constinfer.Report) {
 	positions := append([]constinfer.PositionResult(nil), rep.Positions...)
 	sort.Slice(positions, func(i, j int) bool {
 		if positions[i].Func != positions[j].Func {
@@ -611,18 +638,18 @@ func printPositions(rep *constinfer.Report) {
 		if p.Declared {
 			decl = " (declared)"
 		}
-		fmt.Printf("%s %s: %s level %d: %s%s\n", marker, p.Func, where, p.Depth, p.Verdict, decl)
+		fmt.Fprintf(w, "%s %s: %s level %d: %s%s\n", marker, p.Func, where, p.Depth, p.Verdict, decl)
 	}
 }
 
-func printSummary(rep *constinfer.Report, opts constinfer.Options) {
+func printSummary(w io.Writer, rep *constinfer.Report, opts constinfer.Options) {
 	mode := "monomorphic"
 	if opts.Poly {
 		mode = "polymorphic"
 	}
 	addable := rep.Inferred - rep.Declared
-	fmt.Printf("%s const inference: %d functions, %d positions\n", mode, rep.Functions, rep.Total)
-	fmt.Printf("  declared const:   %d\n", rep.Declared)
-	fmt.Printf("  inferrable const: %d (%d more than declared)\n", rep.Inferred, addable)
-	fmt.Printf("  never const:      %d\n", rep.Total-rep.Inferred)
+	fmt.Fprintf(w, "%s const inference: %d functions, %d positions\n", mode, rep.Functions, rep.Total)
+	fmt.Fprintf(w, "  declared const:   %d\n", rep.Declared)
+	fmt.Fprintf(w, "  inferrable const: %d (%d more than declared)\n", rep.Inferred, addable)
+	fmt.Fprintf(w, "  never const:      %d\n", rep.Total-rep.Inferred)
 }

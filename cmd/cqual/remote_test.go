@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/driver"
 	"repro/internal/server"
 )
 
@@ -33,10 +34,10 @@ func TestRunRemoteVerbatim(t *testing.T) {
 
 	path := writeSource(t, "ok.c", "int id(int x) { return x; }\n")
 	var out1, out2, errw bytes.Buffer
-	if code := runRemote(ts.URL, remoteOptions{}, []string{path}, &out1, &errw); code != 0 {
+	if code := runRemote(ts.URL, driver.Config{}, false, []string{path}, &out1, &errw); code != 0 {
 		t.Fatalf("clean run exit = %d, want 0\nstderr: %s", code, errw.String())
 	}
-	if code := runRemote(ts.URL, remoteOptions{}, []string{path}, &out2, &errw); code != 0 {
+	if code := runRemote(ts.URL, driver.Config{}, false, []string{path}, &out2, &errw); code != 0 {
 		t.Fatalf("second run exit = %d, want 0", code)
 	}
 	if out1.String() != out2.String() {
@@ -63,7 +64,7 @@ func TestRunRemoteTraceID(t *testing.T) {
 	path := writeSource(t, "bad.c", "void f(const char *s) { *s = 0; }\n")
 
 	var out, errw bytes.Buffer
-	if code := runRemote(ts.URL, remoteOptions{jsonOut: true}, []string{path}, &out, &errw); code != 1 {
+	if code := runRemote(ts.URL, driver.Config{}, true, []string{path}, &out, &errw); code != 1 {
 		t.Fatalf("conflict run exit = %d, want 1\nstderr: %s", code, errw.String())
 	}
 	var rep struct {
@@ -101,7 +102,7 @@ func TestRunRemoteTraceID(t *testing.T) {
 	// Human mode: verbatim stdout, footer on stderr.
 	out.Reset()
 	errw.Reset()
-	if code := runRemote(ts.URL, remoteOptions{}, []string{path}, &out, &errw); code != 1 {
+	if code := runRemote(ts.URL, driver.Config{}, false, []string{path}, &out, &errw); code != 1 {
 		t.Fatalf("human conflict run exit = %d, want 1", code)
 	}
 	if strings.Contains(out.String(), "trace_id") {
@@ -120,7 +121,7 @@ func TestRunRemoteFrontEndFailure(t *testing.T) {
 
 	path := writeSource(t, "broken.c", "void broken( {\n")
 	var out, errw bytes.Buffer
-	if code := runRemote(ts.URL, remoteOptions{}, []string{path}, &out, &errw); code != 2 {
+	if code := runRemote(ts.URL, driver.Config{}, false, []string{path}, &out, &errw); code != 2 {
 		t.Fatalf("broken run exit = %d, want 2\nstderr: %s", code, errw.String())
 	}
 	if !strings.Contains(errw.String(), "/v1/traces/") {

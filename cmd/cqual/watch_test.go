@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"log/slog"
 	"os"
 	"path/filepath"
@@ -42,22 +43,54 @@ func writeStamped(t *testing.T, path, text string, seq int) {
 	}
 }
 
-// coldSummary is the summary line a watch run over the files must
-// print: the sizes and conflicts of a cold driver run.
-func coldSummary(t *testing.T, cfg driver.Config, paths ...string) string {
-	t.Helper()
-	res, err := driver.Run(cfg, driver.FileSources(paths...))
-	if err != nil || res.Report == nil {
-		t.Fatalf("cold run: %v", err)
-	}
-	conflicts := 0
-	for _, d := range res.Diagnostics {
-		if d.Code == "qualifier-conflict" {
-			conflicts++
+// cqualDefaults is the config of a cqual run with no mode flags.
+func cqualDefaults() driver.Config {
+	return driver.Config{Lang: "c", Analyses: []string{"const"}}
+}
+
+// testWatcher watches dir with the given settings, capturing both
+// output streams.
+type testWatcher struct {
+	*watcher
+	out, errOut strings.Builder
+}
+
+func newTestWatcher(dir string, local *localRun) *testWatcher {
+	tw := &testWatcher{}
+	tw.watcher = newWatcher(dir, local, &tw.out, &tw.errOut)
+	return tw
+}
+
+// stripMS drops the lines that carry wall-clock timings.
+func stripMS(s string) string {
+	var b strings.Builder
+	for _, line := range strings.SplitAfter(s, "\n") {
+		if !strings.Contains(line, `_ms"`) {
+			b.WriteString(line)
 		}
 	}
-	return fmt.Sprintf("%d function(s), %d constraint(s), %d conflict(s)\n  solve ",
-		res.Report.Functions, res.Report.Constraints, conflicts)
+	return b.String()
+}
+
+// pollSameAsOneShot polls once and checks that the poll ran the files
+// and printed its header followed by exactly what a one-shot cqual with
+// the same settings prints for them, timings aside, on both streams.
+func (tw *testWatcher) pollSameAsOneShot(t *testing.T, paths ...string) {
+	t.Helper()
+	tw.out.Reset()
+	tw.errOut.Reset()
+	if ran, err := tw.poll(context.Background()); err != nil || !ran {
+		t.Fatalf("poll: ran=%v err=%v\n%s%s", ran, err, tw.out.String(), tw.errOut.String())
+	}
+	var out, errOut strings.Builder
+	tw.local.run(context.Background(), paths, &out, &errOut)
+	want := fmt.Sprintf("watch: run %d: %d file(s)\n", tw.runs, len(paths)) + out.String()
+	if got := tw.out.String(); stripMS(got) != stripMS(want) {
+		t.Fatalf("watch run stdout differs from a one-shot run:\n%s\n--- want ---\n%s", got, want)
+	}
+	if got := tw.errOut.String(); got != errOut.String() {
+		t.Fatalf("watch run stderr differs from a one-shot run:\n%s\n--- want ---\n%s", got, errOut.String())
+	}
 }
 
 func TestWatcherDeltaCycle(t *testing.T) {
@@ -65,42 +98,37 @@ func TestWatcherDeltaCycle(t *testing.T) {
 	path := filepath.Join(dir, "prog.c")
 	writeStamped(t, path, watchV1, 1)
 
-	var out strings.Builder
-	w := newWatcher(dir, driver.Config{}, &out)
-	ctx := context.Background()
-
-	ran, err := w.poll(ctx)
-	if err != nil || !ran {
-		t.Fatalf("first poll: ran=%v err=%v", ran, err)
-	}
-	if want := coldSummary(t, driver.Config{}, path); !strings.Contains(out.String(), want) {
-		t.Fatalf("first run should match a cold run (%q):\n%s", want, out.String())
-	}
+	w := newTestWatcher(dir, &localRun{cfg: cqualDefaults()})
+	w.pollSameAsOneShot(t, path)
 
 	// No change: no analysis.
-	out.Reset()
-	if ran, err := w.poll(ctx); err != nil || ran {
-		t.Fatalf("unchanged poll: ran=%v err=%v output=%q", ran, err, out.String())
+	w.out.Reset()
+	if ran, err := w.poll(context.Background()); err != nil || ran || w.out.Len() != 0 {
+		t.Fatalf("unchanged poll: ran=%v err=%v output=%q", ran, err, w.out.String())
 	}
 
-	// Trailing-function edit: the run matches a cold run of the edit.
+	// Trailing-function edit: the run matches a one-shot run of the edit.
 	writeStamped(t, path, watchV2, 2)
-	out.Reset()
-	if ran, err := w.poll(ctx); err != nil || !ran {
-		t.Fatalf("edit poll: ran=%v err=%v", ran, err)
-	}
-	if want := coldSummary(t, driver.Config{}, path); !strings.Contains(out.String(), want) {
-		t.Fatalf("edit should match a cold run (%q):\n%s", want, out.String())
-	}
+	w.pollSameAsOneShot(t, path)
 
 	// A new file changes the set and re-analyzes.
-	writeStamped(t, filepath.Join(dir, "extra.c"), "int twice(int x) { return x + x; }\n", 3)
-	out.Reset()
-	if ran, err := w.poll(ctx); err != nil || !ran {
-		t.Fatalf("new-file poll: ran=%v err=%v", ran, err)
-	}
-	if !strings.Contains(out.String(), "2 file(s)") {
-		t.Fatalf("new file not picked up:\n%s", out.String())
+	extra := filepath.Join(dir, "extra.c")
+	writeStamped(t, extra, "int twice(int x) { return x + x; }\n", 3)
+	w.pollSameAsOneShot(t, extra, path)
+}
+
+// TestWatcherJSON: a -json -poly watch run prints the one-shot JSON
+// report.
+func TestWatcherJSON(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "prog.c")
+	writeStamped(t, path, watchV1, 1)
+	cfg := cqualDefaults()
+	cfg.Options.Poly = true
+	w := newTestWatcher(dir, &localRun{cfg: cfg, jsonOut: true})
+	w.pollSameAsOneShot(t, path)
+	if !strings.Contains(w.out.String(), `"mode": "polymorphic"`) {
+		t.Fatalf("not a -json -poly report:\n%s", w.out.String())
 	}
 }
 
@@ -125,7 +153,7 @@ func TestWatcherRecursiveScan(t *testing.T) {
 	}
 	writeStamped(t, filepath.Join(dir, "other.go"), "package p\n", 5)
 
-	w := newWatcher(dir, driver.Config{}, &strings.Builder{})
+	w := newWatcher(dir, &localRun{cfg: cqualDefaults()}, io.Discard, io.Discard)
 	paths, changed, err := w.scan()
 	if err != nil || !changed {
 		t.Fatalf("scan: changed=%v err=%v", changed, err)
@@ -146,39 +174,19 @@ func TestWatcherRecursiveScan(t *testing.T) {
 }
 
 // TestWatcherGoLang pins the -lang go watch path: the scanner claims .go
-// files (skipping tests), and edits re-analyze through the session
-// exactly like C.
+// files (skipping tests), and every run prints what a one-shot -lang go
+// run prints.
 func TestWatcherGoLang(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "prog.go")
 	writeStamped(t, path, "package p\n\nfunc get(p *int) int { return *p }\n", 1)
 	writeStamped(t, filepath.Join(dir, "prog_test.go"), "package p\n", 2)
 
-	var out strings.Builder
-	w := newWatcher(dir, driver.Config{Lang: "go"}, &out)
-	w.exts = []string{".go"}
-	ctx := context.Background()
-
-	if ran, err := w.poll(ctx); err != nil || !ran {
-		t.Fatalf("first poll: ran=%v err=%v\n%s", ran, err, out.String())
-	}
-	got := out.String()
-	if !strings.Contains(got, "1 file(s)") {
-		t.Fatalf("_test.go should be ignored:\n%s", got)
-	}
-	cfg := driver.Config{Lang: "go"}
-	if want := coldSummary(t, cfg, path); !strings.Contains(got, want) {
-		t.Fatalf("first run should match a cold run (%q):\n%s", want, got)
-	}
+	w := newTestWatcher(dir, &localRun{cfg: driver.Config{Lang: "go", Analyses: []string{"const"}}, verbose: true})
+	w.pollSameAsOneShot(t, path)
 
 	writeStamped(t, path, "package p\n\nfunc get(p *int) int { return *p }\n\nfunc put(p *int) { *p = 1 }\n", 3)
-	out.Reset()
-	if ran, err := w.poll(ctx); err != nil || !ran {
-		t.Fatalf("edit poll: ran=%v err=%v", ran, err)
-	}
-	if want := coldSummary(t, cfg, path); !strings.Contains(out.String(), want) {
-		t.Fatalf("edit should match a cold run (%q):\n%s", want, out.String())
-	}
+	w.pollSameAsOneShot(t, path)
 }
 
 // TestWatcherEmptyMessage pins that the no-sources message names the
@@ -188,9 +196,7 @@ func TestWatcherEmptyMessage(t *testing.T) {
 	path := filepath.Join(dir, "prog.go")
 	writeStamped(t, path, "package p\n\nfunc id(x int) int { return x }\n", 1)
 
-	var out strings.Builder
-	w := newWatcher(dir, driver.Config{Lang: "go"}, &out)
-	w.exts = []string{".go"}
+	w := newTestWatcher(dir, &localRun{cfg: driver.Config{Lang: "go"}})
 	ctx := context.Background()
 	if ran, err := w.poll(ctx); err != nil || !ran {
 		t.Fatalf("first poll: ran=%v err=%v", ran, err)
@@ -199,12 +205,12 @@ func TestWatcherEmptyMessage(t *testing.T) {
 	if err := os.Remove(path); err != nil {
 		t.Fatal(err)
 	}
-	out.Reset()
+	w.out.Reset()
 	if ran, err := w.poll(ctx); err != nil || ran {
 		t.Fatalf("empty poll: ran=%v err=%v", ran, err)
 	}
-	if !strings.Contains(out.String(), "no .go files") {
-		t.Fatalf("empty message should name .go:\n%s", out.String())
+	if !strings.Contains(w.out.String(), "no .go files") {
+		t.Fatalf("empty message should name .go:\n%s", w.out.String())
 	}
 }
 
@@ -212,51 +218,34 @@ func TestWatcherEmptyMessage(t *testing.T) {
 // step-by-step flow path, the -watch mode's whole point as a front door.
 func TestWatcherConflictFlow(t *testing.T) {
 	dir := t.TempDir()
-	writeStamped(t, filepath.Join(dir, "bad.c"),
-		"void f(const char *s) { *s = 0; }\n", 1)
+	path := filepath.Join(dir, "bad.c")
+	writeStamped(t, path, "void f(const char *s) { *s = 0; }\n", 1)
 
-	var out strings.Builder
-	w := newWatcher(dir, driver.Config{}, &out)
-	if ran, err := w.poll(context.Background()); err != nil || !ran {
-		t.Fatalf("poll: ran=%v err=%v", ran, err)
-	}
-	got := out.String()
-	if !strings.Contains(got, "1 conflict(s)") || !strings.Contains(got, "flow:") {
+	w := newTestWatcher(dir, &localRun{cfg: cqualDefaults()})
+	w.pollSameAsOneShot(t, path)
+	if got := w.out.String(); !strings.Contains(got, "1 qualifier conflict(s)") || !strings.Contains(got, "flow:") {
 		t.Fatalf("conflict flow trace missing:\n%s", got)
 	}
 }
 
-// TestWatcherFrontEndError pins that a broken edit reports errors and
-// the fixed version analyzes as a cold run does.
+// TestWatcherFrontEndError pins that a broken edit reports the one-shot
+// run's errors and the fixed version analyzes as a one-shot run does.
 func TestWatcherFrontEndError(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "prog.c")
 	writeStamped(t, path, watchV1, 1)
 
-	var out strings.Builder
-	w := newWatcher(dir, driver.Config{}, &out)
-	ctx := context.Background()
-	if _, err := w.poll(ctx); err != nil {
-		t.Fatal(err)
-	}
+	w := newTestWatcher(dir, &localRun{cfg: cqualDefaults()})
+	w.pollSameAsOneShot(t, path)
 
 	writeStamped(t, path, "void broken( {", 2)
-	out.Reset()
-	if ran, err := w.poll(ctx); err != nil || !ran {
-		t.Fatalf("broken poll: ran=%v err=%v", ran, err)
-	}
-	if !strings.Contains(out.String(), "front-end failure") {
-		t.Fatalf("parse failure not reported:\n%s", out.String())
+	w.pollSameAsOneShot(t, path)
+	if !strings.Contains(w.errOut.String(), "prog.c:1") {
+		t.Fatalf("parse failure not reported:\n%s", w.errOut.String())
 	}
 
 	writeStamped(t, path, watchV2, 3)
-	out.Reset()
-	if _, err := w.poll(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if want := coldSummary(t, driver.Config{}, path); !strings.Contains(out.String(), want) {
-		t.Fatalf("run after a front-end error should match a cold run (%q):\n%s", want, out.String())
-	}
+	w.pollSameAsOneShot(t, path)
 }
 
 // TestWatcherObservability pins the watch-mode run log: the
@@ -268,8 +257,8 @@ func TestWatcherObservability(t *testing.T) {
 	path := filepath.Join(dir, "prog.c")
 	writeStamped(t, path, watchV1, 1)
 
-	var out, logged strings.Builder
-	w := newWatcher(dir, driver.Config{}, &out)
+	var logged strings.Builder
+	w := newWatcher(dir, &localRun{cfg: cqualDefaults()}, io.Discard, io.Discard)
 	w.log = slog.New(slog.NewJSONHandler(&logged, nil))
 	ctx := context.Background()
 

@@ -8,9 +8,6 @@
 //	cquald [-addr host:port] [-max-concurrent n]
 //	       [-timeout d] [-shutdown-timeout d]
 //	       [-result-cache-entries n] [-result-cache-bytes n] [-pprof]
-//	cquald -watch DIR [-watch-interval d] [-lang l]
-//	       [-poly] [-uninit]
-//	       [-analysis LIST] [-prelude FILES]
 //
 // POST a batch of sources to /v1/analyze and receive the same JSON
 // report `cqual -json` prints; repeated requests for unchanged sources
@@ -41,15 +38,9 @@
 // the result cache and answers X-Cache: session; the daemon keeps
 // nothing per session, and the report equals a plain request's.
 //
-// With -watch DIR the daemon serves no HTTP at all: it walks DIR
-// recursively for the active front end's source files (.c by default,
-// .go with -lang go; stdlib mtime/size polling, -watch-interval apart)
-// and re-runs the whole pipeline over the tree whenever a file
-// appears, changes, or disappears, printing conflict diagnostics with
-// their flow paths plus a per-run summary to stdout. The mode flags
-// (-lang, -poly, -uninit, -analysis, -prelude) mirror cqual
-// and apply only to -watch, which fixes the configuration for the
-// process's lifetime.
+// The daemon takes no run-mode flags: each request carries its own
+// settings, and `cqual -watch DIR` re-analyzes a directory on change
+// without a daemon.
 package main
 
 import (
@@ -79,37 +70,11 @@ func main() {
 	resultBytes := flag.Int64("result-cache-bytes", server.DefaultResultBytes,
 		fmt.Sprintf("result cache: max stored report bytes (0 = %d MiB)", server.DefaultResultBytes>>20))
 	enablePprof := flag.Bool("pprof", false, "mount the net/http/pprof profiling handlers under /debug/pprof/")
-	watch := flag.String("watch", "", "watch this directory of source files instead of serving HTTP; re-analyze the whole tree on change")
-	watchInterval := flag.Duration("watch-interval", 500*time.Millisecond, "poll interval for -watch")
-	lang := flag.String("lang", "", "with -watch: source language of the watched files (c, go; default c)")
-	poly := flag.Bool("poly", false, "with -watch: polymorphic qualifier inference")
-	uninit := flag.Bool("uninit", false, "with -watch: also run the definite-initialization check")
-	analysisFlag := flag.String("analysis", "", "with -watch: comma-separated qualifier analyses (default const)")
-	preludeFlag := flag.String("prelude", "", "with -watch: comma-separated prelude files")
 	flag.Parse()
 
 	if flag.NArg() != 0 {
 		fmt.Fprintln(os.Stderr, "cquald: unexpected arguments; the daemon takes sources over HTTP, not the command line")
 		os.Exit(2)
-	}
-
-	if *watch != "" {
-		os.Exit(runWatchMode(*watch, *watchInterval, watchOptions{
-			poly: *poly, uninit: *uninit, lang: *lang,
-			analyses: *analysisFlag, preludes: *preludeFlag,
-		}))
-	}
-	for _, f := range []struct {
-		set  bool
-		name string
-	}{
-		{*poly, "-poly"}, {*uninit, "-uninit"}, {*analysisFlag != "", "-analysis"}, {*preludeFlag != "", "-prelude"},
-		{*lang != "", "-lang"},
-	} {
-		if f.set {
-			fmt.Fprintf(os.Stderr, "cquald: %s only applies to -watch; HTTP requests carry their own mode flags\n", f.name)
-			os.Exit(2)
-		}
 	}
 
 	srv := server.New(server.Config{

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"os"
 	"os/exec"
@@ -12,6 +13,7 @@ import (
 	"strings"
 	"syscall"
 	"testing"
+	"time"
 )
 
 // TestCommands smoke-tests every binary end to end via `go run`. These
@@ -447,9 +449,11 @@ func TestCqualJSON(t *testing.T) {
 // TestCqualJobsValidation: -jobs, -polyrec and -simplify are retired
 // from cqual and cquald (and -simplify from paperbench), and so are
 // cquald's observability knobs (-slo, -slo-target, -slow-request,
-// -trace-entries, -journal-entries, -retain-slowest, -retain-sample),
-// so passing any of them is an unknown-flag usage error, exit 2.
-// -schemes without -poly is a usage error too, for C and Go alike.
+// -trace-entries, -journal-entries, -retain-slowest, -retain-sample)
+// and its watch mode with its run-mode flags (-watch, -poly, ...), so
+// passing any of them is an unknown-flag usage error, exit 2. -schemes
+// without -poly is a usage error too, for C and Go alike, and so is
+// cqual -watch with -serve.
 func TestCqualJobsValidation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden CLI tests in -short mode")
@@ -476,10 +480,10 @@ func TestCqualJobsValidation(t *testing.T) {
 		{exec.Command(cqual, "-jobs", "2", cFile), unknown + "-jobs"},
 		{exec.Command(cquald, "-jobs", "2"), unknown + "-jobs"},
 		{exec.Command(cqual, "-polyrec", cFile), unknown + "-polyrec"},
-		{exec.Command(cquald, "-watch", dir, "-polyrec"), unknown + "-polyrec"},
+		{exec.Command(cquald, "-watch", dir), unknown + "-watch"},
 		{exec.Command(cqual, "-simplify", cFile), unknown + "-simplify"},
 		{exec.Command(cqual, "-poly", "-simplify", cFile), unknown + "-simplify"},
-		{exec.Command(cquald, "-watch", dir, "-simplify"), unknown + "-simplify"},
+		{exec.Command(cquald, "-poly"), unknown + "-poly"},
 		{exec.Command(paperbench, "-simplify"), unknown + "-simplify"},
 		{exec.Command(cquald, "-slo", "analyze=1s"), unknown + "-slo"},
 		{exec.Command(cquald, "-slo-target", "0.9"), unknown + "-slo-target"},
@@ -490,6 +494,7 @@ func TestCqualJobsValidation(t *testing.T) {
 		{exec.Command(cquald, "-retain-sample", "1"), unknown + "-retain-sample"},
 		{exec.Command(cqual, "-schemes", cFile), "-schemes only applies with -poly"},
 		{exec.Command(cqual, "-lang", "go", "-schemes", goFile), "-schemes only applies with -poly"},
+		{exec.Command(cqual, "-watch", "-serve", "http://127.0.0.1:1", dir), "-watch runs the local pipeline and cannot be combined with -serve"},
 	} {
 		name := filepath.Base(tc.cmd.Path) + " " + strings.Join(tc.cmd.Args[1:], " ")
 		out, err := tc.cmd.CombinedOutput()
@@ -503,6 +508,56 @@ func TestCqualJobsValidation(t *testing.T) {
 		if strings.Contains(tc.want, "-schemes") && strings.Contains(string(out), "-simplify") {
 			t.Errorf("%s: names a flag the command line lacks:\n%s", name, out)
 		}
+	}
+}
+
+// TestCqualWatch drives the binary: the first watch run prints its
+// header and then exactly what the one-shot command prints for the same
+// flags and files, and SIGTERM ends the watch with its summary, exit 0.
+func TestCqualWatch(t *testing.T) {
+	if testing.Short() {
+		t.Skip("golden CLI tests in -short mode")
+	}
+	bin := buildCqual(t)
+	flags := []string{"-analysis", "taint", "-prelude", "examples/taint-c/taint.q"}
+	files, err := filepath.Glob("examples/taint-c/*.c")
+	if err != nil || len(files) != 3 {
+		t.Fatalf("taint-c sources: %v %v", files, err)
+	}
+	oneShot, err := exec.Command(bin, append(flags, files...)...).Output()
+	if exit, ok := err.(*exec.ExitError); !ok || exit.ExitCode() != 1 {
+		t.Fatalf("one-shot run: want exit 1 (conflicts), got %v", err)
+	}
+
+	watch := exec.Command(bin, append(flags, "-watch", "examples/taint-c")...)
+	var stdout bytes.Buffer
+	watch.Stdout = &stdout
+	stderr, err := watch.StderrPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := watch.Start(); err != nil {
+		t.Fatal(err)
+	}
+	// The run's record follows its output; a hung watch is killed.
+	timer := time.AfterFunc(time.Minute, func() { watch.Process.Kill() })
+	defer timer.Stop()
+	sc := bufio.NewScanner(stderr)
+	for sc.Scan() && !strings.Contains(sc.Text(), "event=watch_run") {
+	}
+	watch.Process.Signal(syscall.SIGTERM)
+	io.Copy(io.Discard, stderr)
+	if err := watch.Wait(); err != nil {
+		t.Fatalf("watch: want exit 0 on SIGTERM, got %v\n%s", err, stdout.String())
+	}
+	want := "cqual: watching examples/taint-c every 500ms (lang c, mode monomorphic)\n" +
+		"watch: run 1: 3 file(s)\n" + string(oneShot)
+	got := stdout.String()
+	if !strings.HasPrefix(got, want) {
+		t.Fatalf("watch output does not start with the one-shot output:\n%s\n--- want prefix ---\n%s", got, want)
+	}
+	if summary := regexp.MustCompile(`^cqual: watch: \d+ poll\(s\), 1 re-analysis\(es\), 0 front-end failure\(s\)\n$`); !summary.MatchString(got[len(want):]) {
+		t.Errorf("watch summary: %q", got[len(want):])
 	}
 }
 

@@ -570,15 +570,18 @@ func (a *Analysis) buildSCCs() {
 	var dst []int32
 	stamp := make([]int32, n)
 	var cur int32
-	edge := nameVisitor(func(name string) {
-		if fi := a.funcs[name]; fi != nil && fi.index >= 0 && fi.index != cur && stamp[fi.index] != cur+1 {
-			stamp[fi.index] = cur + 1
-			dst = append(dst, fi.index)
+	edge := func(e cfront.Expr) bool {
+		if id, ok := e.(*cfront.Ident); ok {
+			if fi := a.funcs[id.Name]; fi != nil && fi.index >= 0 && fi.index != cur && stamp[fi.index] != cur+1 {
+				stamp[fi.index] = cur + 1
+				dst = append(dst, fi.index)
+			}
 		}
-	})
+		return true
+	}
 	for i, fi := range defined {
 		cur = int32(i)
-		edge.stmt(fi.decl.Body)
+		cfront.WalkExprs(fi.decl.Body, edge)
 		off[i+1] = int32(len(dst))
 	}
 
@@ -647,96 +650,6 @@ func (a *Analysis) buildSCCs() {
 				a.sccs = append(a.sccs, sccInfo{lo: lo, hi: int32(len(a.members))})
 			}
 		}
-	}
-}
-
-// nameVisitor is called on every identifier occurring in a body, in
-// source order; its methods walk statements and expressions.
-type nameVisitor func(name string)
-
-func (visit nameVisitor) expr(e cfront.Expr) {
-	switch e := e.(type) {
-	case nil:
-	case *cfront.Ident:
-		visit(e.Name)
-	case *cfront.Unary:
-		visit.expr(e.X)
-	case *cfront.Postfix:
-		visit.expr(e.X)
-	case *cfront.Binary:
-		visit.expr(e.L)
-		visit.expr(e.R)
-	case *cfront.AssignExpr:
-		visit.expr(e.L)
-		visit.expr(e.R)
-	case *cfront.Cond:
-		visit.expr(e.C)
-		visit.expr(e.T)
-		visit.expr(e.F)
-	case *cfront.Call:
-		visit.expr(e.Fn)
-		for _, x := range e.Args {
-			visit.expr(x)
-		}
-	case *cfront.Index:
-		visit.expr(e.X)
-		visit.expr(e.I)
-	case *cfront.Member:
-		visit.expr(e.X)
-	case *cfront.Cast:
-		visit.expr(e.X)
-	case *cfront.SizeofExpr:
-		visit.expr(e.X)
-	case *cfront.Comma:
-		visit.expr(e.L)
-		visit.expr(e.R)
-	case *cfront.InitList:
-		for _, x := range e.Items {
-			visit.expr(x)
-		}
-	}
-}
-
-func (visit nameVisitor) stmt(s cfront.Stmt) {
-	switch s := s.(type) {
-	case nil:
-	case *cfront.Block:
-		for _, it := range s.Items {
-			visit.stmt(it)
-		}
-	case *cfront.DeclStmt:
-		for _, d := range s.Decls {
-			if v, ok := d.(*cfront.VarDecl); ok && v.Init != nil {
-				visit.expr(v.Init)
-			}
-		}
-	case *cfront.ExprStmt:
-		visit.expr(s.X)
-	case *cfront.IfStmt:
-		visit.expr(s.Cond)
-		visit.stmt(s.Then)
-		visit.stmt(s.Else)
-	case *cfront.WhileStmt:
-		visit.expr(s.Cond)
-		visit.stmt(s.Body)
-	case *cfront.DoWhileStmt:
-		visit.stmt(s.Body)
-		visit.expr(s.Cond)
-	case *cfront.ForStmt:
-		visit.stmt(s.Init)
-		visit.expr(s.Cond)
-		visit.expr(s.Post)
-		visit.stmt(s.Body)
-	case *cfront.ReturnStmt:
-		visit.expr(s.Value)
-	case *cfront.LabelStmt:
-		visit.stmt(s.Stmt)
-	case *cfront.SwitchStmt:
-		visit.expr(s.Tag)
-		visit.stmt(s.Body)
-	case *cfront.CaseStmt:
-		visit.expr(s.Value)
-		visit.stmt(s.Stmt)
 	}
 }
 

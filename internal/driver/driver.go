@@ -32,7 +32,7 @@ type Config struct {
 	// language is part of every result-cache key.
 	Lang string
 	// Options is the inference mode (mono/poly). Setting
-	// Options.PolyRec fails the run; Options.Simplify is ignored.
+	// Options.PolyRec fails Check; Options.Simplify is ignored.
 	Options constinfer.Options
 	// Jobs has no effect: constraint generation is sequential. Kept for
 	// bench/replay.go, removed with the next benchmark change.
@@ -46,7 +46,7 @@ type Config struct {
 	// Analyses names the registered qualifier analyses to run together
 	// in one constraint pass over the shared product lattice (see
 	// internal/analysis). Nil or empty selects the classic const
-	// inference; unknown names fail the run with an error.
+	// inference; unknown names fail Check.
 	Analyses []string
 	// Preludes are annotation files declaring library-function seeds
 	// and sinks for the selected analyses (`analysis taint` / `getenv(_)
@@ -175,15 +175,36 @@ func (r *Result) Errors() []Diagnostic {
 	return out
 }
 
-// errPolyRec rejects a config that sets the retired
-// constinfer.Options.PolyRec.
-var errPolyRec = errors.New("driver: polymorphic recursion (Options.PolyRec) was removed; Options.Poly is the polymorphic mode")
+// Check reports whether the config selects a valid run: the retired
+// Options.PolyRec is unset, the language has a registered front end
+// that accepts the mode (FrontEnd.Check), and every analysis name is
+// registered. RunContext and RunFiles call it first; cqual and the
+// analysis server call it to refuse bad settings before any work.
+func (c Config) Check() error {
+	if c.Options.PolyRec {
+		return errors.New("driver: polymorphic recursion (Options.PolyRec) was removed; Options.Poly is the polymorphic mode")
+	}
+	fe, ok := LookupFrontEnd(c.Lang)
+	if !ok {
+		return fmt.Errorf("unknown language %q (registered: %s)", c.Lang, strings.Join(FrontEndLangs(), ", "))
+	}
+	if err := fe.Check(c); err != nil {
+		return err
+	}
+	for _, name := range c.Analyses {
+		if _, ok := analysis.Lookup(name); !ok {
+			return fmt.Errorf("unknown analysis %q (registered: %s)", name, strings.Join(analysis.Names(), ", "))
+		}
+	}
+	return nil
+}
 
 // Run executes the full pipeline over the sources. Front-end failures do
 // not abort the run early: every source is loaded and parsed and every
 // failure is reported as a diagnostic, and only then, if any front-end
 // error occurred, does the pipeline stop (Report stays nil). The
-// returned error is reserved for invalid invocations (no sources).
+// returned error is reserved for invalid invocations (a config Check
+// rejects, no sources).
 func Run(cfg Config, sources []Source) (*Result, error) {
 	return RunContext(context.Background(), cfg, sources)
 }
@@ -195,19 +216,13 @@ func Run(cfg Config, sources []Source) (*Result, error) {
 // deadline is noticed — which keeps every stage's determinism guarantees
 // intact.
 func RunContext(ctx context.Context, cfg Config, sources []Source) (*Result, error) {
+	if err := cfg.Check(); err != nil {
+		return nil, err
+	}
 	if len(sources) == 0 {
 		return nil, errors.New("driver: no input sources")
 	}
-	if cfg.Options.PolyRec {
-		return nil, errPolyRec
-	}
-	fe, err := cfg.frontEnd()
-	if err != nil {
-		return nil, err
-	}
-	if err := fe.Check(cfg); err != nil {
-		return nil, err
-	}
+	fe, _ := LookupFrontEnd(cfg.Lang)
 	res := &Result{Config: cfg}
 	tr := obs.FromContext(ctx)
 	run := tr.Start("driver", "driver.run",
@@ -275,11 +290,11 @@ func RunContext(ctx context.Context, cfg Config, sources []Source) (*Result, err
 // the Load and Parse stages. It is used when the same parse is analyzed
 // in several modes (the experiment's mono and poly passes).
 func RunFiles(cfg Config, files []*cfront.File) (*Result, error) {
+	if err := cfg.Check(); err != nil {
+		return nil, err
+	}
 	if len(files) == 0 {
 		return nil, errors.New("driver: no input files")
-	}
-	if cfg.Options.PolyRec {
-		return nil, errPolyRec
 	}
 	res := &Result{Config: cfg, Files: files, Program: &CProgram{Files: files}}
 	if err := runAnalysis(context.Background(), cfg, res); err != nil {
@@ -295,12 +310,8 @@ func runAnalysis(ctx context.Context, cfg Config, res *Result) error {
 	tr := obs.FromContext(ctx)
 	sp := tr.Start("driver", "driver.build")
 	start := time.Now()
-	suite, diags, err := buildSuite(cfg)
+	suite, diags := buildSuite(cfg)
 	res.Diagnostics = append(res.Diagnostics, diags...)
-	if err != nil {
-		sp.End()
-		return err
-	}
 	if suite == nil {
 		// Prelude failures are front-end-style errors: reported as
 		// diagnostics, no analysis runs, Report stays nil.
@@ -322,7 +333,7 @@ func runAnalysis(ctx context.Context, cfg Config, res *Result) error {
 
 	sp = tr.Start("driver", "driver.constrain")
 	start = time.Now()
-	err = constrain(ctx, a)
+	err := constrain(ctx, a)
 	res.Timings.Constrain = time.Since(start)
 	sp.End()
 	if err != nil {
@@ -390,19 +401,13 @@ func constrain(ctx context.Context, a Engine) (err error) {
 	return nil
 }
 
-// buildSuite resolves the config's analysis names and preludes into a
-// bound suite. Unknown analysis names are invalid invocations (error);
-// prelude problems are input problems reported as diagnostics with a nil
-// suite. A prelude-wanting analysis running without one gets an advisory
-// warning alongside a non-nil suite.
-func buildSuite(cfg Config) (*analysis.Suite, []Diagnostic, error) {
+// buildSuite resolves the config's analysis names, which Check has
+// validated, and preludes into a bound suite. Prelude problems are input
+// problems reported as diagnostics with a nil suite. A prelude-wanting
+// analysis running without one gets an advisory warning alongside a
+// non-nil suite.
+func buildSuite(cfg Config) (*analysis.Suite, []Diagnostic) {
 	names := cfg.AnalysisNames()
-	for _, n := range names {
-		if _, ok := analysis.Lookup(n); !ok {
-			return nil, nil, fmt.Errorf("driver: unknown analysis %q (registered: %s)",
-				n, strings.Join(analysis.Names(), ", "))
-		}
-	}
 	var diags []Diagnostic
 	var preludes []*analysis.Prelude
 	for _, p := range cfg.Preludes {
@@ -414,11 +419,11 @@ func buildSuite(cfg Config) (*analysis.Suite, []Diagnostic, error) {
 		preludes = append(preludes, pr)
 	}
 	if len(diags) > 0 {
-		return nil, diags, nil
+		return nil, diags
 	}
 	suite, err := analysis.NewSuite(names, preludes)
 	if err != nil {
-		return nil, []Diagnostic{preludeDiagnostic("", err)}, nil
+		return nil, []Diagnostic{preludeDiagnostic("", err)}
 	}
 	for _, b := range suite.Bindings() {
 		if b.A.WantsPrelude && !b.HasPrelude() {
@@ -432,5 +437,5 @@ func buildSuite(cfg Config) (*analysis.Suite, []Diagnostic, error) {
 			})
 		}
 	}
-	return suite, diags, nil
+	return suite, diags
 }

@@ -422,6 +422,26 @@ func TestRunRejectsPolyRec(t *testing.T) {
 	}
 }
 
+// TestConfigCheck: Check accepts the valid configs and refuses, naming
+// the culprit, each invalid one.
+func TestConfigCheck(t *testing.T) {
+	for _, tc := range []struct {
+		cfg  Config
+		want string // "" = valid
+	}{
+		{Config{}, ""},
+		{Config{Lang: "c", Options: constinfer.Options{Poly: true}, Uninit: true, Analyses: []string{"const", "taint"}}, ""},
+		{Config{Options: constinfer.Options{PolyRec: true}}, "PolyRec"},
+		{Config{Lang: "cobol"}, `unknown language "cobol" (registered: `},
+		{Config{Analyses: []string{"const", "bogus"}}, `unknown analysis "bogus" (registered: const, `},
+	} {
+		err := tc.cfg.Check()
+		if tc.want == "" && err != nil || tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)) {
+			t.Errorf("%+v: Check() = %v; want %q", tc.cfg, err, tc.want)
+		}
+	}
+}
+
 func TestRunNoSources(t *testing.T) {
 	if _, err := Run(Config{}, nil); err == nil {
 		t.Error("Run with no sources should error")

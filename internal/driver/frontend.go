@@ -44,7 +44,7 @@ type FrontEnd interface {
 	// filter from it.
 	Extensions() []string
 	// Check validates a pipeline config against the front end's
-	// capabilities before any work runs (e.g. gofront rejects the
+	// capabilities, as part of Config.Check (e.g. gofront rejects the
 	// polymorphic modes it does not implement yet).
 	Check(cfg Config) error
 	// Load resolves raw inputs into loadable file sources. The returned
@@ -132,17 +132,6 @@ func FrontEndLangs() []string {
 	}
 	sort.Strings(langs)
 	return langs
-}
-
-// frontEnd resolves the config's language, erroring on unknown ones
-// (an invalid invocation, like an unknown analysis name).
-func (c Config) frontEnd() (FrontEnd, error) {
-	fe, ok := LookupFrontEnd(c.Lang)
-	if !ok {
-		langs := FrontEndLangs()
-		return nil, fmt.Errorf("driver: unknown language %q (registered: %v)", c.Lang, langs)
-	}
-	return fe, nil
 }
 
 // cFrontEnd is the C front end: cfront parsing feeding the constinfer

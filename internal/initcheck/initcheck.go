@@ -87,94 +87,17 @@ func checkFunc(file string, fd *cfront.FuncDecl) []Warning {
 	}
 	// Pass 1: find address-taken locals; they are untracked.
 	addrTaken := map[string]bool{}
-	var scanE func(e cfront.Expr)
-	var scanS func(s cfront.Stmt)
-	scanE = func(e cfront.Expr) {
+	cfront.WalkExprs(fd.Body, func(e cfront.Expr) bool {
 		switch e := e.(type) {
-		case nil:
+		case *cfront.SizeofExpr:
+			return false // sizeof does not evaluate its operand
 		case *cfront.Unary:
-			if e.Op == cfront.UAddr {
-				if id, ok := e.X.(*cfront.Ident); ok {
-					addrTaken[id.Name] = true
-				}
-			}
-			scanE(e.X)
-		case *cfront.Postfix:
-			scanE(e.X)
-		case *cfront.Binary:
-			scanE(e.L)
-			scanE(e.R)
-		case *cfront.AssignExpr:
-			scanE(e.L)
-			scanE(e.R)
-		case *cfront.Cond:
-			scanE(e.C)
-			scanE(e.T)
-			scanE(e.F)
-		case *cfront.Call:
-			scanE(e.Fn)
-			for _, a := range e.Args {
-				scanE(a)
-			}
-		case *cfront.Index:
-			scanE(e.X)
-			scanE(e.I)
-		case *cfront.Member:
-			scanE(e.X)
-		case *cfront.Cast:
-			scanE(e.X)
-		case *cfront.Comma:
-			scanE(e.L)
-			scanE(e.R)
-		case *cfront.InitList:
-			for _, it := range e.Items {
-				scanE(it)
+			if id, ok := e.X.(*cfront.Ident); ok && e.Op == cfront.UAddr {
+				addrTaken[id.Name] = true
 			}
 		}
-	}
-	scanS = func(s cfront.Stmt) {
-		switch s := s.(type) {
-		case nil:
-		case *cfront.Block:
-			for _, it := range s.Items {
-				scanS(it)
-			}
-		case *cfront.DeclStmt:
-			for _, d := range s.Decls {
-				if v, ok := d.(*cfront.VarDecl); ok && v.Init != nil {
-					scanE(v.Init)
-				}
-			}
-		case *cfront.ExprStmt:
-			scanE(s.X)
-		case *cfront.IfStmt:
-			scanE(s.Cond)
-			scanS(s.Then)
-			scanS(s.Else)
-		case *cfront.WhileStmt:
-			scanE(s.Cond)
-			scanS(s.Body)
-		case *cfront.DoWhileStmt:
-			scanS(s.Body)
-			scanE(s.Cond)
-		case *cfront.ForStmt:
-			scanS(s.Init)
-			scanE(s.Cond)
-			scanE(s.Post)
-			scanS(s.Body)
-		case *cfront.ReturnStmt:
-			scanE(s.Value)
-		case *cfront.LabelStmt:
-			scanS(s.Stmt)
-		case *cfront.SwitchStmt:
-			scanE(s.Tag)
-			scanS(s.Body)
-		case *cfront.CaseStmt:
-			scanE(s.Value)
-			scanS(s.Stmt)
-		}
-	}
-	scanS(fd.Body)
+		return true
+	})
 
 	flow := infer.NewFlow(c.sys)
 	// Parameters are initialized by the caller.

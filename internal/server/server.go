@@ -390,7 +390,8 @@ type AnalyzeRequest struct {
 	// are a local-filesystem concept; the server analyzes
 	// request-supplied texts only).
 	Lang string `json:"lang,omitempty"`
-	// Poly/Uninit mirror the cqual flags.
+	// Poly/Uninit mirror the cqual flags; a mode the selected front end
+	// rejects (the Go front end takes neither) is a 400.
 	Poly   bool `json:"poly,omitempty"`
 	Uninit bool `json:"uninit,omitempty"`
 	// Simplify is accepted and ignored: polymorphic schemes are always
@@ -412,6 +413,21 @@ type AnalyzeRequest struct {
 	// the server keeps nothing per session id. Kept for bench/, removed
 	// with the next benchmark change.
 	Session string `json:"session,omitempty"`
+}
+
+// config is the pipeline configuration the request selects.
+func (req *AnalyzeRequest) config() driver.Config {
+	preludes := make([]driver.PreludeFile, len(req.Preludes))
+	for i, p := range req.Preludes {
+		preludes[i] = driver.PreludeFile{Path: p.Path, Text: p.Text}
+	}
+	return driver.Config{
+		Lang:     req.Lang,
+		Options:  constinfer.Options{Poly: req.Poly},
+		Uninit:   req.Uninit,
+		Analyses: req.Analyses,
+		Preludes: preludes,
+	}
 }
 
 // SourceJSON is one in-memory translation unit.
@@ -485,6 +501,13 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, `invalid request: field "polyrec" was removed (polymorphic recursion inferred what "poly" infers)`)
 		return
 	}
+	cfg := req.config()
+	// Settings the pipeline would refuse are client errors, answered
+	// before any hashing, cache lookup or pipeline work.
+	if err := cfg.Check(); err != nil {
+		s.fail(w, http.StatusBadRequest, "%v", err)
+		return
+	}
 	if len(req.Sources) == 0 {
 		s.fail(w, http.StatusBadRequest, "no sources")
 		return
@@ -500,31 +523,6 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		sources[i] = driver.Source{Path: src.Path, Text: src.Text}
-	}
-	// Unknown languages and analysis names are client errors, answered
-	// before any cache lookup or pipeline work.
-	if _, ok := driver.LookupFrontEnd(req.Lang); !ok {
-		s.fail(w, http.StatusBadRequest, "unknown language %q (registered: %s)",
-			req.Lang, strings.Join(driver.FrontEndLangs(), ", "))
-		return
-	}
-	for _, name := range req.Analyses {
-		if _, ok := analysis.Lookup(name); !ok {
-			s.fail(w, http.StatusBadRequest, "unknown analysis %q (registered: %s)",
-				name, strings.Join(analysis.Names(), ", "))
-			return
-		}
-	}
-	preludes := make([]driver.PreludeFile, len(req.Preludes))
-	for i, p := range req.Preludes {
-		preludes[i] = driver.PreludeFile{Path: p.Path, Text: p.Text}
-	}
-	cfg := driver.Config{
-		Lang:     req.Lang,
-		Options:  constinfer.Options{Poly: req.Poly},
-		Uninit:   req.Uninit,
-		Analyses: req.Analyses,
-		Preludes: preludes,
 	}
 	s.countRequests(cfg.AnalysisNames())
 

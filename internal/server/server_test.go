@@ -127,6 +127,9 @@ var badRequests = []badRequest{
 	{"missing text", `{"sources":[{"path":"a.c"}]}`, 400, ""},
 	{"unknown field", `{"sources":[{"path":"a.c","text":"int x;"}],"bogus":1}`, 400, `"bogus"`},
 	{"malformed", `{"sources":`, 400, ""},
+	{"go poly", `{"lang":"go","poly":true,"sources":[{"path":"a.go","text":"package a"}]}`, 400, "monomorphic"},
+	{"go uninit", `{"lang":"go","uninit":true,"sources":[{"path":"a.go","text":"package a"}]}`, 400, "-uninit"},
+	{"unknown language", `{"lang":"cobol","sources":[{"path":"a.c","text":"int x;"}]}`, 400, `"cobol"`},
 }
 
 func TestAnalyzeBadRequests(t *testing.T) {
@@ -158,6 +161,30 @@ func TestAnalyzeBadRequests(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("GET /v1/analyze: status %d; want 405", resp.StatusCode)
+	}
+}
+
+// TestBadRequestsSkipCache: a rejected request is answered before the
+// result cache is consulted and is not a pipeline failure, so it moves
+// no cache counter and journals no analysis_error event.
+func TestBadRequestsSkipCache(t *testing.T) {
+	srv := New(Config{})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	for _, tc := range badRequests {
+		if resp, data := postAnalyze(t, ts, tc.body); resp.StatusCode != tc.status {
+			t.Errorf("%s: status %d; want %d (%s)", tc.name, resp.StatusCode, tc.status, data)
+		}
+	}
+	if st := srv.results.Stats(); st.Misses != 0 || st.Hits != 0 {
+		t.Errorf("result cache %+v; want no lookups", st)
+	}
+	var ev EventsResponse
+	getJSON(t, ts.URL+"/v1/events", &ev)
+	for _, e := range ev.Events {
+		if e.Type == "analysis_error" {
+			t.Errorf("bad request journaled %+v", e)
+		}
 	}
 }
 
