@@ -438,12 +438,6 @@ func (a *Analysis) SolveSession(context.Context, *constraint.Session) []*constra
 	return a.sys.Solve()
 }
 
-// SolveStats reports the size of the final system's last solve. Valid
-// only after SolveSystem.
-func (a *Analysis) SolveStats() constraint.SolveStats {
-	return a.sys.Stats()
-}
-
 // generalizeSCC turns the component's constraint fragment, its signature
 // and body ranges, into a type scheme for each member function (Section
 // 4.3) through System.Generalize. The body is the component's

@@ -521,13 +521,6 @@ func (s *System) buildUnsats(viol []int32) []*Unsat {
 	return unsat
 }
 
-// Stats reports the size of the last Solve. It panics if the system has
-// not been solved since the last modification.
-func (s *System) Stats() SolveStats {
-	s.mustSolved()
-	return SolveStats{Vars: s.n, Constraints: s.ncons}
-}
-
 func (s *System) valueLower(t Term) qual.Elem {
 	if t.isVar {
 		return s.lower[t.v]

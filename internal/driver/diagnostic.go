@@ -123,6 +123,27 @@ func (d Diagnostic) String() string {
 	return b.String()
 }
 
+// hasErrors reports whether any of ds is an error.
+func hasErrors(ds []Diagnostic) bool {
+	for _, d := range ds {
+		if d.Severity == SevError {
+			return true
+		}
+	}
+	return false
+}
+
+// errorDiagnostics returns the errors among ds.
+func errorDiagnostics(ds []Diagnostic) []Diagnostic {
+	var out []Diagnostic
+	for _, d := range ds {
+		if d.Severity == SevError {
+			out = append(out, d)
+		}
+	}
+	return out
+}
+
 // loadDiagnostic wraps a file-read failure.
 func loadDiagnostic(path string, err error) Diagnostic {
 	return Diagnostic{

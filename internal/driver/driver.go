@@ -112,6 +112,34 @@ type Timings struct {
 	Eval   time.Duration
 }
 
+// stages pairs each Timings field with its stage name and the report's
+// key for it, in pipeline order: the seven stages of a program run, then
+// the lambda pipeline's eval. The report, Total and ProgramStages read
+// it.
+var stages = [...]struct {
+	name, key string
+	field     func(*Timings) *time.Duration
+}{
+	{"load", "load_ms", func(t *Timings) *time.Duration { return &t.Load }},
+	{"parse", "parse_ms", func(t *Timings) *time.Duration { return &t.Parse }},
+	{"build", "build_ms", func(t *Timings) *time.Duration { return &t.Build }},
+	{"constrain", "constrain_ms", func(t *Timings) *time.Duration { return &t.Constrain }},
+	{"solve", "solve_ms", func(t *Timings) *time.Duration { return &t.Solve }},
+	{"classify", "classify_ms", func(t *Timings) *time.Duration { return &t.Classify }},
+	{"report", "report_ms", func(t *Timings) *time.Duration { return &t.Report }},
+	{"eval", "eval_ms", func(t *Timings) *time.Duration { return &t.Eval }},
+}
+
+// ProgramStages yields the name and field of each stage a program run
+// times, in pipeline order: every stage but eval.
+func (t *Timings) ProgramStages(yield func(name string, d *time.Duration) bool) {
+	for _, s := range stages[:len(stages)-1] {
+		if !yield(s.name, s.field(t)) {
+			return
+		}
+	}
+}
+
 // Analysis is the total inference time: everything after the front end
 // (the paper's Mono/Poly columns; Parse is its "Compile time" column).
 func (t Timings) Analysis() time.Duration {
@@ -121,7 +149,32 @@ func (t Timings) Analysis() time.Duration {
 // Total sums every stage: the pipeline's wall clock as the stages saw
 // it.
 func (t Timings) Total() time.Duration {
-	return t.Load + t.Parse + t.Analysis() + t.Report + t.Eval
+	var sum time.Duration
+	for _, s := range stages {
+		sum += *s.field(&t)
+	}
+	return sum
+}
+
+// stageTimer is an open stage: its span, its start and the Timings field
+// its duration is added to.
+type stageTimer struct {
+	sp    *obs.Span
+	start time.Time
+	d     *time.Duration
+}
+
+// startStage opens the span named span on tr and starts timing the stage
+// whose field is d.
+func startStage(tr *obs.Tracer, span string, d *time.Duration, attrs ...obs.Attr) stageTimer {
+	sp := tr.Start("driver", span, attrs...)
+	return stageTimer{sp: sp, start: time.Now(), d: d}
+}
+
+// end adds the stage's duration to its field and closes its span.
+func (s stageTimer) end() {
+	*s.d += time.Since(s.start)
+	s.sp.End()
 }
 
 // Result is the outcome of a pipeline run.
@@ -146,8 +199,9 @@ type Result struct {
 	Diagnostics []Diagnostic
 	// Timings records per-stage wall-clock times.
 	Timings Timings
-	// Solver records the size of the final constraint system (zero value
-	// if the front end failed and the Solve stage never ran).
+	// Solver records the size of the final constraint system, as the
+	// classified report counts it (zero value if the run never reached
+	// Classify).
 	Solver constraint.SolveStats
 	// Delta is always nil. No effect; kept for bench/replay.go, removed
 	// with the next benchmark change.
@@ -155,25 +209,10 @@ type Result struct {
 }
 
 // HasErrors reports whether any diagnostic is an error.
-func (r *Result) HasErrors() bool {
-	for _, d := range r.Diagnostics {
-		if d.Severity == SevError {
-			return true
-		}
-	}
-	return false
-}
+func (r *Result) HasErrors() bool { return hasErrors(r.Diagnostics) }
 
 // Errors returns the error diagnostics.
-func (r *Result) Errors() []Diagnostic {
-	var out []Diagnostic
-	for _, d := range r.Diagnostics {
-		if d.Severity == SevError {
-			out = append(out, d)
-		}
-	}
-	return out
-}
+func (r *Result) Errors() []Diagnostic { return errorDiagnostics(r.Diagnostics) }
 
 // Check reports whether the config selects a valid run: the retired
 // Options.PolyRec is unset, the language has a registered front end
@@ -233,11 +272,9 @@ func RunContext(ctx context.Context, cfg Config, sources []Source) (*Result, err
 
 	// Load: resolve every input into file sources, collecting every
 	// failure (a front end may expand one input into many files).
-	sp := tr.Start("driver", "driver.load", obs.Int("sources", len(sources)))
-	start := time.Now()
+	load := startStage(tr, "driver.load", &res.Timings.Load, obs.Int("sources", len(sources)))
 	files, loadErrs := fe.Load(sources)
-	res.Timings.Load = time.Since(start)
-	sp.End()
+	load.end()
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -245,23 +282,21 @@ func RunContext(ctx context.Context, cfg Config, sources []Source) (*Result, err
 	// Parse: the front end parses the loaded files (concurrently if it
 	// chooses); one span brackets the whole stage (per-file spans would
 	// make traces scheduling-dependent).
-	sp = tr.Start("driver", "driver.parse", obs.Int("files", len(files)))
-	start = time.Now()
+	parse := startStage(tr, "driver.parse", &res.Timings.Parse, obs.Int("files", len(files)))
 	prog, parseErrs := fe.Parse(ctx, files, loadErrs)
-	res.Timings.Parse = time.Since(start)
+	parse.end()
 	res.Program = prog
 	if cp, ok := prog.(*CProgram); ok {
 		res.Files = cp.Files
 	}
-	sp.End()
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 
 	// Front-end diagnostics count toward the Report stage, so the stage
 	// timings sum to wall clock on the failure path too. Load and parse
-	// errors interleave per file, in file order.
-	start = time.Now()
+	// errors interleave per file, in file order. This share has no span.
+	start := time.Now()
 	for i := range files {
 		if loadErrs[i] != nil {
 			res.Diagnostics = append(res.Diagnostics, loadDiagnostic(files[i].Path, loadErrs[i]))
@@ -308,15 +343,13 @@ func RunFiles(cfg Config, files []*cfront.File) (*Result, error) {
 // each stage boundary.
 func runAnalysis(ctx context.Context, cfg Config, res *Result) error {
 	tr := obs.FromContext(ctx)
-	sp := tr.Start("driver", "driver.build")
-	start := time.Now()
+	build := startStage(tr, "driver.build", &res.Timings.Build)
 	suite, diags := buildSuite(cfg)
 	res.Diagnostics = append(res.Diagnostics, diags...)
 	if suite == nil {
 		// Prelude failures are front-end-style errors: reported as
 		// diagnostics, no analysis runs, Report stays nil.
-		res.Timings.Build = time.Since(start)
-		sp.End()
+		build.end()
 		return nil
 	}
 	a := res.Program.NewEngine(cfg, suite)
@@ -325,17 +358,14 @@ func runAnalysis(ctx context.Context, cfg Config, res *Result) error {
 	}
 
 	a.Prepare()
-	res.Timings.Build = time.Since(start)
-	sp.End()
+	build.end()
 	if err := ctx.Err(); err != nil {
 		return err
 	}
 
-	sp = tr.Start("driver", "driver.constrain")
-	start = time.Now()
+	cons := startStage(tr, "driver.constrain", &res.Timings.Constrain)
 	err := constrain(ctx, a)
-	res.Timings.Constrain = time.Since(start)
-	sp.End()
+	cons.end()
 	if err != nil {
 		return err
 	}
@@ -343,30 +373,28 @@ func runAnalysis(ctx context.Context, cfg Config, res *Result) error {
 		return err
 	}
 
-	sp = tr.Start("driver", "driver.solve")
-	start = time.Now()
+	solve := startStage(tr, "driver.solve", &res.Timings.Solve)
 	conflicts := a.SolveSystemContext(ctx)
-	res.Timings.Solve = time.Since(start)
-	res.Solver = a.SolveStats()
-	sp.SetAttr(obs.Int("vars", res.Solver.Vars),
-		obs.Int("constraints", res.Solver.Constraints),
-		obs.Int("conflicts", len(conflicts)))
-	sp.End()
+	solve.end()
 	if err := ctx.Err(); err != nil {
 		return err
 	}
 
-	sp = tr.Start("driver", "driver.classify")
-	start = time.Now()
+	classify := startStage(tr, "driver.classify", &res.Timings.Classify)
 	res.Report = a.Classify(conflicts)
-	res.Timings.Classify = time.Since(start)
-	sp.End()
+	classify.end()
+	// The report counts the solved system: it is the run's one record of
+	// its size. Attributes read no clock, so setting them on the ended
+	// solve span leaves the trace's timestamps as they were.
+	res.Solver = constraint.SolveStats{Vars: res.Report.Vars, Constraints: res.Report.Constraints}
+	solve.sp.SetAttr(obs.Int("vars", res.Solver.Vars),
+		obs.Int("constraints", res.Solver.Constraints),
+		obs.Int("conflicts", len(res.Report.Conflicts)))
 
 	// Report: conflict diagnostics (each with its blame-path flow trace)
 	// and the optional initialization check. Timed as its own stage so
 	// the stage timings sum to wall clock for every caller.
-	sp = tr.Start("driver", "driver.report", obs.Int("conflicts", len(conflicts)))
-	start = time.Now()
+	report := startStage(tr, "driver.report", &res.Timings.Report, obs.Int("conflicts", len(conflicts)))
 	for _, u := range conflicts {
 		res.Diagnostics = append(res.Diagnostics, conflictDiagnostic(a.Set(), suite, u))
 	}
@@ -377,8 +405,7 @@ func runAnalysis(ctx context.Context, cfg Config, res *Result) error {
 			}
 		}
 	}
-	res.Timings.Report += time.Since(start)
-	sp.End()
+	report.end()
 	return nil
 }
 

@@ -85,7 +85,6 @@ type Engine interface {
 	ConstrainContext(ctx context.Context, jobs int)
 	SolveSystemContext(ctx context.Context) []*constraint.Unsat
 	SolveSession(ctx context.Context, ss *constraint.Session) []*constraint.Unsat
-	SolveStats() constraint.SolveStats
 	Set() *qual.Set
 	Classify(conflicts []*constraint.Unsat) *constinfer.Report
 }

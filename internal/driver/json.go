@@ -4,7 +4,8 @@ import (
 	"math"
 	"strconv"
 	"time"
-	"unicode/utf8"
+
+	"repro/internal/obs"
 )
 
 // The JSON report schema is stable output for tooling: the key names,
@@ -138,21 +139,15 @@ func (r *Result) JSON() ([]byte, error) {
 		w.close('}')
 	}
 	w.close(']')
-	t := r.Timings
 	w.key("timings")
 	w.open('{')
-	w.msMember("load_ms", t.Load)
-	w.msMember("parse_ms", t.Parse)
-	w.msMember("build_ms", t.Build)
-	w.msMember("constrain_ms", t.Constrain)
-	w.msMember("solve_ms", t.Solve)
-	w.msMember("classify_ms", t.Classify)
-	w.msMember("report_ms", t.Report)
-	w.msMember("eval_ms", t.Eval)
-	// analysis_ms is Build+Constrain+Solve+Classify — the paper's
-	// Mono/Poly analysis-time column, precomputed so the experiment
-	// harness and the server share one schema.
-	w.msMember("analysis_ms", t.Analysis())
+	for _, s := range stages {
+		w.msMember(s.key, *s.field(&r.Timings))
+	}
+	// analysis_ms is Timings.Analysis — the paper's Mono/Poly
+	// analysis-time column, precomputed so the experiment harness and
+	// the server share one schema.
+	w.msMember("analysis_ms", r.Timings.Analysis())
 	w.close('}')
 	if r.Report != nil { // the Solve stage ran
 		w.key("solver")
@@ -272,7 +267,7 @@ func (w *jsonWriter) newline() {
 	}
 }
 
-func (w *jsonWriter) str(s string) { w.buf = appendString(w.buf, s) }
+func (w *jsonWriter) str(s string) { w.buf = obs.AppendJSONString(w.buf, s) }
 
 func (w *jsonWriter) strMember(k, s string) {
 	w.key(k)
@@ -333,10 +328,12 @@ func (w *jsonWriter) files(r *Result) {
 // without a file. Unlike constraint.Pos.String, it keeps a zero line or
 // column (a Go position without a column), as the report always has.
 func (w *jsonWriter) pos(file string, line, col int32) {
-	w.buf = append(w.buf, '"')
 	if file != "" {
-		w.buf = appendStringBody(w.buf, file)
-		w.buf = append(w.buf, ':')
+		// The closing quote becomes the separator: the string goes on.
+		w.buf = obs.AppendJSONString(w.buf, file)
+		w.buf[len(w.buf)-1] = ':'
+	} else {
+		w.buf = append(w.buf, '"')
 	}
 	w.buf = strconv.AppendInt(w.buf, int64(line), 10)
 	w.buf = append(w.buf, ':')
@@ -360,80 +357,4 @@ func appendFloat(b []byte, f float64) []byte {
 		}
 	}
 	return b
-}
-
-// appendString appends s as a quoted JSON string, escaped as
-// encoding/json escapes it.
-func appendString(b []byte, s string) []byte {
-	b = append(b, '"')
-	b = appendStringBody(b, s)
-	return append(b, '"')
-}
-
-// jsonSafe marks the ASCII bytes that stand for themselves in a JSON
-// string: printable, and neither a quote, a backslash nor one of the
-// HTML-sensitive <, > and &.
-var jsonSafe = func() (safe [utf8.RuneSelf]bool) {
-	for c := ' '; c < utf8.RuneSelf; c++ {
-		safe[c] = true
-	}
-	for _, c := range `"\<>&` {
-		safe[c] = false
-	}
-	return safe
-}()
-
-const hexDigits = "0123456789abcdef"
-
-// appendStringBody appends the escaped contents of s: a backslash before
-// " and \, \b \f \n \r \t for those control characters and \u00XX for
-// the others, \u003c \u003e \u0026 for < > &, \u2028 and \u2029 for the
-// line and paragraph separators, and \ufffd for each byte of invalid
-// UTF-8.
-func appendStringBody(b []byte, s string) []byte {
-	start := 0
-	for i := 0; i < len(s); {
-		c := s[i]
-		if c < utf8.RuneSelf {
-			if jsonSafe[c] {
-				i++
-				continue
-			}
-			b = append(b, s[start:i]...)
-			switch c {
-			case '"', '\\':
-				b = append(b, '\\', c)
-			case '\b':
-				b = append(b, '\\', 'b')
-			case '\f':
-				b = append(b, '\\', 'f')
-			case '\n':
-				b = append(b, '\\', 'n')
-			case '\r':
-				b = append(b, '\\', 'r')
-			case '\t':
-				b = append(b, '\\', 't')
-			default:
-				b = append(b, '\\', 'u', '0', '0', hexDigits[c>>4], hexDigits[c&0xf])
-			}
-			i++
-			start = i
-			continue
-		}
-		r, size := utf8.DecodeRuneInString(s[i:])
-		switch {
-		case r == utf8.RuneError && size == 1:
-			b = append(b, s[start:i]...)
-			b = append(b, `\ufffd`...)
-		case r == '\u2028' || r == '\u2029':
-			b = append(b, s[start:i]...)
-			b = append(b, '\\', 'u', '2', '0', '2', hexDigits[r&0xf])
-		default:
-			i += size
-			continue
-		}
-		i += size
-		start = i
-	}
-	return append(b, s[start:]...)
 }

@@ -2,7 +2,6 @@ package driver
 
 import (
 	"context"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/eval"
@@ -48,25 +47,10 @@ type LambdaResult struct {
 }
 
 // HasErrors reports whether any diagnostic is an error.
-func (r *LambdaResult) HasErrors() bool {
-	for _, d := range r.Diagnostics {
-		if d.Severity == SevError {
-			return true
-		}
-	}
-	return false
-}
+func (r *LambdaResult) HasErrors() bool { return hasErrors(r.Diagnostics) }
 
 // Errors returns the error diagnostics.
-func (r *LambdaResult) Errors() []Diagnostic {
-	var out []Diagnostic
-	for _, d := range r.Diagnostics {
-		if d.Severity == SevError {
-			out = append(out, d)
-		}
-	}
-	return out
-}
+func (r *LambdaResult) Errors() []Diagnostic { return errorDiagnostics(r.Diagnostics) }
 
 // RunLambda runs one program of the example language through the staged
 // pipeline.
@@ -83,11 +67,9 @@ func RunLambdaContext(ctx context.Context, cfg LambdaConfig, file, src string) *
 	run := tr.Start("driver", "lambda.run", obs.String("file", file))
 	defer run.End()
 
-	sp := tr.Start("driver", "lambda.parse")
-	start := time.Now()
+	parse := startStage(tr, "lambda.parse", &res.Timings.Parse)
 	e, err := lambda.Parse(file, src)
-	res.Timings.Parse = time.Since(start)
-	sp.End()
+	parse.end()
 	if err != nil {
 		res.Diagnostics = append(res.Diagnostics, parseDiagnostic(file, err))
 		return res
@@ -98,32 +80,26 @@ func RunLambdaContext(ctx context.Context, cfg LambdaConfig, file, src string) *
 	checker.Monomorphic = cfg.Monomorphic
 	res.Checker = checker
 
-	sp = tr.Start("driver", "lambda.constrain")
-	start = time.Now()
+	cons := startStage(tr, "lambda.constrain", &res.Timings.Constrain)
 	qt, err := checker.Infer(nil, e)
-	res.Timings.Constrain = time.Since(start)
-	sp.End()
+	cons.end()
 	if err != nil {
 		res.Diagnostics = append(res.Diagnostics, typeErrorDiagnostic(err))
 		return res
 	}
 
-	sp = tr.Start("driver", "lambda.solve")
-	start = time.Now()
+	solve := startStage(tr, "lambda.solve", &res.Timings.Solve)
 	conflicts := checker.Sys.Solve()
-	res.Timings.Solve = time.Since(start)
-	sp.End()
+	solve.end()
 	res.Type = qt
 	for _, u := range conflicts {
 		res.Diagnostics = append(res.Diagnostics, conflictDiagnostic(cfg.Spec.Set, nil, u))
 	}
 
 	if cfg.Eval && !res.HasErrors() {
-		sp = tr.Start("driver", "lambda.eval")
-		start = time.Now()
+		ev := startStage(tr, "lambda.eval", &res.Timings.Eval)
 		v, err := eval.Run(cfg.Spec.Set, eval.LitQual(cfg.Spec.Rules.LitQual), e, 0)
-		res.Timings.Eval = time.Since(start)
-		sp.End()
+		ev.end()
 		if err != nil {
 			res.Diagnostics = append(res.Diagnostics, evalDiagnostic(err))
 		} else {

@@ -288,8 +288,6 @@ func (e *engine) SolveSession(context.Context, *constraint.Session) []*constrain
 	return e.sys.Solve()
 }
 
-func (e *engine) SolveStats() constraint.SolveStats { return e.sys.Stats() }
-
 func (e *engine) Set() *qual.Set { return e.set }
 
 // Classify reads the solved system back as the shared report shape:

@@ -185,11 +185,10 @@ func (t *Tracer) WriteJSON(w io.Writer) error {
 		return spans[i].seq < spans[j].seq
 	})
 
-	var b strings.Builder
-	b.WriteString(`{"traceEvents":[`)
+	b := []byte(`{"traceEvents":[`)
 	for i, s := range spans {
 		if i > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
 		end := s.end
 		if s.open {
@@ -200,31 +199,31 @@ func (t *Tracer) WriteJSON(w io.Writer) error {
 		if dur < 0 {
 			dur = 0
 		}
-		b.WriteString(`{"name":`)
-		b.WriteString(quoteJSON(s.name))
-		b.WriteString(`,"cat":`)
-		b.WriteString(quoteJSON(s.cat))
-		b.WriteString(`,"ph":"X","ts":`)
-		b.WriteString(formatMicros(ts))
-		b.WriteString(`,"dur":`)
-		b.WriteString(formatMicros(dur))
-		b.WriteString(`,"pid":1,"tid":1`)
+		b = append(b, `{"name":`...)
+		b = AppendJSONString(b, s.name)
+		b = append(b, `,"cat":`...)
+		b = AppendJSONString(b, s.cat)
+		b = append(b, `,"ph":"X","ts":`...)
+		b = append(b, formatMicros(ts)...)
+		b = append(b, `,"dur":`...)
+		b = append(b, formatMicros(dur)...)
+		b = append(b, `,"pid":1,"tid":1`...)
 		if len(s.attrs) > 0 {
-			b.WriteString(`,"args":{`)
+			b = append(b, `,"args":{`...)
 			for j, a := range s.attrs {
 				if j > 0 {
-					b.WriteByte(',')
+					b = append(b, ',')
 				}
-				b.WriteString(quoteJSON(a.Key))
-				b.WriteByte(':')
-				b.WriteString(encodeValue(a.Value))
+				b = AppendJSONString(b, a.Key)
+				b = append(b, ':')
+				b = appendValue(b, a.Value)
 			}
-			b.WriteByte('}')
+			b = append(b, '}')
 		}
-		b.WriteByte('}')
+		b = append(b, '}')
 	}
-	b.WriteString(`],"displayTimeUnit":"ms"}`)
-	_, err := io.WriteString(w, b.String())
+	b = append(b, `],"displayTimeUnit":"ms"}`...)
+	_, err := w.Write(b)
 	return err
 }
 
@@ -235,58 +234,27 @@ func formatMicros(v float64) string {
 	return strings.TrimSuffix(s, ".000")
 }
 
-// encodeValue renders an attribute value as JSON. Only the types the
+// appendValue appends an attribute value as JSON. Only the types the
 // Attr constructors produce (string, int, bool) plus a few numeric
 // conveniences are supported; anything else is rendered via %v as a
 // string, keeping export total.
-func encodeValue(v any) string {
+func appendValue(b []byte, v any) []byte {
 	switch v := v.(type) {
 	case string:
-		return quoteJSON(v)
+		return AppendJSONString(b, v)
 	case int:
-		return strconv.Itoa(v)
+		return strconv.AppendInt(b, int64(v), 10)
 	case int32:
-		return strconv.FormatInt(int64(v), 10)
+		return strconv.AppendInt(b, int64(v), 10)
 	case int64:
-		return strconv.FormatInt(v, 10)
+		return strconv.AppendInt(b, v, 10)
 	case uint64:
-		return strconv.FormatUint(v, 10)
+		return strconv.AppendUint(b, v, 10)
 	case bool:
-		return strconv.FormatBool(v)
+		return strconv.AppendBool(b, v)
 	case float64:
-		return strconv.FormatFloat(v, 'g', -1, 64)
+		return strconv.AppendFloat(b, v, 'g', -1, 64)
 	default:
-		return quoteJSON(fmt.Sprintf("%v", v))
+		return AppendJSONString(b, fmt.Sprintf("%v", v))
 	}
-}
-
-// quoteJSON escapes a string as a JSON string literal. Only the escapes
-// JSON requires are applied; all output is ASCII-safe for the control
-// range and passes non-ASCII through verbatim (valid UTF-8 in, valid
-// JSON out).
-func quoteJSON(s string) string {
-	var b strings.Builder
-	b.WriteByte('"')
-	for _, r := range s {
-		switch r {
-		case '"':
-			b.WriteString(`\"`)
-		case '\\':
-			b.WriteString(`\\`)
-		case '\n':
-			b.WriteString(`\n`)
-		case '\r':
-			b.WriteString(`\r`)
-		case '\t':
-			b.WriteString(`\t`)
-		default:
-			if r < 0x20 {
-				fmt.Fprintf(&b, `\u%04x`, r)
-			} else {
-				b.WriteRune(r)
-			}
-		}
-	}
-	b.WriteByte('"')
-	return b.String()
 }

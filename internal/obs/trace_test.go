@@ -142,9 +142,13 @@ func TestOpenSpansFlushedAtExport(t *testing.T) {
 	}
 }
 
+// TestQuoteJSONEscapes: names and attributes round-trip through the
+// export, among them HTML-sensitive bytes, a control character, a line
+// separator and an invalid UTF-8 byte, which decodes as U+FFFD.
 func TestQuoteJSONEscapes(t *testing.T) {
+	const odd = "a<b&c\bd\u2028e\xfff"
 	tr := NewTracer(NewFakeClock(time.Unix(0, 0), time.Microsecond))
-	tr.Start("c", `quote " back \ newline`+"\n", String("k", "v\twith\ttabs")).End()
+	tr.Start("c", `quote " back \ newline`+"\n", String("k", "v\twith\ttabs"), String("odd", odd)).End()
 	var buf bytes.Buffer
 	if err := tr.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
@@ -155,5 +159,8 @@ func TestQuoteJSONEscapes(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), `\t`) {
 		t.Fatalf("tabs not escaped: %s", buf.String())
+	}
+	if got, want := f.TraceEvents[0].Args["odd"], strings.ToValidUTF8(odd, "\ufffd"); got != want {
+		t.Errorf("attribute round-trip = %q, want %q\n%s", got, want, buf.Bytes())
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -51,6 +52,10 @@ func TestMetricsPrometheus(t *testing.T) {
 	if m.Requests != 1 || m.Analyses != 1 || m.Stages.Runs != 1 {
 		t.Errorf("requests/analyses/runs = %d/%d/%d, want 1/1/1", m.Requests, m.Analyses, m.Stages.Runs)
 	}
+	st := m.Stages
+	if sum := st.BuildMS + st.ConstrainMS + st.SolveMS + st.ClassifyMS; math.Abs(st.AnalysisMS-sum) > 1e-9*sum {
+		t.Errorf("analysis_ms = %v, want build+constrain+solve+classify = %v", st.AnalysisMS, sum)
+	}
 
 	resp, data = getMetrics(t, ts, "text/plain")
 	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
@@ -62,13 +67,22 @@ func TestMetricsPrometheus(t *testing.T) {
 		"cquald_requests_total 1",
 		"# TYPE cquald_request_seconds histogram",
 		`cquald_request_seconds_bucket{cache="miss",le="+Inf"} 1`,
+		`cquald_stage_seconds_bucket{stage="load",le="+Inf"} 1`,
+		`cquald_stage_seconds_bucket{stage="parse",le="+Inf"} 1`,
+		`cquald_stage_seconds_bucket{stage="build",le="+Inf"} 1`,
+		`cquald_stage_seconds_bucket{stage="constrain",le="+Inf"} 1`,
 		`cquald_stage_seconds_bucket{stage="solve",le="+Inf"} 1`,
+		`cquald_stage_seconds_bucket{stage="classify",le="+Inf"} 1`,
+		`cquald_stage_seconds_bucket{stage="report",le="+Inf"} 1`,
 		`cquald_analysis_requests_total{analysis="const"} 1`,
 		`cquald_cache_misses{cache="result"} 1`,
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("prometheus text missing %q", want)
 		}
+	}
+	if strings.Contains(text, `stage="eval"`) {
+		t.Error(`prometheus text has a stage="eval" series: cquald runs no lambda programs`)
 	}
 
 	// ?format=prometheus selects the same rendering without the header.

@@ -57,6 +57,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/pprof"
 	"runtime"
@@ -109,23 +110,6 @@ const maxRequestBytes = 64 << 20
 // SLO, the one SLO the server tracks (at obs.SLOTarget).
 const analyzeObjective = 250 * time.Millisecond
 
-// stage indexes the per-stage aggregates. The order matches the driver
-// pipeline and the Prometheus "stage" label values.
-const (
-	stageLoad = iota
-	stageParse
-	stageBuild
-	stageConstrain
-	stageSolve
-	stageClassify
-	stageReport
-	numStages
-)
-
-var stageNames = [numStages]string{
-	"load", "parse", "build", "constrain", "solve", "classify", "report",
-}
-
 // Server is the analysis service. Create with New; it implements
 // http.Handler and is safe for concurrent use.
 type Server struct {
@@ -144,7 +128,7 @@ type Server struct {
 	inFlight atomic.Int64 // analyze requests currently being served
 
 	stageRuns atomic.Uint64             // completed runs contributing to the stage sums
-	stageHist [numStages]*obs.Histogram // per-stage latency, seconds
+	stageHist map[string]*obs.Histogram // per-stage latency by driver stage name, seconds
 	reqHist   map[string]*obs.Histogram // end-to-end latency by cache hit/miss/session
 
 	// Summed solver system sizes (see constraint.SolveStats).
@@ -259,8 +243,10 @@ func (s *Server) registerMetrics() {
 		"session": r.NewHistogram("cquald_request_seconds",
 			"End-to-end analyze latency, by result-cache outcome.", nil, obs.L("cache", "session")),
 	}
-	for i, name := range stageNames {
-		s.stageHist[i] = r.NewHistogram("cquald_stage_seconds",
+	var names driver.Timings // read for its stage names only
+	s.stageHist = map[string]*obs.Histogram{}
+	for name := range names.ProgramStages {
+		s.stageHist[name] = r.NewHistogram("cquald_stage_seconds",
 			"Per-stage pipeline latency over completed analyses.", nil, obs.L("stage", name))
 	}
 
@@ -575,7 +561,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	}
 	s.analyses.Inc()
 	s.countDiagnostics(res.Diagnostics)
-	s.recordTimings(res.Timings, res.Solver)
+	s.recordTimings(&res.Timings, res.Solver)
 	if session {
 		s.writeReport(w, report, "session")
 		fin.cacheState = "session"
@@ -640,11 +626,9 @@ func (s *Server) writeReport(w http.ResponseWriter, report []byte, cacheState st
 	w.Write([]byte{'\n'})
 }
 
-func (s *Server) recordTimings(t driver.Timings, st constraint.SolveStats) {
-	for i, d := range [numStages]time.Duration{
-		t.Load, t.Parse, t.Build, t.Constrain, t.Solve, t.Classify, t.Report,
-	} {
-		s.stageHist[i].Observe(d.Seconds())
+func (s *Server) recordTimings(t *driver.Timings, st constraint.SolveStats) {
+	for name, d := range t.ProgramStages {
+		s.stageHist[name].Observe(d.Seconds())
 	}
 	s.stageRuns.Add(1)
 	s.solverVars.Add(uint64(st.Vars))
@@ -889,7 +873,13 @@ func (s *Server) Snapshot() Metrics {
 		}
 		per[name] = AnalysisMetrics{Requests: req, Diagnostics: diag}
 	}
-	stageMS := func(i int) float64 { return s.stageHist[i].Sum() * 1000 }
+	// The sums go back into a Timings, so analysis_ms is
+	// Timings.Analysis over them.
+	var sum driver.Timings
+	for name, d := range sum.ProgramStages {
+		*d = time.Duration(math.Round(s.stageHist[name].Sum() * float64(time.Second)))
+	}
+	ms := func(d time.Duration) float64 { return d.Seconds() * 1000 }
 	return Metrics{
 		UptimeMS:    time.Since(s.start).Seconds() * 1000,
 		Requests:    s.requests.Value(),
@@ -902,14 +892,14 @@ func (s *Server) Snapshot() Metrics {
 		Solver:      SolverTotals{Vars: s.solverVars.Value(), Constraints: s.solverConstraints.Value()},
 		Stages: StageTotals{
 			Runs:        s.stageRuns.Load(),
-			LoadMS:      stageMS(stageLoad),
-			ParseMS:     stageMS(stageParse),
-			BuildMS:     stageMS(stageBuild),
-			ConstrainMS: stageMS(stageConstrain),
-			SolveMS:     stageMS(stageSolve),
-			ClassifyMS:  stageMS(stageClassify),
-			ReportMS:    stageMS(stageReport),
-			AnalysisMS:  stageMS(stageBuild) + stageMS(stageConstrain) + stageMS(stageSolve) + stageMS(stageClassify),
+			LoadMS:      ms(sum.Load),
+			ParseMS:     ms(sum.Parse),
+			BuildMS:     ms(sum.Build),
+			ConstrainMS: ms(sum.Constrain),
+			SolveMS:     ms(sum.Solve),
+			ClassifyMS:  ms(sum.Classify),
+			ReportMS:    ms(sum.Report),
+			AnalysisMS:  ms(sum.Analysis()),
 		},
 	}
 }
