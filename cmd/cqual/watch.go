@@ -1,11 +1,12 @@
 package main
 
-// -watch mode: cqual walks a directory tree for the active front end's
-// source files (stdlib only — filepath.WalkDir plus mtime/size stamps,
-// no platform notification APIs) and, whenever a file appears, changes,
-// or disappears, runs over the whole tree exactly what a one-shot cqual
-// with the same flags runs, printing what it prints under a
-// "watch: run N: K file(s)" header.
+// -watch mode: cqual polls the list of source files the active front
+// end reads from a directory tree (driver.FrontEnd.Tree: the .c files for
+// C, go/build's selection under dir/... for Go) and stamps each with its
+// mtime and size (stdlib only, no platform notification APIs). Whenever
+// a file appears, changes, or disappears, it runs over those files
+// exactly what a one-shot cqual with the same flags runs, printing what
+// it prints under a "watch: run N: K file(s)" header.
 
 import (
 	"context"
@@ -14,8 +15,6 @@ import (
 	"log/slog"
 	"os"
 	"os/signal"
-	"path/filepath"
-	"sort"
 	"strings"
 	"syscall"
 	"time"
@@ -67,7 +66,7 @@ type watcher struct {
 	local       *localRun
 	out, errOut io.Writer
 	log         *slog.Logger
-	exts        []string // source extensions claimed by the front end
+	fe          driver.FrontEnd
 	seen        map[string]fileStamp
 	runs        int
 
@@ -86,60 +85,27 @@ func newWatcher(dir string, local *localRun, out, errOut io.Writer) *watcher {
 		out:    out,
 		errOut: errOut,
 		log:    slog.New(slog.NewTextHandler(io.Discard, nil)),
-		exts:   fe.Extensions(),
+		fe:     fe,
 		seen:   make(map[string]fileStamp),
 	}
 }
 
-// skipWatchDir reports whether a subdirectory is outside the corpus:
-// hidden, underscore-prefixed, vendored, or test fixtures — the same
-// set the go tool ignores.
-func skipWatchDir(name string) bool {
-	return strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") ||
-		name == "vendor" || name == "testdata"
-}
-
-// scan stamps every source file under the watched tree whose extension
-// the active front end claims and reports whether the set differs from
-// the last scan.
+// scan stamps every source file the front end lists under the watched
+// tree and reports whether the set differs from the last scan.
 func (w *watcher) scan() (paths []string, changed bool, err error) {
-	now := make(map[string]fileStamp)
-	err = filepath.WalkDir(w.dir, func(path string, d os.DirEntry, err error) error {
-		if err != nil {
-			if path == w.dir {
-				return err
-			}
-			return nil // a subtree vanished mid-walk; next poll settles it
-		}
-		if d.IsDir() {
-			if path != w.dir && skipWatchDir(d.Name()) {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		ext := filepath.Ext(d.Name())
-		claimed := false
-		for _, e := range w.exts {
-			if ext == e {
-				claimed = true
-				break
-			}
-		}
-		if !claimed || strings.HasSuffix(d.Name(), "_test.go") {
-			return nil
-		}
-		info, err := d.Info()
-		if err != nil {
-			return nil // deleted between WalkDir and Stat; next poll settles it
-		}
-		now[path] = fileStamp{mod: info.ModTime(), size: info.Size()}
-		paths = append(paths, path)
-		return nil
-	})
+	listed, err := w.fe.Tree(w.dir)
 	if err != nil {
 		return nil, false, err
 	}
-	sort.Strings(paths)
+	now := make(map[string]fileStamp, len(listed))
+	for _, path := range listed {
+		info, err := os.Lstat(path)
+		if err != nil {
+			continue // deleted since the listing; next poll settles it
+		}
+		now[path] = fileStamp{mod: info.ModTime(), size: info.Size()}
+		paths = append(paths, path)
+	}
 	if len(now) != len(w.seen) {
 		changed = true
 	} else {
@@ -167,7 +133,7 @@ func (w *watcher) poll(ctx context.Context) (bool, error) {
 	}
 	w.runs++
 	if len(paths) == 0 {
-		fmt.Fprintf(w.out, "watch: no %s files in %s\n", strings.Join(w.exts, "/"), w.dir)
+		fmt.Fprintf(w.out, "watch: no %s files in %s\n", strings.Join(w.fe.Extensions(), "/"), w.dir)
 		return false, nil
 	}
 	w.reanalyses++

@@ -189,6 +189,39 @@ func TestWatcherGoLang(t *testing.T) {
 	w.pollSameAsOneShot(t, path)
 }
 
+// TestWatcherGoSelection pins that a -lang go watch reads the files a
+// one-shot run over DIR/... reads: go/build's selection, which leaves
+// out a file for another GOOS, a //go:build ignore file and tests.
+func TestWatcherGoSelection(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.MkdirAll(filepath.Join(dir, "p"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for i, f := range []struct{ name, text string }{
+		{"go.mod", "module example.com/w\n\ngo 1.24\n"},
+		{"p/x.go", "package p\n\nvar X int\n\nfunc Set(p *int) { *p = X }\n"},
+		{"p/x_windows.go", "package p\n\nvar X int\n\nfunc Get(p *int) int { return *p }\n"},
+		{"p/skip.go", "//go:build ignore\n\npackage p\n\nfunc Skip(p *int) {}\n"},
+		{"p/x_test.go", "package p\n\nfunc helper(p *int) {}\n"},
+	} {
+		writeStamped(t, filepath.Join(dir, f.name), f.text, i+1)
+	}
+
+	local := &localRun{cfg: driver.Config{Lang: "go", Analyses: []string{"const"}}, verbose: true}
+	w := newTestWatcher(dir, local)
+	if ran, err := w.poll(context.Background()); err != nil || !ran {
+		t.Fatalf("poll: ran=%v err=%v\n%s%s", ran, err, w.out.String(), w.errOut.String())
+	}
+	var out, errOut strings.Builder
+	local.run(context.Background(), []string{dir + "/..."}, &out, &errOut)
+	if want := "watch: run 1: 1 file(s)\n" + out.String(); w.out.String() != want {
+		t.Fatalf("first watch run differs from a one-shot run over %s/...:\n%s\n--- want ---\n%s", dir, w.out.String(), want)
+	}
+	if w.errOut.String() != errOut.String() {
+		t.Fatalf("watch run stderr differs from a one-shot run:\n%s\n--- want ---\n%s", w.errOut.String(), errOut.String())
+	}
+}
+
 // TestWatcherEmptyMessage pins that the no-sources message names the
 // front end's actual extensions, not a hard-coded .c.
 func TestWatcherEmptyMessage(t *testing.T) {

@@ -4,11 +4,11 @@
 // (Definitions 1–2 of "A Theory of Type Qualifiers", PLDI 1999).
 //
 // An Analysis value describes one qualifier analysis: the qualifier it
-// contributes to the product lattice, the per-construct hooks the C
-// front end invokes while generating constraints (declaration seeding,
-// the Assign' write rule, the conservative library rule), and the
-// annotation vocabulary a prelude file may use to declare library
-// seeds and sinks. Analyses are registered by name; a Suite binds a
+// contributes to the product lattice, the per-construct hooks both
+// front ends invoke while generating constraints (declaration seeding,
+// the Assign' write rule, the return rule, the conservative library
+// rule), and the annotation vocabulary a prelude file may use to
+// declare library seeds and sinks. Analyses are registered by name; a Suite binds a
 // chosen set of them to one shared product lattice so they all run in a
 // single constraint pass, separated by the per-component masks the
 // solver already supports.
@@ -92,11 +92,12 @@ type LibUse struct {
 	Implicit bool
 }
 
-// Hooks are the per-construct extension points of the C constraint
-// generator. A nil hook means the analysis has no rule for that
-// construct. Hooks must be pure constraint emitters: they may only add
-// constraints to the supplied system (workers run them concurrently on
-// private systems).
+// Hooks are the per-construct extension points of the constraint
+// generators. A nil hook means the analysis has no rule for that
+// construct. Both engines fire DeclQual, Write and Return through the
+// Suite methods of the same names; each applies LibRef itself, at the
+// point its library-call rule sits. Hooks must be pure constraint
+// emitters: they may only add constraints to the supplied system.
 type Hooks struct {
 	// DeclQual seeds a freshly created reference from source-declared C
 	// qualifiers: declaredConst reports a const spelled on the
@@ -418,6 +419,38 @@ func (s *Suite) Bindings() []*Binding { return s.bindings }
 
 // Binding returns the named binding, or nil.
 func (s *Suite) Binding(name string) *Binding { return s.byName[name] }
+
+// DeclQual runs every analysis's DeclQual hook, in binding order, on a
+// freshly created reference q.
+func (s *Suite) DeclQual(sys *constraint.System, q constraint.Term, declaredConst bool, constPos constraint.Pos) {
+	for _, b := range s.bindings {
+		if h := b.A.Hooks.DeclQual; h != nil {
+			h(sys, b, q, declaredConst, constPos)
+		}
+	}
+}
+
+// Write runs every analysis's write rule (the paper's Assign'), in
+// binding order, on a written-through reference and the qualifiers
+// guarding it.
+func (s *Suite) Write(sys *constraint.System, target constraint.Term, guards []constraint.Term, why constraint.Reason) {
+	for _, b := range s.bindings {
+		if h := b.A.Hooks.Write; h != nil {
+			h(sys, b, target, guards, why)
+		}
+	}
+}
+
+// Return runs every analysis's Return hook, in binding order, on a value
+// returned at pos from the defined function fn. The reason, "returned
+// from fn", is built only when some analysis has the hook.
+func (s *Suite) Return(sys *constraint.System, ret constraint.Term, pos constraint.Pos, fn string) {
+	for _, b := range s.bindings {
+		if h := b.A.Hooks.Return; h != nil {
+			h(sys, b, ret, constraint.Reason{Pos: pos, Msg: "returned from " + fn})
+		}
+	}
+}
 
 // Owner names the analysis owning the lowest lattice component set in
 // bits — the analysis a conflict on those bits belongs to. Bindings

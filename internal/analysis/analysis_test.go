@@ -137,3 +137,43 @@ func TestSuiteOwner(t *testing.T) {
 		t.Errorf("Owner(0) = %q, want empty", got)
 	}
 }
+
+// TestSuiteHooks pins the suite's hook dispatch: each method runs the
+// hook of every binding that has one, and the calls the C translator
+// makes for every reference (DeclQual with no declared const) and every
+// return (Return when no analysis has the hook) allocate nothing.
+func TestSuiteHooks(t *testing.T) {
+	suite, err := NewSuite([]string{"const", "fdstate", "unique"}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys := constraint.NewSystem(suite.Set())
+	q, g := constraint.V(sys.Fresh()), constraint.V(sys.Fresh())
+	pos := constraint.Pos{File: "f.c", Line: 3}
+	for _, c := range []struct {
+		name string
+		fire func()
+		want int // constraints added
+	}{
+		{"DeclQual undeclared", func() { suite.DeclQual(sys, q, false, pos) }, 0},
+		{"DeclQual declared (const)", func() { suite.DeclQual(sys, q, true, pos) }, 1},
+		{"Write (const, unique)", func() { suite.Write(sys, q, []constraint.Term{g}, constraint.Reason{}) }, 4},
+		{"Return (fdstate)", func() { suite.Return(sys, q, pos, "f") }, 1},
+	} {
+		before := sys.NumConstraints()
+		c.fire()
+		if got := sys.NumConstraints() - before; got != c.want {
+			t.Errorf("%s added %d constraints, want %d", c.name, got, c.want)
+		}
+	}
+
+	constOnly := Default()
+	csys := constraint.NewSystem(constOnly.Set())
+	v := constraint.V(csys.Fresh())
+	if n := testing.AllocsPerRun(100, func() {
+		constOnly.DeclQual(csys, v, false, pos)
+		constOnly.Return(csys, v, pos, "f")
+	}); n != 0 {
+		t.Errorf("DeclQual and Return with nothing to add: %v allocations, want 0", n)
+	}
+}

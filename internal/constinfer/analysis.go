@@ -61,8 +61,9 @@ func (v Verdict) String() string {
 	}
 }
 
-// Position is one interesting const position: a pointer level in a
-// parameter or result of a defined function.
+// Position is one interesting const position: a reference level in a
+// parameter or result of a defined function. Both engines record them
+// and Classify gives each its verdict.
 type Position struct {
 	// Func is the defined function owning the position.
 	Func string
@@ -74,10 +75,11 @@ type Position struct {
 	Depth int
 	// Declared reports whether the source already spelled const here.
 	Declared bool
+	// Q is the qualifier variable of the reference level, the one the
+	// verdict reads.
+	Q constraint.Var
 	// Pos locates the parameter or result in the source.
 	Pos constraint.Pos
-
-	ref *RType
 }
 
 // PositionResult is a classified position.
@@ -170,7 +172,7 @@ type Analysis struct {
 	globals   map[string]*RType // l-value refs
 	funcs     map[string]*funcInfo
 	enums     map[string]bool
-	positions []*Position
+	positions []Position
 
 	// suite holds the bound analyses; constActive caches whether the
 	// const analysis is among them (position classification is
@@ -356,11 +358,15 @@ func (a *Analysis) Constrain() {
 	a.ConstrainContext(context.Background(), 0)
 }
 
-// ConstrainContext is Constrain with tracing. When the context carries
-// an obs.Tracer, the stage emits "constrain.signatures" and
-// "constrain.globals" spans plus one "constrain.func" span per function
-// body, with the function name. The int argument has no effect; it is
-// the jobs parameter of driver.Engine, kept for bench/replay.go.
+// ConstrainContext is Constrain with tracing and cancellation. When the
+// context carries an obs.Tracer, the stage emits "constrain.signatures"
+// and "constrain.globals" spans plus one "constrain.func" span per
+// function body, with the function name. The context is checked after
+// each component (after its generalization in polymorphic mode); once it
+// is done, the remaining bodies and the global initializers are skipped
+// and the system is left partial, for the driver to report ctx.Err().
+// The int argument has no effect; it is the jobs parameter of
+// driver.Engine, kept for bench/replay.go.
 func (a *Analysis) ConstrainContext(ctx context.Context, _ int) {
 	tr := obs.FromContext(ctx)
 	a.Prepare()
@@ -374,10 +380,10 @@ func (a *Analysis) ConstrainContext(ctx context.Context, _ int) {
 		for _, fi := range a.sccFuncs(scc) {
 			a.tr.file = fi.file
 			fi.sig = a.tr.RValue(fi.decl.Type)
-			a.positions = a.appendPositions(a.positions, fi)
 		}
 		scc.sigVars[1], scc.sigCons[1] = a.mark()
 	}
+	a.positions = a.collectPositions()
 	sp.End()
 
 	for i := range a.sccs {
@@ -394,6 +400,9 @@ func (a *Analysis) ConstrainContext(ctx context.Context, _ int) {
 		scc.bodyVars[1], scc.bodyCons[1] = a.mark()
 		if a.opts.Poly {
 			a.generalizeSCC(scc)
+		}
+		if ctx.Err() != nil {
+			return
 		}
 	}
 	sp = tr.Start("constinfer", "constrain.globals")
@@ -668,14 +677,40 @@ func collectVars(t *RType, out []constraint.Var) []constraint.Var {
 	return out
 }
 
-// appendPositions appends the interesting const positions of a defined
-// function to ps: every pointer level of every parameter and of the
-// result. Positions are a const-analysis concept; suites without const
-// track none.
-func (a *Analysis) appendPositions(ps []*Position, fi *funcInfo) []*Position {
+// collectPositions returns the interesting const positions of the
+// defined functions, component by component: every pointer level of
+// every parameter and of the result. Positions are a const-analysis
+// concept; suites without const track none. A large program has one
+// per pointer level of every signature, so the slice is sized first.
+func (a *Analysis) collectPositions() []Position {
 	if !a.constActive {
-		return ps
+		return nil
 	}
+	n := 0
+	for _, fi := range a.members {
+		for _, p := range fi.sig.Params() {
+			n += refLevels(p)
+		}
+		n += refLevels(fi.sig.Ret())
+	}
+	ps := make([]Position, 0, n)
+	for _, fi := range a.members {
+		ps = a.appendPositions(ps, fi)
+	}
+	return ps
+}
+
+// refLevels counts the reference levels along t's pointer spine.
+func refLevels(t *RType) int {
+	n := 0
+	for ; isRef(t); t = t.Elem {
+		n++
+	}
+	return n
+}
+
+// appendPositions appends the positions of a defined function to ps.
+func (a *Analysis) appendPositions(ps []Position, fi *funcInfo) []Position {
 	declPos := filePos(fi.file, fi.decl.Pos)
 	declParams := fi.decl.Type.Params()
 	for i, p := range fi.sig.Params() {
@@ -688,16 +723,16 @@ func (a *Analysis) appendPositions(ps []*Position, fi *funcInfo) []*Position {
 			}
 		}
 		for depth, r := 0, p; isRef(r); depth, r = depth+1, r.Elem {
-			ps = append(ps, &Position{
+			ps = append(ps, Position{
 				Func: fi.name, Param: name, Index: i, Depth: depth,
-				Declared: r.DeclaredConst, Pos: pos, ref: r,
+				Declared: r.DeclaredConst, Q: r.Q.Var(), Pos: pos,
 			})
 		}
 	}
 	for depth, r := 0, fi.sig.Ret(); isRef(r); depth, r = depth+1, r.Elem {
-		ps = append(ps, &Position{
+		ps = append(ps, Position{
 			Func: fi.name, Index: -1, Depth: depth,
-			Declared: r.DeclaredConst, Pos: declPos, ref: r,
+			Declared: r.DeclaredConst, Q: r.Q.Var(), Pos: declPos,
 		})
 	}
 	return ps
@@ -724,37 +759,43 @@ func (a *Analysis) useFunc(fi *funcInfo) *RType {
 }
 
 // Classify is the final stage: it interprets the solved system over the
-// recorded positions and assembles the report.
+// recorded positions and adds the C engine's counts and suggestions to
+// the shared report.
 func (a *Analysis) Classify(conflicts []*constraint.Unsat) *Report {
+	rep := Classify(a.sys, conflicts, a.positions)
+	rep.Functions = len(a.defined)
+	rep.SCCs = len(a.sccs)
+	rep.Suggested = a.buildSuggestions(rep)
+	return rep
+}
+
+// Classify builds the report of a solved run, whatever front end
+// produced its constraints (Section 4.2's three outcomes): every
+// position's verdict, the Table 2 counters, the solver's size and the
+// conflicts. The engine adds what only it knows.
+func Classify(sys *constraint.System, conflicts []*constraint.Unsat, positions []Position) *Report {
 	rep := &Report{
 		Conflicts:   conflicts,
-		Functions:   len(a.defined),
-		SCCs:        len(a.sccs),
-		Constraints: a.sys.NumConstraints(),
-		Vars:        a.sys.NumVars(),
-		Positions:   make([]PositionResult, 0, len(a.positions)),
+		Constraints: sys.NumConstraints(),
+		Vars:        sys.NumVars(),
+		Total:       len(positions),
+		Positions:   make([]PositionResult, len(positions)),
 	}
-	for _, p := range a.positions {
+	for i, p := range positions {
 		v := Either
-		if p.ref.Q.IsVar() {
-			switch {
-			case a.sys.Forced(p.ref.Q.Var(), "const"):
-				v = MustConst
-			case a.sys.Forbidden(p.ref.Q.Var(), "const"):
-				v = MustNotConst
-			}
-		} else if a.set.Has(p.ref.Q.Const(), "const") {
+		switch {
+		case sys.Forced(p.Q, "const"):
 			v = MustConst
+		case sys.Forbidden(p.Q, "const"):
+			v = MustNotConst
 		}
-		rep.Total++
 		if p.Declared {
 			rep.Declared++
 		}
-		if v == MustConst || v == Either {
+		if v != MustNotConst {
 			rep.Inferred++
 		}
-		rep.Positions = append(rep.Positions, PositionResult{Position: *p, Verdict: v})
+		rep.Positions[i] = PositionResult{Position: p, Verdict: v}
 	}
-	rep.Suggested = a.buildSuggestions(rep)
 	return rep
 }

@@ -130,11 +130,7 @@ func (a *Analysis) stmt(env *env, s cfront.Stmt) {
 			rv := a.exprR(env, s.Value)
 			a.tr.subtype(rv, env.fn.sig.Ret(), a.tr.why(s.Pos, "returned value"))
 			if rv != nil {
-				for _, b := range a.suite.Bindings() {
-					if h := b.A.Hooks.Return; h != nil {
-						h(a.sys, b, rv.Q, a.tr.why(s.Pos, "returned from "+env.fn.name))
-					}
-				}
+				a.suite.Return(a.sys, rv.Q, a.tr.pos(s.Pos), env.fn.name)
 			}
 		}
 	case *cfront.BreakStmt, *cfront.ContinueStmt, *cfront.GotoStmt:
@@ -300,17 +296,6 @@ func (a *Analysis) exprL(env *env, e cfront.Expr) (lv lval, ok bool) {
 	}
 }
 
-// forbidWrite runs every analysis's write rule (the paper's Assign') on
-// an l-value: for const it bounds the reference and guard qualifiers
-// away from const.
-func (a *Analysis) forbidWrite(lv lval, r constraint.Reason) {
-	for _, b := range a.suite.Bindings() {
-		if h := b.A.Hooks.Write; h != nil {
-			h(a.sys, b, lv.ref.Q, lv.guards, r)
-		}
-	}
-}
-
 // exprR computes the r-value type of an expression, generating flow
 // constraints along the way.
 func (a *Analysis) exprR(env *env, e cfront.Expr) *RType {
@@ -400,7 +385,7 @@ func (a *Analysis) exprR(env *env, e cfront.Expr) *RType {
 			a.exprR(env, e.L)
 			return rv
 		}
-		a.forbidWrite(lv, a.tr.why(e.Pos, "assignment target is written"))
+		a.suite.Write(a.sys, lv.ref.Q, lv.guards, a.tr.why(e.Pos, "assignment target is written"))
 		if e.Op == cfront.PlainAssign {
 			a.tr.subtype(rv, lv.ref.Elem, a.tr.why(e.Pos, "assigned value"))
 		}
@@ -532,7 +517,7 @@ func (a *Analysis) mutate(env *env, x cfront.Expr, pos cfront.Pos, what string) 
 	if !ok {
 		return a.exprR(env, x)
 	}
-	a.forbidWrite(lv, a.tr.why(pos, what+" target is written"))
+	a.suite.Write(a.sys, lv.ref.Q, lv.guards, a.tr.why(pos, what+" target is written"))
 	return lv.ref.Elem
 }
 

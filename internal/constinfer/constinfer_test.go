@@ -779,6 +779,68 @@ func TestLateCompletedStruct(t *testing.T) {
 	}
 }
 
+// TestStructUsedBeforeDefinition pins the verdicts when a struct's
+// fields are read and written through pointers in bodies and globals
+// that appear before its definition.
+func TestStructUsedBeforeDefinition(t *testing.T) {
+	rep := analyze(t, `
+		struct node;
+		struct node *head;
+		void set(struct node *n, int *v);
+		int get(struct node *n) { return *n->val; }
+		void set(struct node *n, int *v) { n->val = v; *head->val = 0; }
+		struct node { int *val; struct node *next; };
+		void link(struct node *a, struct node *b) { a->next = b; }`, Options{})
+	mustClean(t, rep)
+	for _, c := range []struct {
+		fn, param string
+		depth     int
+		want      Verdict
+	}{
+		{"get", "n", 0, Either},
+		{"set", "n", 0, MustNotConst},
+		// v flows into the shared field, which set writes through head.
+		{"set", "v", 0, MustNotConst},
+		{"link", "a", 0, MustNotConst},
+		{"link", "b", 0, Either},
+	} {
+		if p := find(t, rep, c.fn, c.param, c.depth); p.Verdict != c.want {
+			t.Errorf("%s.%s depth %d = %v, want %v", c.fn, c.param, c.depth, p.Verdict, c.want)
+		}
+	}
+}
+
+// TestConditionalOverFunctionPointers pins ?: over two pointers to
+// function pointers: the merged value gets a fresh copy of the function
+// type, and a call through it still reaches the function it holds.
+func TestConditionalOverFunctionPointers(t *testing.T) {
+	for _, poly := range []bool{false, true} {
+		rep := analyze(t, `
+			void put(char *p) { *p = 0; }
+			void pick(int c, void (**a)(char *), void (**b)(char *), char *s) {
+				(*(c ? a : b))(s);
+			}
+			void user(char *s) {
+				void (*f)(char *) = put;
+				void (*g)(char *) = put;
+				pick(1, &f, &g, s);
+			}`, Options{Poly: poly})
+		mustClean(t, rep)
+		for _, c := range []struct {
+			fn, param string
+			want      Verdict
+		}{
+			{"pick", "a", Either},
+			{"pick", "b", Either},
+			{"user", "s", MustNotConst},
+		} {
+			if p := find(t, rep, c.fn, c.param, 0); p.Verdict != c.want {
+				t.Errorf("poly=%v: %s.%s = %v, want %v", poly, c.fn, c.param, p.Verdict, c.want)
+			}
+		}
+	}
+}
+
 func TestRTypeString(t *testing.T) {
 	a := NewAnalysis(mustParseFiles(t, `
 		struct s { int x; };

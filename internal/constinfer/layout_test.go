@@ -55,7 +55,9 @@ func pointerWords(t reflect.Type) int {
 // follow from it, keep a C type record to its kind, spelling,
 // qualifiers, element and one pointer to the parts only functions,
 // arrays, structs and enums carry, keep RType free of write-only
-// fields, and keep the FDG's components free of pointers.
+// fields, keep the FDG's components free of pointers, and keep a
+// classified position, of which a large run holds one per pointer level
+// of every signature, to its names, numbers and qualifier variable.
 func TestASTLayout(t *testing.T) {
 	pos := reflect.TypeOf(cfront.Pos{})
 	if hasPointers(pos) {
@@ -74,6 +76,7 @@ func TestASTLayout(t *testing.T) {
 		{cfront.Type{}, 32, 2},
 		{RType{}, 48, 3},
 		{sccInfo{}, 40, 0},
+		{PositionResult{}, 96, 3},
 	} {
 		typ := reflect.TypeOf(c.v)
 		if size := typ.Size(); size > c.max {

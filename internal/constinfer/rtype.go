@@ -226,11 +226,7 @@ func (tr *translator) newRef(elem *RType, quals cfront.Quals) *RType {
 	if quals.Const {
 		constPos = tr.pos(quals.ConstPos)
 	}
-	for _, b := range tr.suite.Bindings() {
-		if h := b.A.Hooks.DeclQual; h != nil {
-			h(tr.sys, b, r.Q, quals.Const, constPos)
-		}
-	}
+	tr.suite.DeclQual(tr.sys, r.Q, quals.Const, constPos)
 	return r
 }
 

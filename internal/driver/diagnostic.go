@@ -37,36 +37,28 @@ func (s Severity) String() string {
 // Stage names the pipeline stage a diagnostic originated in.
 type Stage int
 
-// Pipeline stages.
+// Pipeline stages. StageLoad through StageSolve and StageEval are the
+// stages of those names in the stages table, which String reads;
+// StageInit is the definite-initialization check, whose time Timings
+// charges to the report stage.
 const (
 	StageLoad Stage = iota
 	StageParse
 	StageBuild
 	StageConstrain
 	StageSolve
-	StageClassify
 	StageInit
 	StageEval
 )
 
 func (s Stage) String() string {
-	switch s {
-	case StageLoad:
-		return "load"
-	case StageParse:
-		return "parse"
-	case StageBuild:
-		return "build"
-	case StageConstrain:
-		return "constrain"
-	case StageSolve:
-		return "solve"
-	case StageClassify:
-		return "classify"
-	case StageInit:
+	switch {
+	case s >= StageLoad && s <= StageSolve:
+		return stages[s].name
+	case s == StageInit:
 		return "initcheck"
-	case StageEval:
-		return "eval"
+	case s == StageEval:
+		return stages[len(stages)-1].name
 	default:
 		return fmt.Sprintf("Stage(%d)", int(s))
 	}

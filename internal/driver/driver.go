@@ -249,11 +249,12 @@ func Run(cfg Config, sources []Source) (*Result, error) {
 }
 
 // RunContext is Run with cancellation: the context is checked at every
-// stage boundary (and between parses), and a cancelled or expired
-// context aborts the pipeline with ctx.Err(). Cancellation granularity
-// is the stage — a long Constrain or Solve runs to completion before the
-// deadline is noticed — which keeps every stage's determinism guarantees
-// intact.
+// stage boundary, between parses, and inside Constrain (the C engine
+// after each component of the function dependence graph, the Go engine
+// between function bodies), and a cancelled or expired context aborts
+// the pipeline with ctx.Err(). A Solve runs to completion before the
+// deadline is noticed. A cancelled run returns no result, so a partial
+// constraint system is never classified.
 func RunContext(ctx context.Context, cfg Config, sources []Source) (*Result, error) {
 	if err := cfg.Check(); err != nil {
 		return nil, err

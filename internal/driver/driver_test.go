@@ -2,7 +2,11 @@ package driver
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -128,6 +132,37 @@ func TestRunRecoversConstrainPanic(t *testing.T) {
 	}
 	if res, err := Run(Config{}, []Source{TextSource("ok.c", "int f(int *p) { return *p; }")}); err != nil || res.Report == nil {
 		t.Errorf("run after the panics: err %v, report %v", err, res)
+	}
+}
+
+// TestRunCancelledInConstrain: a run cancelled while the C engine walks
+// bodies stops after the component it is in, in either mode, and fails
+// with the context's error. The first component is the mutually
+// recursive pair a0/a1; forty more functions follow it.
+func TestRunCancelledInConstrain(t *testing.T) {
+	var src strings.Builder
+	src.WriteString("int a0(int *p) { return a1(p); }\nint a1(int *p) { return *p ? a0(p) : 0; }\n")
+	for i := 0; i < 40; i++ {
+		fmt.Fprintf(&src, "void f%02d(char *p) { *p = %d; }\n", i, i)
+	}
+	src.WriteString("int g = 1;\n")
+	for _, opts := range []constinfer.Options{{}, {Poly: true}} {
+		ctx, cancel := context.WithCancel(context.Background())
+		var seen []string
+		restore := constinfer.SetBodyHookForTest(func(name string) {
+			seen = append(seen, name)
+			cancel()
+		})
+		res, err := RunContext(ctx, Config{Options: opts}, []Source{TextSource("many.c", src.String())})
+		restore()
+		cancel()
+		if !errors.Is(err, context.Canceled) || res != nil {
+			t.Errorf("opts %+v: RunContext = %v, %v; want nil, context.Canceled", opts, res, err)
+		}
+		slices.Sort(seen)
+		if !slices.Equal(seen, []string{"a0", "a1"}) {
+			t.Errorf("opts %+v: bodies walked = %v, want the first component's, a0 and a1", opts, seen)
+		}
 	}
 }
 
@@ -448,5 +483,19 @@ func TestRunNoSources(t *testing.T) {
 	}
 	if _, err := RunFiles(Config{}, nil); err == nil {
 		t.Error("RunFiles with no files should error")
+	}
+}
+
+// TestStageNames pins the stage names diagnostics print and the JSON
+// report's "stage" member carries.
+func TestStageNames(t *testing.T) {
+	for s, want := range map[Stage]string{
+		StageLoad: "load", StageParse: "parse", StageBuild: "build",
+		StageConstrain: "constrain", StageSolve: "solve",
+		StageInit: "initcheck", StageEval: "eval", StageEval + 1: "Stage(7)",
+	} {
+		if got := s.String(); got != want {
+			t.Errorf("Stage(%d) = %q, want %q", int(s), got, want)
+		}
 	}
 }

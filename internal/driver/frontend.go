@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"runtime"
 	"sort"
 	"strings"
@@ -40,9 +41,12 @@ type FrontEnd interface {
 	// Lang is the registry key and the -lang spelling ("c", "go").
 	Lang() string
 	// Extensions lists the source-file extensions the front end claims,
-	// leading dot included (".c"); directory watchers take their file
-	// filter from it.
+	// leading dot included (".c"), for messages about its sources.
 	Extensions() []string
+	// Tree lists the source files under the directory dir that a run
+	// over the whole tree reads (for Go, a run over dir/...), in the
+	// order that run reads them. Directory watchers poll it.
+	Tree(dir string) ([]string, error)
 	// Check validates a pipeline config against the front end's
 	// capabilities, as part of Config.Check (e.g. gofront rejects the
 	// polymorphic modes it does not implement yet).
@@ -142,6 +146,36 @@ func init() { RegisterFrontEnd(cFrontEnd{}) }
 func (cFrontEnd) Lang() string           { return "c" }
 func (cFrontEnd) Extensions() []string   { return []string{".c"} }
 func (cFrontEnd) Check(cfg Config) error { return nil }
+
+// Tree lists the .c files under dir, sorted, in every directory the go
+// tool would descend into (SkipTreeDir). A subtree that vanishes during
+// the walk is left out.
+func (cFrontEnd) Tree(dir string) ([]string, error) {
+	var paths []string
+	err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
+		switch {
+		case err != nil && path == dir:
+			return err
+		case err != nil:
+			return nil
+		case d.IsDir() && path != dir && SkipTreeDir(d.Name()):
+			return filepath.SkipDir
+		case !d.IsDir() && filepath.Ext(path) == ".c":
+			paths = append(paths, path)
+		}
+		return nil
+	})
+	sort.Strings(paths)
+	return paths, err
+}
+
+// SkipTreeDir reports whether a walk over a source tree leaves out the
+// subdirectory of this name: the go tool never descends into testdata,
+// vendor, or hidden or underscore-prefixed directories.
+func SkipTreeDir(name string) bool {
+	return name == "testdata" || name == "vendor" ||
+		strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")
+}
 
 // Load reads every source that does not already carry its text.
 func (cFrontEnd) Load(sources []Source) ([]Source, []error) {

@@ -116,18 +116,6 @@ func (bc *bodyCtx) bindSignature(ft *ast.FuncType, recv *ast.FieldList, sig *typ
 	}
 }
 
-// forbidWrite runs every analysis's write rule on an l-value.
-func (bc *bodyCtx) forbidWrite(lv *lval, r constraint.Reason) {
-	if lv == nil {
-		return
-	}
-	for _, b := range bc.e.suite.Bindings() {
-		if h := b.A.Hooks.Write; h != nil {
-			h(bc.e.sys, b, lv.ref.q, lv.guards, r)
-		}
-	}
-}
-
 func (bc *bodyCtx) stmt(s ast.Stmt) {
 	e := bc.e
 	switch s := s.(type) {
@@ -154,13 +142,14 @@ func (bc *bodyCtx) stmt(s ast.Stmt) {
 	case *ast.AssignStmt:
 		bc.assign(s)
 	case *ast.IncDecStmt:
-		lv := bc.exprL(s.X)
-		bc.forbidWrite(lv, e.why(s, "incremented"))
+		if lv := bc.exprL(s.X); lv != nil {
+			e.suite.Write(e.sys, lv.ref.q, lv.guards, e.why(s, "incremented"))
+		}
 	case *ast.SendStmt:
 		ch := bc.exprR(s.Chan)
 		v := bc.exprR(s.Value)
 		if ch != nil && ch.kind == rref {
-			bc.forbidWrite(&lval{ref: ch}, e.why(s, "sent on channel"))
+			e.suite.Write(e.sys, ch.q, nil, e.why(s, "sent on channel"))
 			e.tr.subtype(v, ch.elem, e.why(s, "channel send"))
 		}
 	case *ast.ReturnStmt:
@@ -208,67 +197,83 @@ func (bc *bodyCtx) stmt(s ast.Stmt) {
 
 // valueSpec handles `var x T = v` declarations inside a body.
 func (bc *bodyCtx) valueSpec(vs *ast.ValueSpec) {
-	e := bc.e
-	var rvs []*rtype
-	if len(vs.Values) == 1 && len(vs.Names) > 1 {
-		rvs = bc.exprMulti(vs.Values[0], len(vs.Names))
-	} else {
-		for _, v := range vs.Values {
-			rvs = append(rvs, bc.exprR(v))
-		}
-	}
+	rvs := bc.values(vs.Values, len(vs.Names))
 	for i, name := range vs.Names {
-		obj := bc.pkg.Info.Defs[name]
-		if obj == nil || name.Name == "_" {
-			if i < len(rvs) {
-				_ = rvs[i]
-			}
-			continue
-		}
-		cell := e.tr.lvalue(obj.Type())
-		e.env[obj] = cell
-		if i < len(rvs) {
-			e.tr.subtype(rvs[i], cell.elem, e.why(name, "initialization of "+name.Name))
+		if name.Name != "_" {
+			bc.define(name, at(rvs, i), "initialization")
 		}
 	}
+}
+
+// at returns rvs[i], or nil past the end of rvs.
+func at(rvs []*rtype, i int) *rtype {
+	if i < len(rvs) {
+		return rvs[i]
+	}
+	return nil
+}
+
+// define binds the variable id declares, if it declares one, to a fresh
+// cell, and flows rv into the cell's contents unless rv is nil; what
+// names the binding in the constraint's reason. It reports whether id
+// declares a variable.
+func (bc *bodyCtx) define(id *ast.Ident, rv *rtype, what string) bool {
+	obj := bc.pkg.Info.Defs[id]
+	if obj == nil {
+		return false
+	}
+	e := bc.e
+	cell := e.tr.lvalue(obj.Type())
+	e.env[obj] = cell
+	if rv != nil {
+		e.tr.subtype(rv, cell.elem, e.why(id, what+" of "+id.Name))
+	}
+	return true
+}
+
+// values evaluates the right-hand side of an assignment, a var spec or a
+// return with n targets: one expression giving n values (a call with n
+// results, a map index, a type assertion or a receive with ok), or one
+// value per expression.
+func (bc *bodyCtx) values(exprs []ast.Expr, n int) []*rtype {
+	if len(exprs) == 1 && n > 1 {
+		if call, ok := ast.Unparen(exprs[0]).(*ast.CallExpr); ok {
+			return bc.call(call, n)
+		}
+		out := make([]*rtype, n)
+		out[0] = bc.exprR(exprs[0]) // v, ok := m[k] / x.(T) / <-ch
+		for i := 1; i < n; i++ {
+			out[i] = bc.e.tr.leaf()
+		}
+		return out
+	}
+	out := make([]*rtype, len(exprs))
+	for i, x := range exprs {
+		out[i] = bc.exprR(x)
+	}
+	return out
 }
 
 // assign handles every flavor of AssignStmt.
 func (bc *bodyCtx) assign(s *ast.AssignStmt) {
 	e := bc.e
-	var rvs []*rtype
-	if len(s.Rhs) == 1 && len(s.Lhs) > 1 {
-		rvs = bc.exprMulti(s.Rhs[0], len(s.Lhs))
-	} else {
-		for _, r := range s.Rhs {
-			rvs = append(rvs, bc.exprR(r))
-		}
-	}
+	rvs := bc.values(s.Rhs, len(s.Lhs))
 	for i, l := range s.Lhs {
-		var rv *rtype
-		if i < len(rvs) {
-			rv = rvs[i]
-		}
-		if id, ok := l.(*ast.Ident); ok && id.Name == "_" {
+		rv := at(rvs, i)
+		id, isIdent := l.(*ast.Ident)
+		if isIdent && id.Name == "_" {
 			continue
 		}
-		if s.Tok == token.DEFINE {
-			if id, ok := l.(*ast.Ident); ok {
-				if obj := bc.pkg.Info.Defs[id]; obj != nil {
-					// A fresh definition; := may also re-assign an
-					// existing variable, handled below via Uses.
-					cell := e.tr.lvalue(obj.Type())
-					e.env[obj] = cell
-					e.tr.subtype(rv, cell.elem, e.why(id, "initialization of "+id.Name))
-					continue
-				}
-			}
+		// := defines its new variables; it may also re-assign an
+		// existing one, handled below via Uses.
+		if s.Tok == token.DEFINE && isIdent && bc.define(id, rv, "initialization") {
+			continue
 		}
 		lv := bc.exprL(l)
 		if lv == nil {
 			continue
 		}
-		bc.forbidWrite(lv, e.why(l, "assigned"))
+		e.suite.Write(e.sys, lv.ref.q, lv.guards, e.why(l, "assigned"))
 		if s.Tok == token.ASSIGN || s.Tok == token.DEFINE {
 			e.tr.subtype(rv, lv.ref.elem, e.why(l, "assignment"))
 		} else if rv != nil && lv.ref.elem != nil {
@@ -284,24 +289,14 @@ func (bc *bodyCtx) returnStmt(s *ast.ReturnStmt) {
 	if len(s.Results) == 0 {
 		return // bare return: named results already share the ret types
 	}
-	var rvs []*rtype
-	if len(s.Results) == 1 && len(bc.fi.sig.rets) > 1 {
-		rvs = bc.exprMulti(s.Results[0], len(bc.fi.sig.rets))
-	} else {
-		for _, r := range s.Results {
-			rvs = append(rvs, bc.exprR(r))
-		}
-	}
-	for i, rv := range rvs {
-		if i < len(bc.fi.sig.rets) {
-			e.tr.subtype(rv, bc.fi.sig.rets[i], e.why(s, "returned from "+bc.fi.name))
+	rets := bc.fi.sig.rets
+	why := e.why(s, "returned from "+bc.fi.name)
+	for i, rv := range bc.values(s.Results, len(rets)) {
+		if i < len(rets) {
+			e.tr.subtype(rv, rets[i], why)
 		}
 		if rv != nil {
-			for _, b := range e.suite.Bindings() {
-				if h := b.A.Hooks.Return; h != nil {
-					h(e.sys, b, rv.q, e.why(s, "returned from "+bc.fi.name))
-				}
-			}
+			e.suite.Return(e.sys, rv.q, why.Pos, bc.fi.name)
 		}
 	}
 }
@@ -317,24 +312,16 @@ func (bc *bodyCtx) rangeStmt(s *ast.RangeStmt) {
 		if expr == nil {
 			return
 		}
-		if id, ok := expr.(*ast.Ident); ok && id.Name == "_" {
+		id, isIdent := expr.(*ast.Ident)
+		if isIdent && id.Name == "_" {
 			return
 		}
-		if s.Tok == token.DEFINE {
-			if id, ok := expr.(*ast.Ident); ok {
-				if obj := bc.pkg.Info.Defs[id]; obj != nil {
-					cell := e.tr.lvalue(obj.Type())
-					e.env[obj] = cell
-					if content != nil {
-						e.tr.subtype(content, cell.elem, e.why(id, "range binding of "+id.Name))
-					}
-					return
-				}
-			}
+		if s.Tok == token.DEFINE && isIdent && bc.define(id, content, "range binding") {
+			return
 		}
 		lv := bc.exprL(expr)
 		if lv != nil {
-			bc.forbidWrite(lv, e.why(expr, "assigned by range"))
+			e.suite.Write(e.sys, lv.ref.q, lv.guards, e.why(expr, "assigned by range"))
 			if content != nil {
 				e.tr.subtype(content, lv.ref.elem, e.why(expr, "range binding"))
 			}
@@ -384,30 +371,13 @@ func (bc *bodyCtx) typeSwitch(s *ast.TypeSwitchStmt) {
 	}
 }
 
-// exprMulti evaluates a single expression expected to produce n values
-// (a multi-result call, a map index with ok, a type assertion with ok).
-func (bc *bodyCtx) exprMulti(e ast.Expr, n int) []*rtype {
-	if call, ok := ast.Unparen(e).(*ast.CallExpr); ok {
-		return bc.call(call, n)
-	}
-	out := make([]*rtype, n)
-	out[0] = bc.exprR(e) // v, ok := m[k] / x.(T) / <-ch
-	for i := 1; i < n; i++ {
-		out[i] = bc.e.tr.leaf("bool")
-	}
-	return out
-}
-
 // exprL computes the l-value of an expression, or nil when the
 // expression has no reference this analysis tracks.
 func (bc *bodyCtx) exprL(e ast.Expr) *lval {
-	en := bc.e
 	switch x := ast.Unparen(e).(type) {
 	case *ast.Ident:
-		if obj := usedObject(bc.pkg, x); obj != nil {
-			if cell, ok := en.env[obj]; ok {
-				return &lval{ref: cell}
-			}
+		if cell, _ := bc.use(x, false); cell != nil {
+			return &lval{ref: cell}
 		}
 		return nil
 	case *ast.StarExpr:
@@ -436,16 +406,9 @@ func (bc *bodyCtx) exprL(e ast.Expr) *lval {
 // the struct type, guarded by the enclosing object's qualifier (writing
 // x.f also writes x; writing p.f writes through p).
 func (bc *bodyCtx) selectorL(x *ast.SelectorExpr) *lval {
-	en := bc.e
 	sel := bc.pkg.Info.Selections[x]
 	if sel == nil {
-		// Package-qualified name: pkg.Var used as an l-value.
-		if obj := usedObject(bc.pkg, x.Sel); obj != nil {
-			if cell, ok := en.env[obj]; ok {
-				return &lval{ref: cell}
-			}
-		}
-		return nil
+		return bc.exprL(x.Sel) // package-qualified: pkg.Var
 	}
 	if sel.Kind() != types.FieldVal {
 		return nil
@@ -470,6 +433,36 @@ func (bc *bodyCtx) selectorL(x *ast.SelectorExpr) *lval {
 	return &lval{ref: f, guards: guards}
 }
 
+// use resolves a used name, an identifier or the name of a
+// package-qualified selector, to the cell of its object when the walk
+// has bound one (a global, parameter or local of the corpus). With
+// rvalue set it also returns the name's r-value: the cell's contents, a
+// defined function's shared signature, a fresh translation of the type
+// of an imported variable or function, or an opaque leaf. An l-value
+// use asks for no r-value, which would take fresh variables.
+func (bc *bodyCtx) use(id *ast.Ident, rvalue bool) (cell, rv *rtype) {
+	en := bc.e
+	obj := usedObject(bc.pkg, id)
+	if cell, ok := en.env[obj]; ok {
+		return cell, cell.elem
+	}
+	if !rvalue {
+		return nil, nil
+	}
+	switch o := obj.(type) {
+	case *types.Var:
+		// A variable from a package outside the analyzed corpus (an
+		// imported global): an opaque fresh value.
+		return nil, en.tr.rvalue(o.Type())
+	case *types.Func:
+		if fi, ok := en.funcByObj[o]; ok {
+			return nil, fi.sig
+		}
+		return nil, en.tr.rvalue(o.Type())
+	}
+	return nil, en.tr.leaf()
+}
+
 // usedObject resolves an identifier to its object, uses or defs.
 func usedObject(pkg *pkgInfo, id *ast.Ident) types.Object {
 	if obj := pkg.Info.Uses[id]; obj != nil {
@@ -489,27 +482,8 @@ func (bc *bodyCtx) exprR(e ast.Expr) *rtype {
 		return bc.exprR(x.X)
 
 	case *ast.Ident:
-		obj := usedObject(bc.pkg, x)
-		switch o := obj.(type) {
-		case *types.Var:
-			if cell, ok := en.env[o]; ok {
-				return cell.elem
-			}
-			// A variable from a package outside the analyzed corpus (an
-			// imported global): an opaque fresh value.
-			return en.tr.rvalue(o.Type())
-		case *types.Func:
-			if fi, ok := en.funcByObj[o]; ok {
-				return fi.sig
-			}
-			return en.tr.rvalue(o.Type())
-		case *types.Const, *types.Nil:
-			return en.tr.leaf("const")
-		}
-		return en.tr.leaf("ident")
-
-	case *ast.BasicLit:
-		return en.tr.leaf("lit")
+		_, rv := bc.use(x, true)
+		return rv
 
 	case *ast.FuncLit:
 		return bc.funcLit(x)
@@ -525,7 +499,7 @@ func (bc *bodyCtx) exprR(e ast.Expr) *rtype {
 		r := bc.exprR(x.Y)
 		// The result of an operator carries both operands' qualifiers
 		// (string concatenation of a tainted part is tainted).
-		res := en.tr.leaf("op")
+		res := en.tr.leaf()
 		if l != nil {
 			en.sys.Add(l.q, res.q, en.why(x, "operand of "+x.Op.String()))
 		}
@@ -539,7 +513,7 @@ func (bc *bodyCtx) exprR(e ast.Expr) *rtype {
 		if rv != nil && rv.kind == rref {
 			return rv.elem
 		}
-		return en.tr.leaf("deref")
+		return en.tr.leaf()
 
 	case *ast.IndexExpr:
 		if tv, ok := bc.pkg.Info.Types[x.X]; ok && tv.IsType() {
@@ -553,11 +527,11 @@ func (bc *bodyCtx) exprR(e ast.Expr) *rtype {
 		if rv != nil {
 			// Indexing a string (or an untracked shape): the element
 			// carries the container's qualifier.
-			res := en.tr.leaf("index")
+			res := en.tr.leaf()
 			en.sys.Add(rv.q, res.q, en.why(x, "indexed"))
 			return res
 		}
-		return en.tr.leaf("index")
+		return en.tr.leaf()
 
 	case *ast.IndexListExpr:
 		return bc.exprR(x.X) // generic instantiation
@@ -582,22 +556,15 @@ func (bc *bodyCtx) exprR(e ast.Expr) *rtype {
 		return res
 
 	case *ast.CallExpr:
-		out := bc.call(x, 1)
-		if len(out) > 0 {
-			return out[0]
-		}
-		return en.tr.leaf("call")
+		return bc.call(x, 1)[0]
 
 	case *ast.KeyValueExpr:
 		bc.exprR(x.Key)
 		return bc.exprR(x.Value)
 
-	case *ast.ArrayType, *ast.StructType, *ast.FuncType, *ast.InterfaceType,
-		*ast.MapType, *ast.ChanType, *ast.Ellipsis:
-		return en.tr.leaf("type")
-
 	default:
-		return en.tr.leaf("expr")
+		// Literals, type expressions and the rest: an opaque leaf.
+		return en.tr.leaf()
 	}
 }
 
@@ -618,10 +585,10 @@ func (bc *bodyCtx) unary(x *ast.UnaryExpr) *rtype {
 		if rv != nil && rv.kind == rref {
 			return rv.elem
 		}
-		return en.tr.leaf("recv")
+		return en.tr.leaf()
 	default:
 		rv := bc.exprR(x.X)
-		res := en.tr.leaf("op")
+		res := en.tr.leaf()
 		if rv != nil {
 			en.sys.Add(rv.q, res.q, en.why(x, "operand of "+x.Op.String()))
 		}
@@ -636,7 +603,7 @@ func (bc *bodyCtx) funcLit(x *ast.FuncLit) *rtype {
 	en := bc.e
 	sig, ok := typeOf(bc.pkg, x).(*types.Signature)
 	if !ok {
-		return en.tr.leaf("func")
+		return en.tr.leaf()
 	}
 	rsig := en.tr.signature(sig)
 	// The literal's returns constrain its own rets, not the enclosing
@@ -697,23 +664,7 @@ func (bc *bodyCtx) selectorR(x *ast.SelectorExpr) *rtype {
 	en := bc.e
 	sel := bc.pkg.Info.Selections[x]
 	if sel == nil {
-		// Package-qualified: pkg.Name.
-		obj := usedObject(bc.pkg, x.Sel)
-		switch o := obj.(type) {
-		case *types.Var:
-			if cell, ok := en.env[o]; ok {
-				return cell.elem
-			}
-			return en.tr.rvalue(o.Type())
-		case *types.Func:
-			if fi, ok := en.funcByObj[o]; ok {
-				return fi.sig
-			}
-			return en.tr.rvalue(o.Type())
-		case *types.Const:
-			return en.tr.leaf("const")
-		}
-		return en.tr.leaf("sel")
+		return bc.exprR(x.Sel) // package-qualified: pkg.Name
 	}
 	switch sel.Kind() {
 	case types.FieldVal:
@@ -732,7 +683,7 @@ func (bc *bodyCtx) selectorR(x *ast.SelectorExpr) *rtype {
 			}
 			return en.tr.rvalue(fn.Type())
 		}
-		return en.tr.leaf("method")
+		return en.tr.leaf()
 	}
 }
 

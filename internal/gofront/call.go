@@ -75,7 +75,7 @@ func (bc *bodyCtx) call(x *ast.CallExpr, want int) []*rtype {
 // pad extends results to want entries with fresh leaves.
 func pad(out []*rtype, want int, en *engine) []*rtype {
 	for len(out) < want {
-		out = append(out, en.tr.leaf("result"))
+		out = append(out, en.tr.leaf())
 	}
 	return out
 }
@@ -209,7 +209,7 @@ func (bc *bodyCtx) libraryCall(x *ast.CallExpr, obj *types.Func, recvRV *rtype) 
 // opaque result.
 func (bc *bodyCtx) unknownCall(x *ast.CallExpr, what string) []*rtype {
 	en := bc.e
-	res := en.tr.leaf("result")
+	res := en.tr.leaf()
 	for _, arg := range x.Args {
 		rv := bc.exprR(arg)
 		if rv == nil {
@@ -234,11 +234,11 @@ func (bc *bodyCtx) builtin(x *ast.CallExpr, name string) []*rtype {
 	switch name {
 	case "append":
 		if len(x.Args) == 0 {
-			return []*rtype{en.tr.leaf("append")}
+			return []*rtype{en.tr.leaf()}
 		}
 		s := bc.exprR(x.Args[0])
 		if s != nil && s.kind == rref {
-			bc.forbidWrite(&lval{ref: s}, en.why(x, "appended to"))
+			en.suite.Write(en.sys, s.q, nil, en.why(x, "appended to"))
 		}
 		for i, arg := range x.Args[1:] {
 			rv := bc.exprR(arg)
@@ -256,13 +256,13 @@ func (bc *bodyCtx) builtin(x *ast.CallExpr, name string) []*rtype {
 		if s != nil {
 			return []*rtype{s}
 		}
-		return []*rtype{en.tr.leaf("append")}
+		return []*rtype{en.tr.leaf()}
 	case "copy":
 		if len(x.Args) == 2 {
 			dst := bc.exprR(x.Args[0])
 			src := bc.exprR(x.Args[1])
 			if dst != nil && dst.kind == rref {
-				bc.forbidWrite(&lval{ref: dst}, en.why(x, "copied into"))
+				en.suite.Write(en.sys, dst.q, nil, en.why(x, "copied into"))
 				if src != nil && src.kind == rref {
 					en.tr.subtype(src.elem, dst.elem, en.why(x, "copied"))
 				} else if src != nil {
@@ -270,15 +270,15 @@ func (bc *bodyCtx) builtin(x *ast.CallExpr, name string) []*rtype {
 				}
 			}
 		}
-		return []*rtype{en.tr.leaf("int")}
+		return []*rtype{en.tr.leaf()}
 	case "delete", "clear", "close":
 		for _, arg := range x.Args {
 			rv := bc.exprR(arg)
 			if rv != nil && rv.kind == rref {
-				bc.forbidWrite(&lval{ref: rv}, en.why(x, name+"d"))
+				en.suite.Write(en.sys, rv.q, nil, en.why(x, name+"d"))
 			}
 		}
-		return []*rtype{en.tr.leaf(name)}
+		return []*rtype{en.tr.leaf()}
 	case "new":
 		return []*rtype{en.tr.rvalue(typeOf(bc.pkg, x))}
 	case "make":
@@ -287,7 +287,7 @@ func (bc *bodyCtx) builtin(x *ast.CallExpr, name string) []*rtype {
 		}
 		return []*rtype{en.tr.rvalue(typeOf(bc.pkg, x))}
 	case "min", "max":
-		res := en.tr.leaf(name)
+		res := en.tr.leaf()
 		for _, arg := range x.Args {
 			if rv := bc.exprR(arg); rv != nil {
 				en.sys.Add(rv.q, res.q, en.why(arg, "operand of "+name))
@@ -300,7 +300,7 @@ func (bc *bodyCtx) builtin(x *ast.CallExpr, name string) []*rtype {
 		for _, arg := range x.Args {
 			bc.exprR(arg)
 		}
-		return []*rtype{en.tr.leaf(name)}
+		return []*rtype{en.tr.leaf()}
 	}
 }
 
@@ -309,14 +309,7 @@ func (bc *bodyCtx) builtin(x *ast.CallExpr, name string) []*rtype {
 func (e *engine) constrainGlobal(gv globalVar) {
 	bc := &bodyCtx{e: e, pkg: gv.pkg, fi: &funcInfo{name: gv.pkg.Path + ".init", pkg: gv.pkg, sig: &rtype{kind: rfunc, q: e.tr.freshQ()}}}
 	vs := gv.spec
-	var rvs []*rtype
-	if len(vs.Values) == 1 && len(vs.Names) > 1 {
-		rvs = bc.exprMulti(vs.Values[0], len(vs.Names))
-	} else {
-		for _, v := range vs.Values {
-			rvs = append(rvs, bc.exprR(v))
-		}
-	}
+	rvs := bc.values(vs.Values, len(vs.Names))
 	for i, name := range vs.Names {
 		obj := gv.pkg.Info.Defs[name]
 		if obj == nil || name.Name == "_" || i >= len(rvs) {

@@ -38,17 +38,6 @@ type funcInfo struct {
 	sig *rtype
 }
 
-// gpos is one interesting const position: a reference level of a
-// defined function's parameter or result.
-type gpos struct {
-	fn    string
-	param string
-	index int
-	depth int
-	pos   token.Position
-	ref   *rtype
-}
-
 type engine struct {
 	prog  *Program
 	cfg   driver.Config
@@ -70,7 +59,7 @@ type engine struct {
 	// global initializers.
 	globalVars []globalVar
 
-	positions []*gpos
+	positions []constinfer.Position
 
 	// constActive notes whether the "const" analysis is in the suite
 	// (positions and verdicts only exist for it).
@@ -184,24 +173,24 @@ func (e *engine) registerPositions(fi *funcInfo, sig *types.Signature) {
 	for i := 0; i < sig.Params().Len(); i++ {
 		vars = append(vars, sig.Params().At(i))
 	}
+	declPos := constraint.TokenPos(e.pos(fi.decl))
 	for i, v := range vars {
-		pos := e.prog.fset.Position(fi.decl.Pos())
+		pos := declPos
 		if v.Pos().IsValid() {
-			pos = e.prog.fset.Position(v.Pos())
+			pos = constraint.TokenPos(e.prog.fset.Position(v.Pos()))
 		}
 		for _, pr := range refPositions(fi.sig.params[i], 0, nil) {
-			e.positions = append(e.positions, &gpos{
-				fn: fi.name, param: v.Name(), index: i, depth: pr.depth,
-				pos: pos, ref: pr.ref,
+			e.positions = append(e.positions, constinfer.Position{
+				Func: fi.name, Param: v.Name(), Index: i, Depth: pr.depth,
+				Q: pr.ref.q.Var(), Pos: pos,
 			})
 		}
 	}
 	for i := 0; i < sig.Results().Len(); i++ {
-		r := sig.Results().At(i)
 		for _, pr := range refPositions(fi.sig.rets[i], 0, nil) {
-			e.positions = append(e.positions, &gpos{
-				fn: fi.name, param: r.Name(), index: -1, depth: pr.depth,
-				pos: e.prog.fset.Position(fi.decl.Pos()), ref: pr.ref,
+			e.positions = append(e.positions, constinfer.Position{
+				Func: fi.name, Param: sig.Results().At(i).Name(), Index: -1, Depth: pr.depth,
+				Q: pr.ref.q.Var(), Pos: declPos,
 			})
 		}
 	}
@@ -290,43 +279,13 @@ func (e *engine) SolveSession(context.Context, *constraint.Session) []*constrain
 
 func (e *engine) Set() *qual.Set { return e.set }
 
-// Classify reads the solved system back as the shared report shape:
-// every position classified must-const / not-const / either, with the
-// paper's counters. Go declares no consts, so Declared is always zero —
-// every must-const and either position is an inference.
+// Classify reads the solved system back as the shared report shape,
+// with the number of defined functions. Go declares no consts, so
+// Declared is always zero: every must-const and either position is an
+// inference.
 func (e *engine) Classify(conflicts []*constraint.Unsat) *constinfer.Report {
-	rep := &constinfer.Report{
-		Conflicts:   conflicts,
-		Functions:   len(e.funcs),
-		Constraints: e.sys.NumConstraints(),
-		Vars:        e.sys.NumVars(),
-		Positions:   make([]constinfer.PositionResult, 0, len(e.positions)),
-	}
-	for _, p := range e.positions {
-		v := constinfer.Either
-		if p.ref.q.IsVar() {
-			switch {
-			case e.sys.Forced(p.ref.q.Var(), "const"):
-				v = constinfer.MustConst
-			case e.sys.Forbidden(p.ref.q.Var(), "const"):
-				v = constinfer.MustNotConst
-			}
-		}
-		rep.Total++
-		if v == constinfer.MustConst || v == constinfer.Either {
-			rep.Inferred++
-		}
-		rep.Positions = append(rep.Positions, constinfer.PositionResult{
-			Position: constinfer.Position{
-				Func:  p.fn,
-				Param: p.param,
-				Index: p.index,
-				Depth: p.depth,
-				Pos:   constraint.Pos{File: p.pos.Filename, Line: int32(p.pos.Line), Col: int32(p.pos.Column)},
-			},
-			Verdict: v,
-		})
-	}
+	rep := constinfer.Classify(e.sys, conflicts, e.positions)
+	rep.Functions = len(e.funcs)
 	return rep
 }
 

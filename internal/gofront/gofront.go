@@ -49,6 +49,10 @@ func init() { driver.RegisterFrontEnd(frontEnd{}) }
 func (frontEnd) Lang() string         { return "go" }
 func (frontEnd) Extensions() []string { return []string{".go"} }
 
+// Tree lists the files a run over dir/... reads: the buildable non-test
+// .go files of every package directory under dir.
+func (frontEnd) Tree(dir string) ([]string, error) { return goTree(dir, true) }
+
 // Check rejects the C-only modes: the Go engine is monomorphic (one
 // shared signature per function, Section 4.2's C type system analogue)
 // and has no flow-sensitive initialization checker.
@@ -103,16 +107,12 @@ func (frontEnd) Load(sources []driver.Source) ([]driver.Source, []error) {
 	return files, errs
 }
 
-// expandPattern lists the buildable .go files a package pattern names,
-// sorted per directory. A trailing "..." walks subdirectories the way
-// the go tool does, skipping testdata, vendor, and hidden or
-// underscore-prefixed directories.
+// expandPattern lists the buildable .go files a package pattern names.
+// A trailing "..." names the directory and every directory under it, as
+// it does for the go tool.
 func expandPattern(pat string) ([]string, error) {
-	recursive := false
-	base := pat
-	if strings.HasSuffix(base, "...") {
-		recursive = true
-		base = strings.TrimSuffix(base, "...")
+	base, recursive := strings.CutSuffix(pat, "...")
+	if recursive {
 		base = strings.TrimSuffix(base, "/")
 		if base == "" {
 			base = "."
@@ -125,16 +125,30 @@ func expandPattern(pat string) ([]string, error) {
 	if !info.IsDir() {
 		return nil, fmt.Errorf("gofront: %s is not a directory or .go file", pat)
 	}
-	var dirs []string
+	out, err := goTree(base, recursive)
+	if err == nil && len(out) == 0 {
+		err = fmt.Errorf("gofront: no Go files in %s", pat)
+	}
+	return out, err
+}
+
+// goTree lists the buildable .go files of base and, when recursive, of
+// every directory under it that the go tool would walk into
+// (driver.SkipTreeDir), directory by directory in sorted order. A
+// directory under base that is removed during the listing is left out.
+func goTree(base string, recursive bool) ([]string, error) {
+	dirs := []string{base}
 	if recursive {
+		dirs = nil
 		err := filepath.WalkDir(base, func(path string, d os.DirEntry, err error) error {
-			if err != nil {
-				return err
-			}
-			if !d.IsDir() {
+			switch {
+			case err != nil && path != base && errors.Is(err, os.ErrNotExist):
 				return nil
-			}
-			if path != base && skipDirName(d.Name()) {
+			case err != nil:
+				return err
+			case !d.IsDir():
+				return nil
+			case path != base && driver.SkipTreeDir(d.Name()):
 				return filepath.SkipDir
 			}
 			dirs = append(dirs, path)
@@ -143,29 +157,20 @@ func expandPattern(pat string) ([]string, error) {
 		if err != nil {
 			return nil, err
 		}
-	} else {
-		dirs = []string{base}
 	}
 	sort.Strings(dirs)
 	var out []string
 	for _, dir := range dirs {
 		files, err := goFilesIn(dir)
 		if err != nil {
+			if _, statErr := os.Stat(dir); dir != base && errors.Is(statErr, os.ErrNotExist) {
+				continue
+			}
 			return nil, err
 		}
 		out = append(out, files...)
 	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("gofront: no Go files in %s", pat)
-	}
 	return out, nil
-}
-
-// skipDirName reports whether the go tool would never descend into a
-// directory of this name while expanding "...".
-func skipDirName(name string) bool {
-	return name == "testdata" || name == "vendor" ||
-		strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")
 }
 
 // goFilesIn lists the .go files in dir that a build with cgo disabled

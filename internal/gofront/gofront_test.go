@@ -123,6 +123,39 @@ func deep(pp **int) { **pp = 1 }
 			"deep pp 0 0 either",
 			"deep pp 0 1 not-const",
 		}},
+		{"type-switch-binding", `package p
+func set(p *int) {
+	var x any = p
+	switch v := x.(type) {
+	case *int:
+		*v = 1
+	}
+}
+func peek(p *int) int {
+	var x any = p
+	switch v := x.(type) {
+	case *int:
+		return *v
+	}
+	return 0
+}
+`, []string{
+			// Boxing and the clause binding keep the top-level
+			// qualifier, so a write through the clause's variable
+			// writes through p.
+			"set p 0 0 not-const",
+			"peek p 0 0 either",
+		}},
+		{"type-parameter-call", `package p
+func apply[F func(*int)](f F, p *int) { f(p) }
+func read[T any](x T, p *int) int { return *p }
+`, []string{
+			// A value of type-parameter type is an opaque leaf, so
+			// calling it is an untracked call: the conservative rule
+			// writes through every argument.
+			"apply p 1 0 not-const",
+			"read p 1 0 either",
+		}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -53,9 +53,6 @@ type rtype struct {
 
 	// Struct identity and shared field l-values.
 	fields map[string]*rtype
-
-	// spelling preserves the Go type spelling for display.
-	spelling string
 }
 
 // translator builds rtypes from go/types types, sharing one struct
@@ -91,16 +88,13 @@ func (tr *translator) freshQ() constraint.Term { return constraint.V(tr.sys.Fres
 // no declared const (nothing seeds; taint and const both infer).
 func (tr *translator) newRef(elem *rtype) *rtype {
 	r := &rtype{kind: rref, q: tr.freshQ(), elem: elem}
-	for _, b := range tr.suite.Bindings() {
-		if h := b.A.Hooks.DeclQual; h != nil {
-			h(tr.sys, b, r.q, false, constraint.Pos{})
-		}
-	}
+	tr.suite.DeclQual(tr.sys, r.q, false, constraint.Pos{})
 	return r
 }
 
-func (tr *translator) leaf(spelling string) *rtype {
-	return &rtype{kind: rleaf, q: tr.freshQ(), spelling: spelling}
+// leaf makes a qualifier-opaque scalar with a fresh qualifier.
+func (tr *translator) leaf() *rtype {
+	return &rtype{kind: rleaf, q: tr.freshQ()}
 }
 
 // lvalue is θ: the cell of a variable of type t — a reference to the
@@ -112,13 +106,13 @@ func (tr *translator) lvalue(t types.Type) *rtype {
 // rvalue is θ': the r-value translation of a Go type.
 func (tr *translator) rvalue(t types.Type) *rtype {
 	if t == nil {
-		return tr.leaf("invalid")
+		return tr.leaf()
 	}
 	if tr.visiting[t] {
 		// A recursive type whose cycle avoids every struct value (e.g.
 		// `type list *list`): sever the back edge with an opaque leaf,
 		// as the C front end severs casts.
-		return tr.leaf(t.String())
+		return tr.leaf()
 	}
 	tr.visiting[t] = true
 	defer delete(tr.visiting, t)
@@ -139,7 +133,7 @@ func (tr *translator) rvalue(t types.Type) *rtype {
 		// Basic, interface, tuple, type parameter, invalid: a
 		// qualifier-opaque scalar. The qualifier still flows (a tainted
 		// string is a tainted leaf); the structure does not.
-		return tr.leaf(t.String())
+		return tr.leaf()
 	}
 }
 
@@ -180,9 +174,8 @@ func (tr *translator) structVal(named *types.Named, u *types.Struct) *rtype {
 }
 
 func (tr *translator) newStructVal(named *types.Named, u *types.Struct) *rtype {
-	v := &rtype{kind: rstruct, q: tr.freshQ(), fields: map[string]*rtype{}, spelling: u.String()}
+	v := &rtype{kind: rstruct, q: tr.freshQ(), fields: map[string]*rtype{}}
 	if named != nil {
-		v.spelling = named.Obj().Name()
 		tr.structVals[named] = v // register before fields: recursive structs
 	}
 	for i := 0; i < u.NumFields(); i++ {
